@@ -1,9 +1,11 @@
-//! The sharded executor: conservative parallel simulation of one city.
+//! The run loop: conservative parallel simulation of one city, and its
+//! one-shard case.
 //!
 //! [`run_sharded`] partitions the spec's fabric into region shards
 //! ([`crate::partition::ExecPlan`]), compiles a full replica of the
-//! world on each worker thread ([`crate::build::compile_for`]), and
-//! drives them in lockstep lookahead epochs:
+//! world for each ([`crate::build::compile_for`]), and drives every
+//! replica through the same loop (`drive`) in lockstep lookahead
+//! epochs:
 //!
 //! 1. Every shard runs its engine up to (but not into) the epoch
 //!    boundary `t + L`, where the lookahead `L` is the minimum over cut
@@ -30,14 +32,22 @@
 //!    window. A second barrier closes the epoch.
 //!
 //! The epoch boundaries also stop at every *control mark* — switch
-//! deaths and congestion-epoch boundaries, the same timeline the
-//! classic path pauses at (`control_marks` in `build.rs`). Death
-//! repair replays identically on every shard's full `Network` replica;
+//! deaths and congestion-epoch boundaries (`control_marks` in
+//! `build/faults.rs`, walked here and nowhere else). Death repair
+//! replays identically on every shard's full `Network` replica;
 //! congestion epochs sample a per-shard [`EpochSignal`], exchange the
 //! samples (and any cross-shard drop reclaims) through per-shard
 //! control slots at a barrier, and feed every replica's controller the
 //! identical merged signal — so renegotiation verdicts, broker ledgers
 //! and grants stay byte-identical at any shard count.
+//!
+//! **One shard is the degenerate case of the same loop, not a second
+//! one.** No trunk is cut, so the lookahead is unbounded and epochs
+//! fall only on control marks and the end of the run. There are no
+//! peers (`Peers` is absent), so nothing is sealed, no thread is
+//! spawned, no barrier is taken and no lock is touched; the exchange
+//! merges one signal with nothing. [`crate::build::Scenario::run`] is
+//! that case, applied to a scenario the caller compiled.
 //!
 //! Determinism: ownership, lane assignment, the lookahead and the mark
 //! timeline are pure functions of the spec, arrival times come from the
@@ -53,16 +63,14 @@ use std::thread;
 
 use pegasus::congestion::EpochSignal;
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
-use pegasus_atm::credit::CreditReturn;
+use pegasus_atm::credit::{CreditExportBuf, CreditReturn};
 use pegasus_atm::link::ExportBuffer;
 use pegasus_atm::network::TrunkDir;
-use pegasus_sim::time::Ns;
+use pegasus_sim::time::{Ns, SEC};
 
-use crate::build::{
-    assemble, compile_for, control_marks, run, ControlMark, ShardOutcome, ShardRuntime,
-};
-use crate::partition::{ExecPlan, ShardPlan};
-use crate::report::ScenarioReport;
+use crate::build::{assemble, compile_for, control_marks, ControlMark, Scenario, ShardOutcome};
+use crate::partition::ExecPlan;
+use crate::report::{ScenarioReport, ShardSlice};
 use crate::spec::ScenarioSpec;
 
 /// A cell in flight between shards: sealed to its 53 wire bytes, tagged
@@ -82,12 +90,8 @@ enum SealedMsg {
     Credit(CreditReturn),
 }
 
-/// `mailboxes[from][to]` carries sealed records from shard `from` to
-/// shard `to` across one epoch boundary.
-type Mailboxes = Vec<Vec<Mutex<Vec<SealedMsg>>>>;
-
-/// One shard's contribution to a congestion-epoch exchange: its slice
-/// of the epoch signal and any reclaim records for drops it observed on
+/// One shard's contribution to a control exchange: its slice of the
+/// epoch signal and any reclaim records for drops it observed on
 /// circuits whose windows live elsewhere. Written by the owner before
 /// the exchange barrier, read by everyone after it.
 #[derive(Default)]
@@ -96,137 +100,126 @@ struct ControlSlot {
     reclaims: Vec<(Vci, u64)>,
 }
 
+/// What the shards of one run share. A one-shard run has none.
+pub(crate) struct Peers {
+    /// `mailboxes[from][to]` carries sealed records from shard `from`
+    /// to shard `to` across one epoch boundary.
+    mailboxes: Vec<Vec<Mutex<Vec<SealedMsg>>>>,
+    control: Vec<Mutex<ControlSlot>>,
+    barrier: Barrier,
+}
+
+impl Peers {
+    fn new(k: usize) -> Option<Peers> {
+        (k > 1).then(|| Peers {
+            mailboxes: (0..k)
+                .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
+                .collect(),
+            control: (0..k).map(|_| Mutex::new(ControlSlot::default())).collect(),
+            barrier: Barrier::new(k),
+        })
+    }
+
+    fn wait(&self, rt: &mut ShardSlice) {
+        self.barrier.wait();
+        rt.barrier_waits += 1;
+    }
+}
+
 /// Runs `spec` across up to `requested` region shards and reports.
 ///
 /// The effective shard count may be lower (see
-/// [`ExecPlan::partition`] for the clamping rules); at one shard this
-/// is exactly the classic [`crate::build::run`]. The report's canonical
-/// JSON is byte-identical at every shard count; only its `shards`
-/// block differs.
+/// [`ExecPlan::partition`] for the clamping rules). The report's
+/// canonical JSON is byte-identical at every shard count; only its
+/// `shards` block differs.
 pub fn run_sharded(spec: &ScenarioSpec, requested: usize) -> ScenarioReport {
     let plan = ExecPlan::partition(spec, requested);
-    if plan.shards == 1 {
-        return run(spec);
-    }
-    let k = plan.shards;
-    let mailboxes: Mailboxes = (0..k)
-        .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let control: Vec<Mutex<ControlSlot>> =
-        (0..k).map(|_| Mutex::new(ControlSlot::default())).collect();
-    let barrier = Barrier::new(k);
-    let mut outcomes: Vec<ShardOutcome> = thread::scope(|s| {
-        let handles: Vec<_> = (1..k)
-            .map(|i| {
-                let sp = plan.shard_plan(i);
-                let mb = &mailboxes;
-                let ct = &control;
-                let ba = &barrier;
-                s.spawn(move || run_shard(spec, sp, mb, ct, ba))
-            })
+    let peers = Peers::new(plan.shards);
+    let peers = peers.as_ref();
+    let shard = |i: usize| drive(compile_for(spec, plan.shard_plan(i)), peers);
+    let outcomes = thread::scope(|s| {
+        let workers: Vec<_> = (1..plan.shards)
+            .map(|i| s.spawn(move || shard(i)))
             .collect();
         // The coordinator (shard 0) runs on this thread.
-        let mut outs = vec![run_shard(
-            spec,
-            plan.shard_plan(0),
-            &mailboxes,
-            &control,
-            &barrier,
-        )];
-        for h in handles {
-            outs.push(h.join().expect("shard thread panicked"));
-        }
+        let mut outs = vec![shard(0)];
+        outs.extend(
+            workers
+                .into_iter()
+                .map(|h| h.join().expect("shard thread panicked")),
+        );
         outs
     });
-    outcomes.sort_by_key(|o| o.shard());
     assemble(spec, outcomes)
 }
 
-/// Compiles and drives one shard's replica through the epoch loop.
-fn run_shard(
-    spec: &ScenarioSpec,
-    plan: ShardPlan,
-    mailboxes: &Mailboxes,
-    control: &[Mutex<ControlSlot>],
-    barrier: &Barrier,
-) -> ShardOutcome {
-    let me = plan.shard;
-    let shards = plan.shards;
-    let mut sc = compile_for(spec, plan);
-    let owner = sc.plan().owner.clone();
-    let coordinator = sc.plan().materialize_pfs;
-    let trunks: Vec<TrunkDir> = sc.sys.net.trunks().to_vec();
+/// One shard's wiring to its peers: where its cut-crossing cells and
+/// credit returns leave from, and the trunk table sealed cells are
+/// addressed by.
+struct Cut<'a> {
+    peers: &'a Peers,
+    me: usize,
+    trunks: Vec<TrunkDir>,
+    /// `(trunk, export buffer, receiving shard)` per outbound cut trunk.
+    outbound: Vec<(usize, ExportBuffer, usize)>,
+    /// Outbound credit-return records, indexed by producer shard. The
+    /// consumer-side gates fill them during the epoch; the slot for
+    /// this shard stays empty by construction (a locally-owned window
+    /// gets a delayed in-process return, not an export).
+    credit_out: Vec<CreditExportBuf>,
+    /// Reusable drain buffer: swap a mailbox's contents out under the
+    /// lock, process outside it. `clear` + `append` retains both
+    /// vectors' capacities, so the steady-state loop allocates nothing.
+    drain_buf: Vec<SealedMsg>,
+}
 
-    // Redirect the transmit side of every outbound cut trunk into an
-    // export buffer: cells this shard sends to a peer's switch are
-    // captured with their arrival times instead of delivered locally.
-    // Pre-sized so the steady-state epoch loop never grows them.
-    let mut outbound: Vec<(usize, ExportBuffer, usize)> = Vec::new();
-    for (ti, t) in trunks.iter().enumerate() {
-        if owner[t.from] == me && owner[t.to] != me {
-            let buf: ExportBuffer = Rc::new(RefCell::new(Vec::with_capacity(256)));
-            sc.sys
-                .net
-                .with_switch_output(t.from, t.port, |l| l.set_export(buf.clone()));
-            outbound.push((ti, buf, owner[t.to]));
+impl<'a> Cut<'a> {
+    /// Redirects the transmit side of every outbound cut trunk into an
+    /// export buffer: cells this shard sends to a peer's switch are
+    /// captured with their arrival times instead of delivered locally.
+    /// Buffers are pre-sized so the steady-state loop never grows them.
+    fn new(sc: &mut Scenario, peers: &'a Peers) -> Cut<'a> {
+        let plan = sc.plan().clone();
+        let me = plan.shard;
+        let trunks: Vec<TrunkDir> = sc.sys.net.trunks().to_vec();
+        let mut outbound = Vec::new();
+        for (ti, t) in trunks.iter().enumerate() {
+            if plan.owner_of(t.from) == me && plan.owner_of(t.to) != me {
+                let buf: ExportBuffer = Rc::new(RefCell::new(Vec::with_capacity(256)));
+                sc.sys
+                    .net
+                    .with_switch_output(t.from, t.port, |l| l.set_export(buf.clone()));
+                outbound.push((ti, buf, plan.owner_of(t.to)));
+            }
+        }
+        let credit_out: Vec<_> = (0..plan.shards).map(|d| sc.credit_export(d)).collect();
+        for buf in &credit_out {
+            buf.borrow_mut().reserve(64);
+        }
+        Cut {
+            peers,
+            me,
+            trunks,
+            outbound,
+            credit_out,
+            drain_buf: Vec::new(),
         }
     }
-    // Outbound credit-return records, addressed by producer shard. The
-    // consumer-side gates filled the buffers during the epoch; the slot
-    // for this shard stays empty by construction (a locally-owned
-    // window gets a delayed in-process return, not an export).
-    let credit_out: Vec<_> = (0..shards).map(|d| sc.credit_export(d)).collect();
-    for buf in &credit_out {
-        buf.borrow_mut().reserve(64);
-    }
 
-    // Conservative lookahead: the global minimum over *all* cut trunks
-    // (every shard computes the same value), never the local outbound
-    // set — shards must agree on the epoch boundaries.
-    let lookahead = trunks
-        .iter()
-        .filter(|t| owner[t.from] != owner[t.to])
-        .map(|t| (CELL_SIZE as u64 * 8 * pegasus_sim::time::SEC / t.rate_bps) + t.prop_delay)
-        .min()
-        .expect("a multi-shard plan over a connected fabric has cut trunks")
-        .max(1);
-
-    // The control-plane timeline: identical on every shard, so the
-    // extra boundaries (and the barriers some of them cost) align.
-    let marks = control_marks(spec);
-    let mut mark_idx = 0usize;
-    let mut controller = sc.make_controller();
-    let mut vcs_rerouted = 0u64;
-    let mut vcs_stranded = 0u64;
-    let mut admitted_dropped = (0u64, 0u64); // (overflow, outage)
-    let mut remote: Vec<(Vci, u64)> = Vec::new();
-
-    let end = sc.end_time();
-    let mut rt = ShardRuntime {
-        lookahead_ns: lookahead,
-        cut_trunks: outbound.len() as u64,
-        ..ShardRuntime::default()
-    };
-    // Reusable drain buffer: swap a mailbox's contents out under the
-    // lock, process outside it. `clear` + `append` retains both
-    // vectors' capacities, so the steady-state loop allocates nothing.
-    let mut drain_buf: Vec<SealedMsg> = Vec::new();
-    let mut t: Ns = 0;
-    while t < end {
-        let next_mark = marks.get(mark_idx).map_or(Ns::MAX, |&(at, _)| at);
-        let next = (t + lookahead).min(end).min(next_mark);
-        // Run this epoch: strictly before the boundary, then park the
-        // clock exactly on it so injected arrivals can never precede it.
-        sc.sim.run_before(next);
-
-        // Publish: seal and post this epoch's cut crossings. Trunk
-        // order, and send order within a trunk, are deterministic.
-        for (ti, buf, dest) in &outbound {
+    /// Closes the epoch ending at `next`: seal and post this shard's
+    /// cut crossings, then accept the peers'.
+    fn cross_epoch(&mut self, sc: &mut Scenario, next: Ns, rt: &mut ShardSlice) {
+        let me = self.me;
+        // Publish. Trunk order, and send order within a trunk, are
+        // deterministic.
+        for (ti, buf, dest) in &self.outbound {
             let mut cells = buf.borrow_mut();
             if cells.is_empty() {
                 continue;
             }
-            let mut mb = mailboxes[me][*dest].lock().expect("mailbox lock");
+            let mut mb = self.peers.mailboxes[me][*dest]
+                .lock()
+                .expect("mailbox lock");
             for (arrival, cell) in cells.drain(..) {
                 rt.cells_exported += 1;
                 mb.push(SealedMsg::Cell(SealedCell {
@@ -238,124 +231,199 @@ fn run_shard(
         }
         // Credit returns for windows living on other shards ride the
         // same mailboxes. Their application times already clear the
-        // next boundary: delivery happened strictly before `next`, and
-        // the return delay is never below the trunk lookahead.
-        for (dest, buf) in credit_out.iter().enumerate() {
+        // boundary: delivery happened strictly before `next`, and the
+        // return delay is never below the trunk lookahead.
+        for (dest, buf) in self.credit_out.iter().enumerate() {
             let mut records = buf.borrow_mut();
-            if dest == me {
-                debug_assert!(records.is_empty(), "no export path to our own windows");
-                continue;
-            }
             if records.is_empty() {
                 continue;
             }
-            let mut mb = mailboxes[me][dest].lock().expect("mailbox lock");
+            assert_ne!(dest, me, "shard {me}: export path to its own windows");
+            let mut mb = self.peers.mailboxes[me][dest].lock().expect("mailbox lock");
             for r in records.drain(..) {
-                debug_assert!(r.apply_at >= next, "credit return clears the boundary");
+                assert!(
+                    r.apply_at >= next,
+                    "credit return {me}->{dest} applies at {} before the epoch boundary {next}",
+                    r.apply_at,
+                );
                 rt.credits_crossed += 1;
                 mb.push(SealedMsg::Credit(r));
             }
         }
-        barrier.wait();
-        rt.barrier_waits += 1;
+        self.peers.wait(rt);
 
         // Drain: accept peers' records in sender order. Cells are
         // injected into this shard's replica of the transmitting link —
         // delivery lands on the trunk's own lane, so per-lane order
         // matches the single-shard schedule exactly. Credit records are
         // parked on their windows until their application times.
-        for (sender, from_sender) in mailboxes.iter().enumerate().take(shards) {
+        for (sender, from_sender) in self.peers.mailboxes.iter().enumerate() {
             if sender == me {
                 continue;
             }
             {
                 let mut mb = from_sender[me].lock().expect("mailbox lock");
-                drain_buf.clear();
-                drain_buf.append(&mut mb);
+                self.drain_buf.clear();
+                self.drain_buf.append(&mut mb);
             }
-            for msg in drain_buf.drain(..) {
+            for msg in self.drain_buf.drain(..) {
                 match msg {
                     SealedMsg::Cell(sealed) => {
                         rt.cells_imported += 1;
                         let cell =
                             Cell::from_bytes(&sealed.bytes).expect("sealed cell round-trips");
-                        let tr = &trunks[sealed.trunk as usize];
+                        let tr = &self.trunks[sealed.trunk as usize];
                         let sim = &mut sc.sim;
                         sc.sys.net.with_switch_output(tr.from, tr.port, |l| {
                             l.inject(sim, sealed.arrival, cell)
                         });
                     }
-                    SealedMsg::Credit(r) => {
-                        let found = sc.apply_credit_return(r.dst_vci, r.apply_at, r.n);
-                        debug_assert!(found, "credit record addressed to the window's owner");
-                    }
+                    SealedMsg::Credit(r) => sc
+                        .credit_window(r.dst_vci)
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "credit record {sender}->{me} for VCI {} in the epoch ending \
+                                 {next}: shard {me} does not own the window",
+                                r.dst_vci
+                            )
+                        })
+                        .borrow_mut()
+                        .release_at(r.apply_at, r.n),
                 }
             }
         }
         // Close the epoch only once every shard has drained: a fast
         // peer must not start publishing the next epoch's cells into a
         // mailbox that is still being read.
-        barrier.wait();
-        rt.barrier_waits += 1;
+        self.peers.wait(rt);
+    }
 
-        // Control marks at this boundary, in the classic order (deaths
-        // before a same-time epoch sample). Events parked exactly on
-        // the mark — injected arrivals included — run first, matching
-        // the classic path's inclusive `run_until(at)`.
-        while marks.get(mark_idx).is_some_and(|&(at, _)| at == next) {
+    /// One control exchange: publish this shard's epoch `signal` (the
+    /// final exchange carries none) and its `reclaims` for windows
+    /// living elsewhere, then fold every shard's signal (the merge is
+    /// associative and commutative, folded in shard order) and apply
+    /// peers' reclaims to any window this shard owns. Returns the
+    /// merged signal.
+    fn exchange(
+        &self,
+        sc: &Scenario,
+        signal: Option<EpochSignal>,
+        reclaims: &mut Vec<(Vci, u64)>,
+        rt: &mut ShardSlice,
+    ) -> EpochSignal {
+        {
+            let mut slot = self.peers.control[self.me]
+                .lock()
+                .expect("control slot lock");
+            slot.signal = signal.unwrap_or_default();
+            slot.reclaims.clear();
+            slot.reclaims.append(reclaims);
+        }
+        self.peers.wait(rt);
+        let mut merged = EpochSignal::default();
+        for (i, slot) in self.peers.control.iter().enumerate() {
+            let slot = slot.lock().expect("control slot lock");
+            merged.merge(&slot.signal);
+            if i != self.me {
+                for &(vci, n) in &slot.reclaims {
+                    if let Some(w) = sc.credit_window(vci) {
+                        w.borrow_mut().reclaim(n);
+                    }
+                }
+            }
+        }
+        self.peers.wait(rt);
+        merged
+    }
+}
+
+/// Drives one compiled replica through the epoch loop to the end of
+/// the run and folds what it measured. `peers` is `None` exactly when
+/// the scenario was compiled as the only shard.
+pub(crate) fn drive(mut sc: Scenario, peers: Option<&Peers>) -> ShardOutcome {
+    let plan = sc.plan().clone();
+    let mut cut = peers.map(|p| Cut::new(&mut sc, p));
+
+    // Conservative lookahead: the global minimum over *all* cut trunks
+    // (every shard computes the same value), never the local outbound
+    // set — shards must agree on the epoch boundaries. With nothing
+    // cut there is no bound: epochs end only at marks and `end`.
+    let lookahead: Option<Ns> = sc
+        .sys
+        .net
+        .trunks()
+        .iter()
+        .filter(|t| plan.owner_of(t.from) != plan.owner_of(t.to))
+        .map(|t| ((CELL_SIZE as u64 * 8 * SEC / t.rate_bps) + t.prop_delay).max(1))
+        .min();
+
+    // The control-plane timeline: identical on every shard, so the
+    // extra boundaries (and the barriers some of them cost) align.
+    let mut marks = control_marks(sc.spec()).into_iter().peekable();
+    let mut controller = sc.make_controller();
+    let mut vcs_rerouted = 0u64;
+    let mut vcs_stranded = 0u64;
+    let mut admitted_dropped = (0u64, 0u64); // (overflow, outage)
+    let mut reclaims: Vec<(Vci, u64)> = Vec::new();
+    let mut settle = |sc: &Scenario, reclaims: &mut Vec<(Vci, u64)>| {
+        let (overflow, outage) = sc.settle_drops(reclaims);
+        admitted_dropped.0 += overflow;
+        admitted_dropped.1 += outage;
+    };
+
+    let end = sc.end_time();
+    let mut rt = ShardSlice {
+        lookahead_ns: lookahead.unwrap_or(0),
+        cut_trunks: cut.as_ref().map_or(0, |c| c.outbound.len() as u64),
+        ..ShardSlice::default()
+    };
+    let mut t: Ns = 0;
+    while t < end {
+        let next_mark = marks.peek().map_or(end, |&(at, _)| at);
+        let next = lookahead.map_or(end, |l| t + l).min(end).min(next_mark);
+        // Run this epoch: strictly before the boundary, then park the
+        // clock exactly on it so injected arrivals can never precede it.
+        sc.sim.run_before(next);
+        if let Some(cut) = &mut cut {
+            cut.cross_epoch(&mut sc, next, &mut rt);
+        }
+
+        // Control marks at this boundary, deaths before a same-time
+        // epoch sample. Events parked exactly on the mark — injected
+        // arrivals included — run first.
+        while let Some((_, mark)) = marks.next_if(|&(at, _)| at == next) {
             sc.sim.run_until(next);
-            match marks[mark_idx].1 {
+            match mark {
                 ControlMark::Death(switch) => {
                     // Repair replays identically on every shard's full
                     // replica; the report's totals count it once, on
                     // the coordinator.
                     let (r, s) = sc.apply_death(switch);
-                    rt.repairs_replicated += r + s;
-                    if coordinator {
+                    if peers.is_some() {
+                        rt.repairs_replicated += r + s;
+                    }
+                    if plan.materialize_pfs {
                         vcs_rerouted += r;
                         vcs_stranded += s;
                     }
                 }
                 ControlMark::Epoch => {
-                    // Sample locally, settle local drops (emitting
-                    // reclaim records for windows living elsewhere),
-                    // publish both through this shard's control slot...
-                    let sig = sc.sample_epoch_signal();
-                    let (ov, ou) = sc.settle_drops(&mut remote);
-                    admitted_dropped.0 += ov;
-                    admitted_dropped.1 += ou;
-                    {
-                        let mut slot = control[me].lock().expect("control slot lock");
-                        slot.signal = sig;
-                        slot.reclaims.clear();
-                        slot.reclaims.append(&mut remote);
-                    }
-                    barrier.wait();
-                    rt.barrier_waits += 1;
-                    // ...then fold every shard's sample (the merge is
-                    // associative and commutative, folded in shard
-                    // order) and apply peers' reclaims to any window
-                    // this shard owns.
-                    let mut merged = EpochSignal::default();
-                    for (i, slot) in control.iter().enumerate().take(shards) {
-                        let slot = slot.lock().expect("control slot lock");
-                        merged.merge(&slot.signal);
-                        if i != me {
-                            for &(vci, n) in &slot.reclaims {
-                                sc.apply_remote_reclaim(vci, n);
-                            }
-                        }
-                    }
-                    barrier.wait();
-                    rt.barrier_waits += 1;
-                    // Every replica's controller observes the identical
-                    // merged signal, so every replica applies the
-                    // identical verdict to its replicated ledgers.
+                    // Sample the epoch's congestion evidence and settle
+                    // dropped cells' credits so producers never wedge
+                    // on cells that will never arrive (emitting reclaim
+                    // records for windows living elsewhere); merge with
+                    // the peers' so every replica's controller observes
+                    // the identical signal and applies the identical
+                    // verdict to its replicated ledgers.
+                    let signal = sc.sample_epoch_signal();
+                    settle(&sc, &mut reclaims);
+                    let merged = cut.as_ref().map_or(signal, |c| {
+                        c.exchange(&sc, Some(signal), &mut reclaims, &mut rt)
+                    });
                     let verdict = controller.observe(&merged.into_signal());
                     sc.apply_verdict(verdict, next);
                 }
             }
-            mark_idx += 1;
         }
         t = next;
     }
@@ -363,30 +431,14 @@ fn run_shard(
     // event parked exactly on it (injected arrivals included).
     sc.sim.run_until(end);
 
-    // Final settle exchange: drops from the drain window may still sit
-    // on circuits whose windows live elsewhere, and the reclaim ledger
-    // feeds the report — so the records cross once more before collect.
-    let (ov, ou) = sc.settle_drops(&mut remote);
-    admitted_dropped.0 += ov;
-    admitted_dropped.1 += ou;
-    {
-        let mut slot = control[me].lock().expect("control slot lock");
-        slot.reclaims.clear();
-        slot.reclaims.append(&mut remote);
+    // Settle drops from the drain window (and, with the monitor off,
+    // the whole run) so attribution covers every dropped cell. Some may
+    // sit on circuits whose windows live elsewhere, and the reclaim
+    // ledger feeds the report — so the records cross once more.
+    settle(&sc, &mut reclaims);
+    if let Some(cut) = &cut {
+        cut.exchange(&sc, None, &mut reclaims, &mut rt);
     }
-    barrier.wait();
-    rt.barrier_waits += 1;
-    for (i, slot) in control.iter().enumerate().take(shards) {
-        if i == me {
-            continue;
-        }
-        let slot = slot.lock().expect("control slot lock");
-        for &(vci, n) in &slot.reclaims {
-            sc.apply_remote_reclaim(vci, n);
-        }
-    }
-    barrier.wait();
-    rt.barrier_waits += 1;
 
     sc.collect(vcs_rerouted, vcs_stranded, admitted_dropped, rt)
 }
@@ -438,5 +490,42 @@ mod tests {
         assert_eq!(four.shards.len(), 4);
         let crossed: u64 = four.shards.iter().map(|s| s.credits_crossed).sum();
         assert!(crossed > 0, "cut-crossing circuits sealed credit returns");
+    }
+
+    /// One shard is the same loop with no peers: a marks-bearing
+    /// preset (live congestion epochs) takes no barrier, seals
+    /// nothing and reports no lookahead, yet lands on the bytes the
+    /// four-shard run produces.
+    #[test]
+    fn one_shard_is_the_loop_without_peers() {
+        let spec = presets::by_name("sustained-3x").expect("preset");
+        assert!(!control_marks(&spec).is_empty(), "preset has control marks");
+        let one = run_sharded(&spec, 1);
+        let [slice] = one.shards.as_slice() else {
+            panic!("one shard reports one slice, got {}", one.shards.len());
+        };
+        assert_eq!(slice.barrier_waits, 0);
+        assert_eq!(slice.cells_exported, 0);
+        assert_eq!(slice.lookahead_ns, 0);
+        assert_eq!(
+            one.to_json_canonical(),
+            run_sharded(&spec, 4).to_json_canonical()
+        );
+    }
+
+    /// `Scenario::run` only ever runs the engine forward, so a caller
+    /// that already drove the public `sim` to `end_time()` (the
+    /// benchmark's traced path does, to time the engine on its own)
+    /// gets the same report as a fresh run.
+    #[test]
+    fn run_after_the_caller_drove_the_engine_matches_a_fresh_run() {
+        let spec = presets::by_name("smoke").expect("preset");
+        let mut sc = crate::build::compile(&spec);
+        let end = sc.end_time();
+        sc.sim.run_until(end);
+        assert_eq!(
+            sc.run().to_json_canonical(),
+            crate::build::run(&spec).to_json_canonical()
+        );
     }
 }

@@ -12,11 +12,13 @@
 //!
 //! * [`spec`] — the declarative inputs.
 //! * [`presets`] — `smoke` through `metropolis-100k`, the named library.
-//! * [`build`] — [`build::compile`]: spec → wired system → report.
+//! * [`build`] — [`build::compile`]: spec → wired system; the steps a
+//!   run takes at a control mark; measurements → report.
 //! * [`partition`] — region shards: who owns which switches.
-//! * [`executor`] — [`executor::run_sharded`]: the same spec on worker
-//!   threads under conservative lookahead, byte-identical canonical
-//!   reports at any shard count.
+//! * [`executor`] — the one run loop. [`executor::run_sharded`] drives
+//!   the spec on worker threads under conservative lookahead,
+//!   byte-identical canonical reports at any shard count;
+//!   [`build::run`] is the same loop with one shard and no peers.
 //! * [`report`] — the structured results and their JSON rendering.
 //! * [`json`] — the deterministic writer underneath.
 //!

@@ -70,11 +70,6 @@ impl ExecPlan {
         }
     }
 
-    /// The single-shard plan every classic entry point uses.
-    pub fn single(spec: &ScenarioSpec) -> ExecPlan {
-        ExecPlan::partition(spec, 1)
-    }
-
     /// The view shard `shard` compiles and runs with.
     pub fn shard_plan(&self, shard: usize) -> ShardPlan {
         assert!(shard < self.shards, "shard index within plan");

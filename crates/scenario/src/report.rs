@@ -18,9 +18,9 @@ use crate::json::JsonWriter;
 /// compare across schema changes. History in `SCENARIOS.md`.
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// What one region shard did during a sharded run. A classic
-/// single-threaded run reports exactly one slice with zero barrier
-/// waits and zero inter-shard cells.
+/// What one region shard did during a run, counted by its run loop.
+/// A one-shard run reports exactly one slice with every counter but
+/// `events` zero: it has no peer to wait for, seal to or replicate on.
 #[derive(Debug, Clone, Default)]
 pub struct ShardSlice {
     /// Shard index (0 = coordinator).
@@ -36,14 +36,15 @@ pub struct ShardSlice {
     /// Sealed cells this shard accepted from other shards.
     pub cells_imported: u64,
     /// The conservative lookahead the epoch loop ran under, in ns
-    /// (zero on the classic path, which has no epochs).
+    /// (zero with one shard: nothing is cut, so nothing bounds an epoch).
     pub lookahead_ns: u64,
     /// Outbound cut trunks this shard exported on.
     pub cut_trunks: u64,
     /// Sealed credit-return records this shard published to peers.
     pub credits_crossed: u64,
     /// Circuits this shard's replica walked during replicated
-    /// switch-death repair (identical on every shard by construction).
+    /// switch-death repair (identical on every shard by construction;
+    /// zero with one shard, where no replica exists to replay on).
     pub repairs_replicated: u64,
 }
 

@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=616
+FLOOR=619
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
