@@ -7,7 +7,7 @@
 //! every hop for guaranteed traffic, allocate VCIs, and install the
 //! translation-table entries.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -115,6 +115,28 @@ enum ReservationKey {
     SwitchOut(usize, usize),
 }
 
+/// [`Network::audit_reservations`] found the remembered fullest-link
+/// figure out of step with the per-link ledgers it summarises.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LedgerDrift {
+    /// The running maximum the network had remembered.
+    pub remembered: f64,
+    /// The same figure folded afresh over every link's ledger.
+    pub folded: f64,
+}
+
+impl std::fmt::Display for LedgerDrift {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "bandwidth ledger drift: remembered maximum utilization {} but the links fold to {}",
+            self.remembered, self.folded
+        )
+    }
+}
+
+impl std::error::Error for LedgerDrift {}
+
 struct EndpointInfo {
     switch: usize,
     port: usize,
@@ -158,6 +180,11 @@ pub struct Network {
     /// carries lane `i + 1`.
     trunks: Vec<TrunkDir>,
     acs: HashMap<ReservationKey, AdmissionController>,
+    /// A copy of [`Network::fold_utilization`] kept current by
+    /// [`Network::reserve_on`]; `None` once a release or a displaced
+    /// controller may have lowered the fold, until the next query
+    /// recomputes it. When `Some`, it equals the fold bit for bit.
+    max_util: Cell<Option<f64>>,
     /// dead\[s\] = switch `s` has failed: no adjacency, no routes, and
     /// signalling refuses to route anything through or onto it.
     dead: Vec<bool>,
@@ -183,6 +210,7 @@ impl Network {
             endpoints: Vec::new(),
             trunks: Vec::new(),
             acs: HashMap::new(),
+            max_util: Cell::new(Some(0.0)),
             dead: Vec::new(),
             next_vci: 32,
             next_conn: 1,
@@ -312,14 +340,8 @@ impl Network {
         self.adj[b.0].push((pb, a.0));
         self.used_ports[a.0] = self.used_ports[a.0].max(pa + 1);
         self.used_ports[b.0] = self.used_ports[b.0].max(pb + 1);
-        self.acs.insert(
-            ReservationKey::SwitchOut(a.0, pa),
-            AdmissionController::new(cfg.rate_bps, self.reservable_fraction),
-        );
-        self.acs.insert(
-            ReservationKey::SwitchOut(b.0, pb),
-            AdmissionController::new(cfg.rate_bps, self.reservable_fraction),
-        );
+        self.add_ledger(ReservationKey::SwitchOut(a.0, pa), cfg.rate_bps);
+        self.add_ledger(ReservationKey::SwitchOut(b.0, pb), cfg.rate_bps);
     }
 
     /// Connects two switches bidirectionally on automatically allocated
@@ -361,14 +383,8 @@ impl Network {
             port,
             tx,
         });
-        self.acs.insert(
-            ReservationKey::EndpointTx(id.0),
-            AdmissionController::new(cfg.rate_bps, self.reservable_fraction),
-        );
-        self.acs.insert(
-            ReservationKey::SwitchOut(sw.0, port),
-            AdmissionController::new(cfg.rate_bps, self.reservable_fraction),
-        );
+        self.add_ledger(ReservationKey::EndpointTx(id.0), cfg.rate_bps);
+        self.add_ledger(ReservationKey::SwitchOut(sw.0, port), cfg.rate_bps);
         id
     }
 
@@ -469,6 +485,57 @@ impl Network {
         }
     }
 
+    /// Gives the link behind `key` a fresh, empty ledger. Re-wiring an
+    /// occupied port displaces a ledger that may have been the fullest.
+    fn add_ledger(&mut self, key: ReservationKey, rate_bps: u64) {
+        let ac = AdmissionController::new(rate_bps, self.reservable_fraction);
+        if self.acs.insert(key, ac).is_some() {
+            self.max_util.set(None);
+        }
+    }
+
+    /// Reserves `bps` on the link behind `key` — with
+    /// [`Network::release_on`], the only place a reservation changes,
+    /// so the only place the running maximum has to follow.
+    fn reserve_on(&mut self, key: ReservationKey, bps: u64) -> Result<(), AdmissionError> {
+        let ac = self.acs.get_mut(&key).expect("admission controller exists");
+        match ac.reserve(bps, "") {
+            Ok(()) => {
+                // The same quotient the fold computes: a link only
+                // fills here, so max-ing it in keeps the copy exact.
+                let now = utilization(ac);
+                self.max_util.set(self.max_util.get().map(|m| m.max(now)));
+                Ok(())
+            }
+            // Only a refusal needs the link's name.
+            Err(AdmissionError::InsufficientBandwidth {
+                requested,
+                available,
+                ..
+            }) => Err(AdmissionError::InsufficientBandwidth {
+                link: self.key_name(key),
+                requested,
+                available,
+            }),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Releases `bps` on the link behind `key`. A circuit that outlived
+    /// a re-wired port names a ledger that never knew it;
+    /// [`AdmissionController::release`] saturates.
+    fn release_on(&mut self, key: ReservationKey, bps: u64) {
+        let Some(ac) = self.acs.get_mut(&key) else {
+            return;
+        };
+        if self.max_util.get() == Some(utilization(ac)) {
+            // The fullest link is draining; which link is next is only
+            // known to the fold.
+            self.max_util.set(None);
+        }
+        ac.release(bps);
+    }
+
     /// Breadth-first path of (switch, out-port) hops from `src` switch to
     /// `dst` switch; empty when `src == dst`.
     fn bfs_path(&self, src: usize, dst: usize) -> Option<Vec<(usize, usize)>> {
@@ -545,13 +612,11 @@ impl Network {
         let mut reservations: Vec<(ReservationKey, u64)> = Vec::new();
         if qos.class == ServiceClass::Guaranteed {
             for key in self.reservation_keys(src, dst, &hops) {
-                let name = self.key_name(key);
-                let ac = self.acs.get_mut(&key).expect("admission controller exists");
-                match ac.reserve(qos.peak_bps, &name) {
+                match self.reserve_on(key, qos.peak_bps) {
                     Ok(()) => reservations.push((key, qos.peak_bps)),
                     Err(e) => {
                         for (k, bps) in reservations {
-                            self.acs.get_mut(&k).expect("reserved").release(bps);
+                            self.release_on(k, bps);
                         }
                         return Err(e);
                     }
@@ -660,12 +725,12 @@ impl Network {
             }
         }
         for (key, bps) in demand {
-            let ac = self.acs.get(&key).expect("admission controller exists");
-            if bps > ac.available_bps() {
+            let available = self.acs[&key].available_bps();
+            if bps > available {
                 return Err(AdmissionError::InsufficientBandwidth {
                     link: self.key_name(key),
                     requested: bps,
-                    available: ac.available_bps(),
+                    available,
                 });
             }
         }
@@ -688,25 +753,18 @@ impl Network {
         }
         let old = std::mem::take(&mut vc.reservations);
         for &(key, bps) in &old {
-            self.acs.get_mut(&key).expect("was reserved").release(bps);
+            self.release_on(key, bps);
         }
         let mut made: Vec<(ReservationKey, u64)> = Vec::with_capacity(old.len());
         for &(key, _) in &old {
-            let name = self.key_name(key);
-            let ac = self.acs.get_mut(&key).expect("admission controller exists");
-            match ac.reserve(new_bps, &name) {
+            match self.reserve_on(key, new_bps) {
                 Ok(()) => made.push((key, new_bps)),
                 Err(e) => {
                     for (k, bps) in made {
-                        self.acs.get_mut(&k).expect("just reserved").release(bps);
+                        self.release_on(k, bps);
                     }
                     for &(k, bps) in &old {
-                        let name = self.key_name(k);
-                        self.acs
-                            .get_mut(&k)
-                            .expect("was reserved")
-                            .reserve(bps, &name)
-                            .expect("released capacity restores");
+                        self.reserve_on(k, bps).expect("released capacity restores");
                     }
                     vc.reservations = old;
                     return Err(e);
@@ -725,9 +783,7 @@ impl Network {
             self.switches[sw].borrow_mut().remove_route(in_port, in_vci);
         }
         for (key, bps) in vc.reservations {
-            if let Some(ac) = self.acs.get_mut(&key) {
-                ac.release(bps);
-            }
+            self.release_on(key, bps);
         }
     }
 
@@ -782,11 +838,39 @@ impl Network {
     /// its raw line rate. Admission control caps this at
     /// [`Network::reservable_fraction`]; topology property tests assert
     /// the invariant from the outside.
+    ///
+    /// Constant time while reservations only grow: the network carries
+    /// the figure along with every reservation and folds over the links
+    /// again only after a release may have lowered it.
     pub fn max_reservation_utilization(&self) -> f64 {
-        self.acs
-            .values()
-            .map(|ac| ac.reserved_bps() as f64 / ac.capacity_bps() as f64)
-            .fold(0.0, f64::max)
+        match self.max_util.get() {
+            Some(m) => m,
+            None => {
+                let m = self.fold_utilization();
+                self.max_util.set(Some(m));
+                m
+            }
+        }
+    }
+
+    /// The definition of [`Network::max_reservation_utilization`]: a
+    /// fold over every link's ledger.
+    fn fold_utilization(&self) -> f64 {
+        self.acs.values().map(utilization).fold(0.0, f64::max)
+    }
+
+    /// Re-derives the fullest-link figure from the per-link ledgers and
+    /// checks the remembered copy against it, bit for bit. A remembered
+    /// value is a claim, not a fact: every scenario run and every
+    /// hostile-harness step re-checks it here.
+    pub fn audit_reservations(&self) -> Result<(), LedgerDrift> {
+        let folded = self.fold_utilization();
+        match self.max_util.get() {
+            Some(remembered) if remembered.to_bits() != folded.to_bits() => {
+                Err(LedgerDrift { remembered, folded })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Whether a route exists between every pair of switches.
@@ -810,6 +894,11 @@ impl Network {
         }
         count == n
     }
+}
+
+/// One link's reserved share of its raw line rate.
+fn utilization(ac: &AdmissionController) -> f64 {
+    ac.reserved_bps() as f64 / ac.capacity_bps() as f64
 }
 
 #[cfg(test)]
@@ -1159,6 +1248,80 @@ mod tests {
         let u = net.max_reservation_utilization();
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
         assert!(u <= net.reservable_fraction);
+    }
+
+    /// One switch, `n` endpoints on ports `0..n`.
+    fn one_switch_net(n: usize) -> (Network, SwitchId, Vec<EndpointId>) {
+        let mut net = Network::new();
+        let cfg = LinkConfig::pegasus_default();
+        let sw = net.add_switch("sw", n, 0);
+        let eps = (0..n)
+            .map(|p| net.add_endpoint(sw, p, cfg, CaptureSink::shared()))
+            .collect();
+        (net, sw, eps)
+    }
+
+    #[test]
+    fn releasing_one_of_two_tied_fullest_links_keeps_the_maximum() {
+        let (mut net, _, eps) = one_switch_net(4);
+        let first = net
+            .open_vc(eps[0], eps[1], QosSpec::guaranteed(50_000_000))
+            .unwrap();
+        let second = net
+            .open_vc(eps[2], eps[3], QosSpec::guaranteed(50_000_000))
+            .unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.5);
+        // Every link of `first` sits at the maximum; so does `second`.
+        net.close_vc(first);
+        net.audit_reservations().unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.5);
+        net.audit_reservations().unwrap();
+        net.close_vc(second);
+        assert_eq!(net.max_reservation_utilization(), 0.0);
+        net.audit_reservations().unwrap();
+    }
+
+    #[test]
+    fn failed_open_forgets_the_maximum_its_rollback_released() {
+        let (mut net, _, eps) = one_switch_net(3);
+        let _held = net
+            .open_vc(eps[0], eps[2], QosSpec::guaranteed(60_000_000))
+            .unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.6);
+        // 70 Mbit/s fits eps[1]'s transmit link, making it the fullest
+        // in the network, then fails on the shared delivery link.
+        let err = net
+            .open_vc(eps[1], eps[2], QosSpec::guaranteed(70_000_000))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "link sw:2: requested 70000000 bit/s but only 35000000 available"
+        );
+        net.audit_reservations().unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.6);
+    }
+
+    #[test]
+    fn rewiring_a_port_forgets_the_ledger_it_displaces() {
+        let (mut net, sw, eps) = one_switch_net(3);
+        let cfg = LinkConfig::pegasus_default();
+        let a = net
+            .open_vc(eps[0], eps[2], QosSpec::guaranteed(50_000_000))
+            .unwrap();
+        let b = net
+            .open_vc(eps[1], eps[2], QosSpec::guaranteed(30_000_000))
+            .unwrap();
+        // The delivery link to eps[2] alone carries both circuits.
+        assert_eq!(net.max_reservation_utilization(), 0.8);
+        net.add_endpoint(sw, 2, cfg, CaptureSink::shared());
+        net.audit_reservations().unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.5);
+        // The stale circuits release against a ledger that never knew
+        // them; it saturates at empty.
+        net.close_vc(a);
+        net.close_vc(b);
+        net.audit_reservations().unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.0);
     }
 
     #[test]

@@ -61,6 +61,15 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    // The tree the lanes were measured on, as `git describe` names it
+    // (`-dirty` when the run preceded its own commit).
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
 
     banner(
         "E20",
@@ -73,6 +82,7 @@ fn main() {
     row(&[
         ("sessions", format!("{}", spec.sessions)),
         ("host cores", format!("{host_cores}")),
+        ("commit", commit.clone()),
     ]);
 
     let mut lanes: Vec<Lane> = Vec::new();
@@ -124,7 +134,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let mut json = format!(
-            "{{\n  \"bench\": \"e20_shard_scaling\",\n  \"preset\": \"{PRESET}\",\n  \"sessions\": {},\n  \"host_cores\": {host_cores},\n  \"scaling_gate_skipped\": {scaling_gate_skipped},\n  \"lanes\": [\n",
+            "{{\n  \"bench\": \"e20_shard_scaling\",\n  \"preset\": \"{PRESET}\",\n  \"sessions\": {},\n  \"commit\": \"{commit}\",\n  \"host_cores\": {host_cores},\n  \"scaling_gate_skipped\": {scaling_gate_skipped},\n  \"lanes\": [\n",
             spec.sessions,
         );
         for (i, l) in lanes.iter().enumerate() {

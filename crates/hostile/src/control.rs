@@ -234,6 +234,10 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
                 net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
                 "renegotiation pushed a link past the reservable fraction",
             );
+            repro.check(
+                net.audit_reservations().is_ok(),
+                "renegotiation left the remembered maximum out of step with the ledgers",
+            );
         }
 
         // Tear down: every ledger must return to empty.
@@ -247,6 +251,10 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
         repro.check(
             net.max_reservation_utilization() < 1e-12,
             "bandwidth reservations leaked after releasing every session",
+        );
+        repro.check(
+            net.audit_reservations().is_ok(),
+            "release left the remembered maximum out of step with the ledgers",
         );
         stats.steps += 1;
     }

@@ -398,6 +398,10 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                         net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
                         "admission let a ledger exceed the reservable fraction",
                     );
+                    repro.check(
+                        net.audit_reservations().is_ok(),
+                        "open_vc left the remembered maximum out of step with the ledgers",
+                    );
                 }
                 // Close a random held circuit.
                 5..=6 => {
@@ -423,6 +427,10 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                     repro.check(
                         (net.max_reservation_utilization() - before).abs() < 1e-12,
                         "probe_vcs mutated the ledgers",
+                    );
+                    repro.check(
+                        net.audit_reservations().is_ok(),
+                        "probe_vcs left the remembered maximum out of step with the ledgers",
                     );
                 }
                 // Kill a switch and repair the survivors via signalling.
@@ -495,6 +503,10 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
         repro.check(
             net.max_reservation_utilization() < 1e-12,
             "reservations leaked after closing every circuit",
+        );
+        repro.check(
+            net.audit_reservations().is_ok(),
+            "teardown left the remembered maximum out of step with the ledgers",
         );
         stats.steps += 1;
     }

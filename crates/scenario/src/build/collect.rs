@@ -187,6 +187,10 @@ impl Scenario {
             // fill during it, not during the live network run.
             let cache = self.cache_report();
             let nemesis = self.replay_nemesis();
+            // The headroom samples read a remembered maximum; one fold
+            // per run holds it to the per-link ledgers.
+            let audit = self.sys.net.audit_reservations();
+            assert!(audit.is_ok(), "{audit:?}");
             Some(CoordinatorOutcome {
                 switches: self.sys.net.switch_count() as u64,
                 endpoints: self.sys.net.endpoint_count() as u64,

@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=619
+FLOOR=623
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
