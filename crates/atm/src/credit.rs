@@ -25,17 +25,23 @@
 //! Conservation is then exact and checkable:
 //! `consumed == in_flight + returned + reclaimed`.
 //!
-//! Credits returned across a trunk are not instantaneous: a circuit
-//! whose producer and consumer sit on different switches models the
-//! reverse crossing as a fixed per-spec delay (one trunk cell time plus
-//! propagation). The consumer-side [`CreditSink`] records such returns
-//! with [`CreditWindow::release_at`] and the producer drains them with
-//! [`CreditWindow::try_acquire_at`] — or, when the producer's window
-//! lives on another executor shard, the return becomes a sealed
-//! [`CreditReturn`] record for the epoch exchange. Because the delay is
-//! never smaller than the sharded executor's trunk lookahead, a record
-//! always reaches the producer's shard before its `apply_at` tick, and
-//! the single-shard and sharded runs agree byte for byte.
+//! Credits come back one way. A [`CreditSink`] registration is
+//! `(delivery VCI, delay, destination)`: every drained cell's credit is
+//! due `delay` after the delivery event and goes to the [`ReturnPath`]
+//! the registration names — the circuit's window when it lives in this
+//! address space ([`CreditWindow::release_at`] parks it until due), or
+//! the outbox of the executor shard that holds the window, as a sealed
+//! [`CreditReturn`] record which that shard parks the same way. The
+//! delay is the reverse crossing: one trunk cell time plus propagation
+//! for a circuit that crosses switches, zero for one that does not.
+//! Zero is not a special case — a credit due *now* is simply due at the
+//! producer's next look at the clock — which is why a producer behind a
+//! gate always acquires with [`CreditWindow::try_acquire_at`]: the
+//! clock-less [`CreditWindow::try_acquire`] never applies what is
+//! parked. A cross-switch delay is never smaller than the sharded
+//! executor's trunk lookahead, so a record always reaches the
+//! producer's shard before its `apply_at` tick, and the single-shard
+//! and sharded runs agree byte for byte.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,8 +59,8 @@ pub type CreditRef = Rc<RefCell<CreditWindow>>;
 
 /// A sealed credit-return record: `n` credits for the circuit delivered
 /// under `dst_vci`, applicable at virtual time `apply_at`. Produced by
-/// a [`CreditSink`] registration in export mode when the circuit's
-/// window lives on another executor shard; the owning shard looks the
+/// a [`CreditSink`] registration whose destination is
+/// [`ReturnPath::Outbox`]; the shard holding the window looks the
 /// record up by `dst_vci` and applies it with
 /// [`CreditWindow::release_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +74,9 @@ pub struct CreditReturn {
     pub n: u64,
 }
 
-/// Shared buffer a [`CreditSink`] export registration appends
-/// [`CreditReturn`] records to; the executor drains it at each epoch
-/// boundary into the per-pair mailboxes.
+/// One shard's outbox: the buffer [`ReturnPath::Outbox`] registrations
+/// append [`CreditReturn`] records to; the executor drains it at each
+/// epoch boundary into the per-pair mailboxes.
 pub type CreditExportBuf = Rc<RefCell<Vec<CreditReturn>>>;
 
 /// One virtual circuit's credit state.
@@ -97,7 +103,7 @@ pub struct CreditWindow {
     /// High-water mark of `in_flight`.
     peak_in_flight: u64,
     /// Returns scheduled but not yet applied: `(apply_at, n)` for
-    /// credits still travelling back across a trunk. Entries commute
+    /// credits the producer has not yet looked at. Entries commute
     /// (each is a pure counter increment), so application order within
     /// a drain does not matter.
     pending: Vec<(Ns, u64)>,
@@ -144,9 +150,10 @@ impl CreditWindow {
     }
 
     /// Schedules `n` credits to come back at `apply_at`: the consumer
-    /// has drained the cells, but the return itself still has a trunk
-    /// to cross. The credits count as in flight until
-    /// [`CreditWindow::advance_to`] passes `apply_at`.
+    /// has drained the cells, and the return is on its way (across a
+    /// trunk, or already here when `apply_at` is now). The credits
+    /// count as in flight until [`CreditWindow::advance_to`] reaches
+    /// `apply_at`.
     pub fn release_at(&mut self, apply_at: Ns, n: u64) {
         self.pending.push((apply_at, n));
     }
@@ -220,20 +227,16 @@ impl CreditWindow {
     }
 }
 
-/// How a registered circuit's credits travel back to the producer.
+/// Where a registered circuit's credits go once they are due.
 #[derive(Debug)]
-enum ReturnPath {
-    /// Producer and consumer share a switch: the return is a local
-    /// wire, credits come back the instant the cell drains.
-    Immediate(CreditRef),
-    /// Cross-switch circuit whose window lives in this address space:
-    /// credits come back `delay` ns later (one reverse trunk crossing),
-    /// parked in the window's pending list until they are due.
-    Delayed { window: CreditRef, delay: Ns },
-    /// Cross-switch circuit whose producer lives on another executor
-    /// shard: the return becomes a [`CreditReturn`] record in `buf`,
-    /// shipped through the epoch exchange and applied remotely.
-    Export { delay: Ns, buf: CreditExportBuf },
+pub enum ReturnPath {
+    /// The circuit's window lives in this address space: the return is
+    /// parked on its pending list until due.
+    Window(CreditRef),
+    /// The window lives on another executor shard: the return becomes
+    /// a [`CreditReturn`] record in that shard's outbox, shipped through
+    /// the epoch exchange and parked on the window there.
+    Outbox(CreditExportBuf),
 }
 
 /// The consumer side: wraps an endpoint's receive sink and returns one
@@ -245,8 +248,9 @@ enum ReturnPath {
 /// so the table is a linear scan.
 pub struct CreditSink {
     inner: SinkRef,
-    /// `(dst_vci, return path)` for every credited circuit ending here.
-    windows: Vec<(Vci, ReturnPath)>,
+    /// `(dst_vci, return delay, destination)` for every credited
+    /// circuit ending here.
+    circuits: Vec<(Vci, Ns, ReturnPath)>,
 }
 
 impl CreditSink {
@@ -254,49 +258,30 @@ impl CreditSink {
     pub fn wrap(inner: SinkRef) -> Rc<RefCell<CreditSink>> {
         Rc::new(RefCell::new(CreditSink {
             inner,
-            windows: Vec::new(),
+            circuits: Vec::new(),
         }))
     }
 
-    fn push(&mut self, dst_vci: Vci, path: ReturnPath) {
+    /// Registers the circuit delivered under `dst_vci`: each drained
+    /// cell's credit is due `delay` after the delivery event and goes
+    /// to `to`. A circuit that never leaves its switch has `delay` 0.
+    pub fn register(&mut self, dst_vci: Vci, delay: Ns, to: ReturnPath) {
         debug_assert!(
-            self.windows.iter().all(|(v, _)| *v != dst_vci),
+            self.circuits.iter().all(|(v, ..)| *v != dst_vci),
             "duplicate credit registration for VCI {dst_vci}"
         );
-        self.windows.push((dst_vci, path));
-    }
-
-    /// Registers `window` for cells arriving with `dst_vci`; credits
-    /// return immediately on delivery (same-switch circuits).
-    pub fn register(&mut self, dst_vci: Vci, window: CreditRef) {
-        self.push(dst_vci, ReturnPath::Immediate(window));
-    }
-
-    /// Registers `window` with a fixed return delay (cross-switch
-    /// circuits whose producer lives in this address space).
-    pub fn register_delayed(&mut self, dst_vci: Vci, window: CreditRef, delay: Ns) {
-        self.push(dst_vci, ReturnPath::Delayed { window, delay });
-    }
-
-    /// Registers an export-only return path: the producer's window lives
-    /// on another shard, so returns become [`CreditReturn`] records in
-    /// `buf` for the executor to ship at the next epoch boundary.
-    pub fn register_export(&mut self, dst_vci: Vci, delay: Ns, buf: CreditExportBuf) {
-        self.push(dst_vci, ReturnPath::Export { delay, buf });
-    }
-
-    fn path_for(&self, vci: Vci) -> Option<&ReturnPath> {
-        self.windows.iter().find(|(v, _)| *v == vci).map(|(_, p)| p)
+        self.circuits.push((dst_vci, delay, to));
     }
 }
 
-fn credit_back(path: &ReturnPath, dst_vci: Vci, now: Ns, n: u64) {
-    match path {
-        ReturnPath::Immediate(w) => w.borrow_mut().release(n),
-        ReturnPath::Delayed { window, delay } => window.borrow_mut().release_at(now + delay, n),
-        ReturnPath::Export { delay, buf } => buf.borrow_mut().push(CreditReturn {
-            dst_vci,
-            apply_at: now + delay,
+/// Sends `n` credits of one registered circuit on their way back.
+fn credit_back((dst_vci, delay, to): &(Vci, Ns, ReturnPath), now: Ns, n: u64) {
+    let apply_at = now + delay;
+    match to {
+        ReturnPath::Window(w) => w.borrow_mut().release_at(apply_at, n),
+        ReturnPath::Outbox(buf) => buf.borrow_mut().push(CreditReturn {
+            dst_vci: *dst_vci,
+            apply_at,
             n,
         }),
     }
@@ -304,8 +289,8 @@ fn credit_back(path: &ReturnPath, dst_vci: Vci, now: Ns, n: u64) {
 
 impl CellSink for CreditSink {
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell) {
-        if let Some(path) = self.path_for(cell.vci()) {
-            credit_back(path, cell.vci(), sim.now(), 1);
+        if let Some(circuit) = self.circuits.iter().find(|(v, ..)| *v == cell.vci()) {
+            credit_back(circuit, sim.now(), 1);
         }
         self.inner.borrow_mut().deliver(sim, cell);
     }
@@ -317,10 +302,10 @@ impl CellSink for CreditSink {
     /// agree on before the next barrier.
     fn deliver_batch(&mut self, sim: &mut Simulator, cells: &mut Vec<(Ns, Cell)>) {
         let now = sim.now();
-        for (vci, path) in &self.windows {
-            let n = cells.iter().filter(|(_, c)| c.vci() == *vci).count() as u64;
+        for circuit in &self.circuits {
+            let n = cells.iter().filter(|(_, c)| c.vci() == circuit.0).count() as u64;
             if n > 0 {
-                credit_back(path, *vci, now, n);
+                credit_back(circuit, now, n);
             }
         }
         self.inner.borrow_mut().deliver_batch(sim, cells);
@@ -379,17 +364,22 @@ mod tests {
         let capture = CaptureSink::shared();
         let sink = CreditSink::wrap(capture.clone());
         let w = CreditWindow::shared(4);
-        sink.borrow_mut().register(7, w.clone());
+        // A circuit that never leaves its switch: credits are due at
+        // the delivery event itself.
+        sink.borrow_mut()
+            .register(7, 0, ReturnPath::Window(w.clone()));
         assert!(w.borrow_mut().try_acquire(2));
 
         let mine = Cell::new(7);
         let other = Cell::new(9);
         sink.borrow_mut().deliver(&mut sim, mine.clone());
         sink.borrow_mut().deliver(&mut sim, other);
+        w.borrow_mut().advance_to(sim.now());
         assert_eq!(w.borrow().in_flight(), 1, "one credit back for VCI 7");
 
         let mut batch = vec![(0, mine)];
         sink.borrow_mut().deliver_batch(&mut sim, &mut batch);
+        w.borrow_mut().advance_to(sim.now());
         assert_eq!(w.borrow().in_flight(), 0);
         assert!(w.borrow().conserved());
         assert_eq!(capture.borrow().arrivals.len(), 3, "all cells forwarded");
@@ -418,7 +408,8 @@ mod tests {
         let capture = CaptureSink::shared();
         let sink = CreditSink::wrap(capture.clone());
         let w = CreditWindow::shared(4);
-        sink.borrow_mut().register_delayed(7, w.clone(), 50);
+        sink.borrow_mut()
+            .register(7, 50, ReturnPath::Window(w.clone()));
         assert!(w.borrow_mut().try_acquire(2));
 
         sink.borrow_mut().deliver(&mut sim, Cell::new(7));
@@ -434,7 +425,8 @@ mod tests {
         let capture = CaptureSink::shared();
         let sink = CreditSink::wrap(capture.clone());
         let buf: CreditExportBuf = Rc::new(RefCell::new(Vec::new()));
-        sink.borrow_mut().register_export(7, 40, buf.clone());
+        sink.borrow_mut()
+            .register(7, 40, ReturnPath::Outbox(buf.clone()));
 
         let mut batch = vec![(0, Cell::new(7)), (1, Cell::new(7)), (2, Cell::new(9))];
         sink.borrow_mut().deliver_batch(&mut sim, &mut batch);

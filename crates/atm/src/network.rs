@@ -115,6 +115,11 @@ enum ReservationKey {
     SwitchOut(usize, usize),
 }
 
+/// A routed circuit nothing has been reserved for yet: its
+/// inter-switch `(switch, out port)` hops and the `(key, bits/second)`
+/// reservations it needs.
+type VcPlan = (Vec<(usize, usize)>, Vec<(ReservationKey, u64)>);
+
 /// [`Network::audit_reservations`] found the remembered fullest-link
 /// figure out of step with the per-link ledgers it summarises.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -451,29 +456,6 @@ impl Network {
         v
     }
 
-    /// The admission-controller keys a guaranteed `src → dst` connection
-    /// reserves on, in reservation order: the endpoint's transmit link,
-    /// every inter-switch hop of `hops` (as produced by
-    /// [`Network::bfs_path`]), and the final delivery link. Both
-    /// [`Network::open_vc`] and [`Network::probe_vcs`] walk exactly this
-    /// list — the broker's "a successful probe implies the opens
-    /// succeed" contract depends on the two never diverging.
-    fn reservation_keys(
-        &self,
-        src: EndpointId,
-        dst: EndpointId,
-        hops: &[(usize, usize)],
-    ) -> Vec<ReservationKey> {
-        let (dst_sw, dst_port) = (self.endpoints[dst.0].switch, self.endpoints[dst.0].port);
-        let mut keys = vec![ReservationKey::EndpointTx(src.0)];
-        keys.extend(
-            hops.iter()
-                .map(|&(sw, port)| ReservationKey::SwitchOut(sw, port)),
-        );
-        keys.push(ReservationKey::SwitchOut(dst_sw, dst_port));
-        keys
-    }
-
     /// Human-readable identity of a reservation key, for admission
     /// errors.
     fn key_name(&self, key: ReservationKey) -> String {
@@ -567,36 +549,19 @@ impl Network {
         None
     }
 
-    /// Opens a virtual circuit from `src` to `dst` with the requested QoS.
-    ///
-    /// For [`ServiceClass::Guaranteed`] connections, peak bandwidth is
-    /// reserved on the endpoint's transmit link, every inter-switch hop,
-    /// and the final delivery link; the call fails without side effects if
-    /// any hop lacks capacity.
-    pub fn open_vc(
-        &mut self,
+    /// Routes one flow and lists what it would reserve, in reservation
+    /// order: the endpoint's transmit link, every inter-switch hop, the
+    /// final delivery link — nothing for best effort. Changes nothing.
+    fn plan_vc(
+        &self,
         src: EndpointId,
         dst: EndpointId,
         qos: QosSpec,
-    ) -> Result<VcHandle, AdmissionError> {
-        self.open_vc_pinned(src, dst, qos, None)
-    }
-
-    /// [`Network::open_vc`] with the two endpoint-segment VCIs optionally
-    /// pinned instead of freshly allocated. Re-routing a live circuit
-    /// around a dead switch pins them so neither endpoint has to be
-    /// reconfigured: only the interior hops change.
-    fn open_vc_pinned(
-        &mut self,
-        src: EndpointId,
-        dst: EndpointId,
-        qos: QosSpec,
-        pin: Option<(Vci, Vci)>,
-    ) -> Result<VcHandle, AdmissionError> {
+    ) -> Result<VcPlan, AdmissionError> {
         if src.0 >= self.endpoints.len() || dst.0 >= self.endpoints.len() {
             return Err(AdmissionError::UnknownEndpoint);
         }
-        let (src_sw, src_port) = (self.endpoints[src.0].switch, self.endpoints[src.0].port);
+        let src_sw = self.endpoints[src.0].switch;
         let (dst_sw, dst_port) = (self.endpoints[dst.0].switch, self.endpoints[dst.0].port);
         if self.dead[src_sw] || self.dead[dst_sw] {
             // A dead switch strands its endpoints: same-switch pairs
@@ -607,22 +572,92 @@ impl Network {
         let hops = self
             .bfs_path(src_sw, dst_sw)
             .ok_or(AdmissionError::NoRoute)?;
-
-        // Admission control with rollback on failure.
-        let mut reservations: Vec<(ReservationKey, u64)> = Vec::new();
+        let mut reservations = Vec::new();
         if qos.class == ServiceClass::Guaranteed {
-            for key in self.reservation_keys(src, dst, &hops) {
-                match self.reserve_on(key, qos.peak_bps) {
-                    Ok(()) => reservations.push((key, qos.peak_bps)),
-                    Err(e) => {
-                        for (k, bps) in reservations {
-                            self.release_on(k, bps);
-                        }
-                        return Err(e);
-                    }
+            reservations.push((ReservationKey::EndpointTx(src.0), qos.peak_bps));
+            reservations.extend(
+                hops.iter()
+                    .map(|&(sw, port)| (ReservationKey::SwitchOut(sw, port), qos.peak_bps)),
+            );
+            reservations.push((ReservationKey::SwitchOut(dst_sw, dst_port), qos.peak_bps));
+        }
+        Ok((hops, reservations))
+    }
+
+    /// Reserves every `(key, bps)` of `wants`, in order, or none of
+    /// them: a refusal releases what this call had reserved so far.
+    /// The only place a reservation is rolled back.
+    fn reserve_all(&mut self, wants: &[(ReservationKey, u64)]) -> Result<(), AdmissionError> {
+        for (i, &(key, bps)) in wants.iter().enumerate() {
+            if let Err(e) = self.reserve_on(key, bps) {
+                for &(k, made) in &wants[..i] {
+                    self.release_on(k, made);
                 }
+                return Err(e);
             }
         }
+        Ok(())
+    }
+
+    /// Opens a set of virtual circuits as one transaction: all of them
+    /// or none.
+    ///
+    /// Every flow is routed, then every [`ServiceClass::Guaranteed`]
+    /// flow's peak bandwidth is reserved on its endpoint's transmit
+    /// link, every inter-switch hop and the final delivery link — flows
+    /// sharing a link are charged one after the other, so a video and an
+    /// audio stream between the same two sites are admitted jointly.
+    /// Only when every reservation stands are VCIs allocated and routes
+    /// installed, flow by flow in request order. A refused set leaves
+    /// no trace: no reservation, no VCI, no connection id.
+    pub fn open_vcs(
+        &mut self,
+        flows: &[(EndpointId, EndpointId, QosSpec)],
+    ) -> Result<Vec<VcHandle>, AdmissionError> {
+        let plans = flows
+            .iter()
+            .map(|&(src, dst, qos)| self.plan_vc(src, dst, qos))
+            .collect::<Result<Vec<_>, _>>()?;
+        let wants: Vec<_> = plans.iter().flat_map(|(_, r)| r).copied().collect();
+        self.reserve_all(&wants)?;
+        Ok(flows
+            .iter()
+            .zip(plans)
+            .map(|(&(src, dst, qos), (hops, reservations))| {
+                self.install_vc(src, dst, qos, &hops, reservations, None)
+            })
+            .collect())
+    }
+
+    /// Opens one virtual circuit from `src` to `dst` with the requested
+    /// QoS: [`Network::open_vcs`] of a single flow. Fails without side
+    /// effects if any hop lacks capacity.
+    pub fn open_vc(
+        &mut self,
+        src: EndpointId,
+        dst: EndpointId,
+        qos: QosSpec,
+    ) -> Result<VcHandle, AdmissionError> {
+        let mut vcs = self.open_vcs(&[(src, dst, qos)])?;
+        Ok(vcs.pop().expect("one flow, one circuit"))
+    }
+
+    /// Allocates VCIs and installs the routes of a circuit whose
+    /// reservations already stand. `pin` reuses the two endpoint-segment
+    /// VCIs instead of allocating them: re-routing a live circuit
+    /// around a dead switch pins them so neither endpoint has to be
+    /// reconfigured — only the interior hops change.
+    fn install_vc(
+        &mut self,
+        src: EndpointId,
+        dst: EndpointId,
+        qos: QosSpec,
+        hops: &[(usize, usize)],
+        reservations: Vec<(ReservationKey, u64)>,
+        pin: Option<(Vci, Vci)>,
+    ) -> VcHandle {
+        let (src_sw, src_port) = (self.endpoints[src.0].switch, self.endpoints[src.0].port);
+        let dst_port = self.endpoints[dst.0].port;
 
         // Allocate one VCI per link segment: endpoint→sw_src, each
         // inter-switch hop, and the delivery segment. Pinned endpoint
@@ -677,7 +712,7 @@ impl Network {
 
         let id = self.next_conn;
         self.next_conn += 1;
-        Ok(VcHandle {
+        VcHandle {
             id,
             src_vci: vcis[0],
             dst_vci: vcis[nsegs - 1],
@@ -686,55 +721,7 @@ impl Network {
             reservations,
             src,
             dst,
-        })
-    }
-
-    /// Checks whether a *set* of guaranteed connections could all be
-    /// admitted at once, without reserving anything.
-    ///
-    /// Each flow is `(src, dst, peak_bps)`. Demands are accumulated per
-    /// link, so two flows sharing an inter-switch hop are checked
-    /// jointly — exactly the situation a session with a video and an
-    /// audio stream between the same two sites is in. The QoS broker
-    /// uses this to decide admit/degrade/reject before committing; a
-    /// subsequent [`Network::open_vc`] per flow is then guaranteed to
-    /// succeed (signalling is single-threaded, nothing can interleave).
-    pub fn probe_vcs(&self, flows: &[(EndpointId, EndpointId, u64)]) -> Result<(), AdmissionError> {
-        // Accumulate in a Vec (not a HashMap) so that the order demands
-        // are checked in — and therefore which saturated link an error
-        // names — is deterministic.
-        let mut demand: Vec<(ReservationKey, u64)> = Vec::new();
-        let add =
-            |demand: &mut Vec<(ReservationKey, u64)>, key: ReservationKey, bps: u64| match demand
-                .iter_mut()
-                .find(|(k, _)| *k == key)
-            {
-                Some((_, total)) => *total += bps,
-                None => demand.push((key, bps)),
-            };
-        for &(src, dst, bps) in flows {
-            if src.0 >= self.endpoints.len() || dst.0 >= self.endpoints.len() {
-                return Err(AdmissionError::UnknownEndpoint);
-            }
-            let (src_sw, dst_sw) = (self.endpoints[src.0].switch, self.endpoints[dst.0].switch);
-            let hops = self
-                .bfs_path(src_sw, dst_sw)
-                .ok_or(AdmissionError::NoRoute)?;
-            for key in self.reservation_keys(src, dst, &hops) {
-                add(&mut demand, key, bps);
-            }
         }
-        for (key, bps) in demand {
-            let available = self.acs[&key].available_bps();
-            if bps > available {
-                return Err(AdmissionError::InsufficientBandwidth {
-                    link: self.key_name(key),
-                    requested: bps,
-                    available,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Re-sizes a live circuit's guaranteed bandwidth in place — the
@@ -755,23 +742,13 @@ impl Network {
         for &(key, bps) in &old {
             self.release_on(key, bps);
         }
-        let mut made: Vec<(ReservationKey, u64)> = Vec::with_capacity(old.len());
-        for &(key, _) in &old {
-            match self.reserve_on(key, new_bps) {
-                Ok(()) => made.push((key, new_bps)),
-                Err(e) => {
-                    for (k, bps) in made {
-                        self.release_on(k, bps);
-                    }
-                    for &(k, bps) in &old {
-                        self.reserve_on(k, bps).expect("released capacity restores");
-                    }
-                    vc.reservations = old;
-                    return Err(e);
-                }
-            }
+        let new: Vec<_> = old.iter().map(|&(key, _)| (key, new_bps)).collect();
+        if let Err(e) = self.reserve_all(&new) {
+            self.reserve_all(&old).expect("released capacity restores");
+            vc.reservations = old;
+            return Err(e);
         }
-        vc.reservations = made;
+        vc.reservations = new;
         vc.qos.peak_bps = new_bps;
         Ok(())
     }
@@ -823,7 +800,9 @@ impl Network {
         let (src, dst, qos) = (vc.src, vc.dst, vc.qos);
         let pin = (vc.src_vci, vc.dst_vci);
         self.close_vc(vc);
-        self.open_vc_pinned(src, dst, qos, Some(pin))
+        let (hops, reservations) = self.plan_vc(src, dst, qos)?;
+        self.reserve_all(&reservations)?;
+        Ok(self.install_vc(src, dst, qos, &hops, reservations, Some(pin)))
     }
 
     /// Remaining guaranteed bandwidth on an endpoint's transmit link.
@@ -1324,52 +1303,102 @@ mod tests {
         assert_eq!(net.max_reservation_utilization(), 0.0);
     }
 
-    #[test]
-    fn probe_checks_joint_feasibility_without_reserving() {
-        let (mut net, cam, disp, _) = two_site_net();
-        // Individually each flow fits the 95 Mbit/s reservable trunk;
-        // jointly they do not — the probe must see the shared hop.
-        net.probe_vcs(&[(cam, disp, 60_000_000)]).unwrap();
-        net.probe_vcs(&[(cam, disp, 60_000_000), (cam, disp, 60_000_000)])
-            .unwrap_err();
-        // Probing reserved nothing.
-        assert_eq!(net.max_reservation_utilization(), 0.0);
-        // A successful probe's flows then open for real.
-        net.probe_vcs(&[(cam, disp, 50_000_000), (cam, disp, 40_000_000)])
-            .unwrap();
-        net.open_vc(cam, disp, QosSpec::guaranteed(50_000_000))
-            .unwrap();
-        net.open_vc(cam, disp, QosSpec::guaranteed(40_000_000))
-            .unwrap();
+    fn guaranteed(mbit: u64) -> QosSpec {
+        QosSpec::guaranteed(mbit * 1_000_000)
     }
 
     #[test]
-    fn probe_reports_routes_and_endpoints_like_open_vc() {
+    fn open_vcs_checks_joint_feasibility_over_a_shared_hop() {
+        let (mut net, cam, disp, _) = two_site_net();
+        // Individually each flow fits the 95 Mbit/s reservable trunk;
+        // jointly they do not — the second must see the first's share.
+        let err = net
+            .open_vcs(&[(cam, disp, guaranteed(60)), (cam, disp, guaranteed(60))])
+            .unwrap_err();
+        assert!(matches!(err, AdmissionError::InsufficientBandwidth { .. }));
+        assert_eq!(net.max_reservation_utilization(), 0.0, "nothing kept");
+        let vcs = net
+            .open_vcs(&[(cam, disp, guaranteed(50)), (cam, disp, guaranteed(40))])
+            .unwrap();
+        assert_eq!(vcs.len(), 2);
+        assert_eq!(net.max_reservation_utilization(), 0.9);
+        // Request order: the set numbers as two sequential opens would.
+        assert_eq!(
+            (vcs[0].qos.peak_bps, vcs[1].qos.peak_bps),
+            (50_000_000, 40_000_000)
+        );
+        assert!(vcs[0].id < vcs[1].id && vcs[0].dst_vci < vcs[1].src_vci);
+    }
+
+    #[test]
+    fn open_vcs_reports_routes_and_endpoints_like_open_vc() {
         let mut net = Network::new();
         let cfg = LinkConfig::pegasus_default();
         let sw_a = net.add_switch("a", 2, 0);
         let sw_b = net.add_switch("b", 2, 0);
         let a = net.add_endpoint(sw_a, 0, cfg, CaptureSink::shared());
         let b = net.add_endpoint(sw_b, 0, cfg, CaptureSink::shared());
+        // A routable first flow does not hide the second's error.
         assert_eq!(
-            net.probe_vcs(&[(a, b, 1)]).unwrap_err(),
+            net.open_vcs(&[(a, a, guaranteed(1)), (a, b, guaranteed(1))])
+                .unwrap_err(),
             AdmissionError::NoRoute
         );
         assert_eq!(
-            net.probe_vcs(&[(a, EndpointId(42), 1)]).unwrap_err(),
+            net.open_vcs(&[(a, EndpointId(42), guaranteed(1))])
+                .unwrap_err(),
             AdmissionError::UnknownEndpoint
         );
     }
 
     #[test]
-    fn probe_accounts_existing_reservations() {
+    fn open_vcs_counts_existing_reservations() {
         let (mut net, cam, disp, _) = two_site_net();
-        let _vc = net
-            .open_vc(cam, disp, QosSpec::guaranteed(90_000_000))
-            .unwrap();
-        let err = net.probe_vcs(&[(cam, disp, 10_000_000)]).unwrap_err();
+        let _vc = net.open_vc(cam, disp, guaranteed(90)).unwrap();
+        let err = net.open_vcs(&[(cam, disp, guaranteed(10))]).unwrap_err();
         assert!(matches!(err, AdmissionError::InsufficientBandwidth { .. }));
-        net.probe_vcs(&[(cam, disp, 5_000_000)]).unwrap();
+        net.open_vcs(&[(cam, disp, guaranteed(5))]).unwrap();
+    }
+
+    #[test]
+    fn refused_set_leaves_numbering_and_every_ledger_as_found() {
+        let (mut net, cam, disp, _) = two_site_net();
+        let held = net.open_vc(cam, disp, guaranteed(30)).unwrap();
+        let (vci, conn) = (net.next_vci, net.next_conn);
+        let ledgers = |net: &Network| {
+            let mut l: Vec<_> = net
+                .acs
+                .iter()
+                .map(|(k, ac)| (format!("{k:?}"), ac.reserved_bps()))
+                .collect();
+            l.sort();
+            l
+        };
+        let before = ledgers(&net);
+        // The first flow and the best-effort one fit; the third is
+        // refused on the trunk after its transmit link was charged.
+        let set = [
+            (cam, disp, guaranteed(40)),
+            (disp, cam, QosSpec::best_effort(0)),
+            (cam, disp, guaranteed(40)),
+        ];
+        net.open_vcs(&set).unwrap_err();
+        assert_eq!((net.next_vci, net.next_conn), (vci, conn));
+        assert_eq!(ledgers(&net), before);
+        net.audit_reservations().unwrap();
+        assert_eq!(net.max_reservation_utilization(), 0.3);
+        // The same refusal for a routing reason, found after a flow
+        // that would have fitted.
+        net.open_vcs(&[set[0], (cam, EndpointId(42), guaranteed(1))])
+            .unwrap_err();
+        assert_eq!((net.next_vci, net.next_conn), (vci, conn));
+        assert_eq!(ledgers(&net), before);
+        // What comes next numbers as if the refusals never happened.
+        let next = net.open_vc(cam, disp, guaranteed(40)).unwrap();
+        assert_eq!((next.src_vci, next.id), (vci, conn));
+        net.close_vc(next);
+        net.close_vc(held);
+        assert_eq!(net.max_reservation_utilization(), 0.0);
     }
 
     #[test]

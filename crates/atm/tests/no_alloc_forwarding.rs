@@ -128,7 +128,9 @@ fn zero_copy_forwarding_hot_path() {
 /// export path (records drained executor-style into a reusable buffer,
 /// both ends keeping their capacities) allocate **nothing** once warm.
 fn credit_return_paths_allocate_nothing_in_steady_state() {
-    use pegasus_atm::credit::{CreditExportBuf, CreditReturn, CreditSink, CreditWindow};
+    use pegasus_atm::credit::{
+        CreditExportBuf, CreditReturn, CreditSink, CreditWindow, ReturnPath,
+    };
 
     // Delayed in-process returns: acquire a burst, park its returns,
     // advance past their due times. One cycle at steady state.
@@ -161,7 +163,8 @@ fn credit_return_paths_allocate_nothing_in_steady_state() {
     // which retains both capacities.
     let buf: CreditExportBuf = Rc::new(RefCell::new(Vec::new()));
     let cs = CreditSink::wrap(Rc::new(RefCell::new(DrainSink::default())));
-    cs.borrow_mut().register_export(7, 5, buf.clone());
+    cs.borrow_mut()
+        .register(7, 5, ReturnPath::Outbox(buf.clone()));
     let mut sim = Simulator::new();
     let mut drain_buf: Vec<CreditReturn> = Vec::new();
     let mut export_cycle = |sim: &mut Simulator, measure: bool| -> u64 {

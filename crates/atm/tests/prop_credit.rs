@@ -20,7 +20,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use pegasus_atm::cell::Cell;
-use pegasus_atm::credit::{CreditSink, CreditWindow};
+use pegasus_atm::credit::{CreditSink, CreditWindow, ReturnPath};
 use pegasus_atm::link::{CellSink, Link};
 use pegasus_atm::switch::{input_port, Switch};
 use pegasus_sim::Simulator;
@@ -90,7 +90,8 @@ proptest! {
         let drain = Rc::new(RefCell::new(DrainSink::default()));
         let csink = CreditSink::wrap(drain.clone());
         let w = CreditWindow::shared(window);
-        csink.borrow_mut().register(7, w.clone());
+        // One switch: credits are due at the delivery event itself.
+        csink.borrow_mut().register(7, 0, ReturnPath::Window(w.clone()));
         // Egress 60x slower than ingress: pressure is guaranteed.
         sw.borrow_mut()
             .attach_output(1, Link::new(10_000_000, 100, csink));
@@ -117,7 +118,9 @@ proptest! {
                 if sent >= frames {
                     return None;
                 }
-                if pump_w.borrow_mut().try_acquire(frame_cells) {
+                // With the clock, as every producer behind a gate does:
+                // due returns are applied before the window is read.
+                if pump_w.borrow_mut().try_acquire_at(sim.now(), frame_cells) {
                     sent += 1;
                     let mut l = tx.borrow_mut();
                     for _ in 0..frame_cells {
@@ -135,7 +138,8 @@ proptest! {
             "switch backlog {} exceeded credit window {}", peak, window
         );
 
-        let w = w.borrow();
+        let mut w = w.borrow_mut();
+        w.advance_to(sim.now());
         prop_assert!(w.conserved());
         if frame_cells <= window {
             // Every offered frame eventually got through and drained.

@@ -6,7 +6,8 @@
 //! touches a reservation — attach, open (guaranteed and best-effort,
 //! including opens refused on the last hop after the earlier hops were
 //! reserved), resize up and down (including resizes refused and
-//! restored), close, probe, switch death with re-route — must leave
+//! restored), close, multi-flow sets opened or refused whole, switch
+//! death with re-route — must leave
 //! [`Network::audit_reservations`] `Ok` after every step, and closing
 //! everything must bring the figure back to exactly `0.0`.
 
@@ -70,13 +71,22 @@ proptest! {
                     let vc = held.swap_remove(a as usize % held.len());
                     net.close_vc(vc);
                 }
-                // A pure query; the audit below is what would notice
-                // if it were not.
+                // A three-flow set, opened whole or refused whole: the
+                // first two flows share every link in one direction,
+                // so the second is often what a set is refused on —
+                // after the first was reserved in full.
                 9 => {
-                    let _ = net.probe_vcs(&[
-                        (pick(&eps, a), pick(&eps, b), mbit * MBIT),
-                        (pick(&eps, b), pick(&eps, a), mbit * MBIT),
-                    ]);
+                    let before = net.max_reservation_utilization();
+                    let qos = QosSpec::guaranteed(mbit * MBIT);
+                    let (x, y) = (pick(&eps, a), pick(&eps, b));
+                    match net.open_vcs(&[(x, y, qos), (x, y, qos), (y, x, qos)]) {
+                        Ok(vcs) => held.extend(vcs),
+                        Err(_) => {
+                            prop_assert_eq!(net.audit_reservations(), Ok(()));
+                            let after = net.max_reservation_utilization();
+                            prop_assert_eq!(after.to_bits(), before.to_bits());
+                        }
+                    }
                 }
                 10 if dead + 2 < fabric.len() => {
                     let sw = pick(&fabric, a);

@@ -12,22 +12,24 @@
 //!   slots — as a [`SessionRequest`];
 //! * the broker checks the vector against three capacity ledgers: the
 //!   Nemesis [`CpuLedger`], the per-link admission controllers inside
-//!   the ATM [`Network`] (via [`Network::probe_vcs`], a joint
-//!   feasibility check over all the session's flows), and the
-//!   per-server [`StreamSlots`] ledgers of the PFS;
+//!   the ATM [`Network`] (via [`Network::open_vcs`], which opens all
+//!   the session's flows or none), and the per-server [`StreamSlots`]
+//!   ledgers of the PFS;
 //! * the outcome is three-way: **admit** at the full vector, **admit
 //!   degraded** at a renegotiated-down vector (the single degrade rung,
 //!   `degrade_milli` thousandths of the request — bitrate, frame rate
 //!   and CPU all scale down, slots never scale up), or **reject** with
 //!   the layer that refused.
 //!
-//! Checks run in a fixed order — CPU, then PFS slots, then bandwidth —
-//! and nothing is committed until every layer has said yes, so a
-//! refused session leaves all three ledgers untouched. Everything is
-//! integer accounting over a deterministic network, which makes the
-//! admit/degrade/reject boundary a pure function of the request
-//! sequence: the property tests in `crates/scenario` hold the broker to
-//! exactly that.
+//! Checks run in a fixed order — CPU, then PFS slots, then bandwidth.
+//! The first two are reads; the third is the network's own
+//! commit-or-roll-back transaction, and only once it has committed are
+//! CPU and slot charged — so a refused session leaves all three
+//! ledgers untouched, and "would it fit" is never asked apart from
+//! "reserve it". Everything is integer accounting over a deterministic
+//! network, which makes the admit/degrade/reject boundary a pure
+//! function of the request sequence: the property tests in
+//! `crates/scenario` hold the broker to exactly that.
 
 use pegasus_atm::network::{EndpointId, Network, VcHandle};
 use pegasus_atm::signalling::QosSpec;
@@ -359,8 +361,10 @@ impl QosBroker {
     }
 
     /// Attempts one rung: all-or-nothing across the three layers, in
-    /// the fixed order CPU → PFS slots → bandwidth. Commits only after
-    /// every layer has passed.
+    /// the fixed order CPU → PFS slots → bandwidth. The two broker
+    /// ledgers are only read until the network — the one layer whose
+    /// answer cannot be had without trying — has committed the whole
+    /// flow set or rolled it back.
     fn try_rung(
         &mut self,
         net: &mut Network,
@@ -379,33 +383,27 @@ impl QosBroker {
                 return Err(RejectLayer::PfsSlots);
             }
         }
-        // Joint bandwidth feasibility over every flow of the session:
+        // Every flow of the session as one signalling transaction:
         // media flows at the rung's rate, fixed flows as stated.
-        let flows: Vec<(EndpointId, EndpointId, u64)> = req
+        let flows: Vec<(EndpointId, EndpointId, QosSpec)> = req
             .media_flows
             .iter()
-            .map(|f| (f.src, f.dst, f.bps * milli / 1000))
-            .chain(req.fixed_flows.iter().map(|f| (f.src, f.dst, f.bps)))
+            .map(|f| (f.src, f.dst, QosSpec::guaranteed(f.bps * milli / 1000)))
+            .chain(
+                req.fixed_flows
+                    .iter()
+                    .map(|f| (f.src, f.dst, QosSpec::guaranteed(f.bps))),
+            )
             .collect();
-        if net.probe_vcs(&flows).is_err() {
-            return Err(RejectLayer::Bandwidth);
-        }
+        let vcs = net.open_vcs(&flows).map_err(|_| RejectLayer::Bandwidth)?;
 
-        // Every layer said yes: commit. The probe guarantees the opens
-        // succeed (signalling is single-threaded).
+        // The circuits stand; nothing ran since the two reads above.
         self.cpu
             .reserve(granted.cpu_micro)
             .expect("checked against the ledger above");
         if let Some(s) = req.pfs_server {
             self.pfs[s].take().expect("checked for a free slot above");
         }
-        let vcs = flows
-            .iter()
-            .map(|&(src, dst, bps)| {
-                net.open_vc(src, dst, QosSpec::guaranteed(bps))
-                    .expect("probe_vcs accepted this flow set")
-            })
-            .collect();
         Ok(SessionGrant {
             outcome: if milli == 1000 {
                 Outcome::Admitted
@@ -517,6 +515,34 @@ mod tests {
         assert_eq!(g2.outcome, Outcome::Rejected(RejectLayer::PfsSlots));
         assert_eq!(broker.pfs_headroom_slots(), 0);
         assert_eq!(broker.pfs[0].used(), 1);
+    }
+
+    /// Routing and reserving are one act: a same-switch pair on a dead
+    /// switch needs no hop and would fit every ledger, and is refused
+    /// all the same — as a verdict, with nothing charged anywhere.
+    #[test]
+    fn admit_on_a_dead_switch_is_a_verdict_that_charges_nothing() {
+        let (mut net, src, dst) = two_site();
+        let dst_switch = net.endpoint_switch(dst);
+        let neighbour = net.add_endpoint_auto(
+            dst_switch,
+            LinkConfig::pegasus_default(),
+            CaptureSink::shared(),
+        );
+        let mut broker = QosBroker::new(10_000, 1, 2, 500);
+        let live = broker.admit(&mut net, &video_request(src, dst, 10_000_000, 300));
+        assert_eq!(live.outcome, Outcome::Admitted);
+        net.fail_switch(dst_switch);
+
+        let mut req = video_request(dst, neighbour, 1_000_000, 100);
+        req.pfs_server = Some(0);
+        let g = broker.admit(&mut net, &req);
+        assert_eq!(g.outcome, Outcome::Rejected(RejectLayer::Bandwidth));
+        assert!(g.vcs.is_empty());
+        assert_eq!(broker.cpu.reserved_micro(), 300);
+        assert_eq!(broker.pfs[0].used(), 0);
+        assert_eq!(net.max_reservation_utilization(), 0.1);
+        net.audit_reservations().unwrap();
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   `down_after` consecutive pressured epochs, `Up` only after
 //!   `up_after` consecutive clear ones, and the two strictly alternate
 //!   — the controller can never flap.
+//! * **Admission is a verdict.** Every `admit` returns one — also for
+//!   endpoints on a switch that died before the walk — and a refusal
+//!   leaves the CPU, slot and bandwidth ledgers exactly as found.
 //! * **Ledger restoration.** Releasing every session at the end of the
-//!   walk returns the CPU and bandwidth ledgers to empty.
+//!   walk returns the CPU, slot and bandwidth ledgers to empty.
 //!
 //! Every step builds a fresh fabric and broker from `(seed, step)`
 //! alone, so a failure replays in isolation from its printed triple.
@@ -85,9 +88,28 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
             .map(|i| net.add_endpoint_auto(fabric[i % fabric.len()], cfg, CaptureSink::shared()))
             .collect();
         let rung = [500u64, 600, 700, 800][rng.gen_range(0..4usize)];
-        let mut broker = QosBroker::new(rng.gen_range(5_000..20_000u64), 0, 0, rung);
+        let mut broker = QosBroker::new(
+            rng.gen_range(5_000..20_000u64),
+            1,
+            rng.gen_range(1..4usize),
+            rung,
+        );
+        // One walk in three loses a switch before anyone asks: sessions
+        // with an endpoint on the corpse — same-switch pairs, which
+        // need no hop, included — must be refused, not panic.
+        if rng.gen_range(0..3u32) == 0 {
+            net.fail_switch(fabric[rng.gen_range(0..fabric.len())]);
+        }
 
         // Admit a handful of sessions, each with its own credit window.
+        // Every admit returns a verdict, and a refusal charges nothing.
+        let ledgers = |broker: &QosBroker, net: &Network| {
+            (
+                broker.cpu.reserved_micro(),
+                broker.pfs_headroom_slots(),
+                net.max_reservation_utilization().to_bits(),
+            )
+        };
         let mut live: Vec<(SessionGrant, CreditRef)> = Vec::new();
         for _ in 0..rng.gen_range(2..6u32) {
             let flows = (0..rng.gen_range(1..3usize))
@@ -102,8 +124,9 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
                 media_flows: flows,
                 fixed_flows: Vec::new(),
                 cpu_micro: rng.gen_range(100..2_000u64),
-                pfs_server: None,
+                pfs_server: (rng.gen_range(0..3u32) == 0).then_some(0),
             };
+            let before = ledgers(&broker, &net);
             let grant = broker.admit(&mut net, &req);
             if grant.is_admitted() {
                 stats.admitted += 1;
@@ -111,7 +134,15 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
                 live.push((grant, w));
             } else {
                 stats.refused += 1;
+                repro.check(
+                    ledgers(&broker, &net) == before,
+                    "a refused admit left a ledger charged",
+                );
             }
+            repro.check(
+                net.audit_reservations().is_ok(),
+                "admit left the remembered maximum out of step with the ledgers",
+            );
         }
 
         let ledger_ok = |broker: &QosBroker, live: &[(SessionGrant, CreditRef)]| {
@@ -245,8 +276,8 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
             broker.release(&mut net, g);
         }
         repro.check(
-            broker.cpu.reserved_micro() == 0,
-            "CPU ledger not restored after releasing every session",
+            broker.cpu.reserved_micro() == 0 && broker.pfs[0].used() == 0,
+            "CPU or slot ledger not restored after releasing every session",
         );
         repro.check(
             net.max_reservation_utilization() < 1e-12,

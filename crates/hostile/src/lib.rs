@@ -15,7 +15,7 @@
 //!   reorders, truncates and splices AAL5 cell streams into
 //!   [`pegasus_atm::aal5::Reassembler`], with a copying-path mirror as
 //!   the verdict oracle; plus a random-walk fuzz of the signalling state
-//!   machine (open/close/probe/switch-death/re-route).
+//!   machine (open/close/open-set/switch-death/re-route).
 //! * [`disk`] — an [`disk::ImageMutator`] over checkpoint blobs, and a
 //!   crash-point sweep that cuts simulated power at *every* operation
 //!   boundary of a write-heavy LogFs run, recovers, and verifies no

@@ -25,7 +25,7 @@
 //!
 //! # Signalling
 //!
-//! [`run_signalling`] random-walks open/close/probe/switch-death/
+//! [`run_signalling`] random-walks open/close/open-set/switch-death/
 //! re-route against invariants: reservations never exceed the
 //! reservable fraction, a re-route pins the endpoint VCIs and avoids
 //! the corpse, a dead switch admits nothing, and closing every circuit
@@ -347,9 +347,9 @@ pub struct SignallingStats {
 }
 
 /// Random-walks the signalling state machine: `steps` fresh networks,
-/// each subjected to a burst of opens, closes, probes, switch deaths
-/// and re-routes, with ledger and VCI-pinning invariants checked
-/// throughout. Panics with a reproducing triple on violation.
+/// each subjected to a burst of opens (single circuits and multi-flow
+/// sets), closes, switch deaths and re-routes, with ledger and
+/// VCI-pinning invariants checked throughout. Panics with a reproducing triple on violation.
 pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
     let mut stats = SignallingStats::default();
     for step in 0..steps {
@@ -411,26 +411,40 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                         net.close_vc(vc);
                     }
                 }
-                // Probe a random flow set: pure query, must not disturb.
+                // Open a random flow set as one transaction: it is kept
+                // whole, or refused whole and nothing is disturbed.
                 7 => {
                     let before = net.max_reservation_utilization();
-                    let flows: Vec<(EndpointId, EndpointId, u64)> = (0..rng.gen_range(1..4usize))
+                    let flows: Vec<(EndpointId, EndpointId, QosSpec)> = (0..rng
+                        .gen_range(1..4usize))
                         .map(|_| {
                             (
                                 eps[rng.gen_range(0..eps.len())],
                                 eps[rng.gen_range(0..eps.len())],
-                                rng.gen_range(1..100u64) * 1_000_000,
+                                QosSpec::guaranteed(rng.gen_range(1..100u64) * 1_000_000),
                             )
                         })
                         .collect();
-                    let _ = net.probe_vcs(&flows);
+                    match net.open_vcs(&flows) {
+                        Ok(vcs) => {
+                            stats.opened += vcs.len() as u64;
+                            held.extend(vcs);
+                        }
+                        Err(_) => {
+                            stats.refused += 1;
+                            repro.check(
+                                (net.max_reservation_utilization() - before).abs() < 1e-12,
+                                "a refused open_vcs left reservations behind",
+                            );
+                        }
+                    }
                     repro.check(
-                        (net.max_reservation_utilization() - before).abs() < 1e-12,
-                        "probe_vcs mutated the ledgers",
+                        net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
+                        "open_vcs let a ledger exceed the reservable fraction",
                     );
                     repro.check(
                         net.audit_reservations().is_ok(),
-                        "probe_vcs left the remembered maximum out of step with the ledgers",
+                        "open_vcs left the remembered maximum out of step with the ledgers",
                     );
                 }
                 // Kill a switch and repair the survivors via signalling.

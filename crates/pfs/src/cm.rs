@@ -285,28 +285,14 @@ impl CmScheduler {
     /// period (stopping at end of file). A period misses when the I/O
     /// time of its reads exceeds the period.
     pub fn run_periods(&mut self, fs: &mut LogFs, n: u64) -> Result<CmReport, FsError> {
-        let mut report = CmReport::default();
-        for _ in 0..n {
-            let io_before = fs.io_time;
-            let mut delivered = 0u64;
-            for s in &mut self.streams {
-                let want = (s.rate as u128 * self.period as u128 / SEC as u128) as u64;
-                let size = fs.pnode(s.file).ok_or(FsError::NoSuchFile)?.size;
-                let take = want.min(size.saturating_sub(s.offset));
-                if take > 0 {
-                    fs.read_into(s.file, s.offset, take as usize, &mut self.scratch)?;
-                    s.offset += take;
-                    delivered += take;
-                }
-            }
-            let io = fs.io_time - io_before;
-            report.periods += 1;
-            report.bytes_delivered += delivered;
-            if io > self.period {
-                report.missed += 1;
-            }
-        }
-        Ok(report)
+        let scratch = &mut self.scratch;
+        play(
+            &mut self.streams,
+            self.period,
+            fs,
+            n,
+            |fs, file, offset, take| fs.read_into(file, offset, take as usize, scratch),
+        )
     }
 
     /// [`CmScheduler::run_periods`] with a [`crate::tier::TieredCache`] fronting the
@@ -321,32 +307,50 @@ impl CmScheduler {
         cache: &mut crate::tier::TieredCache,
         n: u64,
     ) -> Result<CmReport, FsError> {
-        let mut report = CmReport::default();
         // Chunk handles live for the period they were served in, then
         // release back toward the cache's refcounts.
         let mut served = Vec::new();
-        for _ in 0..n {
-            let io_before = fs.io_time;
-            let mut delivered = 0u64;
-            for s in &mut self.streams {
-                let want = (s.rate as u128 * self.period as u128 / SEC as u128) as u64;
-                let size = fs.pnode(s.file).ok_or(FsError::NoSuchFile)?.size;
-                let take = want.min(size.saturating_sub(s.offset));
-                if take > 0 {
-                    cache.read(fs, s.file, s.offset, take, &mut served)?;
-                    s.offset += take;
-                    delivered += take;
-                }
-            }
-            let io = fs.io_time - io_before;
-            report.periods += 1;
-            report.bytes_delivered += delivered;
-            if io > self.period {
-                report.missed += 1;
+        play(
+            &mut self.streams,
+            self.period,
+            fs,
+            n,
+            |fs, file, offset, take| cache.read(fs, file, offset, take, &mut served),
+        )
+    }
+}
+
+/// The period loop both play-outs share; `read(fs, file, offset, bytes)`
+/// is how one stream's share of a period comes off the store.
+fn play(
+    streams: &mut [CmStream],
+    period: Ns,
+    fs: &mut LogFs,
+    n: u64,
+    mut read: impl FnMut(&mut LogFs, FileId, u64, u64) -> Result<(), FsError>,
+) -> Result<CmReport, FsError> {
+    let mut report = CmReport::default();
+    for _ in 0..n {
+        let io_before = fs.io_time;
+        let mut delivered = 0u64;
+        for s in streams.iter_mut() {
+            let want = (s.rate as u128 * period as u128 / SEC as u128) as u64;
+            let size = fs.pnode(s.file).ok_or(FsError::NoSuchFile)?.size;
+            let take = want.min(size.saturating_sub(s.offset));
+            if take > 0 {
+                read(fs, s.file, s.offset, take)?;
+                s.offset += take;
+                delivered += take;
             }
         }
-        Ok(report)
+        let io = fs.io_time - io_before;
+        report.periods += 1;
+        report.bytes_delivered += delivered;
+        if io > period {
+            report.missed += 1;
+        }
     }
+    Ok(report)
 }
 
 #[cfg(test)]

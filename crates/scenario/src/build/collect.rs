@@ -412,9 +412,10 @@ impl Scenario {
 /// Merges per-shard outcomes into the final [`ScenarioReport`].
 ///
 /// Counters sum, peaks take the max, and histograms merge in shard
-/// order (a one-shard run merges a vector of one). Summaries are insensitive to that merge order — the
-/// percentile pass sorts the samples and the mean is computed over the
-/// sorted data — so the canonical JSON is identical at any shard count.
+/// order (a one-shard run merges a vector of one). Summaries are
+/// insensitive to that merge order — the percentile pass sorts the
+/// samples and the mean is computed over the sorted data — so the
+/// canonical JSON is identical at any shard count.
 pub fn assemble(spec: &ScenarioSpec, mut outcomes: Vec<ShardOutcome>) -> ScenarioReport {
     outcomes.sort_by_key(|o| o.slice.shard);
     let coord = outcomes

@@ -1,14 +1,15 @@
 //! The steps the run loop takes at a control mark: sample the epoch's
 //! congestion evidence, settle dropped cells' credits, act on the
 //! hysteresis verdict, repair after a switch death, and find the
-//! window a peer's credit record addresses. Owns the live-session
-//! state of [`Scenario`] — the books, the blasts and the credit-window
-//! registry.
-//! Every step runs identically on every shard's replica.
+//! window a credit belongs to — one registry lookup, asked alike for
+//! a peer's credit record and for a drop seen here. Owns the
+//! live-session state of [`Scenario`] — the books, the blasts and the
+//! credit-window registry. Every step runs identically on every
+//! shard's replica.
 
 use pegasus::congestion::{CongestionController, EpochSignal, Verdict};
 use pegasus_atm::cell::Vci;
-use pegasus_atm::credit::{CreditExportBuf, CreditRef};
+use pegasus_atm::credit::CreditRef;
 use pegasus_atm::network::{SwitchId, VcHandle};
 use pegasus_devices::camera::{CameraConfig, VideoMode};
 use pegasus_sim::time::Ns;
@@ -37,56 +38,43 @@ impl Scenario {
     /// reclaimed (the consumer will never see the cell, so it can never
     /// return it), and drops on an *admitted* session's circuits are
     /// attributed by cause. Returns `(admitted overflow, admitted outage)`
-    /// for the cells report; reclaims against windows living on other
-    /// shards land in `remote` as `(delivery VCI, n)` records. VCIs are
-    /// allocated from one network-wide counter, so any hop's label
+    /// for the cells report. A credit is reclaimed where its window
+    /// lives — the registry knows — and otherwise lands in `remote` as
+    /// a `(delivery VCI, n)` record for the shard that holds it. VCIs
+    /// are allocated from one network-wide counter, so any hop's label
     /// identifies exactly one circuit — on every shard.
     pub(crate) fn settle_drops(&self, remote: &mut Vec<(Vci, u64)>) -> (u64, u64) {
         let bp_enabled = self.spec.backpressure.enabled;
-        let mut table: Vec<(Vci, Target, bool)> = Vec::new();
+        // `(hop label, delivery VCI if a credit moves, admitted)`. No
+        // credit moves on an uncredited flow, nor on a stranded circuit
+        // whose producer is wedged by design (its credits leak with
+        // the corpse); attribution still applies.
+        let mut table: Vec<(Vci, Option<Vci>, bool)> = Vec::new();
         for b in &self.books {
             for (i, vc) in b.grant.vcs.iter().enumerate() {
                 // Media flow 0 carries the credit window.
-                let target = if i == 0 && !b.stranded[i] {
-                    match &b.credit {
-                        Some(w) => Target::Local(w.clone()),
-                        None if bp_enabled => Target::Remote(vc.dst_vci),
-                        None => Target::Skip,
-                    }
-                } else {
-                    Target::Skip
-                };
-                for vci in vc.vcis() {
-                    table.push((vci, target.clone(), true));
-                }
+                let credited = (i == 0 && bp_enabled && !b.stranded[i]).then_some(vc.dst_vci);
+                table.extend(vc.vcis().map(|vci| (vci, credited, true)));
             }
         }
-        for (vc, w, stranded) in &self.blasts {
+        for (vc, _, stranded) in &self.blasts {
             // Blasts are always credited, whatever the backpressure spec.
-            let target = if *stranded {
-                Target::Skip
-            } else {
-                match w {
-                    Some(w) => Target::Local(w.clone()),
-                    None => Target::Remote(vc.dst_vci),
-                }
-            };
-            for vci in vc.vcis() {
-                table.push((vci, target.clone(), false));
-            }
+            let credited = (!stranded).then_some(vc.dst_vci);
+            table.extend(vc.vcis().map(|vci| (vci, credited, false)));
         }
         table.sort_by_key(|e| e.0);
         let mut acc = (0u64, 0u64);
         let mut settle = |drops: Vec<(Vci, u64)>, overflow: bool, acc: &mut (u64, u64)| {
             for (vci, n) in drops {
                 if let Ok(idx) = table.binary_search_by_key(&vci, |e| e.0) {
-                    let (_, target, admitted) = &table[idx];
-                    match target {
-                        Target::Local(w) => w.borrow_mut().reclaim(n),
-                        Target::Remote(dst_vci) => remote.push((*dst_vci, n)),
-                        Target::Skip => {}
+                    let (_, credited, admitted) = table[idx];
+                    if let Some(dst_vci) = credited {
+                        match self.credit_window(dst_vci) {
+                            Some(w) => w.borrow_mut().reclaim(n),
+                            None => remote.push((dst_vci, n)),
+                        }
                     }
-                    if *admitted {
+                    if admitted {
                         if overflow {
                             acc.0 += n;
                         } else {
@@ -220,33 +208,14 @@ impl Scenario {
     }
 
     /// The credit window of the circuit delivered under `dst_vci`, if
-    /// its producer lives on this shard. Sealed credit returns are
-    /// addressed to the producer's shard, so a miss there is an
-    /// executor routing bug; reclaim records are broadcast, and every
-    /// shard but the owner misses.
+    /// its producer lives on this shard — the one answer to "is this
+    /// credit mine to move". Sealed credit returns are addressed to the
+    /// producer's shard, so a miss there is an executor routing bug; a
+    /// drop settles here on a hit and travels as a reclaim record on a
+    /// miss; reclaim records are broadcast, and every shard but the
+    /// owner misses.
     pub(crate) fn credit_window(&self, dst_vci: Vci) -> Option<&CreditRef> {
         let idx = self.credit_windows.binary_search_by_key(&dst_vci, |e| e.0);
         idx.ok().map(|i| &self.credit_windows[i].1)
     }
-
-    /// The buffer where consumer-side gates on this shard seal credit
-    /// returns addressed to `shard`'s windows.
-    pub(crate) fn credit_export(&self, shard: usize) -> CreditExportBuf {
-        self.credit_out[shard].clone()
-    }
-}
-
-/// Where a dropped cell's credit goes when the fabric is settled.
-#[derive(Clone)]
-enum Target {
-    /// The circuit's window lives in this address space: reclaim here.
-    Local(CreditRef),
-    /// The window lives on the shard owning the producer's switch:
-    /// emit a reclaim record keyed by delivery VCI for the executor to
-    /// broadcast.
-    Remote(Vci),
-    /// No credit to move — an uncredited flow, or a stranded circuit
-    /// whose producer is wedged by design (its credits leak with the
-    /// corpse). Attribution still applies.
-    Skip,
 }

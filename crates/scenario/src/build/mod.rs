@@ -247,12 +247,13 @@ pub struct Scenario {
     /// shard owning the pump. The bool marks a blast stranded by a
     /// switch death.
     blasts: Vec<(VcHandle, Option<CreditRef>, bool)>,
-    /// Outbound credit-return records, one buffer per *producer* shard:
-    /// a consumer-side [`CreditSink`] in export mode appends here, and
-    /// the executor seals the records into that shard's mailbox at the
-    /// next epoch boundary. With one shard the single buffer (this
-    /// shard's own) is never written.
-    credit_out: Vec<CreditExportBuf>,
+    /// Outboxes for credit returns, one per *producer* shard: a gate
+    /// whose circuit's window lives on shard `d` appends to
+    /// `credit_out[d]`, and the executor seals the records into that
+    /// shard's mailbox at the next epoch boundary. This shard's own
+    /// outbox is never written (a window held here is returned to
+    /// directly), so with one shard none is.
+    pub(crate) credit_out: Vec<CreditExportBuf>,
     /// Registry of credit windows whose producer this shard owns,
     /// keyed by delivery VCI and sorted for binary search — the lookup
     /// table for applying sealed credit returns and remote reclaims.

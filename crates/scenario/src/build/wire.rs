@@ -9,7 +9,7 @@ use std::rc::Rc;
 use pegasus::broker::{FlowRequest, QosBroker, SessionClass, SessionGrant, SessionRequest};
 use pegasus::system::{HostNic, SystemBuilder};
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
-use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow};
+use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow, ReturnPath};
 use pegasus_atm::link::{CellSink, SinkRef};
 use pegasus_atm::network::EndpointId;
 use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
@@ -116,13 +116,12 @@ impl Scenario {
     ///
     /// The producer half (the window, created iff this shard owns the
     /// source switch) is returned and recorded in the registry so sealed
-    /// returns and remote reclaims can find it. The consumer half — how
-    /// drained cells' credits travel back — is registered on `gate`
-    /// (which exists iff this shard owns the destination switch) by
-    /// geometry and ownership: same switch → immediate; cross-switch
-    /// with the window in this address space → delayed by one reverse
-    /// trunk crossing; cross-shard → sealed export records addressed to
-    /// the producer's shard.
+    /// returns and remote reclaims can find it. The consumer half is one
+    /// registration on `gate` (which exists iff this shard owns the
+    /// destination switch): credits are due one reverse trunk crossing
+    /// after delivery — at once when the circuit never leaves its
+    /// switch — and go to the window if it is here, else to the outbox
+    /// of the shard that holds it.
     pub(super) fn wire_credit(
         &mut self,
         window_cells: u64,
@@ -131,29 +130,28 @@ impl Scenario {
         dst_switch: usize,
         gate: Option<&Gate>,
     ) -> Option<CreditRef> {
-        // Serialization (ceiling division, so never below the
-        // executor's floored lookahead) plus propagation. A pure
-        // function of the spec, applied at every shard count, so the
-        // physics don't depend on the plan.
-        let link = self.spec.topology.link;
-        let ret_delay: Ns = tx_time(CELL_SIZE, link.rate_bps) + link.prop_delay;
         let window = self.plan.owns(src_switch).then(|| {
             let w = CreditWindow::shared(window_cells);
             self.credit_windows.push((dst_vci, w.clone()));
             w
         });
         if let Some(gate) = gate {
-            let mut gate = gate.borrow_mut();
-            if src_switch == dst_switch {
-                // Same switch ⇒ same owner: the window is always local and
-                // the return is a same-host wire.
-                gate.register(dst_vci, window.clone().expect("same switch, same shard"));
-            } else if let Some(w) = &window {
-                gate.register_delayed(dst_vci, w.clone(), ret_delay);
+            // Serialization (ceiling division, so never below the
+            // executor's floored lookahead) plus propagation. A pure
+            // function of the spec, applied at every shard count, so
+            // the physics don't depend on the plan. Same switch ⇒ same
+            // owner, so a zero delay never crosses shards.
+            let link = self.spec.topology.link;
+            let delay = if src_switch == dst_switch {
+                0
             } else {
-                let producer = self.plan.owner_of(src_switch);
-                gate.register_export(dst_vci, ret_delay, self.credit_out[producer].clone());
-            }
+                tx_time(CELL_SIZE, link.rate_bps) + link.prop_delay
+            };
+            let to = match &window {
+                Some(w) => ReturnPath::Window(w.clone()),
+                None => ReturnPath::Outbox(self.credit_out[self.plan.owner_of(src_switch)].clone()),
+            };
+            gate.borrow_mut().register(dst_vci, delay, to);
         }
         window
     }
@@ -209,8 +207,9 @@ impl Wiring {
             vod_servers: Vec::new(),
             books: Vec::new(),
             blasts: Vec::new(),
+            // Pre-sized so the run loop's steady state never grows them.
             credit_out: (0..plan.shards)
-                .map(|_| Rc::new(RefCell::new(Vec::new())))
+                .map(|_| Rc::new(RefCell::new(Vec::with_capacity(64))))
                 .collect(),
             credit_windows: Vec::new(),
             plan,

@@ -18,8 +18,11 @@
 //!    transmit link's export buffer ([`pegasus_atm::link::Link`]
 //!    `set_export`) with their exact arrival times. Each shard seals
 //!    them to wire bytes and posts them to per-pair mailboxes. Credit
-//!    returns for cut-crossing circuits ride the same mailboxes as
-//!    sealed [`CreditReturn`] records: their application time is the
+//!    returns whose window lives on another shard ride the same
+//!    mailboxes as sealed [`CreditReturn`] records, taken from the
+//!    scenario's per-shard outboxes (a return is the same registration
+//!    everywhere; only its destination — the window, or the outbox of
+//!    the shard holding it — differs). Their application time is the
 //!    delivery event time plus the circuit's return delay, which is
 //!    never below the trunk lookahead, so a record sealed in epoch
 //!    `[t, b)` always applies at or after `b` — the conservative bound
@@ -63,7 +66,7 @@ use std::thread;
 
 use pegasus::congestion::EpochSignal;
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
-use pegasus_atm::credit::{CreditExportBuf, CreditReturn};
+use pegasus_atm::credit::CreditReturn;
 use pegasus_atm::link::ExportBuffer;
 use pegasus_atm::network::TrunkDir;
 use pegasus_sim::time::{Ns, SEC};
@@ -162,11 +165,6 @@ struct Cut<'a> {
     trunks: Vec<TrunkDir>,
     /// `(trunk, export buffer, receiving shard)` per outbound cut trunk.
     outbound: Vec<(usize, ExportBuffer, usize)>,
-    /// Outbound credit-return records, indexed by producer shard. The
-    /// consumer-side gates fill them during the epoch; the slot for
-    /// this shard stays empty by construction (a locally-owned window
-    /// gets a delayed in-process return, not an export).
-    credit_out: Vec<CreditExportBuf>,
     /// Reusable drain buffer: swap a mailbox's contents out under the
     /// lock, process outside it. `clear` + `append` retains both
     /// vectors' capacities, so the steady-state loop allocates nothing.
@@ -192,16 +190,11 @@ impl<'a> Cut<'a> {
                 outbound.push((ti, buf, plan.owner_of(t.to)));
             }
         }
-        let credit_out: Vec<_> = (0..plan.shards).map(|d| sc.credit_export(d)).collect();
-        for buf in &credit_out {
-            buf.borrow_mut().reserve(64);
-        }
         Cut {
             peers,
             me,
             trunks,
             outbound,
-            credit_out,
             drain_buf: Vec::new(),
         }
     }
@@ -230,10 +223,12 @@ impl<'a> Cut<'a> {
             }
         }
         // Credit returns for windows living on other shards ride the
-        // same mailboxes. Their application times already clear the
+        // same mailboxes, from the scenario's per-shard outboxes (this
+        // shard's own stays empty: a window held here is returned to
+        // directly). Their application times already clear the
         // boundary: delivery happened strictly before `next`, and the
         // return delay is never below the trunk lookahead.
-        for (dest, buf) in self.credit_out.iter().enumerate() {
+        for (dest, buf) in sc.credit_out.iter().enumerate() {
             let mut records = buf.borrow_mut();
             if records.is_empty() {
                 continue;

@@ -115,7 +115,7 @@ impl ShardPlan {
     /// Whether this shard owns fabric switch `s` — and therefore every
     /// endpoint attached to it and every event those endpoints run.
     pub fn owns(&self, s: usize) -> bool {
-        self.shards == 1 || self.owner.get(s).copied().unwrap_or(0) == self.shard
+        self.owner_of(s) == self.shard
     }
 
     /// The shard owning fabric switch `s` (shard 0 under the trivial
