@@ -2,8 +2,8 @@
 //!
 //! Every `e*` bench target is a `harness = false` binary that regenerates
 //! one figure/claim of the paper as a printed table — the README in this
-//! crate lists all seventeen and the paper claim each one measures. These
-//! helpers keep the output format uniform.
+//! crate lists all eighteen (e01–e17 and e21) and the paper claim each one
+//! measures. These helpers keep the output format uniform.
 
 /// Prints an experiment banner.
 pub fn banner(id: &str, title: &str, anchor: &str) {

@@ -168,7 +168,6 @@ impl SystemBuilder {
         let fabric = net.build_topology(self.shape, self.switches, "backbone", 16, 500, self.link);
         System {
             net,
-            backbone: fabric[0],
             fabric,
             link: self.link,
             next_site: 0,
@@ -189,8 +188,6 @@ pub struct System {
     /// The fabric switches joining sites; `fabric[0]` is the backbone of
     /// the single-switch default.
     pub fabric: Vec<SwitchId>,
-    /// The first fabric switch (kept for the single-backbone callers).
-    pub backbone: SwitchId,
     /// Link parameters used throughout.
     pub link: LinkConfig,
     /// Round-robin cursor for site placement.

@@ -181,7 +181,7 @@ impl Scenario {
 
         // Coordinator-only sections: the replays and the
         // replicated-identical ledgers.
-        let coord = if self.plan.materialize_pfs {
+        let coord = if self.plan.is_coordinator() {
             let pfs = self.replay_pfs();
             // Read the cache counters only after the replay: the tiers
             // fill during it, not during the live network run.

@@ -272,14 +272,12 @@ impl Wiring {
     }
 
     /// A display on fabric switch `sw`, built only by its owner.
+    /// Headless: a report carries display statistics, never a pixel.
     fn display(&self, sw: usize) -> Option<Rc<RefCell<Display>>> {
-        self.sc.plan.owns(sw).then(|| {
-            if self.sc.spec.headless_displays {
-                Display::shared_headless(176, 144)
-            } else {
-                Display::shared(176, 144)
-            }
-        })
+        self.sc
+            .plan
+            .owns(sw)
+            .then(|| Display::shared_headless(176, 144))
     }
 
     /// A credit-gated (when backpressure is on) media consumer.
@@ -607,13 +605,13 @@ impl Wiring {
 /// single-shard ones. Remote replicas of switches and devices exist but
 /// stay silent — no event ever touches them.
 pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
-    let materialize_pfs = plan.materialize_pfs;
+    let coordinator = plan.is_coordinator();
     let mut w = Wiring::new(spec, plan);
     let (n_vp, n_vod, n_tv) = w.sc.counts;
     for _ in 0..n_vp {
         w.videophone();
     }
-    if materialize_pfs {
+    if coordinator {
         w.vod_servers();
     }
     for i in 0..n_vod {

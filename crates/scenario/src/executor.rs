@@ -397,7 +397,7 @@ pub(crate) fn drive(mut sc: Scenario, peers: Option<&Peers>) -> ShardOutcome {
                     if peers.is_some() {
                         rt.repairs_replicated += r + s;
                     }
-                    if plan.materialize_pfs {
+                    if plan.is_coordinator() {
                         vcs_rerouted += r;
                         vcs_stranded += s;
                     }

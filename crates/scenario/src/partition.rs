@@ -51,15 +51,8 @@ impl ExecPlan {
     pub fn partition(spec: &ScenarioSpec, requested: usize) -> ExecPlan {
         let n = spec.topology.switches.max(1);
         let requested = requested.max(1);
-        let mut shards = requested;
-        let mut clamp_reason = None;
-        let mut clamp = |k: &mut usize, to: usize, why: &'static str| {
-            if to < *k {
-                *k = to;
-                clamp_reason = Some(why);
-            }
-        };
-        clamp(&mut shards, n, "more shards than fabric switches");
+        let shards = requested.min(n);
+        let clamp_reason = (shards < requested).then_some("more shards than fabric switches");
         // Contiguous balanced ranges: switch s goes to shard s·k/n.
         let owner = (0..n).map(|s| s * shards / n).collect();
         ExecPlan {
@@ -77,17 +70,12 @@ impl ExecPlan {
             shard,
             shards: self.shards,
             owner: self.owner.clone(),
-            // Shard 0 is the coordinator: it alone materializes the PFS
-            // servers (prerecord + CM replay), replays the Nemesis
-            // epoch schedule, and contributes the broker/topology
-            // sections every shard computes identically.
-            materialize_pfs: shard == 0,
         }
     }
 }
 
 /// One shard's compile-time view of an [`ExecPlan`]: which switches it
-/// owns and whether it is the coordinator.
+/// owns and, by its index, whether it is the coordinator.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// This shard's index.
@@ -96,9 +84,6 @@ pub struct ShardPlan {
     pub shards: usize,
     /// Switch index → owning shard.
     pub owner: Vec<usize>,
-    /// Whether this shard materializes PFS servers and the post-run
-    /// replays (true exactly for the coordinator, shard 0).
-    pub materialize_pfs: bool,
 }
 
 impl ShardPlan {
@@ -108,8 +93,15 @@ impl ShardPlan {
             shard: 0,
             shards: 1,
             owner: Vec::new(),
-            materialize_pfs: true,
         }
+    }
+
+    /// Shard 0 is the coordinator: it alone materializes the PFS
+    /// servers (prerecord + CM replay), replays the Nemesis epoch
+    /// schedule, and contributes the broker/topology sections every
+    /// shard computes identically.
+    pub fn is_coordinator(&self) -> bool {
+        self.shard == 0
     }
 
     /// Whether this shard owns fabric switch `s` — and therefore every
@@ -204,7 +196,7 @@ mod tests {
         for i in 0..plan.shards {
             let sp = plan.shard_plan(i);
             assert_eq!(sp.owner, plan.owner);
-            assert_eq!(sp.materialize_pfs, i == 0);
+            assert_eq!(sp.is_coordinator(), i == 0);
         }
     }
 }

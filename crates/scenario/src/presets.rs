@@ -165,10 +165,8 @@ pub fn metropolis_1k() -> ScenarioSpec {
 /// population at 9,000 concurrent sessions, and the 48-server VoD
 /// cluster caps streaming at its 384 slots — everyone else is turned
 /// away with a reason, exactly as §3's broker argument demands.
-/// Displays are headless (identical statistics, no framebuffers) and
-/// streams run at a metro-realistic 2 Mbit/s so a single bench run
-/// stays in memory and in budget. `scripts/bench_engine.sh` drives
-/// this preset at `--shards` 1, 2 and 4 for the scaling lanes.
+/// Streams run at a metro-realistic 2 Mbit/s so a single run stays in
+/// memory and in budget.
 pub fn metropolis_100k() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("metropolis-100k");
     spec.topology = TopologySpec {
@@ -187,7 +185,6 @@ pub fn metropolis_100k() -> ScenarioSpec {
     // firmly bounded at city scale.
     spec.broker.cpu_capacity_micro = 2_700_000;
     spec.broker.degrade_milli = 1000;
-    spec.headless_displays = true;
     spec
 }
 

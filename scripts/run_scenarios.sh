@@ -230,7 +230,7 @@ elif [ "$MODE" = "--full" ]; then
     done
     # The 100k-session city runs under the sharded executor at full
     # scale; completion and the in-binary canonical cross-checks are
-    # the gate here (its QoS numbers live in BENCH_shards.json lanes).
+    # the gate here.
     "$BIN" run metropolis-100k --shards 4 --out "$OUTDIR/metropolis-100k.json"
     # The clean presets must stay clean even at full scale — including
     # the overload trio, whose *admitted* sessions must never miss.

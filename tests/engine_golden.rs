@@ -110,7 +110,7 @@ fn full_stack_event_count_and_clock_match_seed_engine() {
     sim.run();
 
     let tiles = b.display.borrow().stats.tiles_blitted;
-    let switched = sys.net.switch(sys.backbone).borrow().stats.switched;
+    let switched = sys.net.switch(sys.fabric[0]).borrow().stats.switched;
     println!(
         "scenario A actuals: events={} clock={} tiles={} switched={}",
         sim.events_executed(),
