@@ -115,6 +115,8 @@ struct Train {
 /// ```
 pub struct Link {
     rate_bps: u64,
+    /// `tx_time(CELL_SIZE, rate_bps)`: a forwarded cell asks twice.
+    cell_time: Ns,
     prop_delay: Ns,
     sink: SinkRef,
     next_free: Ns,
@@ -200,6 +202,7 @@ impl Link {
         };
         Link {
             rate_bps,
+            cell_time: tx_time(CELL_SIZE, rate_bps),
             prop_delay,
             sink,
             next_free: 0,
@@ -239,7 +242,7 @@ impl Link {
 
     /// Serialization time of one cell on this link.
     pub fn cell_time(&self) -> Ns {
-        tx_time(CELL_SIZE, self.rate_bps)
+        self.cell_time
     }
 
     /// Total cells handed to this link so far.
@@ -303,7 +306,7 @@ impl Link {
             }
             return start;
         }
-        let done = start + self.cell_time();
+        let done = start + self.cell_time;
         self.next_free = done;
         self.cells_sent += 1;
         let arrival = done + self.prop_delay;

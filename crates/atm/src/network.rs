@@ -205,6 +205,27 @@ impl Default for Network {
     }
 }
 
+/// The network owns its fabric, and takes it down when it goes.
+///
+/// Switch → output link → the next switch's input port → that switch:
+/// wired, the fabric is a reference cycle, and every display, audio sink
+/// and playback client hangs off some output link. Left alone no
+/// finished world would ever be freed, so dropping the network pulls
+/// every switch's output lines. A handle to one of its switches kept
+/// past this point is a switch with no lines.
+impl Drop for Network {
+    fn drop(&mut self) {
+        for sw in &self.switches {
+            // A switch someone is borrowing right now (a drop from
+            // inside a delivery, or an unwind through one) keeps its
+            // lines: leaking is better than panicking here.
+            if let Ok(mut sw) = sw.try_borrow_mut() {
+                sw.unplug_outputs();
+            }
+        }
+    }
+}
+
 impl Network {
     /// Creates an empty network.
     pub fn new() -> Self {
@@ -1150,6 +1171,41 @@ mod tests {
         sim.run();
         assert_eq!(sink.borrow().arrivals.len(), 1);
         assert_eq!(sink.borrow().arrivals[0].1.vci(), vc.dst_vci);
+    }
+
+    #[test]
+    fn dropping_the_network_frees_the_fabric() {
+        // A ring of trunks is a cycle of `Rc`s — switch, output link,
+        // the neighbour's input port, the neighbour — and a receiver
+        // hangs off it. After traffic has crossed, dropping the network
+        // must free every switch and the receiver with them.
+        let mut net = Network::new();
+        let cfg = LinkConfig::pegasus_default();
+        let ids = net.build_topology(TopologyShape::Ring, 3, "ring", 4, 100, cfg);
+        let sink = CaptureSink::shared();
+        let a = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
+        let b = net.add_endpoint_auto(ids[2], cfg, sink.clone());
+        let vc = net.open_vc(a, b, QosSpec::best_effort(0)).unwrap();
+        let mut sim = Simulator::new();
+        net.endpoint_tx(a)
+            .borrow_mut()
+            .send(&mut sim, Cell::new(vc.src_vci));
+        sim.run();
+        assert_eq!(sink.borrow().arrivals.len(), 1);
+
+        let switches: Vec<_> = ids
+            .iter()
+            .map(|&id| Rc::downgrade(net.switch(id)))
+            .collect();
+        let receiver = Rc::downgrade(&sink);
+        drop(sink);
+        assert!(
+            receiver.upgrade().is_some(),
+            "the fabric holds its receivers"
+        );
+        drop(net);
+        assert!(switches.iter().all(|sw| sw.upgrade().is_none()));
+        assert!(receiver.upgrade().is_none());
     }
 
     #[test]

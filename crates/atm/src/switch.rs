@@ -139,6 +139,14 @@ impl Switch {
         self.routes.clear();
     }
 
+    /// Pulls every output line. Each link holds its receiver — a
+    /// neighbour's input port, and through it the neighbour — so a wired
+    /// fabric is a cycle of `Rc`s until its lines are pulled (see
+    /// `Network`'s `Drop`).
+    pub(crate) fn unplug_outputs(&mut self) {
+        self.outputs.clear();
+    }
+
     /// The wired output links, in port order (line cards of this
     /// switch). Fault injection uses this to cut or inspect lines.
     pub fn output_links_mut(&mut self) -> impl Iterator<Item = &mut Link> {

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use pegasus_atm::aal5::Reassembler;
 use pegasus_atm::cell::Cell;
 use pegasus_atm::link::CellSink;
-use pegasus_devices::tile::TileFrame;
+use pegasus_devices::tile::{TileFrame, TileFrameView};
 use pegasus_pfs::cm::StreamIndex;
 use pegasus_pfs::log::{FileClass, FileId, FsError, LogFs};
 use pegasus_sim::time::Ns;
@@ -65,7 +65,7 @@ impl RecorderSink {
 
     fn store(&mut self, bytes: &[u8]) -> Result<(), FsError> {
         // Index on the first tile-frame of each video frame.
-        if let Ok(tf) = TileFrame::decode(bytes) {
+        if let Ok(tf) = TileFrameView::parse(bytes) {
             if self.last_indexed_frame != Some(tf.frame_seq) {
                 self.index.add_mark(tf.timestamp, self.offset);
                 self.last_indexed_frame = Some(tf.frame_seq);

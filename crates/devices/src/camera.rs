@@ -225,42 +225,38 @@ impl Camera {
     /// Scans one frame and schedules its row emissions; returns the next
     /// frame's start time while running.
     fn frame_tick(cam: &Rc<RefCell<Camera>>, sim: &mut Simulator) -> Option<Ns> {
-        let (running, frame_period) = {
-            let c = cam.borrow();
-            (c.running, c.frame_period())
-        };
-        if !running {
-            return None;
-        }
-        let frame_start = sim.now();
-        let (height, rows, line_period, granularity) = {
-            let c = cam.borrow();
-            (
-                c.video.height,
-                c.video.tiles_y(),
-                c.line_period(),
-                c.cfg.granularity,
-            )
-        };
-        // Render the frame the CCD will scan, into recycled arena
-        // storage; row emissions share it by refcount.
-        let image = {
+        // One look at the camera per frame: the loop below schedules a
+        // row per eight scan lines and none of them needs it again.
+        let (image, frame_seq, height, line_period, frame_period, cfg) = {
             let mut c = cam.borrow_mut();
-            let n = c.frame_no;
+            if !c.running {
+                return None;
+            }
+            let frame_seq = c.frame_no;
             c.frame_no += 1;
             c.stats.frames_captured += 1;
-            c.video.frame_leased(n, &c.arena)
+            // Render the frame the CCD will scan, into recycled arena
+            // storage; row emissions share it by refcount.
+            let image = c.video.frame_leased(frame_seq, &c.arena);
+            (
+                image,
+                frame_seq,
+                c.video.height,
+                c.line_period(),
+                c.frame_period(),
+                c.cfg,
+            )
         };
-        let frame_seq = cam.borrow().frame_no - 1;
+        let frame_start = sim.now();
         let frame_scan_done = frame_start + height as u64 * line_period;
-        for row in 0..rows {
+        for row in 0..height / 8 {
             // The row's eight lines finish digitizing here...
             let scanned_at = frame_start + ((row + 1) * 8) as u64 * line_period;
             // ...and leave the device here.
-            let emit_at = match granularity {
+            let emit_at = match cfg.granularity {
                 Granularity::TileRow => scanned_at,
                 Granularity::Frame => frame_scan_done,
-            } + cam.borrow().cfg.pipeline_latency;
+            } + cfg.pipeline_latency;
             let cam2 = cam.clone();
             let image2 = image.clone();
             sim.schedule_at(emit_at, move |sim| {

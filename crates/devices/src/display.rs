@@ -27,7 +27,7 @@ use pegasus_sim::stats::Histogram;
 use pegasus_sim::Simulator;
 
 use crate::codec;
-use crate::tile::{TileCoding, TileFrame};
+use crate::tile::{TileCoding, TileFrameView, TILE_DIM, TILE_PIXELS};
 
 /// A screen-space rectangle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +51,24 @@ impl Rect {
     /// Whether the point lies inside.
     pub fn contains(&self, px: i32, py: i32) -> bool {
         px >= self.x && px < self.x + self.w && py >= self.y && py < self.y + self.h
+    }
+
+    /// Whether no point lies inside.
+    fn is_empty(&self) -> bool {
+        self.w <= 0 || self.h <= 0
+    }
+
+    /// The points inside both; empty (see [`Rect::is_empty`]) when the
+    /// two do not overlap.
+    fn intersect(&self, other: &Rect) -> Rect {
+        let x = self.x.max(other.x);
+        let y = self.y.max(other.y);
+        Rect {
+            x,
+            y,
+            w: (self.x + self.w).min(other.x + other.w) - x,
+            h: (self.y + self.h).min(other.y + other.h) - y,
+        }
     }
 }
 
@@ -103,6 +121,10 @@ pub struct Display {
     headless: bool,
     windows: HashMap<Vci, WindowDescriptor>,
     reasm: HashMap<Vci, Reassembler>,
+    /// Scratch for [`Display::blit_frame`]: the clip rectangles that can
+    /// hide the frame being blitted. Empty between frames; kept for its
+    /// capacity.
+    occluders: Vec<Rect>,
     /// Device counters.
     pub stats: DisplayStats,
 }
@@ -118,6 +140,7 @@ impl Display {
             headless: false,
             windows: HashMap::new(),
             reasm: HashMap::new(),
+            occluders: Vec::new(),
             stats: DisplayStats::default(),
         }))
     }
@@ -133,6 +156,7 @@ impl Display {
             headless: true,
             windows: HashMap::new(),
             reasm: HashMap::new(),
+            occluders: Vec::new(),
             stats: DisplayStats::default(),
         }))
     }
@@ -174,67 +198,106 @@ impl Display {
         self.windows.get(&vci).copied()
     }
 
-    /// Whether a pixel owned by `(z)` is occluded by a higher window.
-    fn occluded(&self, px: i32, py: i32, z: u32) -> bool {
-        self.windows
-            .values()
-            .any(|w| w.visible && !w.overlay && w.z > z && w.clip.contains(px, py))
-    }
-
-    fn blit_frame(&mut self, now: u64, frame: &TileFrame, vci: Vci) {
-        let Some(desc) = self.windows.get(&vci).copied() else {
-            self.stats.tiles_discarded += frame.tiles.len() as u64;
-            return;
+    /// Blits one parsed tile frame. Geometry is settled per tile, not
+    /// per pixel: the tile's rectangle is cut to screen ∩ clip once and
+    /// tested against the windows above once; only a tile some window
+    /// partly covers is walked pixel by pixel.
+    fn blit_frame(&mut self, now: u64, frame: &TileFrameView<'_>, vci: Vci) {
+        let desc = match self.windows.get(&vci) {
+            Some(desc) if desc.visible => *desc,
+            _ => {
+                self.stats.tiles_discarded += frame.tile_count() as u64;
+                return;
+            }
         };
-        if !desc.visible {
-            self.stats.tiles_discarded += frame.tiles.len() as u64;
-            return;
-        }
         self.stats
             .latency
             .record(now.saturating_sub(frame.timestamp));
-        for (tx, ty, data) in &frame.tiles {
-            let pixels: Vec<u8> = match frame.coding {
-                TileCoding::Raw => {
-                    if data.len() != 64 {
-                        self.stats.frames_bad += 1;
-                        continue;
-                    }
-                    data.clone()
+        let bounds = Rect::new(0, 0, self.width, self.height).intersect(&desc.clip);
+        // The windows above this one that can hide any of its pixels.
+        let mut occluders = std::mem::take(&mut self.occluders);
+        occluders.extend(
+            self.windows
+                .values()
+                .filter(|w| w.visible && !w.overlay && w.z > desc.z)
+                .map(|w| w.clip)
+                .filter(|clip| !clip.intersect(&bounds).is_empty()),
+        );
+        for (tx, ty, data) in frame.tiles() {
+            // A headless display has nowhere to put pixels: it checks
+            // that the payload would decode and leaves it at that.
+            let decoded;
+            let pixels: Option<&[u8]> = match frame.coding {
+                TileCoding::Raw => (data.len() == TILE_PIXELS).then_some(data),
+                TileCoding::Compressed if self.headless => {
+                    codec::validate_tile(data).ok().map(|()| &[][..])
                 }
                 TileCoding::Compressed => match codec::decode_tile(data, frame.quality) {
-                    Ok(p) => p.to_vec(),
-                    Err(_) => {
-                        self.stats.frames_bad += 1;
-                        continue;
+                    Ok(p) => {
+                        decoded = p;
+                        Some(&decoded[..])
                     }
+                    Err(_) => None,
                 },
             };
-            let mut wrote = false;
-            for row in 0..8i32 {
-                for col in 0..8i32 {
-                    let px = desc.dst_x + *tx as i32 + col;
-                    let py = desc.dst_y + *ty as i32 + row;
-                    if px < 0 || px >= self.width || py < 0 || py >= self.height {
-                        continue;
-                    }
-                    if !desc.clip.contains(px, py) || self.occluded(px, py, desc.z) {
-                        continue;
-                    }
-                    if !self.headless {
-                        self.framebuffer[(py * self.width + px) as usize] =
-                            pixels[(row * 8 + col) as usize];
-                    }
-                    self.stats.pixels_written += 1;
-                    wrote = true;
-                }
-            }
-            if wrote {
+            let Some(pixels) = pixels else {
+                self.stats.frames_bad += 1;
+                continue;
+            };
+            let dim = TILE_DIM as i32;
+            let tile = Rect::new(desc.dst_x + tx as i32, desc.dst_y + ty as i32, dim, dim);
+            let written = self.blit_tile(&tile, &tile.intersect(&bounds), &occluders, pixels);
+            self.stats.pixels_written += written;
+            if written > 0 {
                 self.stats.tiles_blitted += 1;
             } else {
                 self.stats.tiles_discarded += 1;
             }
         }
+        occluders.clear();
+        self.occluders = occluders;
+    }
+
+    /// Writes the part of `tile` inside `target` (already cut to screen
+    /// and clip) that no occluder hides; returns the pixels written.
+    fn blit_tile(&mut self, tile: &Rect, target: &Rect, occluders: &[Rect], pixels: &[u8]) -> u64 {
+        if target.is_empty() {
+            return 0;
+        }
+        let mut partly_hidden = false;
+        for o in occluders {
+            let hidden = o.intersect(target);
+            if hidden == *target {
+                return 0;
+            }
+            partly_hidden |= !hidden.is_empty();
+        }
+        let mut written = 0;
+        for py in target.y..target.y + target.h {
+            let src = ((py - tile.y) * tile.w + (target.x - tile.x)) as usize;
+            let dst = (py * self.width + target.x) as usize;
+            if !partly_hidden {
+                if !self.headless {
+                    self.framebuffer[dst..dst + target.w as usize]
+                        .copy_from_slice(&pixels[src..src + target.w as usize]);
+                }
+                written += target.w as u64;
+                continue;
+            }
+            for col in 0..target.w as usize {
+                if occluders
+                    .iter()
+                    .any(|o| o.contains(target.x + col as i32, py))
+                {
+                    continue;
+                }
+                if !self.headless {
+                    self.framebuffer[dst + col] = pixels[src + col];
+                }
+                written += 1;
+            }
+        }
+        written
     }
 }
 
@@ -242,11 +305,12 @@ impl CellSink for Display {
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell) {
         let vci = cell.vci();
         // Zero-copy receive: an uncorrupted frame arrives as a view of
-        // the camera's own arena buffer and is decoded in place.
+        // the camera's own arena buffer and is parsed and blitted in
+        // place — nothing is allocated per frame or per tile.
         let result = self.reasm.entry(vci).or_default().push_frame(&cell);
         match result {
             None => {}
-            Some(Ok(lease)) => match TileFrame::decode(&lease) {
+            Some(Ok(lease)) => match TileFrameView::parse(&lease) {
                 Ok(frame) => self.blit_frame(sim.now(), &frame, vci),
                 Err(_) => self.stats.frames_bad += 1,
             },
@@ -389,6 +453,87 @@ mod tests {
     use super::*;
     use crate::tile::TileFrame;
     use pegasus_atm::aal5::Segmenter;
+    use proptest::prelude::*;
+
+    /// The blit as it stood when every pixel was tested on its own
+    /// against the screen, the clip and every window above: the
+    /// definition the per-tile geometry must reproduce, counter for
+    /// counter and pixel for pixel.
+    struct ReferenceDisplay {
+        width: i32,
+        height: i32,
+        framebuffer: Vec<u8>,
+        windows: HashMap<Vci, WindowDescriptor>,
+        stats: DisplayStats,
+    }
+
+    impl ReferenceDisplay {
+        fn occluded(&self, px: i32, py: i32, z: u32) -> bool {
+            self.windows
+                .values()
+                .any(|w| w.visible && !w.overlay && w.z > z && w.clip.contains(px, py))
+        }
+
+        fn blit_frame(&mut self, frame: &TileFrame, vci: Vci) {
+            let Some(desc) = self.windows.get(&vci).copied() else {
+                self.stats.tiles_discarded += frame.tiles.len() as u64;
+                return;
+            };
+            if !desc.visible {
+                self.stats.tiles_discarded += frame.tiles.len() as u64;
+                return;
+            }
+            for (tx, ty, data) in &frame.tiles {
+                let pixels: Vec<u8> = match frame.coding {
+                    TileCoding::Raw => {
+                        if data.len() != 64 {
+                            self.stats.frames_bad += 1;
+                            continue;
+                        }
+                        data.clone()
+                    }
+                    TileCoding::Compressed => match codec::decode_tile(data, frame.quality) {
+                        Ok(p) => p.to_vec(),
+                        Err(_) => {
+                            self.stats.frames_bad += 1;
+                            continue;
+                        }
+                    },
+                };
+                let mut wrote = false;
+                for row in 0..8i32 {
+                    for col in 0..8i32 {
+                        let px = desc.dst_x + *tx as i32 + col;
+                        let py = desc.dst_y + *ty as i32 + row;
+                        if px < 0 || px >= self.width || py < 0 || py >= self.height {
+                            continue;
+                        }
+                        if !desc.clip.contains(px, py) || self.occluded(px, py, desc.z) {
+                            continue;
+                        }
+                        self.framebuffer[(py * self.width + px) as usize] =
+                            pixels[(row * 8 + col) as usize];
+                        self.stats.pixels_written += 1;
+                        wrote = true;
+                    }
+                }
+                if wrote {
+                    self.stats.tiles_blitted += 1;
+                } else {
+                    self.stats.tiles_discarded += 1;
+                }
+            }
+        }
+    }
+
+    fn counters(s: &DisplayStats) -> (u64, u64, u64, u64) {
+        (
+            s.tiles_blitted,
+            s.tiles_discarded,
+            s.pixels_written,
+            s.frames_bad,
+        )
+    }
 
     /// Sends a tile frame straight into the display as cells.
     fn send_frame(
@@ -594,7 +739,8 @@ mod tests {
     fn headless_display_matches_framebuffer_stats() {
         // Same traffic into a framebuffer display and a headless one:
         // every counter identical, including the clip/occlusion-driven
-        // blit-vs-discard verdicts.
+        // blit-vs-discard verdicts and the verdict on each compressed
+        // payload, which the headless display reaches without decoding.
         let with_fb = Display::shared(64, 64);
         let headless = Display::shared_headless(64, 64);
         for d in [&with_fb, &headless] {
@@ -602,17 +748,39 @@ mod tests {
             wm.create(5, Rect::new(0, 0, 4, 64)); // clips half of each tile
             wm.create(6, Rect::new(0, 0, 8, 8)); // occludes window 5's corner
         }
+        let good = codec::encode_tile(&[180u8; 64], 60);
+        let mut overlong = Vec::new();
+        for _ in 0..65 {
+            overlong.extend_from_slice(&[0, 0, 1]);
+        }
+        overlong.push(0xFF);
+        let compressed = TileFrame {
+            coding: TileCoding::Compressed,
+            quality: 60,
+            frame_seq: 0,
+            timestamp: 0,
+            tiles: vec![
+                (0, 0, good.clone()),
+                (0, 8, good[..good.len() - 1].to_vec()), // no end of block
+                (0, 16, good[..2].to_vec()),             // cut mid-token
+                (0, 24, Vec::new()),
+                (0, 32, overlong),
+                (0, 40, vec![0xFF]), // no coefficients at all: valid
+                (200, 200, good),    // valid, off screen
+            ],
+        };
         let mut sim = Simulator::new();
         for d in [&with_fb, &headless] {
             send_frame(d, &mut sim, 5, &solid_frame(9, 0));
             send_frame(d, &mut sim, 6, &solid_frame(1, 0));
             send_frame(d, &mut sim, 99, &solid_frame(2, 0)); // unknown VCI
+            send_frame(d, &mut sim, 5, &compressed);
+            send_frame(d, &mut sim, 6, &compressed);
+            send_frame(d, &mut sim, 99, &compressed);
         }
         let (a, b) = (with_fb.borrow(), headless.borrow());
-        assert_eq!(a.stats.tiles_blitted, b.stats.tiles_blitted);
-        assert_eq!(a.stats.tiles_discarded, b.stats.tiles_discarded);
-        assert_eq!(a.stats.pixels_written, b.stats.pixels_written);
-        assert_eq!(a.stats.frames_bad, b.stats.frames_bad);
+        assert_eq!(counters(&a.stats), counters(&b.stats));
+        assert_eq!(a.stats.frames_bad, 8, "four bad payloads, sent twice");
         assert_eq!(
             a.stats.latency.clone().summarize(),
             b.stats.latency.clone().summarize()
@@ -632,5 +800,154 @@ mod tests {
         sim.run();
         let mut d = display.borrow_mut();
         assert_eq!(d.stats.latency.percentile(50.0), Some(6_000));
+    }
+
+    /// A window somewhere around a 40×32 screen — on it, across an edge
+    /// or off it — whose clip sits near its stream origin, as the window
+    /// manager would put it, though not exactly on it; now and then with
+    /// nothing inside the clip.
+    fn window() -> impl Strategy<Value = WindowDescriptor> {
+        (
+            (-8i32..24, -8i32..16),
+            (-4i32..5, -4i32..5, -2i32..44, -2i32..36),
+            0u32..6,
+            0u8..64,
+        )
+            .prop_map(
+                |((dst_x, dst_y), (dx, dy, w, h), z, flags)| WindowDescriptor {
+                    dst_x,
+                    dst_y,
+                    clip: Rect::new(dst_x + dx, dst_y + dy, w, h),
+                    z,
+                    visible: flags & 15 != 0,
+                    overlay: flags & 48 == 48,
+                },
+            )
+    }
+
+    #[test]
+    fn prop_blit_matches_the_per_pixel_reference() {
+        let cases = (
+            proptest::collection::vec(window(), 1..7),
+            proptest::collection::vec(
+                (
+                    0usize..16,
+                    any::<bool>(),
+                    proptest::collection::vec((0u16..32, 0u16..24, any::<u8>(), 0u8..16), 1..8),
+                ),
+                1..5,
+            ),
+        );
+        // Tiles the reference wrote whole, in part, and not at all, and
+        // tiles it wrote in part *because* a window above hid the rest:
+        // the generator has to reach every verdict the blit can give.
+        let (mut whole, mut part, mut none) = (0, 0, 0);
+        let (mut part_hidden, mut all_hidden) = (0, 0);
+        let config = ProptestConfig::with_cases(256);
+        proptest::run_cases(
+            "prop_blit_matches_the_per_pixel_reference",
+            &config,
+            |rng| {
+                let (windows, frames) = cases.new_value(rng);
+                let fb = Display::shared(40, 32);
+                let headless = Display::shared_headless(40, 32);
+                let mut reference = ReferenceDisplay {
+                    width: 40,
+                    height: 32,
+                    framebuffer: vec![0; 40 * 32],
+                    windows: HashMap::new(),
+                    stats: DisplayStats::default(),
+                };
+                for (i, w) in windows.iter().enumerate() {
+                    let vci = 10 + i as Vci;
+                    fb.borrow_mut().set_descriptor(vci, *w);
+                    headless.borrow_mut().set_descriptor(vci, *w);
+                    reference.windows.insert(vci, *w);
+                }
+                let mut sim = Simulator::new();
+                for (target, compressed, tiles) in frames {
+                    // One frame in sixteen is on a VCI nobody owns.
+                    let vci = match target {
+                        15 => 9,
+                        _ => 10 + (target % windows.len()) as Vci,
+                    };
+                    let tiles = tiles
+                        .into_iter()
+                        .map(|(x, y, value, damage)| {
+                            let mut pixels = [value; 64];
+                            pixels[(x as usize + y as usize) % 64] ^= 0x5A;
+                            let mut data = if compressed {
+                                codec::encode_tile(&pixels, 70)
+                            } else {
+                                pixels.to_vec()
+                            };
+                            // One payload in sixteen is cut short, one grown.
+                            match damage {
+                                0 => data.truncate(data.len() / 2),
+                                1 => data.extend_from_slice(&[0; 3]),
+                                _ => {}
+                            }
+                            (x, y, data)
+                        })
+                        .collect();
+                    let frame = TileFrame {
+                        coding: if compressed {
+                            TileCoding::Compressed
+                        } else {
+                            TileCoding::Raw
+                        },
+                        quality: 70,
+                        frame_seq: 0,
+                        timestamp: 0,
+                        tiles,
+                    };
+                    send_frame(&fb, &mut sim, vci, &frame);
+                    send_frame(&headless, &mut sim, vci, &frame);
+                    for tile in &frame.tiles {
+                        let before = counters(&reference.stats);
+                        let one = TileFrame {
+                            tiles: vec![tile.clone()],
+                            ..frame.clone()
+                        };
+                        reference.blit_frame(&one, vci);
+                        let after = counters(&reference.stats);
+                        match after.2 - before.2 {
+                            64 => whole += 1,
+                            0 => none += 1,
+                            _ => part += 1,
+                        }
+                        // Of the pixels screen and clip let through, how
+                        // many a window above hides.
+                        let (mut inside, mut hidden) = (0, 0);
+                        if let Some(d) = reference.windows.get(&vci) {
+                            for i in 0..64 {
+                                let (px, py) = (
+                                    d.dst_x + tile.0 as i32 + i % 8,
+                                    d.dst_y + tile.1 as i32 + i / 8,
+                                );
+                                if Rect::new(0, 0, 40, 32).contains(px, py)
+                                    && d.clip.contains(px, py)
+                                {
+                                    inside += 1;
+                                    hidden += u32::from(reference.occluded(px, py, d.z));
+                                }
+                            }
+                        }
+                        part_hidden += u32::from(0 < hidden && hidden < inside);
+                        all_hidden += u32::from(0 < hidden && hidden == inside);
+                    }
+                }
+                let (fb, headless) = (fb.borrow(), headless.borrow());
+                prop_assert_eq!(counters(&fb.stats), counters(&reference.stats));
+                prop_assert_eq!(counters(&headless.stats), counters(&reference.stats));
+                prop_assert_eq!(&fb.framebuffer, &reference.framebuffer);
+                Ok(())
+            },
+        );
+        for (verdict, n) in [("whole", whole), ("part", part), ("none", none)] {
+            assert!(n >= 100, "only {n} tiles written {verdict}");
+        }
+        assert!(part_hidden >= 50, "only {part_hidden} tiles partly hidden");
+        assert!(all_hidden >= 30, "only {all_hidden} tiles wholly hidden");
     }
 }

@@ -134,9 +134,73 @@ impl TileFrame {
         out
     }
 
-    /// Parses a frame produced by [`TileFrame::encode`].
+    /// Parses a frame produced by [`TileFrame::encode`] into owned
+    /// tiles, for a caller that keeps it; one that only reads it uses
+    /// [`TileFrameView::parse`] and copies nothing.
     pub fn decode(bytes: &[u8]) -> Result<TileFrame, TileFrameError> {
-        if bytes.len() < 15 {
+        let view = TileFrameView::parse(bytes)?;
+        Ok(TileFrame {
+            coding: view.coding,
+            quality: view.quality,
+            frame_seq: view.frame_seq,
+            timestamp: view.timestamp,
+            tiles: view.tiles().map(|(x, y, d)| (x, y, d.to_vec())).collect(),
+        })
+    }
+
+    /// Total payload bytes across the tiles.
+    pub fn payload_bytes(&self) -> usize {
+        self.tiles.iter().map(|(_, _, d)| d.len()).sum()
+    }
+}
+
+/// Bytes of the fixed header: `coding(1) quality(1) ntiles(1)
+/// frame_seq(4) timestamp(8)`.
+const HEADER_LEN: usize = 15;
+/// Bytes of a tile's `x(2) y(2) len(2)` prefix.
+const TILE_PREFIX_LEN: usize = 6;
+
+/// A parsed tile frame that borrows its payloads from the received
+/// bytes: the header fields plus an iterator over `(x, y, payload)`.
+/// Receivers — the display, the recorder's index, a playback client
+/// reading a timestamp — look at a frame through this and allocate
+/// nothing.
+///
+/// # Examples
+///
+/// ```
+/// use pegasus_devices::tile::{TileCoding, TileFrameView, TileFrameWriter};
+///
+/// let mut buf = Vec::new();
+/// let mut w = TileFrameWriter::begin(&mut buf, TileCoding::Raw, 0, 3, 99);
+/// w.push_tile(0, 8, &[7u8; 64]);
+/// w.finish();
+/// let frame = TileFrameView::parse(&buf).unwrap();
+/// assert_eq!((frame.frame_seq, frame.timestamp), (3, 99));
+/// assert_eq!(frame.tiles().next(), Some((0, 8, &[7u8; 64][..])));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileFrameView<'a> {
+    /// Coding of the tile payloads.
+    pub coding: TileCoding,
+    /// Codec quality for [`TileCoding::Compressed`] payloads (0 for raw).
+    pub quality: u8,
+    /// Sequence number of the video frame these tiles belong to.
+    pub frame_seq: u32,
+    /// Capture timestamp of the video frame (virtual nanoseconds).
+    pub timestamp: u64,
+    tile_count: usize,
+    /// Everything after the header; [`TileFrameView::parse`] has checked
+    /// that `tile_count` whole tiles lie in it.
+    body: &'a [u8],
+}
+
+impl<'a> TileFrameView<'a> {
+    /// Checks a frame produced by [`TileFrame::encode`] or
+    /// [`TileFrameWriter`] — header, coding, every tile's length —
+    /// without copying any of it.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, TileFrameError> {
+        if bytes.len() < HEADER_LEN {
             return Err(TileFrameError::Truncated);
         }
         let coding = match bytes[0] {
@@ -144,38 +208,48 @@ impl TileFrame {
             1 => TileCoding::Compressed,
             c => return Err(TileFrameError::BadCoding(c)),
         };
-        let quality = bytes[1];
-        let ntiles = bytes[2] as usize;
-        let frame_seq = u32::from_be_bytes(bytes[3..7].try_into().expect("4 bytes"));
-        let timestamp = u64::from_be_bytes(bytes[7..15].try_into().expect("8 bytes"));
-        let mut tiles = Vec::with_capacity(ntiles);
-        let mut off = 15;
-        for _ in 0..ntiles {
-            if off + 6 > bytes.len() {
+        let body = &bytes[HEADER_LEN..];
+        let tile_count = bytes[2] as usize;
+        let mut off = 0;
+        for _ in 0..tile_count {
+            let Some(prefix) = body.get(off..off + TILE_PREFIX_LEN) else {
                 return Err(TileFrameError::Truncated);
-            }
-            let x = u16::from_be_bytes([bytes[off], bytes[off + 1]]);
-            let y = u16::from_be_bytes([bytes[off + 2], bytes[off + 3]]);
-            let len = u16::from_be_bytes([bytes[off + 4], bytes[off + 5]]) as usize;
-            off += 6;
-            if off + len > bytes.len() {
+            };
+            off += TILE_PREFIX_LEN + u16::from_be_bytes([prefix[4], prefix[5]]) as usize;
+            if off > body.len() {
                 return Err(TileFrameError::BadTileLength);
             }
-            tiles.push((x, y, bytes[off..off + len].to_vec()));
-            off += len;
         }
-        Ok(TileFrame {
+        Ok(TileFrameView {
             coding,
-            quality,
-            frame_seq,
-            timestamp,
-            tiles,
+            quality: bytes[1],
+            frame_seq: u32::from_be_bytes(bytes[3..7].try_into().expect("4 bytes")),
+            timestamp: u64::from_be_bytes(bytes[7..15].try_into().expect("8 bytes")),
+            tile_count,
+            body,
         })
     }
 
-    /// Total payload bytes across the tiles.
-    pub fn payload_bytes(&self) -> usize {
-        self.tiles.iter().map(|(_, _, d)| d.len()).sum()
+    /// Number of tiles in the frame.
+    pub fn tile_count(&self) -> usize {
+        self.tile_count
+    }
+
+    /// The tiles in wire order: `(x, y, payload)`, payload being 64 raw
+    /// bytes or a compressed bitstream.
+    pub fn tiles(&self) -> impl Iterator<Item = (u16, u16, &'a [u8])> {
+        let mut rest = self.body;
+        (0..self.tile_count).map(move |_| {
+            let (prefix, after) = rest.split_at(TILE_PREFIX_LEN);
+            let len = u16::from_be_bytes([prefix[4], prefix[5]]) as usize;
+            let (data, after) = after.split_at(len);
+            rest = after;
+            (
+                u16::from_be_bytes([prefix[0], prefix[1]]),
+                u16::from_be_bytes([prefix[2], prefix[3]]),
+                data,
+            )
+        })
     }
 }
 
@@ -277,6 +351,65 @@ impl<B: std::ops::DerefMut<Target = Vec<u8>>> TileFrameWriter<B> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `TileFrame::decode` as it stood when it was the only parser: the
+    /// owning walk the borrowed view must agree with, error for error.
+    fn reference_decode(bytes: &[u8]) -> Result<TileFrame, TileFrameError> {
+        if bytes.len() < 15 {
+            return Err(TileFrameError::Truncated);
+        }
+        let coding = match bytes[0] {
+            0 => TileCoding::Raw,
+            1 => TileCoding::Compressed,
+            c => return Err(TileFrameError::BadCoding(c)),
+        };
+        let quality = bytes[1];
+        let ntiles = bytes[2] as usize;
+        let frame_seq = u32::from_be_bytes(bytes[3..7].try_into().expect("4 bytes"));
+        let timestamp = u64::from_be_bytes(bytes[7..15].try_into().expect("8 bytes"));
+        let mut tiles = Vec::with_capacity(ntiles);
+        let mut off = 15;
+        for _ in 0..ntiles {
+            if off + 6 > bytes.len() {
+                return Err(TileFrameError::Truncated);
+            }
+            let x = u16::from_be_bytes([bytes[off], bytes[off + 1]]);
+            let y = u16::from_be_bytes([bytes[off + 2], bytes[off + 3]]);
+            let len = u16::from_be_bytes([bytes[off + 4], bytes[off + 5]]) as usize;
+            off += 6;
+            if off + len > bytes.len() {
+                return Err(TileFrameError::BadTileLength);
+            }
+            tiles.push((x, y, bytes[off..off + len].to_vec()));
+            off += len;
+        }
+        Ok(TileFrame {
+            coding,
+            quality,
+            frame_seq,
+            timestamp,
+            tiles,
+        })
+    }
+
+    /// View, owning decode and reference agree on `bytes`.
+    fn assert_view_agrees(bytes: &[u8]) {
+        let want = reference_decode(bytes);
+        assert_eq!(TileFrame::decode(bytes), want);
+        match (TileFrameView::parse(bytes), want) {
+            (Err(e), Err(want)) => assert_eq!(e, want),
+            (Ok(view), Ok(want)) => {
+                assert_eq!(
+                    (view.coding, view.quality, view.frame_seq, view.timestamp),
+                    (want.coding, want.quality, want.frame_seq, want.timestamp)
+                );
+                assert_eq!(view.tile_count(), want.tiles.len());
+                let tiles: Vec<_> = view.tiles().map(|(x, y, d)| (x, y, d.to_vec())).collect();
+                assert_eq!(tiles, want.tiles);
+            }
+            (got, want) => panic!("view {got:?} but reference {want:?}"),
+        }
+    }
 
     #[test]
     fn tile_from_image_extracts_rows() {
@@ -427,6 +560,45 @@ mod tests {
             }
             w.finish();
             prop_assert_eq!(buf, frame.encode());
+        }
+
+        #[test]
+        fn prop_view_agrees_on_every_prefix(
+            coding in 0u8..3,
+            seq in any::<u32>(),
+            ts in any::<u64>(),
+            tiles in proptest::collection::vec(
+                (any::<u16>(), any::<u16>(), proptest::collection::vec(any::<u8>(), 0..100)),
+                0..12,
+            ),
+            trailing in proptest::collection::vec(any::<u8>(), 0..8),
+        ) {
+            let mut bytes = TileFrame {
+                coding: TileCoding::Compressed,
+                quality: 42,
+                frame_seq: seq,
+                timestamp: ts,
+                tiles,
+            }
+            .encode();
+            bytes[0] = coding; // raw, compressed, or a discriminant nobody knows
+            bytes.extend_from_slice(&trailing);
+            for cut in 0..=bytes.len() {
+                assert_view_agrees(&bytes[..cut]);
+            }
+        }
+
+        #[test]
+        fn prop_view_agrees_on_arbitrary_bytes(
+            head in 0u8..2,
+            bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            assert_view_agrees(&bytes);
+            // The same bytes behind a plausible header, so the tile walk
+            // runs instead of stopping at the coding byte.
+            let mut framed = vec![head, 50];
+            framed.extend_from_slice(&bytes);
+            assert_view_agrees(&framed);
         }
 
         #[test]

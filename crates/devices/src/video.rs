@@ -6,6 +6,22 @@
 //! for the codec). Both are pure functions of `(seed, frame_number)`, so
 //! every experiment is reproducible.
 
+/// The moving-gradient scene repeats every this many steps along a row:
+/// three pixels to a grey level, 256 levels.
+const RAMP_PERIOD: usize = 3 * 256;
+
+/// Two periods of the gradient, `RAMP[i] = (i / 3) % 256`, so a span of
+/// up to one period can start anywhere in the first.
+const RAMP: [u8; 2 * RAMP_PERIOD] = {
+    let mut ramp = [0u8; 2 * RAMP_PERIOD];
+    let mut i = 0;
+    while i < ramp.len() {
+        ramp[i] = (i / 3 % 256) as u8;
+        i += 1;
+    }
+    ramp
+};
+
 /// A procedural luminance video source.
 #[derive(Debug, Clone)]
 pub struct SyntheticVideo {
@@ -86,6 +102,9 @@ impl SyntheticVideo {
     /// Renders frame `n` into `buf` (must be `frame_bytes()` long).
     pub fn render(&self, n: u32, buf: &mut [u8]) {
         assert_eq!(buf.len(), self.frame_bytes());
+        if buf.is_empty() {
+            return;
+        }
         match self.scene {
             Scene::MovingGradient => {
                 let phase = (n as usize * 3) % 256;
@@ -93,14 +112,18 @@ impl SyntheticVideo {
                 let sq = 16usize;
                 let sx = (n as usize * 5) % (self.width.saturating_sub(sq).max(1));
                 let sy = (n as usize * 2) % (self.height.saturating_sub(sq).max(1));
-                for y in 0..self.height {
-                    for x in 0..self.width {
-                        let g = ((x + 2 * y + phase + self.seed as usize) / 3) % 256;
-                        let mut v = g as u8;
-                        if x >= sx && x < sx + sq && y >= sy && y < sy + sq {
-                            v = 240;
-                        }
-                        buf[y * self.width + x] = v;
+                // The gradient at (x, y) is `((x + 2y + phase + seed) / 3)
+                // % 256`: along a row it is RAMP read from wherever the
+                // row's own offset puts it, one step of 768 like another.
+                let seed = (self.seed % RAMP_PERIOD as u64) as usize;
+                for (y, row) in buf.chunks_exact_mut(self.width).enumerate() {
+                    let mut at = (2 * y + phase + seed) % RAMP_PERIOD;
+                    for span in row.chunks_mut(RAMP_PERIOD) {
+                        span.copy_from_slice(&RAMP[at..at + span.len()]);
+                        at = (at + span.len()) % RAMP_PERIOD;
+                    }
+                    if (sy..sy + sq).contains(&y) {
+                        row[sx..(sx + sq).min(self.width)].fill(240);
                     }
                 }
             }
@@ -121,12 +144,15 @@ impl SyntheticVideo {
                 }
             }
             Scene::TestCard => {
-                for y in 0..self.height {
-                    for x in 0..self.width {
-                        // Colour bars in luminance: 8 vertical bands.
-                        let band = x * 8 / self.width;
-                        buf[y * self.width + x] = (band * 32 + 16) as u8;
-                    }
+                // Colour bars in luminance: 8 vertical bands, every row
+                // the same as the first.
+                let (first, rest) = buf.split_at_mut(self.width);
+                for (x, p) in first.iter_mut().enumerate() {
+                    let band = x * 8 / self.width;
+                    *p = (band * 32 + 16) as u8;
+                }
+                for row in rest.chunks_exact_mut(self.width) {
+                    row.copy_from_slice(first);
                 }
             }
         }
@@ -146,6 +172,51 @@ impl SyntheticVideo {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two drawn scenes pixel by pixel, as `render` first defined
+    /// them.
+    fn reference_pixel(v: &SyntheticVideo, n: u32, x: usize, y: usize) -> u8 {
+        match v.scene {
+            Scene::MovingGradient => {
+                let phase = (n as usize * 3) % 256;
+                let sq = 16usize;
+                let sx = (n as usize * 5) % (v.width.saturating_sub(sq).max(1));
+                let sy = (n as usize * 2) % (v.height.saturating_sub(sq).max(1));
+                if x >= sx && x < sx + sq && y >= sy && y < sy + sq {
+                    240
+                } else {
+                    (((x + 2 * y + phase + v.seed as usize) / 3) % 256) as u8
+                }
+            }
+            Scene::TestCard => (x * 8 / v.width * 32 + 16) as u8,
+            Scene::Noise => unreachable!("noise is a stream, not a function of (x, y)"),
+        }
+    }
+
+    #[test]
+    fn render_matches_the_per_pixel_definition() {
+        // Narrower than the square, ordinary, and wider than two periods
+        // of the gradient; seeds on both sides of a period and far above.
+        for (width, height) in [(8, 8), (16, 24), (176, 144), (1600, 8)] {
+            for seed in [0, 1994, 767, 768, u64::MAX / 2] {
+                for scene in [Scene::MovingGradient, Scene::TestCard] {
+                    let v = SyntheticVideo::new(width, height, scene, seed);
+                    for n in [0, 1, 7, 85, 86, 1_000_003] {
+                        let frame = v.frame(n);
+                        for (i, &p) in frame.iter().enumerate() {
+                            let (x, y) = (i % width, i / width);
+                            assert_eq!(
+                                p,
+                                reference_pixel(&v, n, x, y),
+                                "{scene:?} {width}x{height} seed {seed} frame {n} at ({x}, {y})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(SyntheticVideo::new(0, 8, Scene::TestCard, 0).frame(0), []);
+    }
 
     #[test]
     fn deterministic_per_frame() {

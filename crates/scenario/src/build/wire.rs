@@ -15,7 +15,7 @@ use pegasus_atm::network::EndpointId;
 use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
 use pegasus_devices::camera::Camera;
 use pegasus_devices::display::{Display, Rect, WindowManager};
-use pegasus_devices::tile::TileFrame;
+use pegasus_devices::tile::TileFrameView;
 use pegasus_devices::video::Scene;
 use pegasus_pfs::cm::CmScheduler;
 use pegasus_pfs::disk::DiskConfig;
@@ -509,7 +509,7 @@ impl Wiring {
             });
             let stream = ctl.borrow_mut().add_stream("vod");
             let sink = ArrivalSink::shared(ctl.clone(), stream, |bytes| {
-                TileFrame::decode(bytes).ok().map(|tf| tf.timestamp)
+                TileFrameView::parse(bytes).ok().map(|tf| tf.timestamp)
             });
             (ctl, stream, sink)
         });

@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=626
+FLOOR=639
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
