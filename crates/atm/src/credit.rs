@@ -26,22 +26,18 @@
 //! `consumed == in_flight + returned + reclaimed`.
 //!
 //! Credits come back one way. A [`CreditSink`] registration is
-//! `(delivery VCI, delay, destination)`: every drained cell's credit is
-//! due `delay` after the delivery event and goes to the [`ReturnPath`]
-//! the registration names — the circuit's window when it lives in this
-//! address space ([`CreditWindow::release_at`] parks it until due), or
-//! the outbox of the executor shard that holds the window, as a sealed
-//! [`CreditReturn`] record which that shard parks the same way. The
-//! delay is the reverse crossing: one trunk cell time plus propagation
-//! for a circuit that crosses switches, zero for one that does not.
-//! Zero is not a special case — a credit due *now* is simply due at the
-//! producer's next look at the clock — which is why a producer behind a
-//! gate always acquires with [`CreditWindow::try_acquire_at`]: the
+//! `(delivery VCI, delay, window)`: every drained cell's credit is due
+//! `delay` after the delivery event and is parked on the circuit's
+//! window until then ([`CreditWindow::release_at`]). The delay is the
+//! reverse crossing: one trunk cell time plus propagation for a circuit
+//! that crosses switches, zero for one that does not. Zero is not a
+//! special case — a credit due *now* is simply due at the producer's
+//! next look at the clock — which is why a producer behind a gate
+//! always acquires with [`CreditWindow::try_acquire_at`]: the
 //! clock-less [`CreditWindow::try_acquire`] never applies what is
-//! parked. A cross-switch delay is never smaller than the sharded
-//! executor's trunk lookahead, so a record always reaches the
-//! producer's shard before its `apply_at` tick, and the single-shard
-//! and sharded runs agree byte for byte.
+//! parked. Both ends of a credited circuit live in one address space:
+//! the sharded executor runs any spec with credited circuits on one
+//! shard (`ExecPlan::partition` in `pegasus-scenario`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,28 +52,6 @@ use crate::link::{CellSink, SinkRef};
 /// one clone (to acquire), the consumer-side [`CreditSink`] another (to
 /// release), the control plane a third (to reclaim and read stats).
 pub type CreditRef = Rc<RefCell<CreditWindow>>;
-
-/// A sealed credit-return record: `n` credits for the circuit delivered
-/// under `dst_vci`, applicable at virtual time `apply_at`. Produced by
-/// a [`CreditSink`] registration whose destination is
-/// [`ReturnPath::Outbox`]; the shard holding the window looks the
-/// record up by `dst_vci` and applies it with
-/// [`CreditWindow::release_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CreditReturn {
-    /// The destination VCI the cells arrived under (the producer-side
-    /// registry key).
-    pub dst_vci: Vci,
-    /// Virtual time at which the credits reach the producer.
-    pub apply_at: Ns,
-    /// Number of credits returned.
-    pub n: u64,
-}
-
-/// One shard's outbox: the buffer [`ReturnPath::Outbox`] registrations
-/// append [`CreditReturn`] records to; the executor drains it at each
-/// epoch boundary into the per-pair mailboxes.
-pub type CreditExportBuf = Rc<RefCell<Vec<CreditReturn>>>;
 
 /// One virtual circuit's credit state.
 ///
@@ -227,18 +201,6 @@ impl CreditWindow {
     }
 }
 
-/// Where a registered circuit's credits go once they are due.
-#[derive(Debug)]
-pub enum ReturnPath {
-    /// The circuit's window lives in this address space: the return is
-    /// parked on its pending list until due.
-    Window(CreditRef),
-    /// The window lives on another executor shard: the return becomes
-    /// a [`CreditReturn`] record in that shard's outbox, shipped through
-    /// the epoch exchange and parked on the window there.
-    Outbox(CreditExportBuf),
-}
-
 /// The consumer side: wraps an endpoint's receive sink and returns one
 /// credit per delivered cell on every registered circuit, before
 /// forwarding the cell unchanged.
@@ -248,9 +210,9 @@ pub enum ReturnPath {
 /// so the table is a linear scan.
 pub struct CreditSink {
     inner: SinkRef,
-    /// `(dst_vci, return delay, destination)` for every credited
-    /// circuit ending here.
-    circuits: Vec<(Vci, Ns, ReturnPath)>,
+    /// `(dst_vci, return delay, window)` for every credited circuit
+    /// ending here.
+    circuits: Vec<(Vci, Ns, CreditRef)>,
 }
 
 impl CreditSink {
@@ -264,48 +226,33 @@ impl CreditSink {
 
     /// Registers the circuit delivered under `dst_vci`: each drained
     /// cell's credit is due `delay` after the delivery event and goes
-    /// to `to`. A circuit that never leaves its switch has `delay` 0.
-    pub fn register(&mut self, dst_vci: Vci, delay: Ns, to: ReturnPath) {
+    /// back to `window`. A circuit that never leaves its switch has
+    /// `delay` 0.
+    pub fn register(&mut self, dst_vci: Vci, delay: Ns, window: CreditRef) {
         debug_assert!(
             self.circuits.iter().all(|(v, ..)| *v != dst_vci),
             "duplicate credit registration for VCI {dst_vci}"
         );
-        self.circuits.push((dst_vci, delay, to));
-    }
-}
-
-/// Sends `n` credits of one registered circuit on their way back.
-fn credit_back((dst_vci, delay, to): &(Vci, Ns, ReturnPath), now: Ns, n: u64) {
-    let apply_at = now + delay;
-    match to {
-        ReturnPath::Window(w) => w.borrow_mut().release_at(apply_at, n),
-        ReturnPath::Outbox(buf) => buf.borrow_mut().push(CreditReturn {
-            dst_vci: *dst_vci,
-            apply_at,
-            n,
-        }),
+        self.circuits.push((dst_vci, delay, window));
     }
 }
 
 impl CellSink for CreditSink {
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell) {
-        if let Some(circuit) = self.circuits.iter().find(|(v, ..)| *v == cell.vci()) {
-            credit_back(circuit, sim.now(), 1);
+        if let Some((_, delay, w)) = self.circuits.iter().find(|(v, ..)| *v == cell.vci()) {
+            w.borrow_mut().release_at(sim.now() + delay, 1);
         }
         self.inner.borrow_mut().deliver(sim, cell);
     }
 
     /// Batch returns coalesce per circuit and stamp the whole train
-    /// with the batch's event time (not per-cell arrival times): a
-    /// train can span an epoch boundary, and the train-end event time
-    /// is the one timestamp both the single-shard and sharded runs
-    /// agree on before the next barrier.
+    /// with the batch's event time, not per-cell arrival times.
     fn deliver_batch(&mut self, sim: &mut Simulator, cells: &mut Vec<(Ns, Cell)>) {
         let now = sim.now();
-        for circuit in &self.circuits {
-            let n = cells.iter().filter(|(_, c)| c.vci() == circuit.0).count() as u64;
+        for (vci, delay, w) in &self.circuits {
+            let n = cells.iter().filter(|(_, c)| c.vci() == *vci).count() as u64;
             if n > 0 {
-                credit_back(circuit, now, n);
+                w.borrow_mut().release_at(now + delay, n);
             }
         }
         self.inner.borrow_mut().deliver_batch(sim, cells);
@@ -366,8 +313,7 @@ mod tests {
         let w = CreditWindow::shared(4);
         // A circuit that never leaves its switch: credits are due at
         // the delivery event itself.
-        sink.borrow_mut()
-            .register(7, 0, ReturnPath::Window(w.clone()));
+        sink.borrow_mut().register(7, 0, w.clone());
         assert!(w.borrow_mut().try_acquire(2));
 
         let mine = Cell::new(7);
@@ -408,8 +354,7 @@ mod tests {
         let capture = CaptureSink::shared();
         let sink = CreditSink::wrap(capture.clone());
         let w = CreditWindow::shared(4);
-        sink.borrow_mut()
-            .register(7, 50, ReturnPath::Window(w.clone()));
+        sink.borrow_mut().register(7, 50, w.clone());
         assert!(w.borrow_mut().try_acquire(2));
 
         sink.borrow_mut().deliver(&mut sim, Cell::new(7));
@@ -419,34 +364,23 @@ mod tests {
         assert!(w.borrow().conserved());
     }
 
+    /// What a gate sends back: one `(due, n)` return per circuit per
+    /// batch, nothing for a VCI nobody registered.
     #[test]
     fn export_sink_seals_coalesced_records() {
         let mut sim = Simulator::new();
         let capture = CaptureSink::shared();
         let sink = CreditSink::wrap(capture.clone());
-        let buf: CreditExportBuf = Rc::new(RefCell::new(Vec::new()));
-        sink.borrow_mut()
-            .register(7, 40, ReturnPath::Outbox(buf.clone()));
+        let w = CreditWindow::shared(4);
+        sink.borrow_mut().register(7, 40, w.clone());
 
         let mut batch = vec![(0, Cell::new(7)), (1, Cell::new(7)), (2, Cell::new(9))];
         sink.borrow_mut().deliver_batch(&mut sim, &mut batch);
         sink.borrow_mut().deliver(&mut sim, Cell::new(7));
-        let records = buf.borrow().clone();
         assert_eq!(
-            records,
-            vec![
-                CreditReturn {
-                    dst_vci: 7,
-                    apply_at: 40,
-                    n: 2
-                },
-                CreditReturn {
-                    dst_vci: 7,
-                    apply_at: 40,
-                    n: 1
-                },
-            ],
-            "one coalesced record per batch, unregistered VCI ignored"
+            w.borrow().pending,
+            vec![(40, 2), (40, 1)],
+            "one coalesced return per batch, unregistered VCI ignored"
         );
         assert_eq!(capture.borrow().arrivals.len(), 4, "all cells forwarded");
     }

@@ -123,17 +123,14 @@ fn zero_copy_forwarding_hot_path() {
     credit_return_paths_allocate_nothing_in_steady_state();
 }
 
-/// The sharded control plane's alloc gate: the delayed-return ledger
-/// (a swap-remove `Vec` that keeps its capacity) and the cross-shard
-/// export path (records drained executor-style into a reusable buffer,
-/// both ends keeping their capacities) allocate **nothing** once warm.
+/// The credit path's alloc gate: the delayed-return ledger (a
+/// swap-remove `Vec` that keeps its capacity), fed directly and through
+/// a consumer-side gate, allocates **nothing** once warm.
 fn credit_return_paths_allocate_nothing_in_steady_state() {
-    use pegasus_atm::credit::{
-        CreditExportBuf, CreditReturn, CreditSink, CreditWindow, ReturnPath,
-    };
+    use pegasus_atm::credit::{CreditSink, CreditWindow};
 
-    // Delayed in-process returns: acquire a burst, park its returns,
-    // advance past their due times. One cycle at steady state.
+    // Delayed returns: acquire a burst, park its returns, advance past
+    // their due times. One cycle at steady state.
     let w = CreditWindow::shared(64);
     let mut now: u64 = 0;
     let mut delayed_cycle = |measure: bool| -> u64 {
@@ -158,26 +155,19 @@ fn credit_return_paths_allocate_nothing_in_steady_state() {
         "delayed credit returns must not allocate at steady state"
     );
 
-    // Cross-shard export: a consumer-side gate seals records into the
-    // export buffer; the executor drains them with `clear` + `append`,
-    // which retains both capacities.
-    let buf: CreditExportBuf = Rc::new(RefCell::new(Vec::new()));
+    // Through the gate: a burst acquired, its cells drained at the
+    // consumer, each return parked on the window until the producer's
+    // next look at the clock.
+    let w = CreditWindow::shared(64);
     let cs = CreditSink::wrap(Rc::new(RefCell::new(DrainSink::default())));
-    cs.borrow_mut()
-        .register(7, 5, ReturnPath::Outbox(buf.clone()));
+    cs.borrow_mut().register(7, 5, w.clone());
     let mut sim = Simulator::new();
-    let mut drain_buf: Vec<CreditReturn> = Vec::new();
-    let mut export_cycle = |sim: &mut Simulator, measure: bool| -> u64 {
+    let gated_cycle = |sim: &mut Simulator, measure: bool| -> u64 {
         let before = allocs();
+        assert!(w.borrow_mut().try_acquire_at(sim.now() + 5, 32));
         for _ in 0..32 {
             cs.borrow_mut().deliver(sim, Cell::new(7));
         }
-        {
-            let mut records = buf.borrow_mut();
-            drain_buf.clear();
-            drain_buf.append(&mut records);
-        }
-        assert_eq!(drain_buf.len(), 32);
         if measure {
             allocs() - before
         } else {
@@ -185,16 +175,17 @@ fn credit_return_paths_allocate_nothing_in_steady_state() {
         }
     };
     for _ in 0..8 {
-        export_cycle(&mut sim, false);
+        gated_cycle(&mut sim, false);
     }
-    let export = (0..3)
-        .map(|_| export_cycle(&mut sim, true))
+    let gated = (0..3)
+        .map(|_| gated_cycle(&mut sim, true))
         .min()
         .expect("windows");
     assert_eq!(
-        export, 0,
-        "sealed credit exports must not allocate at steady state"
+        gated, 0,
+        "gated credit returns must not allocate at steady state"
     );
+    assert!(w.borrow().conserved());
 }
 
 fn steady_state_forwarding_allocates_per_frame_not_per_cell() {

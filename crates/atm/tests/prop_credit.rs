@@ -20,7 +20,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use pegasus_atm::cell::Cell;
-use pegasus_atm::credit::{CreditSink, CreditWindow, ReturnPath};
+use pegasus_atm::credit::{CreditSink, CreditWindow};
 use pegasus_atm::link::{CellSink, Link};
 use pegasus_atm::switch::{input_port, Switch};
 use pegasus_sim::Simulator;
@@ -91,7 +91,7 @@ proptest! {
         let csink = CreditSink::wrap(drain.clone());
         let w = CreditWindow::shared(window);
         // One switch: credits are due at the delivery event itself.
-        csink.borrow_mut().register(7, 0, ReturnPath::Window(w.clone()));
+        csink.borrow_mut().register(7, 0, w.clone());
         // Egress 60x slower than ingress: pressure is guaranteed.
         sw.borrow_mut()
             .attach_output(1, Link::new(10_000_000, 100, csink));

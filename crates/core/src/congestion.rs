@@ -40,46 +40,6 @@ pub struct CongestionSignal {
     pub cm_slot_pressure: bool,
 }
 
-/// A shard-mergeable congestion sample: the same evidence as
-/// [`CongestionSignal`], but built so that partial samples taken on
-/// different executor shards combine into exactly the signal a
-/// single-shard run would have sampled globally.
-///
-/// [`EpochSignal::merge`] is associative and commutative (sum of
-/// stalls, max of peaks, OR of slot pressure), so every shard can fold
-/// the per-shard samples in shard order at the epoch barrier and all
-/// replicas of the [`CongestionController`] observe an identical
-/// signal — which is what keeps renegotiation verdicts deterministic
-/// at any `--shards`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochSignal {
-    /// Failed credit acquires on circuits whose producer this shard owns.
-    pub credit_stalls: u64,
-    /// Deepest backlog among this shard's switch replicas, in cells.
-    pub peak_queue_cells: u64,
-    /// Slot-ledger exhaustion as observed by this shard's replica of
-    /// the broker ledgers (replicated state, so identical everywhere).
-    pub cm_slot_pressure: bool,
-}
-
-impl EpochSignal {
-    /// Folds another shard's sample into this one.
-    pub fn merge(&mut self, other: &EpochSignal) {
-        self.credit_stalls += other.credit_stalls;
-        self.peak_queue_cells = self.peak_queue_cells.max(other.peak_queue_cells);
-        self.cm_slot_pressure |= other.cm_slot_pressure;
-    }
-
-    /// The merged sample as the controller's input type.
-    pub fn into_signal(self) -> CongestionSignal {
-        CongestionSignal {
-            credit_stalls: self.credit_stalls,
-            peak_queue_cells: self.peak_queue_cells,
-            cm_slot_pressure: self.cm_slot_pressure,
-        }
-    }
-}
-
 /// What the controller tells the broker to do this epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -266,47 +226,6 @@ mod tests {
             peak_queue_cells: 0,
         };
         assert_eq!(c.observe(&sig), Verdict::Down);
-    }
-
-    #[test]
-    fn epoch_signal_merge_is_associative_and_commutative() {
-        let a = EpochSignal {
-            credit_stalls: 3,
-            peak_queue_cells: 10,
-            cm_slot_pressure: false,
-        };
-        let b = EpochSignal {
-            credit_stalls: 0,
-            peak_queue_cells: 40,
-            cm_slot_pressure: true,
-        };
-        let c = EpochSignal {
-            credit_stalls: 7,
-            peak_queue_cells: 5,
-            cm_slot_pressure: false,
-        };
-        let fold = |xs: &[EpochSignal]| {
-            let mut acc = EpochSignal::default();
-            for x in xs {
-                acc.merge(x);
-            }
-            acc
-        };
-        let abc = fold(&[a, b, c]);
-        assert_eq!(abc, fold(&[c, b, a]), "commutative");
-        let mut ab = a;
-        ab.merge(&b);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut left = ab;
-        left.merge(&c);
-        let mut right = a;
-        right.merge(&bc);
-        assert_eq!(left, right, "associative");
-        let sig = abc.into_signal();
-        assert_eq!(sig.credit_stalls, 10);
-        assert_eq!(sig.peak_queue_cells, 40);
-        assert!(sig.cm_slot_pressure);
     }
 
     #[test]

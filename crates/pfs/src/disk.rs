@@ -190,7 +190,7 @@ impl SimDisk {
     /// Writes `data` (whole sectors) starting at `sector`; returns the
     /// operation's duration.
     pub fn write(&mut self, sector: u64, data: &[u8]) -> Result<Ns, DiskError> {
-        self.check(sector, data.len())?;
+        self.check(sector, (data.len() as u64).div_ceil(SECTOR as u64))?;
         assert_eq!(data.len() % SECTOR, 0, "whole sectors only");
         let pos = self.position(sector);
         if self.store {
@@ -213,7 +213,7 @@ impl SimDisk {
     /// data and the operation's duration. Unwritten sectors read as
     /// zeros.
     pub fn read(&mut self, sector: u64, sectors: u64) -> Result<(Vec<u8>, Ns), DiskError> {
-        let mut out = Vec::with_capacity(sectors as usize * SECTOR);
+        let mut out = Vec::new();
         let t = self.read_into(sector, sectors, &mut out)?;
         Ok((out, t))
     }
@@ -227,7 +227,7 @@ impl SimDisk {
         sectors: u64,
         out: &mut Vec<u8>,
     ) -> Result<Ns, DiskError> {
-        self.check(sector, (sectors as usize) * SECTOR)?;
+        self.check(sector, sectors)?;
         let pos = self.position(sector);
         let base = out.len();
         out.reserve(sectors as usize * SECTOR);
@@ -247,15 +247,16 @@ impl SimDisk {
         Ok(xfer + pos)
     }
 
-    fn check(&self, sector: u64, bytes: usize) -> Result<(), DiskError> {
+    /// `sectors` sectors from `sector` must lie on a live disk. Both
+    /// numbers are the caller's, so the sum is checked, not trusted.
+    fn check(&self, sector: u64, sectors: u64) -> Result<(), DiskError> {
         if self.failed {
             return Err(DiskError::Failed);
         }
-        let end = sector + (bytes as u64).div_ceil(SECTOR as u64);
-        if end > self.cfg.sectors {
-            return Err(DiskError::OutOfRange);
+        match sector.checked_add(sectors) {
+            Some(end) if end <= self.cfg.sectors => Ok(()),
+            _ => Err(DiskError::OutOfRange),
         }
-        Ok(())
     }
 }
 
@@ -354,6 +355,14 @@ mod tests {
         assert!(d.write(last, &vec![0u8; SECTOR]).is_ok());
         assert_eq!(
             d.write(last, &vec![0u8; 2 * SECTOR]).unwrap_err(),
+            DiskError::OutOfRange
+        );
+        // Sums that wrap are out of range too, not a small in-range end.
+        for (sector, sectors) in [(u64::MAX, 2), (2, u64::MAX), (0, u64::MAX / 256)] {
+            assert_eq!(d.read(sector, sectors).unwrap_err(), DiskError::OutOfRange);
+        }
+        assert_eq!(
+            d.write(u64::MAX, &vec![0u8; 2 * SECTOR]).unwrap_err(),
             DiskError::OutOfRange
         );
     }

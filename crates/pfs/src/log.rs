@@ -414,14 +414,14 @@ impl LogFs {
         out: &mut Vec<u8>,
     ) -> Result<(), FsError> {
         let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?.clone();
-        if offset + len as u64 > pnode.size {
-            return Err(FsError::BadRange);
-        }
+        let want_end = offset
+            .checked_add(len as u64)
+            .filter(|&end| end <= pnode.size)
+            .ok_or(FsError::BadRange)?;
         out.clear();
         out.resize(len, 0);
         for ext in &pnode.extents {
             let ext_end = ext.file_offset + ext.len as u64;
-            let want_end = offset + len as u64;
             if ext_end <= offset || ext.file_offset >= want_end {
                 continue;
             }
@@ -687,6 +687,11 @@ mod tests {
         let id = f.create(FileClass::Normal);
         f.append(id, &bytes(10, 0)).unwrap();
         assert_eq!(f.read(id, 5, 10).unwrap_err(), FsError::BadRange);
+        // An end that wraps past zero is outside the file, not inside it.
+        let before = f.stats.bytes_read;
+        assert_eq!(f.read(id, u64::MAX - 3, 8).unwrap_err(), FsError::BadRange);
+        assert_eq!(f.read(id, u64::MAX, 1).unwrap_err(), FsError::BadRange);
+        assert_eq!(f.stats.bytes_read, before, "a refused read charges nothing");
     }
 
     #[test]

@@ -372,12 +372,13 @@ impl TieredCache {
             return Ok(());
         }
         let size = fs.pnode(file).ok_or(FsError::NoSuchFile)?.size;
-        if offset + len > size {
-            return Err(FsError::BadRange);
-        }
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= size)
+            .ok_or(FsError::BadRange)?;
         let cb = self.cfg.chunk_bytes as u64;
         let first = offset / cb;
-        let last = (offset + len - 1) / cb;
+        let last = (end - 1) / cb;
         for chunk in first..=last {
             out.push(self.access_chunk(fs, file, chunk, size)?);
         }
@@ -684,6 +685,14 @@ mod tests {
             .read(&mut fs, id, SEGMENT_BYTES as u64, 1, &mut out)
             .is_err());
         assert!(cache.read(&mut fs, FileId(999), 0, 1, &mut out).is_err());
+        // An end that wraps past zero is outside the file, not inside it.
+        for (offset, len) in [(u64::MAX - 3, 8), (8, u64::MAX - 3), (u64::MAX, 1)] {
+            assert_eq!(
+                cache.read(&mut fs, id, offset, len, &mut out).unwrap_err(),
+                FsError::BadRange
+            );
+        }
+        assert_eq!(cache.stats().accesses(), 0);
         // Zero-length reads are a no-op.
         cache.read(&mut fs, id, 0, 0, &mut out).unwrap();
         assert_eq!(cache.stats().accesses(), 0);

@@ -159,24 +159,19 @@ impl Scenario {
             }
             if let Some(cam) = &b.camera {
                 bp_rep.frames_skipped += cam.borrow().stats.frames_skipped;
-                // Renegotiation replays on every shard's replicated
-                // grant; count each session's history exactly once, on
-                // the shard owning its producer.
-                for r in &b.grant.history {
-                    if r.to_milli < r.from_milli {
-                        bp_rep.renegotiations_down += 1;
-                    } else {
-                        bp_rep.renegotiations_up += 1;
-                    }
+            }
+            for r in &b.grant.history {
+                if r.to_milli < r.from_milli {
+                    bp_rep.renegotiations_down += 1;
+                } else {
+                    bp_rep.renegotiations_up += 1;
                 }
             }
         }
         for (_, w, _) in &self.blasts {
-            if let Some(w) = w {
-                let w = w.borrow();
-                bp_rep.credits_reclaimed += w.reclaimed();
-                bp_rep.queue_bound_cells += w.window();
-            }
+            let w = w.borrow();
+            bp_rep.credits_reclaimed += w.reclaimed();
+            bp_rep.queue_bound_cells += w.window();
         }
 
         // Coordinator-only sections: the replays and the

@@ -1,13 +1,12 @@
 //! The steps the run loop takes at a control mark: sample the epoch's
 //! congestion evidence, settle dropped cells' credits, act on the
-//! hysteresis verdict, repair after a switch death, and find the
-//! window a credit belongs to — one registry lookup, asked alike for
-//! a peer's credit record and for a drop seen here. Owns the
-//! live-session state of [`Scenario`] — the books, the blasts and the
-//! credit-window registry. Every step runs identically on every
-//! shard's replica.
+//! hysteresis verdict, repair after a switch death. Owns the
+//! live-session state of [`Scenario`] — the books and the blasts. A
+//! spec with control marks runs on one shard, so every step sees the
+//! whole city; `settle_drops` alone also runs at the end of a sharded
+//! data-plane run, where no circuit is credited.
 
-use pegasus::congestion::{CongestionController, EpochSignal, Verdict};
+use pegasus::congestion::{CongestionController, CongestionSignal, Verdict};
 use pegasus_atm::cell::Vci;
 use pegasus_atm::credit::CreditRef;
 use pegasus_atm::network::{SwitchId, VcHandle};
@@ -38,41 +37,33 @@ impl Scenario {
     /// reclaimed (the consumer will never see the cell, so it can never
     /// return it), and drops on an *admitted* session's circuits are
     /// attributed by cause. Returns `(admitted overflow, admitted outage)`
-    /// for the cells report. A credit is reclaimed where its window
-    /// lives — the registry knows — and otherwise lands in `remote` as
-    /// a `(delivery VCI, n)` record for the shard that holds it. VCIs
-    /// are allocated from one network-wide counter, so any hop's label
-    /// identifies exactly one circuit — on every shard.
-    pub(crate) fn settle_drops(&self, remote: &mut Vec<(Vci, u64)>) -> (u64, u64) {
-        let bp_enabled = self.spec.backpressure.enabled;
-        // `(hop label, delivery VCI if a credit moves, admitted)`. No
+    /// for the cells report. VCIs are allocated from one network-wide
+    /// counter, so any hop's label identifies exactly one circuit.
+    pub(crate) fn settle_drops(&self) -> (u64, u64) {
+        // `(hop label, the window a credit moves on, admitted)`. No
         // credit moves on an uncredited flow, nor on a stranded circuit
         // whose producer is wedged by design (its credits leak with
         // the corpse); attribution still applies.
-        let mut table: Vec<(Vci, Option<Vci>, bool)> = Vec::new();
+        let mut table: Vec<(Vci, Option<&CreditRef>, bool)> = Vec::new();
         for b in &self.books {
             for (i, vc) in b.grant.vcs.iter().enumerate() {
                 // Media flow 0 carries the credit window.
-                let credited = (i == 0 && bp_enabled && !b.stranded[i]).then_some(vc.dst_vci);
+                let credited = b.credit.as_ref().filter(|_| i == 0 && !b.stranded[i]);
                 table.extend(vc.vcis().map(|vci| (vci, credited, true)));
             }
         }
-        for (vc, _, stranded) in &self.blasts {
-            // Blasts are always credited, whatever the backpressure spec.
-            let credited = (!stranded).then_some(vc.dst_vci);
+        for (vc, w, stranded) in &self.blasts {
+            let credited = (!stranded).then_some(w);
             table.extend(vc.vcis().map(|vci| (vci, credited, false)));
         }
         table.sort_by_key(|e| e.0);
         let mut acc = (0u64, 0u64);
-        let mut settle = |drops: Vec<(Vci, u64)>, overflow: bool, acc: &mut (u64, u64)| {
+        let settle = |drops: Vec<(Vci, u64)>, overflow: bool, acc: &mut (u64, u64)| {
             for (vci, n) in drops {
                 if let Ok(idx) = table.binary_search_by_key(&vci, |e| e.0) {
                     let (_, credited, admitted) = table[idx];
-                    if let Some(dst_vci) = credited {
-                        match self.credit_window(dst_vci) {
-                            Some(w) => w.borrow_mut().reclaim(n),
-                            None => remote.push((dst_vci, n)),
-                        }
+                    if let Some(w) = credited {
+                        w.borrow_mut().reclaim(n);
                     }
                     if admitted {
                         if overflow {
@@ -98,7 +89,7 @@ impl Scenario {
     }
 
     /// The congestion controller the spec's hysteresis constants
-    /// define. Every shard builds an identical replica.
+    /// define.
     pub(crate) fn make_controller(&self) -> CongestionController {
         let bp = self.spec.backpressure;
         CongestionController::new(
@@ -109,13 +100,11 @@ impl Scenario {
         )
     }
 
-    /// Samples this shard's slice of one epoch's congestion evidence:
-    /// stalls from the credit windows it owns, the peak backlog of its
-    /// switches (unowned replicas are silent and read zero), and slot
-    /// pressure from the replicated broker ledgers. Merging every
-    /// shard's sample reproduces the single-shard signal exactly.
-    pub(crate) fn sample_epoch_signal(&mut self) -> EpochSignal {
-        let mut sig = EpochSignal::default();
+    /// Samples one epoch's congestion evidence: stalls from the media
+    /// circuits' credit windows, the peak backlog of the switches, and
+    /// slot pressure from the broker's ledgers.
+    pub(crate) fn sample_epoch_signal(&mut self) -> CongestionSignal {
+        let mut sig = CongestionSignal::default();
         for b in &mut self.books {
             if let Some(w) = &b.credit {
                 sig.credit_stalls += w.borrow_mut().take_epoch_stalls();
@@ -137,9 +126,8 @@ impl Scenario {
     /// attached devices (and their credit registrations, keyed by
     /// delivery VCI) never notice; circuits that cannot be repaired are
     /// stranded, their reservations released and their book slot marked
-    /// so no later renegotiation resizes a dead circuit. Runs on every
-    /// shard's full `Network` replica — route state is replicated, so
-    /// the walk is identical everywhere. Returns `(rerouted, stranded)`.
+    /// so no later renegotiation resizes a dead circuit. Returns
+    /// `(rerouted, stranded)`.
     pub(crate) fn apply_death(&mut self, switch: usize) -> (u64, u64) {
         let sw = self.sys.fabric[switch];
         let net = &mut self.sys.net;
@@ -173,10 +161,7 @@ impl Scenario {
 
     /// Acts on one epoch's hysteresis verdict: one rung down under
     /// sustained pressure, back toward the admitted contract once the
-    /// fabric has drained. Every shard calls this with the identical
-    /// merged verdict against its replicated broker and network, so
-    /// ledgers and grants stay byte-identical everywhere; producers are
-    /// retuned only where they exist (the owner's shard).
+    /// fabric has drained.
     pub(crate) fn apply_verdict(&mut self, verdict: Verdict, at: Ns) {
         if verdict == Verdict::Hold {
             return;
@@ -205,17 +190,5 @@ impl Scenario {
                 }
             }
         }
-    }
-
-    /// The credit window of the circuit delivered under `dst_vci`, if
-    /// its producer lives on this shard — the one answer to "is this
-    /// credit mine to move". Sealed credit returns are addressed to the
-    /// producer's shard, so a miss there is an executor routing bug; a
-    /// drop settles here on a hit and travels as a reclaim record on a
-    /// miss; reclaim records are broadcast, and every shard but the
-    /// owner misses.
-    pub(crate) fn credit_window(&self, dst_vci: Vci) -> Option<&CreditRef> {
-        let idx = self.credit_windows.binary_search_by_key(&dst_vci, |e| e.0);
-        idx.ok().map(|i| &self.credit_windows[i].1)
     }
 }

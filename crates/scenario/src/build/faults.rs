@@ -3,7 +3,7 @@
 //! loop pauses at. Owns the `blasts` field of [`Scenario`].
 
 use pegasus_atm::cell::{Cell, CELL_SIZE};
-use pegasus_atm::link::SinkRef;
+use pegasus_atm::credit::CreditSink;
 use pegasus_atm::network::LinkConfig;
 use pegasus_atm::signalling::QosSpec;
 use pegasus_sim::time::{Ns, SEC};
@@ -14,9 +14,7 @@ use crate::spec::{FaultSpec, ScenarioSpec};
 
 /// A point on the control-plane timeline where the engine must pause:
 /// a switch death (structural repair) or a congestion epoch boundary
-/// (sampling + renegotiation). Every shard computes the same marks
-/// from the spec, so every shard's run loop pauses at identical
-/// instants.
+/// (sampling + renegotiation). A spec that has any runs on one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ControlMark {
     /// `SwitchDeath` fault on this fabric switch.
@@ -28,8 +26,8 @@ pub(crate) enum ControlMark {
 /// The sorted control-plane timeline of `spec`: deaths at their fault
 /// times, epoch boundaries on the backpressure grid. Stable by
 /// `(time, kind)` with deaths first, so a death at an epoch boundary
-/// lands before the sample on every shard. Marks past the run's
-/// `duration` clamp to it.
+/// lands before the sample. Marks past the run's `duration` clamp to
+/// it.
 pub(crate) fn control_marks(spec: &ScenarioSpec) -> Vec<(Ns, ControlMark)> {
     let bp = spec.backpressure;
     let mut marks: Vec<(Ns, ControlMark)> = spec
@@ -129,15 +127,12 @@ impl Scenario {
         }
     }
 
-    /// Wires one best-effort blast circuit and, on the shard owning its
-    /// source switch, the pump that drives it. The injector gets its
-    /// own fat access link so the bottleneck is the shared trunk, not
-    /// its first hop; the sink end discards behind a credit gate that
-    /// returns credits as cells drain — which is exactly what bounds
-    /// the standing queue the blast builds in the fabric. The pump
-    /// lives with the source switch's owner, the gate with the sink's;
-    /// when those are different shards the returns cross as sealed
-    /// records like any other cut-crossing circuit's.
+    /// Wires one best-effort blast circuit and the pump that drives
+    /// it. The injector gets its own fat access link so the bottleneck
+    /// is the shared trunk, not its first hop; the sink end discards
+    /// behind a credit gate that returns credits as cells drain — which
+    /// is exactly what bounds the standing queue the blast builds in
+    /// the fabric.
     fn arm_blast(
         &mut self,
         at: Ns,
@@ -157,45 +152,40 @@ impl Scenario {
             blast_link,
             NullSink::shared(),
         );
-        let sink = self
-            .plan
-            .owns(to_switch)
-            .then(|| NullSink::shared() as SinkRef);
         // Blasts are always credited, whatever the backpressure spec.
-        let (dst_ep, gate) = self.consumer(to_switch, sink, true);
+        let gate = CreditSink::wrap(NullSink::shared());
+        let dst_ep = self.sys.device(to_switch, gate.clone());
         let vc = self
             .sys
             .net
             .open_vc(src_ep, dst_ep, QosSpec::best_effort(0))
             .expect("best-effort blast needs only a route");
-        let w = self.wire_credit(window, vc.dst_vci, from_switch, to_switch, gate.as_ref());
-        if self.plan.owns(from_switch) {
-            let tx = self.sys.net.endpoint_tx(src_ep);
-            self.tx_links.push(tx.clone());
-            // Offer bursts at the injector's line rate; an empty
-            // window holds the whole burst at the source.
-            const BURST: u64 = 32;
-            let tick: Ns = BURST * CELL_SIZE as u64 * 8 * SEC / rate_bps;
-            let vci = vc.src_vci;
-            let until_t = until.min(duration);
-            let pump_w = w.clone().expect("pump owner holds the window");
-            self.sim.schedule_at(at.min(duration), move |sim| {
-                let pump_w = pump_w.clone();
-                let tx = tx.clone();
-                sim.schedule_chain(move |sim| {
-                    if sim.now() >= until_t {
-                        return None;
+        let w = self.wire_credit(window, vc.dst_vci, from_switch, to_switch, &gate);
+        let tx = self.sys.net.endpoint_tx(src_ep);
+        self.tx_links.push(tx.clone());
+        // Offer bursts at the injector's line rate; an empty window
+        // holds the whole burst at the source.
+        const BURST: u64 = 32;
+        let tick: Ns = BURST * CELL_SIZE as u64 * 8 * SEC / rate_bps;
+        let vci = vc.src_vci;
+        let until_t = until.min(duration);
+        let pump_w = w.clone();
+        self.sim.schedule_at(at.min(duration), move |sim| {
+            let pump_w = pump_w.clone();
+            let tx = tx.clone();
+            sim.schedule_chain(move |sim| {
+                if sim.now() >= until_t {
+                    return None;
+                }
+                if pump_w.borrow_mut().try_acquire_at(sim.now(), BURST) {
+                    let mut l = tx.borrow_mut();
+                    for _ in 0..BURST {
+                        l.send(sim, Cell::new(vci));
                     }
-                    if pump_w.borrow_mut().try_acquire_at(sim.now(), BURST) {
-                        let mut l = tx.borrow_mut();
-                        for _ in 0..BURST {
-                            l.send(sim, Cell::new(vci));
-                        }
-                    }
-                    Some(sim.now() + tick.max(1))
-                });
+                }
+                Some(sim.now() + tick.max(1))
             });
-        }
+        });
         self.blasts.push((vc, w, false));
     }
 }

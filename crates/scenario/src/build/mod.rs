@@ -39,8 +39,7 @@ use pegasus::broker::{
     Outcome, QosBroker, RejectLayer, ResourceVector, SessionClass, SessionGrant,
 };
 use pegasus::system::System;
-use pegasus_atm::cell::Vci;
-use pegasus_atm::credit::{CreditExportBuf, CreditRef};
+use pegasus_atm::credit::CreditRef;
 use pegasus_atm::link::Link;
 use pegasus_atm::network::{Network, VcHandle};
 use pegasus_devices::audio::AudioSink;
@@ -241,23 +240,9 @@ pub struct Scenario {
     /// window, and the circuits signalling repairs after a switch death.
     books: Vec<SessionBook>,
     /// Best-effort blast circuits (congestion sources), with their own
-    /// credit windows: pressure by construction, never overflow. Every
-    /// shard carries an entry per blast (the route is replicated state
-    /// switch-death repair walks); the window is `Some` only on the
-    /// shard owning the pump. The bool marks a blast stranded by a
-    /// switch death.
-    blasts: Vec<(VcHandle, Option<CreditRef>, bool)>,
-    /// Outboxes for credit returns, one per *producer* shard: a gate
-    /// whose circuit's window lives on shard `d` appends to
-    /// `credit_out[d]`, and the executor seals the records into that
-    /// shard's mailbox at the next epoch boundary. This shard's own
-    /// outbox is never written (a window held here is returned to
-    /// directly), so with one shard none is.
-    pub(crate) credit_out: Vec<CreditExportBuf>,
-    /// Registry of credit windows whose producer this shard owns,
-    /// keyed by delivery VCI and sorted for binary search — the lookup
-    /// table for applying sealed credit returns and remote reclaims.
-    credit_windows: Vec<(Vci, CreditRef)>,
+    /// credit windows: pressure by construction, never overflow. The
+    /// bool marks a blast stranded by a switch death.
+    blasts: Vec<(VcHandle, CreditRef, bool)>,
 }
 
 impl Scenario {

@@ -1,7 +1,7 @@
 //! Raising the city: the fabric from the topology spec, then every
 //! session admitted through the broker and wired to its devices. Owns
 //! the `sys` / `sim` / `broker` / `contracts` fields of [`Scenario`]
-//! while they are being built, plus the credit-window registry.
+//! while they are being built.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,7 +9,7 @@ use std::rc::Rc;
 use pegasus::broker::{FlowRequest, QosBroker, SessionClass, SessionGrant, SessionRequest};
 use pegasus::system::{HostNic, SystemBuilder};
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
-use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow, ReturnPath};
+use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow};
 use pegasus_atm::link::{CellSink, SinkRef};
 use pegasus_atm::network::EndpointId;
 use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
@@ -32,7 +32,7 @@ use super::control::camera_for;
 use super::{
     vod_periods, BrokerTally, Scenario, SessionBook, SessionContract, VodServer, VOD_PERIOD,
 };
-use crate::partition::ShardPlan;
+use crate::partition::{control_plane, ShardPlan};
 use crate::spec::{Arrival, ScenarioSpec};
 
 /// Bandwidth reserved for a videophone session's audio flow, never
@@ -97,7 +97,7 @@ impl Scenario {
     /// sink keeps the endpoint (and VCI) numbering identical while the
     /// replica costs nothing. A `gated` consumer fronts its device with
     /// a credit gate, returned so [`Scenario::wire_credit`] can register
-    /// the return path once admission fixes the delivery VCI.
+    /// the circuit's window once admission fixes the delivery VCI.
     pub(super) fn consumer(
         &mut self,
         dst: usize,
@@ -112,47 +112,27 @@ impl Scenario {
         (self.sys.device(dst, sink), gate)
     }
 
-    /// Wires one credited circuit's two halves as this shard sees them.
-    ///
-    /// The producer half (the window, created iff this shard owns the
-    /// source switch) is returned and recorded in the registry so sealed
-    /// returns and remote reclaims can find it. The consumer half is one
-    /// registration on `gate` (which exists iff this shard owns the
-    /// destination switch): credits are due one reverse trunk crossing
-    /// after delivery — at once when the circuit never leaves its
-    /// switch — and go to the window if it is here, else to the outbox
-    /// of the shard that holds it.
+    /// Wires one credited circuit: its window, registered on the
+    /// consumer's `gate` under the delivery VCI admission fixed. Credits
+    /// are due one reverse trunk crossing after delivery — serialization
+    /// plus propagation — and at once when the circuit never leaves its
+    /// switch.
     pub(super) fn wire_credit(
-        &mut self,
+        &self,
         window_cells: u64,
         dst_vci: Vci,
         src_switch: usize,
         dst_switch: usize,
-        gate: Option<&Gate>,
-    ) -> Option<CreditRef> {
-        let window = self.plan.owns(src_switch).then(|| {
-            let w = CreditWindow::shared(window_cells);
-            self.credit_windows.push((dst_vci, w.clone()));
-            w
-        });
-        if let Some(gate) = gate {
-            // Serialization (ceiling division, so never below the
-            // executor's floored lookahead) plus propagation. A pure
-            // function of the spec, applied at every shard count, so
-            // the physics don't depend on the plan. Same switch ⇒ same
-            // owner, so a zero delay never crosses shards.
-            let link = self.spec.topology.link;
-            let delay = if src_switch == dst_switch {
-                0
-            } else {
-                tx_time(CELL_SIZE, link.rate_bps) + link.prop_delay
-            };
-            let to = match &window {
-                Some(w) => ReturnPath::Window(w.clone()),
-                None => ReturnPath::Outbox(self.credit_out[self.plan.owner_of(src_switch)].clone()),
-            };
-            gate.borrow_mut().register(dst_vci, delay, to);
-        }
+        gate: &Gate,
+    ) -> CreditRef {
+        let link = self.spec.topology.link;
+        let delay = if src_switch == dst_switch {
+            0
+        } else {
+            tx_time(CELL_SIZE, link.rate_bps) + link.prop_delay
+        };
+        let window = CreditWindow::shared(window_cells);
+        gate.borrow_mut().register(dst_vci, delay, window.clone());
         window
     }
 }
@@ -207,11 +187,6 @@ impl Wiring {
             vod_servers: Vec::new(),
             books: Vec::new(),
             blasts: Vec::new(),
-            // Pre-sized so the run loop's steady state never grows them.
-            credit_out: (0..plan.shards)
-                .map(|_| Rc::new(RefCell::new(Vec::with_capacity(64))))
-                .collect(),
-            credit_windows: Vec::new(),
             plan,
         };
         Wiring {
@@ -343,11 +318,8 @@ impl Wiring {
         let owns_src = sc.plan.owns(at.src);
         let cam_cfg = camera_for(sc.spec.camera, grant.quality_milli);
         let camera = owns_src.then(|| sc.sys.camera_on(ep, at.scene, cam_cfg, vc_src));
-        let bp = sc.spec.backpressure;
-        let credit = bp
-            .enabled
-            .then(|| sc.wire_credit(bp.window_cells, vc_dst, at.src, at.dst, gate))
-            .flatten();
+        let window_cells = sc.spec.backpressure.window_cells;
+        let credit = gate.map(|g| sc.wire_credit(window_cells, vc_dst, at.src, at.dst, g));
         if let (Some(w), Some(cam)) = (&credit, &camera) {
             cam.borrow_mut().set_credit(w.clone());
         }
@@ -604,7 +576,15 @@ impl Wiring {
 /// owned devices, so the per-shard measurements sum to exactly the
 /// single-shard ones. Remote replicas of switches and devices exist but
 /// stay silent — no event ever touches them.
+///
+/// Only the data plane is partitioned: a spec with a control plane
+/// compiles as the only shard ([`crate::partition::ExecPlan::partition`]
+/// plans it so), where both ends of every credited circuit are owned.
 pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
+    assert!(
+        plan.shards == 1 || control_plane(spec).is_none(),
+        "a spec with a control plane compiles as one shard"
+    );
     let coordinator = plan.is_coordinator();
     let mut w = Wiring::new(spec, plan);
     let (n_vp, n_vod, n_tv) = w.sc.counts;
@@ -626,8 +606,5 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     }
     let mut sc = w.sc;
     sc.arm_faults();
-    // Sealed credit returns and remote reclaims look windows up by
-    // delivery VCI; sort once so application is a binary search.
-    sc.credit_windows.sort_by_key(|e| e.0);
     sc
 }

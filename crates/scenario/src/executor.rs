@@ -17,43 +17,36 @@
 //! 2. Cells that crossed a cut during the epoch were captured by the
 //!    transmit link's export buffer ([`pegasus_atm::link::Link`]
 //!    `set_export`) with their exact arrival times. Each shard seals
-//!    them to wire bytes and posts them to per-pair mailboxes. Credit
-//!    returns whose window lives on another shard ride the same
-//!    mailboxes as sealed [`CreditReturn`] records, taken from the
-//!    scenario's per-shard outboxes (a return is the same registration
-//!    everywhere; only its destination — the window, or the outbox of
-//!    the shard holding it — differs). Their application time is the
-//!    delivery event time plus the circuit's return delay, which is
-//!    never below the trunk lookahead, so a record sealed in epoch
-//!    `[t, b)` always applies at or after `b` — the conservative bound
-//!    covers the control plane for free.
+//!    them to wire bytes and posts them to per-pair mailboxes. A sealed
+//!    cell is the only thing that ever crosses a cut.
 //! 3. A barrier; then every shard drains its inbox in sender order,
 //!    injecting each sealed cell into its own replica of the
 //!    transmitting link (delivery lands on the trunk's own scheduling
 //!    lane, reproducing the exact per-lane event order the single-shard
-//!    run would have used) and parking each credit record on its
-//!    window. A second barrier closes the epoch.
+//!    run would have used). A second barrier closes the epoch.
 //!
-//! The epoch boundaries also stop at every *control mark* — switch
-//! deaths and congestion-epoch boundaries (`control_marks` in
-//! `build/faults.rs`, walked here and nowhere else). Death repair
-//! replays identically on every shard's full `Network` replica;
-//! congestion epochs sample a per-shard [`EpochSignal`], exchange the
-//! samples (and any cross-shard drop reclaims) through per-shard
-//! control slots at a barrier, and feed every replica's controller the
-//! identical merged signal — so renegotiation verdicts, broker ledgers
-//! and grants stay byte-identical at any shard count.
+//! Only the data plane shards. Epochs also end at every *control mark*
+//! — switch deaths and congestion-epoch boundaries (`control_marks` in
+//! `build/faults.rs`, walked here and nowhere else) — but a spec that
+//! has any runs on one shard ([`ExecPlan::partition`] clamps it, with
+//! its reason; `drive` asserts it): death repair walks the one
+//! `Network`, the congestion sample reads every window and every
+//! switch, and one controller renders one verdict. A control plane
+//! consulted once per 10 ms epoch has nothing to gain from a transport
+//! that synchronises every few microseconds of lookahead, and measured
+//! 8–40× slower for using it (`docs/ARCHITECTURE.md`, "Only the data
+//! plane shards").
 //!
 //! **One shard is the degenerate case of the same loop, not a second
 //! one.** No trunk is cut, so the lookahead is unbounded and epochs
 //! fall only on control marks and the end of the run. There are no
 //! peers (`Peers` is absent), so nothing is sealed, no thread is
-//! spawned, no barrier is taken and no lock is touched; the exchange
-//! merges one signal with nothing. [`crate::build::Scenario::run`] is
-//! that case, applied to a scenario the caller compiled.
+//! spawned, no barrier is taken and no lock is touched.
+//! [`crate::build::Scenario::run`] is that case, applied to a scenario
+//! the caller compiled.
 //!
-//! Determinism: ownership, lane assignment, the lookahead and the mark
-//! timeline are pure functions of the spec, arrival times come from the
+//! Determinism: ownership, lane assignment and the lookahead are pure
+//! functions of the spec, arrival times come from the
 //! sending link's serialization arithmetic (identical in every mode),
 //! and ties at equal timestamps break on compile-time lane ids. The
 //! canonical report is therefore byte-identical at any `--shards`; CI
@@ -64,9 +57,7 @@ use std::rc::Rc;
 use std::sync::{Barrier, Mutex};
 use std::thread;
 
-use pegasus::congestion::EpochSignal;
-use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
-use pegasus_atm::credit::CreditReturn;
+use pegasus_atm::cell::{Cell, CELL_SIZE};
 use pegasus_atm::link::ExportBuffer;
 use pegasus_atm::network::TrunkDir;
 use pegasus_sim::time::{Ns, SEC};
@@ -85,30 +76,11 @@ struct SealedCell {
     bytes: [u8; CELL_SIZE],
 }
 
-/// One sealed record crossing an epoch boundary: a data cell on a cut
-/// trunk, or a credit return for a circuit whose window lives on the
-/// receiving shard.
-enum SealedMsg {
-    Cell(SealedCell),
-    Credit(CreditReturn),
-}
-
-/// One shard's contribution to a control exchange: its slice of the
-/// epoch signal and any reclaim records for drops it observed on
-/// circuits whose windows live elsewhere. Written by the owner before
-/// the exchange barrier, read by everyone after it.
-#[derive(Default)]
-struct ControlSlot {
-    signal: EpochSignal,
-    reclaims: Vec<(Vci, u64)>,
-}
-
 /// What the shards of one run share. A one-shard run has none.
 pub(crate) struct Peers {
-    /// `mailboxes[from][to]` carries sealed records from shard `from`
+    /// `mailboxes[from][to]` carries sealed cells from shard `from`
     /// to shard `to` across one epoch boundary.
-    mailboxes: Vec<Vec<Mutex<Vec<SealedMsg>>>>,
-    control: Vec<Mutex<ControlSlot>>,
+    mailboxes: Vec<Vec<Mutex<Vec<SealedCell>>>>,
     barrier: Barrier,
 }
 
@@ -118,7 +90,6 @@ impl Peers {
             mailboxes: (0..k)
                 .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
                 .collect(),
-            control: (0..k).map(|_| Mutex::new(ControlSlot::default())).collect(),
             barrier: Barrier::new(k),
         })
     }
@@ -156,9 +127,8 @@ pub fn run_sharded(spec: &ScenarioSpec, requested: usize) -> ScenarioReport {
     assemble(spec, outcomes)
 }
 
-/// One shard's wiring to its peers: where its cut-crossing cells and
-/// credit returns leave from, and the trunk table sealed cells are
-/// addressed by.
+/// One shard's wiring to its peers: where its cut-crossing cells leave
+/// from, and the trunk table sealed cells are addressed by.
 struct Cut<'a> {
     peers: &'a Peers,
     me: usize,
@@ -168,7 +138,7 @@ struct Cut<'a> {
     /// Reusable drain buffer: swap a mailbox's contents out under the
     /// lock, process outside it. `clear` + `append` retains both
     /// vectors' capacities, so the steady-state loop allocates nothing.
-    drain_buf: Vec<SealedMsg>,
+    drain_buf: Vec<SealedCell>,
 }
 
 impl<'a> Cut<'a> {
@@ -199,9 +169,9 @@ impl<'a> Cut<'a> {
         }
     }
 
-    /// Closes the epoch ending at `next`: seal and post this shard's
-    /// cut crossings, then accept the peers'.
-    fn cross_epoch(&mut self, sc: &mut Scenario, next: Ns, rt: &mut ShardSlice) {
+    /// Closes an epoch: seal and post this shard's cut crossings, then
+    /// accept the peers'.
+    fn cross_epoch(&mut self, sc: &mut Scenario, rt: &mut ShardSlice) {
         let me = self.me;
         // Publish. Trunk order, and send order within a trunk, are
         // deterministic.
@@ -215,43 +185,19 @@ impl<'a> Cut<'a> {
                 .expect("mailbox lock");
             for (arrival, cell) in cells.drain(..) {
                 rt.cells_exported += 1;
-                mb.push(SealedMsg::Cell(SealedCell {
+                mb.push(SealedCell {
                     trunk: *ti as u32,
                     arrival,
                     bytes: cell.to_bytes(),
-                }));
-            }
-        }
-        // Credit returns for windows living on other shards ride the
-        // same mailboxes, from the scenario's per-shard outboxes (this
-        // shard's own stays empty: a window held here is returned to
-        // directly). Their application times already clear the
-        // boundary: delivery happened strictly before `next`, and the
-        // return delay is never below the trunk lookahead.
-        for (dest, buf) in sc.credit_out.iter().enumerate() {
-            let mut records = buf.borrow_mut();
-            if records.is_empty() {
-                continue;
-            }
-            assert_ne!(dest, me, "shard {me}: export path to its own windows");
-            let mut mb = self.peers.mailboxes[me][dest].lock().expect("mailbox lock");
-            for r in records.drain(..) {
-                assert!(
-                    r.apply_at >= next,
-                    "credit return {me}->{dest} applies at {} before the epoch boundary {next}",
-                    r.apply_at,
-                );
-                rt.credits_crossed += 1;
-                mb.push(SealedMsg::Credit(r));
+                });
             }
         }
         self.peers.wait(rt);
 
-        // Drain: accept peers' records in sender order. Cells are
-        // injected into this shard's replica of the transmitting link —
-        // delivery lands on the trunk's own lane, so per-lane order
-        // matches the single-shard schedule exactly. Credit records are
-        // parked on their windows until their application times.
+        // Drain: accept peers' cells in sender order, injecting each
+        // into this shard's replica of the transmitting link — delivery
+        // lands on the trunk's own lane, so per-lane order matches the
+        // single-shard schedule exactly.
         for (sender, from_sender) in self.peers.mailboxes.iter().enumerate() {
             if sender == me {
                 continue;
@@ -261,74 +207,20 @@ impl<'a> Cut<'a> {
                 self.drain_buf.clear();
                 self.drain_buf.append(&mut mb);
             }
-            for msg in self.drain_buf.drain(..) {
-                match msg {
-                    SealedMsg::Cell(sealed) => {
-                        rt.cells_imported += 1;
-                        let cell =
-                            Cell::from_bytes(&sealed.bytes).expect("sealed cell round-trips");
-                        let tr = &self.trunks[sealed.trunk as usize];
-                        let sim = &mut sc.sim;
-                        sc.sys.net.with_switch_output(tr.from, tr.port, |l| {
-                            l.inject(sim, sealed.arrival, cell)
-                        });
-                    }
-                    SealedMsg::Credit(r) => sc
-                        .credit_window(r.dst_vci)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "credit record {sender}->{me} for VCI {} in the epoch ending \
-                                 {next}: shard {me} does not own the window",
-                                r.dst_vci
-                            )
-                        })
-                        .borrow_mut()
-                        .release_at(r.apply_at, r.n),
-                }
+            for sealed in self.drain_buf.drain(..) {
+                rt.cells_imported += 1;
+                let cell = Cell::from_bytes(&sealed.bytes).expect("sealed cell round-trips");
+                let tr = &self.trunks[sealed.trunk as usize];
+                let sim = &mut sc.sim;
+                sc.sys
+                    .net
+                    .with_switch_output(tr.from, tr.port, |l| l.inject(sim, sealed.arrival, cell));
             }
         }
         // Close the epoch only once every shard has drained: a fast
         // peer must not start publishing the next epoch's cells into a
         // mailbox that is still being read.
         self.peers.wait(rt);
-    }
-
-    /// One control exchange: publish this shard's epoch `signal` (the
-    /// final exchange carries none) and its `reclaims` for windows
-    /// living elsewhere, then fold every shard's signal (the merge is
-    /// associative and commutative, folded in shard order) and apply
-    /// peers' reclaims to any window this shard owns. Returns the
-    /// merged signal.
-    fn exchange(
-        &self,
-        sc: &Scenario,
-        signal: Option<EpochSignal>,
-        reclaims: &mut Vec<(Vci, u64)>,
-        rt: &mut ShardSlice,
-    ) -> EpochSignal {
-        {
-            let mut slot = self.peers.control[self.me]
-                .lock()
-                .expect("control slot lock");
-            slot.signal = signal.unwrap_or_default();
-            slot.reclaims.clear();
-            slot.reclaims.append(reclaims);
-        }
-        self.peers.wait(rt);
-        let mut merged = EpochSignal::default();
-        for (i, slot) in self.peers.control.iter().enumerate() {
-            let slot = slot.lock().expect("control slot lock");
-            merged.merge(&slot.signal);
-            if i != self.me {
-                for &(vci, n) in &slot.reclaims {
-                    if let Some(w) = sc.credit_window(vci) {
-                        w.borrow_mut().reclaim(n);
-                    }
-                }
-            }
-        }
-        self.peers.wait(rt);
-        merged
     }
 }
 
@@ -352,16 +244,19 @@ pub(crate) fn drive(mut sc: Scenario, peers: Option<&Peers>) -> ShardOutcome {
         .map(|t| ((CELL_SIZE as u64 * 8 * SEC / t.rate_bps) + t.prop_delay).max(1))
         .min();
 
-    // The control-plane timeline: identical on every shard, so the
-    // extra boundaries (and the barriers some of them cost) align.
+    // The control-plane timeline. Only a one-shard run has one: what
+    // happens at a mark reads and writes the whole city.
     let mut marks = control_marks(sc.spec()).into_iter().peekable();
+    assert!(
+        peers.is_none() || marks.peek().is_none(),
+        "a spec with control marks runs on one shard"
+    );
     let mut controller = sc.make_controller();
     let mut vcs_rerouted = 0u64;
     let mut vcs_stranded = 0u64;
     let mut admitted_dropped = (0u64, 0u64); // (overflow, outage)
-    let mut reclaims: Vec<(Vci, u64)> = Vec::new();
-    let mut settle = |sc: &Scenario, reclaims: &mut Vec<(Vci, u64)>| {
-        let (overflow, outage) = sc.settle_drops(reclaims);
+    let mut settle = |sc: &Scenario| {
+        let (overflow, outage) = sc.settle_drops();
         admitted_dropped.0 += overflow;
         admitted_dropped.1 += outage;
     };
@@ -380,42 +275,27 @@ pub(crate) fn drive(mut sc: Scenario, peers: Option<&Peers>) -> ShardOutcome {
         // clock exactly on it so injected arrivals can never precede it.
         sc.sim.run_before(next);
         if let Some(cut) = &mut cut {
-            cut.cross_epoch(&mut sc, next, &mut rt);
+            cut.cross_epoch(&mut sc, &mut rt);
         }
 
         // Control marks at this boundary, deaths before a same-time
-        // epoch sample. Events parked exactly on the mark — injected
-        // arrivals included — run first.
+        // epoch sample. Events parked exactly on the mark run first.
         while let Some((_, mark)) = marks.next_if(|&(at, _)| at == next) {
             sc.sim.run_until(next);
             match mark {
                 ControlMark::Death(switch) => {
-                    // Repair replays identically on every shard's full
-                    // replica; the report's totals count it once, on
-                    // the coordinator.
                     let (r, s) = sc.apply_death(switch);
-                    if peers.is_some() {
-                        rt.repairs_replicated += r + s;
-                    }
-                    if plan.is_coordinator() {
-                        vcs_rerouted += r;
-                        vcs_stranded += s;
-                    }
+                    vcs_rerouted += r;
+                    vcs_stranded += s;
                 }
                 ControlMark::Epoch => {
-                    // Sample the epoch's congestion evidence and settle
+                    // Sample the epoch's congestion evidence, settle
                     // dropped cells' credits so producers never wedge
-                    // on cells that will never arrive (emitting reclaim
-                    // records for windows living elsewhere); merge with
-                    // the peers' so every replica's controller observes
-                    // the identical signal and applies the identical
-                    // verdict to its replicated ledgers.
+                    // on cells that will never arrive, and act on the
+                    // controller's verdict.
                     let signal = sc.sample_epoch_signal();
-                    settle(&sc, &mut reclaims);
-                    let merged = cut.as_ref().map_or(signal, |c| {
-                        c.exchange(&sc, Some(signal), &mut reclaims, &mut rt)
-                    });
-                    let verdict = controller.observe(&merged.into_signal());
+                    settle(&sc);
+                    let verdict = controller.observe(&signal);
                     sc.apply_verdict(verdict, next);
                 }
             }
@@ -427,13 +307,8 @@ pub(crate) fn drive(mut sc: Scenario, peers: Option<&Peers>) -> ShardOutcome {
     sc.sim.run_until(end);
 
     // Settle drops from the drain window (and, with the monitor off,
-    // the whole run) so attribution covers every dropped cell. Some may
-    // sit on circuits whose windows live elsewhere, and the reclaim
-    // ledger feeds the report — so the records cross once more.
-    settle(&sc, &mut reclaims);
-    if let Some(cut) = &cut {
-        cut.exchange(&sc, None, &mut reclaims, &mut rt);
-    }
+    // the whole run) so attribution covers every dropped cell.
+    settle(&sc);
 
     sc.collect(vcs_rerouted, vcs_stranded, admitted_dropped, rt)
 }
@@ -469,28 +344,27 @@ mod tests {
         }
     }
 
-    /// The control plane shards: a sustained-overload preset — live
-    /// backpressure, congestion epochs, renegotiation and a best-effort
-    /// blast — runs unclamped at four shards, crosses credits at the
-    /// cut, and produces the byte-identical canonical report.
+    /// The control plane does not shard: a sustained-overload preset —
+    /// live backpressure, congestion epochs, renegotiation and a
+    /// best-effort blast — asked for four shards runs the one-shard
+    /// loop, and lands on the golden's bytes.
     #[test]
-    fn backpressure_preset_shards_without_clamping() {
+    fn control_plane_preset_clamps_to_one_shard() {
         let spec = presets::by_name("sustained-3x").expect("preset");
-        let plan = ExecPlan::partition(&spec, 4);
-        assert_eq!(plan.shards, 4);
-        assert!(plan.clamp_reason.is_none(), "no feature clamp remains");
-        let base = run_sharded(&spec, 1);
         let four = run_sharded(&spec, 4);
-        assert_eq!(base.to_json_canonical(), four.to_json_canonical());
-        assert_eq!(four.shards.len(), 4);
-        let crossed: u64 = four.shards.iter().map(|s| s.credits_crossed).sum();
-        assert!(crossed > 0, "cut-crossing circuits sealed credit returns");
+        let [slice] = four.shards.as_slice() else {
+            panic!("a clamped run reports one slice, got {}", four.shards.len());
+        };
+        assert_eq!(slice.barrier_waits, 0);
+        assert_eq!(
+            four.to_json_canonical(),
+            include_str!("../tests/golden/sustained-3x.json")
+        );
     }
 
     /// One shard is the same loop with no peers: a marks-bearing
     /// preset (live congestion epochs) takes no barrier, seals
-    /// nothing and reports no lookahead, yet lands on the bytes the
-    /// four-shard run produces.
+    /// nothing and reports no lookahead.
     #[test]
     fn one_shard_is_the_loop_without_peers() {
         let spec = presets::by_name("sustained-3x").expect("preset");
@@ -502,10 +376,6 @@ mod tests {
         assert_eq!(slice.barrier_waits, 0);
         assert_eq!(slice.cells_exported, 0);
         assert_eq!(slice.lookahead_ns, 0);
-        assert_eq!(
-            one.to_json_canonical(),
-            run_sharded(&spec, 4).to_json_canonical()
-        );
     }
 
     /// `Scenario::run` only ever runs the engine forward, so a caller

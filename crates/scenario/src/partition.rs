@@ -3,7 +3,7 @@
 //! An [`ExecPlan`] splits the fabric switches of a [`ScenarioSpec`]
 //! into contiguous region shards at compile time. Each shard owns a
 //! range of fabric switches plus every endpoint attached to them; the
-//! only state shards exchange at runtime is sealed cells crossing *cut
+//! only thing shards exchange at runtime is sealed cells crossing *cut
 //! trunks* (inter-switch links whose two ends land in different
 //! shards), exchanged at conservative-lookahead epoch barriers by the
 //! executor (`crate::executor`).
@@ -14,21 +14,35 @@
 //! the per-trunk scheduling lanes assigned at wiring time
 //! (`pegasus_atm::network::TrunkDir`).
 //!
-//! The control plane shards too. Credit returns on cut-crossing
-//! circuits ride the same sealed mailboxes as data cells (their return
-//! delay is never below the trunk lookahead, so the conservative
-//! argument covers them); congestion epochs are sampled per shard into
-//! a mergeable `EpochSignal` and exchanged at the barrier; and switch
-//! death repair replays identically on every shard's full `Network`
-//! replica at the fault's mark. None of those features clamps the plan
-//! any more — the only remaining clamp is geometric: a plan can never
-//! have more shards than fabric switches.
+//! Only the data plane shards. A spec with a control plane — credit
+//! backpressure (credited circuits, congestion epochs, renegotiation),
+//! a `SwitchDeath` (signalling repair over the whole `Network`) or a
+//! `BestEffortBlast` (a credited circuit of its own) — runs on one
+//! shard (`control_plane` below): its state is one broker, one
+//! controller and a few dozen credit windows consulted once per epoch,
+//! and a transport that synchronises every cell time of lookahead cost
+//! those runs 8–40× their one-shard time (`docs/ARCHITECTURE.md`,
+//! "Only the data plane shards"). The other clamp is geometric: a plan
+//! can never have more shards than fabric switches.
 //!
 //! Clamping is *visible* (the plan records it, and the CLI prints the
 //! reason), never an error: a spec that cannot use every requested
 //! shard still runs on the clamped count.
 
-use crate::spec::ScenarioSpec;
+use crate::spec::{FaultSpec, ScenarioSpec};
+
+/// Why `spec` runs on one shard, if it has a control plane: exactly
+/// the specs with control marks or credited circuits.
+pub(crate) fn control_plane(spec: &ScenarioSpec) -> Option<&'static str> {
+    if spec.backpressure.enabled {
+        return Some("backpressure couples producers and consumers");
+    }
+    spec.faults.iter().find_map(|f| match f {
+        FaultSpec::SwitchDeath { .. } => Some("switch death repairs the whole network"),
+        FaultSpec::BestEffortBlast { .. } => Some("blast pump shares its sink's credit window"),
+        _ => None,
+    })
+}
 
 /// The partition of a scenario into region shards.
 #[derive(Debug, Clone)]
@@ -51,8 +65,14 @@ impl ExecPlan {
     pub fn partition(spec: &ScenarioSpec, requested: usize) -> ExecPlan {
         let n = spec.topology.switches.max(1);
         let requested = requested.max(1);
-        let shards = requested.min(n);
-        let clamp_reason = (shards < requested).then_some("more shards than fabric switches");
+        let control = control_plane(spec);
+        let shards = if control.is_some() {
+            1
+        } else {
+            requested.min(n)
+        };
+        let clamp_reason =
+            (shards < requested).then(|| control.unwrap_or("more shards than fabric switches"));
         // Contiguous balanced ranges: switch s goes to shard s·k/n.
         let owner = (0..n).map(|s| s * shards / n).collect();
         ExecPlan {
@@ -111,9 +131,7 @@ impl ShardPlan {
     }
 
     /// The shard owning fabric switch `s` (shard 0 under the trivial
-    /// plan). Credit records for a cut-crossing circuit are addressed
-    /// to the shard owning the *producer's* switch, which is where the
-    /// circuit's window lives.
+    /// plan).
     pub fn owner_of(&self, s: usize) -> usize {
         if self.shards == 1 {
             0
@@ -158,25 +176,35 @@ mod tests {
         assert_eq!(plan.owner, vec![0, 1, 2]);
     }
 
+    /// Four shards asked of a 16-switch mesh, one planned, and the plan
+    /// says why; asking for one shard is not a clamp.
+    fn assert_clamped(spec: &ScenarioSpec, reason: &str) {
+        let plan = ExecPlan::partition(spec, 4);
+        assert_eq!((plan.shards, plan.requested), (1, 4), "{reason}");
+        assert_eq!(plan.clamp_reason, Some(reason));
+        assert!(plan.owner.iter().all(|&o| o == 0));
+        assert!(ExecPlan::partition(spec, 1).clamp_reason.is_none());
+    }
+
     #[test]
-    fn backpressure_no_longer_clamps() {
-        let mut spec = mesh_spec(8);
+    fn backpressure_clamps_to_one_shard() {
+        let mut spec = mesh_spec(16);
         spec.backpressure = BackpressureSpec {
             enabled: true,
             ..spec.backpressure
         };
-        let plan = ExecPlan::partition(&spec, 4);
-        assert_eq!(plan.shards, 4, "cut-crossing credits shard");
-        assert!(plan.clamp_reason.is_none());
+        assert_clamped(&spec, "backpressure couples producers and consumers");
     }
 
     #[test]
-    fn switch_death_and_blasts_no_longer_clamp() {
-        let mut spec = mesh_spec(8);
+    fn switch_death_and_blast_each_clamp_to_one_shard() {
+        let mut spec = mesh_spec(16);
         spec.faults.push(FaultSpec::SwitchDeath {
             at: 10 * MS,
             switch: 2,
         });
+        assert_clamped(&spec, "switch death repairs the whole network");
+        let mut spec = mesh_spec(16);
         spec.faults.push(FaultSpec::BestEffortBlast {
             at: MS,
             until: 5 * MS,
@@ -185,8 +213,38 @@ mod tests {
             rate_bps: 100_000_000,
             window: 64,
         });
+        assert_clamped(&spec, "blast pump shares its sink's credit window");
+    }
+
+    #[test]
+    fn data_plane_faults_do_not_clamp() {
+        let mut spec = mesh_spec(16);
+        spec.faults = vec![
+            FaultSpec::LinkFlap {
+                at: MS,
+                until: 2 * MS,
+                switch: 3,
+            },
+            FaultSpec::SwitchDegrade {
+                at: MS,
+                switch: 5,
+                queue_capacity: 4,
+            },
+            FaultSpec::DiskFail {
+                at: MS,
+                server: 0,
+                disk: 1,
+                replace_at: 3 * MS,
+            },
+            FaultSpec::CpuLoadSpike {
+                at: MS,
+                until: 2 * MS,
+                demand: 1.0,
+                weight: 2.0,
+            },
+        ];
         let plan = ExecPlan::partition(&spec, 4);
-        assert_eq!(plan.shards, 4, "repair replicates, blasts export credits");
+        assert_eq!(plan.shards, 4);
         assert!(plan.clamp_reason.is_none());
     }
 

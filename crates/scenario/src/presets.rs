@@ -238,10 +238,8 @@ pub fn flash_crowd() -> ScenarioSpec {
 /// feel it as credit stalls, and the congestion controller renegotiates
 /// them down a rung until the blast ends, then restores them. Overload
 /// as explicit, bounded, reversible degradation — queues bounded by
-/// construction, zero overflow drops, zero deadline misses. Four
-/// switches so the heaviest backpressure preset shards for real:
-/// `--shards 4` runs it unclamped, credits crossing the cuts as sealed
-/// records.
+/// construction, zero overflow drops, zero deadline misses. A
+/// control-plane preset: it runs on one shard at any `--shards`.
 pub fn sustained_3x() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("sustained-3x");
     spec.topology = TopologySpec {

@@ -20,7 +20,7 @@ pub const SCHEMA_VERSION: u64 = 4;
 
 /// What one region shard did during a run, counted by its run loop.
 /// A one-shard run reports exactly one slice with every counter but
-/// `events` zero: it has no peer to wait for, seal to or replicate on.
+/// `events` zero: it has no peer to wait for or seal to.
 #[derive(Debug, Clone, Default)]
 pub struct ShardSlice {
     /// Shard index (0 = coordinator).
@@ -40,12 +40,10 @@ pub struct ShardSlice {
     pub lookahead_ns: u64,
     /// Outbound cut trunks this shard exported on.
     pub cut_trunks: u64,
-    /// Sealed credit-return records this shard published to peers.
+    /// Retired: always zero. Only cells cross a cut — a spec with
+    /// credited circuits runs on one shard. The field (and its key in
+    /// the `shards` block) goes at the next schema bump.
     pub credits_crossed: u64,
-    /// Circuits this shard's replica walked during replicated
-    /// switch-death repair (identical on every shard by construction;
-    /// zero with one shard, where no replica exists to replay on).
-    pub repairs_replicated: u64,
 }
 
 /// Latency/jitter distributions of one traffic class.
@@ -452,7 +450,9 @@ impl ScenarioReport {
                     w.u64("lookahead_ns", s.lookahead_ns);
                     w.u64("cut_trunks", s.cut_trunks);
                     w.u64("credits_crossed", s.credits_crossed);
-                    w.u64("repairs_replicated", s.repairs_replicated);
+                    // Retired with replicated repair; the key goes at
+                    // the next schema bump.
+                    w.u64("repairs_replicated", 0);
                 });
             }
         })
@@ -511,14 +511,13 @@ mod tests {
             lookahead_ns: 2120,
             cut_trunks: 1,
             credits_crossed: 5,
-            repairs_replicated: 2,
         });
         let full = r.to_json();
         let canonical = r.to_json_canonical();
         assert!(full.contains(
             "\"shards\":[{\"shard\":0,\"events\":100,\"barrier_waits\":4,\
              \"cells_exported\":7,\"cells_imported\":3,\"lookahead_ns\":2120,\
-             \"cut_trunks\":1,\"credits_crossed\":5,\"repairs_replicated\":2}]"
+             \"cut_trunks\":1,\"credits_crossed\":5,\"repairs_replicated\":0}]"
         ));
         assert!(!canonical.contains("\"shards\""));
         // Canonical is a strict prefix apart from the shards suffix.

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use pegasus_atm::network::TopologyShape;
 use pegasus_scenario::spec::{Arrival, FaultSpec, ScenarioSpec, SessionMix, TopologySpec};
-use pegasus_scenario::{run_sharded, ExecPlan};
+use pegasus_scenario::{run, run_sharded, ExecPlan};
 use pegasus_sim::time::MS;
 
 fn shape_for(tag: u8) -> TopologyShape {
@@ -71,11 +71,11 @@ proptest! {
         }
     }
 
-    /// The sharded *control plane*'s determinism claim: backpressure
-    /// (credit gates, congestion epochs, renegotiation, cross-shard
-    /// credit returns) and switch death (replicated signalling repair)
-    /// no longer clamp the plan, and the canonical report stays
-    /// byte-identical at any shard count with both in play.
+    /// The control plane's half of the claim: backpressure (credit
+    /// gates, congestion epochs, renegotiation) and switch death
+    /// (signalling repair) plan as one shard whatever is requested, so
+    /// `--shards 4` is the one-shard run and the canonical report
+    /// cannot depend on the request.
     #[test]
     fn control_plane_is_invariant_under_sharding(
         tag in 0u8..3,
@@ -107,19 +107,10 @@ proptest! {
         });
 
         let plan = ExecPlan::partition(&spec, 4);
-        prop_assert!(
-            plan.clamp_reason.is_none() || plan.shards == switches.min(4),
-            "only the geometric clamp may fire"
-        );
-        let base = run_sharded(&spec, 1).to_json_canonical();
-        for shards in [2usize, 4] {
-            let got = run_sharded(&spec, shards);
-            let canon = got.to_json_canonical();
-            prop_assert!(
-                canon == base,
-                "control plane diverged at {} shards:\n--- 1 shard ---\n{}\n--- {} shards ---\n{}",
-                shards, base, shards, canon
-            );
-        }
+        prop_assert_eq!(plan.shards, 1);
+        prop_assert!(plan.clamp_reason.is_some(), "the clamp is visible");
+        let got = run_sharded(&spec, 4);
+        prop_assert_eq!(got.shards.len(), 1, "one slice");
+        prop_assert_eq!(got.to_json_canonical(), run(&spec).to_json_canonical());
     }
 }

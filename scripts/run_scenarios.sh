@@ -15,10 +15,12 @@
 #                                      # down AND back up,
 #                                      # determinism checked byte-for-byte,
 #                                      # canonical reports byte-identical
-#                                      # at --shards 1/2/4 — including
-#                                      # the control-plane presets
-#                                      # (sustained-3x, storm-backpressure,
-#                                      # nemesis-storm)
+#                                      # at --shards 1/2/4 on the data
+#                                      # plane (smoke, metropolis-1k @5%),
+#                                      # and a control-plane preset
+#                                      # (sustained-3x) asked for four
+#                                      # shards must say it clamped to
+#                                      # one and report the same bytes
 #   scripts/run_scenarios.sh --full    # every preset at full scale
 #                                      # (fault presets may miss by design;
 #                                      # only completion is enforced)
@@ -178,11 +180,21 @@ if [ "$MODE" = "--smoke" ]; then
     require_renegotiation sustained-3x "$OUTDIR/sustained-3x.json"
     require_deterministic sustained-3x sustained-3x
 
-    # The sharded control plane's headline gate: the backpressure preset
-    # runs unclamped across region shards — cut-crossing credit returns,
-    # epoch-merged congestion signals and all — and the canonical report
-    # stays byte-identical to the single-shard run.
-    require_shard_invariance sustained-3x sustained-3x
+    # Only the data plane shards: a preset with a control plane asked
+    # for four shards says it clamped to one and reports the same bytes.
+    "$BIN" run sustained-3x --shards 1 --canonical --quiet \
+        --out "$OUTDIR/sustained-3x.shards1.json"
+    "$BIN" run sustained-3x --shards 4 --canonical --quiet \
+        --out "$OUTDIR/sustained-3x.shards4.json" 2>"$OUTDIR/sustained-3x.shards4.err"
+    if ! grep -q '^note: clamped to 1 shard(s) of 4 requested' "$OUTDIR/sustained-3x.shards4.err"; then
+        echo "run_scenarios.sh: sustained-3x at --shards 4 did not report its clamp" >&2
+        exit 1
+    fi
+    if ! cmp -s "$OUTDIR/sustained-3x.shards1.json" "$OUTDIR/sustained-3x.shards4.json"; then
+        echo "run_scenarios.sh: sustained-3x canonical report differs at --shards 4" >&2
+        exit 1
+    fi
+    echo "run_scenarios.sh: sustained-3x clamps --shards 4 to one shard, same bytes"
 
     # The VoD city with the tiered content cache: zero misses, a
     # byte-identical rerun, and the §5 cache claims measured, not
@@ -217,11 +229,6 @@ if [ "$MODE" = "--smoke" ]; then
     fi
     echo "run_scenarios.sh: storm-backpressure renegotiated $DOWN down under the storm"
     require_deterministic storm-backpressure storm-backpressure --scale 0.5
-
-    # Same cross-shard gate with faults in play: switch deaths repaired
-    # by every shard's replicated signalling at the same epoch boundary.
-    require_shard_invariance storm-backpressure storm-backpressure --scale 0.5
-    require_shard_invariance nemesis-storm nemesis-storm
 elif [ "$MODE" = "--full" ]; then
     for preset in smoke videophone-wall vod-rack tv-studio nemesis-storm \
                   metropolis-1k overload-2x flash-crowd sustained-3x \
