@@ -10,24 +10,27 @@
 //!
 //! Cells queued behind a busy line form a *train*: a contiguous run whose
 //! arrival times are fixed the moment each cell is accepted. The link
-//! exploits this to keep the event engine off the per-cell hot path:
+//! exploits this twice, and the two are different savings:
 //!
-//! * **Per-cell lane** (default): every cell still gets its own delivery
-//!   event — exact per-cell delivery clock for timing-sensitive sinks —
-//!   but the event is a [`SharedHandler`] created once per link, so
-//!   scheduling a cell allocates nothing.
-//! * **Batched lane**: sinks that declare [`CellSink::batch_capable`]
-//!   (capture probes, storage recorders) receive whole trains in a single
-//!   [`CellSink::deliver_batch`] call carrying explicit per-cell arrival
-//!   times. One event may deliver thousands of cells; the recorded
-//!   arrival times are bit-for-bit those of the per-cell lane.
+//! * **Residency — the per-cell lane** (default): every cell still gets
+//!   its own delivery event — exact per-cell delivery clock for
+//!   timing-sensitive sinks — under the key it reserved when the link
+//!   accepted it, but the cells wait in the link's own [`Train`] and
+//!   only the head is in the engine's heap. A thousand queued cells
+//!   cost the heap one entry, and nothing is allocated per cell.
+//! * **Batching — the batched lane**: sinks that declare
+//!   [`CellSink::batch_capable`] (capture probes, storage recorders)
+//!   receive whole trains in a single [`CellSink::deliver_batch`] call
+//!   carrying explicit per-cell arrival times. One *event* may deliver
+//!   thousands of cells; the recorded arrival times are bit-for-bit
+//!   those of the per-cell lane.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pegasus_sim::time::{tx_time, Ns};
-use pegasus_sim::{Lane, SharedHandler, Simulator};
+use pegasus_sim::{Lane, SharedHandler, Simulator, Train};
 
 use crate::cell::{Cell, Vci, CELL_SIZE};
 
@@ -74,18 +77,66 @@ pub trait CellSink {
 /// Shared handle to a [`CellSink`].
 pub type SinkRef = Rc<RefCell<dyn CellSink>>;
 
-/// The queue of accepted-but-undelivered cells on one link, shared
-/// between the link (producer) and its delivery handler (consumer).
-struct Train {
+/// The batched lane's accepted-but-undelivered cells, shared between
+/// the link (producer) and its delivery handler (consumer).
+#[derive(Default)]
+struct Batch {
     /// `(arrival time, cell)` in arrival order.
     cells: VecDeque<(Ns, Cell)>,
     /// Scratch buffer handed to [`CellSink::deliver_batch`]; reused so a
     /// steady-state batched link performs no per-train allocations.
     burst: Vec<(Ns, Cell)>,
-    /// Batched lane only: a delivery event is already scheduled.
+    /// A delivery event is already scheduled.
     scheduled: bool,
-    /// Lane chosen at train start (sink's `batch_capable` answer).
-    batch: bool,
+}
+
+/// The batched lane: its queue and the one handler that drains it.
+struct BatchedLane {
+    batch: Rc<RefCell<Batch>>,
+    handler: SharedHandler,
+}
+
+impl BatchedLane {
+    fn new(sink: SinkRef) -> Self {
+        let batch = Rc::new(RefCell::new(Batch::default()));
+        let handler: SharedHandler = {
+            let batch = batch.clone();
+            Rc::new(RefCell::new(move |sim: &mut Simulator| -> Option<Ns> {
+                let now = sim.now();
+                // Drain every cell that has arrived by now into the
+                // reusable burst buffer, release the borrow, then hand
+                // the whole train segment over in one call.
+                let mut burst = {
+                    let mut b = batch.borrow_mut();
+                    let mut burst = std::mem::take(&mut b.burst);
+                    while b.cells.front().is_some_and(|&(at, _)| at <= now) {
+                        burst.push(b.cells.pop_front().expect("front checked"));
+                    }
+                    burst
+                };
+                sink.borrow_mut().deliver_batch(sim, &mut burst);
+                burst.clear();
+                let mut b = batch.borrow_mut();
+                b.burst = burst;
+                // Cells accepted since this event was scheduled arrive
+                // later; chase them with one event at the train's tail.
+                match b.cells.back() {
+                    Some(&(tail, _)) => Some(tail),
+                    None => {
+                        b.scheduled = false;
+                        None
+                    }
+                }
+            }))
+        };
+        BatchedLane { batch, handler }
+    }
+
+    /// Nothing queued and no delivery event outstanding.
+    fn is_idle(&self) -> bool {
+        let b = self.batch.borrow();
+        b.cells.is_empty() && !b.scheduled
+    }
 }
 
 /// A unidirectional link with a line rate and propagation delay.
@@ -131,8 +182,13 @@ pub struct Link {
     /// would start before it are lost on the wire (a flapping link or a
     /// pulled line card). `0` means the link has never been down.
     outage_until: Ns,
-    train: Rc<RefCell<Train>>,
-    handler: SharedHandler,
+    /// Lane chosen at train start (sink's `batch_capable` answer).
+    batch: bool,
+    /// The per-cell lane: one delivery event per cell, head only armed.
+    /// Either lane is built when its first train starts, so a line that
+    /// never carried a cell owns no queue.
+    per_cell: Option<Train<Cell>>,
+    batched: Option<BatchedLane>,
     /// Scheduling lane for delivery events. Lane 0 (default) is the
     /// shared FIFO lane; the sharded executor gives every inter-switch
     /// trunk link a private lane so boundary-injected cells land in the
@@ -150,56 +206,6 @@ impl Link {
     /// propagation delay, feeding `sink`.
     pub fn new(rate_bps: u64, prop_delay: Ns, sink: SinkRef) -> Self {
         assert!(rate_bps > 0, "link rate must be positive");
-        let train = Rc::new(RefCell::new(Train {
-            cells: VecDeque::new(),
-            burst: Vec::new(),
-            scheduled: false,
-            batch: false,
-        }));
-        let handler: SharedHandler = {
-            let train = train.clone();
-            let sink = sink.clone();
-            Rc::new(RefCell::new(move |sim: &mut Simulator| -> Option<Ns> {
-                let now = sim.now();
-                let batch = train.borrow().batch;
-                if batch {
-                    // Drain every cell that has arrived by now into the
-                    // reusable burst buffer, release the borrow, then hand
-                    // the whole train segment over in one call.
-                    let mut burst = {
-                        let mut t = train.borrow_mut();
-                        let mut burst = std::mem::take(&mut t.burst);
-                        while t.cells.front().is_some_and(|&(at, _)| at <= now) {
-                            burst.push(t.cells.pop_front().expect("front checked"));
-                        }
-                        burst
-                    };
-                    sink.borrow_mut().deliver_batch(sim, &mut burst);
-                    burst.clear();
-                    let mut t = train.borrow_mut();
-                    t.burst = burst;
-                    // Cells accepted since this event was scheduled arrive
-                    // later; chase them with one event at the train's tail.
-                    match t.cells.back() {
-                        Some(&(tail, _)) => Some(tail),
-                        None => {
-                            t.scheduled = false;
-                            None
-                        }
-                    }
-                } else {
-                    // Per-cell lane: this event is exactly one cell.
-                    let (at, cell) = train
-                        .borrow_mut()
-                        .cells
-                        .pop_front()
-                        .expect("one queued cell per delivery event");
-                    debug_assert_eq!(at, now, "per-cell delivery fires at its arrival time");
-                    sink.borrow_mut().deliver(sim, cell);
-                    None
-                }
-            }))
-        };
         Link {
             rate_bps,
             cell_time: tx_time(CELL_SIZE, rate_bps),
@@ -210,8 +216,9 @@ impl Link {
             cells_dropped: 0,
             dropped_by_vci: Vec::new(),
             outage_until: 0,
-            train,
-            handler,
+            batch: false,
+            per_cell: None,
+            batched: None,
             lane: 0,
             export: None,
         }
@@ -221,6 +228,9 @@ impl Link {
     /// at wiring time (before any traffic); lane 0 is the default.
     pub fn set_lane(&mut self, lane: Lane) {
         self.lane = lane;
+        if let Some(train) = &mut self.per_cell {
+            train.set_lane(lane);
+        }
     }
 
     /// The delivery-event scheduling lane.
@@ -321,24 +331,37 @@ impl Link {
         arrival
     }
 
-    /// Queues an accepted cell on the delivery train and schedules its
-    /// delivery event — the half of [`Link::send`] downstream of the
-    /// wire, shared by the local path and boundary injection.
+    /// Queues an accepted cell for delivery on the lane its train
+    /// started on — the half of [`Link::send`] downstream of the wire,
+    /// shared by the local path and boundary injection.
     fn enqueue_delivery(&mut self, sim: &mut Simulator, arrival: Ns, cell: Cell) {
-        let mut t = self.train.borrow_mut();
-        if t.cells.is_empty() && !t.scheduled {
+        let idle = self.per_cell.as_ref().is_none_or(Train::is_empty)
+            && self.batched.as_ref().is_none_or(BatchedLane::is_idle);
+        if idle {
             // A new train starts: sample the sink's lane preference.
-            t.batch = self.sink.borrow().batch_capable();
+            self.batch = self.sink.borrow().batch_capable();
         }
-        t.cells.push_back((arrival, cell));
-        let need_event = if t.batch {
-            !std::mem::replace(&mut t.scheduled, true)
-        } else {
-            true
-        };
-        drop(t);
+        if !self.batch {
+            let (lane, sink) = (self.lane, &self.sink);
+            let train = self.per_cell.get_or_insert_with(|| {
+                let sink = sink.clone();
+                Train::new(lane, move |sim: &mut Simulator, cell| {
+                    sink.borrow_mut().deliver(sim, cell)
+                })
+            });
+            train.push(sim, arrival, cell);
+            return;
+        }
+        let sink = &self.sink;
+        let lane = self
+            .batched
+            .get_or_insert_with(|| BatchedLane::new(sink.clone()));
+        let mut b = lane.batch.borrow_mut();
+        b.cells.push_back((arrival, cell));
+        let need_event = !std::mem::replace(&mut b.scheduled, true);
+        drop(b);
         if need_event {
-            sim.schedule_shared_at_on(self.lane, arrival, self.handler.clone());
+            sim.schedule_shared_at_on(self.lane, arrival, lane.handler.clone());
         }
     }
 
@@ -438,6 +461,21 @@ mod tests {
         sim.run();
         let times: Vec<Ns> = sink.borrow().arrivals.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![4_240, 8_480, 12_720]);
+    }
+
+    #[test]
+    fn a_thousand_queued_cells_hold_one_heap_entry() {
+        let probe = Rc::new(RefCell::new(ClockProbe::default()));
+        let mut link = Link::new(MBPS_100, 0, probe.clone());
+        let mut sim = Simulator::new();
+        for vci in 0..1_000u16 {
+            link.send(&mut sim, Cell::new(vci));
+        }
+        assert_eq!(sim.pending(), 1, "the train's head stands for the queue");
+        sim.run();
+        assert_eq!(sim.events_executed(), 1_000, "still one event per cell");
+        let expect: Vec<(Ns, u16)> = (0..1_000u16).map(|i| ((i as Ns + 1) * 4_240, i)).collect();
+        assert_eq!(probe.borrow().0, expect);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! threshold.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use pegasus_sim::time::Ns;
-use pegasus_sim::{SharedHandler, Simulator};
+use pegasus_sim::{Simulator, Train};
 
 use crate::cell::{Cell, Vci};
 use crate::link::{CellSink, Link, SinkRef};
@@ -215,14 +215,15 @@ impl Switch {
 
 /// An input-port adapter: the [`CellSink`] a neighbour's link feeds.
 ///
-/// Cells crossing the fabric wait in a FIFO shared with a single
-/// [`SharedHandler`], so the per-cell fabric hop costs one small heap
-/// entry and no allocations.
+/// Cells crossing the fabric wait in the port's own [`Train`] — they
+/// leave in the order they entered — so the fabric hop costs the engine
+/// one heap entry per port, not per cell, and no allocations. The train
+/// is built by the first cell to cross: most ports of a city never see
+/// one.
 struct InPort {
     switch: Rc<RefCell<Switch>>,
     port: usize,
-    crossing: Rc<RefCell<VecDeque<Cell>>>,
-    handler: SharedHandler,
+    crossing: Option<Train<Cell>>,
 }
 
 impl CellSink for InPort {
@@ -230,10 +231,16 @@ impl CellSink for InPort {
         let latency = self.switch.borrow().fabric_latency;
         if latency == 0 {
             self.switch.borrow_mut().forward(sim, self.port, cell);
-        } else {
-            self.crossing.borrow_mut().push_back(cell);
-            sim.schedule_shared_in(latency, self.handler.clone());
+            return;
         }
+        let (switch, port) = (&self.switch, self.port);
+        let crossing = self.crossing.get_or_insert_with(|| {
+            let switch = switch.clone();
+            Train::new(0, move |sim: &mut Simulator, cell| {
+                switch.borrow_mut().forward(sim, port, cell)
+            })
+        });
+        crossing.push(sim, sim.now().saturating_add(latency), cell);
     }
 }
 
@@ -241,24 +248,10 @@ impl CellSink for InPort {
 /// sink of whatever link feeds that port.
 pub fn input_port(switch: &Rc<RefCell<Switch>>, port: usize) -> SinkRef {
     assert!(port < switch.borrow().ports(), "input port out of range");
-    let crossing: Rc<RefCell<VecDeque<Cell>>> = Rc::new(RefCell::new(VecDeque::new()));
-    let handler: SharedHandler = {
-        let switch = switch.clone();
-        let crossing = crossing.clone();
-        Rc::new(RefCell::new(move |sim: &mut Simulator| -> Option<Ns> {
-            let cell = crossing
-                .borrow_mut()
-                .pop_front()
-                .expect("one crossing cell per fabric event");
-            switch.borrow_mut().forward(sim, port, cell);
-            None
-        }))
-    };
     Rc::new(RefCell::new(InPort {
         switch: switch.clone(),
         port,
-        crossing,
-        handler,
+        crossing: None,
     }))
 }
 
@@ -361,6 +354,26 @@ mod tests {
         for i in 0..6u16 {
             input.borrow_mut().deliver(&mut sim, Cell::new(1 + (i % 2)));
         }
+        sim.run();
+        let vcis: Vec<Vci> = out.borrow().arrivals.iter().map(|(_, c)| c.vci()).collect();
+        assert_eq!(vcis, vec![101, 102, 101, 102, 101, 102]);
+    }
+
+    #[test]
+    fn two_in_ports_with_equal_exit_times_interleave_in_arrival_order() {
+        // Cells alternate between two input ports at one instant, so
+        // every fabric exit falls on the same tick: the output must see
+        // them in arrival order, not one port's backlog then the other's.
+        let (sw, port0, out) = one_switch_setup(1_000);
+        let port2 = input_port(&sw, 2);
+        sw.borrow_mut().add_route(0, 1, 1, 101);
+        sw.borrow_mut().add_route(2, 2, 1, 102);
+        let mut sim = Simulator::new();
+        for _ in 0..3 {
+            port0.borrow_mut().deliver(&mut sim, Cell::new(1));
+            port2.borrow_mut().deliver(&mut sim, Cell::new(2));
+        }
+        assert_eq!(sim.pending(), 2, "one heap entry per busy port");
         sim.run();
         let vcis: Vec<Vci> = out.borrow().arrivals.iter().map(|(_, c)| c.vci()).collect();
         assert_eq!(vcis, vec![101, 102, 101, 102, 101, 102]);

@@ -25,7 +25,7 @@ use pegasus_atm::credit::CreditRef;
 use pegasus_atm::link::Link;
 use pegasus_sim::arena::{Arena, FrameBuf, FrameBufMut};
 use pegasus_sim::time::{Ns, SEC};
-use pegasus_sim::Simulator;
+use pegasus_sim::{Simulator, Train};
 
 use crate::codec;
 use crate::tile::{Tile, TileCoding, TileFrameWriter};
@@ -104,6 +104,16 @@ impl CameraStats {
             self.raw_bytes as f64 / self.payload_bytes as f64
         }
     }
+}
+
+/// One tile row between scan and emission.
+struct Row {
+    /// The frame the row belongs to; rows share it by refcount.
+    image: FrameBuf,
+    row: usize,
+    frame_seq: u32,
+    /// The timestamp carried in the tile-frame trailer.
+    scanned_at: Ns,
 }
 
 /// The ATM camera device.
@@ -203,8 +213,11 @@ impl Camera {
     /// [`Camera::stop`] is called.
     ///
     /// The frame loop is one chained handler rescheduled by the engine
-    /// every frame period — no allocations per frame for the loop itself
-    /// (row emissions still carry their own captures).
+    /// every frame period, and a frame's rows queue on one train — no
+    /// allocations per frame or per row. Loop and train belong to the
+    /// simulator, not the camera: rows already scanned keep the camera
+    /// alive until they have left it, and dropping the simulator frees
+    /// everything.
     pub fn start(cam: &Rc<RefCell<Camera>>, sim: &mut Simulator) {
         {
             let mut c = cam.borrow_mut();
@@ -213,8 +226,12 @@ impl Camera {
             }
             c.running = true;
         }
-        let cam2 = cam.clone();
-        sim.schedule_chain(move |sim| Self::frame_tick(&cam2, sim));
+        let emitter = cam.clone();
+        let rows = Train::new(0, move |sim: &mut Simulator, row: Row| {
+            emitter.borrow_mut().emit_row(sim, row)
+        });
+        let cam = cam.clone();
+        sim.schedule_chain(move |sim| Self::frame_tick(&cam, &rows, sim));
     }
 
     /// Stops capture after the current frame.
@@ -222,31 +239,20 @@ impl Camera {
         self.running = false;
     }
 
-    /// Scans one frame and schedules its row emissions; returns the next
+    /// Scans one frame and queues its row emissions; returns the next
     /// frame's start time while running.
-    fn frame_tick(cam: &Rc<RefCell<Camera>>, sim: &mut Simulator) -> Option<Ns> {
-        // One look at the camera per frame: the loop below schedules a
-        // row per eight scan lines and none of them needs it again.
-        let (image, frame_seq, height, line_period, frame_period, cfg) = {
-            let mut c = cam.borrow_mut();
-            if !c.running {
-                return None;
-            }
-            let frame_seq = c.frame_no;
-            c.frame_no += 1;
-            c.stats.frames_captured += 1;
-            // Render the frame the CCD will scan, into recycled arena
-            // storage; row emissions share it by refcount.
-            let image = c.video.frame_leased(frame_seq, &c.arena);
-            (
-                image,
-                frame_seq,
-                c.video.height,
-                c.line_period(),
-                c.frame_period(),
-                c.cfg,
-            )
-        };
+    fn frame_tick(cam: &Rc<RefCell<Camera>>, rows: &Train<Row>, sim: &mut Simulator) -> Option<Ns> {
+        let mut c = cam.borrow_mut();
+        if !c.running {
+            return None;
+        }
+        let frame_seq = c.frame_no;
+        c.frame_no += 1;
+        c.stats.frames_captured += 1;
+        // Render the frame the CCD will scan, into recycled arena
+        // storage; row emissions share it by refcount.
+        let image = c.video.frame_leased(frame_seq, &c.arena);
+        let (height, line_period, cfg) = (c.video.height, c.line_period(), c.cfg);
         let frame_start = sim.now();
         let frame_scan_done = frame_start + height as u64 * line_period;
         for row in 0..height / 8 {
@@ -257,29 +263,31 @@ impl Camera {
                 Granularity::TileRow => scanned_at,
                 Granularity::Frame => frame_scan_done,
             } + cfg.pipeline_latency;
-            let cam2 = cam.clone();
-            let image2 = image.clone();
-            sim.schedule_at(emit_at, move |sim| {
-                cam2.borrow_mut()
-                    .emit_row(sim, &image2, row, frame_seq, scanned_at);
-            });
+            rows.push(
+                sim,
+                emit_at,
+                Row {
+                    image: image.clone(),
+                    row,
+                    frame_seq,
+                    scanned_at,
+                },
+            );
         }
         // Next frame.
-        Some(frame_start + frame_period)
+        Some(frame_start + c.frame_period())
     }
 
-    /// Encodes and transmits one row of tiles; `scanned_at` is the
-    /// timestamp carried in the tile-frame trailer. Tile payloads are
+    /// Encodes and transmits one row of tiles. Tile payloads are
     /// encoded straight into a leased buffer, which AAL5 then segments
     /// by reference — no copy from encoder to wire.
-    fn emit_row(
-        &mut self,
-        sim: &mut Simulator,
-        image: &FrameBuf,
-        row: usize,
-        frame_seq: u32,
-        scanned_at: Ns,
-    ) {
+    fn emit_row(&mut self, sim: &mut Simulator, row: Row) {
+        let Row {
+            image,
+            row,
+            frame_seq,
+            scanned_at,
+        } = row;
         let tiles_x = self.video.tiles_x();
         let (coding, quality) = match self.cfg.mode {
             VideoMode::Raw => (TileCoding::Raw, 0),
@@ -287,7 +295,7 @@ impl Camera {
         };
         let mut writer: Option<TileFrameWriter<FrameBufMut>> = None;
         for tx_idx in 0..tiles_x {
-            let tile = Tile::from_image(image, self.video.width, tx_idx, row);
+            let tile = Tile::from_image(&image, self.video.width, tx_idx, row);
             let w = writer.get_or_insert_with(|| {
                 TileFrameWriter::begin(self.arena.lease(), coding, quality, frame_seq, scanned_at)
             });
@@ -384,6 +392,31 @@ mod tests {
                 assert_eq!(d.len(), 64);
             }
         }
+    }
+
+    #[test]
+    fn rows_already_scanned_outlive_the_callers_handle() {
+        // The caller drops its handle once the call is set up (as the
+        // video phone does) and the camera is stopped from an event.
+        // The last rows leave after the frame loop has ended: they must
+        // keep the camera alive, not vanish with it.
+        let (cam, sink) = capture_setup(CameraConfig {
+            mode: VideoMode::Raw,
+            ..CameraConfig::default()
+        });
+        let mut sim = Simulator::new();
+        Camera::start(&cam, &mut sim);
+        let stopper = cam.clone();
+        sim.schedule_at(39 * MS, move |_| stopper.borrow_mut().stop());
+        let watch = Rc::downgrade(&cam);
+        drop(cam);
+        sim.run();
+        let tiles: usize = reassemble_frames(&sink)
+            .iter()
+            .map(|(_, f)| f.tiles.len())
+            .sum();
+        assert_eq!(tiles, 48, "every row of the one scanned frame");
+        assert!(watch.upgrade().is_none(), "and then the camera is freed");
     }
 
     #[test]

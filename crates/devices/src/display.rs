@@ -120,7 +120,9 @@ pub struct Display {
     /// byte-identical to a framebuffer run.
     headless: bool,
     windows: HashMap<Vci, WindowDescriptor>,
-    reasm: HashMap<Vci, Reassembler>,
+    /// One reassembler per circuit seen (a display has a handful of
+    /// windows; linear scan, no hashing on the per-cell path).
+    reasm: Vec<(Vci, Reassembler)>,
     /// Scratch for [`Display::blit_frame`]: the clip rectangles that can
     /// hide the frame being blitted. Empty between frames; kept for its
     /// capacity.
@@ -139,7 +141,7 @@ impl Display {
             framebuffer: vec![0; (width * height) as usize],
             headless: false,
             windows: HashMap::new(),
-            reasm: HashMap::new(),
+            reasm: Vec::new(),
             occluders: Vec::new(),
             stats: DisplayStats::default(),
         }))
@@ -155,7 +157,7 @@ impl Display {
             framebuffer: Vec::new(),
             headless: true,
             windows: HashMap::new(),
-            reasm: HashMap::new(),
+            reasm: Vec::new(),
             occluders: Vec::new(),
             stats: DisplayStats::default(),
         }))
@@ -307,7 +309,14 @@ impl CellSink for Display {
         // Zero-copy receive: an uncorrupted frame arrives as a view of
         // the camera's own arena buffer and is parsed and blitted in
         // place — nothing is allocated per frame or per tile.
-        let result = self.reasm.entry(vci).or_default().push_frame(&cell);
+        let at = match self.reasm.iter().position(|(v, _)| *v == vci) {
+            Some(at) => at,
+            None => {
+                self.reasm.push((vci, Reassembler::default()));
+                self.reasm.len() - 1
+            }
+        };
+        let result = self.reasm[at].1.push_frame(&cell);
         match result {
             None => {}
             Some(Ok(lease)) => match TileFrameView::parse(&lease) {

@@ -230,11 +230,17 @@ impl SimDisk {
         self.check(sector, sectors)?;
         let pos = self.position(sector);
         let base = out.len();
-        out.reserve(sectors as usize * SECTOR);
-        for s in sector..sector + sectors {
-            match self.data.get(&s) {
-                Some(b) => out.extend_from_slice(&b[..]),
-                None => out.extend_from_slice(&[0u8; SECTOR]),
+        if self.data.is_empty() {
+            // Nothing retained (a timing-only disk, or one never
+            // written): every sector reads as zeros.
+            out.resize(base + sectors as usize * SECTOR, 0);
+        } else {
+            out.reserve(sectors as usize * SECTOR);
+            for s in sector..sector + sectors {
+                match self.data.get(&s) {
+                    Some(b) => out.extend_from_slice(&b[..]),
+                    None => out.extend_from_slice(&[0u8; SECTOR]),
+                }
             }
         }
         let n = out.len() - base;
@@ -278,6 +284,36 @@ mod tests {
         let mut d = SimDisk::new(DiskConfig::hp_1994());
         let (data, _) = d.read(5, 1).unwrap();
         assert!(data.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn timing_only_disk_reads_what_a_never_written_store_disk_reads() {
+        // The same calls on each disk; what a caller can observe of them.
+        fn drive(d: &mut SimDisk, write_first: bool) -> (Vec<u8>, Vec<Ns>, String) {
+            let mut out = vec![0xEE; 3]; // reads append after a prefix
+            let mut times = Vec::new();
+            if write_first {
+                times.push(d.write(900_000, &[7u8; SECTOR]).unwrap());
+            }
+            for (sector, n) in [(10, 4), (14, 1), (500_000, 64), (3, 0)] {
+                times.push(d.read_into(sector, n, &mut out).unwrap());
+            }
+            let (owned, t) = d.read(77, 2).unwrap();
+            out.extend_from_slice(&owned);
+            times.push(t);
+            (out, times, format!("{:?}", d.stats))
+        }
+        let timing_only = || {
+            let mut d = SimDisk::new(DiskConfig::hp_1994());
+            d.set_store(false);
+            d
+        };
+        let mut fresh = SimDisk::new(DiskConfig::hp_1994());
+        assert_eq!(drive(&mut timing_only(), false), drive(&mut fresh, false));
+        // A disk holding a sector elsewhere walks sector by sector where
+        // the one that discarded the same write fills in one go.
+        let mut elsewhere = SimDisk::new(DiskConfig::hp_1994());
+        assert_eq!(drive(&mut timing_only(), true), drive(&mut elsewhere, true));
     }
 
     #[test]

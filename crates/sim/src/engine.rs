@@ -14,14 +14,28 @@
 //!
 //! The queue is split into two structures tuned for the hot path:
 //!
-//! * a [`BinaryHeap`] of small `(time, key, slot)` entries — 24 bytes
-//!   each, so sift operations move triples, not boxed closures. The
-//!   `key` packs `(lane << 40) | lane_seq`, so comparing keys compares
+//! * a binary min-heap (`Queue`, private to this file) of small
+//!   `(time, key, slot)` entries — 24 bytes each, so sift operations
+//!   move triples, not boxed closures. The `key` packs
+//!   `(lane << 40) | lane_seq`, so comparing keys compares
 //!   `(lane, lane_seq)` lexicographically and equal-time ties break by
-//!   lane id, then by within-lane scheduling order;
+//!   lane id, then by within-lane scheduling order. A pop takes the
+//!   root and leaves a *hole* there: the next arm — nearly always the
+//!   re-arm of the source that just fired — drops into the hole and
+//!   sinks, one walk down the heap where pop-then-push makes a full
+//!   descent for the displaced last leaf and a climb for the newcomer.
+//!   A hole nobody fills is closed with the last leaf when the engine
+//!   next looks at the root;
 //! * a *slab* of event slots holding the actions. Freed slots go on a
 //!   free list and are recycled, so a steady-state simulation stops
 //!   allocating slab storage entirely.
+//!
+//! The heap holds one entry per event *source*, not per event, for the
+//! sources that hand their events over in time order: a
+//! [`Train`](crate::train::Train) takes each item's key at push time
+//! (`Simulator::reserve`) but arms only its head (`arm_reserved`), so a
+//! link's queued cells or a play-out buffer's holds sit in the source's
+//! own FIFO and the heap stays small.
 //!
 //! Cancellation is by *key generation*: an [`EventId`] is the
 //! `(key, slot)` pair assigned at schedule time. [`Simulator::cancel`]
@@ -56,12 +70,14 @@
 //!   once and scheduled any number of times. Returning `Some(t)` from
 //!   the handler reschedules the same handler at `t` *on the lane it
 //!   just fired on* without touching the allocator, which is how device
-//!   models (audio ticks, camera frame loops) and link cell-trains run
-//!   millions of events with zero per-event allocations.
+//!   clocks (audio ticks, camera frame loops) run millions of events
+//!   with zero per-event allocations.
+//!
+//! A [`Train`](crate::train::Train) pushes on the lane it was given;
+//! every push consumes that lane's next sequence number exactly as a
+//! `schedule_*` call at the same program point would.
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use crate::time::Ns;
@@ -121,23 +137,110 @@ struct Entry {
     slot: u32,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key
+impl Entry {
+    /// Whether `self` fires before `other`: `(time, lane, lane_seq)`
+    /// order — the key's high bits are the lane, so the `u64` compare is
+    /// the lexicographic compare.
+    fn before(&self, other: &Entry) -> bool {
+        let rank = |e: &Entry| (u128::from(e.time) << 64) | u128::from(e.key);
+        rank(self) < rank(other)
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// The event queue: a binary min-heap whose pop leaves the root vacant.
+///
+/// While `hole` is set `heap[0]` is the entry the last [`Queue::pop`]
+/// returned — logically gone, physically waiting to be overwritten.
+#[derive(Default)]
+struct Queue {
+    heap: Vec<Entry>,
+    hole: bool,
+}
+
+impl Queue {
+    fn len(&self) -> usize {
+        self.heap.len() - usize::from(self.hole)
+    }
+
+    fn push(&mut self, entry: Entry) {
+        if std::mem::take(&mut self.hole) {
+            self.sink_from_root(entry);
+        } else {
+            self.heap.push(entry);
+            self.rise(self.heap.len() - 1);
+        }
+    }
+
+    /// Closes a hole nobody filled with the last leaf.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.hole) {
+            let last = self.heap.pop().expect("a hole is an entry");
+            if !self.heap.is_empty() {
+                self.sink_from_root(last);
+            }
+        }
+    }
+
+    fn peek(&mut self) -> Option<Entry> {
+        self.settle();
+        self.heap.first().copied()
+    }
+
+    /// Takes the root [`Queue::peek`] just returned.
+    fn pop_peeked(&mut self) {
+        debug_assert!(!self.hole && !self.heap.is_empty(), "peek comes first");
+        self.hole = true;
+    }
+
+    /// Places `entry` in the vacant root and restores heap order.
+    fn sink_from_root(&mut self, entry: Entry) {
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        let mut pos = 0;
+        let mut child = 1;
+        while child + 1 < n {
+            // Which child is smaller is a coin toss: add the flag, don't
+            // branch on it (as a branch it costs the 64-chain probe 40 %).
+            child += usize::from(heap[child + 1].before(&heap[child]));
+            if !heap[child].before(&entry) {
+                heap[pos] = entry;
+                return;
+            }
+            heap[pos] = heap[child];
+            pos = child;
+            child = 2 * pos + 1;
+        }
+        if child < n && heap[child].before(&entry) {
+            heap[pos] = heap[child];
+            pos = child;
+        }
+        heap[pos] = entry;
+    }
+
+    /// Moves the entry at `pos` up to its place.
+    fn rise(&mut self, mut pos: usize) {
+        let heap = &mut self.heap[..];
+        let entry = heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !entry.before(&heap[parent]) {
+                break;
+            }
+            heap[pos] = heap[parent];
+            pos = parent;
+        }
+        heap[pos] = entry;
     }
 }
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, lane, lane_seq) pops first — the key's high bits are
-        // the lane, so the u64 compare is the lexicographic compare.
-        (other.time, other.key).cmp(&(self.time, self.key))
+
+/// A `(lane, lane_seq)` key taken from its lane's sequence and not yet
+/// armed. Move-only: a key names at most one event.
+pub(crate) struct Reserved(u64);
+
+impl Reserved {
+    /// The packed key; orders events of one instant.
+    pub(crate) fn key(&self) -> u64 {
+        self.0
     }
 }
 
@@ -163,7 +266,7 @@ pub struct Simulator {
     /// Next sequence number of each lane, indexed by lane id (grown on
     /// first use; lane 0 always exists).
     lane_seqs: Vec<u64>,
-    queue: BinaryHeap<Entry>,
+    queue: Queue,
     slots: Vec<Slot>,
     free: Vec<u32>,
     executed: u64,
@@ -181,7 +284,7 @@ impl Simulator {
         Simulator {
             now: 0,
             lane_seqs: vec![0],
-            queue: BinaryHeap::new(),
+            queue: Queue::default(),
             slots: Vec::new(),
             free: Vec::new(),
             executed: 0,
@@ -198,18 +301,25 @@ impl Simulator {
         self.executed
     }
 
-    /// Number of events still pending (including cancelled husks).
+    /// Number of queue entries still pending: one per armed event
+    /// (including cancelled husks), and one per non-empty
+    /// [`Train`](crate::train::Train) however many items it holds.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    fn arm(&mut self, time: Ns, lane: Lane, action: Action) -> EventId {
+    fn assert_not_past(&self, time: Ns) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: now={} target={}",
             self.now,
             time
         );
+    }
+
+    /// Takes `lane`'s next sequence number — the program point that
+    /// fixes an event's place among its instant-mates.
+    pub(crate) fn reserve(&mut self, lane: Lane) -> Reserved {
         assert!(lane <= MAX_LANE, "lane {lane} out of range");
         if self.lane_seqs.len() <= lane as usize {
             self.lane_seqs.resize(lane as usize + 1, 0);
@@ -217,7 +327,30 @@ impl Simulator {
         let seq = self.lane_seqs[lane as usize];
         self.lane_seqs[lane as usize] = seq + 1;
         assert!(seq < 1u64 << SEQ_BITS, "lane {lane} sequence exhausted");
-        let key = ((lane as u64) << SEQ_BITS) | seq;
+        Reserved(((lane as u64) << SEQ_BITS) | seq)
+    }
+
+    fn arm(&mut self, time: Ns, lane: Lane, action: Action) -> EventId {
+        self.assert_not_past(time);
+        let key = self.reserve(lane).0;
+        self.arm_key(time, key, action)
+    }
+
+    /// Arms `handler` at `time` under a key reserved earlier: the event
+    /// fires where a `schedule_*` call made at the reservation would
+    /// have put it. The key stays with the caller, who may cancel the
+    /// event and arm it again.
+    pub(crate) fn arm_reserved(
+        &mut self,
+        time: Ns,
+        key: &Reserved,
+        handler: SharedHandler,
+    ) -> EventId {
+        self.assert_not_past(time);
+        self.arm_key(time, key.0, Action::Shared(handler))
+    }
+
+    fn arm_key(&mut self, time: Ns, key: u64, action: Action) -> EventId {
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -347,11 +480,22 @@ impl Simulator {
 
     /// Runs a single event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(entry) = self.queue.pop() {
+        self.step_within(Ns::MAX)
+    }
+
+    /// Runs the next live event if it fires at or before `limit`;
+    /// cancelled husks above it are discarded either way.
+    fn step_within(&mut self, limit: Ns) -> bool {
+        while let Some(entry) = self.queue.peek() {
             let slot = &mut self.slots[entry.slot as usize];
             if slot.key != entry.key || slot.action.is_none() {
-                continue; // cancelled husk, or the slot moved on
+                self.queue.pop_peeked(); // cancelled husk, or the slot moved on
+                continue;
             }
+            if entry.time > limit {
+                return false;
+            }
+            self.queue.pop_peeked();
             let action = slot.action.take().expect("checked above");
             self.free.push(entry.slot);
             debug_assert!(entry.time >= self.now);
@@ -379,19 +523,6 @@ impl Simulator {
         while self.step() {}
     }
 
-    /// Discards cancelled husks off the top of the heap; returns the fire
-    /// time of the next live event.
-    fn next_live_time(&mut self) -> Option<Ns> {
-        while let Some(entry) = self.queue.peek() {
-            let slot = &self.slots[entry.slot as usize];
-            if slot.key == entry.key && slot.action.is_some() {
-                return Some(entry.time);
-            }
-            self.queue.pop();
-        }
-        None
-    }
-
     /// Runs events with timestamps `<= deadline`, then sets the clock to
     /// `deadline` (if it is later than the last event).
     ///
@@ -399,9 +530,7 @@ impl Simulator {
     /// top was a cancelled husk timed within it; husks are now discarded
     /// before the deadline check.)
     pub fn run_until(&mut self, deadline: Ns) {
-        while self.next_live_time().is_some_and(|t| t <= deadline) {
-            self.step();
-        }
+        while self.step_within(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -416,8 +545,10 @@ impl Simulator {
     /// timestamped at or after the barrier — conservative lookahead
     /// guarantees it), and continues.
     pub fn run_before(&mut self, deadline: Ns) {
-        while self.next_live_time().is_some_and(|t| t < deadline) {
-            self.step();
+        // Times are whole nanoseconds: before `deadline` is at or
+        // before the tick preceding it, and nothing is before time 0.
+        if let Some(last) = deadline.checked_sub(1) {
+            while self.step_within(last) {}
         }
         if self.now < deadline {
             self.now = deadline;
@@ -693,6 +824,31 @@ mod tests {
         sim.run();
         assert!(fired.get());
         assert_eq!(sim.now(), 1_000);
+    }
+
+    #[test]
+    fn a_popped_root_is_not_pending_and_the_next_arm_takes_its_place() {
+        let mut sim = Simulator::new();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let log = |tag: u32| {
+            let order = order.clone();
+            move |_: &mut Simulator| order.borrow_mut().push(tag)
+        };
+        for t in [10u64, 20, 30, 40] {
+            sim.schedule_at(t, log(t as u32));
+        }
+        assert!(sim.step());
+        assert_eq!(sim.pending(), 3, "the hole at the root is not an entry");
+        sim.schedule_at(35, log(35)); // drops into the hole, sinks
+        assert_eq!(sim.pending(), 4);
+        assert!(sim.step());
+        assert_eq!(sim.pending(), 3);
+        sim.run_until(20); // a peek closes the hole with the last leaf
+        assert_eq!(sim.pending(), 3);
+        sim.schedule_at(25, log(25)); // no hole: appended, rises
+        sim.run();
+        assert_eq!(*order.borrow(), vec![10, 20, 25, 30, 35, 40]);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

@@ -26,8 +26,10 @@ pub mod engine;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod train;
 
 pub use arena::{Arena, ArenaStats, FrameBuf, FrameBufMut, FrameView};
 pub use engine::{EventId, Lane, SharedHandler, Simulator, MAX_LANE};
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use time::Ns;
+pub use train::Train;

@@ -6,13 +6,19 @@
 //! obviously-correct O(n²) semantics the slab queue, seq-generation
 //! cancellation and lazy heap deletion must reproduce exactly: same fire
 //! order, same cancel return values, same executed count, same clock.
+//!
+//! A second model adds lanes and drives [`Train`]s: there every event,
+//! scheduled or pushed, is keyed `(time, lane, per-lane call order)` at
+//! its call — what arming each item individually at push time gives —
+//! and the engine, which keeps only each train's head in its heap, must
+//! fire the same events in the same order.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::{Cell, RefCell};
+use std::rc::{Rc, Weak};
 
 use proptest::prelude::*;
 
-use pegasus_sim::{EventId, Simulator};
+use pegasus_sim::{EventId, Lane, Simulator, Train};
 
 /// One event in the reference model.
 #[derive(Clone, Copy)]
@@ -173,6 +179,182 @@ fn check_program(ops: &[(u8, u64)], handler_cancels: bool) -> Result<(), TestCas
     Ok(())
 }
 
+/// The lanes of the trains under test: two share lane 0 with each other
+/// and with plain events, one shares lane 3 with plain events, one is
+/// alone on its lane.
+const TRAIN_LANES: [Lane; 4] = [0, 0, 3, 5];
+/// The lanes plain events are scheduled on.
+const PLAIN_LANES: [Lane; 3] = [0, 3, 7];
+/// Events a program may issue; bounds the follow-up chains.
+const MAX_ISSUED: usize = 600;
+
+/// The reference for programs with trains: a flat vector of events keyed
+/// `(time, lane, per-lane call order)`, the minimum live one fires next.
+#[derive(Default)]
+struct LaneModel {
+    /// `(time, lane, lane_seq, live)` by issue index.
+    events: Vec<(u64, Lane, u64, bool)>,
+    lane_seqs: [u64; 8],
+}
+
+impl LaneModel {
+    fn issue(&mut self, time: u64, lane: Lane) -> usize {
+        let seq = &mut self.lane_seqs[lane as usize];
+        self.events.push((time, lane, *seq, true));
+        *seq += 1;
+        self.events.len() - 1
+    }
+
+    /// Retires event `i`; returns whether it was still pending.
+    fn retire(&mut self, i: usize) -> bool {
+        std::mem::replace(&mut self.events[i].3, false)
+    }
+
+    fn next(&self) -> Option<usize> {
+        (0..self.events.len())
+            .filter(|&i| self.events[i].3)
+            .min_by_key(|&i| self.events[i])
+    }
+}
+
+/// What firing event `idx` does besides logging: push a follow-up item
+/// `delay` ahead onto train `k`. A pure function of the index, so the
+/// model replays what the engine's handlers did.
+fn follow_up(idx: usize) -> Option<(usize, u64)> {
+    idx.is_multiple_of(3)
+        .then_some((idx % TRAIN_LANES.len(), (idx as u64 * 11) % 40))
+}
+
+/// Engine-side state the handlers share.
+struct World {
+    fired: RefCell<Vec<usize>>,
+    issued: Cell<usize>,
+    trains: RefCell<Vec<Train<usize>>>,
+}
+
+impl World {
+    /// Every handler, plain or train: log, then maybe push a follow-up
+    /// from inside the engine's dispatch.
+    fn on_fire(&self, sim: &mut Simulator, idx: usize) {
+        self.fired.borrow_mut().push(idx);
+        if let Some((k, delay)) = follow_up(idx) {
+            if self.issued.get() < MAX_ISSUED {
+                let follow = self.issued.replace(self.issued.get() + 1);
+                self.trains.borrow()[k].push(sim, sim.now() + delay, follow);
+            }
+        }
+    }
+}
+
+/// Interprets `(op, arg)` pairs against the engine and the lane model.
+fn check_train_program(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+    let mut sim = Simulator::new();
+    let mut model = LaneModel::default();
+    let world = Rc::new(World {
+        fired: RefCell::new(Vec::new()),
+        issued: Cell::new(0),
+        trains: RefCell::new(Vec::new()),
+    });
+    for lane in TRAIN_LANES {
+        let weak: Weak<World> = Rc::downgrade(&world);
+        let train = Train::new(lane, move |sim: &mut Simulator, idx| {
+            weak.upgrade()
+                .expect("world outlives the run")
+                .on_fire(sim, idx)
+        });
+        world.trains.borrow_mut().push(train);
+    }
+    // Cancellable (plain) events: `(issue index, id)`.
+    let mut ids: Vec<(usize, EventId)> = Vec::new();
+    let mut model_fired: Vec<usize> = Vec::new();
+
+    let model_step = |model: &mut LaneModel, model_fired: &mut Vec<usize>| -> Option<usize> {
+        let i = model.next()?;
+        model.retire(i);
+        model_fired.push(i);
+        if let Some((k, delay)) = follow_up(i) {
+            if model.events.len() < MAX_ISSUED {
+                model.issue(model.events[i].0 + delay, TRAIN_LANES[k]);
+            }
+        }
+        Some(i)
+    };
+
+    for &(op, arg) in ops {
+        match op % 6 {
+            0 | 1 if model.events.len() < MAX_ISSUED => {
+                let t = sim.now() + (arg / 8) % 48;
+                let idx = world.issued.replace(world.issued.get() + 1);
+                if op % 6 == 0 {
+                    // A plain event on one of the shared lanes.
+                    let lane = PLAIN_LANES[arg as usize % PLAIN_LANES.len()];
+                    prop_assert_eq!(model.issue(t, lane), idx);
+                    let w = world.clone();
+                    let id = sim.schedule_at_on(lane, t, move |sim| w.on_fire(sim, idx));
+                    ids.push((idx, id));
+                } else {
+                    // A push, as often behind the train's tail as not.
+                    let k = arg as usize % TRAIN_LANES.len();
+                    prop_assert_eq!(model.issue(t, TRAIN_LANES[k]), idx);
+                    world.trains.borrow()[k].push(&mut sim, t, idx);
+                }
+            }
+            2 => {
+                if !ids.is_empty() {
+                    let (idx, id) = ids[arg as usize % ids.len()];
+                    prop_assert_eq!(sim.cancel(id), model.retire(idx), "cancel({})", idx);
+                }
+            }
+            3 => {
+                let expect = model_step(&mut model, &mut model_fired);
+                prop_assert_eq!(sim.step(), expect.is_some(), "step() emptiness disagreed");
+            }
+            4 => {
+                let deadline = sim.now() + arg % 96;
+                while model.next().is_some_and(|i| model.events[i].0 <= deadline) {
+                    model_step(&mut model, &mut model_fired);
+                }
+                sim.run_until(deadline);
+            }
+            _ => {
+                let deadline = sim.now() + arg % 96;
+                while model.next().is_some_and(|i| model.events[i].0 < deadline) {
+                    model_step(&mut model, &mut model_fired);
+                }
+                sim.run_before(deadline);
+            }
+        }
+        prop_assert_eq!(&*world.fired.borrow(), &model_fired, "fire order diverged");
+        prop_assert_eq!(
+            world.issued.get(),
+            model.events.len(),
+            "follow-ups diverged"
+        );
+        let live = model.events.iter().filter(|e| e.3).count();
+        prop_assert!(
+            live == 0 || sim.pending() > 0,
+            "live events but an empty queue"
+        );
+    }
+
+    while model_step(&mut model, &mut model_fired).is_some() {}
+    let clock_floor = sim.now();
+    sim.run();
+    prop_assert_eq!(
+        &*world.fired.borrow(),
+        &model_fired,
+        "final fire order diverged"
+    );
+    prop_assert_eq!(sim.events_executed(), model_fired.len() as u64);
+    prop_assert_eq!(sim.pending(), 0);
+    let last = model_fired.last().map_or(0, |&i| model.events[i].0);
+    prop_assert_eq!(sim.now(), last.max(clock_floor), "clock after the drain");
+    for train in world.trains.borrow().iter() {
+        prop_assert!(train.is_empty());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -195,5 +377,16 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, 0u64..256), 1..160)
     ) {
         check_program(&ops, true)?;
+    }
+
+    /// Plain events on several lanes, cancels, and pushes onto four
+    /// trains — in and out of time order, a third of them from inside
+    /// handlers — fire exactly as if every item had been armed on its
+    /// own at push time.
+    #[test]
+    fn trains_match_arming_every_item_at_push_time(
+        ops in proptest::collection::vec((0u8..6, 0u64..4096), 1..200)
+    ) {
+        check_train_program(&ops)?;
     }
 }

@@ -19,10 +19,9 @@ use pegasus_atm::cell::Cell;
 use pegasus_atm::link::CellSink;
 use pegasus_sim::stats::Histogram;
 use pegasus_sim::time::Ns;
-use pegasus_sim::{SharedHandler, Simulator};
+use pegasus_sim::{Simulator, Train};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 /// Identifier of a stream registered with a [`PlaybackControl`].
@@ -60,52 +59,34 @@ pub struct PlaybackControl {
     presented: HashMap<Ns, Vec<(StreamId, Ns)>>,
     /// Observed inter-stream skew for same-timestamp items.
     pub skew: Histogram,
-    /// Held items awaiting their play-out instant, ordered by
-    /// `(due, insertion)` — the exact order the engine fires their
-    /// events in, so one shared handler serves every hold.
-    holds: BinaryHeap<Reverse<(Ns, u64, usize, Ns)>>,
-    hold_order: u64,
-    hold_handler: Option<SharedHandler>,
+    /// Held `(stream, capture_ts)` items awaiting their play-out
+    /// instant. One stream's dues arrive in capture order and the train
+    /// sorts in the rest, so the items present in `(due, arrival)`
+    /// order from a single entry in the engine's heap.
+    holds: Train<(StreamId, Ns)>,
 }
 
 impl PlaybackControl {
     /// Creates a controller with the given policy, wrapped for use from
     /// simulator events.
     pub fn shared(policy: PlaybackPolicy) -> Rc<RefCell<PlaybackControl>> {
-        Rc::new(RefCell::new(PlaybackControl {
-            policy,
-            streams: Vec::new(),
-            presented: HashMap::new(),
-            skew: Histogram::new(),
-            holds: BinaryHeap::new(),
-            hold_order: 0,
-            hold_handler: None,
-        }))
-    }
-
-    /// The one shared event handler presenting held items. Created on
-    /// first use; holds only a weak reference so controller and handler
-    /// don't keep each other alive.
-    fn hold_handler(ctl: &Rc<RefCell<PlaybackControl>>) -> SharedHandler {
-        if let Some(h) = ctl.borrow().hold_handler.clone() {
-            return h;
-        }
-        let weak: Weak<RefCell<PlaybackControl>> = Rc::downgrade(ctl);
-        let h: SharedHandler = Rc::new(RefCell::new(move |sim: &mut Simulator| {
-            if let Some(ctl) = weak.upgrade() {
-                let Reverse((due, _, stream, capture_ts)) = ctl
-                    .borrow_mut()
-                    .holds
-                    .pop()
-                    .expect("one held item per hold event");
-                debug_assert_eq!(due, sim.now(), "holds fire at their due time");
-                ctl.borrow_mut()
-                    .present(sim.now(), StreamId(stream), capture_ts, false);
-            }
-            None
-        }));
-        ctl.borrow_mut().hold_handler = Some(h.clone());
-        h
+        Rc::new_cyclic(|ctl: &Weak<RefCell<PlaybackControl>>| {
+            // Weak: the controller owns the train.
+            let ctl = ctl.clone();
+            let holds = Train::new(0, move |sim: &mut Simulator, (stream, capture_ts)| {
+                if let Some(ctl) = ctl.upgrade() {
+                    ctl.borrow_mut()
+                        .present(sim.now(), stream, capture_ts, false);
+                }
+            });
+            RefCell::new(PlaybackControl {
+                policy,
+                streams: Vec::new(),
+                presented: HashMap::new(),
+                skew: Histogram::new(),
+                holds,
+            })
+        })
     }
 
     /// Registers a stream.
@@ -141,15 +122,8 @@ impl PlaybackControl {
                     ctl.borrow_mut()
                         .present(sim.now(), stream, capture_ts, true);
                 } else {
-                    // Hold until `due` on the allocation-free lane.
-                    let handler = Self::hold_handler(ctl);
-                    {
-                        let mut c = ctl.borrow_mut();
-                        let order = c.hold_order;
-                        c.hold_order += 1;
-                        c.holds.push(Reverse((due, order, stream.0, capture_ts)));
-                    }
-                    sim.schedule_shared_at(due, handler);
+                    // Hold until `due`; nothing is allocated per item.
+                    ctl.borrow().holds.push(sim, due, (stream, capture_ts));
                 }
             }
         }
@@ -312,6 +286,57 @@ mod tests {
             "synchronized streams present together"
         );
         assert_eq!(c.late_fraction(), 0.0);
+    }
+
+    #[test]
+    fn two_streams_present_in_due_then_arrival_order() {
+        // All eight items arrive at one instant, stream by stream, so
+        // the second stream's dues fall between — and on — the first's.
+        let ctl = PlaybackControl::shared(PlaybackPolicy::Synchronized {
+            target_latency: 100 * MS,
+        });
+        let (a, b) = {
+            let mut c = ctl.borrow_mut();
+            (c.add_stream("a"), c.add_stream("b"))
+        };
+        let mut sim = Simulator::new();
+        let arrivals = [
+            (a, 0),
+            (a, 20),
+            (a, 40),
+            (b, 10),
+            (b, 30),
+            (b, 40),
+            (b, 50),
+            (a, 50),
+        ];
+        for (stream, capture_ms) in arrivals {
+            PlaybackControl::on_arrival(&ctl, &mut sim, stream, capture_ms * MS);
+        }
+        assert_eq!(sim.pending(), 1, "the holds share one heap entry");
+        let mut order = Vec::new();
+        while sim.step() {
+            let c = ctl.borrow();
+            let (stream, at) = *c.presented[&(sim.now() - 100 * MS)]
+                .last()
+                .expect("each event presents one item");
+            assert_eq!(at, sim.now(), "held items present at their due time");
+            order.push((stream, at / MS - 100));
+        }
+        assert_eq!(
+            order,
+            vec![
+                (a, 0),
+                (b, 10),
+                (a, 20),
+                (b, 30),
+                (a, 40),
+                (b, 40),
+                (b, 50),
+                (a, 50)
+            ]
+        );
+        assert_eq!(ctl.borrow().late_total(), 0);
     }
 
     #[test]

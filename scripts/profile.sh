@@ -1,0 +1,20 @@
+#!/usr/bin/env sh
+# Where does an operation spend its host time? The host has no `perf`;
+# this builds crates/scenario/examples/sigprof.rs — a SIGPROF sampler
+# that walks frame pointers — with frame pointers forced on, into its
+# own target directory (different RUSTFLAGS would otherwise rebuild the
+# whole workspace in place), and runs it.
+#
+# usage: scripts/profile.sh <preset | metro-steady | front-door | control-3x> [ops]
+#
+# This kernel ticks ITIMER_PROF at 4 ms whatever interval is asked for,
+# so ten `metro-steady` ops yield ~1,000 samples (±1.5 points on a share):
+# ask for enough ops.
+set -eu
+cd "$(dirname "$0")/.."
+
+[ $# -ge 1 ] || { sed -n '2,12p' "$0" >&2; exit 2; }
+
+RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=target/profile \
+    cargo build --release --quiet -p pegasus-scenario --example sigprof
+exec target/profile/release/examples/sigprof "$@"

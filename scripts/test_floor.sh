@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=639
+FLOOR=647
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
