@@ -6,7 +6,10 @@
 //!   blobs (bit flips, truncations, length-field inflation, splices of
 //!   two valid images) and feeds them to [`Checkpoint::decode`]. The
 //!   decoder must never panic and never over-allocate; an untampered
-//!   blob must round-trip exactly.
+//!   blob must round-trip exactly; and an image the decoder accepts is
+//!   restored over the array the pristine image came from and every
+//!   file in it read end to end, which must answer `Ok` or a typed
+//!   error.
 //! * [`crash_sweep`] — the FITO protocol test: a deterministic
 //!   write-heavy operation trace is cut at *every* operation boundary
 //!   (simulated power loss), the server recovers from its last completed
@@ -111,10 +114,14 @@ pub struct ImageStats {
     /// Mutated blobs the decoder still accepted (mutation landed in
     /// don't-care bytes, or produced a different-but-wellformed image).
     pub survived: u64,
+    /// Survivors that, restored over the pristine image's array, read
+    /// back every file they describe end to end (the rest drew a typed
+    /// read error).
+    pub restored: u64,
 }
 
-/// Builds a modest file system and captures a checkpoint blob from it.
-fn sample_blob(rng: &mut SmallRng) -> Vec<u8> {
+/// Builds a modest file system, synced, ready for its checkpoint.
+fn sample_fs(rng: &mut SmallRng) -> LogFs {
     let mut fs = LogFs::new(DiskConfig::hp_1994());
     for _ in 0..rng.gen_range(1..6usize) {
         let class = if rng.gen_range(0..2u32) == 0 {
@@ -128,7 +135,26 @@ fn sample_blob(rng: &mut SmallRng) -> Vec<u8> {
         fs.append(f, &data).expect("fresh fs has room");
     }
     fs.sync().expect("sync");
-    Checkpoint::capture(&fs).encode()
+    fs
+}
+
+/// The server behind `fs` forgets everything, recovers from `cp`, and
+/// reads every file `cp` describes from first byte to last, in pieces.
+/// Whether all of them answered `Ok`; what matters to the front is that
+/// none panicked.
+fn restore_and_read(mut fs: LogFs, cp: &Checkpoint) -> bool {
+    const PIECE: u64 = 64 << 10;
+    fs.amnesia(FileId(0)); // no file has id 0: nothing is kept
+    fs.restore_from_checkpoint(cp);
+    let mut buf = Vec::new();
+    let mut all_ok = true;
+    for p in &cp.pnodes {
+        for off in (0..p.size).step_by(PIECE as usize) {
+            let take = PIECE.min(p.size - off) as usize;
+            all_ok &= fs.read_into(p.id, off, take, &mut buf).is_ok();
+        }
+    }
+    all_ok
 }
 
 /// Runs `steps` checkpoint-image mutations from `seed`. Panics with a
@@ -143,8 +169,9 @@ pub fn run_images(seed: u64, steps: u64) -> ImageStats {
             step,
         };
         let mut rng = seeded(repro.step_seed());
-        let pristine = sample_blob(&mut rng);
-        let donor = sample_blob(&mut rng);
+        let fs = sample_fs(&mut rng);
+        let pristine = Checkpoint::capture(&fs).encode();
+        let donor = Checkpoint::capture(&sample_fs(&mut rng)).encode();
 
         // The control arm: untampered blobs must round-trip exactly.
         match Checkpoint::decode(&pristine) {
@@ -163,15 +190,18 @@ pub fn run_images(seed: u64, steps: u64) -> ImageStats {
         match Checkpoint::decode(&blob) {
             // Accepting a mutated image is fine only if it is still a
             // well-formed image: re-encoding must reproduce its own
-            // bytes' canonical form without panicking.
+            // bytes' canonical form, and a server that recovers from it
+            // must be able to serve reads, without panicking.
             Ok(cp) => {
                 let _ = cp.encode();
                 stats.survived += 1;
+                stats.restored += u64::from(restore_and_read(fs, &cp));
             }
             Err(
                 CheckpointError::Truncated
                 | CheckpointError::BadMagic
                 | CheckpointError::BadVersion(_)
+                | CheckpointError::BadExtent { .. }
                 | CheckpointError::Fs(_),
             ) => stats.rejected += 1,
         }
@@ -340,13 +370,18 @@ mod tests {
         let s = run_images(0xD15C, 150);
         assert_eq!(s.steps, 150);
         assert!(s.rejected > 0, "mutations must provoke rejections");
+        assert!(s.restored > 0, "accepted images are restored and read");
+        assert!(s.restored <= s.survived);
     }
 
     #[test]
     fn image_front_is_deterministic() {
         let a = run_images(11, 40);
         let b = run_images(11, 40);
-        assert_eq!((a.rejected, a.survived), (b.rejected, b.survived));
+        assert_eq!(
+            (a.rejected, a.survived, a.restored),
+            (b.rejected, b.survived, b.restored)
+        );
     }
 
     #[test]

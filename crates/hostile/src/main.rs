@@ -70,8 +70,8 @@ fn main() {
         let n = pick(400);
         let s = disk::run_images(args.seed, n);
         println!(
-            "disk: {} images, {} rejected, {} survived — ok",
-            s.steps, s.rejected, s.survived
+            "disk: {} images, {} rejected, {} survived, {} restored and read back — ok",
+            s.steps, s.rejected, s.survived, s.restored
         );
     }
     if all || args.front == "crash" {

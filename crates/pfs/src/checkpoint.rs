@@ -12,7 +12,7 @@
 //! serialization crates, consistent with the rest of the codec code in
 //! this workspace.
 
-use crate::log::{Extent, FileClass, FileId, FsError, LogFs, Pnode, SegmentInfo};
+use crate::log::{Extent, FileClass, FileId, FsError, LogFs, Pnode, SegmentInfo, SEGMENT_BYTES};
 
 /// Magic number guarding checkpoint blobs.
 const MAGIC: u32 = 0x5047_4350; // "PGCP"
@@ -28,6 +28,15 @@ pub enum CheckpointError {
     BadMagic,
     /// Unknown version.
     BadVersion(u16),
+    /// A pnode whose extents are not an in-order tiling of its bytes by
+    /// runs that each lie inside one segment.
+    BadExtent {
+        /// The file the pnode describes.
+        file: FileId,
+        /// The first extent out of place; the extent count when all are
+        /// in place but do not add up to the file's size.
+        index: usize,
+    },
     /// Underlying file-system error.
     Fs(FsError),
 }
@@ -38,6 +47,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::BadMagic => write!(f, "not a checkpoint"),
             CheckpointError::BadVersion(v) => write!(f, "unknown checkpoint version {v}"),
+            CheckpointError::BadExtent { file, index } => {
+                write!(f, "file {} extent {index} does not fit the file", file.0)
+            }
             CheckpointError::Fs(e) => write!(f, "fs error: {e}"),
         }
     }
@@ -89,6 +101,24 @@ fn byte_class(b: u8) -> Result<FileClass, CheckpointError> {
         1 => Ok(FileClass::Continuous),
         _ => Err(CheckpointError::Truncated),
     }
+}
+
+/// What [`LogFs::read_into`] leans on: the extents tile `[0, size)` in
+/// order, none empty, each inside its segment.
+fn check_extents(file: FileId, size: u64, extents: &[Extent]) -> Result<(), CheckpointError> {
+    let mut tiled = 0u64;
+    for (index, e) in extents.iter().enumerate() {
+        let in_segment = e.seg_offset as u64 + e.len as u64 <= SEGMENT_BYTES as u64;
+        if e.len == 0 || e.file_offset != tiled || !in_segment {
+            return Err(CheckpointError::BadExtent { file, index });
+        }
+        tiled += e.len as u64; // at most a segment each: cannot wrap
+    }
+    if tiled != size {
+        let index = extents.len();
+        return Err(CheckpointError::BadExtent { file, index });
+    }
+    Ok(())
 }
 
 /// A decoded checkpoint: everything needed to rebuild the in-memory
@@ -173,6 +203,7 @@ impl Checkpoint {
                     len: r.u32()?,
                 });
             }
+            check_extents(id, size, &extents)?;
             pnodes.push(Pnode {
                 id,
                 class,
@@ -261,6 +292,69 @@ mod tests {
             Checkpoint::decode(&blob).unwrap_err(),
             CheckpointError::BadVersion(99)
         );
+    }
+
+    #[test]
+    fn extent_maps_that_do_not_tile_the_file_are_rejected() {
+        let seg = SEGMENT_BYTES as u32;
+        let ext = |file_offset, seg_offset, len| Extent {
+            file_offset,
+            segment: 9,
+            seg_offset,
+            len,
+        };
+        // (size, extents, index of the extent the decoder must name)
+        let cases = [
+            (10, vec![ext(0, seg - 9, 10)], 0), // runs past its segment
+            (u32::MAX as u64, vec![ext(0, u32::MAX, u32::MAX)], 0), // u32 sum wraps
+            (20, vec![ext(0, 0, 10), ext(11, 10, 10)], 1), // a gap
+            (20, vec![ext(0, 0, 10), ext(5, 10, 10)], 1), // an overlap
+            (20, vec![ext(10, 10, 10), ext(0, 0, 10)], 0), // out of order
+            (10, vec![ext(0, 0, 10), ext(10, 10, 0)], 1), // an empty extent
+            (8, vec![ext(u64::MAX - 3, 0, 8)], 0), // file offset + len wraps
+            (30, vec![ext(0, 0, 10), ext(10, 10, 10)], 2), // short of the size
+            (15, vec![ext(0, 0, 10), ext(10, 10, 10)], 2), // past the size
+            (1, vec![], 0),
+        ];
+        for (size, extents, index) in cases {
+            let cp = Checkpoint {
+                pnodes: vec![Pnode {
+                    id: FileId(7),
+                    class: FileClass::Normal,
+                    size,
+                    extents,
+                }],
+                segments: vec![],
+                next_pnode: 8,
+            };
+            let file = FileId(7);
+            assert_eq!(
+                Checkpoint::decode(&cp.encode()),
+                Err(CheckpointError::BadExtent { file, index }),
+                "{cp:?}"
+            );
+        }
+        // What the log itself writes passes: whole-segment extents, an
+        // extent ending exactly at its segment's end, an empty file.
+        let cp = Checkpoint {
+            pnodes: vec![
+                Pnode {
+                    id: FileId(1),
+                    class: FileClass::Continuous,
+                    size: seg as u64 + 10,
+                    extents: vec![ext(0, 0, seg), ext(seg as u64, seg - 10, 10)],
+                },
+                Pnode {
+                    id: FileId(2),
+                    class: FileClass::Normal,
+                    size: 0,
+                    extents: vec![],
+                },
+            ],
+            segments: vec![],
+            next_pnode: 3,
+        };
+        assert_eq!(Checkpoint::decode(&cp.encode()), Ok(cp));
     }
 
     #[test]

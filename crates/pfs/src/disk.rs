@@ -9,8 +9,11 @@
 //! segments keep the overhead under 10 % while small random I/O drowns
 //! in it.
 //!
-//! Data is stored sparsely (only written sectors), so experiments can
-//! address multi-gigabyte devices without the memory footprint.
+//! Data is stored sparsely, a page at a time and only where something
+//! was written, so experiments can address multi-gigabyte devices
+//! without the memory footprint. A read is *charged* for every sector
+//! it spans and *copies* only the byte range its caller names; bytes
+//! never written read as zeros.
 
 use std::collections::HashMap;
 
@@ -18,6 +21,10 @@ use pegasus_sim::time::{Ns, SEC};
 
 /// Sector size in bytes.
 pub const SECTOR: usize = 512;
+
+/// Unit of content retention: a written sector materialises the whole
+/// page around it, zero-filled.
+const PAGE_BYTES: usize = 128 * SECTOR;
 
 /// Physical parameters of a disk.
 #[derive(Debug, Clone, Copy)]
@@ -116,7 +123,8 @@ impl DiskStats {
 /// A simulated disk: sparse data store plus a timing model.
 pub struct SimDisk {
     cfg: DiskConfig,
-    data: HashMap<u64, Box<[u8; SECTOR]>>,
+    /// Retained contents by page number.
+    data: HashMap<u64, Box<[u8]>>,
     head: u64,
     failed: bool,
     store: bool,
@@ -194,10 +202,12 @@ impl SimDisk {
         assert_eq!(data.len() % SECTOR, 0, "whole sectors only");
         let pos = self.position(sector);
         if self.store {
-            for (i, chunk) in data.chunks(SECTOR).enumerate() {
-                let mut boxed = Box::new([0u8; SECTOR]);
-                boxed.copy_from_slice(chunk);
-                self.data.insert(sector + i as u64, boxed);
+            let mut rest = data;
+            for (page, off, n) in page_runs(sector as usize * SECTOR, data.len()) {
+                let zeroed = || vec![0u8; PAGE_BYTES].into();
+                let slot = self.data.entry(page).or_insert_with(zeroed);
+                slot[off..off + n].copy_from_slice(&rest[..n]);
+                rest = &rest[n..];
             }
         }
         let xfer = self.transfer_time(data.len());
@@ -218,32 +228,35 @@ impl SimDisk {
         Ok((out, t))
     }
 
-    /// [`SimDisk::read`], appending into a caller-supplied buffer — the
-    /// RAID and log layers reuse one scratch buffer across reads so the
-    /// storage hot path stops allocating at steady state.
+    /// [`SimDisk::read`], appending into a caller-supplied buffer.
     pub fn read_into(
         &mut self,
         sector: u64,
         sectors: u64,
         out: &mut Vec<u8>,
     ) -> Result<Ns, DiskError> {
+        let all = (sectors as usize).saturating_mul(SECTOR);
+        self.read_range_into(sector, sectors, 0, all, out)
+    }
+
+    /// A read of `sectors` sectors from `sector` that hands over only
+    /// bytes `[skip, skip + take)` of them, appended to `out`. The head
+    /// moves, the clock runs and the counters count as for the whole
+    /// run: the platter turns under the head whether or not the caller
+    /// wants every byte.
+    pub fn read_range_into(
+        &mut self,
+        sector: u64,
+        sectors: u64,
+        skip: usize,
+        take: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<Ns, DiskError> {
         self.check(sector, sectors)?;
+        let n = sectors as usize * SECTOR;
+        assert!(skip <= n && take <= n - skip, "range outside the read");
         let pos = self.position(sector);
-        let base = out.len();
-        if self.data.is_empty() {
-            // Nothing retained (a timing-only disk, or one never
-            // written): every sector reads as zeros.
-            out.resize(base + sectors as usize * SECTOR, 0);
-        } else {
-            out.reserve(sectors as usize * SECTOR);
-            for s in sector..sector + sectors {
-                match self.data.get(&s) {
-                    Some(b) => out.extend_from_slice(&b[..]),
-                    None => out.extend_from_slice(&[0u8; SECTOR]),
-                }
-            }
-        }
-        let n = out.len() - base;
+        self.copy_range(sector, skip, take, out);
         let xfer = self.transfer_time(n);
         self.head = sector + sectors;
         self.stats.reads += 1;
@@ -251,6 +264,25 @@ impl SimDisk {
         self.stats.positioning += pos;
         self.stats.transferring += xfer;
         Ok(xfer + pos)
+    }
+
+    /// Appends bytes `[skip, skip + take)` counted from the start of
+    /// `sector` to `out`, free of charge: the array reconstructs a lost
+    /// range from survivors it has already paid to read.
+    pub(crate) fn copy_range(&self, sector: u64, skip: usize, take: usize, out: &mut Vec<u8>) {
+        if self.data.is_empty() {
+            // Nothing retained (a timing-only disk, or one never
+            // written): every byte reads as zero.
+            out.resize(out.len() + take, 0);
+            return;
+        }
+        out.reserve(take);
+        for (page, off, n) in page_runs(sector as usize * SECTOR + skip, take) {
+            match self.data.get(&page) {
+                Some(p) => out.extend_from_slice(&p[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+        }
     }
 
     /// `sectors` sectors from `sector` must lie on a live disk. Both
@@ -266,9 +298,26 @@ impl SimDisk {
     }
 }
 
+/// Splits `len` bytes from byte address `start` at page boundaries:
+/// `(page, offset in page, bytes)` per page touched.
+fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let off = at % PAGE_BYTES;
+            let n = (PAGE_BYTES - off).min(end - at);
+            let run = ((at / PAGE_BYTES) as u64, off, n);
+            at += n;
+            run
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn write_read_roundtrip() {
@@ -310,10 +359,156 @@ mod tests {
         };
         let mut fresh = SimDisk::new(DiskConfig::hp_1994());
         assert_eq!(drive(&mut timing_only(), false), drive(&mut fresh, false));
-        // A disk holding a sector elsewhere walks sector by sector where
-        // the one that discarded the same write fills in one go.
+        // A disk holding a page elsewhere walks page by page where the
+        // one that discarded the same write fills in one go.
         let mut elsewhere = SimDisk::new(DiskConfig::hp_1994());
         assert_eq!(drive(&mut timing_only(), true), drive(&mut elsewhere, true));
+    }
+
+    /// The store this file had before pages: one boxed sector per map
+    /// entry, a read assembled sector by sector. Kept as the oracle.
+    struct SectorDisk {
+        cfg: DiskConfig,
+        data: HashMap<u64, Box<[u8; SECTOR]>>,
+        head: u64,
+        store: bool,
+        stats: DiskStats,
+    }
+
+    impl SectorDisk {
+        fn position(&self, sector: u64) -> Ns {
+            if sector == self.head {
+                return 0;
+            }
+            let frac = sector.abs_diff(self.head) as f64 / self.cfg.sectors as f64;
+            let stroke = (self.cfg.max_seek - self.cfg.min_seek) as f64;
+            self.cfg.min_seek + (stroke * frac.sqrt()) as Ns + self.cfg.avg_rotation()
+        }
+
+        fn transfer_time(&self, bytes: usize) -> Ns {
+            (bytes as u128 * SEC as u128 / self.cfg.transfer_rate as u128) as Ns
+        }
+
+        fn write(&mut self, sector: u64, data: &[u8]) -> Ns {
+            let pos = self.position(sector);
+            if self.store {
+                for (i, chunk) in data.chunks(SECTOR).enumerate() {
+                    let boxed = Box::new(chunk.try_into().expect("whole sectors"));
+                    self.data.insert(sector + i as u64, boxed);
+                }
+            }
+            let xfer = self.transfer_time(data.len());
+            self.head = sector + (data.len() / SECTOR) as u64;
+            self.stats.writes += 1;
+            self.stats.bytes_written += data.len() as u64;
+            self.stats.positioning += pos;
+            self.stats.transferring += xfer;
+            pos + xfer
+        }
+
+        fn read_into(&mut self, sector: u64, sectors: u64, out: &mut Vec<u8>) -> Ns {
+            let pos = self.position(sector);
+            for s in sector..sector + sectors {
+                match self.data.get(&s) {
+                    Some(b) => out.extend_from_slice(&b[..]),
+                    None => out.extend_from_slice(&[0u8; SECTOR]),
+                }
+            }
+            let n = sectors as usize * SECTOR;
+            let xfer = self.transfer_time(n);
+            self.head = sector + sectors;
+            self.stats.reads += 1;
+            self.stats.bytes_read += n as u64;
+            self.stats.positioning += pos;
+            self.stats.transferring += xfer;
+            xfer + pos
+        }
+    }
+
+    /// One step of a disk's life; sectors stay within a few pages so
+    /// that runs straddle page boundaries and revisit written pages.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write {
+            sector: u64,
+            sectors: u64,
+            tag: u8,
+        },
+        Read {
+            sector: u64,
+            sectors: u64,
+            cut: (usize, usize),
+        },
+        Replace,
+        Store(bool),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let span = || (0..3 * PAGE_BYTES as u64 / SECTOR as u64, 0..300u64);
+        prop_oneof![
+            4 => (span(), any::<u8>())
+                .prop_map(|((sector, sectors), tag)| Op::Write { sector, sectors, tag }),
+            6 => (span(), (0..=1000usize, 0..=1000usize))
+                .prop_map(|((sector, sectors), cut)| Op::Read { sector, sectors, cut }),
+            1 => Just(Op::Replace),
+            1 => any::<bool>().prop_map(Op::Store),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn page_store_reads_what_the_sector_store_read(
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let cfg = DiskConfig::hp_1994();
+            let mut disk = SimDisk::new(cfg);
+            let mut oracle = SectorDisk {
+                cfg,
+                data: HashMap::new(),
+                head: 0,
+                store: true,
+                stats: DiskStats::default(),
+            };
+            let mut out = vec![0xEE; 3]; // reads append after a prefix
+            let mut want = out.clone();
+            for op in ops {
+                match op {
+                    Op::Write { sector, sectors, tag } => {
+                        let data: Vec<u8> = (0..sectors as usize * SECTOR)
+                            .map(|i| (i as u8).wrapping_mul(29) ^ tag)
+                            .collect();
+                        prop_assert_eq!(disk.write(sector, &data).unwrap(), oracle.write(sector, &data));
+                    }
+                    Op::Read { sector, sectors, cut } => {
+                        // `cut` picks the range in thousandths of the run.
+                        let n = sectors as usize * SECTOR;
+                        let (a, b) = (n * cut.0 / 1000, n * cut.1 / 1000);
+                        let (skip, take) = (a.min(b), a.abs_diff(b));
+                        let mut whole = Vec::new();
+                        let t = oracle.read_into(sector, sectors, &mut whole);
+                        want.extend_from_slice(&whole[skip..skip + take]);
+                        let got = disk.read_range_into(sector, sectors, skip, take, &mut out);
+                        prop_assert_eq!(got.unwrap(), t);
+                    }
+                    Op::Replace => {
+                        disk.replace();
+                        (oracle.head, oracle.data) = (0, HashMap::new());
+                    }
+                    Op::Store(store) => {
+                        disk.set_store(store);
+                        oracle.store = store;
+                        if !store {
+                            oracle.data.clear();
+                        }
+                    }
+                }
+                prop_assert!(out == want);
+                prop_assert_eq!(disk.head, oracle.head);
+                prop_assert_eq!(format!("{:?}", disk.stats), format!("{:?}", oracle.stats));
+            }
+        }
     }
 
     #[test]

@@ -92,6 +92,9 @@ pub enum FsError {
     Full,
     /// An underlying array error.
     Raid(RaidError),
+    /// The file's extents do not tile the bytes asked for — a pnode
+    /// restored from a checkpoint nobody validated.
+    BadExtents,
 }
 
 impl std::fmt::Display for FsError {
@@ -101,6 +104,7 @@ impl std::fmt::Display for FsError {
             FsError::BadRange => write!(f, "range outside file"),
             FsError::Full => write!(f, "log full"),
             FsError::Raid(e) => write!(f, "array error: {e}"),
+            FsError::BadExtents => write!(f, "extent map does not tile the file"),
         }
     }
 }
@@ -150,9 +154,6 @@ pub struct LogFs {
     pub io_time: Ns,
     /// Counters.
     pub stats: FsStats,
-    /// Reused stripe buffer for array reads: a steady-state read path
-    /// performs no per-read stripe allocations.
-    stripe_scratch: Vec<u8>,
 }
 
 impl LogFs {
@@ -167,15 +168,14 @@ impl LogFs {
             free: Vec::new(),
             open_normal: OpenSegment {
                 id: 0,
-                buf: Vec::with_capacity(SEGMENT_BYTES),
+                buf: Vec::new(),
             },
             open_cm: OpenSegment {
                 id: 1,
-                buf: Vec::with_capacity(SEGMENT_BYTES),
+                buf: Vec::new(),
             },
             pnodes: HashMap::new(),
             next_pnode: 1,
-            stripe_scratch: Vec::new(),
             segments: HashMap::new(),
             open_deficit: HashMap::new(),
             garbage: Vec::new(),
@@ -300,12 +300,14 @@ impl LogFs {
             FileClass::Normal => &mut self.open_normal,
             FileClass::Continuous => &mut self.open_cm,
         };
-        let mut buf = std::mem::take(&mut open.buf);
         let seg = open.id;
-        let live = buf.len() as u32;
-        buf.resize(SEGMENT_BYTES, 0);
-        let t = self.raid.write_stripe(seg, &buf)?;
-        self.io_time += t;
+        let live = open.buf.len() as u32;
+        open.buf.resize(SEGMENT_BYTES, 0);
+        let written = self.raid.write_stripe(seg, &open.buf);
+        // Emptied either way, and the megabyte goes back to the
+        // allocator: held here it stays resident in every idle server.
+        open.buf = Vec::new();
+        self.io_time += written?;
         self.stats.segments_flushed += 1;
         // Garbage declared while the segment was still open reduces its
         // live count on arrival.
@@ -318,12 +320,10 @@ impl LogFs {
             },
         );
         let next = self.alloc_segment()?;
-        let open = match class {
-            FileClass::Normal => &mut self.open_normal,
-            FileClass::Continuous => &mut self.open_cm,
-        };
-        open.id = next;
-        open.buf.clear();
+        match class {
+            FileClass::Normal => self.open_normal.id = next,
+            FileClass::Continuous => self.open_cm.id = next,
+        }
         Ok(())
     }
 
@@ -347,6 +347,11 @@ impl LogFs {
                     FileClass::Normal => &mut self.open_normal,
                     FileClass::Continuous => &mut self.open_cm,
                 };
+                if open.buf.capacity() == 0 {
+                    // A segment's buffer is allocated once, whole, when
+                    // its first byte arrives — not regrown by doubling.
+                    open.buf.reserve_exact(SEGMENT_BYTES);
+                }
                 open.buf.extend_from_slice(&data[written..written + take]);
             }
             let pnode = self.pnodes.get_mut(&file).expect("checked above");
@@ -405,7 +410,10 @@ impl LogFs {
     /// [`LogFs::read`] into a caller-supplied buffer (cleared, then
     /// filled with exactly `len` bytes) — rate-guaranteed CM service
     /// reuses one buffer per scheduler so periodic reads allocate
-    /// nothing at steady state.
+    /// nothing at steady state. A read is a lookup in the extent map
+    /// followed by one copy of each mapped range straight into `out`:
+    /// the array is charged for every stripe touched, whole, and hands
+    /// over only the bytes wanted.
     pub fn read_into(
         &mut self,
         file: FileId,
@@ -413,36 +421,46 @@ impl LogFs {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), FsError> {
-        let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?.clone();
-        let want_end = offset
+        let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?;
+        offset
             .checked_add(len as u64)
             .filter(|&end| end <= pnode.size)
             .ok_or(FsError::BadRange)?;
         out.clear();
-        out.resize(len, 0);
-        for ext in &pnode.extents {
-            let ext_end = ext.file_offset + ext.len as u64;
-            if ext_end <= offset || ext.file_offset >= want_end {
-                continue;
+        out.reserve(len);
+        // The extent holding `offset` is the last one starting at or
+        // before it; each extent from there on must continue exactly
+        // where `out` stops, which is checked, not assumed.
+        let first = pnode
+            .extents
+            .partition_point(|e| e.file_offset <= offset)
+            .saturating_sub(1);
+        for ext in &pnode.extents[first..] {
+            if out.len() == len {
+                break;
             }
             let from = offset.max(ext.file_offset);
-            let to = want_end.min(ext_end);
-            let seg_off = (ext.seg_offset as u64 + (from - ext.file_offset)) as usize;
-            let n = (to - from) as usize;
-            let dst = (from - offset) as usize;
+            let skip = (from - ext.file_offset) as usize;
+            if from - offset != out.len() as u64 || skip >= ext.len as usize {
+                return Err(FsError::BadExtents);
+            }
+            let n = (ext.len as usize - skip).min(len - out.len());
+            let seg_off = ext.seg_offset as usize + skip;
             // In an open buffer, or on the array?
             let open = [&self.open_normal, &self.open_cm]
                 .into_iter()
                 .find(|o| o.id == ext.segment);
             if let Some(open) = open {
-                out[dst..dst + n].copy_from_slice(&open.buf[seg_off..seg_off + n]);
+                let bytes = open.buf.get(seg_off..seg_off + n);
+                out.extend_from_slice(bytes.ok_or(FsError::BadExtents)?);
             } else {
-                let t = self
+                self.io_time += self
                     .raid
-                    .read_stripe_into(ext.segment, &mut self.stripe_scratch)?;
-                self.io_time += t;
-                out[dst..dst + n].copy_from_slice(&self.stripe_scratch[seg_off..seg_off + n]);
+                    .read_stripe_range_into(ext.segment, seg_off, n, out)?;
             }
+        }
+        if out.len() != len {
+            return Err(FsError::BadExtents);
         }
         self.stats.bytes_read += len as u64;
         Ok(())
@@ -541,14 +559,15 @@ impl LogFs {
         file: FileId,
         seg: u64,
     ) -> Result<u64, FsError> {
-        let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?.clone();
+        let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?;
+        let size = pnode.size as usize;
         let mut moved = 0u64;
         // Read the whole file, rewrite it. (A finer implementation would
         // move only the affected extents; whole-file rewrite keeps the
         // extent algebra simple and the I/O accounting honest within a
         // factor reflecting file size.)
         if pnode.extents.iter().any(|e| e.segment == seg) {
-            let data = self.read(file, 0, pnode.size as usize)?;
+            let data = self.read(file, 0, size)?;
             // Old extents become garbage…
             let old = {
                 let p = self.pnodes.get_mut(&file).expect("exists");
@@ -692,6 +711,71 @@ mod tests {
         assert_eq!(f.read(id, u64::MAX - 3, 8).unwrap_err(), FsError::BadRange);
         assert_eq!(f.read(id, u64::MAX, 1).unwrap_err(), FsError::BadRange);
         assert_eq!(f.stats.bytes_read, before, "a refused read charges nothing");
+    }
+
+    #[test]
+    fn extents_nobody_validated_read_as_typed_errors() {
+        use crate::checkpoint::Checkpoint;
+        use crate::disk::DiskError::OutOfRange;
+        let seg = SEGMENT_BYTES as u32;
+        let ext = |file_offset, segment, seg_offset, len| Extent {
+            file_offset,
+            segment,
+            seg_offset,
+            len,
+        };
+        // `restore_from_checkpoint` takes any `Checkpoint`, not only one
+        // `decode` passed: (what is wrong, size, extents, offset, len).
+        let off_the_array = FsError::Raid(RaidError::Disk(OutOfRange));
+        let gap = vec![ext(0, 5, 0, 10), ext(12, 5, 10, 8)];
+        let overlap = vec![ext(0, 5, 0, 10), ext(8, 5, 10, 12)];
+        let swapped = vec![ext(10, 5, 0, 10), ext(0, 5, 10, 10)];
+        let past_segment = vec![ext(0, 5, seg - 4, 10)];
+        let no_segment = vec![ext(0, u64::MAX / 3, 0, 10)];
+        let cases = [
+            ("a gap", 20, gap, 0, 20),
+            ("an overlap", 20, overlap, 0, 20),
+            ("out of order", 20, swapped, 0, 20),
+            ("short of the size", 20, vec![ext(0, 5, 0, 10)], 5, 15),
+            ("no extents", 20, vec![], 0, 1),
+            ("past an open buffer's end", 8, vec![ext(0, 1, 0, 8)], 0, 8),
+            ("past its segment's end", 10, past_segment, 0, 10),
+            ("no such segment", 10, no_segment, 0, 10),
+        ];
+        for (what, size, extents, offset, len) in cases {
+            let mut f = fs();
+            f.restore_from_checkpoint(&Checkpoint {
+                pnodes: vec![Pnode {
+                    id: FileId(3),
+                    class: FileClass::Normal,
+                    size,
+                    extents,
+                }],
+                segments: vec![],
+                next_pnode: 4,
+            });
+            let want = if what.contains("segment") {
+                off_the_array.clone()
+            } else {
+                FsError::BadExtents
+            };
+            assert_eq!(f.read(FileId(3), offset, len), Err(want), "{what}");
+            assert_eq!(f.stats.bytes_read, 0, "a failed read delivers nothing");
+        }
+        // An extent whose end would wrap past zero: the sum is never
+        // formed, so the bytes short of the wrap read like any others.
+        let mut f = fs();
+        f.restore_from_checkpoint(&Checkpoint {
+            pnodes: vec![Pnode {
+                id: FileId(3),
+                class: FileClass::Normal,
+                size: u64::MAX,
+                extents: vec![ext(u64::MAX - 3, 5, 0, 8)],
+            }],
+            segments: vec![],
+            next_pnode: 4,
+        });
+        assert_eq!(f.read(FileId(3), u64::MAX - 3, 3), Ok(vec![0; 3]));
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! individual operations — which is how four 5 MB/s spindles become a
 //! 20 MB/s log. Any single failed disk can be reconstructed from the
 //! others.
+//!
+//! A read always *charges* the whole stripe — every member disk turns a
+//! full chunk under its head, as the hardware would — but *copies* only
+//! the byte range the caller asked for.
 
 use crate::disk::{DiskConfig, DiskError, SimDisk, SECTOR};
 use pegasus_sim::time::Ns;
@@ -22,6 +26,12 @@ pub const DATA_DISKS: usize = 4;
 pub struct RaidArray {
     disks: Vec<SimDisk>, // DATA_DISKS data + 1 parity
     chunk_bytes: usize,
+}
+
+fn xor_into(acc: &mut [u8], src: &[u8]) {
+    for (a, b) in acc.iter_mut().zip(src) {
+        *a ^= b;
+    }
 }
 
 /// Errors surfaced by the array.
@@ -105,14 +115,12 @@ impl RaidArray {
         (self.chunk_bytes / SECTOR) as u64
     }
 
-    fn xor_parity(&self, chunks: &[&[u8]]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.chunk_bytes];
-        for chunk in chunks {
-            for (p, b) in parity.iter_mut().zip(chunk.iter()) {
-                *p ^= b;
-            }
-        }
-        parity
+    /// First sector of `stripe` on every member disk. The stripe number
+    /// may come off a recovered checkpoint, so the product is checked.
+    fn stripe_sector(&self, stripe: u64) -> Result<u64, RaidError> {
+        stripe
+            .checked_mul(self.chunk_sectors())
+            .ok_or(RaidError::Disk(DiskError::OutOfRange))
     }
 
     fn failed_count(&self) -> usize {
@@ -128,21 +136,21 @@ impl RaidArray {
         if self.failed_count() > 1 {
             return Err(RaidError::TooManyFailures);
         }
-        let sector = stripe * self.chunk_sectors();
-        let chunks: Vec<&[u8]> = data.chunks(self.chunk_bytes).collect();
-        let parity = self.xor_parity(&chunks);
+        let sector = self.stripe_sector(stripe)?;
+        // Scratch here is per call on purpose: kept in the array it is
+        // a quarter megabyte resident per idle server.
+        let mut parity = vec![0u8; self.chunk_bytes];
+        for chunk in data.chunks(self.chunk_bytes) {
+            xor_into(&mut parity, chunk);
+        }
+        let members = data.chunks(self.chunk_bytes).chain([&parity[..]]);
         let mut max_t = 0;
-        for (i, chunk) in chunks.iter().enumerate() {
-            match self.disks[i].write(sector, chunk) {
+        for (disk, chunk) in self.disks.iter_mut().zip(members) {
+            match disk.write(sector, chunk) {
                 Ok(t) => max_t = max_t.max(t),
                 Err(DiskError::Failed) => {} // degraded write
                 Err(e) => return Err(e.into()),
             }
-        }
-        match self.disks[DATA_DISKS].write(sector, &parity) {
-            Ok(t) => max_t = max_t.max(t),
-            Err(DiskError::Failed) => {}
-            Err(e) => return Err(e.into()),
         }
         Ok(max_t)
     }
@@ -151,45 +159,58 @@ impl RaidArray {
     /// data disk has failed. Returns the data and the duration.
     pub fn read_stripe(&mut self, stripe: u64) -> Result<(Vec<u8>, Ns), RaidError> {
         let mut out = Vec::with_capacity(self.stripe_bytes());
-        let t = self.read_stripe_into(stripe, &mut out)?;
+        let t = self.read_stripe_range_into(stripe, 0, self.stripe_bytes(), &mut out)?;
         Ok((out, t))
     }
 
-    /// [`RaidArray::read_stripe`] into a caller-supplied buffer
-    /// (cleared, then filled with exactly one stripe) — the log layer
-    /// keeps one stripe scratch so per-read stripe allocations
-    /// disappear from the storage hot path.
-    pub fn read_stripe_into(&mut self, stripe: u64, out: &mut Vec<u8>) -> Result<Ns, RaidError> {
+    /// Reads `stripe` and appends bytes `[off, off + len)` of it to
+    /// `out`. Every data disk is charged its full chunk — and the parity
+    /// disk too when a data disk has failed — so the duration, the heads
+    /// and the counters are those of a whole-stripe read; only the
+    /// copying is cut to the range, and with a disk lost only the part
+    /// of the range that lay on it is rebuilt from parity.
+    pub fn read_stripe_range_into(
+        &mut self,
+        stripe: u64,
+        off: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<Ns, RaidError> {
         if self.failed_count() > 1 {
             return Err(RaidError::TooManyFailures);
         }
-        let sector = stripe * self.chunk_sectors();
+        let sector = self.stripe_sector(stripe)?;
+        let end = off
+            .checked_add(len)
+            .filter(|&end| end <= self.stripe_bytes())
+            .ok_or(RaidError::Disk(DiskError::OutOfRange))?;
         let n = self.chunk_sectors();
-        out.clear();
+        let cb = self.chunk_bytes;
         let mut max_t = 0;
-        let mut missing: Option<usize> = None;
+        // Where in `out` a failed disk's share belongs, and which bytes
+        // of its chunk that share is.
+        let mut lost: Option<(usize, usize, usize)> = None;
         for i in 0..DATA_DISKS {
-            match self.disks[i].read_into(sector, n, out) {
-                Ok(t) => max_t = max_t.max(t),
+            let lo = off.clamp(i * cb, (i + 1) * cb) - i * cb;
+            let hi = end.clamp(i * cb, (i + 1) * cb) - i * cb;
+            let t = match self.disks[i].read_range_into(sector, n, lo, hi - lo, out) {
+                Ok(t) => t,
                 Err(DiskError::Failed) => {
-                    missing = Some(i);
-                    out.resize(out.len() + self.chunk_bytes, 0);
+                    // Parity stands in: its bytes go where the lost ones
+                    // belong, the survivors are folded in below.
+                    lost = Some((out.len(), lo, hi - lo));
+                    self.disks[DATA_DISKS].read_range_into(sector, n, lo, hi - lo, out)?
                 }
                 Err(e) => return Err(e.into()),
-            }
-        }
-        if let Some(miss) = missing {
-            // Reconstruct the missing chunk in place from parity.
-            let (parity, t) = self.disks[DATA_DISKS].read(sector, n)?;
+            };
             max_t = max_t.max(t);
-            let cb = self.chunk_bytes;
-            let (pre, rest) = out.split_at_mut(miss * cb);
-            let (slot, post) = rest.split_at_mut(cb);
-            slot.copy_from_slice(&parity);
-            for chunk in pre.chunks(cb).chain(post.chunks(cb)) {
-                for (s, b) in slot.iter_mut().zip(chunk.iter()) {
-                    *s ^= b;
-                }
+        }
+        if let Some((at, lo, take)) = lost.filter(|l| l.2 > 0) {
+            let mut member = Vec::with_capacity(take);
+            for d in self.disks[..DATA_DISKS].iter().filter(|d| !d.is_failed()) {
+                member.clear();
+                d.copy_range(sector, lo, take, &mut member);
+                xor_into(&mut out[at..at + take], &member);
             }
         }
         Ok(max_t)
@@ -204,19 +225,17 @@ impl RaidArray {
         }
         let n = self.chunk_sectors();
         let mut total = 0;
+        let (mut acc, mut member) = (Vec::new(), Vec::new());
         for stripe in 0..stripes {
-            let sector = stripe * n;
-            let mut acc = vec![0u8; self.chunk_bytes];
+            let sector = self.stripe_sector(stripe)?;
+            acc.clear();
+            acc.resize(self.chunk_bytes, 0);
             let mut max_t = 0;
-            for i in 0..=DATA_DISKS {
-                if i == replaced {
-                    continue;
-                }
-                let (d, t) = self.disks[i].read(sector, n)?;
+            for i in (0..=DATA_DISKS).filter(|&i| i != replaced) {
+                member.clear();
+                let t = self.disks[i].read_into(sector, n, &mut member)?;
                 max_t = max_t.max(t);
-                for (a, b) in acc.iter_mut().zip(d.iter()) {
-                    *a ^= b;
-                }
+                xor_into(&mut acc, &member);
             }
             total += max_t + self.disks[replaced].write(sector, &acc)?;
         }

@@ -14,7 +14,9 @@
 //! `scripts/profile.sh <preset> [ops]` does. Besides the names of
 //! `presets::by_name` it takes the benchmark's three scenario workloads
 //! (`metro-steady`, `front-door`, `control-3x`), whose specs are
-//! mirrored from `benchmark/src/workloads.rs`.
+//! mirrored from `benchmark/src/workloads.rs`, and `pfs`: a short
+//! storage loop on `pegasus_pfs` directly, in the shape of the
+//! benchmark's fourth workload, `pfs-vcr`.
 //!
 //! No `libc` crate is vendored, so the three libc entry points are
 //! declared here, with the x86-64 Linux layouts they take.
@@ -25,9 +27,14 @@ mod sampler {
     use std::process::Command;
     use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
 
+    use pegasus_pfs::cleaner::clean_garbage_file;
+    use pegasus_pfs::cm::CmScheduler;
+    use pegasus_pfs::disk::DiskConfig;
+    use pegasus_pfs::log::{FileClass, FileId, LogFs};
+    use pegasus_pfs::tier::{TierConfig, TieredCache};
     use pegasus_scenario::spec::Arrival;
     use pegasus_scenario::{presets, run_sharded, ScenarioSpec};
-    use pegasus_sim::time::MS;
+    use pegasus_sim::time::{MS, SEC};
 
     const SIGPROF: i32 = 27;
     const ITIMER_PROF: i32 = 2;
@@ -240,6 +247,57 @@ mod sampler {
         }
     }
 
+    /// One operation of the `pfs` target, on disks that keep what is
+    /// written: six files appended in interleaved 64 KiB pieces, read
+    /// back in 64 KiB pieces, every other one deleted and the garbage
+    /// cleaned, then the survivors played out through the tiered cache.
+    fn pfs_op() -> u64 {
+        const PIECE: usize = 64 << 10;
+        const FILE_BYTES: usize = 4 << 20;
+        let mut fs = LogFs::new(DiskConfig::hp_1994());
+        let files: Vec<FileId> = (0..6).map(|_| fs.create(FileClass::Continuous)).collect();
+        let piece: Vec<u8> = (0..PIECE).map(|i| (i * 31) as u8).collect();
+        for _ in (0..FILE_BYTES).step_by(PIECE) {
+            for &file in &files {
+                fs.append(file, &piece).expect("append");
+            }
+        }
+        fs.sync().expect("sync");
+        let mut buf = Vec::new();
+        for &file in &files {
+            for off in (0..FILE_BYTES).step_by(PIECE) {
+                fs.read_into(file, off as u64, PIECE, &mut buf)
+                    .expect("read");
+                assert!(
+                    buf == piece,
+                    "read_into returned other bytes than were written"
+                );
+            }
+        }
+        for &file in files.iter().skip(1).step_by(2) {
+            fs.delete(file).expect("delete");
+        }
+        clean_garbage_file(&mut fs).expect("clean");
+        let (period, periods, streams) = (16 * SEC, 16, 24);
+        let rate = (FILE_BYTES as u64 * SEC / period).div_ceil(periods);
+        let mut cm = CmScheduler::new(period, rate * streams * 2);
+        let mut cache = TieredCache::new(TierConfig {
+            hot_chunks: 3,
+            warm_chunks: 6,
+            ..TierConfig::default()
+        });
+        for i in 0..streams as usize {
+            let file = files[i % 3 * 2];
+            cm.admit(file, rate, 0).expect("admit");
+            cache.register_stream(file, rate);
+        }
+        let played = cm
+            .run_periods_tiered(&mut fs, &mut cache, periods)
+            .expect("CM play-out");
+        assert_eq!(played.bytes_delivered, streams * FILE_BYTES as u64);
+        fs.io_time
+    }
+
     fn table(title: &str, counts: HashMap<String, usize>, total: usize, rows: usize) {
         let mut rows_by_count: Vec<_> = counts.into_iter().collect();
         rows_by_count.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -252,15 +310,28 @@ mod sampler {
     pub fn main() {
         let mut args = std::env::args().skip(1);
         let Some(name) = args.next() else {
-            eprintln!("usage: sigprof <preset | metro-steady | front-door | control-3x> [ops]");
+            eprintln!(
+                "usage: sigprof <preset | metro-steady | front-door | control-3x | pfs> [ops]"
+            );
             std::process::exit(2);
         };
         let ops: usize = args.next().and_then(|n| n.parse().ok()).unwrap_or(10);
-        let spec = spec_of(&name);
+        let op: Box<dyn Fn()> = if name == "pfs" {
+            Box::new(|| {
+                std::hint::black_box(pfs_op());
+            })
+        } else {
+            let spec = spec_of(&name);
+            Box::new(move || {
+                drop(std::hint::black_box(
+                    run_sharded(&spec, 1).to_json_canonical(),
+                ))
+            })
+        };
 
         install(1_000);
         for _ in 0..ops {
-            std::hint::black_box(run_sharded(&spec, 1).to_json_canonical());
+            op();
         }
         stop();
 

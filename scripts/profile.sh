@@ -5,7 +5,10 @@
 # own target directory (different RUSTFLAGS would otherwise rebuild the
 # whole workspace in place), and runs it.
 #
-# usage: scripts/profile.sh <preset | metro-steady | front-door | control-3x> [ops]
+# usage: scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> [ops]
+#
+# `pfs` is a storage loop on pegasus_pfs directly, in the shape of the
+# benchmark's pfs-vcr (interleaved appends, read-back, clean, tiered CM).
 #
 # This kernel ticks ITIMER_PROF at 4 ms whatever interval is asked for,
 # so ten `metro-steady` ops yield ~1,000 samples (±1.5 points on a share):
@@ -13,7 +16,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,12p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
 
 RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=target/profile \
     cargo build --release --quiet -p pegasus-scenario --example sigprof

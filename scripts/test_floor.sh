@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=647
+FLOOR=653
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
