@@ -11,6 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use pegasus_sim::time::Ns;
@@ -53,12 +54,40 @@ impl SwitchStats {
     }
 }
 
+/// One multiply instead of SipHash for the two tables a cell consults.
+/// Their keys are port indices and VCIs this program hands out itself,
+/// so there is no crafted collision to defend against.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("labels hash as one integer");
+    }
+    fn write_u16(&mut self, vci: u16) {
+        self.write_u64(vci.into());
+    }
+    fn write_u64(&mut self, label: u64) {
+        self.0 = label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LabelMap<K, V> = HashMap<K, V, BuildHasherDefault<LabelHasher>>;
+
+/// The translation-table key: input port above the incoming VCI.
+fn label(in_port: usize, in_vci: Vci) -> u64 {
+    (in_port as u64) << Vci::BITS | u64::from(in_vci)
+}
+
 /// An output-queued cell switch.
 pub struct Switch {
     name: String,
     fabric_latency: Ns,
     outputs: Vec<Option<Link>>,
-    routes: HashMap<(usize, Vci), Route>,
+    routes: LabelMap<u64, Route>,
     /// Maximum backlog per output, in cells, before tail drop.
     pub queue_capacity: u64,
     /// Forwarding statistics.
@@ -67,7 +96,7 @@ pub struct Switch {
     /// carries at the drop point, before translation). Globally unique
     /// VCIs make this attributable to one circuit; the control plane
     /// drains it to reclaim credits and attribute admitted-session loss.
-    dropped_by_vci: HashMap<Vci, u64>,
+    dropped_by_vci: LabelMap<Vci, u64>,
     next_vci: Vci,
 }
 
@@ -79,10 +108,10 @@ impl Switch {
             name: name.to_string(),
             fabric_latency,
             outputs: (0..ports).map(|_| None).collect(),
-            routes: HashMap::new(),
+            routes: LabelMap::default(),
             queue_capacity: 1024,
             stats: SwitchStats::default(),
-            dropped_by_vci: HashMap::new(),
+            dropped_by_vci: LabelMap::default(),
             next_vci: 32, // low VCIs reserved for signalling, as on real ATM
         }))
     }
@@ -125,12 +154,12 @@ impl Switch {
     /// Installs a translation-table entry.
     pub fn add_route(&mut self, in_port: usize, in_vci: Vci, out_port: usize, out_vci: Vci) {
         self.routes
-            .insert((in_port, in_vci), Route { out_port, out_vci });
+            .insert(label(in_port, in_vci), Route { out_port, out_vci });
     }
 
     /// Removes a translation-table entry; returns `true` if it existed.
     pub fn remove_route(&mut self, in_port: usize, in_vci: Vci) -> bool {
-        self.routes.remove(&(in_port, in_vci)).is_some()
+        self.routes.remove(&label(in_port, in_vci)).is_some()
     }
 
     /// Wipes the whole translation table — a dead switch forwards
@@ -179,7 +208,7 @@ impl Switch {
 
     /// Looks up the route for a cell arriving on `in_port` with `in_vci`.
     pub fn route_for(&self, in_port: usize, in_vci: Vci) -> Option<Route> {
-        self.routes.get(&(in_port, in_vci)).copied()
+        self.routes.get(&label(in_port, in_vci)).copied()
     }
 
     /// Forwards a cell that has crossed the fabric from `in_port`.
@@ -392,6 +421,26 @@ mod tests {
         sim.run();
         assert_eq!(out.borrow().arrivals.len(), 1);
         assert_eq!(sw.borrow().stats.unroutable, 1);
+    }
+
+    #[test]
+    fn routes_are_keyed_on_port_and_vci_together() {
+        let sw = Switch::shared("t", 8, 0);
+        let mut sw = sw.borrow_mut();
+        let labels = [(0, 7), (1, 7), (7, 0), (7, 1), (0, Vci::MAX), (1, 0)];
+        for (n, &(port, vci)) in labels.iter().enumerate() {
+            sw.add_route(port, vci, n, n as Vci);
+        }
+        for (n, &(port, vci)) in labels.iter().enumerate() {
+            let route = sw.route_for(port, vci).expect("installed");
+            assert_eq!((route.out_port, route.out_vci), (n, n as Vci));
+        }
+        assert_eq!(sw.route_for(2, 7), None);
+        assert!(sw.remove_route(0, 7));
+        assert_eq!(sw.route_for(0, 7), None);
+        assert!(sw.route_for(1, 7).is_some());
+        sw.clear_routes();
+        assert!(labels.iter().all(|&(p, v)| sw.route_for(p, v).is_none()));
     }
 
     #[test]

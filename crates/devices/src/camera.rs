@@ -28,7 +28,7 @@ use pegasus_sim::time::{Ns, SEC};
 use pegasus_sim::{Simulator, Train};
 
 use crate::codec;
-use crate::tile::{Tile, TileCoding, TileFrameWriter};
+use crate::tile::{Tile, TileCoding, TileFrameWriter, TILE_DIM};
 use crate::video::SyntheticVideo;
 
 /// Raw or compressed output, fixed at VC-establishment time.
@@ -294,15 +294,20 @@ impl Camera {
             VideoMode::Mjpeg(q) => (TileCoding::Compressed, q),
         };
         let mut writer: Option<TileFrameWriter<FrameBufMut>> = None;
+        let width = self.video.width;
         for tx_idx in 0..tiles_x {
-            let tile = Tile::from_image(&image, self.video.width, tx_idx, row);
             let w = writer.get_or_insert_with(|| {
                 TileFrameWriter::begin(self.arena.lease(), coding, quality, frame_seq, scanned_at)
             });
+            let (x, y) = ((tx_idx * TILE_DIM) as u16, (row * TILE_DIM) as u16);
             match self.cfg.mode {
-                VideoMode::Raw => w.push_tile(tile.x, tile.y, &tile.pixels),
-                VideoMode::Mjpeg(q) => w.push_tile_with(tile.x, tile.y, |out| {
-                    codec::encode_tile_into(&tile.pixels, q, out)
+                VideoMode::Raw => {
+                    w.push_tile(x, y, &Tile::from_image(&image, width, tx_idx, row).pixels)
+                }
+                // Coded from the image where it lies: a tile this thread
+                // has coded before is never gathered.
+                VideoMode::Mjpeg(q) => w.push_tile_with(x, y, |out| {
+                    codec::encode_tile_from(&image, width, tx_idx, row, q, out)
                 }),
             }
             self.stats.raw_bytes += 64;
@@ -346,6 +351,7 @@ mod tests {
     use crate::tile::TileFrame;
     use crate::video::Scene;
     use pegasus_atm::aal5::Reassembler;
+    use pegasus_atm::cell::CELL_SIZE;
     use pegasus_atm::link::CaptureSink;
     use pegasus_sim::time::MS;
 
@@ -537,6 +543,46 @@ mod tests {
         if n > 0 {
             let avg = total_psnr / n as f64;
             assert!(avg > 28.0, "average tile PSNR {avg:.1} dB too low");
+        }
+    }
+
+    /// Four frames from one QCIF Motion-JPEG camera per scene, all on
+    /// one simulator: each camera's cells as `(arrival, wire bytes)`.
+    fn cell_streams(scenes: &[Scene]) -> Vec<Vec<(Ns, [u8; CELL_SIZE])>> {
+        let mut sim = Simulator::new();
+        let rigs: Vec<_> = scenes
+            .iter()
+            .map(|&scene| {
+                let sink = CaptureSink::shared();
+                let tx = Rc::new(RefCell::new(Link::new(155_000_000, 1_000, sink.clone())));
+                let video = SyntheticVideo::qcif(scene);
+                let cam = Camera::new(video, CameraConfig::default(), 42, tx);
+                Camera::start(&cam, &mut sim);
+                (cam, sink)
+            })
+            .collect();
+        sim.run_until(159 * MS);
+        rigs.iter().for_each(|(cam, _)| cam.borrow_mut().stop());
+        sim.run();
+        let wire = |(_, sink): &(_, Rc<RefCell<CaptureSink>>)| {
+            let arrivals = &sink.borrow().arrivals;
+            arrivals.iter().map(|(t, c)| (*t, c.to_bytes())).collect()
+        };
+        rigs.iter().map(wire).collect()
+    }
+
+    #[test]
+    fn cameras_sharing_a_thread_emit_what_each_emits_alone() {
+        // Together they take turns in one encode cache, row by row;
+        // alone, each starts a cold one on a thread of its own.
+        let together = cell_streams(&[Scene::MovingGradient, Scene::TestCard]);
+        for (scene, together) in [Scene::MovingGradient, Scene::TestCard]
+            .into_iter()
+            .zip(together)
+        {
+            let alone = std::thread::spawn(move || cell_streams(&[scene]).remove(0));
+            assert!(!together.is_empty());
+            assert!(together == alone.join().expect("ran"), "{scene:?}");
         }
     }
 

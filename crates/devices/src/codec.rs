@@ -11,9 +11,10 @@
 //! "protection against rendering or decompressing faulty tiles": a lost
 //! tile damages 64 pixels, not a stream.
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use crate::tile::{TILE_DIM, TILE_PIXELS};
+use crate::tile::{Tile, TILE_DIM, TILE_PIXELS};
 
 /// The standard JPEG luminance quantization matrix (Annex K).
 #[rustfmt::skip]
@@ -233,8 +234,103 @@ pub fn encode_tile(pixels: &[u8; TILE_PIXELS], quality: u8) -> Vec<u8> {
 
 /// [`encode_tile`], appending the bitstream to `out` — the zero-copy
 /// camera path encodes straight into the leased frame buffer a tile
-/// frame is being assembled in, so compression allocates nothing.
+/// frame is being assembled in, so compression allocates nothing. A
+/// tile this thread has coded before at the same quantiser is copied
+/// from its encode cache instead of coded again, to the same bytes.
 pub fn encode_tile_into(pixels: &[u8; TILE_PIXELS], quality: u8, out: &mut Vec<u8>) {
+    encode_tile_from(pixels, TILE_DIM, 0, 0, quality, out);
+}
+
+/// A thread's encode cache is `1 << CACHE_BITS` [`Slot`]s: 384 KiB.
+const CACHE_BITS: u32 = 11;
+/// The longest bitstream a slot keeps: forty-one tokens and the end of
+/// block, which holds the sharpest edge a gradient or a test card
+/// draws. A tile that codes longer (noise) is coded every time.
+const SLOT_TOKENS: usize = 126;
+
+/// One remembered coding: the whole input in one cache line, the bytes
+/// it produced in the next two (a short coding ends in the first of
+/// them).
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Slot {
+    /// The tile's eight rows, each as one little-endian word.
+    rows: [u64; TILE_DIM],
+    /// The quality after `clamp(1, 100)`, i.e. the quantiser; 0 marks a
+    /// slot never filled.
+    quality: u8,
+    len: u8,
+    tokens: [u8; SLOT_TOKENS],
+}
+
+thread_local! {
+    /// What this thread has coded, by content. Tiles are independent
+    /// (§2.1) and a city's cameras show few distinct ones, so most are
+    /// coded once and copied afterwards. Direct-mapped and fixed-size:
+    /// a colliding tile evicts, nothing grows. Per thread because
+    /// shards are threads that share nothing; empty until the first
+    /// compressed tile, so a run without one never allocates it.
+    static CACHE: RefCell<Vec<Slot>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Where in [`CACHE`] a coding of these rows at this quantiser lives.
+fn slot_of(quality: u8, rows: &[u64; TILE_DIM]) -> usize {
+    let hash = rows.iter().fold(quality as u64, |h, &row| {
+        (h.rotate_left(5) ^ row).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    (hash >> (64 - CACHE_BITS)) as usize
+}
+
+/// [`encode_tile_into`] for the tile at tile-grid position (tx, ty) of a
+/// `width`-pixel-wide image, read where it lies ([`Tile::from_image`]
+/// has the geometry and the panics).
+///
+/// The output is [`code_tile`]'s, byte for byte: a remembered coding is
+/// reused only when the quantiser and all 64 pixels are the ones it was
+/// made from — the hash only picks the slot to look in.
+pub(crate) fn encode_tile_from(
+    image: &[u8],
+    width: usize,
+    tx: usize,
+    ty: usize,
+    quality: u8,
+    out: &mut Vec<u8>,
+) {
+    let quality = quality.clamp(1, 100);
+    let rows: [u64; TILE_DIM] = std::array::from_fn(|r| {
+        let at = (ty * TILE_DIM + r) * width + tx * TILE_DIM;
+        u64::from_le_bytes(image[at..at + TILE_DIM].try_into().expect("eight pixels"))
+    });
+    CACHE.with_borrow_mut(|cache| {
+        if cache.is_empty() {
+            let empty = Slot {
+                rows: [0; TILE_DIM],
+                quality: 0,
+                len: 0,
+                tokens: [0; SLOT_TOKENS],
+            };
+            cache.resize(1 << CACHE_BITS, empty);
+        }
+        let slot = &mut cache[slot_of(quality, &rows)];
+        if slot.quality == quality && slot.rows == rows {
+            out.extend_from_slice(&slot.tokens[..slot.len as usize]);
+            return;
+        }
+        let start = out.len();
+        code_tile(&Tile::from_image(image, width, tx, ty).pixels, quality, out);
+        let coded = &out[start..];
+        if coded.len() <= SLOT_TOKENS {
+            slot.rows = rows;
+            slot.tokens[..coded.len()].copy_from_slice(coded);
+            slot.len = coded.len() as u8;
+            slot.quality = quality;
+        }
+    })
+}
+
+/// The coder itself — level shift, forward DCT, quantise, zigzag,
+/// run-length — appending the bitstream to `out`.
+fn code_tile(pixels: &[u8; TILE_PIXELS], quality: u8, out: &mut Vec<u8>) {
     let t = Tables::get();
     let mut block = [0f32; TILE_PIXELS];
     for (b, &p) in block.iter_mut().zip(pixels.iter()) {
@@ -345,7 +441,6 @@ pub fn psnr(a: &[u8], b: &[u8]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::Tile;
     use crate::video::{Scene, SyntheticVideo};
     use proptest::prelude::*;
 
@@ -710,6 +805,129 @@ mod tests {
         }
     }
 
+    fn rows_of(tile: &[u8; TILE_PIXELS]) -> [u64; TILE_DIM] {
+        std::array::from_fn(|r| {
+            u64::from_le_bytes(tile[r * TILE_DIM..][..TILE_DIM].try_into().unwrap())
+        })
+    }
+
+    /// One grey above another: codes in a few tokens at any quality,
+    /// so the cache keeps it.
+    fn step_tile(n: usize) -> [u8; TILE_PIXELS] {
+        let mut t = [n as u8; TILE_PIXELS];
+        t[TILE_PIXELS / 2..].fill((n >> 8) as u8);
+        t
+    }
+
+    /// Two different step tiles the cache files under one slot at
+    /// quantiser `q`.
+    fn colliding_pair(q: u8) -> [[u8; TILE_PIXELS]; 2] {
+        let mut seen = std::collections::HashMap::new();
+        for n in 0.. {
+            let tile = step_tile(n);
+            if let Some(first) = seen.insert(slot_of(q, &rows_of(&tile)), n) {
+                return [step_tile(first), tile];
+            }
+        }
+        unreachable!("2,049 tiles cannot fill 2,048 slots apart")
+    }
+
+    /// The slot `tile` would use at quantiser `q`, as this thread's
+    /// cache holds it now.
+    fn slot_for(q: u8, tile: &[u8; TILE_PIXELS]) -> Slot {
+        CACHE.with_borrow(|cache| cache[slot_of(q, &rows_of(tile))])
+    }
+
+    #[test]
+    fn a_hit_needs_the_quantiser_and_every_pixel() {
+        let [a, b] = colliding_pair(50);
+        let want = |tile, q| reference::encode_tile(tile, q);
+        // The second content evicts the first; each is still coded
+        // as itself, before and after.
+        for tile in [&a, &b, &b, &a, &a] {
+            assert_eq!(encode_tile(tile, 50), want(tile, 50));
+            assert_eq!(slot_for(50, tile).rows, rows_of(tile), "latest wins");
+        }
+        // One content, two quantisers — also when both land in one slot.
+        for q in [10, 90, 50] {
+            CACHE.with_borrow_mut(|cache| {
+                let held = cache[slot_of(50, &rows_of(&a))];
+                cache[slot_of(q, &rows_of(&a))] = held;
+            });
+            assert_eq!(encode_tile(&a, q), want(&a, q), "q={q}");
+        }
+        // Qualities that clamp to one quantiser share its entry.
+        for (q, clamped) in [(0, 1), (1, 1), (100, 100), (255, 100)] {
+            assert_eq!(encode_tile(&a, q), want(&a, q), "q={q}");
+            assert_eq!(slot_for(clamped, &a).quality, clamped);
+        }
+        // A coding longer than a slot passes through whole and leaves
+        // the slot as it was.
+        let noisy = noisy_tile(7);
+        let before = slot_for(95, &noisy);
+        let coded = encode_tile(&noisy, 95);
+        assert!(coded.len() > SLOT_TOKENS);
+        assert_eq!(coded, want(&noisy, 95));
+        let after = slot_for(95, &noisy);
+        assert_eq!((after.rows, after.quality), (before.rows, before.quality));
+        assert_eq!(encode_tile(&noisy, 95), coded);
+    }
+
+    #[test]
+    fn a_noise_run_longer_than_the_cache_matches_the_reference() {
+        // 2,376 distinct tiles through 2,048 slots, at a quality where
+        // noise still fits a slot (every tile stored, most evicted) and
+        // at one where it does not (every tile passed through); the
+        // gradient tile in between is a hit whenever it survived.
+        let video = SyntheticVideo::qcif(Scene::Noise);
+        let gradient = gradient_tile();
+        let (mut stored, mut out) = ([0; 2], Vec::new());
+        for n in 0..6 {
+            let image = video.frame(n);
+            for ty in 0..video.tiles_y() {
+                for tx in 0..video.tiles_x() {
+                    let tile = Tile::from_image(&image, video.width, tx, ty).pixels;
+                    for (q, stored) in [3, 90].into_iter().zip(&mut stored) {
+                        out.clear();
+                        encode_tile_from(&image, video.width, tx, ty, q, &mut out);
+                        assert_eq!(out, reference::encode_tile(&tile, q), "q={q}");
+                        let slot = slot_for(q, &tile);
+                        *stored += usize::from((slot.rows, slot.quality) == (rows_of(&tile), q));
+                        assert_eq!(
+                            encode_tile(&gradient, q),
+                            reference::encode_tile(&gradient, q)
+                        );
+                    }
+                }
+            }
+        }
+        let tiles = 6 * video.tiles_x() * video.tiles_y();
+        assert!(tiles > 1 << CACHE_BITS);
+        assert!(
+            stored[0] > tiles * 9 / 10,
+            "{} of {tiles} stored",
+            stored[0]
+        );
+        assert_eq!(stored[1], 0, "noise at quality 90 never fits a slot");
+    }
+
+    /// What the sequence proptest draws from: contents that share a
+    /// slot, one that is never stored, and qualities on both sides of
+    /// the clamp — each with the reference's answer.
+    type Pool = Vec<([u8; TILE_PIXELS], u8, Vec<u8>)>;
+
+    fn pool() -> &'static Pool {
+        static POOL: OnceLock<Pool> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let [a, b] = colliding_pair(50);
+            let tiles = [a, b, gradient_tile(), [128; TILE_PIXELS], noisy_tile(7)];
+            let qualities = [0, 1, 50, 75, 100, 255];
+            let entry = |t: &[u8; TILE_PIXELS], q| (*t, q, reference::encode_tile(t, q));
+            let pairs = tiles.iter().flat_map(|t| qualities.map(|q| entry(t, q)));
+            pairs.collect()
+        })
+    }
+
     proptest! {
         #[test]
         fn prop_random_tiles_match_the_reference(
@@ -717,6 +935,21 @@ mod tests {
         ) {
             let tile: [u8; TILE_PIXELS] = pixels.try_into().expect("64 pixels");
             assert_matches_reference(&tile);
+        }
+
+        #[test]
+        fn prop_any_sequence_of_tiles_matches_the_reference(
+            picks in proptest::collection::vec(any::<proptest::sample::Index>(), 1..150),
+        ) {
+            // One thread runs every case, so each starts on the cache
+            // the last one left.
+            let mut out = vec![0xEE];
+            for pick in picks {
+                let (tile, quality, want) = &pool()[pick.index(pool().len())];
+                out.truncate(1);
+                encode_tile_into(tile, *quality, &mut out);
+                prop_assert_eq!(&out[1..], &want[..]);
+            }
         }
 
         #[test]

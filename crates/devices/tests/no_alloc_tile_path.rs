@@ -12,17 +12,20 @@
 //!   (reassemble in place, parse through the borrowed view, validate or
 //!   decode, blit) performs **zero** allocations, with a framebuffer or
 //!   without.
+//! * **The encode cache** — a thread gets its 384 KiB when it codes its
+//!   first compressed tile: a Raw-mode camera never asks for it, a warm
+//!   Motion-JPEG one (the transmit windows above) never again.
 //!
 //! Measured, like the forwarding gate, with a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use pegasus_atm::cell::Cell;
 use pegasus_atm::link::{CaptureSink, CellSink, Link};
-use pegasus_devices::camera::{Camera, CameraConfig};
+use pegasus_devices::camera::{Camera, CameraConfig, VideoMode};
 use pegasus_devices::display::{Display, Rect, WindowManager};
 use pegasus_devices::video::{Scene, SyntheticVideo};
 use pegasus_sim::time::MS;
@@ -31,21 +34,28 @@ use pegasus_sim::Simulator;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The largest single request so far, in bytes.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -91,8 +101,40 @@ const VCI: u16 = 40;
 /// deltas.
 #[test]
 fn tile_path_allocates_nothing_per_tile() {
+    encode_cache_is_allocated_by_the_first_compressed_tile(); // first: this thread has coded nothing yet
     camera_rows_allocate_per_sealed_frame_not_per_tile();
     display_delivery_allocates_nothing();
+}
+
+/// The largest single allocation while a QCIF camera in `mode` runs two
+/// frames. Everything else on the path asks for far less than the
+/// cache's 384 KiB: a QCIF image is 25 KB, a tile frame under 2 KB.
+fn largest_alloc_of_a_run(mode: VideoMode) -> usize {
+    let sink = Rc::new(RefCell::new(DrainSink::default()));
+    let tx = Rc::new(RefCell::new(Link::new(155_000_000, 1_000, sink.clone())));
+    let cfg = CameraConfig {
+        mode,
+        ..CameraConfig::default()
+    };
+    let cam = Camera::new(SyntheticVideo::qcif(Scene::MovingGradient), cfg, VCI, tx);
+    let mut sim = Simulator::new();
+    Camera::start(&cam, &mut sim);
+    let period = cam.borrow().frame_period();
+    LARGEST.store(0, Ordering::Relaxed);
+    sim.run_until(2 * period);
+    assert!(sink.borrow().cells > 0);
+    LARGEST.load(Ordering::Relaxed)
+}
+
+fn encode_cache_is_allocated_by_the_first_compressed_tile() {
+    const CACHE_SIZED: usize = 128 << 10;
+    let raw = largest_alloc_of_a_run(VideoMode::Raw);
+    assert!(
+        raw < CACHE_SIZED,
+        "a Raw camera allocated {raw} bytes at once"
+    );
+    let coded = largest_alloc_of_a_run(VideoMode::Mjpeg(50));
+    assert!(coded >= CACHE_SIZED, "the measure would not see the cache");
 }
 
 /// Allocations and tile frames sealed over the rows of one video frame,

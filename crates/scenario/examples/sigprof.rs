@@ -48,6 +48,9 @@ mod sampler {
     const MAX_DEPTH: usize = 48;
     /// Sample words preallocated: room for ~20,000 full-depth stacks.
     const BUF_WORDS: usize = 1 << 20;
+    /// Process CPU time between samples: this kernel ticks `ITIMER_PROF`
+    /// at 4 ms whatever interval `install` asks for.
+    const TICK_MS: f64 = 4.0;
 
     /// glibc's `struct sigaction` on x86-64.
     #[repr(C)]
@@ -298,12 +301,18 @@ mod sampler {
         fs.io_time
     }
 
-    fn table(title: &str, counts: HashMap<String, usize>, total: usize, rows: usize) {
+    /// Prints the `rows` largest counts: share of the samples, host
+    /// milliseconds an operation (`ms_per_sample` is the tick over the
+    /// operations run), samples, name. The share is of a total that a
+    /// saving shrinks; ms/op is the column to compare across commits.
+    fn table(title: &str, counts: HashMap<String, usize>, ms_per_sample: f64, rows: usize) {
+        let total: usize = counts.values().sum();
         let mut rows_by_count: Vec<_> = counts.into_iter().collect();
         rows_by_count.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        println!("\n{title}");
+        println!("\n{title}\n self %    ms/op  samples");
         for (name, n) in rows_by_count.into_iter().take(rows) {
-            println!("{:6.1} %  {n:6}  {name}", 100.0 * n as f64 / total as f64);
+            let (share, ms) = (100.0 * n as f64 / total as f64, n as f64 * ms_per_sample);
+            println!("{share:6.1} % {ms:8.3}  {n:6}  {name}");
         }
     }
 
@@ -394,13 +403,15 @@ mod sampler {
             *by_symbol.entry(leaf).or_default() += 1;
             *by_crate.entry(owner_crate).or_default() += 1;
         }
+        let ms_per_sample = TICK_MS / ops as f64;
         println!(
-            "{name}: {ops} ops, {total} samples ({} dropped)",
-            DROPPED.load(Relaxed)
+            "{name}: {ops} ops, {total} samples ({} dropped), {:.1} ms/op",
+            DROPPED.load(Relaxed),
+            total as f64 * ms_per_sample
         );
         if total > 0 {
-            table("self % by leaf-most pegasus_* crate", by_crate, total, 16);
-            table("self % by symbol", by_symbol, total, 40);
+            table("by leaf-most pegasus_* crate", by_crate, ms_per_sample, 16);
+            table("by symbol", by_symbol, ms_per_sample, 40);
         }
     }
 }

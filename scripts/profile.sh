@@ -13,10 +13,14 @@
 # This kernel ticks ITIMER_PROF at 4 ms whatever interval is asked for,
 # so ten `metro-steady` ops yield ~1,000 samples (±1.5 points on a share):
 # ask for enough ops.
+#
+# Both tables print `self %` and `ms/op` (samples x 4 ms / ops). Compare
+# two commits by ms/op: a share is of a sample total that a saving itself
+# shrinks, so every row the change never touched reads higher afterwards.
 set -eu
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
 
 RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=target/profile \
     cargo build --release --quiet -p pegasus-scenario --example sigprof
