@@ -229,7 +229,7 @@ impl CreditSink {
     /// back to `window`. A circuit that never leaves its switch has
     /// `delay` 0.
     pub fn register(&mut self, dst_vci: Vci, delay: Ns, window: CreditRef) {
-        debug_assert!(
+        assert!(
             self.circuits.iter().all(|(v, ..)| *v != dst_vci),
             "duplicate credit registration for VCI {dst_vci}"
         );
@@ -243,25 +243,6 @@ impl CellSink for CreditSink {
             w.borrow_mut().release_at(sim.now() + delay, 1);
         }
         self.inner.borrow_mut().deliver(sim, cell);
-    }
-
-    /// Batch returns coalesce per circuit and stamp the whole train
-    /// with the batch's event time, not per-cell arrival times.
-    fn deliver_batch(&mut self, sim: &mut Simulator, cells: &mut Vec<(Ns, Cell)>) {
-        let now = sim.now();
-        for (vci, delay, w) in &self.circuits {
-            let n = cells.iter().filter(|(_, c)| c.vci() == *vci).count() as u64;
-            if n > 0 {
-                w.borrow_mut().release_at(now + delay, n);
-            }
-        }
-        self.inner.borrow_mut().deliver_batch(sim, cells);
-    }
-
-    /// Credit bookkeeping reads only the event clock, so batching is
-    /// safe exactly when the wrapped sink says it is.
-    fn batch_capable(&self) -> bool {
-        self.inner.borrow().batch_capable()
     }
 }
 
@@ -316,19 +297,20 @@ mod tests {
         sink.borrow_mut().register(7, 0, w.clone());
         assert!(w.borrow_mut().try_acquire(2));
 
-        let mine = Cell::new(7);
-        let other = Cell::new(9);
-        sink.borrow_mut().deliver(&mut sim, mine.clone());
-        sink.borrow_mut().deliver(&mut sim, other);
+        sink.borrow_mut().deliver(&mut sim, Cell::new(7));
+        sink.borrow_mut().deliver(&mut sim, Cell::new(9));
         w.borrow_mut().advance_to(sim.now());
         assert_eq!(w.borrow().in_flight(), 1, "one credit back for VCI 7");
-
-        let mut batch = vec![(0, mine)];
-        sink.borrow_mut().deliver_batch(&mut sim, &mut batch);
-        w.borrow_mut().advance_to(sim.now());
-        assert_eq!(w.borrow().in_flight(), 0);
         assert!(w.borrow().conserved());
-        assert_eq!(capture.borrow().arrivals.len(), 3, "all cells forwarded");
+        assert_eq!(capture.borrow().arrivals.len(), 2, "all cells forwarded");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate credit registration for VCI 7")]
+    fn registering_one_vci_twice_is_rejected() {
+        let sink = CreditSink::wrap(CaptureSink::shared());
+        sink.borrow_mut().register(7, 0, CreditWindow::shared(4));
+        sink.borrow_mut().register(7, 0, CreditWindow::shared(4));
     }
 
     #[test]
@@ -362,26 +344,5 @@ mod tests {
         assert!(!w.borrow_mut().try_acquire_at(49, 3));
         assert!(w.borrow_mut().try_acquire_at(50, 3), "due return applied");
         assert!(w.borrow().conserved());
-    }
-
-    /// What a gate sends back: one `(due, n)` return per circuit per
-    /// batch, nothing for a VCI nobody registered.
-    #[test]
-    fn export_sink_seals_coalesced_records() {
-        let mut sim = Simulator::new();
-        let capture = CaptureSink::shared();
-        let sink = CreditSink::wrap(capture.clone());
-        let w = CreditWindow::shared(4);
-        sink.borrow_mut().register(7, 40, w.clone());
-
-        let mut batch = vec![(0, Cell::new(7)), (1, Cell::new(7)), (2, Cell::new(9))];
-        sink.borrow_mut().deliver_batch(&mut sim, &mut batch);
-        sink.borrow_mut().deliver(&mut sim, Cell::new(7));
-        assert_eq!(
-            w.borrow().pending,
-            vec![(40, 2), (40, 1)],
-            "one coalesced return per batch, unregistered VCI ignored"
-        );
-        assert_eq!(capture.borrow().arrivals.len(), 4, "all cells forwarded");
     }
 }

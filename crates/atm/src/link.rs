@@ -10,27 +10,18 @@
 //!
 //! Cells queued behind a busy line form a *train*: a contiguous run whose
 //! arrival times are fixed the moment each cell is accepted. The link
-//! exploits this twice, and the two are different savings:
-//!
-//! * **Residency — the per-cell lane** (default): every cell still gets
-//!   its own delivery event — exact per-cell delivery clock for
-//!   timing-sensitive sinks — under the key it reserved when the link
-//!   accepted it, but the cells wait in the link's own [`Train`] and
-//!   only the head is in the engine's heap. A thousand queued cells
-//!   cost the heap one entry, and nothing is allocated per cell.
-//! * **Batching — the batched lane**: sinks that declare
-//!   [`CellSink::batch_capable`] (capture probes, storage recorders)
-//!   receive whole trains in a single [`CellSink::deliver_batch`] call
-//!   carrying explicit per-cell arrival times. One *event* may deliver
-//!   thousands of cells; the recorded arrival times are bit-for-bit
-//!   those of the per-cell lane.
+//! exploits this once, for residency: every cell still gets its own
+//! delivery event — the sink reads its arrival instant off
+//! [`Simulator::now`] — under the key it reserved when the link
+//! accepted it, but the cells wait in the link's own [`Train`] and only
+//! the head is in the engine's heap. A thousand queued cells cost the
+//! heap one entry, and nothing is allocated per cell.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pegasus_sim::time::{tx_time, Ns};
-use pegasus_sim::{Lane, SharedHandler, Simulator, Train};
+use pegasus_sim::{Lane, Simulator, Train};
 
 use crate::cell::{Cell, Vci, CELL_SIZE};
 
@@ -45,99 +36,10 @@ pub type ExportBuffer = Rc<RefCell<Vec<(Ns, Cell)>>>;
 pub trait CellSink {
     /// Delivers one cell at the current simulation time.
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell);
-
-    /// Delivers a train of back-to-back cells in one call.
-    ///
-    /// `cells` holds `(arrival time, cell)` pairs in arrival order; every
-    /// arrival is `<= sim.now()` when the call is made. The default
-    /// implementation drains them through [`CellSink::deliver`] one at a
-    /// time. Links only use this entry point on sinks that report
-    /// [`CellSink::batch_capable`]; such sinks must take their per-cell
-    /// timing from the explicit timestamps, not from [`Simulator::now`].
-    fn deliver_batch(&mut self, sim: &mut Simulator, cells: &mut Vec<(Ns, Cell)>) {
-        for (_, cell) in cells.drain(..) {
-            self.deliver(sim, cell);
-        }
-    }
-
-    /// Whether a link may collapse a whole cell train into one
-    /// [`CellSink::deliver_batch`] event instead of one event per cell.
-    ///
-    /// Return `true` only if the sink does not read [`Simulator::now`]
-    /// (or schedule follow-up work) per cell — capture probes and bulk
-    /// recorders qualify; switches, displays and DACs do not. The link
-    /// samples this at the start of each train, so a sink may change its
-    /// answer between trains (see `HostNic` forwarding) but not within
-    /// one.
-    fn batch_capable(&self) -> bool {
-        false
-    }
 }
 
 /// Shared handle to a [`CellSink`].
 pub type SinkRef = Rc<RefCell<dyn CellSink>>;
-
-/// The batched lane's accepted-but-undelivered cells, shared between
-/// the link (producer) and its delivery handler (consumer).
-#[derive(Default)]
-struct Batch {
-    /// `(arrival time, cell)` in arrival order.
-    cells: VecDeque<(Ns, Cell)>,
-    /// Scratch buffer handed to [`CellSink::deliver_batch`]; reused so a
-    /// steady-state batched link performs no per-train allocations.
-    burst: Vec<(Ns, Cell)>,
-    /// A delivery event is already scheduled.
-    scheduled: bool,
-}
-
-/// The batched lane: its queue and the one handler that drains it.
-struct BatchedLane {
-    batch: Rc<RefCell<Batch>>,
-    handler: SharedHandler,
-}
-
-impl BatchedLane {
-    fn new(sink: SinkRef) -> Self {
-        let batch = Rc::new(RefCell::new(Batch::default()));
-        let handler: SharedHandler = {
-            let batch = batch.clone();
-            Rc::new(RefCell::new(move |sim: &mut Simulator| -> Option<Ns> {
-                let now = sim.now();
-                // Drain every cell that has arrived by now into the
-                // reusable burst buffer, release the borrow, then hand
-                // the whole train segment over in one call.
-                let mut burst = {
-                    let mut b = batch.borrow_mut();
-                    let mut burst = std::mem::take(&mut b.burst);
-                    while b.cells.front().is_some_and(|&(at, _)| at <= now) {
-                        burst.push(b.cells.pop_front().expect("front checked"));
-                    }
-                    burst
-                };
-                sink.borrow_mut().deliver_batch(sim, &mut burst);
-                burst.clear();
-                let mut b = batch.borrow_mut();
-                b.burst = burst;
-                // Cells accepted since this event was scheduled arrive
-                // later; chase them with one event at the train's tail.
-                match b.cells.back() {
-                    Some(&(tail, _)) => Some(tail),
-                    None => {
-                        b.scheduled = false;
-                        None
-                    }
-                }
-            }))
-        };
-        BatchedLane { batch, handler }
-    }
-
-    /// Nothing queued and no delivery event outstanding.
-    fn is_idle(&self) -> bool {
-        let b = self.batch.borrow();
-        b.cells.is_empty() && !b.scheduled
-    }
-}
 
 /// A unidirectional link with a line rate and propagation delay.
 ///
@@ -182,13 +84,10 @@ pub struct Link {
     /// would start before it are lost on the wire (a flapping link or a
     /// pulled line card). `0` means the link has never been down.
     outage_until: Ns,
-    /// Lane chosen at train start (sink's `batch_capable` answer).
-    batch: bool,
-    /// The per-cell lane: one delivery event per cell, head only armed.
-    /// Either lane is built when its first train starts, so a line that
-    /// never carried a cell owns no queue.
-    per_cell: Option<Train<Cell>>,
-    batched: Option<BatchedLane>,
+    /// Accepted-but-undelivered cells: one delivery event per cell,
+    /// head only armed. Built when the first cell is accepted, so a line
+    /// that never carried a cell owns no queue.
+    train: Option<Train<Cell>>,
     /// Scheduling lane for delivery events. Lane 0 (default) is the
     /// shared FIFO lane; the sharded executor gives every inter-switch
     /// trunk link a private lane so boundary-injected cells land in the
@@ -216,9 +115,7 @@ impl Link {
             cells_dropped: 0,
             dropped_by_vci: Vec::new(),
             outage_until: 0,
-            batch: false,
-            per_cell: None,
-            batched: None,
+            train: None,
             lane: 0,
             export: None,
         }
@@ -228,7 +125,7 @@ impl Link {
     /// at wiring time (before any traffic); lane 0 is the default.
     pub fn set_lane(&mut self, lane: Lane) {
         self.lane = lane;
-        if let Some(train) = &mut self.per_cell {
+        if let Some(train) = &mut self.train {
             train.set_lane(lane);
         }
     }
@@ -297,8 +194,7 @@ impl Link {
     ///
     /// Returns the absolute arrival time at the sink. The generic path
     /// allocates nothing per cell: the delivery event is the link's
-    /// shared handler, and on the batched lane a whole train rides a
-    /// single event.
+    /// shared handler.
     pub fn send(&mut self, sim: &mut Simulator, cell: Cell) -> Ns {
         let start = self.next_free.max(sim.now());
         if start < self.outage_until {
@@ -331,38 +227,18 @@ impl Link {
         arrival
     }
 
-    /// Queues an accepted cell for delivery on the lane its train
-    /// started on — the half of [`Link::send`] downstream of the wire,
-    /// shared by the local path and boundary injection.
+    /// Queues an accepted cell for delivery — the half of
+    /// [`Link::send`] downstream of the wire, shared by the local path
+    /// and boundary injection.
     fn enqueue_delivery(&mut self, sim: &mut Simulator, arrival: Ns, cell: Cell) {
-        let idle = self.per_cell.as_ref().is_none_or(Train::is_empty)
-            && self.batched.as_ref().is_none_or(BatchedLane::is_idle);
-        if idle {
-            // A new train starts: sample the sink's lane preference.
-            self.batch = self.sink.borrow().batch_capable();
-        }
-        if !self.batch {
-            let (lane, sink) = (self.lane, &self.sink);
-            let train = self.per_cell.get_or_insert_with(|| {
-                let sink = sink.clone();
-                Train::new(lane, move |sim: &mut Simulator, cell| {
-                    sink.borrow_mut().deliver(sim, cell)
-                })
-            });
-            train.push(sim, arrival, cell);
-            return;
-        }
-        let sink = &self.sink;
-        let lane = self
-            .batched
-            .get_or_insert_with(|| BatchedLane::new(sink.clone()));
-        let mut b = lane.batch.borrow_mut();
-        b.cells.push_back((arrival, cell));
-        let need_event = !std::mem::replace(&mut b.scheduled, true);
-        drop(b);
-        if need_event {
-            sim.schedule_shared_at_on(self.lane, arrival, lane.handler.clone());
-        }
+        let (lane, sink) = (self.lane, &self.sink);
+        let train = self.train.get_or_insert_with(|| {
+            let sink = sink.clone();
+            Train::new(lane, move |sim: &mut Simulator, cell| {
+                sink.borrow_mut().deliver(sim, cell)
+            })
+        });
+        train.push(sim, arrival, cell);
     }
 
     /// Injects a cell sealed by the transmitting shard: queues it for
@@ -399,10 +275,6 @@ impl Link {
 }
 
 /// A sink that records arrivals — the workhorse test/measurement probe.
-///
-/// Batch-capable: a busy link delivers whole cell trains to it in one
-/// event, recording the same `(arrival, cell)` pairs the per-cell lane
-/// would produce.
 #[derive(Default)]
 pub struct CaptureSink {
     /// `(arrival time, cell)` pairs in delivery order.
@@ -419,14 +291,6 @@ impl CaptureSink {
 impl CellSink for CaptureSink {
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell) {
         self.arrivals.push((sim.now(), cell));
-    }
-
-    fn deliver_batch(&mut self, _sim: &mut Simulator, cells: &mut Vec<(Ns, Cell)>) {
-        self.arrivals.append(cells);
-    }
-
-    fn batch_capable(&self) -> bool {
-        true
     }
 }
 
@@ -465,8 +329,8 @@ mod tests {
 
     #[test]
     fn a_thousand_queued_cells_hold_one_heap_entry() {
-        let probe = Rc::new(RefCell::new(ClockProbe::default()));
-        let mut link = Link::new(MBPS_100, 0, probe.clone());
+        let sink = CaptureSink::shared();
+        let mut link = Link::new(MBPS_100, 0, sink.clone());
         let mut sim = Simulator::new();
         for vci in 0..1_000u16 {
             link.send(&mut sim, Cell::new(vci));
@@ -474,8 +338,28 @@ mod tests {
         assert_eq!(sim.pending(), 1, "the train's head stands for the queue");
         sim.run();
         assert_eq!(sim.events_executed(), 1_000, "still one event per cell");
-        let expect: Vec<(Ns, u16)> = (0..1_000u16).map(|i| ((i as Ns + 1) * 4_240, i)).collect();
-        assert_eq!(probe.borrow().0, expect);
+        let expect: Vec<(Ns, Cell)> = (0..1_000u16)
+            .map(|i| ((i as Ns + 1) * 4_240, Cell::new(i)))
+            .collect();
+        assert_eq!(sink.borrow().arrivals, expect);
+    }
+
+    #[test]
+    fn cells_in_flight_together_each_arrive_at_their_own_instant() {
+        // OC-12 serializes a cell in under 1 µs, so with 1 µs of
+        // propagation several cells are on the wire at once.
+        let sink = CaptureSink::shared();
+        let mut link = Link::new(622_080_000, 1_000, sink.clone());
+        assert!(link.cell_time() < 1_000);
+        let mut sim = Simulator::new();
+        let promised: Vec<Ns> = (0..64u16)
+            .map(|vci| link.send(&mut sim, Cell::new(vci)))
+            .collect();
+        assert_eq!(sim.pending(), 1);
+        sim.run();
+        assert_eq!(sim.events_executed(), 64);
+        let recorded: Vec<Ns> = sink.borrow().arrivals.iter().map(|(t, _)| *t).collect();
+        assert_eq!(recorded, promised);
     }
 
     #[test]
@@ -528,49 +412,6 @@ mod tests {
     fn zero_rate_rejected() {
         let sink = CaptureSink::shared();
         let _ = Link::new(0, 0, sink);
-    }
-
-    /// A sink on the default (per-cell) lane recording delivery clocks.
-    #[derive(Default)]
-    struct ClockProbe(Vec<(Ns, u16)>);
-    impl CellSink for ClockProbe {
-        fn deliver(&mut self, sim: &mut Simulator, cell: Cell) {
-            self.0.push((sim.now(), cell.vci()));
-        }
-    }
-
-    #[test]
-    fn batched_and_per_cell_lanes_record_identical_arrivals() {
-        let drive = |probe: SinkRef| {
-            let mut link = Link::new(MBPS_100, 77, probe);
-            let mut sim = Simulator::new();
-            for burst in 0..5u16 {
-                for i in 0..=burst {
-                    link.send(&mut sim, Cell::new(burst * 10 + i));
-                }
-                sim.run_until(sim.now() + 3_000);
-            }
-            sim.run();
-            (sim.events_executed(), sim.now())
-        };
-        let probe = Rc::new(RefCell::new(ClockProbe::default()));
-        let (per_cell_events, per_cell_clock) = drive(probe.clone());
-        let capture = CaptureSink::shared();
-        let (batch_events, batch_clock) = drive(capture.clone());
-
-        let a: Vec<(Ns, u16)> = probe.borrow().0.clone();
-        let b: Vec<(Ns, u16)> = capture
-            .borrow()
-            .arrivals
-            .iter()
-            .map(|(t, c)| (*t, c.vci()))
-            .collect();
-        assert_eq!(a, b, "the two lanes must record identical arrival traces");
-        assert_eq!(per_cell_clock, batch_clock, "same final clock");
-        assert!(
-            batch_events < per_cell_events,
-            "batching must collapse events: {batch_events} vs {per_cell_events}"
-        );
     }
 
     #[test]
@@ -672,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_lane_delivers_nothing_early_under_run_until() {
+    fn per_cell_delivery_is_never_early_under_run_until() {
         let sink = CaptureSink::shared();
         let mut link = Link::new(MBPS_100, 0, sink.clone());
         let mut sim = Simulator::new();

@@ -4,8 +4,6 @@
 //! Paper, Figure 3: "the multiplexing is done via the display's window
 //! descriptors"; tiles are "bit-blit operations of fixed size".
 
-use std::time::Instant;
-
 use pegasus_atm::aal5::Segmenter;
 use pegasus_bench::{banner, row};
 use pegasus_devices::codec;
@@ -31,7 +29,6 @@ fn main() {
 
     // Raw tiles through AAL5 into the descriptor table.
     let n_frames = 2_000;
-    let start = Instant::now();
     for i in 0..n_frames {
         let vci = 100 + (i % 16) as u16;
         let frame = TileFrame {
@@ -48,14 +45,9 @@ fn main() {
             display.borrow_mut().deliver(&mut sim, cell);
         }
     }
-    let wall = start.elapsed().as_secs_f64();
     let blitted = display.borrow().stats.tiles_blitted;
     row(&[
         ("raw tiles blitted", blitted.to_string()),
-        (
-            "host blit rate",
-            format!("{:.0} tiles/s", blitted as f64 / wall),
-        ),
         (
             "pixels written",
             display.borrow().stats.pixels_written.to_string(),
@@ -67,7 +59,6 @@ fn main() {
     let mut wm2 = WindowManager::new(display2.clone(), 1);
     wm2.create(50, Rect::new(0, 0, 1024, 768));
     let payload = codec::encode_tile(&[128u8; 64], 50);
-    let start = Instant::now();
     for i in 0..n_frames {
         let frame = TileFrame {
             coding: TileCoding::Compressed,
@@ -83,28 +74,16 @@ fn main() {
             display2.borrow_mut().deliver(&mut sim, cell);
         }
     }
-    let wall2 = start.elapsed().as_secs_f64();
-    let blitted2 = display2.borrow().stats.tiles_blitted;
-    row(&[
-        ("mjpeg tiles blitted", blitted2.to_string()),
-        (
-            "host blit rate",
-            format!("{:.0} tiles/s", blitted2 as f64 / wall2),
-        ),
-    ]);
+    let blitted2 = display2.borrow().stats.tiles_blitted.to_string();
+    row(&[("mjpeg tiles blitted", blitted2)]);
 
     // Window-manager operations are descriptor writes: count, not copy.
     let ops = 10_000;
-    let start = Instant::now();
     for i in 0..ops {
         wm.move_to(100 + (i % 16) as u16, i % 800, i % 600);
         wm.raise(100 + (i % 16) as u16);
     }
-    let wall3 = start.elapsed().as_secs_f64();
-    row(&[
-        ("wm ops (move+raise)", (2 * ops).to_string()),
-        ("rate", format!("{:.0} ops/s", 2.0 * ops as f64 / wall3)),
-    ]);
+    row(&[("wm ops (move+raise)", (2 * ops).to_string())]);
     println!(
         "expect: blit scales with pixels; WM ops are orders of magnitude cheaper than repainting"
     );

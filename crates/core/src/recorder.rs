@@ -92,13 +92,6 @@ impl CellSink for RecorderSink {
             Some(Err(_)) => self.frames_bad += 1,
         }
     }
-
-    /// Storage ingest never reads the clock per cell (the index uses the
-    /// timestamps carried *inside* the stream), so a busy camera link may
-    /// hand the recorder whole cell trains in one delivery event.
-    fn batch_capable(&self) -> bool {
-        true
-    }
 }
 
 /// Reads recorded streams back out of the file server.

@@ -60,29 +60,6 @@ impl CellSink for HostNic {
             link.borrow_mut().send(sim, cell);
         }
     }
-
-    /// A NIC that only counts (no forwarding) is pure accounting and may
-    /// take whole cell trains in one event. Once `forward` is set, each
-    /// cell must be re-transmitted at its own arrival instant, so the
-    /// link reverts to per-cell delivery at the next train.
-    fn batch_capable(&self) -> bool {
-        self.forward.is_none()
-    }
-
-    fn deliver_batch(&mut self, sim: &mut Simulator, cells: &mut Vec<(u64, Cell)>) {
-        // Batching was negotiated while `forward` was unset; flipping it
-        // with a train in flight would retransmit the backlog late and
-        // compressed into one burst. Fail loudly instead of skewing the
-        // experiment: configure forwarding before traffic flows.
-        assert!(
-            self.forward.is_none(),
-            "HostNic::forward set while a batched cell train was in flight; \
-             configure forwarding before traffic reaches this NIC"
-        );
-        for (_, cell) in cells.drain(..) {
-            self.deliver(sim, cell);
-        }
-    }
 }
 
 /// One multimedia workstation: a local switch with camera, display,
@@ -428,6 +405,27 @@ mod tests {
             "the CPU paid for every byte"
         );
         assert!(a.host_nic.borrow().cpu_time > 0);
+    }
+
+    #[test]
+    fn forward_set_between_queued_cells_retransmits_the_rest_on_time() {
+        use pegasus_atm::link::CaptureSink;
+        let nic = HostNic::shared();
+        let out = CaptureSink::shared();
+        let mut wire = Link::new(100_000_000, 0, nic.clone());
+        let tx = Rc::new(RefCell::new(Link::new(100_000_000, 0, out.clone())));
+        let mut sim = Simulator::new();
+        let arrivals: Vec<u64> = (0..10).map(|_| wire.send(&mut sim, Cell::new(5))).collect();
+        sim.run_until(arrivals[2]);
+        assert_eq!(nic.borrow().cells, 3);
+        let cell_time = tx.borrow().cell_time();
+        nic.borrow_mut().forward = Some((9, tx));
+        sim.run();
+        assert_eq!(nic.borrow().cells, 10);
+        let resent: Vec<u64> = out.borrow().arrivals.iter().map(|(t, _)| *t).collect();
+        let expect: Vec<u64> = arrivals[3..].iter().map(|t| t + cell_time).collect();
+        assert_eq!(resent, expect, "each at its own arrival instant");
+        assert!(out.borrow().arrivals.iter().all(|(_, c)| c.vci() == 9));
     }
 
     #[test]

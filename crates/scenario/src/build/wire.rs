@@ -55,11 +55,6 @@ impl NullSink {
 
 impl CellSink for NullSink {
     fn deliver(&mut self, _sim: &mut Simulator, _cell: Cell) {}
-
-    /// Reads no clocks: trains may collapse to one delivery event.
-    fn batch_capable(&self) -> bool {
-        true
-    }
 }
 
 /// Draws a title index from a Zipf law over `titles` titles with

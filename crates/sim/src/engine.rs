@@ -59,23 +59,23 @@
 //! schedule calls on that lane; across lanes at one instant, the lower
 //! lane id fires first.
 //!
-//! Two scheduling flavours share the machinery on every lane:
+//! Two scheduling flavours share the machinery:
 //!
 //! * [`Simulator::schedule_at`] / [`Simulator::schedule_at_on`] — the
 //!   generic flavour: one boxed `FnOnce` per event (exactly one heap
 //!   allocation);
-//! * [`Simulator::schedule_shared_at`] /
-//!   [`Simulator::schedule_shared_at_on`] — the allocation-free
-//!   flavour: a [`SharedHandler`] (`Rc<RefCell<dyn FnMut …>>`) created
-//!   once and scheduled any number of times. Returning `Some(t)` from
-//!   the handler reschedules the same handler at `t` *on the lane it
-//!   just fired on* without touching the allocator, which is how device
-//!   clocks (audio ticks, camera frame loops) run millions of events
-//!   with zero per-event allocations.
+//! * [`Simulator::schedule_shared_at`] — the allocation-free flavour,
+//!   on lane 0: a [`SharedHandler`] (`Rc<RefCell<dyn FnMut …>>`)
+//!   created once and scheduled any number of times. Returning
+//!   `Some(t)` from the handler reschedules the same handler at `t`
+//!   without touching the allocator, which is how device clocks (audio
+//!   ticks, camera frame loops) run millions of events with zero
+//!   per-event allocations.
 //!
 //! A [`Train`](crate::train::Train) pushes on the lane it was given;
 //! every push consumes that lane's next sequence number exactly as a
-//! `schedule_*` call at the same program point would.
+//! `schedule_*` call at the same program point would. A train is the
+//! only way to put a shared handler on a lane other than 0.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -110,8 +110,8 @@ pub struct EventId {
 /// Cloning the `Rc` is all it costs to schedule one, so a handler built
 /// once can carry an unbounded stream of events. When the event fires the
 /// handler runs with the simulator clock at the event's time; returning
-/// `Some(t)` immediately reschedules the same handler at `t` on the same
-/// lane (a fresh sequence number, no allocation), `None` lets it rest.
+/// `Some(t)` immediately reschedules the same handler at `t` on lane 0
+/// (a fresh sequence number, no allocation), `None` lets it rest.
 pub type SharedHandler = Rc<RefCell<dyn FnMut(&mut Simulator) -> Option<Ns>>>;
 
 enum Action {
@@ -429,17 +429,6 @@ impl Simulator {
         self.arm(time, 0, Action::Shared(handler))
     }
 
-    /// Schedules a [`SharedHandler`] at `time` on an explicit lane. A
-    /// `Some(t)` return from the handler re-arms it on the same lane.
-    pub fn schedule_shared_at_on(
-        &mut self,
-        lane: Lane,
-        time: Ns,
-        handler: SharedHandler,
-    ) -> EventId {
-        self.arm(time, lane, Action::Shared(handler))
-    }
-
     /// Schedules a [`SharedHandler`] to run `delay` nanoseconds from now.
     pub fn schedule_shared_in(&mut self, delay: Ns, handler: SharedHandler) -> EventId {
         self.schedule_shared_at(self.now.saturating_add(delay), handler)
@@ -506,10 +495,9 @@ impl Simulator {
                 Action::Shared(h) => {
                     let next = (h.borrow_mut())(self);
                     if let Some(t) = next {
-                        // Re-arm on the lane the event fired on, so a
-                        // self-clocking handler stays in its own lane.
-                        let lane = (entry.key >> SEQ_BITS) as Lane;
-                        self.arm(t, lane, Action::Shared(h));
+                        // Only a train's handler fires off lane 0, and
+                        // it re-arms itself under a reserved key.
+                        self.arm(t, 0, Action::Shared(h));
                     }
                 }
             }
@@ -907,41 +895,6 @@ mod tests {
             o
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn shared_handler_rearms_on_its_own_lane() {
-        let mut sim = Simulator::new();
-        let hits = Rc::new(RefCell::new(Vec::new()));
-        let h = hits.clone();
-        // A self-clocking handler on lane 3, racing a lane-0 event at
-        // each instant: lane 0 must always win the tie, including on the
-        // re-armed occurrences.
-        let handler: SharedHandler = Rc::new(RefCell::new(move |sim: &mut Simulator| {
-            h.borrow_mut().push(("lane3", sim.now()));
-            if sim.now() < 30 {
-                Some(sim.now() + 10)
-            } else {
-                None
-            }
-        }));
-        sim.schedule_shared_at_on(3, 10, handler);
-        for t in [10u64, 20, 30] {
-            let hits = hits.clone();
-            sim.schedule_at(t, move |sim| hits.borrow_mut().push(("lane0", sim.now())));
-        }
-        sim.run();
-        assert_eq!(
-            *hits.borrow(),
-            vec![
-                ("lane0", 10),
-                ("lane3", 10),
-                ("lane0", 20),
-                ("lane3", 20),
-                ("lane0", 30),
-                ("lane3", 30),
-            ]
-        );
     }
 
     #[test]

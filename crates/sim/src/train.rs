@@ -114,7 +114,7 @@ impl<T: 'static> Train<T> {
     /// Queues `item` to be served at `time`.
     ///
     /// Takes the lane's next sequence number now, exactly as
-    /// [`Simulator::schedule_shared_at_on`] would, so the item fires
+    /// [`Simulator::schedule_at_on`] would, so the item fires
     /// where an event scheduled here would. Pushes need not be in time
     /// order: an early one is inserted where it sorts and, if that is
     /// the front, armed in the old head's stead.

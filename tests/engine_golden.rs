@@ -6,7 +6,7 @@
 //! slab-queue engine must reproduce them bit-for-bit: same executed
 //! event count, same final clock, and an identical per-cell arrival-time
 //! trace — proving that the slab queue, seq-generation cancellation and
-//! cell-train batching changed the cost of the simulation, not its
+//! cell trains changed the cost of the simulation, not its
 //! meaning.
 
 use std::cell::RefCell;
@@ -35,10 +35,9 @@ fn trace_hash(trace: &[(Ns, u16)]) -> u64 {
     h
 }
 
-/// A cell sink that records arrivals through the default (per-cell)
-/// delivery path — deliberately *not* batch-capable, so it observes the
-/// engine's per-event clock exactly as every timing-sensitive device
-/// model does.
+/// A cell sink written here rather than borrowed from the library: it
+/// observes the engine's per-event clock exactly as every
+/// timing-sensitive device model does.
 #[derive(Default)]
 struct TimingProbe {
     trace: Vec<(Ns, u16)>,
@@ -132,8 +131,8 @@ fn full_stack_event_count_and_clock_match_seed_engine() {
 }
 
 // ---------------------------------------------------------------------
-// Scenario B: raw link arrival-time trace, per-cell probe vs batched
-// capture sink. Captured on the seed engine.
+// Scenario B: raw link arrival-time trace, this file's probe vs the
+// library's capture sink. Captured on the seed engine.
 // ---------------------------------------------------------------------
 
 const GOLDEN_B_LEN: usize = 155;
@@ -145,7 +144,7 @@ const GOLDEN_B_CLOCK: Ns = 876_508;
 
 #[test]
 fn arrival_trace_matches_seed_engine_on_both_delivery_paths() {
-    // Per-cell path: the probe uses default `deliver`, one event per cell.
+    // One event per cell, the probe reading the clock at each.
     let probe = Rc::new(RefCell::new(TimingProbe::default()));
     let (probe_events, probe_clock) = drive_pattern(probe.clone());
     let probe_trace = probe.borrow().trace.clone();
@@ -173,8 +172,8 @@ fn arrival_trace_matches_seed_engine_on_both_delivery_paths() {
     );
     assert_eq!(probe_clock, GOLDEN_B_CLOCK, "final clock drifted");
 
-    // Batched path: CaptureSink consumes whole cell trains, yet must
-    // record exactly the same per-cell arrival times in the same order.
+    // CaptureSink must record exactly the same per-cell arrival times
+    // in the same order.
     let capture = CaptureSink::shared();
     let (_capture_events, capture_clock) = drive_pattern(capture.clone());
     let capture_trace: Vec<(Ns, u16)> = capture
@@ -185,10 +184,10 @@ fn arrival_trace_matches_seed_engine_on_both_delivery_paths() {
         .collect();
     assert_eq!(
         capture_trace, probe_trace,
-        "batched delivery changed the observable trace"
+        "CaptureSink records a different trace"
     );
     assert_eq!(
         capture_clock, probe_clock,
-        "batched delivery changed the final clock"
+        "CaptureSink run ends on a different clock"
     );
 }
