@@ -244,6 +244,12 @@ impl CellSink for CreditSink {
         }
         self.inner.borrow_mut().deliver(sim, cell);
     }
+
+    /// A wrapper is transparent: the cell is due when the sink it
+    /// wraps is ready to look at it.
+    fn latency(&self) -> Ns {
+        self.inner.borrow().latency()
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,16 @@
 //! accepted it, but the cells wait in the link's own [`Train`] and only
 //! the head is in the engine's heap. A thousand queued cells cost the
 //! heap one entry, and nothing is allocated per cell.
+//!
+//! # One event per cell per hop
+//!
+//! A sink may take a fixed time to look at a cell after it arrives — a
+//! switch input port's fabric crossing. The sink says so once
+//! ([`CellSink::latency`]), the link reads it at wiring time, and the
+//! delivery event fires at `arrival + latency`: the cell's one event on
+//! this hop covers the wire and the crossing. What the link *reports* —
+//! [`Link::send`]'s return value, the export buffer, the instant
+//! [`Link::inject`] checks — stays the wire arrival.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,6 +46,14 @@ pub type ExportBuffer = Rc<RefCell<Vec<(Ns, Cell)>>>;
 pub trait CellSink {
     /// Delivers one cell at the current simulation time.
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell);
+
+    /// How long after a cell reaches this sink [`CellSink::deliver`] is
+    /// to run — fixed for the sink's lifetime and read once, by
+    /// [`Link::new`]. Devices look at a cell the instant it arrives; a
+    /// switch input port looks once the cell has crossed the fabric.
+    fn latency(&self) -> Ns {
+        0
+    }
 }
 
 /// Shared handle to a [`CellSink`].
@@ -72,6 +90,9 @@ pub struct Link {
     cell_time: Ns,
     prop_delay: Ns,
     sink: SinkRef,
+    /// [`CellSink::latency`] of `sink`: delivery fires this long after
+    /// the wire arrival.
+    sink_latency: Ns,
     next_free: Ns,
     cells_sent: u64,
     /// Cells offered while the line was down (dropped, never delivered).
@@ -105,11 +126,13 @@ impl Link {
     /// propagation delay, feeding `sink`.
     pub fn new(rate_bps: u64, prop_delay: Ns, sink: SinkRef) -> Self {
         assert!(rate_bps > 0, "link rate must be positive");
+        let sink_latency = sink.borrow().latency();
         Link {
             rate_bps,
             cell_time: tx_time(CELL_SIZE, rate_bps),
             prop_delay,
             sink,
+            sink_latency,
             next_free: 0,
             cells_sent: 0,
             cells_dropped: 0,
@@ -190,11 +213,13 @@ impl Link {
     }
 
     /// Queues `cell` for transmission; delivery to the sink is scheduled
-    /// after queueing + serialization + propagation.
+    /// after queueing + serialization + propagation (+ the sink's own
+    /// [`CellSink::latency`]).
     ///
-    /// Returns the absolute arrival time at the sink. The generic path
-    /// allocates nothing per cell: the delivery event is the link's
-    /// shared handler.
+    /// Returns the absolute arrival time at the sink — the end of the
+    /// wire, whatever the sink's latency. The generic path allocates
+    /// nothing per cell: the delivery event is the link's shared
+    /// handler.
     pub fn send(&mut self, sim: &mut Simulator, cell: Cell) -> Ns {
         let start = self.next_free.max(sim.now());
         if start < self.outage_until {
@@ -229,7 +254,8 @@ impl Link {
 
     /// Queues an accepted cell for delivery — the half of
     /// [`Link::send`] downstream of the wire, shared by the local path
-    /// and boundary injection.
+    /// and boundary injection. `arrival` is the wire arrival; the event
+    /// fires the sink's latency later.
     fn enqueue_delivery(&mut self, sim: &mut Simulator, arrival: Ns, cell: Cell) {
         let (lane, sink) = (self.lane, &self.sink);
         let train = self.train.get_or_insert_with(|| {
@@ -238,7 +264,7 @@ impl Link {
                 sink.borrow_mut().deliver(sim, cell)
             })
         });
-        train.push(sim, arrival, cell);
+        train.push(sim, arrival.saturating_add(self.sink_latency), cell);
     }
 
     /// Injects a cell sealed by the transmitting shard: queues it for

@@ -8,6 +8,13 @@
 //! have finite capacity; overflowing cells are dropped (counted), with
 //! CLP-marked cells dropped first in spirit by being subject to a lower
 //! threshold.
+//!
+//! The fabric latency costs no event of its own: an input port reports
+//! it to the link that feeds it (`CellSink::latency`) and the link's
+//! delivery event, fired at wire arrival + fabric latency, runs
+//! `Switch::forward` directly. A cell handed to an input port by hand
+//! (`deliver`, as tests do) is forwarded at once — the latency belongs
+//! to the feeding link's schedule, not to the port.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -15,7 +22,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use pegasus_sim::time::Ns;
-use pegasus_sim::{Simulator, Train};
+use pegasus_sim::Simulator;
 
 use crate::cell::{Cell, Vci};
 use crate::link::{CellSink, Link, SinkRef};
@@ -244,32 +251,22 @@ impl Switch {
 
 /// An input-port adapter: the [`CellSink`] a neighbour's link feeds.
 ///
-/// Cells crossing the fabric wait in the port's own [`Train`] — they
-/// leave in the order they entered — so the fabric hop costs the engine
-/// one heap entry per port, not per cell, and no allocations. The train
-/// is built by the first cell to cross: most ports of a city never see
-/// one.
+/// It owns no queue and no event: the feeding link's delivery, fired
+/// [`CellSink::latency`] after the wire arrival, *is* the forward, so
+/// routes, output backlog, outage and capacity are read at the instant
+/// the cell leaves the fabric.
 struct InPort {
     switch: Rc<RefCell<Switch>>,
     port: usize,
-    crossing: Option<Train<Cell>>,
 }
 
 impl CellSink for InPort {
     fn deliver(&mut self, sim: &mut Simulator, cell: Cell) {
-        let latency = self.switch.borrow().fabric_latency;
-        if latency == 0 {
-            self.switch.borrow_mut().forward(sim, self.port, cell);
-            return;
-        }
-        let (switch, port) = (&self.switch, self.port);
-        let crossing = self.crossing.get_or_insert_with(|| {
-            let switch = switch.clone();
-            Train::new(0, move |sim: &mut Simulator, cell| {
-                switch.borrow_mut().forward(sim, port, cell)
-            })
-        });
-        crossing.push(sim, sim.now().saturating_add(latency), cell);
+        self.switch.borrow_mut().forward(sim, self.port, cell);
+    }
+
+    fn latency(&self) -> Ns {
+        self.switch.borrow().fabric_latency
     }
 }
 
@@ -280,7 +277,6 @@ pub fn input_port(switch: &Rc<RefCell<Switch>>, port: usize) -> SinkRef {
     Rc::new(RefCell::new(InPort {
         switch: switch.clone(),
         port,
-        crossing: None,
     }))
 }
 
@@ -306,15 +302,79 @@ mod tests {
     fn routes_and_rewrites_vci() {
         let (sw, input, out) = one_switch_setup(1_000);
         sw.borrow_mut().add_route(0, 40, 1, 77);
+        let mut feed = Link::new(RATE, 0, input);
         let mut sim = Simulator::new();
-        input.borrow_mut().deliver(&mut sim, Cell::new(40));
+        assert_eq!(
+            feed.send(&mut sim, Cell::new(40)),
+            4_240,
+            "the wire arrival"
+        );
         sim.run();
         let arr = &out.borrow().arrivals;
         assert_eq!(arr.len(), 1);
         assert_eq!(arr[0].1.vci(), 77);
-        // Fabric latency 1 µs + serialization 4.24 µs.
-        assert_eq!(arr[0].0, 1_000 + 4_240);
+        // Feed 4.24 µs + fabric latency 1 µs + serialization 4.24 µs.
+        assert_eq!(arr[0].0, 4_240 + 1_000 + 4_240);
         assert_eq!(sw.borrow().stats.switched, 1);
+    }
+
+    #[test]
+    fn a_cell_is_forwarded_when_it_leaves_the_fabric_never_early() {
+        // The crossing rides the feeding link's delivery event, but the
+        // switch still decides at wire arrival + fabric latency: a route
+        // removed, or an output taken down, strictly between the two
+        // instants is seen by the cell.
+        let (sw, input, out) = one_switch_setup(1_000);
+        sw.borrow_mut().add_route(0, 40, 1, 77);
+        let mut feed = Link::new(RATE, 0, input);
+        let mut sim = Simulator::new();
+
+        let arrival = feed.send(&mut sim, Cell::new(40));
+        sim.run_until(arrival + 500);
+        assert_eq!(sim.pending(), 1, "still crossing the fabric");
+        assert!(sw.borrow_mut().remove_route(0, 40));
+        sim.run();
+        assert_eq!(sw.borrow().stats.unroutable, 1);
+        assert_eq!(sw.borrow().stats.switched, 0);
+
+        sw.borrow_mut().add_route(0, 40, 1, 77);
+        let arrival = feed.send(&mut sim, Cell::new(40));
+        sim.run_until(arrival + 500);
+        sw.borrow_mut()
+            .output_mut(1)
+            .expect("wired")
+            .set_outage_until(arrival + 1_001);
+        sim.run();
+        assert_eq!(sw.borrow().cells_dropped_outage(), 1, "lost on the wire");
+        assert!(out.borrow().arrivals.is_empty());
+    }
+
+    #[test]
+    fn a_cell_costs_one_event_per_hop() {
+        // link → switch → link → sink: two hops, two events a cell, and
+        // each link's head is all the engine's heap ever holds.
+        const N: u64 = 50;
+        let sw = Switch::shared("t", 2, 700);
+        let out = CaptureSink::shared();
+        sw.borrow_mut()
+            .attach_output(1, Link::new(RATE, 300, out.clone()));
+        sw.borrow_mut().add_route(0, 5, 1, 6);
+        let mut feed = Link::new(RATE, 200, input_port(&sw, 0));
+        let mut sim = Simulator::new();
+        for _ in 0..N {
+            feed.send(&mut sim, Cell::new(5));
+        }
+        while sim.step() {
+            assert!(sim.pending() <= 2, "one heap entry per busy link");
+        }
+        assert_eq!(sim.events_executed(), 2 * N);
+        // The feed delivers one cell per cell time, so the output line
+        // never backs up: wire + fabric + wire.
+        let expect: Vec<Ns> = (1..=N)
+            .map(|k| (k * 4_240 + 200) + 700 + (4_240 + 300))
+            .collect();
+        let times: Vec<Ns> = out.borrow().arrivals.iter().map(|(t, _)| *t).collect();
+        assert_eq!(times, expect);
     }
 
     #[test]
@@ -390,19 +450,22 @@ mod tests {
 
     #[test]
     fn two_in_ports_with_equal_exit_times_interleave_in_arrival_order() {
-        // Cells alternate between two input ports at one instant, so
-        // every fabric exit falls on the same tick: the output must see
-        // them in arrival order, not one port's backlog then the other's.
+        // Two equal lines feed two input ports in lock step, so every
+        // fabric exit falls on the same tick as one on the other port:
+        // the output must see them in arrival order, not one port's
+        // backlog then the other's.
         let (sw, port0, out) = one_switch_setup(1_000);
         let port2 = input_port(&sw, 2);
         sw.borrow_mut().add_route(0, 1, 1, 101);
         sw.borrow_mut().add_route(2, 2, 1, 102);
+        let mut feed0 = Link::new(RATE, 0, port0);
+        let mut feed2 = Link::new(RATE, 0, port2);
         let mut sim = Simulator::new();
         for _ in 0..3 {
-            port0.borrow_mut().deliver(&mut sim, Cell::new(1));
-            port2.borrow_mut().deliver(&mut sim, Cell::new(2));
+            feed0.send(&mut sim, Cell::new(1));
+            feed2.send(&mut sim, Cell::new(2));
         }
-        assert_eq!(sim.pending(), 2, "one heap entry per busy port");
+        assert_eq!(sim.pending(), 2, "one heap entry per feeding link");
         sim.run();
         let vcis: Vec<Vci> = out.borrow().arrivals.iter().map(|(_, c)| c.vci()).collect();
         assert_eq!(vcis, vec![101, 102, 101, 102, 101, 102]);
@@ -457,21 +520,23 @@ mod tests {
         let sw1 = Switch::shared("sw1", 2, 500);
         let sw2 = Switch::shared("sw2", 2, 500);
         let out = CaptureSink::shared();
-        // sw1 port1 --link--> sw2 port0; sw2 port1 --link--> capture.
+        // feed --link--> sw1 port0; sw1 port1 --link--> sw2 port0;
+        // sw2 port1 --link--> capture.
         sw1.borrow_mut()
             .attach_output(1, Link::new(RATE, 100, input_port(&sw2, 0)));
         sw2.borrow_mut()
             .attach_output(1, Link::new(RATE, 100, out.clone()));
         sw1.borrow_mut().add_route(0, 50, 1, 60);
         sw2.borrow_mut().add_route(0, 60, 1, 70);
-        let input = input_port(&sw1, 0);
+        let mut feed = Link::new(RATE, 100, input_port(&sw1, 0));
         let mut sim = Simulator::new();
-        input.borrow_mut().deliver(&mut sim, Cell::new(50));
+        feed.send(&mut sim, Cell::new(50));
         sim.run();
         let arr = &out.borrow().arrivals;
         assert_eq!(arr.len(), 1);
         assert_eq!(arr[0].1.vci(), 70);
-        // 2 × (fabric 500 + tx 4240 + prop 100) = 9680.
-        assert_eq!(arr[0].0, 9_680);
+        // 3 × (tx 4240 + prop 100) + 2 × fabric 500 = 14020.
+        assert_eq!(arr[0].0, 14_020);
+        assert_eq!(sim.events_executed(), 3, "one event per hop");
     }
 }

@@ -12,8 +12,9 @@
 //! file instead. `--shards N` executes on up to N region shards (the
 //! canonical report is byte-identical at any shard count; only the
 //! `shards` block differs). `--canonical` prints the canonical
-//! rendering with that block stripped — what CI diffs across shard
-//! counts. CI consumes this through `scripts/run_scenarios.sh`.
+//! rendering, without that block and the `simulator` block before it
+//! — what CI diffs across shard counts. CI consumes this through
+//! `scripts/run_scenarios.sh`.
 
 use std::io::Write;
 use std::process::ExitCode;

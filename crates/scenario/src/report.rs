@@ -16,7 +16,7 @@ use crate::json::JsonWriter;
 /// Version of the report's JSON schema. Bumped when fields are added,
 /// removed or reordered, so downstream diffing tools can refuse to
 /// compare across schema changes. History in `SCENARIOS.md`.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// What one region shard did during a run, counted by its run loop.
 /// A one-shard run reports exactly one slice with every counter but
@@ -41,8 +41,8 @@ pub struct ShardSlice {
     /// Outbound cut trunks this shard exported on.
     pub cut_trunks: u64,
     /// Retired: always zero. Only cells cross a cut — a spec with
-    /// credited circuits runs on one shard. The field (and its key in
-    /// the `shards` block) goes at the next schema bump.
+    /// credited circuits runs on one shard. The field and its key in
+    /// the `shards` block stay until the benchmark stops reading them.
     pub credits_crossed: u64,
 }
 
@@ -235,7 +235,8 @@ pub struct ScenarioReport {
     /// Switches in the network (fabric only; scenarios attach devices
     /// directly to fabric switches).
     pub switches: u64,
-    /// Endpoints attached.
+    /// Endpoints the builder attached — how the simulator was wired,
+    /// not what the city did: rendered outside the canonical report.
     pub endpoints: u64,
     /// Sessions by class: videophone, vod, tv.
     pub sessions: (u64, u64, u64),
@@ -279,7 +280,8 @@ pub struct ScenarioReport {
     /// Audio underruns + late playback + missed CM periods + starved
     /// epochs: the number every QoS claim reduces to.
     pub deadline_misses: u64,
-    /// Events the engine executed.
+    /// Events the engine executed — a property of this engine, not of
+    /// the system it simulates: rendered outside the canonical report.
     pub events_executed: u64,
     /// Per-shard execution record. Length equals the effective shard
     /// count; the measurements above are its shard-count-independent
@@ -295,21 +297,24 @@ impl ScenarioReport {
     }
 
     /// Renders the report as deterministic JSON (trailing newline, no
-    /// whitespace, fixed key order), including the per-shard block.
+    /// whitespace, fixed key order): the canonical keys, then the
+    /// `simulator` block and the per-shard block.
     pub fn to_json(&self) -> String {
         self.render(true)
     }
 
-    /// Renders the *canonical* JSON: everything except the `shards`
-    /// block, which is the one section that legitimately depends on the
-    /// shard count. Two runs of the same `(spec, seed)` must produce
-    /// byte-identical canonical JSON at any `--shards`; golden reports
-    /// store this form.
+    /// Renders the *canonical* JSON: what a faithful re-implementation
+    /// on a different engine would print too. It leaves out the
+    /// `simulator` block (how many events this engine spent, how many
+    /// endpoints this builder wired) and the `shards` block (which
+    /// depends on the shard count). Two runs of the same `(spec, seed)`
+    /// must produce byte-identical canonical JSON at any `--shards`;
+    /// golden reports store this form.
     pub fn to_json_canonical(&self) -> String {
         self.render(false)
     }
 
-    fn render(&self, with_shards: bool) -> String {
+    fn render(&self, with_execution: bool) -> String {
         fn summary(w: &mut JsonWriter, k: &str, s: &Summary) {
             w.obj(k, |w| {
                 w.u64("n", s.n);
@@ -335,7 +340,6 @@ impl ScenarioReport {
             w.u64("duration_ns", self.duration);
             w.obj("topology", |w| {
                 w.u64("switches", self.switches);
-                w.u64("endpoints", self.endpoints);
                 w.f64("max_link_utilization", self.max_link_utilization);
             });
             w.obj("sessions", |w| {
@@ -439,8 +443,11 @@ impl ScenarioReport {
             w.u64("tiles_blitted", self.tiles_blitted);
             w.u64("vod_presented", self.vod_presented);
             w.u64("deadline_misses", self.deadline_misses);
-            w.u64("events_executed", self.events_executed);
-            if with_shards {
+            if with_execution {
+                w.obj("simulator", |w| {
+                    w.u64("events_executed", self.events_executed);
+                    w.u64("endpoints", self.endpoints);
+                });
                 w.arr("shards", &self.shards, |w, s| {
                     w.u64("shard", s.shard);
                     w.u64("events", s.events);
@@ -450,9 +457,6 @@ impl ScenarioReport {
                     w.u64("lookahead_ns", s.lookahead_ns);
                     w.u64("cut_trunks", s.cut_trunks);
                     w.u64("credits_crossed", s.credits_crossed);
-                    // Retired with replicated repair; the key goes at
-                    // the next schema bump.
-                    w.u64("repairs_replicated", 0);
                 });
             }
         })
@@ -480,7 +484,7 @@ mod tests {
         r.broker.rejected_bandwidth = 1;
         r.broker.quality_milli = (1000, 750, 500);
         let s = r.to_json();
-        assert!(s.starts_with("{\"schema_version\":4,\"scenario\":\"unit\",\"seed\":9,"));
+        assert!(s.starts_with("{\"schema_version\":5,\"scenario\":\"unit\",\"seed\":9,"));
         assert!(s.contains(
             "\"cache\":{\"enabled\":false,\"hit_ratio_per_tier\":\
              {\"hot_milli\":0,\"warm_milli\":0,\"cold_milli\":0},"
@@ -496,10 +500,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_json_strips_only_the_shards_block() {
+    fn canonical_json_strips_the_simulator_and_shards_blocks() {
         let mut r = ScenarioReport {
             schema_version: SCHEMA_VERSION,
             name: "unit".into(),
+            endpoints: 12,
+            events_executed: 100,
             ..ScenarioReport::default()
         };
         r.shards.push(ShardSlice {
@@ -514,15 +520,24 @@ mod tests {
         });
         let full = r.to_json();
         let canonical = r.to_json_canonical();
-        assert!(full.contains(
-            "\"shards\":[{\"shard\":0,\"events\":100,\"barrier_waits\":4,\
+        assert!(full.ends_with(
+            ",\"simulator\":{\"events_executed\":100,\"endpoints\":12},\
+             \"shards\":[{\"shard\":0,\"events\":100,\"barrier_waits\":4,\
              \"cells_exported\":7,\"cells_imported\":3,\"lookahead_ns\":2120,\
-             \"cut_trunks\":1,\"credits_crossed\":5,\"repairs_replicated\":0}]"
+             \"cut_trunks\":1,\"credits_crossed\":5}]}\n"
         ));
-        assert!(!canonical.contains("\"shards\""));
-        // Canonical is a strict prefix apart from the shards suffix.
-        let cut = full.find(",\"shards\":").unwrap();
+        for key in [
+            "\"simulator\"",
+            "\"events_executed\"",
+            "\"endpoints\"",
+            "\"shards\"",
+        ] {
+            assert!(!canonical.contains(key), "{key} is not canonical");
+        }
+        // Canonical is a strict prefix apart from the execution suffix.
+        let cut = full.find(",\"simulator\":").unwrap();
         assert_eq!(&full[..cut], &canonical[..cut]);
+        assert_eq!(&canonical[cut..], "}\n");
         // Different shard layouts, same canonical bytes.
         let mut r2 = r.clone();
         r2.shards[0].barrier_waits = 99;

@@ -3,8 +3,13 @@
 //! percentiles, cell accounting, all of it, byte for byte.
 //!
 //! Goldens store the *canonical* rendering
-//! ([`ScenarioReport::to_json_canonical`]): everything except the
-//! per-shard execution block, which legitimately depends on `--shards`.
+//! ([`ScenarioReport::to_json_canonical`]): what a faithful
+//! re-implementation on another engine would print too — not the
+//! `simulator` block (this engine's event count, this builder's
+//! endpoints) and not the per-shard execution block, which depends on
+//! `--shards`. So a data-path optimisation may execute fewer events
+//! without a re-bless, and after a schema change
+//! `scripts/golden_diff.sh` proves which keys moved.
 //! That makes one committed file the contract for every shard count —
 //! the CI gauntlet diffs `--shards 1` against `--shards 4` against
 //! these same bytes.

@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=658
+FLOOR=662
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
