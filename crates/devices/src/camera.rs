@@ -118,9 +118,11 @@ struct Row {
 
 /// The ATM camera device.
 ///
-/// The data path is allocation-free at steady state: the CCD renders
-/// into a buffer leased from the camera's [`Arena`], tile frames are
-/// written directly into further leased buffers (no intermediate
+/// The data path is allocation-free at steady state: the CCD image is
+/// the one shared rendering of its picture
+/// ([`SyntheticVideo::frame_leased`]), drawn into a buffer leased from
+/// the camera's [`Arena`] only when no camera holds one, tile frames
+/// are written directly into further leased buffers (no intermediate
 /// `TileFrame` struct, no per-tile `Vec`s), and AAL5 segmentation takes
 /// zero-copy views of those buffers — the switch fabric forwards the
 /// very bytes the encoder wrote.
@@ -249,8 +251,9 @@ impl Camera {
         let frame_seq = c.frame_no;
         c.frame_no += 1;
         c.stats.frames_captured += 1;
-        // Render the frame the CCD will scan, into recycled arena
-        // storage; row emissions share it by refcount.
+        // The frame the CCD will scan: the buffer every camera showing
+        // this picture shares, rendered into recycled arena storage only
+        // if nobody holds one. Row emissions share it by refcount.
         let image = c.video.frame_leased(frame_seq, &c.arena);
         let (height, line_period, cfg) = (c.video.height, c.line_period(), c.cfg);
         let frame_start = sim.now();
@@ -654,6 +657,66 @@ mod tests {
             "steady state must recycle, allocated {}",
             stats.fresh_allocs
         );
+    }
+
+    type Rig = (Rc<RefCell<Camera>>, Rc<RefCell<CaptureSink>>);
+
+    /// Raw 64×48 cameras on `scene` with these seeds, started together
+    /// on one simulator.
+    fn started_together(sim: &mut Simulator, scene: Scene, seeds: &[u64]) -> Vec<Rig> {
+        let cfg = CameraConfig {
+            mode: VideoMode::Raw,
+            ..CameraConfig::default()
+        };
+        let rig = |&seed: &u64| {
+            let sink = CaptureSink::shared();
+            let tx = Rc::new(RefCell::new(Link::new(100_000_000, 1_000, sink.clone())));
+            let cam = Camera::new(SyntheticVideo::new(64, 48, scene, seed), cfg, 42, tx);
+            Camera::start(&cam, sim);
+            (cam, sink)
+        };
+        seeds.iter().map(rig).collect()
+    }
+
+    #[test]
+    fn cameras_showing_one_picture_share_one_image() {
+        let mut sim = Simulator::new();
+        let rigs = started_together(&mut sim, Scene::MovingGradient, &[7, 7, 8]);
+        // Two of a frame's six rows have left each camera; four wait,
+        // each holding the image.
+        sim.run_until(18 * MS);
+        let probe = Arena::new();
+        let held = |seed| {
+            let video = SyntheticVideo::new(64, 48, Scene::MovingGradient, seed);
+            video.frame_leased(0, &probe).handle_count() - 1
+        };
+        assert_eq!(held(7), 4 + 4, "both cameras' rows hold one buffer");
+        assert_eq!(held(8), 4, "another seed is another picture");
+        assert_eq!(probe.stats().leases_granted, 0, "the probe found both");
+        // The second camera has leased tile frames and no image.
+        let granted = |i: usize| rigs[i].0.borrow().arena().stats().leases_granted;
+        assert_eq!(granted(1) + 1, granted(0));
+        assert_eq!(granted(2), granted(0));
+    }
+
+    #[test]
+    fn a_shared_image_goes_back_when_its_last_camera_lets_go() {
+        let mut sim = Simulator::new();
+        let rigs = started_together(&mut sim, Scene::TestCard, &[1, 2]);
+        sim.run_until(100 * MS);
+        for (cam, _) in &rigs {
+            cam.borrow_mut().stop();
+        }
+        sim.run();
+        for (cam, sink) in &rigs {
+            sink.borrow_mut().arrivals.clear();
+            assert_eq!(cam.borrow().arena().stats().outstanding, 0);
+        }
+        // The table kept nothing alive: the picture is drawn again.
+        let probe = Arena::new();
+        let again = SyntheticVideo::new(64, 48, Scene::TestCard, 3).frame_leased(9, &probe);
+        assert_eq!(probe.stats().leases_granted, 1);
+        assert_eq!(again.handle_count(), 1);
     }
 
     #[test]

@@ -5,6 +5,18 @@
 //! scene (compresses well, like real video) and a noise scene (worst case
 //! for the codec). Both are pure functions of `(seed, frame_number)`, so
 //! every experiment is reproducible.
+//!
+//! Being pure, a picture is rendered once however many cameras show it:
+//! [`SyntheticVideo::frame_leased`] hands every caller on a thread the
+//! one live, immutable buffer of a given `(size, scene, seed, n)`, found
+//! through a table of weak handles. [`SyntheticVideo::render`] and
+//! [`SyntheticVideo::frame`] draw afresh every call and are the
+//! reference the shared buffers are tested against.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+use pegasus_sim::arena::{Arena, FrameBuf, WeakFrameBuf};
 
 /// The moving-gradient scene repeats every this many steps along a row:
 /// three pixels to a grey level, 256 levels.
@@ -36,7 +48,7 @@ pub struct SyntheticVideo {
 }
 
 /// The available synthetic scenes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scene {
     /// A smooth diagonal gradient drifting over time with a moving
     /// bright square — typical "talking head plus motion" compressibility.
@@ -47,6 +59,29 @@ pub enum Scene {
     /// the best case for any coder and for latency tests that want
     /// constant-size output.
     TestCard,
+}
+
+/// Everything a rendered frame's bytes depend on, and nothing they do
+/// not: sources that [`SyntheticVideo::render`] the same picture have
+/// equal keys.
+#[derive(PartialEq, Eq, Hash)]
+struct FrameKey {
+    width: usize,
+    height: usize,
+    scene: Scene,
+    seed: u64,
+    n: u32,
+}
+
+thread_local! {
+    /// The pictures alive on this thread, by key. Weak: an entry finds a
+    /// frame some camera still holds and never holds one itself, so the
+    /// storage goes back to its arena with the last camera's last row,
+    /// and the table is as long as the number of distinct pictures being
+    /// shown at once — there is no capacity to choose. Per thread
+    /// because shards are threads that share nothing (and a `FrameBuf`
+    /// cannot cross one).
+    static FRAMES: RefCell<HashMap<FrameKey, WeakFrameBuf>> = RefCell::new(HashMap::new());
 }
 
 impl SyntheticVideo {
@@ -86,17 +121,47 @@ impl SyntheticVideo {
         buf
     }
 
-    /// Renders frame `n` into a buffer leased from `arena` — the CCD
-    /// "scans" straight into recycled arena storage, so a steady-state
-    /// camera allocates nothing per frame.
-    pub fn frame_leased(
-        &self,
-        n: u32,
-        arena: &pegasus_sim::arena::Arena,
-    ) -> pegasus_sim::arena::FrameBuf {
-        let mut lease = arena.lease_zeroed(self.frame_bytes());
-        self.render(n, &mut lease);
-        lease.freeze()
+    /// Frame `n` as an immutable buffer: the one live rendering of this
+    /// picture on this thread if anything still holds it (a lookup and a
+    /// refcount bump — nothing is drawn or leased), otherwise a fresh
+    /// [`SyntheticVideo::render`] into storage leased from `arena`,
+    /// which later callers share for as long as any handle on it lives.
+    /// Cameras showing the same picture therefore hold
+    /// [`FrameBuf::same_buffer`] images, and the buffer belongs to the
+    /// arena of whichever asked first. The bytes are `render`'s either
+    /// way.
+    pub fn frame_leased(&self, n: u32, arena: &Arena) -> FrameBuf {
+        let key = self.frame_key(n);
+        FRAMES.with(|frames| {
+            if let Some(shared) = frames.borrow().get(&key).and_then(WeakFrameBuf::upgrade) {
+                return shared;
+            }
+            let mut lease = arena.lease_zeroed(self.frame_bytes());
+            self.render(n, &mut lease);
+            let frame = lease.freeze();
+            let mut frames = frames.borrow_mut();
+            // A miss is the one moment the table can grow, so it is when
+            // the entries whose pictures have gone are dropped.
+            frames.retain(|_, weak| weak.upgrade().is_some());
+            frames.insert(key, frame.downgrade());
+            frame
+        })
+    }
+
+    /// The key of frame `n`, canonicalised by content: a test card is
+    /// the same picture whatever the seed and frame number.
+    fn frame_key(&self, n: u32) -> FrameKey {
+        let (seed, n) = match self.scene {
+            Scene::TestCard => (0, 0),
+            Scene::MovingGradient | Scene::Noise => (self.seed, n),
+        };
+        FrameKey {
+            width: self.width,
+            height: self.height,
+            scene: self.scene,
+            seed,
+            n,
+        }
     }
 
     /// Renders frame `n` into `buf` (must be `frame_bytes()` long).
@@ -172,6 +237,91 @@ impl SyntheticVideo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const SCENES: [Scene; 3] = [Scene::MovingGradient, Scene::Noise, Scene::TestCard];
+
+    proptest! {
+        #[test]
+        fn prop_a_leased_frame_is_the_rendered_frame(
+            scene in 0usize..3,
+            seed in any::<u64>(),
+            n in any::<u32>(),
+            tiles_x in 0usize..12,
+            tiles_y in 0usize..12,
+        ) {
+            // One thread runs every case, so each starts on the table
+            // the last one left. Nothing holds the first round's frame
+            // when the second asks: it is drawn again.
+            let v = SyntheticVideo::new(tiles_x * 8, tiles_y * 8, SCENES[scene], seed);
+            let arena = Arena::new();
+            let want = v.frame(n);
+            for round in 0..2 {
+                let first = v.frame_leased(n, &arena);
+                prop_assert_eq!(&first[..], &want[..]);
+                let repeat = v.frame_leased(n, &arena);
+                prop_assert_eq!(&repeat[..], &want[..]);
+                prop_assert!(FrameBuf::same_buffer(&first, &repeat));
+                prop_assert_eq!(arena.stats().leases_granted, round + 1);
+            }
+            prop_assert_eq!(arena.stats().outstanding, 0);
+        }
+    }
+
+    #[test]
+    fn only_the_same_picture_is_shared() {
+        let arena = Arena::new();
+        let base = SyntheticVideo::new(64, 48, Scene::MovingGradient, 7);
+        let held = base.frame_leased(3, &arena);
+        assert!(FrameBuf::same_buffer(
+            &held,
+            &base.clone().frame_leased(3, &Arena::new())
+        ));
+        let others = [
+            (SyntheticVideo::new(64, 48, Scene::MovingGradient, 8), 3),
+            (SyntheticVideo::new(48, 64, Scene::MovingGradient, 7), 3),
+            (SyntheticVideo::new(64, 48, Scene::Noise, 7), 3),
+            (SyntheticVideo::new(64, 48, Scene::TestCard, 7), 3),
+            (base.clone(), 4),
+        ];
+        let mut live = vec![held];
+        for (video, n) in others {
+            let frame = video.frame_leased(n, &arena);
+            assert_eq!(&frame[..], &video.frame(n)[..]);
+            assert!(
+                live.iter().all(|f| !FrameBuf::same_buffer(f, &frame)),
+                "{video:?} frame {n} shared another picture's buffer"
+            );
+            live.push(frame);
+        }
+        assert_eq!(arena.stats().outstanding, live.len() as u64);
+    }
+
+    #[test]
+    fn a_test_card_is_one_picture_at_any_frame_and_seed() {
+        let arena = Arena::new();
+        let a = SyntheticVideo::new(64, 48, Scene::TestCard, 1).frame_leased(0, &arena);
+        let b = SyntheticVideo::new(64, 48, Scene::TestCard, 2).frame_leased(99, &arena);
+        assert!(FrameBuf::same_buffer(&a, &b));
+        assert_eq!(arena.stats().leases_granted, 1);
+    }
+
+    #[test]
+    fn threads_do_not_see_each_others_frames() {
+        let v = SyntheticVideo::qcif(Scene::TestCard);
+        let arena = Arena::new();
+        let here = v.frame_leased(0, &arena);
+        let there = v.clone();
+        let (granted, bytes) = std::thread::spawn(move || {
+            let arena = Arena::new();
+            let frame = there.frame_leased(0, &arena);
+            (arena.stats().leases_granted, frame.to_vec())
+        })
+        .join()
+        .expect("ran");
+        assert_eq!(granted, 1, "the other thread rendered its own");
+        assert_eq!(&here[..], &bytes[..]);
+    }
 
     /// The two drawn scenes pixel by pixel, as `render` first defined
     /// them.

@@ -8,22 +8,28 @@
 //! printed as self % by symbol and by leaf-most `pegasus_*` crate (the
 //! first frame, walking up from the leaf, that belongs to one — so
 //! `memcpy` called from `RaidArray` bills `pegasus_pfs`, and its row
-//! in the symbol table names the calling function).
+//! in the symbol table names the calling function), and then
+//! *inclusively*: every symbol anywhere on a sample's stack is billed
+//! that sample once, so a function that spends its time in callees
+//! (`emit_row`: 4 ms/op of self time, 61 inclusive) shows what it costs.
 //!
 //! Build with frame pointers or the walk stops at the leaf:
-//! `scripts/profile.sh <preset> [ops]` does. Besides the names of
-//! `presets::by_name` it takes the benchmark's three scenario workloads
-//! (`metro-steady`, `front-door`, `control-3x`), whose specs are
-//! mirrored from `benchmark/src/workloads.rs`, and `pfs`: a short
-//! storage loop on `pegasus_pfs` directly, in the shape of the
-//! benchmark's fourth workload, `pfs-vcr`.
+//! `scripts/profile.sh <preset> [ops]` does. Besides the targets of
+//! `support/targets.rs` (presets and the benchmark's three scenario
+//! workloads) it takes `pfs`: a short storage loop on `pegasus_pfs`
+//! directly, in the shape of the benchmark's fourth workload,
+//! `pfs-vcr`.
 //!
 //! No `libc` crate is vendored, so the three libc entry points are
 //! declared here, with the x86-64 Linux layouts they take.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[path = "support/targets.rs"]
+mod targets;
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use std::process::Command;
     use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
 
@@ -32,9 +38,10 @@ mod sampler {
     use pegasus_pfs::disk::DiskConfig;
     use pegasus_pfs::log::{FileClass, FileId, LogFs};
     use pegasus_pfs::tier::{TierConfig, TieredCache};
-    use pegasus_scenario::spec::Arrival;
-    use pegasus_scenario::{presets, run_sharded, ScenarioSpec};
-    use pegasus_sim::time::{MS, SEC};
+    use pegasus_scenario::run_sharded;
+    use pegasus_sim::time::SEC;
+
+    use super::targets::spec_of;
 
     const SIGPROF: i32 = 27;
     const ITIMER_PROF: i32 = 2;
@@ -225,31 +232,6 @@ mod sampler {
         Some(&name[..end])
     }
 
-    fn spec_of(name: &str) -> ScenarioSpec {
-        let preset = |p: &str| {
-            presets::by_name(p).unwrap_or_else(|| {
-                eprintln!("sigprof: no preset or workload named {p:?}");
-                std::process::exit(2)
-            })
-        };
-        match name {
-            "metro-steady" => {
-                let mut spec = preset("metropolis-1k").scale_sessions(0.5);
-                spec.duration = 100 * MS;
-                spec.arrival = Arrival::Uniform { window: 33 * MS };
-                spec
-            }
-            "front-door" => {
-                let mut spec = preset("metropolis-100k");
-                spec.sessions = 8_000;
-                spec.broker.cpu_capacity_micro = 150 * spec.broker.cpu_per_session_micro;
-                spec
-            }
-            "control-3x" => preset("sustained-3x").scale_sessions(4.0),
-            p => preset(p),
-        }
-    }
-
     /// One operation of the `pfs` target, on disks that keep what is
     /// written: six files appended in interleaved 64 KiB pieces, read
     /// back in 64 KiB pieces, every other one deleted and the garbage
@@ -301,15 +283,20 @@ mod sampler {
         fs.io_time
     }
 
-    /// Prints the `rows` largest counts: share of the samples, host
-    /// milliseconds an operation (`ms_per_sample` is the tick over the
-    /// operations run), samples, name. The share is of a total that a
-    /// saving shrinks; ms/op is the column to compare across commits.
-    fn table(title: &str, counts: HashMap<String, usize>, ms_per_sample: f64, rows: usize) {
-        let total: usize = counts.values().sum();
+    /// Prints the `rows` largest counts: share of the `total` samples,
+    /// host milliseconds an operation (`ms_per_sample` is the tick over
+    /// the operations run), samples, name. The share is of a total that
+    /// a saving shrinks; ms/op is the column to compare across commits.
+    fn table(
+        title: &str,
+        counts: HashMap<String, usize>,
+        total: usize,
+        ms_per_sample: f64,
+        rows: usize,
+    ) {
         let mut rows_by_count: Vec<_> = counts.into_iter().collect();
         rows_by_count.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        println!("\n{title}\n self %    ms/op  samples");
+        println!("\n{title}\n      %    ms/op  samples");
         for (name, n) in rows_by_count.into_iter().take(rows) {
             let (share, ms) = (100.0 * n as f64 / total as f64, n as f64 * ms_per_sample);
             println!("{share:6.1} % {ms:8.3}  {n:6}  {name}");
@@ -374,6 +361,7 @@ mod sampler {
         let words = unsafe { std::slice::from_raw_parts(BUF.load(Relaxed), USED.load(Relaxed)) };
         let mut by_symbol: HashMap<String, usize> = HashMap::new();
         let mut by_crate: HashMap<String, usize> = HashMap::new();
+        let mut inclusive: HashMap<String, usize> = HashMap::new();
         let mut names: HashMap<usize, String> = HashMap::new();
         let (mut at, mut total) = (0, 0);
         while at < words.len() {
@@ -402,6 +390,11 @@ mod sampler {
             };
             *by_symbol.entry(leaf).or_default() += 1;
             *by_crate.entry(owner_crate).or_default() += 1;
+            // Each symbol once a stack, however often it recurs.
+            let on_stack: HashSet<&String> = stack.iter().map(|pc| &names[pc]).collect();
+            for name in on_stack {
+                *inclusive.entry(name.clone()).or_default() += 1;
+            }
         }
         let ms_per_sample = TICK_MS / ops as f64;
         println!(
@@ -410,8 +403,10 @@ mod sampler {
             total as f64 * ms_per_sample
         );
         if total > 0 {
-            table("by leaf-most pegasus_* crate", by_crate, ms_per_sample, 16);
-            table("by symbol", by_symbol, ms_per_sample, 40);
+            let table = |title, counts, rows| table(title, counts, total, ms_per_sample, rows);
+            table("self, by leaf-most pegasus_* crate", by_crate, 16);
+            table("self, by symbol", by_symbol, 40);
+            table("inclusive, by symbol", inclusive, 30);
         }
     }
 }

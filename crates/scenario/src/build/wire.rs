@@ -410,6 +410,9 @@ impl Wiring {
         let slots = spec.broker.pfs_slots_per_server;
         let per_server_rate = self.req_disk * slots.max(1) as u64;
         let titles = spec.cache.titles_per_server.max(1);
+        // Every segment of every title on every server is the same
+        // zeros, and the stores discard them.
+        let segment = vec![0u8; SEGMENT_BYTES];
         for _ in 0..self.n_servers {
             let mut fs = LogFs::new(DiskConfig::hp_1994());
             fs.raid_mut().set_store(false);
@@ -422,8 +425,7 @@ impl Wiring {
             for _ in 0..titles {
                 let file = fs.create(FileClass::Continuous);
                 for _ in 0..need.div_ceil(SEGMENT_BYTES).max(1) {
-                    fs.append(file, &vec![0u8; SEGMENT_BYTES])
-                        .expect("prerecord");
+                    fs.append(file, &segment).expect("prerecord");
                 }
                 files.push(file);
             }

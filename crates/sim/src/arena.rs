@@ -26,6 +26,9 @@
 //!   clones and [`FrameView`]s only bump the refcount.
 //! * When the last handle drops, the backing storage returns to the
 //!   arena pool and the lease is counted as returned.
+//! * [`FrameBuf::downgrade`] gives a [`WeakFrameBuf`]: it names the
+//!   buffer without holding it, so a table of weak handles can find a
+//!   buffer that is still alive and never delays one's return.
 //!
 //! The invariants the property tests pin down: every lease granted is
 //! eventually returned, `outstanding` never underflows, and the pool's
@@ -54,7 +57,7 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Deterministic lease-accounting counters of one [`Arena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -275,6 +278,14 @@ impl FrameBuf {
         Rc::strong_count(&self.0)
     }
 
+    /// A handle that finds this buffer while it lives and does not keep
+    /// it alive: it is not counted by [`FrameBuf::handle_count`], and the
+    /// storage returns to the arena when the last `FrameBuf` or
+    /// [`FrameView`] drops whether or not weak handles remain.
+    pub fn downgrade(&self) -> WeakFrameBuf {
+        WeakFrameBuf(Rc::downgrade(&self.0))
+    }
+
     /// Attaches another consumer to this buffer: a refcount bump that the
     /// arena counts as a *shared* lease. The storage is still one lease
     /// deep in the accounting (`outstanding` and `fresh_allocs` do not
@@ -284,6 +295,26 @@ impl FrameBuf {
         let a = &self.0.arena;
         a.shared.set(a.shared.get() + 1);
         self.clone()
+    }
+}
+
+/// A non-owning handle on a [`FrameBuf`], from [`FrameBuf::downgrade`].
+/// What a table of shared buffers stores: an entry whose buffer has gone
+/// back to its arena simply stops upgrading.
+pub struct WeakFrameBuf(Weak<FrameInner>);
+
+impl WeakFrameBuf {
+    /// The buffer, as one more strong handle on it, while any other
+    /// strong handle or view is alive; `None` once the storage has
+    /// returned to its arena.
+    pub fn upgrade(&self) -> Option<FrameBuf> {
+        self.0.upgrade().map(FrameBuf)
+    }
+}
+
+impl fmt::Debug for WeakFrameBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WeakFrameBuf({} handles)", self.0.strong_count())
     }
 }
 
@@ -534,6 +565,27 @@ mod tests {
         drop(viewers);
         drop(f);
         assert_eq!(arena.stats().outstanding, 0);
+    }
+
+    #[test]
+    fn weak_handle_finds_a_live_buffer_and_never_holds_one() {
+        let arena = Arena::new();
+        let f = arena.frame_from(b"shared by reference");
+        let weak = f.downgrade();
+        assert_eq!(f.handle_count(), 1, "a weak handle is not a handle");
+        let again = weak.upgrade().expect("alive");
+        assert!(FrameBuf::same_buffer(&f, &again));
+        let view = again.view(0, 6);
+        drop((f, again));
+        assert!(weak.upgrade().is_some(), "a view keeps the buffer alive");
+        drop(view);
+        // The storage went back with the last strong handle, the weak
+        // one notwithstanding.
+        assert!(weak.upgrade().is_none());
+        assert_eq!(arena.stats().outstanding, 0);
+        assert_eq!(arena.pooled(), 1);
+        let s = arena.stats();
+        assert_eq!((s.leases_granted, s.shared_attaches), (1, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=662
+FLOOR=670
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
