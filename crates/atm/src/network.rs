@@ -120,32 +120,86 @@ enum ReservationKey {
 /// reservations it needs.
 type VcPlan = (Vec<(usize, usize)>, Vec<(ReservationKey, u64)>);
 
-/// [`Network::audit_reservations`] found the remembered fullest-link
-/// figure out of step with the per-link ledgers it summarises.
+/// What [`Network::audit_reservations`] found out of step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LedgerDrift {
-    /// The running maximum the network had remembered.
-    pub remembered: f64,
-    /// The same figure folded afresh over every link's ledger.
-    pub folded: f64,
+pub enum LedgerDrift {
+    /// The remembered fullest-link figure disagrees with the per-link
+    /// ledgers it summarises.
+    Maximum {
+        /// The running maximum the network had remembered.
+        remembered: f64,
+        /// The same figure folded afresh over every link's ledger.
+        folded: f64,
+    },
+    /// The ledger map is not one ledger per link: one transmit ledger
+    /// per attached endpoint, one output ledger per wired switch port.
+    Unmatched {
+        /// Ledgers whose endpoint or port is gone.
+        orphans: usize,
+        /// Links with no ledger.
+        missing: usize,
+    },
 }
 
 impl std::fmt::Display for LedgerDrift {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "bandwidth ledger drift: remembered maximum utilization {} but the links fold to {}",
-            self.remembered, self.folded
-        )
+        match self {
+            LedgerDrift::Maximum { remembered, folded } => write!(
+                f,
+                "bandwidth ledger drift: remembered maximum utilization {remembered} but the links fold to {folded}"
+            ),
+            LedgerDrift::Unmatched { orphans, missing } => write!(
+                f,
+                "bandwidth ledger map drift: {orphans} ledgers without a link, {missing} links without a ledger"
+            ),
+        }
     }
 }
 
 impl std::error::Error for LedgerDrift {}
 
+/// A point in a network's endpoint numbering, taken by
+/// [`Network::endpoint_mark`]: the endpoints attached after it are the
+/// ones [`Network::detach_endpoints_from`] gives back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EndpointMark(usize);
+
+/// Why [`Network::detach_endpoints_from`] refused. A refusal detaches
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DetachError {
+    /// The endpoint carries an open circuit or holds a reservation:
+    /// detaching it would strand routes or ledger charges.
+    InUse(EndpointId),
+    /// The endpoint's port is not the newest on its switch — a port was
+    /// wired above it since, or it was attached on a port that was not
+    /// the switch's next unused one — so giving the port back would not
+    /// leave the switch as if the endpoint had never been attached.
+    NotNewestPort(EndpointId),
+}
+
+impl std::fmt::Display for DetachError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DetachError::InUse(ep) => write!(f, "endpoint {} is in use", ep.0),
+            DetachError::NotNewestPort(ep) => {
+                write!(f, "endpoint {} is not on its switch's newest port", ep.0)
+            }
+        }
+    }
+}
+
+impl std::error::Error for DetachError {}
+
 struct EndpointInfo {
     switch: usize,
     port: usize,
     tx: Rc<RefCell<Link>>,
+    /// Open circuits from or to this endpoint.
+    circuits: u32,
+    /// Attached on its switch's next never-wired port: the only kind of
+    /// attachment [`Network::detach_endpoints_from`] can undo exactly.
+    fresh_port: bool,
 }
 
 /// One direction of an inter-switch trunk link, as recorded at wiring
@@ -268,8 +322,15 @@ impl Network {
     /// Reserves the next never-used port on `sw`, growing the switch if
     /// its fixed port count is exhausted.
     pub fn alloc_port(&mut self, sw: SwitchId) -> usize {
-        let port = self.used_ports[sw.0];
+        let port = self.next_port(sw);
         self.used_ports[sw.0] = port + 1;
+        port
+    }
+
+    /// The next never-used port on `sw`, the switch grown to hold it;
+    /// whoever wires it claims it.
+    fn next_port(&mut self, sw: SwitchId) -> usize {
+        let port = self.used_ports[sw.0];
         self.switches[sw.0].borrow_mut().grow_ports(port + 1);
         port
     }
@@ -403,11 +464,14 @@ impl Network {
             .borrow_mut()
             .attach_output(port, Link::new(cfg.rate_bps, cfg.prop_delay, rx_sink));
         let id = EndpointId(self.endpoints.len());
+        let fresh_port = port == self.used_ports[sw.0];
         self.used_ports[sw.0] = self.used_ports[sw.0].max(port + 1);
         self.endpoints.push(EndpointInfo {
             switch: sw.0,
             port,
             tx,
+            circuits: 0,
+            fresh_port,
         });
         self.add_ledger(ReservationKey::EndpointTx(id.0), cfg.rate_bps);
         self.add_ledger(ReservationKey::SwitchOut(sw.0, port), cfg.rate_bps);
@@ -423,8 +487,62 @@ impl Network {
         cfg: LinkConfig,
         rx_sink: SinkRef,
     ) -> EndpointId {
-        let port = self.alloc_port(sw);
+        let port = self.next_port(sw);
         self.add_endpoint(sw, port, cfg, rx_sink)
+    }
+
+    /// Where the endpoint numbering stands now: the argument
+    /// [`Network::detach_endpoints_from`] takes to give back everything
+    /// attached after this call.
+    pub fn endpoint_mark(&self) -> EndpointMark {
+        EndpointMark(self.endpoints.len())
+    }
+
+    /// Detaches every endpoint attached since `mark`, newest first, as
+    /// if it had never been attached — the signalling half of a refused
+    /// call setup, which frees what it had tentatively claimed.
+    ///
+    /// Each endpoint's transmit and output ledgers go, its port goes
+    /// back to the switch (which shrinks again if it grew for it), and
+    /// its output line is dropped, releasing the device sink it fed.
+    /// The next endpoint attached gets the id and port the first one
+    /// detached had. Ids of detached endpoints are dead: a later
+    /// attachment reuses them.
+    ///
+    /// Refuses, detaching nothing, if an endpoint above the mark is in
+    /// use ([`DetachError::InUse`]) or is not on the newest port of its
+    /// switch once the endpoints above it are gone
+    /// ([`DetachError::NotNewestPort`]). A mark at or past the current
+    /// count detaches nothing.
+    pub fn detach_endpoints_from(&mut self, mark: EndpointMark) -> Result<(), DetachError> {
+        let reserved = |key| self.acs.get(&key).is_some_and(|ac| ac.reserved_bps() > 0);
+        // Check every endpoint first, against the port tops the pops
+        // before it will have left.
+        let mut tops: HashMap<usize, usize> = HashMap::new();
+        for id in (mark.0..self.endpoints.len()).rev() {
+            let ep = &self.endpoints[id];
+            if ep.circuits > 0
+                || reserved(ReservationKey::EndpointTx(id))
+                || reserved(ReservationKey::SwitchOut(ep.switch, ep.port))
+            {
+                return Err(DetachError::InUse(EndpointId(id)));
+            }
+            let top = tops.entry(ep.switch).or_insert(self.used_ports[ep.switch]);
+            if !ep.fresh_port || *top != ep.port + 1 {
+                return Err(DetachError::NotNewestPort(EndpointId(id)));
+            }
+            *top = ep.port;
+        }
+        for id in (mark.0..self.endpoints.len()).rev() {
+            let (sw, port) = (self.endpoints[id].switch, self.endpoints[id].port);
+            // Both ledgers are empty, so the fullest link is unchanged.
+            self.acs.remove(&ReservationKey::EndpointTx(id));
+            self.acs.remove(&ReservationKey::SwitchOut(sw, port));
+            self.used_ports[sw] = port;
+            self.switches[sw].borrow_mut().release_port(port);
+            self.endpoints.pop();
+        }
+        Ok(())
     }
 
     /// The transmit link an endpoint uses to inject cells.
@@ -441,6 +559,11 @@ impl Network {
     /// endpoint in a sharded run follows this switch.
     pub fn endpoint_switch(&self, ep: EndpointId) -> SwitchId {
         SwitchId(self.endpoints[ep.0].switch)
+    }
+
+    /// The port of its switch an endpoint is attached on.
+    pub fn endpoint_port(&self, ep: EndpointId) -> usize {
+        self.endpoints[ep.0].port
     }
 
     /// Every inter-switch link direction, in wiring order. The shard
@@ -730,6 +853,8 @@ impl Network {
             vcis[nsegs - 1],
         );
         route.push((cur_sw, in_port, vcis[nsegs - 2]));
+        self.endpoints[src.0].circuits += 1;
+        self.endpoints[dst.0].circuits += 1;
 
         let id = self.next_conn;
         self.next_conn += 1;
@@ -777,6 +902,11 @@ impl Network {
     /// Tears down a virtual circuit, removing routes and releasing
     /// reservations.
     pub fn close_vc(&mut self, vc: VcHandle) {
+        for ep in [vc.src, vc.dst] {
+            if let Some(ep) = self.endpoints.get_mut(ep.0) {
+                ep.circuits = ep.circuits.saturating_sub(1);
+            }
+        }
         for (sw, in_port, in_vci) in vc.route {
             self.switches[sw].borrow_mut().remove_route(in_port, in_vci);
         }
@@ -859,15 +989,43 @@ impl Network {
         self.acs.values().map(utilization).fold(0.0, f64::max)
     }
 
-    /// Re-derives the fullest-link figure from the per-link ledgers and
-    /// checks the remembered copy against it, bit for bit. A remembered
-    /// value is a claim, not a fact: every scenario run and every
-    /// hostile-harness step re-checks it here.
+    /// Checks the ledgers against what they describe. The ledger map
+    /// must hold exactly one ledger per link — a transmit ledger per
+    /// attached endpoint, an output ledger per wired switch port, no
+    /// orphan left by a detach and none missing
+    /// ([`LedgerDrift::Unmatched`]) — and the remembered fullest-link
+    /// figure must equal a fresh fold over them, bit for bit
+    /// ([`LedgerDrift::Maximum`]). A remembered value is a claim, not a
+    /// fact: every scenario run and every hostile-harness step
+    /// re-checks it here.
     pub fn audit_reservations(&self) -> Result<(), LedgerDrift> {
+        let orphans = self
+            .acs
+            .keys()
+            .filter(|&&key| match key {
+                ReservationKey::EndpointTx(e) => e >= self.endpoints.len(),
+                ReservationKey::SwitchOut(s, p) => !self
+                    .switches
+                    .get(s)
+                    .is_some_and(|sw| sw.borrow().is_wired(p)),
+            })
+            .count();
+        let links = self.endpoints.len()
+            + self
+                .switches
+                .iter()
+                .map(|sw| sw.borrow().wired_ports())
+                .sum::<usize>();
+        // Matched ledgers name distinct live links, so they never
+        // outnumber them.
+        let missing = links - (self.acs.len() - orphans);
+        if orphans + missing > 0 {
+            return Err(LedgerDrift::Unmatched { orphans, missing });
+        }
         let folded = self.fold_utilization();
         match self.max_util.get() {
             Some(remembered) if remembered.to_bits() != folded.to_bits() => {
-                Err(LedgerDrift { remembered, folded })
+                Err(LedgerDrift::Maximum { remembered, folded })
             }
             _ => Ok(()),
         }
@@ -1455,6 +1613,82 @@ mod tests {
         net.close_vc(next);
         net.close_vc(held);
         assert_eq!(net.max_reservation_utilization(), 0.0);
+    }
+
+    #[test]
+    fn detaching_frees_the_sink_and_gives_the_port_back() {
+        let mut net = Network::new();
+        let cfg = LinkConfig::pegasus_default();
+        let ids = net.build_topology(TopologyShape::Ring, 2, "d", 2, 0, cfg);
+        let kept = net.add_endpoint_auto(ids[1], cfg, CaptureSink::shared());
+        let mark = net.endpoint_mark();
+        let sink = CaptureSink::shared();
+        let freed = Rc::downgrade(&sink);
+        let a = net.add_endpoint_auto(ids[0], cfg, sink);
+        let b = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
+        assert_eq!(net.switch(ids[0]).borrow().ports(), 3, "grew for the pair");
+        // A refused open leaves nothing that would keep them attached.
+        net.open_vcs(&[(a, kept, guaranteed(60)), (b, kept, guaranteed(60))])
+            .unwrap_err();
+        net.detach_endpoints_from(mark).unwrap();
+        assert!(freed.upgrade().is_none(), "the output line held the sink");
+        assert_eq!(net.endpoint_count(), 1);
+        assert_eq!(net.switch(ids[0]).borrow().ports(), 2, "built size kept");
+        net.audit_reservations().unwrap();
+        let again = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
+        assert_eq!((again, net.endpoint_port(again)), (a, 1));
+    }
+
+    #[test]
+    fn detach_refuses_an_endpoint_in_use_or_off_the_newest_port() {
+        let mut net = Network::new();
+        let cfg = LinkConfig::pegasus_default();
+        let ids = net.build_topology(TopologyShape::Ring, 2, "d", 2, 0, cfg);
+        let mark = net.endpoint_mark();
+        let a = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
+        let b = net.add_endpoint_auto(ids[1], cfg, CaptureSink::shared());
+        for qos in [guaranteed(10), QosSpec::best_effort(0)] {
+            let vc = net.open_vc(a, b, qos).unwrap();
+            let err = net.detach_endpoints_from(mark).unwrap_err();
+            assert_eq!(err, DetachError::InUse(b));
+            assert_eq!(net.endpoint_count(), 2, "a refusal detaches nothing");
+            net.close_vc(vc);
+        }
+        // A trunk wired above the pair on their switches pins them.
+        net.connect_switches_auto(ids[0], ids[1], cfg);
+        let err = net.detach_endpoints_from(mark).unwrap_err();
+        assert_eq!(err, DetachError::NotNewestPort(b));
+        assert_eq!(net.endpoint_count(), 2);
+        net.audit_reservations().unwrap();
+        // So does an attachment that skipped ports on the way up.
+        let mark = net.endpoint_mark();
+        net.switch(ids[1]).borrow_mut().grow_ports(8);
+        let skipped = net.add_endpoint(ids[1], 6, cfg, CaptureSink::shared());
+        let err = net.detach_endpoints_from(mark).unwrap_err();
+        assert_eq!(err, DetachError::NotNewestPort(skipped));
+        net.audit_reservations().unwrap();
+    }
+
+    #[test]
+    fn audit_finds_an_orphaned_ledger() {
+        let (mut net, cam, _, _) = two_site_net();
+        net.acs.remove(&ReservationKey::EndpointTx(cam.0));
+        assert_eq!(
+            net.audit_reservations(),
+            Err(LedgerDrift::Unmatched {
+                orphans: 0,
+                missing: 1
+            })
+        );
+        net.add_ledger(ReservationKey::EndpointTx(cam.0), 1);
+        net.add_ledger(ReservationKey::EndpointTx(99), 1);
+        assert_eq!(
+            net.audit_reservations(),
+            Err(LedgerDrift::Unmatched {
+                orphans: 1,
+                missing: 0
+            })
+        );
     }
 
     #[test]

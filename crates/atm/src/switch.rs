@@ -94,6 +94,9 @@ pub struct Switch {
     name: String,
     fabric_latency: Ns,
     outputs: Vec<Option<Link>>,
+    /// The port count the switch was built with; [`Switch::release_port`]
+    /// never shrinks below it.
+    built_ports: usize,
     routes: LabelMap<u64, Route>,
     /// Maximum backlog per output, in cells, before tail drop.
     pub queue_capacity: u64,
@@ -115,6 +118,7 @@ impl Switch {
             name: name.to_string(),
             fabric_latency,
             outputs: (0..ports).map(|_| None).collect(),
+            built_ports: ports,
             routes: LabelMap::default(),
             queue_capacity: 1024,
             stats: SwitchStats::default(),
@@ -149,6 +153,26 @@ impl Switch {
         while self.outputs.len() < ports {
             self.outputs.push(None);
         }
+    }
+
+    /// Unwires `port` and gives back every port from it up that the
+    /// switch grew for: the undo of growing to `port + 1` and wiring it.
+    /// The caller guarantees nothing above `port` is wired.
+    pub(crate) fn release_port(&mut self, port: usize) {
+        if let Some(line) = self.outputs.get_mut(port) {
+            *line = None;
+        }
+        self.outputs.truncate(port.max(self.built_ports));
+    }
+
+    /// Whether output `port` has a line attached.
+    pub(crate) fn is_wired(&self, port: usize) -> bool {
+        self.outputs.get(port).is_some_and(Option::is_some)
+    }
+
+    /// How many output ports have a line attached.
+    pub(crate) fn wired_ports(&self) -> usize {
+        self.outputs.iter().filter(|l| l.is_some()).count()
     }
 
     /// Allocates a fresh VCI, unique within this switch.

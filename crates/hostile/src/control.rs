@@ -15,7 +15,8 @@
 //!   — the controller can never flap.
 //! * **Admission is a verdict.** Every `admit` returns one — also for
 //!   endpoints on a switch that died before the walk — and a refusal
-//!   leaves the CPU, slot and bandwidth ledgers exactly as found.
+//!   leaves the CPU, slot and bandwidth ledgers exactly as found, and
+//!   the receiving endpoint attached for it detachable.
 //! * **Ledger restoration.** Releasing every session at the end of the
 //!   walk returns the CPU, slot and bandwidth ledgers to empty.
 //!
@@ -112,13 +113,22 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
         };
         let mut live: Vec<(SessionGrant, CreditRef)> = Vec::new();
         for _ in 0..rng.gen_range(2..6u32) {
-            let flows = (0..rng.gen_range(1..3usize))
+            // As a scenario does: the session's receiving end is attached
+            // for the request, and given back if the broker refuses.
+            let mark = net.endpoint_mark();
+            let receiver = net.add_endpoint_auto(
+                fabric[rng.gen_range(0..fabric.len())],
+                cfg,
+                CaptureSink::shared(),
+            );
+            let mut flows: Vec<FlowRequest> = (0..rng.gen_range(1..3usize))
                 .map(|_| FlowRequest {
                     src: eps[rng.gen_range(0..eps.len())],
                     dst: eps[rng.gen_range(0..eps.len())],
                     bps: rng.gen_range(1..20u64) * 1_000_000,
                 })
                 .collect();
+            flows[0].dst = receiver;
             let req = SessionRequest {
                 class: SessionClass::Videophone,
                 media_flows: flows,
@@ -137,6 +147,11 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
                 repro.check(
                     ledgers(&broker, &net) == before,
                     "a refused admit left a ledger charged",
+                );
+                repro.check(
+                    net.detach_endpoints_from(mark).is_ok()
+                        && net.endpoint_count() == eps.len() + live.len(),
+                    "a refused session's receiver could not be given back",
                 );
             }
             repro.check(

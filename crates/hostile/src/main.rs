@@ -62,8 +62,8 @@ fn main() {
         let n = pick(300);
         let s = wire::run_signalling(args.seed, n);
         println!(
-            "signalling: {} walks, {} opened, {} rerouted, {} stranded, {} refused — ok",
-            s.steps, s.opened, s.rerouted, s.stranded, s.refused
+            "signalling: {} walks, {} opened, {} rerouted, {} stranded, {} refused, {} detached — ok",
+            s.steps, s.opened, s.rerouted, s.stranded, s.refused, s.detached
         );
     }
     if all || args.front == "disk" {

@@ -25,16 +25,20 @@
 //!
 //! # Signalling
 //!
-//! [`run_signalling`] random-walks open/close/open-set/switch-death/
-//! re-route against invariants: reservations never exceed the
-//! reservable fraction, a re-route pins the endpoint VCIs and avoids
-//! the corpse, a dead switch admits nothing, and closing every circuit
-//! returns every ledger to its initial headroom.
+//! [`run_signalling`] random-walks open/close/open-set/attach-detach/
+//! switch-death/re-route against invariants: reservations never exceed
+//! the reservable fraction, the ledger map audits clean after every
+//! step, detached endpoints leave nothing behind, a re-route pins the
+//! endpoint VCIs and avoids the corpse, a dead switch admits nothing,
+//! and closing every circuit returns every ledger to its initial
+//! headroom.
 
 use pegasus_atm::aal5::{Aal5Error, FrameLease, Reassembler, Segmenter};
 use pegasus_atm::cell::{Cell, Vci, HEADER_SIZE, PAYLOAD_SIZE};
 use pegasus_atm::link::CaptureSink;
-use pegasus_atm::network::{EndpointId, LinkConfig, Network, SwitchId, TopologyShape, VcHandle};
+use pegasus_atm::network::{
+    DetachError, EndpointId, LinkConfig, Network, SwitchId, TopologyShape, VcHandle,
+};
 use pegasus_atm::signalling::QosSpec;
 use pegasus_sim::arena::Arena;
 use pegasus_sim::rng::seeded;
@@ -344,12 +348,16 @@ pub struct SignallingStats {
     pub stranded: u64,
     /// Admission refusals observed.
     pub refused: u64,
+    /// Endpoints attached and then detached again.
+    pub detached: u64,
 }
 
 /// Random-walks the signalling state machine: `steps` fresh networks,
 /// each subjected to a burst of opens (single circuits and multi-flow
-/// sets), closes, switch deaths and re-routes, with ledger and
-/// VCI-pinning invariants checked throughout. Panics with a reproducing triple on violation.
+/// sets), closes, endpoints attached and detached again, switch deaths
+/// and re-routes, with ledger and VCI-pinning invariants checked
+/// throughout and the ledger audit after every step. Panics with a
+/// reproducing triple on violation.
 pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
     let mut stats = SignallingStats::default();
     for step in 0..steps {
@@ -377,7 +385,7 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
         let mut held: Vec<VcHandle> = Vec::new();
         let mut dead: Vec<SwitchId> = Vec::new();
         for _ in 0..rng.gen_range(10..40u32) {
-            match rng.gen_range(0..10u32) {
+            match rng.gen_range(0..11u32) {
                 // Open a circuit between random endpoints.
                 0..=4 => {
                     let a = eps[rng.gen_range(0..eps.len())];
@@ -447,6 +455,45 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                         "open_vcs left the remembered maximum out of step with the ledgers",
                     );
                 }
+                // A refused call's endpoints: attached, tried, given
+                // back. While one carries a circuit the detach is
+                // refused whole; once it is closed, nothing of them
+                // stays.
+                8 => {
+                    let mark = net.endpoint_mark();
+                    let before = (
+                        net.endpoint_count(),
+                        net.max_reservation_utilization().to_bits(),
+                    );
+                    let fresh: Vec<EndpointId> = (0..rng.gen_range(1..4usize))
+                        .map(|_| {
+                            let sw = fabric[rng.gen_range(0..fabric.len())];
+                            net.add_endpoint_auto(sw, cfg, CaptureSink::shared())
+                        })
+                        .collect();
+                    let peer = eps[rng.gen_range(0..eps.len())];
+                    let qos = QosSpec::guaranteed(rng.gen_range(1..40u64) * 1_000_000);
+                    if let Ok(vc) = net.open_vc(fresh[0], peer, qos) {
+                        stats.opened += 1;
+                        repro.check(
+                            net.detach_endpoints_from(mark) == Err(DetachError::InUse(fresh[0])),
+                            "detach gave back an endpoint with an open circuit",
+                        );
+                        net.close_vc(vc);
+                    }
+                    repro.check(
+                        net.detach_endpoints_from(mark).is_ok(),
+                        "detach refused endpoints that carry nothing",
+                    );
+                    repro.check(
+                        (
+                            net.endpoint_count(),
+                            net.max_reservation_utilization().to_bits(),
+                        ) == before,
+                        "detached endpoints left the network changed",
+                    );
+                    stats.detached += fresh.len() as u64;
+                }
                 // Kill a switch and repair the survivors via signalling.
                 _ => {
                     if dead.len() + 1 >= fabric.len() {
@@ -483,6 +530,10 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                     }
                 }
             }
+            repro.check(
+                net.audit_reservations().is_ok(),
+                "a signalling step left the ledgers out of step with the links",
+            );
         }
 
         // A dead switch admits nothing, even same-switch pairs.
@@ -554,6 +605,7 @@ mod tests {
         let s = run_signalling(0xBEE, 40);
         assert_eq!(s.steps, 40);
         assert!(s.opened > 0, "the walk must open circuits");
+        assert!(s.detached > 0, "the walk must detach endpoints");
     }
 
     #[test]

@@ -156,6 +156,11 @@ impl SimDisk {
         }
     }
 
+    /// Whether written bytes are retained (see [`SimDisk::set_store`]).
+    pub fn stores(&self) -> bool {
+        self.store
+    }
+
     /// The configuration.
     pub fn config(&self) -> DiskConfig {
         self.cfg

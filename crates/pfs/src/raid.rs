@@ -131,6 +131,10 @@ impl RaidArray {
     /// disk, as they run in parallel). Writing with one failed disk is
     /// allowed (degraded mode: that chunk is simply not stored, but
     /// remains reconstructible).
+    ///
+    /// A parity disk that retains nothing is still charged its chunk,
+    /// but no parity is computed for it: what it is handed is discarded
+    /// unread.
     pub fn write_stripe(&mut self, stripe: u64, data: &[u8]) -> Result<Ns, RaidError> {
         assert_eq!(data.len(), self.stripe_bytes(), "whole stripes only");
         if self.failed_count() > 1 {
@@ -139,11 +143,15 @@ impl RaidArray {
         let sector = self.stripe_sector(stripe)?;
         // Scratch here is per call on purpose: kept in the array it is
         // a quarter megabyte resident per idle server.
-        let mut parity = vec![0u8; self.chunk_bytes];
-        for chunk in data.chunks(self.chunk_bytes) {
-            xor_into(&mut parity, chunk);
-        }
-        let members = data.chunks(self.chunk_bytes).chain([&parity[..]]);
+        let parity = self.disks[DATA_DISKS].stores().then(|| {
+            let mut parity = vec![0u8; self.chunk_bytes];
+            for chunk in data.chunks(self.chunk_bytes) {
+                xor_into(&mut parity, chunk);
+            }
+            parity
+        });
+        let parity_chunk = parity.as_deref().unwrap_or(&data[..self.chunk_bytes]);
+        let members = data.chunks(self.chunk_bytes).chain([parity_chunk]);
         let mut max_t = 0;
         for (disk, chunk) in self.disks.iter_mut().zip(members) {
             match disk.write(sector, chunk) {
@@ -369,6 +377,28 @@ mod tests {
         r.disk_mut(0).fail();
         let (back, _) = r.read_stripe(0).unwrap();
         assert_eq!(back, pattern(9));
+    }
+
+    #[test]
+    fn a_timing_only_array_charges_what_a_retaining_one_does() {
+        // The same stripe writes, a degraded one among them: parity is
+        // skipped on one array and computed on the other, and neither
+        // the durations nor any disk's counters may tell them apart.
+        let drive = |r: &mut RaidArray| {
+            let mut times = Vec::new();
+            for (stripe, fill) in [(0, 1), (1, 2), (7, 3)] {
+                times.push(r.write_stripe(stripe, &pattern(fill)).unwrap());
+            }
+            r.disk_mut(2).fail();
+            times.push(r.write_stripe(8, &pattern(4)).unwrap());
+            let stats: Vec<String> = (0..=DATA_DISKS)
+                .map(|i| format!("{:?}", r.disk_mut(i).stats))
+                .collect();
+            (times, stats)
+        };
+        let mut timing_only = array();
+        timing_only.set_store(false);
+        assert_eq!(drive(&mut timing_only), drive(&mut array()));
     }
 
     #[test]

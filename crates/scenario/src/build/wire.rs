@@ -11,7 +11,7 @@ use pegasus::system::{HostNic, SystemBuilder};
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
 use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow};
 use pegasus_atm::link::{CellSink, SinkRef};
-use pegasus_atm::network::EndpointId;
+use pegasus_atm::network::{EndpointId, EndpointMark};
 use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
 use pegasus_devices::camera::Camera;
 use pegasus_devices::display::{Display, Rect, WindowManager};
@@ -93,6 +93,11 @@ impl Scenario {
     /// replica costs nothing. A `gated` consumer fronts its device with
     /// a credit gate, returned so [`Scenario::wire_credit`] can register
     /// the circuit's window once admission fixes the delivery VCI.
+    ///
+    /// The endpoint is attached before the broker's verdict; a refused
+    /// session detaches it again (`Wiring::admit`), and with it the
+    /// device, gate and port — so what a compiled city holds grows with
+    /// its admitted sessions, not its attempts.
     pub(super) fn consumer(
         &mut self,
         dst: usize,
@@ -262,10 +267,16 @@ impl Wiring {
     }
 
     /// Runs one session request through the broker and records the
-    /// decision; `None` when the session was rejected (and so is not
-    /// wired at all).
+    /// decision; `None` when the session was rejected. A rejected
+    /// session is not wired at all: every endpoint attached since
+    /// `mark` — the session's own, tentatively claimed for the request
+    /// — is detached again, as a refused call setup frees what it had
+    /// claimed. A refusal leaves no reservation, VCI or connection id
+    /// (`Network::open_vcs`), and every shard makes the same rollback,
+    /// so endpoint numbering still agrees across shards.
     fn admit(
         &mut self,
+        mark: EndpointMark,
         class: SessionClass,
         media: (EndpointId, EndpointId),
         fixed_flows: Vec<FlowRequest>,
@@ -291,7 +302,22 @@ impl Wiring {
             requested: grant.requested,
             granted: grant.granted,
         });
-        grant.is_admitted().then_some(grant)
+        if !grant.is_admitted() {
+            self.detach_from(mark);
+            return None;
+        }
+        Some(grant)
+    }
+
+    /// Detaches every endpoint attached since `mark`. They belong to a
+    /// refused session or an empty control room, so none carries a
+    /// circuit.
+    fn detach_from(&mut self, mark: EndpointMark) {
+        self.sc
+            .sys
+            .net
+            .detach_endpoints_from(mark)
+            .expect("a refused session's endpoints carry nothing");
     }
 
     /// The producer half of an admitted session: a camera at the
@@ -346,6 +372,7 @@ impl Wiring {
         let t0 = at.t0;
         let duration = self.sc.spec.duration;
 
+        let mark = self.sc.sys.net.endpoint_mark();
         let cam_ep = self.sc.sys.device(src, HostNic::shared());
         let display = self.display(dst);
         let (disp_ep, gate) = self.media_consumer(dst, display.as_ref());
@@ -362,6 +389,7 @@ impl Wiring {
             bps: AUDIO_BPS,
         };
         let Some(grant) = self.admit(
+            mark,
             SessionClass::Videophone,
             (cam_ep, disp_ep),
             vec![audio_flow],
@@ -482,11 +510,13 @@ impl Wiring {
             });
             (ctl, stream, sink)
         });
+        let mark = self.sc.sys.net.endpoint_mark();
         let (client_ep, gate) = self.media_consumer(dst, client.as_ref().map(|c| &c.2));
         let server_ep = self.sc.sys.device(src, HostNic::shared());
 
         let server = i % self.n_servers;
         let Some(grant) = self.admit(
+            mark,
             SessionClass::Vod,
             (server_ep, client_ep),
             Vec::new(),
@@ -517,21 +547,22 @@ impl Wiring {
     fn tv_room(&mut self, feeds: usize) {
         let dst = self.pick_switch();
         let display = self.display(dst);
+        let room = self.sc.sys.net.endpoint_mark();
         // One credit gate per control room: every admitted feed
         // registers its own window on it, keyed by delivery VCI.
         let (disp_ep, gate) = self.media_consumer(dst, display.as_ref());
-        let wm = display.map(|d| {
-            self.sc.tv_displays.push(d.clone());
-            Rc::new(RefCell::new(WindowManager::new(d, 1)))
-        });
+        let wm = display
+            .as_ref()
+            .map(|d| Rc::new(RefCell::new(WindowManager::new(d.clone(), 1))));
         let mut feed_vcis = Vec::new();
         let mut group_t0 = self.sc.spec.duration;
         for _ in 0..feeds {
             let src = self.pick_switch();
             let at = self.placement(src, dst);
+            let feed = self.sc.sys.net.endpoint_mark();
             let cam_ep = self.sc.sys.device(src, HostNic::shared());
-            let Some(grant) = self.admit(SessionClass::Tv, (cam_ep, disp_ep), Vec::new(), None)
-            else {
+            let media = (cam_ep, disp_ep);
+            let Some(grant) = self.admit(feed, SessionClass::Tv, media, Vec::new(), None) else {
                 continue;
             };
             let vc_dst = grant.vcs[0].dst_vci;
@@ -542,11 +573,19 @@ impl Wiring {
             feed_vcis.push(vc_dst);
             self.producer(grant, SessionClass::Tv, cam_ep, at, gate.as_ref());
         }
+        // A room whose every feed was rejected has nothing to show or
+        // cut between: its display goes with the feeds' cameras. (It
+        // would have blitted no tile and added no sample to any report
+        // key.)
+        if feed_vcis.is_empty() {
+            self.detach_from(room);
+            return;
+        }
+        self.sc.tv_displays.extend(display);
         // The director cuts round-robin through the admitted feeds: one
         // window raise per cut, pure control, run where the control
-        // room's display lives. A room whose every feed was rejected
-        // has nothing to cut between.
-        if let Some(wm) = wm.filter(|_| !feed_vcis.is_empty()) {
+        // room's display lives.
+        if let Some(wm) = wm {
             let spec = &self.sc.spec;
             let mut cut_no = 0usize;
             let mut t = group_t0 + spec.tv_cut_period;
@@ -604,4 +643,62 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     let mut sc = w.sc;
     sc.arm_faults();
     sc
+}
+
+#[cfg(test)]
+mod tests {
+    use pegasus::broker::{Outcome, SessionClass};
+
+    use crate::build::{compile, SessionContract};
+    use crate::presets;
+
+    /// What admitted sessions alone attach: four endpoints per call, two
+    /// per VoD stream, one per TV feed and one per control room with a
+    /// feed — and how many such rooms there are.
+    fn admitted_endpoints(contracts: &[SessionContract], tv_group: usize) -> (usize, usize) {
+        let admitted = |c: &SessionContract| !matches!(c.outcome, Outcome::Rejected(_));
+        let count = |class| {
+            contracts
+                .iter()
+                .filter(|c| c.class == class && admitted(c))
+                .count()
+        };
+        let feeds: Vec<bool> = contracts
+            .iter()
+            .filter(|c| c.class == SessionClass::Tv)
+            .map(admitted)
+            .collect();
+        let rooms = feeds
+            .chunks(tv_group.max(1))
+            .filter(|room| room.contains(&true))
+            .count();
+        let endpoints = 4 * count(SessionClass::Videophone)
+            + 2 * count(SessionClass::Vod)
+            + count(SessionClass::Tv)
+            + rooms;
+        (endpoints, rooms)
+    }
+
+    #[test]
+    fn a_refused_session_leaves_no_trace() {
+        let mut city = presets::by_name("metropolis-100k").expect("preset");
+        city.sessions = 800;
+        city.broker.cpu_capacity_micro = 15 * city.broker.cpu_per_session_micro;
+        // Full rooms, one partly admitted, and empty ones.
+        let mut studio = presets::by_name("tv-studio").expect("preset");
+        studio.broker.cpu_capacity_micro = 9 * studio.broker.cpu_per_session_micro;
+        for spec in [city, studio] {
+            let sc = compile(&spec);
+            let refused = sc
+                .contracts
+                .iter()
+                .filter(|c| matches!(c.outcome, Outcome::Rejected(_)))
+                .count();
+            assert!(refused > 0, "{}: nothing refused", spec.name);
+            let (endpoints, rooms) = admitted_endpoints(&sc.contracts, spec.tv_group);
+            assert_eq!(sc.sys.net.endpoint_count(), endpoints, "{}", spec.name);
+            assert_eq!(sc.tv_displays.len(), rooms, "{}", spec.name);
+            assert_eq!(sc.sys.net.audit_reservations(), Ok(()));
+        }
+    }
 }

@@ -1,5 +1,6 @@
-//! The memory gate: what a city holds at its fullest is bounded, and its
-//! cameras share the pictures they show.
+//! The memory gate: what a city holds at its fullest is bounded, its
+//! cameras share the pictures they show, and a refused session leaves
+//! nothing behind.
 //!
 //! `metropolis-1k` at one twentieth scale on one shard, under the
 //! counting allocator of `examples/support/live_alloc.rs` (the one
@@ -22,7 +23,16 @@ static ALLOCATOR: live_alloc::LiveAlloc = live_alloc::LiveAlloc;
 /// A quarter above the 4,099,277 bytes this run peaks at.
 const PEAK_LIVE_BYTES_BOUND: usize = 5_124_000;
 
-/// One test in this binary: the counters are process-global.
+/// A quarter above the 2,843,897 bytes the second case peaks at.
+const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 3_555_000;
+
+/// One test in this binary: the counters are process-global. Its
+/// second case is `metropolis-100k` cut to 800 attempts with CPU for
+/// 15 (seed 7): 785 are refused. While a refused session's endpoints,
+/// device sinks and ledgers stayed in the fabric, this run peaked at
+/// 4.11 MB with 5,950 allocations of at most 256 bytes live; detaching
+/// them on refusal (`Network::detach_endpoints_from`) leaves 2.84 MB
+/// and 1,330 — fewer than two per attempt.
 #[test]
 fn a_small_city_fits_its_bound_and_shares_its_frames() {
     let spec = presets::by_name("metropolis-1k")
@@ -43,5 +53,32 @@ fn a_small_city_fits_its_bound_and_shares_its_frames() {
         (frame_sized as u64) < sessions,
         "{frame_sized} live 16–32 KiB allocations at the peak for {sessions} sessions: \
          cameras are not sharing rendered frames"
+    );
+
+    let mut door = presets::by_name("metropolis-100k")
+        .expect("preset")
+        .with_seed(7);
+    door.sessions = 800;
+    door.broker.cpu_capacity_micro = 15 * door.broker.cpu_per_session_micro;
+    live_alloc::reset();
+    let report = run_sharded(&door, 1);
+    let (peak, classes) = live_alloc::peak();
+    let small: usize = classes[..=live_alloc::class_of(256)]
+        .iter()
+        .map(|&(n, _)| n)
+        .sum();
+    println!(
+        "peak live {peak} bytes, {small} of at most 256 bytes, {} rejected",
+        report.broker.rejected
+    );
+    assert!(
+        peak < REFUSED_PEAK_LIVE_BYTES_BOUND,
+        "peak live bytes {peak} over the bound {REFUSED_PEAK_LIVE_BYTES_BOUND}"
+    );
+    assert!(
+        small < 2 * door.sessions,
+        "{small} live allocations of at most 256 bytes at the peak for {} attempts: \
+         refused sessions are leaving endpoints behind",
+        door.sessions
     );
 }

@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=670
+FLOOR=676
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
