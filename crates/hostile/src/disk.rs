@@ -15,9 +15,12 @@
 //!   (simulated power loss), the server recovers from its last completed
 //!   checkpoint, and every record acknowledged by that checkpoint must
 //!   read back byte-exact — no acknowledged loss, no torn record
-//!   replayed as if whole. `LogFs` is deliberately not `Clone`, so each
-//!   crash point replays the trace from scratch; the sweep is O(n²) in
-//!   trace length, which small traces keep cheap.
+//!   replayed as if whole. The trace deletes files but never cleans: a
+//!   file deleted after the checkpoint comes back whole, and one deleted
+//!   before it stays gone, which is the line a change that forgot bytes
+//!   at delete time would cross. `LogFs` is deliberately not `Clone`, so
+//!   each crash point replays the trace from scratch; the sweep is O(n²)
+//!   in trace length, which small traces keep cheap.
 
 use pegasus_pfs::checkpoint::{write_checkpoint, Checkpoint, CheckpointError};
 use pegasus_pfs::disk::DiskConfig;
@@ -215,8 +218,10 @@ pub fn run_images(seed: u64, steps: u64) -> ImageStats {
 enum Op {
     /// Create a file of the given class.
     Create(FileClass),
-    /// Append `data` to the `n`th created file.
+    /// Append `data` to the `n`th created file, unless it is deleted.
     Append { nth: usize, data: Vec<u8> },
+    /// Delete the `n`th created file, unless it already is.
+    Delete { nth: usize },
     /// Sync the log.
     Sync,
     /// Write a checkpoint (create+append+sync of the blob).
@@ -224,13 +229,14 @@ enum Op {
 }
 
 /// Builds a deterministic write-heavy trace ending in a checkpoint, so
-/// the final crash point exercises full recovery.
+/// the final crash point exercises full recovery. It deletes, and never
+/// cleans.
 fn build_trace(rng: &mut SmallRng, ops: usize) -> Vec<Op> {
     let mut trace = vec![Op::Create(FileClass::Normal)];
     let mut files = 1usize;
     for _ in 0..ops {
-        match rng.gen_range(0..10u32) {
-            0 => {
+        match rng.gen_range(0..12u32) {
+            0..=1 => {
                 trace.push(Op::Create(if rng.gen_range(0..2u32) == 0 {
                     FileClass::Normal
                 } else {
@@ -238,7 +244,7 @@ fn build_trace(rng: &mut SmallRng, ops: usize) -> Vec<Op> {
                 }));
                 files += 1;
             }
-            1..=6 => {
+            2..=7 => {
                 let n = rng.gen_range(16..2048usize);
                 let data: Vec<u8> = (0..n).map(|_| rng.gen::<u8>()).collect();
                 trace.push(Op::Append {
@@ -246,7 +252,10 @@ fn build_trace(rng: &mut SmallRng, ops: usize) -> Vec<Op> {
                     data,
                 });
             }
-            7..=8 => trace.push(Op::Sync),
+            8 => trace.push(Op::Delete {
+                nth: rng.gen_range(0..files),
+            }),
+            9..=10 => trace.push(Op::Sync),
             _ => trace.push(Op::Checkpoint),
         }
     }
@@ -254,40 +263,58 @@ fn build_trace(rng: &mut SmallRng, ops: usize) -> Vec<Op> {
     trace
 }
 
-/// Replays `trace[..k]` from scratch. Returns the file system, the ids
-/// of created files in creation order, and for each checkpoint taken:
-/// its file id plus the byte content of every trace file at capture
-/// time (the acknowledged set).
-#[allow(clippy::type_complexity)]
-fn replay(trace: &[Op], k: usize) -> (LogFs, Vec<FileId>, Vec<(FileId, Vec<(FileId, Vec<u8>)>)>) {
+/// What a completed checkpoint acknowledged.
+struct Acked {
+    /// The checkpoint file.
+    cp: FileId,
+    /// Every trace file alive at capture time, with its bytes.
+    live: Vec<(FileId, Vec<u8>)>,
+    /// Every trace file deleted before it.
+    gone: Vec<FileId>,
+}
+
+/// Replays `trace[..k]` from scratch. Returns the file system and what
+/// each checkpoint taken acknowledged.
+fn replay(trace: &[Op], k: usize) -> (LogFs, Vec<Acked>) {
     let mut fs = LogFs::new(DiskConfig::hp_1994());
     let mut files: Vec<FileId> = Vec::new();
-    let mut content: Vec<Vec<u8>> = Vec::new();
+    // Each created file's bytes; `None` once deleted.
+    let mut content: Vec<Option<Vec<u8>>> = Vec::new();
     let mut checkpoints = Vec::new();
     for op in &trace[..k] {
         match op {
             Op::Create(class) => {
                 files.push(fs.create(*class));
-                content.push(Vec::new());
+                content.push(Some(Vec::new()));
             }
             Op::Append { nth, data } => {
-                let f = files[*nth % files.len()];
-                fs.append(f, data).expect("trace fits the array");
-                content[*nth % files.len()].extend_from_slice(data);
+                let n = *nth % files.len();
+                if let Some(bytes) = &mut content[n] {
+                    fs.append(files[n], data).expect("trace fits the array");
+                    bytes.extend_from_slice(data);
+                }
+            }
+            Op::Delete { nth } => {
+                let n = *nth % files.len();
+                if content[n].take().is_some() {
+                    fs.delete(files[n]).expect("a live file deletes");
+                }
             }
             Op::Sync => fs.sync().expect("sync"),
             Op::Checkpoint => {
                 let cp = write_checkpoint(&mut fs).expect("checkpoint");
-                let acked = files
-                    .iter()
-                    .copied()
-                    .zip(content.iter().cloned())
-                    .collect::<Vec<_>>();
-                checkpoints.push((cp, acked));
+                let (mut live, mut gone) = (Vec::new(), Vec::new());
+                for (&file, bytes) in files.iter().zip(&content) {
+                    match bytes {
+                        Some(bytes) => live.push((file, bytes.clone())),
+                        None => gone.push(file),
+                    }
+                }
+                checkpoints.push(Acked { cp, live, gone });
             }
         }
     }
-    (fs, files, checkpoints)
+    (fs, checkpoints)
 }
 
 /// Counters from a crash sweep.
@@ -300,6 +327,11 @@ pub struct CrashStats {
     /// Crash points that predate the first checkpoint (nothing was
     /// acknowledged yet; recovery trivially holds).
     pub pre_checkpoint: u64,
+    /// Files deleted after the last checkpoint that recovered
+    /// byte-exact all the same.
+    pub deletes_undone: u64,
+    /// Files deleted before the last checkpoint found still gone.
+    pub deletes_kept: u64,
 }
 
 /// Cuts simulated power at every operation boundary of a deterministic
@@ -321,22 +353,36 @@ pub fn crash_sweep(seed: u64, trace_ops: usize) -> CrashStats {
             front: Front::Disk,
             step: k as u64,
         };
-        let (mut fs, _files, checkpoints) = replay(&trace, k);
+        let (mut fs, checkpoints) = replay(&trace, k);
         stats.crash_points += 1;
-        let Some((cp_file, acked)) = checkpoints.last() else {
+        let Some(acked) = checkpoints.last() else {
             stats.pre_checkpoint += 1;
             continue;
         };
+        // Which acknowledged files the trace deleted before the cut.
+        let deleted: Vec<bool> = acked
+            .live
+            .iter()
+            .map(|(f, _)| fs.pnode(*f).is_none())
+            .collect();
 
         // Power cut: all volatile metadata is gone except the superblock
         // pointer to the checkpoint file.
-        fs.amnesia(*cp_file);
-        match pegasus_pfs::checkpoint::recover(&mut fs, *cp_file) {
+        fs.amnesia(acked.cp);
+        match pegasus_pfs::checkpoint::recover(&mut fs, acked.cp) {
             Ok(()) => {}
             Err(_) => repro.check(false, "recovery from a completed checkpoint failed"),
         }
 
-        for (file, bytes) in acked {
+        for file in &acked.gone {
+            repro.check(
+                fs.pnode(*file).is_none(),
+                "a file deleted before the checkpoint came back",
+            );
+            stats.deletes_kept += 1;
+        }
+        for ((file, bytes), deleted) in acked.live.iter().zip(deleted) {
+            stats.deletes_undone += u64::from(deleted);
             let pnode = fs.pnode(*file);
             repro.check(
                 pnode.is_some(),
@@ -386,12 +432,17 @@ mod tests {
 
     #[test]
     fn crash_sweep_loses_nothing_acknowledged() {
-        let s = crash_sweep(0xFACE, 40);
-        assert_eq!(s.crash_points as usize, 43, "every boundary was cut");
+        let s = crash_sweep(0xFACE, 60);
+        assert_eq!(s.crash_points as usize, 63, "every boundary was cut");
         assert!(s.records_verified > 0, "the sweep verified real records");
         assert!(
             s.pre_checkpoint < s.crash_points,
             "most of the trace runs past the first checkpoint"
         );
+        assert!(
+            s.deletes_undone > 0,
+            "deleted after a checkpoint, recovered"
+        );
+        assert!(s.deletes_kept > 0, "deleted before a checkpoint, gone");
     }
 }

@@ -78,8 +78,9 @@ fn main() {
         let n = pick(60);
         let s = disk::crash_sweep(args.seed, n as usize);
         println!(
-            "crash: {} boundaries cut, {} acknowledged records verified — ok",
-            s.crash_points, s.records_verified
+            "crash: {} boundaries cut, {} acknowledged records verified \
+             ({} deleted after the checkpoint), {} deleted files stayed gone — ok",
+            s.crash_points, s.records_verified, s.deletes_undone, s.deletes_kept
         );
     }
     if all || args.front == "control" {

@@ -19,9 +19,9 @@
 //! proportional to file-system size, which is exactly what the paper's
 //! 10-terabyte goal rules out.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use crate::log::{FsError, GarbageEntry, LogFs, SEGMENT_BYTES};
+use crate::log::{FsError, LogFs, SEGMENT_BYTES};
 use pegasus_sim::time::Ns;
 
 /// Size of one garbage-file entry on disk.
@@ -46,13 +46,36 @@ pub struct CleanReport {
     pub io_time: Ns,
 }
 
+/// Empties one victim: every file with an extent in `seg` is rewritten
+/// whole at the log head (when `live` says any byte there is still
+/// used), and the segment is released.
+fn clean_segment(
+    fs: &mut LogFs,
+    seg: u64,
+    live: u32,
+    report: &mut CleanReport,
+) -> Result<(), FsError> {
+    if live > 0 {
+        for file in fs.files_in_segment(seg) {
+            report.live_bytes_moved += fs.relocate_file_from_segment(file, seg)?;
+        }
+    }
+    fs.release_segment(seg);
+    report.segments_cleaned += 1;
+    report.bytes_freed += SEGMENT_BYTES as u64;
+    Ok(())
+}
+
 /// Runs the Pegasus garbage-file cleaner over every hole recorded before
 /// the call (the marker protocol: entries appended during the pass stay
 /// for the next one).
 ///
 /// Cost structure: one sequential read of the consumed prefix of the
-/// garbage file, plus the copy-out of live bytes in the segments that
-/// contained garbage. Nothing scales with the size of the file system.
+/// garbage file, plus a whole-file rewrite of every file that still has
+/// bytes in a segment that contained garbage. Nothing scales with the
+/// size of the file system. Before anything is copied, the victims'
+/// bytes that no file uses are forgotten, and each victim's stripe is
+/// dropped once it is released.
 pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
     let io_before = fs.io_time;
     let mut report = CleanReport::default();
@@ -67,26 +90,20 @@ pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
     fs.charge_metadata_io(mark as u64 * GARBAGE_ENTRY_BYTES, true);
 
     // Sort the entries by segment number and group.
-    let mut prefix: Vec<GarbageEntry> = fs.garbage[..mark].to_vec();
-    prefix.sort_unstable_by_key(|e| (e.segment, e.seg_offset));
-    let mut per_segment: BTreeMap<u64, u64> = BTreeMap::new();
-    for e in &prefix {
-        *per_segment.entry(e.segment).or_insert(0) += e.len as u64;
-    }
+    let per_segment: BTreeSet<u64> = fs.garbage[..mark].iter().map(|e| e.segment).collect();
+    let victims: Vec<u64> = per_segment
+        .iter()
+        .copied()
+        .filter(|seg| fs.segment_info().contains_key(seg))
+        .collect();
+    fs.forget_dead_bytes(&victims);
 
     // Single pass over the affected segments.
-    for (&seg, _) in per_segment.iter() {
+    for seg in per_segment {
         let Some(info) = fs.segment_info().get(&seg).copied() else {
             continue; // already freed by an earlier pass, or still open
         };
-        if info.live_bytes > 0 {
-            for file in fs.files_in_segment(seg) {
-                report.live_bytes_moved += fs.relocate_file_from_segment(file, seg)?;
-            }
-        }
-        fs.release_segment(seg);
-        report.segments_cleaned += 1;
-        report.bytes_freed += SEGMENT_BYTES as u64;
+        clean_segment(fs, seg, info.live_bytes, &mut report)?;
     }
 
     // Truncate the consumed prefix; garbage added during the pass stays.
@@ -116,20 +133,15 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
     // Victims: lowest utilization first.
     let mut victims = segs;
     victims.sort_unstable_by_key(|&(s, live)| (live, s));
-    for (seg, live) in victims.into_iter().take(segments_wanted) {
-        if live > 0 {
-            for file in fs.files_in_segment(seg) {
-                report.live_bytes_moved += fs.relocate_file_from_segment(file, seg)?;
-            }
-        }
-        fs.release_segment(seg);
-        report.segments_cleaned += 1;
-        report.bytes_freed += SEGMENT_BYTES as u64;
+    victims.truncate(segments_wanted);
+    let segs: Vec<u64> = victims.iter().map(|&(seg, _)| seg).collect();
+    fs.forget_dead_bytes(&segs);
+    for (seg, live) in victims {
+        clean_segment(fs, seg, live, &mut report)?;
     }
-    // The Sprite cleaner does not consume the garbage file, but the
-    // holes it cleaned are now stale; drop entries pointing at freed
-    // segments so later garbage-file passes skip them (they already do,
-    // via the segment-info check, but this keeps the file small).
+    // The Sprite cleaner does not consume the garbage file: entries
+    // naming the segments it freed stay, and a later garbage-file pass
+    // skips each through the segment table unless a flush has reused it.
     report.io_time = fs.io_time - io_before;
     Ok(report)
 }
@@ -138,7 +150,7 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
 mod tests {
     use super::*;
     use crate::disk::DiskConfig;
-    use crate::log::FileClass;
+    use crate::log::{FileClass, FileId};
 
     fn fs() -> LogFs {
         LogFs::new(DiskConfig::hp_1994())
@@ -178,6 +190,71 @@ mod tests {
         // The survivor reads back intact from its new home.
         let back = f.read(live, 0, 300_000).unwrap();
         assert_eq!(back, data(300_000, 2));
+    }
+
+    #[test]
+    fn a_clean_counts_its_copies_apart_from_client_bytes() {
+        for sprite in [false, true] {
+            let mut f = fs();
+            let dead = f.create(FileClass::Normal);
+            let live = f.create(FileClass::Normal);
+            f.append(dead, &data(600_000, 1)).unwrap();
+            f.append(live, &data(300_000, 2)).unwrap();
+            f.sync().unwrap();
+            f.delete(dead).unwrap();
+            let (written, moved) = (f.stats.bytes_written, f.stats.cleaner_moved);
+            let report = if sprite {
+                clean_sprite(&mut f, 1).unwrap()
+            } else {
+                clean_garbage_file(&mut f).unwrap()
+            };
+            assert_eq!(report.live_bytes_moved, 300_000, "sprite {sprite}");
+            assert_eq!(f.stats.bytes_written, written, "sprite {sprite}");
+            assert_eq!(f.stats.cleaner_moved - moved, report.live_bytes_moved);
+        }
+    }
+
+    #[test]
+    fn a_pass_leaves_only_live_bytes_on_the_disks() {
+        // The benchmark's pfs-vcr shape: sixteen 4 MiB files appended in
+        // interleaved 64 KiB pieces, so each segment holds a piece of
+        // every file; every other file deleted; the garbage cleaned.
+        const PIECE: usize = 64 << 10;
+        const FILE_BYTES: usize = 4 << 20;
+        let piece = |file: usize, at: usize| [file as u8, (at / PIECE) as u8].repeat(PIECE / 2);
+        let mut f = fs();
+        let files: Vec<FileId> = (0..16).map(|_| f.create(FileClass::Continuous)).collect();
+        for at in (0..FILE_BYTES).step_by(PIECE) {
+            for (k, &file) in files.iter().enumerate() {
+                f.append(file, &piece(k, at)).unwrap();
+            }
+        }
+        f.sync().unwrap();
+        // 64 MiB of data and its parity.
+        let stored = |f: &mut LogFs| f.raid_mut().retained_bytes();
+        assert_eq!(stored(&mut f), 80 << 20);
+        for &file in files.iter().skip(1).step_by(2) {
+            f.delete(file).unwrap();
+        }
+        // The rule a pass applies before it copies: each victim keeps
+        // what an extent covers, the survivors' halves. Parity keeps only
+        // the page rows a survivor lies in; a dead row folds to zeros.
+        let victims: Vec<u64> = f.segment_info().keys().copied().collect();
+        f.forget_dead_bytes(&victims);
+        assert_eq!(stored(&mut f), 40 << 20);
+        let report = clean_garbage_file(&mut f).unwrap();
+        assert_eq!(report.segments_cleaned, 64);
+        assert_eq!(report.live_bytes_moved, 32 << 20);
+        // What is left is the survivors' 32 MiB and their parity: the
+        // victims kept their live halves only while they were copied.
+        assert!(stored(&mut f) <= 42 << 20, "{} bytes", stored(&mut f));
+        let mut buf = Vec::new();
+        for (k, &file) in files.iter().enumerate().step_by(2) {
+            for at in (0..FILE_BYTES).step_by(PIECE) {
+                f.read_into(file, at as u64, PIECE, &mut buf).unwrap();
+                assert!(buf == piece(k, at), "file {k} at {at}");
+            }
+        }
     }
 
     #[test]

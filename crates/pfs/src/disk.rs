@@ -14,6 +14,16 @@
 //! without the memory footprint. A read is *charged* for every sector
 //! it spans and *copies* only the byte range its caller names; bytes
 //! never written read as zeros.
+//!
+//! A page's life: the first write that touches it materialises it
+//! (zero-filled around the written run, or built straight from the
+//! bytes when the run covers it whole); later writes overwrite it;
+//! `forget` drops it again, and so do [`SimDisk::replace`] and
+//! `set_store(false)`. Forgetting is free of charge — no head movement,
+//! no time, no counter — because it is not an I/O: it is the model
+//! declaring bytes nobody will read, which then read as zeros like bytes
+//! never written. Only the layers above know which bytes those are (see
+//! [`crate::raid::RaidArray::forget`]).
 
 use std::collections::HashMap;
 
@@ -209,9 +219,15 @@ impl SimDisk {
         if self.store {
             let mut rest = data;
             for (page, off, n) in page_runs(sector as usize * SECTOR, data.len()) {
-                let zeroed = || vec![0u8; PAGE_BYTES].into();
-                let slot = self.data.entry(page).or_insert_with(zeroed);
-                slot[off..off + n].copy_from_slice(&rest[..n]);
+                if n == PAGE_BYTES {
+                    // A run covering the whole page is the page: no
+                    // zero-fill to overwrite.
+                    self.data.insert(page, rest[..n].into());
+                } else {
+                    let zeroed = || vec![0u8; PAGE_BYTES].into();
+                    let slot = self.data.entry(page).or_insert_with(zeroed);
+                    slot[off..off + n].copy_from_slice(&rest[..n]);
+                }
                 rest = &rest[n..];
             }
         }
@@ -290,6 +306,47 @@ impl SimDisk {
         }
     }
 
+    /// Drops every retained page lying wholly inside bytes
+    /// `[skip, skip + len)` counted from the start of `sector`, handing
+    /// each to `fold` with its page number on the way out. Free of
+    /// charge; a page the range only clips is kept whole.
+    pub(crate) fn forget(
+        &mut self,
+        sector: u64,
+        skip: usize,
+        len: usize,
+        mut fold: impl FnMut(u64, &[u8]),
+    ) {
+        let start = sector as usize * SECTOR + skip;
+        for page in start.div_ceil(PAGE_BYTES)..(start + len) / PAGE_BYTES {
+            if let Some(bytes) = self.data.remove(&(page as u64)) {
+                fold(page as u64, &bytes);
+            }
+        }
+    }
+
+    /// XORs `bytes` into page `page`, free of charge: parity absorbing a
+    /// data page that another disk forgets. A page left all zeros is
+    /// dropped, since it reads the same.
+    pub(crate) fn fold_page(&mut self, page: u64, bytes: &[u8]) {
+        if !self.store {
+            return;
+        }
+        let slot = self
+            .data
+            .entry(page)
+            .or_insert_with(|| vec![0u8; PAGE_BYTES].into());
+        xor_into(slot, bytes);
+        if slot.iter().all(|&b| b == 0) {
+            self.data.remove(&page);
+        }
+    }
+
+    /// Bytes of content this disk holds in memory: its pages.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        self.data.len() * PAGE_BYTES
+    }
+
     /// `sectors` sectors from `sector` must lie on a live disk. Both
     /// numbers are the caller's, so the sum is checked, not trusted.
     fn check(&self, sector: u64, sectors: u64) -> Result<(), DiskError> {
@@ -300,6 +357,13 @@ impl SimDisk {
             Some(end) if end <= self.cfg.sectors => Ok(()),
             _ => Err(DiskError::OutOfRange),
         }
+    }
+}
+
+/// `acc ^= src`, byte for byte.
+pub(crate) fn xor_into(acc: &mut [u8], src: &[u8]) {
+    for (a, b) in acc.iter_mut().zip(src) {
+        *a ^= b;
     }
 }
 

@@ -12,7 +12,7 @@
 //! Every overwrite or delete appends a hole descriptor to the *garbage
 //! file*; the cleaner in [`crate::cleaner`] consumes it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::disk::DiskConfig;
 use crate::raid::{RaidArray, RaidError};
@@ -330,6 +330,17 @@ impl LogFs {
     /// Appends `data` to `file`, returning nothing; data reaches the
     /// array when its segment fills (or on [`LogFs::sync`]).
     pub fn append(&mut self, file: FileId, data: &[u8]) -> Result<(), FsError> {
+        self.append_counted(file, data, |s| &mut s.bytes_written)
+    }
+
+    /// [`LogFs::append`], adding each byte taken to the counter `count`
+    /// picks: a client's bytes and the cleaner's copies are told apart.
+    fn append_counted(
+        &mut self,
+        file: FileId,
+        data: &[u8],
+        count: fn(&mut FsStats) -> &mut u64,
+    ) -> Result<(), FsError> {
         let class = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?.class;
         let mut written = 0usize;
         while written < data.len() {
@@ -377,7 +388,7 @@ impl LogFs {
             }
             pnode.size += take as u64;
             written += take;
-            self.stats.bytes_written += take as u64;
+            *count(&mut self.stats) += take as u64;
             let full = match class {
                 FileClass::Normal => self.open_normal.buf.len() == SEGMENT_BYTES,
                 FileClass::Continuous => self.open_cm.buf.len() == SEGMENT_BYTES,
@@ -533,10 +544,41 @@ impl LogFs {
         live as f64 / (self.segments.len() as u64 * SEGMENT_BYTES as u64) as f64
     }
 
-    /// Frees a cleaned segment (cleaner use).
+    /// Frees a cleaned segment (cleaner use). Its stripe is dropped from
+    /// the array: the next flush may take the segment, and until then
+    /// its bytes are nobody's.
     pub(crate) fn release_segment(&mut self, seg: u64) {
         self.segments.remove(&seg);
         self.free.push(seg);
+        self.raid.discard_stripe(seg);
+    }
+
+    /// Forgets, in each of `victims`, every byte that no pnode's extent
+    /// covers (cleaner use, before it copies anything), so a pass holds
+    /// only live bytes while it rewrites them. The pnode map is the
+    /// authority, not the garbage file: an entry may describe an earlier
+    /// use of a segment that was since released and reused.
+    pub(crate) fn forget_dead_bytes(&mut self, victims: &[u64]) {
+        let mut live: BTreeMap<u64, Vec<(u64, u64)>> =
+            victims.iter().map(|&seg| (seg, Vec::new())).collect();
+        for ext in self.pnodes.values().flat_map(|p| &p.extents) {
+            if let Some(runs) = live.get_mut(&ext.segment) {
+                let lo = ext.seg_offset as u64;
+                runs.push((lo, lo + ext.len as u64));
+            }
+        }
+        let end = SEGMENT_BYTES as u64;
+        for (seg, mut runs) in live {
+            runs.sort_unstable();
+            let mut at = 0;
+            for (lo, hi) in runs.into_iter().chain([(end, end)]) {
+                let lo = lo.min(end);
+                if lo > at {
+                    self.raid.forget(seg, at as usize, (lo - at) as usize);
+                }
+                at = at.max(hi);
+            }
+        }
     }
 
     /// Files owning extents in `seg` (cleaner use — in the real system
@@ -593,8 +635,7 @@ impl LogFs {
                 }
             }
             moved = data.len() as u64;
-            self.stats.cleaner_moved += moved;
-            self.append(file, &data)?;
+            self.append_counted(file, &data, |s| &mut s.cleaner_moved)?;
         }
         Ok(moved)
     }
@@ -826,6 +867,81 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn forgetting_charges_nothing_and_leaves_live_reads_as_they_were() {
+        use crate::raid::DATA_DISKS;
+        // Twins built alike: half a segment dead, half live, and a whole
+        // segment dead. One forgets the dead half and discards the dead
+        // stripe; every later call must cost both the same. The contents
+        // do not repeat every 256 bytes, so no two chunks are equal and
+        // no parity page is zero.
+        let content =
+            |n: usize, tag: u8| -> Vec<u8> { (0..n).map(|i| (i * 7 / 3) as u8 ^ tag).collect() };
+        let live = content(SEGMENT_BYTES / 2, 2);
+        let build = || {
+            let mut f = fs();
+            let ids: Vec<FileId> = (0..3).map(|_| f.create(FileClass::Normal)).collect();
+            f.append(ids[0], &content(SEGMENT_BYTES / 2, 1)).unwrap();
+            f.append(ids[1], &live).unwrap();
+            f.append(ids[2], &content(SEGMENT_BYTES, 3)).unwrap();
+            f.sync().unwrap();
+            (f, ids)
+        };
+        // io_time, then each disk's counters and (through the cost of
+        // moving it back to sector 0) its head.
+        let charges = |f: &mut LogFs| {
+            let io = f.io_time;
+            let disks: Vec<_> = (0..=DATA_DISKS)
+                .map(|i| {
+                    let d = f.raid_mut().disk_mut(i);
+                    let stats = format!("{:?}", d.stats);
+                    (stats, d.read_into(0, 0, &mut Vec::new()))
+                })
+                .collect();
+            (io, disks)
+        };
+        let (mut kept, _) = build();
+        let (mut forgot, ids) = build();
+        let seg = |f: &LogFs, id: FileId| f.pnode(id).unwrap().extents[0].segment;
+        let (half, whole) = (seg(&forgot, ids[1]), seg(&forgot, ids[2]));
+        let raid = forgot.raid_mut();
+        assert_eq!(raid.retained_bytes(), 5 * SEGMENT_BYTES / 2);
+        raid.forget(half, 0, SEGMENT_BYTES / 2);
+        raid.discard_stripe(whole);
+        // Two data disks' chunks of the first stripe, and all five of
+        // the second; parity of the first still holds the live half.
+        assert_eq!(raid.retained_bytes(), 3 * SEGMENT_BYTES / 4);
+        assert_eq!(charges(&mut forgot), charges(&mut kept));
+        // The live half is on disks 2 and 3: failing 2 rebuilds its
+        // share through the parity the forgotten pages were folded into.
+        for failed in [None, Some(2)] {
+            for f in [&mut kept, &mut forgot] {
+                failed
+                    .into_iter()
+                    .for_each(|i| f.raid_mut().disk_mut(i).fail());
+            }
+            for off in (0..live.len()).step_by(100_000) {
+                let len = 100_000.min(live.len() - off);
+                let mut ns = Vec::new();
+                for f in [&mut kept, &mut forgot] {
+                    let io = f.io_time;
+                    assert_eq!(
+                        f.read(ids[1], off as u64, len).unwrap(),
+                        live[off..off + len]
+                    );
+                    ns.push(f.io_time - io);
+                }
+                assert_eq!(ns[0], ns[1], "read at {off}, disk {failed:?} failed");
+            }
+            assert_eq!(charges(&mut forgot), charges(&mut kept));
+        }
+        // With a member down, forgetting is refused.
+        forgot
+            .raid_mut()
+            .forget(half, SEGMENT_BYTES / 2, SEGMENT_BYTES / 2);
+        assert_eq!(forgot.raid_mut().retained_bytes(), 3 * SEGMENT_BYTES / 4);
     }
 
     #[test]

@@ -15,8 +15,20 @@
 //! A read always *charges* the whole stripe — every member disk turns a
 //! full chunk under its head, as the hardware would — but *copies* only
 //! the byte range the caller asked for.
+//!
+//! What the members retain follows what the log still uses. A stripe
+//! write materialises its pages on all five disks. Two calls take pages
+//! away again, both free of charge (no head, no time, no counter):
+//! [`RaidArray::forget`] drops the whole data pages inside a byte range
+//! of a stripe, XORing each into the parity page first so that every
+//! byte still retained stays reconstructible, and
+//! [`RaidArray::discard_stripe`] drops a stripe on every member. The
+//! contract with the layer above: it forgets only bytes no extent
+//! covers, inside a cleaning pass, and discards only a stripe it has
+//! released — whose bytes are undefined from then on, so recovery after
+//! a pass needs a checkpoint written after it.
 
-use crate::disk::{DiskConfig, DiskError, SimDisk, SECTOR};
+use crate::disk::{xor_into, DiskConfig, DiskError, SimDisk, SECTOR};
 use pegasus_sim::time::Ns;
 
 /// Number of data disks a segment is striped across.
@@ -26,12 +38,6 @@ pub const DATA_DISKS: usize = 4;
 pub struct RaidArray {
     disks: Vec<SimDisk>, // DATA_DISKS data + 1 parity
     chunk_bytes: usize,
-}
-
-fn xor_into(acc: &mut [u8], src: &[u8]) {
-    for (a, b) in acc.iter_mut().zip(src) {
-        *a ^= b;
-    }
 }
 
 /// Errors surfaced by the array.
@@ -222,6 +228,45 @@ impl RaidArray {
             }
         }
         Ok(max_t)
+    }
+
+    /// Drops the retained data pages lying wholly inside bytes
+    /// `[off, off + len)` of `stripe`, free of charge, each XORed into
+    /// the parity page first: parity becomes that of a stripe holding
+    /// zeros there, so a lost disk's surviving bytes still rebuild. Does
+    /// nothing while any member has failed, or off the end of the array.
+    pub fn forget(&mut self, stripe: u64, off: usize, len: usize) {
+        if self.failed_count() > 0 || stripe >= self.stripes() {
+            return;
+        }
+        let sector = stripe * self.chunk_sectors();
+        let (cb, end) = (self.chunk_bytes, off.saturating_add(len));
+        let (data, parity) = self.disks.split_at_mut(DATA_DISKS);
+        for (i, disk) in data.iter_mut().enumerate() {
+            let lo = off.clamp(i * cb, (i + 1) * cb) - i * cb;
+            let hi = end.clamp(i * cb, (i + 1) * cb) - i * cb;
+            disk.forget(sector, lo, hi - lo, |page, bytes| {
+                parity[0].fold_page(page, bytes)
+            });
+        }
+    }
+
+    /// Drops `stripe` on all five members, free of charge: a released
+    /// segment's bytes are nobody's.
+    pub fn discard_stripe(&mut self, stripe: u64) {
+        if stripe >= self.stripes() {
+            return;
+        }
+        let sector = stripe * self.chunk_sectors();
+        for disk in &mut self.disks {
+            disk.forget(sector, 0, self.chunk_bytes, |_, _| {});
+        }
+    }
+
+    /// Bytes of content the five members hold in memory, parity
+    /// included.
+    pub fn retained_bytes(&self) -> usize {
+        self.disks.iter().map(SimDisk::retained_bytes).sum()
     }
 
     /// Rebuilds a replaced disk from the surviving four, stripe by

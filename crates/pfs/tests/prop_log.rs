@@ -1,12 +1,15 @@
 //! Property tests: the log-structured core against a trivial in-memory
-//! model, under arbitrary operation sequences — including cleaning.
+//! model, under arbitrary operation sequences — including cleaning by
+//! either cleaner, after which every file must read back with a data
+//! disk lost and again once it is rebuilt.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use pegasus_pfs::cleaner::clean_garbage_file;
+use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
 use pegasus_pfs::disk::DiskConfig;
 use pegasus_pfs::log::{FileClass, FileId, LogFs};
+use pegasus_pfs::raid::DATA_DISKS;
 
 /// An operation against both the real FS and the model.
 #[derive(Debug, Clone)]
@@ -16,7 +19,9 @@ enum Op {
     Overwrite { file: usize, len: usize, tag: u8 },
     Delete { file: usize },
     Sync,
-    Clean,
+    // Each pass is followed by `reads_back` with data disk `disk` lost.
+    Clean { disk: usize },
+    CleanSprite { wanted: usize, disk: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -28,7 +33,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(file, len, tag)| Op::Overwrite { file, len, tag }),
         2 => any::<usize>().prop_map(|file| Op::Delete { file }),
         1 => Just(Op::Sync),
-        1 => Just(Op::Clean),
+        1 => (0..DATA_DISKS).prop_map(|disk| Op::Clean { disk }),
+        1 => (1usize..4, 0..DATA_DISKS)
+            .prop_map(|(wanted, disk)| Op::CleanSprite { wanted, disk }),
     ]
 }
 
@@ -36,6 +43,32 @@ fn content(len: usize, tag: u8) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(31).wrapping_add(tag))
         .collect()
+}
+
+/// Every model file reads back exact three times: on a healthy array,
+/// with data disk `disk` failed (its share rebuilt through parity), and
+/// once that disk is replaced and rebuilt.
+fn reads_back(
+    fs: &mut LogFs,
+    model: &HashMap<FileId, Vec<u8>>,
+    disk: usize,
+) -> Result<(), TestCaseError> {
+    let stripes = fs.segment_info().keys().max().map_or(0, |&s| s + 1);
+    for phase in ["healthy", "degraded", "rebuilt"] {
+        match phase {
+            "degraded" => fs.raid_mut().disk_mut(disk).fail(),
+            "rebuilt" => {
+                fs.raid_mut().disk_mut(disk).replace();
+                fs.raid_mut().rebuild_disk(disk, stripes).unwrap();
+            }
+            _ => {}
+        }
+        for (&id, expected) in model {
+            let got = fs.read(id, 0, expected.len()).unwrap();
+            prop_assert!(&got == expected, "file {:?} {} on disk {}", id, phase, disk);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -77,8 +110,13 @@ proptest! {
                     }
                 }
                 Op::Sync => fs.sync().unwrap(),
-                Op::Clean => {
+                Op::Clean { disk } => {
                     clean_garbage_file(&mut fs).unwrap();
+                    reads_back(&mut fs, &model, disk)?;
+                }
+                Op::CleanSprite { wanted, disk } => {
+                    clean_sprite(&mut fs, wanted).unwrap();
+                    reads_back(&mut fs, &model, disk)?;
                 }
                 _ => {}
             }

@@ -123,4 +123,57 @@ proptest! {
         let ranges: Vec<_> = cuts.iter().map(|&(s, a, b)| (s, a.min(b), a.abs_diff(b))).collect();
         check_ranges(&ranges);
     }
+
+    #[test]
+    fn forgetting_keeps_every_other_byte_and_charges_nothing(
+        cuts in proptest::collection::vec((0..STRIPES, 0..=STRIPE, 0..=STRIPE), 1..6),
+        discard in 0..=STRIPES,
+    ) {
+        let discard = (discard < STRIPES).then_some(discard); // else none
+        // Bytes a forget may have turned to zeros, per stripe.
+        let stripes: Vec<Vec<u8>> = (0..STRIPES).map(pattern).collect();
+        let mut may_go = vec![vec![false; STRIPE]; STRIPES as usize];
+        for &(s, a, b) in &cuts {
+            may_go[s as usize][a.min(b)..a.max(b)].fill(true);
+        }
+        if let Some(s) = discard {
+            may_go[s as usize].fill(true);
+        }
+        // Healthy, then with each member lost after the forgetting: a
+        // lost data disk's kept bytes come back through folded parity.
+        for failed in [None].into_iter().chain((0..=DATA_DISKS).map(Some)) {
+            let mut kept = array(&stripes, None, false);
+            let mut forgot = array(&stripes, None, false);
+            for &(s, a, b) in &cuts {
+                forgot.forget(s, a.min(b), a.abs_diff(b));
+            }
+            if let Some(s) = discard {
+                forgot.discard_stripe(s);
+            }
+            prop_assert!(forgot.retained_bytes() <= kept.retained_bytes());
+            prop_assert_eq!(disks(&mut forgot), disks(&mut kept));
+            for r in [&mut kept, &mut forgot] {
+                failed.into_iter().for_each(|f| r.disk_mut(f).fail());
+            }
+            for s in 0..STRIPES {
+                let (want, t_want) = kept.read_stripe(s).unwrap();
+                let (got, t) = forgot.read_stripe(s).unwrap();
+                prop_assert_eq!(t, t_want);
+                let bad = (got.iter().zip(&want).zip(&may_go[s as usize]))
+                    .position(|((g, w), &may)| g != w && !(may && *g == 0));
+                prop_assert_eq!(bad, None, "stripe {} with {:?} failed", s, failed);
+            }
+            prop_assert_eq!(disks(&mut forgot), disks(&mut kept));
+        }
+        // Forgetting the rest as well leaves nothing: each parity page
+        // folds to zeros and goes with the last data page over it.
+        let mut forgot = array(&stripes, None, false);
+        for &(s, a, b) in &cuts {
+            forgot.forget(s, a.min(b), a.abs_diff(b));
+        }
+        for s in 0..STRIPES {
+            forgot.forget(s, 0, STRIPE);
+        }
+        prop_assert_eq!(forgot.retained_bytes(), 0);
+    }
 }

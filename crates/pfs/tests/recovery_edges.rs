@@ -130,6 +130,33 @@ fn crash_recovery_table() {
 }
 
 #[test]
+fn a_delete_after_the_checkpoint_is_undone_by_a_crash() {
+    // Deleting forgets nothing on the disks; only a cleaning pass does.
+    // So recovery brings back, byte-exact, a file the checkpoint saw and
+    // a later delete removed, while one deleted before it stays gone.
+    // Both span whole pages of the disks' store.
+    let mut fs = fresh();
+    let before = fs.create(FileClass::Normal);
+    let after = fs.create(FileClass::Continuous);
+    let kept = patterned(300_000, 0x5A);
+    fs.append(before, &patterned(300_000, 0xA5))
+        .expect("append");
+    fs.append(after, &kept).expect("append");
+    fs.delete(before).expect("delete before the checkpoint");
+    let cp = write_checkpoint(&mut fs).expect("checkpoint");
+    fs.delete(after).expect("delete after the checkpoint");
+    let more = fs.create(FileClass::Continuous);
+    fs.append(more, &patterned(2 * SEGMENT_BYTES, 0x3C))
+        .expect("the log moves on");
+    fs.sync().expect("sync");
+
+    fs.amnesia(cp);
+    recover(&mut fs, cp).expect("recovery");
+    assert!(fs.pnode(before).is_none(), "deleted before: gone");
+    assert_eq!(fs.read(after, 0, kept.len()).expect("read"), kept);
+}
+
+#[test]
 fn empty_blob_is_truncated_not_a_panic() {
     assert_eq!(Checkpoint::decode(&[]), Err(CheckpointError::Truncated));
     assert_eq!(Checkpoint::decode(&[0x50]), Err(CheckpointError::Truncated));

@@ -17,12 +17,15 @@
 //! `scripts/profile.sh <preset> [ops]` does. Besides the targets of
 //! `support/targets.rs` (presets and the benchmark's three scenario
 //! workloads) it takes `pfs`: a short storage loop on `pegasus_pfs`
-//! directly, in the shape of the benchmark's fourth workload,
-//! `pfs-vcr`.
+//! directly (`support/pfs_op.rs`), in the shape of the benchmark's
+//! fourth workload, `pfs-vcr`.
 //!
 //! No `libc` crate is vendored, so the three libc entry points are
 //! declared here, with the x86-64 Linux layouts they take.
 
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[path = "support/pfs_op.rs"]
+mod pfs_op;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[path = "support/targets.rs"]
 mod targets;
@@ -33,14 +36,9 @@ mod sampler {
     use std::process::Command;
     use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
 
-    use pegasus_pfs::cleaner::clean_garbage_file;
-    use pegasus_pfs::cm::CmScheduler;
-    use pegasus_pfs::disk::DiskConfig;
-    use pegasus_pfs::log::{FileClass, FileId, LogFs};
-    use pegasus_pfs::tier::{TierConfig, TieredCache};
     use pegasus_scenario::run_sharded;
-    use pegasus_sim::time::SEC;
 
+    use super::pfs_op::pfs_op;
     use super::targets::spec_of;
 
     const SIGPROF: i32 = 27;
@@ -230,57 +228,6 @@ mod sampler {
             .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
             .unwrap_or(name.len());
         Some(&name[..end])
-    }
-
-    /// One operation of the `pfs` target, on disks that keep what is
-    /// written: six files appended in interleaved 64 KiB pieces, read
-    /// back in 64 KiB pieces, every other one deleted and the garbage
-    /// cleaned, then the survivors played out through the tiered cache.
-    fn pfs_op() -> u64 {
-        const PIECE: usize = 64 << 10;
-        const FILE_BYTES: usize = 4 << 20;
-        let mut fs = LogFs::new(DiskConfig::hp_1994());
-        let files: Vec<FileId> = (0..6).map(|_| fs.create(FileClass::Continuous)).collect();
-        let piece: Vec<u8> = (0..PIECE).map(|i| (i * 31) as u8).collect();
-        for _ in (0..FILE_BYTES).step_by(PIECE) {
-            for &file in &files {
-                fs.append(file, &piece).expect("append");
-            }
-        }
-        fs.sync().expect("sync");
-        let mut buf = Vec::new();
-        for &file in &files {
-            for off in (0..FILE_BYTES).step_by(PIECE) {
-                fs.read_into(file, off as u64, PIECE, &mut buf)
-                    .expect("read");
-                assert!(
-                    buf == piece,
-                    "read_into returned other bytes than were written"
-                );
-            }
-        }
-        for &file in files.iter().skip(1).step_by(2) {
-            fs.delete(file).expect("delete");
-        }
-        clean_garbage_file(&mut fs).expect("clean");
-        let (period, periods, streams) = (16 * SEC, 16, 24);
-        let rate = (FILE_BYTES as u64 * SEC / period).div_ceil(periods);
-        let mut cm = CmScheduler::new(period, rate * streams * 2);
-        let mut cache = TieredCache::new(TierConfig {
-            hot_chunks: 3,
-            warm_chunks: 6,
-            ..TierConfig::default()
-        });
-        for i in 0..streams as usize {
-            let file = files[i % 3 * 2];
-            cm.admit(file, rate, 0).expect("admit");
-            cache.register_stream(file, rate);
-        }
-        let played = cm
-            .run_periods_tiered(&mut fs, &mut cache, periods)
-            .expect("CM play-out");
-        assert_eq!(played.bytes_delivered, streams * FILE_BYTES as u64);
-        fs.io_time
     }
 
     /// Prints the `rows` largest counts: share of the `total` samples,

@@ -8,10 +8,11 @@
 # crates/scenario/examples/livebytes.rs instead.
 #
 # usage: scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> [ops]
-#        scripts/profile.sh <preset | metro-steady | front-door | control-3x> --live [seed]
+#        scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> --live [seed]
 #
 # `pfs` is a storage loop on pegasus_pfs directly, in the shape of the
-# benchmark's pfs-vcr (interleaved appends, read-back, clean, tiered CM).
+# benchmark's pfs-vcr (interleaved appends, read-back, clean, tiered CM);
+# it takes no seed.
 #
 # This kernel ticks ITIMER_PROF at 4 ms whatever interval is asked for,
 # so ten `metro-steady` ops yield ~1,000 samples (±1.5 points on a share):
@@ -26,14 +27,15 @@
 # look for a function that is cheap itself and dear in what it calls.
 #
 # --live runs one operation (one shard, the target's spec at [seed] or
-# its own) under a counting allocator and prints the peak of live heap
-# bytes and, by power-of-two size class, how many allocations and bytes
-# were live at that peak: one size holding most of the bytes is one kind
-# of buffer kept too long or too often. Exact and repeatable at a seed.
+# its own; for `pfs`, the storage loop) under a counting allocator and
+# prints the peak of live heap bytes and, by power-of-two size class,
+# how many allocations and bytes were live at that peak: one size
+# holding most of the bytes is one kind of buffer kept too long or too
+# often. Exact and repeatable at a seed.
 set -eu
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,33p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,34p' "$0" >&2; exit 2; }
 
 example=sigprof
 if [ "${2:-}" = --live ]; then
