@@ -28,7 +28,7 @@ pub struct SwitchId(pub usize);
 pub struct EndpointId(pub usize);
 
 /// Physical parameters of a link.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// Line rate in bits per second.
     pub rate_bps: u64,
@@ -115,10 +115,26 @@ enum ReservationKey {
     SwitchOut(usize, usize),
 }
 
-/// A routed circuit nothing has been reserved for yet: its
+/// An end not attached yet: the switch it will hang off and its access
+/// link. [`Network::check_vcs`] routes to and from it as if it were
+/// attached; a flow names the `k`-th pending end of a set by the id it
+/// will get, `EndpointId(endpoint_count() + k)`.
+pub type PendingEnd = (SwitchId, LinkConfig);
+
+/// A routed circuit nothing has been charged for yet: its
 /// inter-switch `(switch, out port)` hops and the `(key, bits/second)`
 /// reservations it needs.
 type VcPlan = (Vec<(usize, usize)>, Vec<(ReservationKey, u64)>);
+
+/// A flow set [`Network::check_vcs`] found room for: the pending ends
+/// to attach and every flow routed and priced — all that
+/// [`Network::commit_vcs`] needs to open it. It holds for the network
+/// it was checked on for as long as that network is unchanged.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VcsPlan {
+    pending: Vec<PendingEnd>,
+    flows: Vec<((EndpointId, EndpointId, QosSpec), VcPlan)>,
+}
 
 /// What [`Network::audit_reservations`] found out of step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,48 +174,10 @@ impl std::fmt::Display for LedgerDrift {
 
 impl std::error::Error for LedgerDrift {}
 
-/// A point in a network's endpoint numbering, taken by
-/// [`Network::endpoint_mark`]: the endpoints attached after it are the
-/// ones [`Network::detach_endpoints_from`] gives back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EndpointMark(usize);
-
-/// Why [`Network::detach_endpoints_from`] refused. A refusal detaches
-/// nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetachError {
-    /// The endpoint carries an open circuit or holds a reservation:
-    /// detaching it would strand routes or ledger charges.
-    InUse(EndpointId),
-    /// The endpoint's port is not the newest on its switch — a port was
-    /// wired above it since, or it was attached on a port that was not
-    /// the switch's next unused one — so giving the port back would not
-    /// leave the switch as if the endpoint had never been attached.
-    NotNewestPort(EndpointId),
-}
-
-impl std::fmt::Display for DetachError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DetachError::InUse(ep) => write!(f, "endpoint {} is in use", ep.0),
-            DetachError::NotNewestPort(ep) => {
-                write!(f, "endpoint {} is not on its switch's newest port", ep.0)
-            }
-        }
-    }
-}
-
-impl std::error::Error for DetachError {}
-
 struct EndpointInfo {
     switch: usize,
     port: usize,
     tx: Rc<RefCell<Link>>,
-    /// Open circuits from or to this endpoint.
-    circuits: u32,
-    /// Attached on its switch's next never-wired port: the only kind of
-    /// attachment [`Network::detach_endpoints_from`] can undo exactly.
-    fresh_port: bool,
 }
 
 /// One direction of an inter-switch trunk link, as recorded at wiring
@@ -322,16 +300,9 @@ impl Network {
     /// Reserves the next never-used port on `sw`, growing the switch if
     /// its fixed port count is exhausted.
     pub fn alloc_port(&mut self, sw: SwitchId) -> usize {
-        let port = self.next_port(sw);
-        self.used_ports[sw.0] = port + 1;
-        port
-    }
-
-    /// The next never-used port on `sw`, the switch grown to hold it;
-    /// whoever wires it claims it.
-    fn next_port(&mut self, sw: SwitchId) -> usize {
         let port = self.used_ports[sw.0];
         self.switches[sw.0].borrow_mut().grow_ports(port + 1);
+        self.used_ports[sw.0] = port + 1;
         port
     }
 
@@ -464,14 +435,11 @@ impl Network {
             .borrow_mut()
             .attach_output(port, Link::new(cfg.rate_bps, cfg.prop_delay, rx_sink));
         let id = EndpointId(self.endpoints.len());
-        let fresh_port = port == self.used_ports[sw.0];
         self.used_ports[sw.0] = self.used_ports[sw.0].max(port + 1);
         self.endpoints.push(EndpointInfo {
             switch: sw.0,
             port,
             tx,
-            circuits: 0,
-            fresh_port,
         });
         self.add_ledger(ReservationKey::EndpointTx(id.0), cfg.rate_bps);
         self.add_ledger(ReservationKey::SwitchOut(sw.0, port), cfg.rate_bps);
@@ -487,62 +455,8 @@ impl Network {
         cfg: LinkConfig,
         rx_sink: SinkRef,
     ) -> EndpointId {
-        let port = self.next_port(sw);
+        let port = self.alloc_port(sw);
         self.add_endpoint(sw, port, cfg, rx_sink)
-    }
-
-    /// Where the endpoint numbering stands now: the argument
-    /// [`Network::detach_endpoints_from`] takes to give back everything
-    /// attached after this call.
-    pub fn endpoint_mark(&self) -> EndpointMark {
-        EndpointMark(self.endpoints.len())
-    }
-
-    /// Detaches every endpoint attached since `mark`, newest first, as
-    /// if it had never been attached — the signalling half of a refused
-    /// call setup, which frees what it had tentatively claimed.
-    ///
-    /// Each endpoint's transmit and output ledgers go, its port goes
-    /// back to the switch (which shrinks again if it grew for it), and
-    /// its output line is dropped, releasing the device sink it fed.
-    /// The next endpoint attached gets the id and port the first one
-    /// detached had. Ids of detached endpoints are dead: a later
-    /// attachment reuses them.
-    ///
-    /// Refuses, detaching nothing, if an endpoint above the mark is in
-    /// use ([`DetachError::InUse`]) or is not on the newest port of its
-    /// switch once the endpoints above it are gone
-    /// ([`DetachError::NotNewestPort`]). A mark at or past the current
-    /// count detaches nothing.
-    pub fn detach_endpoints_from(&mut self, mark: EndpointMark) -> Result<(), DetachError> {
-        let reserved = |key| self.acs.get(&key).is_some_and(|ac| ac.reserved_bps() > 0);
-        // Check every endpoint first, against the port tops the pops
-        // before it will have left.
-        let mut tops: HashMap<usize, usize> = HashMap::new();
-        for id in (mark.0..self.endpoints.len()).rev() {
-            let ep = &self.endpoints[id];
-            if ep.circuits > 0
-                || reserved(ReservationKey::EndpointTx(id))
-                || reserved(ReservationKey::SwitchOut(ep.switch, ep.port))
-            {
-                return Err(DetachError::InUse(EndpointId(id)));
-            }
-            let top = tops.entry(ep.switch).or_insert(self.used_ports[ep.switch]);
-            if !ep.fresh_port || *top != ep.port + 1 {
-                return Err(DetachError::NotNewestPort(EndpointId(id)));
-            }
-            *top = ep.port;
-        }
-        for id in (mark.0..self.endpoints.len()).rev() {
-            let (sw, port) = (self.endpoints[id].switch, self.endpoints[id].port);
-            // Both ledgers are empty, so the fullest link is unchanged.
-            self.acs.remove(&ReservationKey::EndpointTx(id));
-            self.acs.remove(&ReservationKey::SwitchOut(sw, port));
-            self.used_ports[sw] = port;
-            self.switches[sw].borrow_mut().release_port(port);
-            self.endpoints.pop();
-        }
-        Ok(())
     }
 
     /// The transmit link an endpoint uses to inject cells.
@@ -620,30 +534,49 @@ impl Network {
         }
     }
 
-    /// Reserves `bps` on the link behind `key` — with
-    /// [`Network::release_on`], the only place a reservation changes,
-    /// so the only place the running maximum has to follow.
-    fn reserve_on(&mut self, key: ReservationKey, bps: u64) -> Result<(), AdmissionError> {
-        let ac = self.acs.get_mut(&key).expect("admission controller exists");
-        match ac.reserve(bps, "") {
-            Ok(()) => {
-                // The same quotient the fold computes: a link only
-                // fills here, so max-ing it in keeps the copy exact.
-                let now = utilization(ac);
-                self.max_util.set(self.max_util.get().map(|m| m.max(now)));
-                Ok(())
+    /// The room a guaranteed reservation has on the link behind `key`.
+    fn room(&self, key: ReservationKey) -> u64 {
+        let ledger = self.acs.get(&key);
+        ledger.map_or(0, AdmissionController::available_bps)
+    }
+
+    /// The one admission test, and it only reads: charges `wants` in
+    /// order to a running sum per ledger, each capped at `room(key)`,
+    /// and names the first want that would overflow its ledger, with
+    /// the room that ledger had left. Every amount is non-negative, so
+    /// the sums fit exactly when reserving the wants one by one would:
+    /// this is that sequential verdict without its writes.
+    fn check_ledgers(
+        &self,
+        wants: impl IntoIterator<Item = (ReservationKey, u64)>,
+        room: impl Fn(ReservationKey) -> u64,
+    ) -> Result<(), AdmissionError> {
+        let mut sums = HashMap::new();
+        for (key, bps) in wants {
+            let sum = sums.entry(key).or_insert(0);
+            let available = room(key).saturating_sub(*sum);
+            if bps > available {
+                return Err(AdmissionError::InsufficientBandwidth {
+                    link: self.key_name(key),
+                    requested: bps,
+                    available,
+                });
             }
-            // Only a refusal needs the link's name.
-            Err(AdmissionError::InsufficientBandwidth {
-                requested,
-                available,
-                ..
-            }) => Err(AdmissionError::InsufficientBandwidth {
-                link: self.key_name(key),
-                requested,
-                available,
-            }),
-            Err(e) => Err(e),
+            *sum += bps;
+        }
+        Ok(())
+    }
+
+    /// Charges `bps` to the link behind `key`, which a check found room
+    /// on — with [`Network::release_on`], the only place a reservation
+    /// changes, so the only place the running maximum has to follow.
+    fn charge(&mut self, key: ReservationKey, bps: u64) {
+        if let Some(ac) = self.acs.get_mut(&key) {
+            ac.charge(bps);
+            // The same quotient the fold computes: a link only fills
+            // here, so max-ing it in keeps the copy exact.
+            let now = utilization(ac);
+            self.max_util.set(self.max_util.get().map(|m| m.max(now)));
         }
     }
 
@@ -693,20 +626,26 @@ impl Network {
         None
     }
 
-    /// Routes one flow and lists what it would reserve, in reservation
-    /// order: the endpoint's transmit link, every inter-switch hop, the
-    /// final delivery link — nothing for best effort. Changes nothing.
+    /// Routes one flow between two ends and lists what it would
+    /// reserve, in reservation order: the source's transmit link, every
+    /// inter-switch hop, the final delivery link — nothing for best
+    /// effort. An end is an attached endpoint, or the pending one its id
+    /// names, at the `(switch, port)` `pending` gives it. Changes
+    /// nothing.
     fn plan_vc(
         &self,
         src: EndpointId,
         dst: EndpointId,
         qos: QosSpec,
+        pending: &[(usize, usize)],
     ) -> Result<VcPlan, AdmissionError> {
-        if src.0 >= self.endpoints.len() || dst.0 >= self.endpoints.len() {
+        let end_at = |ep: EndpointId| match self.endpoints.get(ep.0) {
+            Some(info) => Some((info.switch, info.port)),
+            None => pending.get(ep.0 - self.endpoints.len()).copied(),
+        };
+        let (Some((src_sw, _)), Some((dst_sw, dst_port))) = (end_at(src), end_at(dst)) else {
             return Err(AdmissionError::UnknownEndpoint);
-        }
-        let src_sw = self.endpoints[src.0].switch;
-        let (dst_sw, dst_port) = (self.endpoints[dst.0].switch, self.endpoints[dst.0].port);
+        };
         if self.dead[src_sw] || self.dead[dst_sw] {
             // A dead switch strands its endpoints: same-switch pairs
             // would otherwise route through zero hops and never consult
@@ -728,49 +667,73 @@ impl Network {
         Ok((hops, reservations))
     }
 
-    /// Reserves every `(key, bps)` of `wants`, in order, or none of
-    /// them: a refusal releases what this call had reserved so far.
-    /// The only place a reservation is rolled back.
-    fn reserve_all(&mut self, wants: &[(ReservationKey, u64)]) -> Result<(), AdmissionError> {
-        for (i, &(key, bps)) in wants.iter().enumerate() {
-            if let Err(e) = self.reserve_on(key, bps) {
-                for &(k, made) in &wants[..i] {
-                    self.release_on(k, made);
-                }
-                return Err(e);
-            }
+    /// Decides a set of virtual circuits as one call setup, and changes
+    /// nothing: the plan [`Network::commit_vcs`] opens, or why the set
+    /// is refused.
+    ///
+    /// A flow runs between ends that are attached or `pending`. Each
+    /// pending end is placed where attaching it now would put it — its
+    /// switch's next unused port, after the pending ends before it on
+    /// the same switch — with two fresh ledgers, whose room is the whole
+    /// reservable rate of its link. Every flow is routed, then every
+    /// [`ServiceClass::Guaranteed`] flow's peak bandwidth is counted
+    /// against its source's transmit link, every inter-switch hop and
+    /// the final delivery link — flows sharing a link are counted
+    /// together, so a video and an audio stream between the same two
+    /// sites are admitted jointly.
+    pub fn check_vcs(
+        &self,
+        pending: &[PendingEnd],
+        flows: &[(EndpointId, EndpointId, QosSpec)],
+    ) -> Result<VcsPlan, AdmissionError> {
+        let attached = self.endpoints.len();
+        let (mut at, mut fresh) = (Vec::new(), HashMap::new());
+        for (k, &(sw, cfg)) in pending.iter().enumerate() {
+            let port = self.used_ports[sw.0] + at.iter().filter(|&&(s, _)| s == sw.0).count();
+            let room = AdmissionController::new(cfg.rate_bps, self.reservable_fraction);
+            let room = room.available_bps();
+            fresh.insert(ReservationKey::EndpointTx(attached + k), room);
+            fresh.insert(ReservationKey::SwitchOut(sw.0, port), room);
+            at.push((sw.0, port));
         }
-        Ok(())
+        let flows = flows
+            .iter()
+            .map(|&(src, dst, qos)| Ok(((src, dst, qos), self.plan_vc(src, dst, qos, &at)?)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let wants = flows.iter().flat_map(|(_, (_, r))| r.iter().copied());
+        self.check_ledgers(wants, |key| {
+            fresh.get(&key).copied().unwrap_or_else(|| self.room(key))
+        })?;
+        let pending = pending.to_vec();
+        Ok(VcsPlan { pending, flows })
     }
 
-    /// Opens a set of virtual circuits as one transaction: all of them
-    /// or none.
-    ///
-    /// Every flow is routed, then every [`ServiceClass::Guaranteed`]
-    /// flow's peak bandwidth is reserved on its endpoint's transmit
-    /// link, every inter-switch hop and the final delivery link — flows
-    /// sharing a link are charged one after the other, so a video and an
-    /// audio stream between the same two sites are admitted jointly.
-    /// Only when every reservation stands are VCIs allocated and routes
-    /// installed, flow by flow in request order. A refused set leaves
-    /// no trace: no reservation, no VCI, no connection id.
+    /// Opens a flow set [`Network::check_vcs`] admitted: attaches its
+    /// pending ends in order, each fed by the next of `sinks` (one per
+    /// pending end), then charges every reservation and installs the
+    /// circuits, flow by flow in request order. Cannot fail: the check
+    /// found room for all of it.
+    pub fn commit_vcs(&mut self, plan: VcsPlan, sinks: Vec<SinkRef>) -> Vec<VcHandle> {
+        for (&(sw, cfg), sink) in plan.pending.iter().zip(sinks) {
+            self.add_endpoint_auto(sw, cfg, sink);
+        }
+        let mut vcs = Vec::with_capacity(plan.flows.len());
+        for ((src, dst, qos), (hops, wants)) in plan.flows {
+            vcs.push(self.install_vc(src, dst, qos, &hops, wants, None));
+        }
+        vcs
+    }
+
+    /// Opens a set of virtual circuits between attached endpoints as one
+    /// transaction, all of them or none: [`Network::check_vcs`], then
+    /// [`Network::commit_vcs`]. A refused set leaves no trace: no
+    /// reservation, no VCI, no connection id.
     pub fn open_vcs(
         &mut self,
         flows: &[(EndpointId, EndpointId, QosSpec)],
     ) -> Result<Vec<VcHandle>, AdmissionError> {
-        let plans = flows
-            .iter()
-            .map(|&(src, dst, qos)| self.plan_vc(src, dst, qos))
-            .collect::<Result<Vec<_>, _>>()?;
-        let wants: Vec<_> = plans.iter().flat_map(|(_, r)| r).copied().collect();
-        self.reserve_all(&wants)?;
-        Ok(flows
-            .iter()
-            .zip(plans)
-            .map(|(&(src, dst, qos), (hops, reservations))| {
-                self.install_vc(src, dst, qos, &hops, reservations, None)
-            })
-            .collect())
+        let plan = self.check_vcs(&[], flows)?;
+        Ok(self.commit_vcs(plan, Vec::new()))
     }
 
     /// Opens one virtual circuit from `src` to `dst` with the requested
@@ -782,15 +745,16 @@ impl Network {
         dst: EndpointId,
         qos: QosSpec,
     ) -> Result<VcHandle, AdmissionError> {
-        let mut vcs = self.open_vcs(&[(src, dst, qos)])?;
-        Ok(vcs.pop().expect("one flow, one circuit"))
+        let (hops, reservations) = self.plan_vc(src, dst, qos, &[])?;
+        self.check_ledgers(reservations.iter().copied(), |key| self.room(key))?;
+        Ok(self.install_vc(src, dst, qos, &hops, reservations, None))
     }
 
-    /// Allocates VCIs and installs the routes of a circuit whose
-    /// reservations already stand. `pin` reuses the two endpoint-segment
-    /// VCIs instead of allocating them: re-routing a live circuit
-    /// around a dead switch pins them so neither endpoint has to be
-    /// reconfigured — only the interior hops change.
+    /// Charges a checked circuit's reservations, allocates its VCIs and
+    /// installs its routes. `pin` reuses the two endpoint-segment VCIs
+    /// instead of allocating them: re-routing a live circuit around a
+    /// dead switch pins them so neither endpoint has to be reconfigured
+    /// — only the interior hops change.
     fn install_vc(
         &mut self,
         src: EndpointId,
@@ -800,6 +764,9 @@ impl Network {
         reservations: Vec<(ReservationKey, u64)>,
         pin: Option<(Vci, Vci)>,
     ) -> VcHandle {
+        for &(key, bps) in &reservations {
+            self.charge(key, bps);
+        }
         let (src_sw, src_port) = (self.endpoints[src.0].switch, self.endpoints[src.0].port);
         let dst_port = self.endpoints[dst.0].port;
 
@@ -853,8 +820,6 @@ impl Network {
             vcis[nsegs - 1],
         );
         route.push((cur_sw, in_port, vcis[nsegs - 2]));
-        self.endpoints[src.0].circuits += 1;
-        self.endpoints[dst.0].circuits += 1;
 
         let id = self.next_conn;
         self.next_conn += 1;
@@ -871,42 +836,44 @@ impl Network {
     }
 
     /// Re-sizes a live circuit's guaranteed bandwidth in place — the
-    /// signalling half of a QoS renegotiation. Routes and VCIs are
-    /// untouched (cells in flight are unaffected); only the ledger
-    /// entries change, on exactly the keys the original admission
-    /// reserved. Fails without side effects if any hop lacks capacity
-    /// for the new rate (old reservations are restored).
-    ///
-    /// Best-effort circuits carry no reservations; the call just
-    /// records the new rate on the handle.
+    /// signalling half of a QoS renegotiation: [`Network::resize_vcs`]
+    /// of one circuit.
     pub fn resize_vc(&mut self, vc: &mut VcHandle, new_bps: u64) -> Result<(), AdmissionError> {
-        if vc.reservations.is_empty() {
-            vc.qos.peak_bps = new_bps;
-            return Ok(());
+        self.resize_vcs(std::slice::from_mut(vc), &[new_bps])
+    }
+
+    /// Re-sizes live circuits in place as one transaction, `vcs[i]` to
+    /// `new_bps[i]`. Routes and VCIs are untouched (cells in flight are
+    /// unaffected); only the ledger entries change, on exactly the keys
+    /// each circuit's admission reserved. What the set grows by is
+    /// checked first, against the room its links have now, and the
+    /// resize applied only if it fits: a refusal changes nothing, and a
+    /// set that only shrinks always fits. Best-effort circuits reserve
+    /// nothing; only the rate on their handle changes.
+    pub fn resize_vcs(
+        &mut self,
+        vcs: &mut [VcHandle],
+        new_bps: &[u64],
+    ) -> Result<(), AdmissionError> {
+        let growth = vcs.iter().zip(new_bps).flat_map(|(vc, &bps)| {
+            let grown = bps.saturating_sub(vc.qos.peak_bps);
+            vc.reservations.iter().map(move |&(key, _)| (key, grown))
+        });
+        self.check_ledgers(growth, |key| self.room(key))?;
+        for (vc, &bps) in vcs.iter_mut().zip(new_bps) {
+            for (key, reserved) in &mut vc.reservations {
+                self.release_on(*key, *reserved);
+                self.charge(*key, bps);
+                *reserved = bps;
+            }
+            vc.qos.peak_bps = bps;
         }
-        let old = std::mem::take(&mut vc.reservations);
-        for &(key, bps) in &old {
-            self.release_on(key, bps);
-        }
-        let new: Vec<_> = old.iter().map(|&(key, _)| (key, new_bps)).collect();
-        if let Err(e) = self.reserve_all(&new) {
-            self.reserve_all(&old).expect("released capacity restores");
-            vc.reservations = old;
-            return Err(e);
-        }
-        vc.reservations = new;
-        vc.qos.peak_bps = new_bps;
         Ok(())
     }
 
     /// Tears down a virtual circuit, removing routes and releasing
     /// reservations.
     pub fn close_vc(&mut self, vc: VcHandle) {
-        for ep in [vc.src, vc.dst] {
-            if let Some(ep) = self.endpoints.get_mut(ep.0) {
-                ep.circuits = ep.circuits.saturating_sub(1);
-            }
-        }
         for (sw, in_port, in_vci) in vc.route {
             self.switches[sw].borrow_mut().remove_route(in_port, in_vci);
         }
@@ -951,17 +918,14 @@ impl Network {
         let (src, dst, qos) = (vc.src, vc.dst, vc.qos);
         let pin = (vc.src_vci, vc.dst_vci);
         self.close_vc(vc);
-        let (hops, reservations) = self.plan_vc(src, dst, qos)?;
-        self.reserve_all(&reservations)?;
+        let (hops, reservations) = self.plan_vc(src, dst, qos, &[])?;
+        self.check_ledgers(reservations.iter().copied(), |key| self.room(key))?;
         Ok(self.install_vc(src, dst, qos, &hops, reservations, Some(pin)))
     }
 
     /// Remaining guaranteed bandwidth on an endpoint's transmit link.
     pub fn endpoint_tx_available(&self, ep: EndpointId) -> u64 {
-        self.acs
-            .get(&ReservationKey::EndpointTx(ep.0))
-            .map(|ac| ac.available_bps())
-            .unwrap_or(0)
+        self.room(ReservationKey::EndpointTx(ep.0))
     }
 
     /// The most heavily reserved link in the network, as a fraction of
@@ -992,7 +956,7 @@ impl Network {
     /// Checks the ledgers against what they describe. The ledger map
     /// must hold exactly one ledger per link — a transmit ledger per
     /// attached endpoint, an output ledger per wired switch port, no
-    /// orphan left by a detach and none missing
+    /// orphan and none missing
     /// ([`LedgerDrift::Unmatched`]) — and the remembered fullest-link
     /// figure must equal a fresh fold over them, bit for bit
     /// ([`LedgerDrift::Maximum`]). A remembered value is a claim, not a
@@ -1475,20 +1439,25 @@ mod tests {
     }
 
     #[test]
-    fn failed_open_forgets_the_maximum_its_rollback_released() {
+    fn a_refused_open_keeps_the_remembered_maximum() {
         let (mut net, _, eps) = one_switch_net(3);
         let _held = net
             .open_vc(eps[0], eps[2], QosSpec::guaranteed(60_000_000))
             .unwrap();
         assert_eq!(net.max_reservation_utilization(), 0.6);
-        // 70 Mbit/s fits eps[1]'s transmit link, making it the fullest
-        // in the network, then fails on the shared delivery link.
+        // 70 Mbit/s would fit eps[1]'s transmit link, making it the
+        // fullest in the network, and is refused on the shared delivery
+        // link. The check writes nothing, so the figure stays known.
         let err = net
-            .open_vc(eps[1], eps[2], QosSpec::guaranteed(70_000_000))
+            .open_vcs(&[(eps[1], eps[2], QosSpec::guaranteed(70_000_000))])
             .unwrap_err();
         assert_eq!(
             err.to_string(),
             "link sw:2: requested 70000000 bit/s but only 35000000 available"
+        );
+        assert_eq!(
+            net.max_util.get().map(f64::to_bits),
+            Some(net.fold_utilization().to_bits())
         );
         net.audit_reservations().unwrap();
         assert_eq!(net.max_reservation_utilization(), 0.6);
@@ -1613,60 +1582,6 @@ mod tests {
         net.close_vc(next);
         net.close_vc(held);
         assert_eq!(net.max_reservation_utilization(), 0.0);
-    }
-
-    #[test]
-    fn detaching_frees_the_sink_and_gives_the_port_back() {
-        let mut net = Network::new();
-        let cfg = LinkConfig::pegasus_default();
-        let ids = net.build_topology(TopologyShape::Ring, 2, "d", 2, 0, cfg);
-        let kept = net.add_endpoint_auto(ids[1], cfg, CaptureSink::shared());
-        let mark = net.endpoint_mark();
-        let sink = CaptureSink::shared();
-        let freed = Rc::downgrade(&sink);
-        let a = net.add_endpoint_auto(ids[0], cfg, sink);
-        let b = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
-        assert_eq!(net.switch(ids[0]).borrow().ports(), 3, "grew for the pair");
-        // A refused open leaves nothing that would keep them attached.
-        net.open_vcs(&[(a, kept, guaranteed(60)), (b, kept, guaranteed(60))])
-            .unwrap_err();
-        net.detach_endpoints_from(mark).unwrap();
-        assert!(freed.upgrade().is_none(), "the output line held the sink");
-        assert_eq!(net.endpoint_count(), 1);
-        assert_eq!(net.switch(ids[0]).borrow().ports(), 2, "built size kept");
-        net.audit_reservations().unwrap();
-        let again = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
-        assert_eq!((again, net.endpoint_port(again)), (a, 1));
-    }
-
-    #[test]
-    fn detach_refuses_an_endpoint_in_use_or_off_the_newest_port() {
-        let mut net = Network::new();
-        let cfg = LinkConfig::pegasus_default();
-        let ids = net.build_topology(TopologyShape::Ring, 2, "d", 2, 0, cfg);
-        let mark = net.endpoint_mark();
-        let a = net.add_endpoint_auto(ids[0], cfg, CaptureSink::shared());
-        let b = net.add_endpoint_auto(ids[1], cfg, CaptureSink::shared());
-        for qos in [guaranteed(10), QosSpec::best_effort(0)] {
-            let vc = net.open_vc(a, b, qos).unwrap();
-            let err = net.detach_endpoints_from(mark).unwrap_err();
-            assert_eq!(err, DetachError::InUse(b));
-            assert_eq!(net.endpoint_count(), 2, "a refusal detaches nothing");
-            net.close_vc(vc);
-        }
-        // A trunk wired above the pair on their switches pins them.
-        net.connect_switches_auto(ids[0], ids[1], cfg);
-        let err = net.detach_endpoints_from(mark).unwrap_err();
-        assert_eq!(err, DetachError::NotNewestPort(b));
-        assert_eq!(net.endpoint_count(), 2);
-        net.audit_reservations().unwrap();
-        // So does an attachment that skipped ports on the way up.
-        let mark = net.endpoint_mark();
-        net.switch(ids[1]).borrow_mut().grow_ports(8);
-        let skipped = net.add_endpoint(ids[1], 6, cfg, CaptureSink::shared());
-        let err = net.detach_endpoints_from(mark).unwrap_err();
-        assert_eq!(err, DetachError::NotNewestPort(skipped));
-        net.audit_reservations().unwrap();
     }
 
     #[test]

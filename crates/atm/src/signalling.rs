@@ -84,7 +84,12 @@ impl std::error::Error for AdmissionError {}
 /// Per-link bandwidth bookkeeping.
 ///
 /// Reservations are capped at a configurable fraction of the raw line
-/// rate, leaving headroom for signalling and best-effort traffic.
+/// rate, leaving headroom for signalling and best-effort traffic. The
+/// ledger only records: whether a call's reservations fit is decided
+/// before any is charged, by [`crate::network::Network::check_vcs`]. The
+/// ledger only records: whether a reservation fits is decided before it
+/// is charged, for a whole call at once, by
+/// [`crate::network::Network::check_vcs`].
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     capacity_bps: u64,
@@ -116,20 +121,12 @@ impl AdmissionController {
 
     /// Bandwidth still available to new guaranteed connections.
     pub fn available_bps(&self) -> u64 {
-        self.reservable_bps - self.reserved_bps
+        self.reservable_bps.saturating_sub(self.reserved_bps)
     }
 
-    /// Attempts to reserve `bps`; on failure reports what was available.
-    pub fn reserve(&mut self, bps: u64, link_name: &str) -> Result<(), AdmissionError> {
-        if bps > self.available_bps() {
-            return Err(AdmissionError::InsufficientBandwidth {
-                link: link_name.to_string(),
-                requested: bps,
-                available: self.available_bps(),
-            });
-        }
+    /// Reserves `bps`, which a check has already found room for.
+    pub(crate) fn charge(&mut self, bps: u64) {
         self.reserved_bps += bps;
-        Ok(())
     }
 
     /// Releases a previous reservation.
@@ -146,29 +143,20 @@ mod tests {
     fn reserve_until_full() {
         let mut ac = AdmissionController::new(100_000_000, 0.9);
         assert_eq!(ac.available_bps(), 90_000_000);
-        ac.reserve(50_000_000, "l").unwrap();
-        ac.reserve(40_000_000, "l").unwrap();
-        let err = ac.reserve(1, "l").unwrap_err();
-        match err {
-            AdmissionError::InsufficientBandwidth {
-                requested,
-                available,
-                ..
-            } => {
-                assert_eq!(requested, 1);
-                assert_eq!(available, 0);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        ac.charge(50_000_000);
+        ac.charge(40_000_000);
+        assert_eq!(ac.available_bps(), 0);
+        assert_eq!(ac.reserved_bps(), 90_000_000);
     }
 
     #[test]
     fn release_returns_capacity() {
         let mut ac = AdmissionController::new(10_000, 1.0);
-        ac.reserve(10_000, "l").unwrap();
+        ac.charge(10_000);
         ac.release(4_000);
         assert_eq!(ac.available_bps(), 4_000);
-        ac.reserve(4_000, "l").unwrap();
+        ac.charge(4_000);
+        assert_eq!(ac.available_bps(), 0);
     }
 
     #[test]

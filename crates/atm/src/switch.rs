@@ -94,9 +94,6 @@ pub struct Switch {
     name: String,
     fabric_latency: Ns,
     outputs: Vec<Option<Link>>,
-    /// The port count the switch was built with; [`Switch::release_port`]
-    /// never shrinks below it.
-    built_ports: usize,
     routes: LabelMap<u64, Route>,
     /// Maximum backlog per output, in cells, before tail drop.
     pub queue_capacity: u64,
@@ -118,7 +115,6 @@ impl Switch {
             name: name.to_string(),
             fabric_latency,
             outputs: (0..ports).map(|_| None).collect(),
-            built_ports: ports,
             routes: LabelMap::default(),
             queue_capacity: 1024,
             stats: SwitchStats::default(),
@@ -153,16 +149,6 @@ impl Switch {
         while self.outputs.len() < ports {
             self.outputs.push(None);
         }
-    }
-
-    /// Unwires `port` and gives back every port from it up that the
-    /// switch grew for: the undo of growing to `port + 1` and wiring it.
-    /// The caller guarantees nothing above `port` is wired.
-    pub(crate) fn release_port(&mut self, port: usize) {
-        if let Some(line) = self.outputs.get_mut(port) {
-            *line = None;
-        }
-        self.outputs.truncate(port.max(self.built_ports));
     }
 
     /// Whether output `port` has a line attached.

@@ -4,9 +4,9 @@
 //! network carries along with every reservation; its definition is
 //! still a fold over every link. A random walk over everything that
 //! touches a reservation — attach, open (guaranteed and best-effort,
-//! including opens refused on the last hop after the earlier hops were
-//! reserved), resize up and down (including resizes refused and
-//! restored), close, multi-flow sets opened or refused whole, switch
+//! including opens refused on the last hop after the earlier hops
+//! fitted), resize up and down (including refused resizes), close,
+//! multi-flow sets opened or refused whole, switch
 //! death with re-route — must leave
 //! [`Network::audit_reservations`] `Ok` after every step, and closing
 //! everything must bring the figure back to exactly `0.0`.
@@ -38,8 +38,7 @@ proptest! {
         let fabric: Vec<SwitchId> = net.build_topology(shape, switches, "f", 4, 0, cfg);
         // Few endpoints, rates up to the reservable 95 Mbit/s: delivery
         // links fill quickly, so opens and resizes are refused often —
-        // and refused late, after the transmit link and trunks took the
-        // reservation that the rollback then releases.
+        // and refused late, after the transmit link and trunks had room.
         let mut eps: Vec<EndpointId> = fabric
             .iter()
             .map(|&sw| net.add_endpoint_auto(sw, cfg, CaptureSink::shared()))
@@ -74,7 +73,7 @@ proptest! {
                 // A three-flow set, opened whole or refused whole: the
                 // first two flows share every link in one direction,
                 // so the second is often what a set is refused on —
-                // after the first was reserved in full.
+                // after the first was counted in full.
                 9 => {
                     let before = net.max_reservation_utilization();
                     let qos = QosSpec::guaranteed(mbit * MBIT);

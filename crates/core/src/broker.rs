@@ -12,8 +12,8 @@
 //!   slots — as a [`SessionRequest`];
 //! * the broker checks the vector against three capacity ledgers: the
 //!   Nemesis [`CpuLedger`], the per-link admission controllers inside
-//!   the ATM [`Network`] (via [`Network::open_vcs`], which opens all
-//!   the session's flows or none), and the per-server [`StreamSlots`]
+//!   the ATM [`Network`] (via [`Network::check_vcs`], which decides all
+//!   the session's flows at once), and the per-server [`StreamSlots`]
 //!   ledgers of the PFS;
 //! * the outcome is three-way: **admit** at the full vector, **admit
 //!   degraded** at a renegotiated-down vector (the single degrade rung,
@@ -21,17 +21,19 @@
 //!   and CPU all scale down, slots never scale up), or **reject** with
 //!   the layer that refused.
 //!
-//! Checks run in a fixed order — CPU, then PFS slots, then bandwidth.
-//! The first two are reads; the third is the network's own
-//! commit-or-roll-back transaction, and only once it has committed are
-//! CPU and slot charged — so a refused session leaves all three
-//! ledgers untouched, and "would it fit" is never asked apart from
-//! "reserve it". Everything is integer accounting over a deterministic
-//! network, which makes the admit/degrade/reject boundary a pure
-//! function of the request sequence: the property tests in
+//! A session is decided before anything is claimed, as signalling
+//! decides a call. [`QosBroker::decide`] only reads: CPU, then PFS
+//! slots, then bandwidth — a read-only check of every flow, whose ends
+//! may be devices not attached yet. Its [`Verdict`] is all
+//! [`QosBroker::commit`] needs to charge CPU and slot, attach those
+//! ends and open the circuits, and a commit cannot fail; a refusal has
+//! nothing to undo. Everything is integer accounting over a
+//! deterministic network, which makes the admit/degrade/reject boundary
+//! a pure function of the request sequence: the property tests in
 //! `crates/scenario` hold the broker to exactly that.
 
-use pegasus_atm::network::{EndpointId, Network, VcHandle};
+use pegasus_atm::link::SinkRef;
+use pegasus_atm::network::{EndpointId, Network, PendingEnd, VcHandle, VcsPlan};
 use pegasus_atm::signalling::QosSpec;
 use pegasus_nemesis::qosmgr::CpuLedger;
 use pegasus_pfs::cm::StreamSlots;
@@ -130,6 +132,15 @@ pub enum RejectLayer {
     /// The session's file server had no free stream slot.
     PfsSlots,
 }
+
+/// What [`QosBroker::decide`] found, and all [`QosBroker::commit`]
+/// acts on: `Ok((milli, circuits))` when the session fits at `milli`
+/// thousandths of its request (1000, or the degrade rung) with these
+/// circuits, checked at the rung's rates; `Err(layer)` when it fits at
+/// no rung, `layer` having refused the last rung tried. It holds for
+/// the broker and network it was decided on for as long as neither
+/// changes.
+pub type Verdict = Result<(u64, VcsPlan), RejectLayer>;
 
 /// The broker's three-way verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,20 +249,66 @@ impl QosBroker {
         }
     }
 
-    /// Decides a session: admit at full quality, degrade to the broker's
-    /// rung, or reject. On admit/degrade every ledger is charged and the
-    /// session's guaranteed VCs are opened; on reject nothing changes.
+    /// Decides a session between attached endpoints: admit at full
+    /// quality, degrade to the broker's rung, or reject —
+    /// [`QosBroker::decide`] then [`QosBroker::commit`]. On admit or
+    /// degrade every ledger is charged and the session's guaranteed VCs
+    /// are opened; on reject nothing changes.
     pub fn admit(&mut self, net: &mut Network, req: &SessionRequest) -> SessionGrant {
+        let verdict = self.decide(net, req, &[]);
+        self.commit(net, req, verdict, Vec::new())
+    }
+
+    /// Decides a session and changes nothing: the full rung, then the
+    /// degrade rung, each checked CPU → PFS slots → bandwidth. A flow
+    /// may run to or from a `pending` end, a device not attached yet,
+    /// named by the id it will get (see [`Network::check_vcs`]).
+    pub fn decide(&self, net: &Network, req: &SessionRequest, pending: &[PendingEnd]) -> Verdict {
+        let rung = |milli| self.try_rung(net, req, pending, milli);
+        match rung(1000) {
+            Err(_) if self.degrade_milli < 1000 => rung(self.degrade_milli),
+            full => full,
+        }
+    }
+
+    /// Acts on a [`Verdict`] [`QosBroker::decide`] gave for `req` on
+    /// this broker and `net`, both unchanged since. An admission
+    /// charges the CPU and slot ledgers, attaches the pending ends —
+    /// each fed by the next of `sinks`, one per pending end — and opens
+    /// the circuits; it cannot fail. A rejection touches nothing and
+    /// drops the sinks.
+    pub fn commit(
+        &mut self,
+        net: &mut Network,
+        req: &SessionRequest,
+        verdict: Verdict,
+        sinks: Vec<SinkRef>,
+    ) -> SessionGrant {
         let requested = req.requested();
-        match self.try_rung(net, req, 1000) {
-            Ok(grant) => grant,
-            Err(_) if self.degrade_milli < 1000 => {
-                match self.try_rung(net, req, self.degrade_milli) {
-                    Ok(grant) => grant,
-                    Err(layer) => Self::rejection(requested, layer),
-                }
-            }
-            Err(layer) => Self::rejection(requested, layer),
+        let (outcome, milli, circuits) = match verdict {
+            Ok((1000, circuits)) => (Outcome::Admitted, 1000, circuits),
+            Ok((milli, circuits)) => (Outcome::Degraded, milli, circuits),
+            Err(layer) => return Self::rejection(requested, layer),
+        };
+        let granted = requested.scaled(milli);
+        self.cpu
+            .reserve(granted.cpu_micro)
+            .expect("the verdict checked the CPU ledger");
+        if let Some(s) = req.pfs_server {
+            self.pfs[s]
+                .take()
+                .expect("the verdict checked for a free slot");
+        }
+        SessionGrant {
+            outcome,
+            quality_milli: milli,
+            admitted_milli: milli,
+            requested,
+            granted,
+            pfs_server: req.pfs_server.filter(|_| granted.pfs_slots > 0),
+            vcs: net.commit_vcs(circuits, sinks),
+            media_full_bps: req.media_flows.iter().map(|f| f.bps).collect(),
+            history: Vec::new(),
         }
     }
 
@@ -302,8 +359,10 @@ impl QosBroker {
     ///
     /// `new_milli` is clamped to the session's `admitted_milli`: live
     /// renegotiation restores, it never exceeds the admitted contract.
-    /// Fails without side effects if some layer cannot carry the new
-    /// rate (only possible on the way up).
+    /// The CPU delta and every media circuit's resize are checked
+    /// before anything moves, so a layer that cannot carry the new rate
+    /// (only possible on the way up) fails the call without side
+    /// effects.
     pub fn renegotiate_live(
         &mut self,
         net: &mut Network,
@@ -320,35 +379,23 @@ impl QosBroker {
         let new = grant.requested.scaled(target);
         let old_cpu = grant.granted.cpu_micro;
 
-        // CPU first: the only ledger whose reserve can refuse here.
-        if new.cpu_micro >= old_cpu {
-            if self.cpu.reserve(new.cpu_micro - old_cpu).is_err() {
-                return Err(RejectLayer::Cpu);
-            }
-        } else {
-            self.cpu.release(old_cpu - new.cpu_micro);
+        // Every delta of one call has the same sign, so on the way up
+        // "the total fits" is "every step fits", and down always fits.
+        let cpu_up = new.cpu_micro.saturating_sub(old_cpu);
+        if cpu_up > self.cpu.available_micro() {
+            return Err(RejectLayer::Cpu);
         }
-
-        // Resize each media VC; on a refusal (possible only going up),
-        // restore the ones already moved and the CPU delta.
-        for i in 0..grant.media_full_bps.len() {
-            let new_bps = grant.media_full_bps[i] * target / 1000;
-            if net.resize_vc(&mut grant.vcs[i], new_bps).is_err() {
-                for j in 0..i {
-                    let old_bps = grant.media_full_bps[j] * from / 1000;
-                    net.resize_vc(&mut grant.vcs[j], old_bps)
-                        .expect("shrinking back always fits");
-                }
-                if new.cpu_micro >= old_cpu {
-                    self.cpu.release(new.cpu_micro - old_cpu);
-                } else {
-                    self.cpu
-                        .reserve(old_cpu - new.cpu_micro)
-                        .expect("released capacity restores");
-                }
-                return Err(RejectLayer::Bandwidth);
-            }
-        }
+        let media_bps: Vec<u64> = grant
+            .media_full_bps
+            .iter()
+            .map(|full| full * target / 1000)
+            .collect();
+        net.resize_vcs(&mut grant.vcs[..media_bps.len()], &media_bps)
+            .map_err(|_| RejectLayer::Bandwidth)?;
+        self.cpu.release(old_cpu.saturating_sub(new.cpu_micro));
+        self.cpu
+            .reserve(cpu_up)
+            .expect("checked before the circuits moved");
 
         grant.granted = new;
         grant.quality_milli = target;
@@ -360,21 +407,17 @@ impl QosBroker {
         Ok(())
     }
 
-    /// Attempts one rung: all-or-nothing across the three layers, in
-    /// the fixed order CPU → PFS slots → bandwidth. The two broker
-    /// ledgers are only read until the network — the one layer whose
-    /// answer cannot be had without trying — has committed the whole
-    /// flow set or rolled it back.
+    /// Checks one rung across the three layers, in the fixed order
+    /// CPU → PFS slots → bandwidth, reading every ledger and writing
+    /// none.
     fn try_rung(
-        &mut self,
-        net: &mut Network,
+        &self,
+        net: &Network,
         req: &SessionRequest,
+        pending: &[PendingEnd],
         milli: u64,
-    ) -> Result<SessionGrant, RejectLayer> {
-        let requested = req.requested();
-        let granted = requested.scaled(milli);
-
-        if granted.cpu_micro > self.cpu.available_micro() {
+    ) -> Verdict {
+        if req.requested().scaled(milli).cpu_micro > self.cpu.available_micro() {
             return Err(RejectLayer::Cpu);
         }
         if let Some(s) = req.pfs_server {
@@ -395,30 +438,10 @@ impl QosBroker {
                     .map(|f| (f.src, f.dst, QosSpec::guaranteed(f.bps))),
             )
             .collect();
-        let vcs = net.open_vcs(&flows).map_err(|_| RejectLayer::Bandwidth)?;
-
-        // The circuits stand; nothing ran since the two reads above.
-        self.cpu
-            .reserve(granted.cpu_micro)
-            .expect("checked against the ledger above");
-        if let Some(s) = req.pfs_server {
-            self.pfs[s].take().expect("checked for a free slot above");
-        }
-        Ok(SessionGrant {
-            outcome: if milli == 1000 {
-                Outcome::Admitted
-            } else {
-                Outcome::Degraded
-            },
-            quality_milli: milli,
-            admitted_milli: milli,
-            requested,
-            granted,
-            pfs_server: req.pfs_server.filter(|_| granted.pfs_slots > 0),
-            vcs,
-            media_full_bps: req.media_flows.iter().map(|f| f.bps).collect(),
-            history: Vec::new(),
-        })
+        let circuits = net
+            .check_vcs(pending, &flows)
+            .map_err(|_| RejectLayer::Bandwidth)?;
+        Ok((milli, circuits))
     }
 }
 
@@ -461,6 +484,31 @@ mod tests {
         assert_eq!(grant.granted, grant.requested);
         assert_eq!(grant.vcs.len(), 1);
         assert_eq!(broker.cpu.reserved_micro(), 300);
+    }
+
+    #[test]
+    fn decide_is_a_verdict_that_changes_nothing() {
+        let (mut net, src, dst) = two_site();
+        let mut broker = QosBroker::new(10_000, 1, 1, 500);
+        let held = broker.admit(&mut net, &video_request(src, dst, 60_000_000, 300));
+        assert_eq!(held.outcome, Outcome::Admitted);
+        // To a receiver not attached yet, which only the degrade rung fits.
+        let pending = [(net.endpoint_switch(dst), LinkConfig::pegasus_default())];
+        let mut req = video_request(src, EndpointId(net.endpoint_count()), 60_000_000, 300);
+        req.pfs_server = Some(0);
+        let ledgers = |broker: &QosBroker, net: &Network| {
+            (
+                broker.cpu.reserved_micro(),
+                broker.pfs_headroom_slots(),
+                net.max_reservation_utilization().to_bits(),
+                net.endpoint_count(),
+            )
+        };
+        let before = ledgers(&broker, &net);
+        let verdict = broker.decide(&net, &req, &pending);
+        assert!(matches!(verdict, Ok((500, _))));
+        assert_eq!(broker.decide(&net, &req, &pending), verdict);
+        assert_eq!(ledgers(&broker, &net), before);
     }
 
     #[test]
@@ -640,6 +688,29 @@ mod tests {
         assert_eq!(broker.cpu.reserved_micro(), cpu_before);
         assert_eq!(net.max_reservation_utilization(), util_before);
         assert_eq!(g.history.len(), 1, "a refused transition is not history");
+    }
+
+    /// Two video circuits over one trunk: the way back up fits for
+    /// either alone and not for both, so it is refused whole.
+    #[test]
+    fn renegotiation_checks_every_media_circuit_at_once() {
+        let (mut net, src, dst) = two_site();
+        let mut broker = QosBroker::new(10_000, 0, 0, 500);
+        let mut req = video_request(src, dst, 40_000_000, 300);
+        req.media_flows.push(req.media_flows[0]);
+        let mut g = broker.admit(&mut net, &req);
+        assert_eq!(g.outcome, Outcome::Admitted);
+        broker.renegotiate_live(&mut net, &mut g, 500, 0).unwrap();
+        // 40 of 95 Mbit/s reserved on the trunk, 70 with the newcomer.
+        let squatter = broker.admit(&mut net, &video_request(src, dst, 30_000_000, 100));
+        assert_eq!(squatter.outcome, Outcome::Admitted);
+        let util = net.max_reservation_utilization();
+        let err = broker.renegotiate_live(&mut net, &mut g, 1000, 0);
+        assert_eq!(err, Err(RejectLayer::Bandwidth));
+        let rates: Vec<u64> = g.vcs.iter().map(|vc| vc.qos.peak_bps).collect();
+        assert_eq!(rates, [20_000_000, 20_000_000]);
+        assert_eq!(net.max_reservation_utilization(), util);
+        assert_eq!(broker.cpu.reserved_micro(), 150 + 100);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!   `down_after` consecutive pressured epochs, `Up` only after
 //!   `up_after` consecutive clear ones, and the two strictly alternate
 //!   — the controller can never flap.
-//! * **Admission is a verdict.** Every `admit` returns one — also for
-//!   endpoints on a switch that died before the walk — and a refusal
-//!   leaves the CPU, slot and bandwidth ledgers exactly as found, and
-//!   the receiving endpoint attached for it detachable.
+//! * **Admission is a verdict.** Every `decide` returns one — also for
+//!   endpoints on a switch that died before the walk — before the
+//!   session's receiving end is attached. A refusal leaves the CPU,
+//!   slot and bandwidth ledgers, the endpoints and the ports exactly as
+//!   found; an admission attaches exactly that receiver, with the id
+//!   the request named it by.
 //! * **Ledger restoration.** Releasing every session at the end of the
 //!   walk returns the CPU, slot and bandwidth ledgers to empty.
 //!
@@ -103,24 +105,17 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
         }
 
         // Admit a handful of sessions, each with its own credit window.
-        // Every admit returns a verdict, and a refusal charges nothing.
+        // Every decision is a verdict, and a refusal charges nothing.
         let ledgers = |broker: &QosBroker, net: &Network| {
-            (
-                broker.cpu.reserved_micro(),
-                broker.pfs_headroom_slots(),
-                net.max_reservation_utilization().to_bits(),
-            )
+            let cpu = (broker.cpu.reserved_micro(), broker.pfs_headroom_slots());
+            (cpu, crate::wire::observe(net, &fabric))
         };
         let mut live: Vec<(SessionGrant, CreditRef)> = Vec::new();
         for _ in 0..rng.gen_range(2..6u32) {
-            // As a scenario does: the session's receiving end is attached
-            // for the request, and given back if the broker refuses.
-            let mark = net.endpoint_mark();
-            let receiver = net.add_endpoint_auto(
-                fabric[rng.gen_range(0..fabric.len())],
-                cfg,
-                CaptureSink::shared(),
-            );
+            // As a scenario does: the session's receiving end is named by
+            // the id it will get, and attached only if admitted.
+            let receiver = EndpointId(net.endpoint_count());
+            let pending = [(fabric[rng.gen_range(0..fabric.len())], cfg)];
             let mut flows: Vec<FlowRequest> = (0..rng.gen_range(1..3usize))
                 .map(|_| FlowRequest {
                     src: eps[rng.gen_range(0..eps.len())],
@@ -137,21 +132,22 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
                 pfs_server: (rng.gen_range(0..3u32) == 0).then_some(0),
             };
             let before = ledgers(&broker, &net);
-            let grant = broker.admit(&mut net, &req);
+            let verdict = broker.decide(&net, &req, &pending);
+            let grant = broker.commit(&mut net, &req, verdict, vec![CaptureSink::shared()]);
             if grant.is_admitted() {
                 stats.admitted += 1;
+                repro.check(
+                    net.endpoint_count() == receiver.0 + 1
+                        && net.endpoint_switch(receiver) == pending[0].0,
+                    "an admission attached other than its pending receiver",
+                );
                 let w = CreditWindow::shared(rng.gen_range(8..64u64));
                 live.push((grant, w));
             } else {
                 stats.refused += 1;
                 repro.check(
                     ledgers(&broker, &net) == before,
-                    "a refused admit left a ledger charged",
-                );
-                repro.check(
-                    net.detach_endpoints_from(mark).is_ok()
-                        && net.endpoint_count() == eps.len() + live.len(),
-                    "a refused session's receiver could not be given back",
+                    "a refused session left a ledger charged or an end attached",
                 );
             }
             repro.check(

@@ -62,8 +62,8 @@ fn main() {
         let n = pick(300);
         let s = wire::run_signalling(args.seed, n);
         println!(
-            "signalling: {} walks, {} opened, {} rerouted, {} stranded, {} refused, {} detached — ok",
-            s.steps, s.opened, s.rerouted, s.stranded, s.refused, s.detached
+            "signalling: {} walks, {} opened, {} rerouted, {} stranded, {} refused, {} pending refused, {} pending attached — ok",
+            s.steps, s.opened, s.rerouted, s.stranded, s.refused, s.pending_refused, s.pending_attached
         );
     }
     if all || args.front == "disk" {

@@ -25,10 +25,11 @@
 //!
 //! # Signalling
 //!
-//! [`run_signalling`] random-walks open/close/open-set/attach-detach/
-//! switch-death/re-route against invariants: reservations never exceed
-//! the reservable fraction, the ledger map audits clean after every
-//! step, detached endpoints leave nothing behind, a re-route pins the
+//! [`run_signalling`] random-walks open/close/flow-set/switch-death/
+//! re-route against invariants: reservations never exceed the
+//! reservable fraction, the ledger map audits clean after every step, a
+//! flow set — some of its ends not attached yet — leaves nothing behind
+//! when refused and attaches exactly those ends when not, a re-route pins the
 //! endpoint VCIs and avoids the corpse, a dead switch admits nothing,
 //! and closing every circuit returns every ledger to its initial
 //! headroom.
@@ -37,7 +38,7 @@ use pegasus_atm::aal5::{Aal5Error, FrameLease, Reassembler, Segmenter};
 use pegasus_atm::cell::{Cell, Vci, HEADER_SIZE, PAYLOAD_SIZE};
 use pegasus_atm::link::CaptureSink;
 use pegasus_atm::network::{
-    DetachError, EndpointId, LinkConfig, Network, SwitchId, TopologyShape, VcHandle,
+    EndpointId, LedgerDrift, LinkConfig, Network, PendingEnd, SwitchId, TopologyShape, VcHandle,
 };
 use pegasus_atm::signalling::QosSpec;
 use pegasus_sim::arena::Arena;
@@ -335,6 +336,23 @@ pub fn run_wire(seed: u64, steps: u64) -> WireStats {
     stats
 }
 
+/// What a caller can see of a network's endpoints, ports and ledgers.
+pub(crate) fn observe(
+    net: &Network,
+    fabric: &[SwitchId],
+) -> (usize, Vec<usize>, u64, Result<(), LedgerDrift>) {
+    let ports = fabric
+        .iter()
+        .map(|&sw| net.switch(sw).borrow().ports())
+        .collect();
+    (
+        net.endpoint_count(),
+        ports,
+        net.max_reservation_utilization().to_bits(),
+        net.audit_reservations(),
+    )
+}
+
 /// Counters from a signalling-front run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SignallingStats {
@@ -348,13 +366,15 @@ pub struct SignallingStats {
     pub stranded: u64,
     /// Admission refusals observed.
     pub refused: u64,
-    /// Endpoints attached and then detached again.
-    pub detached: u64,
+    /// Refused flow sets with ends not attached yet.
+    pub pending_refused: u64,
+    /// Ends attached by admitted calls to them.
+    pub pending_attached: u64,
 }
 
 /// Random-walks the signalling state machine: `steps` fresh networks,
-/// each subjected to a burst of opens (single circuits and multi-flow
-/// sets), closes, endpoints attached and detached again, switch deaths
+/// each subjected to a burst of opens (single circuits, and multi-flow
+/// sets to ends attached and not yet attached), closes, switch deaths
 /// and re-routes, with ledger and VCI-pinning invariants checked
 /// throughout and the ledger audit after every step. Panics with a
 /// reproducing triple on violation.
@@ -402,14 +422,6 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                         }
                         Err(_) => stats.refused += 1,
                     }
-                    repro.check(
-                        net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
-                        "admission let a ledger exceed the reservable fraction",
-                    );
-                    repro.check(
-                        net.audit_reservations().is_ok(),
-                        "open_vc left the remembered maximum out of step with the ledgers",
-                    );
                 }
                 // Close a random held circuit.
                 5..=6 => {
@@ -419,80 +431,60 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                         net.close_vc(vc);
                     }
                 }
-                // Open a random flow set as one transaction: it is kept
-                // whole, or refused whole and nothing is disturbed.
-                7 => {
-                    let before = net.max_reservation_utilization();
-                    let flows: Vec<(EndpointId, EndpointId, QosSpec)> = (0..rng
-                        .gen_range(1..4usize))
+                // A flow set as one call setup, between any attached
+                // ends and ends not attached yet — the first flow calls
+                // the first of those, if any — decided before any of them
+                // is. A refusal leaves no trace; an admission attaches
+                // exactly the pending ends, with the ids the flows named
+                // them by, and opens the whole set.
+                7..=8 => {
+                    let attached = net.endpoint_count();
+                    let pending: Vec<PendingEnd> = (0..rng.gen_range(0..4usize))
+                        .map(|_| (fabric[rng.gen_range(0..fabric.len())], cfg))
+                        .collect();
+                    let ends = attached + pending.len();
+                    let mut flows: Vec<_> = (0..rng.gen_range(1..4usize))
                         .map(|_| {
+                            let a = EndpointId(rng.gen_range(0..ends));
+                            let b = EndpointId(rng.gen_range(0..ends));
                             (
-                                eps[rng.gen_range(0..eps.len())],
-                                eps[rng.gen_range(0..eps.len())],
+                                a,
+                                b,
                                 QosSpec::guaranteed(rng.gen_range(1..100u64) * 1_000_000),
                             )
                         })
                         .collect();
-                    match net.open_vcs(&flows) {
-                        Ok(vcs) => {
-                            stats.opened += vcs.len() as u64;
-                            held.extend(vcs);
-                        }
+                    if !pending.is_empty() {
+                        flows[0].1 = EndpointId(attached);
+                    }
+                    let before = observe(&net, &fabric);
+                    match net.check_vcs(&pending, &flows) {
                         Err(_) => {
                             stats.refused += 1;
+                            stats.pending_refused += u64::from(!pending.is_empty());
                             repro.check(
-                                (net.max_reservation_utilization() - before).abs() < 1e-12,
-                                "a refused open_vcs left reservations behind",
+                                observe(&net, &fabric) == before,
+                                "a refused flow set left the network changed",
                             );
                         }
+                        Ok(plan) => {
+                            let sinks =
+                                pending.iter().map(|_| CaptureSink::shared() as _).collect();
+                            let vcs = net.commit_vcs(plan, sinks);
+                            repro.check(
+                                net.endpoint_count() == attached + pending.len()
+                                    && (0..pending.len()).all(|k| {
+                                        net.endpoint_switch(EndpointId(attached + k))
+                                            == pending[k].0
+                                    })
+                                    && vcs.len() == flows.len(),
+                                "a commit attached other ends than the check placed",
+                            );
+                            stats.opened += vcs.len() as u64;
+                            stats.pending_attached += pending.len() as u64;
+                            held.extend(vcs);
+                        }
                     }
-                    repro.check(
-                        net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
-                        "open_vcs let a ledger exceed the reservable fraction",
-                    );
-                    repro.check(
-                        net.audit_reservations().is_ok(),
-                        "open_vcs left the remembered maximum out of step with the ledgers",
-                    );
-                }
-                // A refused call's endpoints: attached, tried, given
-                // back. While one carries a circuit the detach is
-                // refused whole; once it is closed, nothing of them
-                // stays.
-                8 => {
-                    let mark = net.endpoint_mark();
-                    let before = (
-                        net.endpoint_count(),
-                        net.max_reservation_utilization().to_bits(),
-                    );
-                    let fresh: Vec<EndpointId> = (0..rng.gen_range(1..4usize))
-                        .map(|_| {
-                            let sw = fabric[rng.gen_range(0..fabric.len())];
-                            net.add_endpoint_auto(sw, cfg, CaptureSink::shared())
-                        })
-                        .collect();
-                    let peer = eps[rng.gen_range(0..eps.len())];
-                    let qos = QosSpec::guaranteed(rng.gen_range(1..40u64) * 1_000_000);
-                    if let Ok(vc) = net.open_vc(fresh[0], peer, qos) {
-                        stats.opened += 1;
-                        repro.check(
-                            net.detach_endpoints_from(mark) == Err(DetachError::InUse(fresh[0])),
-                            "detach gave back an endpoint with an open circuit",
-                        );
-                        net.close_vc(vc);
-                    }
-                    repro.check(
-                        net.detach_endpoints_from(mark).is_ok(),
-                        "detach refused endpoints that carry nothing",
-                    );
-                    repro.check(
-                        (
-                            net.endpoint_count(),
-                            net.max_reservation_utilization().to_bits(),
-                        ) == before,
-                        "detached endpoints left the network changed",
-                    );
-                    stats.detached += fresh.len() as u64;
                 }
                 // Kill a switch and repair the survivors via signalling.
                 _ => {
@@ -531,6 +523,10 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                 }
             }
             repro.check(
+                net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
+                "admission let a ledger exceed the reservable fraction",
+            );
+            repro.check(
                 net.audit_reservations().is_ok(),
                 "a signalling step left the ledgers out of step with the links",
             );
@@ -541,10 +537,7 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
             let on_dead: Vec<EndpointId> = eps
                 .iter()
                 .copied()
-                .filter(|&e| {
-                    // Endpoint placement is round-robin over the fabric.
-                    fabric[eps.iter().position(|&x| x == e).expect("own ep") % fabric.len()] == sw
-                })
+                .filter(|&e| net.endpoint_switch(e) == sw)
                 .collect();
             for &e in &on_dead {
                 repro.check(
@@ -605,7 +598,11 @@ mod tests {
         let s = run_signalling(0xBEE, 40);
         assert_eq!(s.steps, 40);
         assert!(s.opened > 0, "the walk must open circuits");
-        assert!(s.detached > 0, "the walk must detach endpoints");
+        assert!(
+            s.pending_refused > 0,
+            "the walk must refuse calls to pending ends"
+        );
+        assert!(s.pending_attached > 0, "the walk must attach pending ends");
     }
 
     #[test]

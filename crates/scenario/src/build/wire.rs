@@ -6,12 +6,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pegasus::broker::{FlowRequest, QosBroker, SessionClass, SessionGrant, SessionRequest};
+use pegasus::broker::{
+    FlowRequest, QosBroker, SessionClass, SessionGrant, SessionRequest, Verdict,
+};
 use pegasus::system::{HostNic, SystemBuilder};
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
 use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow};
 use pegasus_atm::link::{CellSink, SinkRef};
-use pegasus_atm::network::{EndpointId, EndpointMark};
+use pegasus_atm::network::EndpointId;
 use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
 use pegasus_devices::camera::Camera;
 use pegasus_devices::display::{Display, Rect, WindowManager};
@@ -41,6 +43,9 @@ const AUDIO_BPS: u64 = 128_000;
 
 /// A consuming endpoint's credit gate.
 type Gate = Rc<RefCell<CreditSink>>;
+
+/// A session request and the broker's verdict on it.
+type Decision = (SessionRequest, Verdict);
 
 /// A discard endpoint: the blast's sink (its credits already returned
 /// by the [`CreditSink`] wrapped around it) and the stand-in for every
@@ -85,31 +90,28 @@ pub(super) fn planned_servers(spec: &ScenarioSpec, n_vod: usize) -> usize {
 }
 
 impl Scenario {
-    /// Attaches a consuming endpoint to fabric switch `dst`. `sink` is
-    /// the device, built only on the shard owning `dst`: heavy device
-    /// state (framebuffers, synthetic video, jitter buffers) exists
-    /// only there. An unowned endpoint never receives a cell, so a null
-    /// sink keeps the endpoint (and VCI) numbering identical while the
-    /// replica costs nothing. A `gated` consumer fronts its device with
-    /// a credit gate, returned so [`Scenario::wire_credit`] can register
-    /// the circuit's window once admission fixes the delivery VCI.
+    /// The sink a consuming endpoint is attached with. `sink` is the
+    /// device, built only on the shard owning the endpoint's switch:
+    /// heavy device state (framebuffers, synthetic video, jitter
+    /// buffers) exists only there. An unowned endpoint never receives a
+    /// cell, so a null sink keeps the endpoint (and VCI) numbering
+    /// identical while the replica costs nothing. A `gated` consumer
+    /// fronts its device with a credit gate, returned so
+    /// [`Scenario::wire_credit`] can register the circuit's window once
+    /// admission fixes the delivery VCI.
     ///
-    /// The endpoint is attached before the broker's verdict; a refused
-    /// session detaches it again (`Wiring::admit`), and with it the
-    /// device, gate and port — so what a compiled city holds grows with
-    /// its admitted sessions, not its attempts.
-    pub(super) fn consumer(
-        &mut self,
-        dst: usize,
-        sink: Option<SinkRef>,
+    /// Only an admitted session asks for one: the broker decides a
+    /// session before any of its devices exists (`Wiring::decide`), so
+    /// what a compiled city holds grows with its admitted sessions, not
+    /// its attempts.
+    pub(super) fn consumer<S: CellSink + 'static>(
+        sink: Option<&Rc<RefCell<S>>>,
         gated: bool,
-    ) -> (EndpointId, Option<Gate>) {
+    ) -> (SinkRef, Option<Gate>) {
+        let sink = sink.map(|s| s.clone() as SinkRef);
         let gate = sink.clone().filter(|_| gated).map(CreditSink::wrap);
-        let sink = match &gate {
-            Some(g) => g.clone() as SinkRef,
-            None => sink.unwrap_or_else(|| NullSink::shared()),
-        };
-        (self.sys.device(dst, sink), gate)
+        let sink = gate.clone().map(|g| g as SinkRef).or(sink);
+        (sink.unwrap_or_else(|| NullSink::shared()), gate)
     }
 
     /// Wires one credited circuit: its window, registered on the
@@ -148,6 +150,8 @@ struct Wiring {
     req_cpu: u64,
     req_disk: u64,
     n_servers: usize,
+    /// Whether media consumers sit behind a credit gate (backpressure).
+    gated: bool,
 }
 
 /// Where and when one admitted session's producer runs.
@@ -197,6 +201,7 @@ impl Wiring {
             req_cpu: (spec.broker.cpu_per_session_micro as f64 * load).round() as u64,
             req_disk: (spec.vod_disk_rate as f64 * load).round() as u64,
             n_servers,
+            gated: spec.backpressure.enabled,
         }
     }
 
@@ -255,33 +260,27 @@ impl Wiring {
             .then(|| Display::shared_headless(176, 144))
     }
 
-    /// A credit-gated (when backpressure is on) media consumer.
-    fn media_consumer<S: CellSink + 'static>(
-        &mut self,
-        dst: usize,
-        sink: Option<&Rc<RefCell<S>>>,
-    ) -> (EndpointId, Option<Gate>) {
-        let gated = self.sc.spec.backpressure.enabled;
-        self.sc
-            .consumer(dst, sink.map(|s| s.clone() as SinkRef), gated)
+    /// The ids the next `N` attachments will get: how a request names
+    /// a session's own devices before any of them exists.
+    fn next_ids<const N: usize>(&self) -> [EndpointId; N] {
+        let attached = self.sc.sys.net.endpoint_count();
+        std::array::from_fn(|k| EndpointId(attached + k))
     }
 
-    /// Runs one session request through the broker and records the
-    /// decision; `None` when the session was rejected. A rejected
-    /// session is not wired at all: every endpoint attached since
-    /// `mark` — the session's own, tentatively claimed for the request
-    /// — is detached again, as a refused call setup frees what it had
-    /// claimed. A refusal leaves no reservation, VCI or connection id
-    /// (`Network::open_vcs`), and every shard makes the same rollback,
-    /// so endpoint numbering still agrees across shards.
-    fn admit(
+    /// Asks the broker about one session whose own devices will hang
+    /// off the fabric switches `ends`, in attach order; its flows name
+    /// them by [`Wiring::next_ids`]. A refusal is recorded and is the
+    /// end of the session: `None`, with nothing built, attached or
+    /// charged. Every shard makes the same decisions, so endpoint
+    /// numbering agrees across shards.
+    fn decide(
         &mut self,
-        mark: EndpointMark,
         class: SessionClass,
+        ends: &[usize],
         media: (EndpointId, EndpointId),
         fixed_flows: Vec<FlowRequest>,
         pfs_server: Option<usize>,
-    ) -> Option<SessionGrant> {
+    ) -> Option<Decision> {
         let req = SessionRequest {
             class,
             media_flows: vec![FlowRequest {
@@ -293,31 +292,31 @@ impl Wiring {
             cpu_micro: self.req_cpu,
             pfs_server,
         };
+        let sys = &self.sc.sys;
+        let pending: Vec<_> = ends.iter().map(|&sw| (sys.fabric[sw], sys.link)).collect();
+        let verdict = self.sc.broker.decide(&sys.net, &req, &pending);
+        if verdict.is_err() {
+            self.commit((req, verdict), Vec::new());
+            return None;
+        }
+        Some((req, verdict))
+    }
+
+    /// Acts on a decision and records its contract. An admission
+    /// charges the broker, attaches the session's devices — `sinks`,
+    /// one per end, in attach order — and opens its circuits; a
+    /// refusal touches nothing.
+    fn commit(&mut self, (req, verdict): Decision, sinks: Vec<SinkRef>) -> SessionGrant {
         let sc = &mut self.sc;
-        let grant = sc.sys.admit_session(&mut sc.broker, &req);
-        sc.tally.record(&grant, class, &sc.sys.net, &sc.broker);
+        let grant = sc.broker.commit(&mut sc.sys.net, &req, verdict, sinks);
+        sc.tally.record(&grant, req.class, &sc.sys.net, &sc.broker);
         sc.contracts.push(SessionContract {
-            class,
+            class: req.class,
             outcome: grant.outcome,
             requested: grant.requested,
             granted: grant.granted,
         });
-        if !grant.is_admitted() {
-            self.detach_from(mark);
-            return None;
-        }
-        Some(grant)
-    }
-
-    /// Detaches every endpoint attached since `mark`. They belong to a
-    /// refused session or an empty control room, so none carries a
-    /// circuit.
-    fn detach_from(&mut self, mark: EndpointMark) {
-        self.sc
-            .sys
-            .net
-            .detach_endpoints_from(mark)
-            .expect("a refused session's endpoints carry nothing");
+        grant
     }
 
     /// The producer half of an admitted session: a camera at the
@@ -372,31 +371,29 @@ impl Wiring {
         let t0 = at.t0;
         let duration = self.sc.spec.duration;
 
-        let mark = self.sc.sys.net.endpoint_mark();
-        let cam_ep = self.sc.sys.device(src, HostNic::shared());
-        let display = self.display(dst);
-        let (disp_ep, gate) = self.media_consumer(dst, display.as_ref());
-        let audio_src_ep = self.sc.sys.device(src, HostNic::shared());
-        let audio_sink = owns_dst
-            .then(|| AudioSink::shared(AudioConfig::telephony(), self.sc.spec.audio_jitter_buffer));
-        let (audio_sink_ep, _) =
-            self.sc
-                .consumer(dst, audio_sink.clone().map(|s| s as SinkRef), false);
-
+        // Camera, display, audio source and audio sink, in attach order.
+        let [cam_ep, disp_ep, audio_src_ep, audio_sink_ep] = self.next_ids();
         let audio_flow = FlowRequest {
             src: audio_src_ep,
             dst: audio_sink_ep,
             bps: AUDIO_BPS,
         };
-        let Some(grant) = self.admit(
-            mark,
+        let Some(decision) = self.decide(
             SessionClass::Videophone,
+            &[src, dst, src, dst],
             (cam_ep, disp_ep),
             vec![audio_flow],
             None,
         ) else {
             return;
         };
+        let display = self.display(dst);
+        let (disp_sink, gate) = Scenario::consumer(display.as_ref(), self.gated);
+        let audio_sink = owns_dst
+            .then(|| AudioSink::shared(AudioConfig::telephony(), self.sc.spec.audio_jitter_buffer));
+        let (audio_in, _) = Scenario::consumer(audio_sink.as_ref(), false);
+        let nic = || HostNic::shared() as SinkRef;
+        let grant = self.commit(decision, vec![nic(), disp_sink, nic(), audio_in]);
         let avc_src = grant.vcs[1].src_vci;
         if let Some(display) = display {
             let mut wm = WindowManager::new(display.clone(), 1);
@@ -500,6 +497,17 @@ impl Wiring {
             0
         };
 
+        let [client_ep, server_ep] = self.next_ids();
+        let server = i % self.n_servers;
+        let Some(decision) = self.decide(
+            SessionClass::Vod,
+            &[dst, src],
+            (server_ep, client_ep),
+            Vec::new(),
+            Some(server),
+        ) else {
+            return;
+        };
         let client = self.sc.plan.owns(dst).then(|| {
             let ctl = PlaybackControl::shared(PlaybackPolicy::Synchronized {
                 target_latency: self.sc.spec.vod_target_latency,
@@ -510,20 +518,8 @@ impl Wiring {
             });
             (ctl, stream, sink)
         });
-        let mark = self.sc.sys.net.endpoint_mark();
-        let (client_ep, gate) = self.media_consumer(dst, client.as_ref().map(|c| &c.2));
-        let server_ep = self.sc.sys.device(src, HostNic::shared());
-
-        let server = i % self.n_servers;
-        let Some(grant) = self.admit(
-            mark,
-            SessionClass::Vod,
-            (server_ep, client_ep),
-            Vec::new(),
-            Some(server),
-        ) else {
-            return;
-        };
+        let (client_sink, gate) = Scenario::consumer(client.as_ref().map(|c| &c.2), self.gated);
+        let grant = self.commit(decision, vec![client_sink, HostNic::shared()]);
         self.sc.vod_clients.extend(client);
         // Disk side: admit the stream on its granted server at the rate
         // the broker's contract actually buys — the same hint drives
@@ -546,41 +542,52 @@ impl Wiring {
     /// stack, with a director cutting between the admitted feeds.
     fn tv_room(&mut self, feeds: usize) {
         let dst = self.pick_switch();
-        let display = self.display(dst);
-        let room = self.sc.sys.net.endpoint_mark();
-        // One credit gate per control room: every admitted feed
-        // registers its own window on it, keyed by delivery VCI.
-        let (disp_ep, gate) = self.media_consumer(dst, display.as_ref());
-        let wm = display
-            .as_ref()
-            .map(|d| Rc::new(RefCell::new(WindowManager::new(d.clone(), 1))));
+        // The room — its display, one credit gate every admitted feed
+        // registers its own window on (keyed by delivery VCI), and the
+        // window manager — and the display's endpoint. The display is a
+        // pending end of the room's first admitted feed, so a room whose
+        // every feed is rejected — nothing to show or cut between —
+        // never exists.
+        let (mut room, mut disp_at) = (None, None);
         let mut feed_vcis = Vec::new();
         let mut group_t0 = self.sc.spec.duration;
         for _ in 0..feeds {
             let src = self.pick_switch();
             let at = self.placement(src, dst);
-            let feed = self.sc.sys.net.endpoint_mark();
-            let cam_ep = self.sc.sys.device(src, HostNic::shared());
+            let [first, second] = self.next_ids();
+            let (ends, cam_ep, disp_ep) = match disp_at {
+                Some(disp_ep) => (vec![src], first, disp_ep),
+                None => (vec![dst, src], second, first),
+            };
             let media = (cam_ep, disp_ep);
-            let Some(grant) = self.admit(feed, SessionClass::Tv, media, Vec::new(), None) else {
+            let Some(decision) = self.decide(SessionClass::Tv, &ends, media, Vec::new(), None)
+            else {
                 continue;
             };
+            let mut sinks = Vec::new();
+            let (_, gate, wm) = room.get_or_insert_with(|| {
+                let display = self.display(dst);
+                let (sink, gate) = Scenario::consumer(display.as_ref(), self.gated);
+                sinks.push(sink);
+                let wm = display
+                    .as_ref()
+                    .map(|d| Rc::new(RefCell::new(WindowManager::new(d.clone(), 1))));
+                (display, gate, wm)
+            });
+            sinks.push(HostNic::shared());
+            let grant = self.commit(decision, sinks);
+            disp_at = Some(disp_ep);
             let vc_dst = grant.vcs[0].dst_vci;
             group_t0 = group_t0.min(at.t0);
-            if let Some(wm) = &wm {
+            if let Some(wm) = wm {
                 wm.borrow_mut().create(vc_dst, Rect::new(0, 0, 176, 144));
             }
             feed_vcis.push(vc_dst);
             self.producer(grant, SessionClass::Tv, cam_ep, at, gate.as_ref());
         }
-        // A room whose every feed was rejected has nothing to show or
-        // cut between: its display goes with the feeds' cameras. (It
-        // would have blitted no tile and added no sample to any report
-        // key.)
-        if feed_vcis.is_empty() {
-            self.detach_from(room);
+        let Some((display, _, wm)) = room else {
             return;
-        }
+        };
         self.sc.tv_displays.extend(display);
         // The director cuts round-robin through the admitted feeds: one
         // window raise per cut, pure control, run where the control

@@ -23,16 +23,17 @@ static ALLOCATOR: live_alloc::LiveAlloc = live_alloc::LiveAlloc;
 /// A quarter above the 4,099,277 bytes this run peaks at.
 const PEAK_LIVE_BYTES_BOUND: usize = 5_124_000;
 
-/// A quarter above the 2,843,897 bytes the second case peaks at.
+/// About a quarter above the 2,838,393 bytes the second case peaks at.
 const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 3_555_000;
 
 /// One test in this binary: the counters are process-global. Its
 /// second case is `metropolis-100k` cut to 800 attempts with CPU for
 /// 15 (seed 7): 785 are refused. While a refused session's endpoints,
 /// device sinks and ledgers stayed in the fabric, this run peaked at
-/// 4.11 MB with 5,950 allocations of at most 256 bytes live; detaching
-/// them on refusal (`Network::detach_endpoints_from`) leaves 2.84 MB
-/// and 1,330 — fewer than two per attempt.
+/// 4.11 MB with 5,950 allocations of at most 256 bytes live; deciding a
+/// session before any of them is built or attached
+/// (`QosBroker::decide`) leaves 2.84 MB and 1,330 — fewer than two per
+/// attempt.
 #[test]
 fn a_small_city_fits_its_bound_and_shares_its_frames() {
     let spec = presets::by_name("metropolis-1k")
