@@ -1,0 +1,91 @@
+//! E21 — The §5 LRU pathology answered: viewers draw titles under Zipf
+//! α ∈ {0, 0.5, 1} and play the same draw off the log store and through
+//! the tiered cache, each on a fresh file system.
+
+use pegasus_pfs::cm::CmScheduler;
+use pegasus_pfs::tier::{TierConfig, TieredCache};
+use pegasus_sim::rng::{seeded, zipf};
+use pegasus_sim::time::{MS, SEC};
+use crate::{log_fs, Claim, Result};
+
+const TITLES: usize = 12;
+const TITLE_SEGMENTS: usize = 4; // 4 MiB per title
+const VIEWERS: usize = 48;
+const PERIODS: u64 = 6;
+const RATE: u64 = 1_000_000; // bytes/second per stream
+const PERIOD: u64 = 500 * MS;
+const ALPHAS: [u64; 3] = [0, 500, 1000];
+
+/// Plays the viewer population for [`PERIODS`] service periods, through
+/// `cache` when there is one: `(disk time, bytes delivered)`.
+fn play(picks: &[usize], mut cache: Option<&mut TieredCache>) -> Result<(u64, u64)> {
+    let (mut fs, files) = log_fs(TITLES, TITLE_SEGMENTS)?;
+    let mut cm = CmScheduler::new(PERIOD, RATE * VIEWERS as u64 * 2 + 1_000_000);
+    cm.set_max_streams(VIEWERS);
+    for &title in picks {
+        cm.admit(files[title], RATE, 0)?;
+        if let Some(c) = cache.as_deref_mut() {
+            c.register_stream(files[title], RATE);
+        }
+    }
+    let report = match cache {
+        Some(c) => cm.run_periods_tiered(&mut fs, c, PERIODS)?,
+        None => cm.run_periods(&mut fs, PERIODS)?,
+    };
+    Ok((fs.io_time, report.bytes_delivered))
+}
+
+pub fn claim() -> Result<Claim> {
+    let mut rows = vec![format!(
+        "titles={TITLES} x {TITLE_SEGMENTS} MiB  viewers={VIEWERS}  periods={PERIODS}"
+    )];
+    let full_rate = VIEWERS as u64 * PERIODS * RATE * PERIOD / SEC;
+    let (mut reductions, mut full_bytes) = (Vec::new(), true);
+    for alpha_milli in ALPHAS {
+        // One title draw per viewer, shared by both lanes: the cached
+        // and uncached runs replay the *same* workload.
+        let mut rng = seeded(42 + alpha_milli);
+        let picks: Vec<usize> = (0..VIEWERS)
+            .map(|_| zipf(&mut rng, TITLES, alpha_milli))
+            .collect();
+        // A cache deliberately smaller than the catalogue (24 chunks
+        // against 48): with room for everything, every α measures the
+        // same thing. Scarcity is what makes popularity skew show up as
+        // disk time.
+        let mut cache = TieredCache::new(TierConfig {
+            hot_chunks: 8,
+            warm_chunks: 16,
+            ..TierConfig::default()
+        });
+        let (io_uncached_ns, plain_bytes) = play(&picks, None)?;
+        let (io_cached_ns, bytes) = play(&picks, Some(&mut cache))?;
+        let stats = cache.stats();
+        let io_reduction = io_uncached_ns as f64 / io_cached_ns.max(1) as f64;
+        rows.push(format!(
+            "alpha{:.1}=disk {io_uncached_ns} -> {io_cached_ns} ns  reduction={io_reduction:.2}x  \
+             tiers=hot {}‰ warm {}‰",
+            alpha_milli as f64 / 1000.0,
+            stats.hot_milli(),
+            stats.warm_milli()
+        ));
+        full_bytes &= plain_bytes == full_rate && bytes == full_rate;
+        reductions.push(io_reduction);
+    }
+    let at_one = reductions[2];
+    rows.push(format!("reduction @ alpha 1.0={at_one:.2}x"));
+    Ok(Claim {
+        id: "E21",
+        title: "tiered cache vs raw log reads: Zipf alpha sweep, cached and uncached lanes",
+        anchor: "§5 'by the time a user has seen ... a video to the end, the beginning has \
+            already been evicted from the (LRU) cache' — disk time divided, not description",
+        expected_shape: "io_reduction grows with alpha; ≥ 2.0x at alpha 1.0 — the tiers absorb \
+            the Zipf head; both lanes deliver every viewer's full rate",
+        rows,
+        measured: format!(
+            "reduction {:.2}x / {:.2}x / {at_one:.2}x at alpha 0 / 0.5 / 1.0; full-rate bytes in \
+             both lanes: {full_bytes}",
+            reductions[0], reductions[1]
+        ),
+        holds: reductions.windows(2).all(|r| r[1] > r[0]) && at_one >= 2.0 && full_bytes,
+    })
+}

@@ -41,13 +41,6 @@ impl AudioConfig {
         AudioConfig { sample_rate: 8_000 }
     }
 
-    /// CD-quality 44.1 kHz (one channel).
-    pub fn hifi() -> Self {
-        AudioConfig {
-            sample_rate: 44_100,
-        }
-    }
-
     /// Nanoseconds between samples.
     pub fn sample_period(&self) -> Ns {
         SEC / self.sample_rate as u64

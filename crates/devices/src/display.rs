@@ -189,12 +189,6 @@ impl Display {
         self.windows.insert(vci, desc);
     }
 
-    /// Removes the descriptor for `vci`; its tiles are discarded from
-    /// then on.
-    pub fn remove_descriptor(&mut self, vci: Vci) {
-        self.windows.remove(&vci);
-    }
-
     /// Current descriptor for `vci`.
     pub fn descriptor(&self, vci: Vci) -> Option<WindowDescriptor> {
         self.windows.get(&vci).copied()
@@ -385,12 +379,6 @@ impl WindowManager {
                 overlay: false,
             },
         );
-    }
-
-    /// Destroys a window.
-    pub fn destroy(&mut self, vci: Vci) {
-        self.display.borrow_mut().remove_descriptor(vci);
-        self.saved_geometry.remove(&vci);
     }
 
     /// Moves a window so its origin lands at `(x, y)`.

@@ -193,11 +193,6 @@ impl AddressSpace {
         self.stretches[id.0].base
     }
 
-    /// Length of a stretch.
-    pub fn stretch_len(&self, id: StretchId) -> u64 {
-        self.stretches[id.0].len
-    }
-
     /// Grants `rights` on `stretch` to protection domain `pd` (the
     /// explicit arrangement the paper requires for sharing).
     pub fn grant(&mut self, stretch: StretchId, pd: PdId, rights: Rights) {
@@ -229,11 +224,6 @@ impl AddressSpace {
         } else {
             Err(Fault::Protection(addr, access))
         }
-    }
-
-    /// Number of stretches allocated.
-    pub fn stretch_count(&self) -> usize {
-        self.stretches.len()
     }
 }
 

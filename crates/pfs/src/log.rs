@@ -493,13 +493,20 @@ impl LogFs {
         Ok(lease.freeze())
     }
 
-    fn garbage_extents(&mut self, extents: &[Extent]) {
-        for ext in extents {
-            self.garbage.push(GarbageEntry {
-                segment: ext.segment,
-                seg_offset: ext.seg_offset,
-                len: ext.len,
-            });
+    /// Empties `file`: every extent leaves the live-byte ledger and
+    /// enters the garbage file, except that holes in `freeing` (the
+    /// segment a cleaner is consuming) are not recorded again.
+    fn drop_extents(&mut self, file: FileId, freeing: Option<u64>) -> Result<(), FsError> {
+        let p = self.pnodes.get_mut(&file).ok_or(FsError::NoSuchFile)?;
+        p.size = 0;
+        for ext in std::mem::take(&mut p.extents) {
+            if Some(ext.segment) != freeing {
+                self.garbage.push(GarbageEntry {
+                    segment: ext.segment,
+                    seg_offset: ext.seg_offset,
+                    len: ext.len,
+                });
+            }
             if let Some(info) = self.segments.get_mut(&ext.segment) {
                 info.live_bytes = info.live_bytes.saturating_sub(ext.len);
             } else {
@@ -508,17 +515,12 @@ impl LogFs {
                 *self.open_deficit.entry(ext.segment).or_insert(0) += ext.len;
             }
         }
+        Ok(())
     }
 
     /// Truncates `file` to zero length, declaring every extent garbage.
     pub fn truncate(&mut self, file: FileId) -> Result<(), FsError> {
-        let extents = {
-            let p = self.pnodes.get_mut(&file).ok_or(FsError::NoSuchFile)?;
-            p.size = 0;
-            std::mem::take(&mut p.extents)
-        };
-        self.garbage_extents(&extents);
-        Ok(())
+        self.drop_extents(file, None)
     }
 
     /// Replaces `file`'s contents with `data` (the overwrite case of the
@@ -602,42 +604,20 @@ impl LogFs {
         seg: u64,
     ) -> Result<u64, FsError> {
         let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?;
-        let size = pnode.size as usize;
-        let mut moved = 0u64;
+        if !pnode.extents.iter().any(|e| e.segment == seg) {
+            return Ok(0);
+        }
         // Read the whole file, rewrite it. (A finer implementation would
         // move only the affected extents; whole-file rewrite keeps the
         // extent algebra simple and the I/O accounting honest within a
         // factor reflecting file size.)
-        if pnode.extents.iter().any(|e| e.segment == seg) {
-            let data = self.read(file, 0, size)?;
-            // Old extents become garbage…
-            let old = {
-                let p = self.pnodes.get_mut(&file).expect("exists");
-                p.size = 0;
-                std::mem::take(&mut p.extents)
-            };
-            // …but without re-entering them in the garbage file: the
-            // cleaner is consuming garbage, not creating more for the
-            // segment being freed. Holes in *other* segments do need
-            // recording.
-            for ext in &old {
-                if ext.segment != seg {
-                    self.garbage.push(GarbageEntry {
-                        segment: ext.segment,
-                        seg_offset: ext.seg_offset,
-                        len: ext.len,
-                    });
-                }
-                if let Some(info) = self.segments.get_mut(&ext.segment) {
-                    info.live_bytes = info.live_bytes.saturating_sub(ext.len);
-                } else {
-                    *self.open_deficit.entry(ext.segment).or_insert(0) += ext.len;
-                }
-            }
-            moved = data.len() as u64;
-            self.append_counted(file, &data, |s| &mut s.cleaner_moved)?;
-        }
-        Ok(moved)
+        let size = pnode.size as usize;
+        let data = self.read(file, 0, size)?;
+        // The cleaner is consuming `seg`'s garbage, not creating more;
+        // holes in *other* segments do need recording.
+        self.drop_extents(file, Some(seg))?;
+        self.append_counted(file, &data, |s| &mut s.cleaner_moved)?;
+        Ok(data.len() as u64)
     }
 }
 

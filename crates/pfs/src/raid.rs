@@ -109,14 +109,6 @@ impl RaidArray {
         }
     }
 
-    /// Aggregate positioning + transfer time across all disks.
-    pub fn total_disk_time(&self) -> Ns {
-        self.disks
-            .iter()
-            .map(|d| d.stats.positioning + d.stats.transferring)
-            .sum()
-    }
-
     fn chunk_sectors(&self) -> u64 {
         (self.chunk_bytes / SECTOR) as u64
     }

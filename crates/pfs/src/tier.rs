@@ -209,11 +209,6 @@ impl TieredCache {
         self.streams.push(PrefetchReg { file, rate });
     }
 
-    /// Chunks currently resident in the hot tier.
-    pub fn hot_len(&self) -> usize {
-        self.hot.len()
-    }
-
     /// Chunks currently resident in the warm tier.
     pub fn warm_len(&self) -> usize {
         self.warm.len()

@@ -23,7 +23,7 @@ use pegasus_pfs::cm::CmScheduler;
 use pegasus_pfs::disk::DiskConfig;
 use pegasus_pfs::log::{FileClass, LogFs, SEGMENT_BYTES};
 use pegasus_pfs::tier::{TierConfig, TieredCache};
-use pegasus_sim::rng::{exponential, seeded};
+use pegasus_sim::rng::{exponential, seeded, zipf};
 use pegasus_sim::time::{tx_time, Ns, SEC};
 use pegasus_sim::Simulator;
 use pegasus_streams::playback::{ArrivalSink, PlaybackControl, PlaybackPolicy};
@@ -60,26 +60,6 @@ impl NullSink {
 
 impl CellSink for NullSink {
     fn deliver(&mut self, _sim: &mut Simulator, _cell: Cell) {}
-}
-
-/// Draws a title index from a Zipf law over `titles` titles with
-/// exponent `alpha_milli / 1000` — title 0 the most popular. α = 0
-/// degenerates to uniform. Only called when a spec records more than
-/// one title, so single-title specs keep their RNG streams untouched.
-fn zipf_pick(rng: &mut SmallRng, titles: usize, alpha_milli: u64) -> usize {
-    let alpha = alpha_milli as f64 / 1000.0;
-    let weights: Vec<f64> = (0..titles)
-        .map(|k| 1.0 / ((k + 1) as f64).powf(alpha))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut u = rng.gen_range(0.0..1.0) * total;
-    for (k, w) in weights.iter().enumerate() {
-        if u < *w {
-            return k;
-        }
-        u -= *w;
-    }
-    titles - 1
 }
 
 /// File servers the spec plans for `n_vod` VoD sessions (none without
@@ -492,7 +472,7 @@ impl Wiring {
         let titles = cache.titles_per_server.max(1);
         let crowd = (i as u64) * 1000 >= n_vod as u64 * (1000 - cache.crowd_milli);
         let title = if titles > 1 && !crowd {
-            zipf_pick(&mut self.rng, titles, cache.zipf_alpha_milli)
+            zipf(&mut self.rng, titles, cache.zipf_alpha_milli)
         } else {
             0
         };

@@ -542,15 +542,6 @@ impl Simulator {
             self.now = deadline;
         }
     }
-
-    /// Runs at most `n` events.
-    pub fn run_steps(&mut self, n: u64) {
-        for _ in 0..n {
-            if !self.step() {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

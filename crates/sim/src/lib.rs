@@ -30,6 +30,6 @@ pub mod train;
 
 pub use arena::{Arena, ArenaStats, FrameBuf, FrameBufMut, FrameView, WeakFrameBuf};
 pub use engine::{EventId, Lane, SharedHandler, Simulator, MAX_LANE};
-pub use stats::{Counter, Histogram, TimeWeighted};
+pub use stats::Histogram;
 pub use time::Ns;
 pub use train::Train;

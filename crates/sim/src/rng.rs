@@ -37,6 +37,23 @@ pub fn heavy_tailed(rng: &mut SmallRng, min: f64, alpha: f64, max: f64) -> f64 {
     (min / u.powf(1.0 / alpha)).min(max)
 }
 
+/// Draws an index in `0..n` from a Zipf law with exponent
+/// `alpha_milli / 1000`: index 0 is the most popular, and α = 0
+/// degenerates to uniform. Used for title popularity.
+pub fn zipf(rng: &mut SmallRng, n: usize, alpha_milli: u64) -> usize {
+    let alpha = alpha_milli as f64 / 1000.0;
+    let weights: Vec<f64> = (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(alpha)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut u = rng.gen_range(0.0..1.0) * total;
+    for (k, w) in weights.iter().enumerate() {
+        if u < *w {
+            return k;
+        }
+        u -= *w;
+    }
+    n.saturating_sub(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

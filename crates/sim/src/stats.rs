@@ -1,42 +1,5 @@
-//! Measurement primitives shared by every experiment.
-//!
-//! Three kinds of statistic cover the paper's claims:
-//! * [`Counter`] — monotone event/byte counts (e.g. "media bytes touched
-//!   by the CPU").
-//! * [`Histogram`] — sample distributions with percentiles (latency,
-//!   jitter, skew).
-//! * [`TimeWeighted`] — time-averaged gauges (queue depth, buffer
-//!   occupancy, share of CPU received).
-
-use crate::time::Ns;
-
-/// A monotone counter.
-#[derive(Debug, Default, Clone)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
+//! Measurement primitives shared by every experiment: [`Histogram`],
+//! a sample distribution with percentiles (latency, jitter, skew).
 
 /// A sample histogram with exact storage of every sample.
 ///
@@ -209,64 +172,9 @@ pub struct Summary {
     pub mean: f64,
 }
 
-/// A time-weighted gauge: integrates `value × dt` so that `average()`
-/// yields the time average over the observation window.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: Ns,
-    last_value: f64,
-    weighted_sum: f64,
-    start: Ns,
-}
-
-impl TimeWeighted {
-    /// Creates a gauge with initial `value` observed at `time`.
-    pub fn new(time: Ns, value: f64) -> Self {
-        TimeWeighted {
-            last_time: time,
-            last_value: value,
-            weighted_sum: 0.0,
-            start: time,
-        }
-    }
-
-    /// Records a new value at `time` (must not precede the previous update).
-    pub fn set(&mut self, time: Ns, value: f64) {
-        debug_assert!(time >= self.last_time);
-        self.weighted_sum += self.last_value * (time - self.last_time) as f64;
-        self.last_time = time;
-        self.last_value = value;
-    }
-
-    /// Time-weighted average from creation until `time`.
-    pub fn average(&self, time: Ns) -> f64 {
-        let total =
-            self.weighted_sum + self.last_value * (time.saturating_sub(self.last_time)) as f64;
-        let span = time.saturating_sub(self.start) as f64;
-        if span == 0.0 {
-            self.last_value
-        } else {
-            total / span
-        }
-    }
-
-    /// Most recently set value.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-    }
 
     #[test]
     fn histogram_empty_is_none() {
@@ -368,23 +276,5 @@ mod tests {
         assert_eq!(s.max, 100);
         assert!((s.mean - 50.5).abs() < 1e-9);
         assert_eq!(Histogram::new().summarize(), Summary::default());
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut g = TimeWeighted::new(0, 0.0);
-        g.set(10, 10.0); // value 0 for 10 ns
-        g.set(20, 0.0); // value 10 for 10 ns
-                        // Average over [0, 20): (0*10 + 10*10) / 20 = 5.
-        assert!((g.average(20) - 5.0).abs() < 1e-9);
-        // Extending the window at value 0 dilutes it: 100/40 = 2.5.
-        assert!((g.average(40) - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_zero_span() {
-        let g = TimeWeighted::new(5, 7.0);
-        assert_eq!(g.average(5), 7.0);
-        assert_eq!(g.current(), 7.0);
     }
 }
