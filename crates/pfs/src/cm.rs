@@ -293,9 +293,10 @@ impl CmScheduler {
     /// [`CmScheduler::run_periods`] with a [`crate::tier::TieredCache`] fronting the
     /// log store: every per-period read is served chunk-wise through the
     /// tiers (hot attach, warm SSD-class read, cold RAID stripe), and
-    /// registered streams get next-period chunks prefetched. Deadline
-    /// accounting is unchanged — a period misses when the I/O its reads
-    /// actually incurred exceeds the period.
+    /// registered streams get the next second's chunks prefetched into
+    /// free hot-tier room. Deadline accounting is unchanged — a period
+    /// misses when the I/O its reads actually incurred exceeds the
+    /// period.
     pub fn run_periods_tiered(
         &mut self,
         fs: &mut LogFs,
@@ -551,6 +552,40 @@ mod tests {
         let s = cache.stats();
         assert!(s.hot_hits > 0);
         assert!(s.disk_io_saved_cells() > 0);
+    }
+
+    #[test]
+    fn prefetch_never_costs_a_lockstep_play_out_disk_time() {
+        use crate::tier::{TierConfig, TieredCache};
+        // Four titles, two lockstep viewers each, at 1 MB/s: a one-chunk
+        // horizon per title wants 4 × (1 + 1) chunks resident against a
+        // hot tier of 4. A prefetch that evicted would trade the second
+        // viewer's hit for a stripe read; one that only fills free room
+        // can never cost disk time.
+        let play = |registered: bool| {
+            let (mut fs, ids) = fs_with_titles(4, 4);
+            let mut sched = CmScheduler::new(SEC, 1_000_000_000);
+            let mut cache = TieredCache::new(TierConfig {
+                hot_chunks: 4,
+                warm_chunks: 4,
+                ..TierConfig::default()
+            });
+            for &id in ids.iter().chain(&ids) {
+                sched.admit(id, 1_000_000, 0).unwrap();
+                if registered {
+                    cache.register_stream(id, 1_000_000);
+                }
+            }
+            let report = sched.run_periods_tiered(&mut fs, &mut cache, 4).unwrap();
+            (fs.io_time, report.bytes_delivered)
+        };
+        let (plain_io, plain_bytes) = play(false);
+        let (io, bytes) = play(true);
+        assert_eq!(bytes, plain_bytes);
+        assert!(
+            io <= plain_io,
+            "registered play-out {io} ns of disk time, unregistered {plain_io} ns"
+        );
     }
 
     #[test]

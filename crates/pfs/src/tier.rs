@@ -21,10 +21,12 @@
 //! * **Cold tier** — the log store itself ([`LogFs`]); a miss charges
 //!   the full RAID stripe time exactly as an uncached read would.
 //!
-//! On top sits admission-aware sequential prefetch: playback streams
-//! registered with their broker-granted rate have next-period chunks
-//! staged into the hot tier as the current period is served, so steady
-//! sequential playback hits memory instead of the array.
+//! On top sits admission-aware sequential prefetch: a playback stream
+//! registered with its broker-granted rate has the next second's worth
+//! of chunks staged into the hot tier as it is served — but only into
+//! free room. A speculative chunk never evicts a resident one: every
+//! resident chunk got there by demand, and with viewers in lockstep it
+//! is the one the next viewer will read.
 //!
 //! Everything is deterministic: tiers are `BTreeMap`s keyed by
 //! `(FileId, chunk)`, eviction scans are ordered, and every statistic is
@@ -39,6 +41,9 @@ use pegasus_sim::time::Ns;
 /// Chunk key: a title and a chunk index within it.
 type ChunkKey = (FileId, u64);
 
+/// Most chunks sequential prefetch stages after one served read.
+const PREFETCH_CHUNKS: u64 = 2;
+
 /// Sizing and timing knobs of a [`TieredCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
@@ -51,9 +56,6 @@ pub struct TierConfig {
     /// Simulated cost of one warm-tier chunk read, charged to the file
     /// system's `io_time` so deadline accounting sees it.
     pub warm_chunk_ns: Ns,
-    /// How many future chunks sequential prefetch stages per served
-    /// read of a registered stream. Zero disables prefetch.
-    pub prefetch_chunks: u64,
 }
 
 impl Default for TierConfig {
@@ -65,7 +67,6 @@ impl Default for TierConfig {
             // whole stripe read, so the stripe is the natural chunk.
             chunk_bytes: 1 << 20,
             warm_chunk_ns: 50_000,
-            prefetch_chunks: 2,
         }
     }
 }
@@ -138,7 +139,7 @@ impl TierStats {
 struct PrefetchReg {
     file: FileId,
     /// Granted playback rate in bytes/second — the prefetch horizon is
-    /// one service period at this rate.
+    /// one second's worth of chunks at this rate.
     rate: u64,
 }
 
@@ -381,10 +382,12 @@ impl TieredCache {
         Ok(())
     }
 
-    /// Stages chunks `last+1 ..` into the hot tier for streams
-    /// registered on `file`, up to the configured horizon scaled by the
-    /// stream's granted rate (one extra chunk per full `chunk_bytes` of
-    /// per-second rate, at least one, at most `prefetch_chunks`).
+    /// Stages chunks `last+1 ..` into the hot tier for a stream
+    /// registered on `file`: one second's worth at its granted rate
+    /// (`rate / chunk_bytes` chunks, at least one, at most
+    /// [`PREFETCH_CHUNKS`]), and only while the hot tier has free room.
+    /// A prefetch never evicts, so it never demotes a chunk into the
+    /// warm tier's admission filter either.
     fn prefetch_after(
         &mut self,
         fs: &mut LogFs,
@@ -392,23 +395,20 @@ impl TieredCache {
         last: u64,
         size: u64,
     ) -> Result<(), FsError> {
-        if self.cfg.prefetch_chunks == 0 {
-            return Ok(());
-        }
         let rate = match self.streams.iter().find(|s| s.file == file) {
             Some(s) => s.rate,
             None => return Ok(()),
         };
-        // Broker-granted rate sets the horizon: a stream granted R B/s
-        // consumes R/chunk_bytes chunks per second, so stage up to one
-        // period's worth ahead, capped by the config.
         let per_sec = (rate / self.cfg.chunk_bytes as u64).max(1);
-        let horizon = per_sec.min(self.cfg.prefetch_chunks);
+        let horizon = per_sec.min(PREFETCH_CHUNKS);
         let total_chunks = size.div_ceil(self.cfg.chunk_bytes as u64);
         for chunk in last + 1..=(last + horizon).min(total_chunks.saturating_sub(1)) {
             let key = (file, chunk);
             if self.hot.contains_key(&key) || self.warm.contains_key(&key) {
                 continue;
+            }
+            if self.hot.len() >= self.cfg.hot_chunks {
+                break;
             }
             let buf = self.fetch_cold(fs, file, chunk, size)?;
             self.insert_hot(key, buf);
@@ -452,7 +452,6 @@ mod tests {
             warm_chunks: 8,
             chunk_bytes: 1 << 16,
             warm_chunk_ns: 50_000,
-            prefetch_chunks: 0,
         }
     }
 
@@ -606,10 +605,7 @@ mod tests {
     #[test]
     fn prefetch_stages_next_chunks_for_registered_streams() {
         let (mut fs, id) = fs_with_video(1);
-        let mut cache = TieredCache::new(TierConfig {
-            prefetch_chunks: 2,
-            ..small_cfg()
-        });
+        let mut cache = TieredCache::new(small_cfg());
         cache.register_stream(id, 2 << 16); // two chunks per second
         let mut out = Vec::new();
         cache.read(&mut fs, id, 0, 1 << 16, &mut out).unwrap();
@@ -619,6 +615,45 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.cold_misses, 1, "only the first chunk was a demand miss");
         assert_eq!(s.hot_hits, 2);
+    }
+
+    #[test]
+    fn a_prefetch_never_evicts_a_resident_chunk() {
+        // Two twins fill a four-chunk hot tier by demand; only one has a
+        // registered stream. Its next read finds no free room, so it
+        // must leave exactly what the unregistered twin leaves.
+        let [(plain_fs, plain), (fs, cache)] = [false, true].map(|registered| {
+            let (mut fs, id) = fs_with_video(1);
+            let mut cache = TieredCache::new(small_cfg());
+            let mut out = Vec::new();
+            for b in 0..4u64 {
+                cache.read(&mut fs, id, b << 16, 1 << 16, &mut out).unwrap();
+            }
+            if registered {
+                cache.register_stream(id, 2 << 16);
+            }
+            cache.read(&mut fs, id, 4 << 16, 1 << 16, &mut out).unwrap();
+            (fs, cache)
+        });
+        assert!(cache.hot.keys().eq(plain.hot.keys()));
+        assert!(cache.warm.keys().eq(plain.warm.keys()));
+        assert_eq!(fs.io_time, plain_fs.io_time);
+        assert_eq!(cache.stats(), plain.stats());
+        assert_eq!(cache.stats().prefetched_chunks, 0);
+
+        // One free slot: exactly one chunk of the two-chunk horizon is
+        // staged, and nothing resident leaves.
+        let (mut fs, id) = fs_with_video(1);
+        let mut cache = TieredCache::new(small_cfg());
+        let mut out = Vec::new();
+        for b in 0..3u64 {
+            cache.read(&mut fs, id, b << 16, 1 << 16, &mut out).unwrap();
+        }
+        cache.register_stream(id, 2 << 16);
+        cache.read(&mut fs, id, 2 << 16, 1 << 16, &mut out).unwrap();
+        assert_eq!(cache.stats().prefetched_chunks, 1);
+        let hot: Vec<u64> = cache.hot.keys().map(|&(_, chunk)| chunk).collect();
+        assert_eq!(hot, [0, 1, 2, 3]);
     }
 
     #[test]

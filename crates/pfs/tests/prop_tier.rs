@@ -35,7 +35,6 @@ fn cache() -> TieredCache {
         warm_chunks: 16,
         chunk_bytes: CHUNK as usize,
         warm_chunk_ns: 50_000,
-        prefetch_chunks: 0,
     })
 }
 

@@ -29,8 +29,9 @@ fn main() {
         std::process::exit(2);
     };
     let what = if name == "pfs" {
+        let data = pfs_op::pfs_data();
         live_alloc::reset();
-        std::hint::black_box(pfs_op::pfs_op());
+        std::hint::black_box(pfs_op::pfs_op(&data));
         name
     } else {
         let mut spec = targets::spec_of(&name);

@@ -16,9 +16,8 @@
 //! Build with frame pointers or the walk stops at the leaf:
 //! `scripts/profile.sh <preset> [ops]` does. Besides the targets of
 //! `support/targets.rs` (presets and the benchmark's three scenario
-//! workloads) it takes `pfs`: a short storage loop on `pegasus_pfs`
-//! directly (`support/pfs_op.rs`), in the shape of the benchmark's
-//! fourth workload, `pfs-vcr`.
+//! workloads) it takes `pfs`: the script of the benchmark's fourth
+//! workload, `pfs-vcr`, on `pegasus_pfs` directly (`support/pfs_op.rs`).
 //!
 //! No `libc` crate is vendored, so the three libc entry points are
 //! declared here, with the x86-64 Linux layouts they take.
@@ -38,7 +37,7 @@ mod sampler {
 
     use pegasus_scenario::run_sharded;
 
-    use super::pfs_op::pfs_op;
+    use super::pfs_op::{pfs_data, pfs_op};
     use super::targets::spec_of;
 
     const SIGPROF: i32 = 27;
@@ -260,8 +259,9 @@ mod sampler {
         };
         let ops: usize = args.next().and_then(|n| n.parse().ok()).unwrap_or(10);
         let op: Box<dyn Fn()> = if name == "pfs" {
-            Box::new(|| {
-                std::hint::black_box(pfs_op());
+            let data = pfs_data();
+            Box::new(move || {
+                std::hint::black_box(pfs_op(&data));
             })
         } else {
             let spec = spec_of(&name);

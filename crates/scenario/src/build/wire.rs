@@ -441,7 +441,6 @@ impl Wiring {
                 let mut c = TieredCache::new(TierConfig {
                     hot_chunks: spec.cache.hot_chunks,
                     warm_chunks: spec.cache.warm_chunks,
-                    prefetch_chunks: spec.cache.prefetch_chunks,
                     ..TierConfig::default()
                 });
                 // Title 0 is the most popular under the Zipf draw and

@@ -331,7 +331,6 @@ pub fn vod_city() -> ScenarioSpec {
     spec.cache.crowd_milli = 500;
     spec.cache.hot_chunks = 4;
     spec.cache.warm_chunks = 64;
-    spec.cache.prefetch_chunks = 2;
     spec
 }
 

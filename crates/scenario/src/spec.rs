@@ -253,8 +253,6 @@ pub struct CacheSpec {
     pub hot_chunks: usize,
     /// Warm-tier capacity per server, in chunks.
     pub warm_chunks: usize,
-    /// Prefetch horizon per served read, in chunks (0 disables).
-    pub prefetch_chunks: u64,
     /// Distinct titles pre-recorded per server. With 1 title every VoD
     /// session plays the same file (the classic world, no extra RNG
     /// draws); more titles make sessions draw theirs from a Zipf law.
@@ -275,7 +273,6 @@ impl Default for CacheSpec {
             enabled: false,
             hot_chunks: 16,
             warm_chunks: 64,
-            prefetch_chunks: 2,
             titles_per_server: 1,
             zipf_alpha_milli: 1000,
             crowd_milli: 0,

@@ -10,9 +10,10 @@
 # usage: scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> [ops]
 #        scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> --live [seed]
 #
-# `pfs` is a storage loop on pegasus_pfs directly, in the shape of the
-# benchmark's pfs-vcr (interleaved appends, read-back, clean, tiered CM);
-# it takes no seed.
+# `pfs` is the benchmark's pfs-vcr script on pegasus_pfs directly
+# (interleaved appends, checkpoint, both read paths, clean, recover,
+# tiered CM play-out) over files made once from a fixed seed; it takes
+# no seed.
 #
 # This kernel ticks ITIMER_PROF at 4 ms whatever interval is asked for,
 # so ten `metro-steady` ops yield ~1,000 samples (±1.5 points on a share):
@@ -27,7 +28,7 @@
 # look for a function that is cheap itself and dear in what it calls.
 #
 # --live runs one operation (one shard, the target's spec at [seed] or
-# its own; for `pfs`, the storage loop) under a counting allocator and
+# its own; for `pfs`, the pfs-vcr script) under a counting allocator and
 # prints the peak of live heap bytes and, by power-of-two size class,
 # how many allocations and bytes were live at that peak: one size
 # holding most of the bytes is one kind of buffer kept too long or too
@@ -35,7 +36,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,34p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,35p' "$0" >&2; exit 2; }
 
 example=sigprof
 if [ "${2:-}" = --live ]; then

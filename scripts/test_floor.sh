@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=695
+FLOOR=697
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
