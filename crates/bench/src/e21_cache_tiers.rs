@@ -1,6 +1,7 @@
 //! E21 — The §5 LRU pathology answered: viewers draw titles under Zipf
-//! α ∈ {0, 0.5, 1} and play the same draw off the log store and through
-//! the tiered cache, each on a fresh file system.
+//! α ∈ {0, 0.5, 1} and play the same draw off the log store, through
+//! the tiered cache, and through a recency-only cache of the same 24
+//! chunks (all hot, no warm tier), each on a fresh file system.
 
 use pegasus_pfs::cm::CmScheduler;
 use pegasus_pfs::tier::{TierConfig, TieredCache};
@@ -57,17 +58,29 @@ pub fn claim() -> Result<Claim> {
             warm_chunks: 16,
             ..TierConfig::default()
         });
+        // The LRU lane: the same 24 chunks, all in the recency-evicted
+        // hot tier.
+        let mut lru = TieredCache::new(TierConfig {
+            hot_chunks: 24,
+            warm_chunks: 0,
+            ..TierConfig::default()
+        });
         let (io_uncached_ns, plain_bytes) = play(&picks, None)?;
         let (io_cached_ns, bytes) = play(&picks, Some(&mut cache))?;
+        let (io_lru_ns, lru_bytes) = play(&picks, Some(&mut lru))?;
         let stats = cache.stats();
         let io_reduction = io_uncached_ns as f64 / io_cached_ns.max(1) as f64;
+        let lru_reduction = io_uncached_ns as f64 / io_lru_ns.max(1) as f64;
         rows.push(format!(
             "alpha{:.1}=disk {io_uncached_ns} -> {io_cached_ns} ns  reduction={io_reduction:.2}x  \
-             tiers=hot {}‰ warm {}‰",
+             tiers=hot {}‰ warm {}‰  lru(24 hot)=disk {io_lru_ns} ns  reduction={lru_reduction:.2}x  \
+             hot {}‰",
             alpha_milli as f64 / 1000.0,
             stats.hot_milli(),
-            stats.warm_milli()
+            stats.warm_milli(),
+            lru.stats().hot_milli()
         ));
+        full_bytes &= lru_bytes == full_rate;
         full_bytes &= plain_bytes == full_rate && bytes == full_rate;
         reductions.push(io_reduction);
     }

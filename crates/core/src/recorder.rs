@@ -100,9 +100,10 @@ pub struct MediaPlayer;
 impl MediaPlayer {
     /// Reads every stored tile frame from byte `offset` to the end.
     ///
-    /// Record bodies come back as arena leases ([`LogFs::read_leased`])
-    /// recycled record-to-record, so a long playback scan reuses two
-    /// buffers instead of allocating two `Vec`s per stored frame.
+    /// Record bodies come back as views ([`LogFs::read_leased`]): of the
+    /// disk page itself when a record lies inside one, else of a lease
+    /// recycled record-to-record, so a long playback scan allocates no
+    /// `Vec` per stored frame.
     pub fn read_from_offset(
         fs: &mut LogFs,
         file: FileId,

@@ -292,7 +292,7 @@ impl CmScheduler {
 
     /// [`CmScheduler::run_periods`] with a [`crate::tier::TieredCache`] fronting the
     /// log store: every per-period read is served chunk-wise through the
-    /// tiers (hot attach, warm SSD-class read, cold RAID stripe), and
+    /// tiers (hot views, warm SSD-class read, cold RAID stripe), and
     /// registered streams get the next second's chunks prefetched into
     /// free hot-tier room. Deadline accounting is unchanged — a period
     /// misses when the I/O its reads actually incurred exceeds the
@@ -303,8 +303,8 @@ impl CmScheduler {
         cache: &mut crate::tier::TieredCache,
         n: u64,
     ) -> Result<CmReport, FsError> {
-        // Chunk handles live for the period they were served in, then
-        // release back toward the cache's refcounts.
+        // Views live until the stream's next read, then release their
+        // pages back toward the cache's and the disks' refcounts.
         let mut served = Vec::new();
         play(
             &mut self.streams,
@@ -519,7 +519,7 @@ mod tests {
         // Ten viewers of one title, all starting at offset 0 — the
         // flash-crowd shape. Uncached, each stream pays the array;
         // tiered, the first fetch fills the hot tier and the other nine
-        // attach to the same buffers.
+        // get views of the same pages.
         let rate = 1_000_000;
         let viewers = 10;
         let (mut plain_fs, plain_id) = fs_with_video(48);

@@ -12,21 +12,28 @@
 //! Data is stored sparsely, a page at a time and only where something
 //! was written, so experiments can address multi-gigabyte devices
 //! without the memory footprint. A read is *charged* for every sector
-//! it spans and *copies* only the byte range its caller names; bytes
-//! never written read as zeros.
+//! it spans and hands over only the byte range its caller names, as
+//! [`FrameView`]s of the pages that hold it: the read copies nothing.
+//! Bytes never written read from one shared page of zeros per thread,
+//! so a timing-only disk allocates nothing to be read.
 //!
-//! A page's life: the first write that touches it materialises it
-//! (zero-filled around the written run, or built straight from the
-//! bytes when the run covers it whole); later writes overwrite it;
-//! `forget` drops it again, and so do [`SimDisk::replace`] and
-//! `set_store(false)`. Forgetting is free of charge — no head movement,
-//! no time, no counter — because it is not an I/O: it is the model
-//! declaring bytes nobody will read, which then read as zeros like bytes
-//! never written. Only the layers above know which bytes those are (see
+//! A page's life: it is an immutable [`FrameBuf`] leased from the
+//! disk's arena, built once from the bytes of the write that made it.
+//! It is never written again. A later write that covers part of it
+//! builds a new page around the run (copy-on-write) and replaces it;
+//! so does parity folding another disk's page in. `forget` drops it,
+//! and so do [`SimDisk::replace`] and `set_store(false)`. A view taken
+//! before any of these still reads the bytes it was taken with: the
+//! old page lives as long as a view holds it, then goes back to the
+//! arena. Forgetting is free of charge — no head movement, no time, no
+//! counter — because it is not an I/O: it is the model declaring bytes
+//! nobody will read, which then read as zeros like bytes never written.
+//! Only the layers above know which bytes those are (see
 //! [`crate::raid::RaidArray::forget`]).
 
 use std::collections::HashMap;
 
+use pegasus_sim::arena::{Arena, FrameBuf, FrameView};
 use pegasus_sim::time::{Ns, SEC};
 
 /// Sector size in bytes.
@@ -35,6 +42,11 @@ pub const SECTOR: usize = 512;
 /// Unit of content retention: a written sector materialises the whole
 /// page around it, zero-filled.
 const PAGE_BYTES: usize = 128 * SECTOR;
+
+thread_local! {
+    /// What every byte no page holds reads from, on every disk.
+    static ZERO_PAGE: FrameBuf = Arena::new().lease_zeroed(PAGE_BYTES).freeze();
+}
 
 /// Physical parameters of a disk.
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +146,9 @@ impl DiskStats {
 pub struct SimDisk {
     cfg: DiskConfig,
     /// Retained contents by page number.
-    data: HashMap<u64, Box<[u8]>>,
+    data: HashMap<u64, FrameBuf>,
+    /// Where pages are leased from.
+    arena: Arena,
     head: u64,
     failed: bool,
     store: bool,
@@ -145,9 +159,16 @@ pub struct SimDisk {
 impl SimDisk {
     /// Creates a disk with the given geometry.
     pub fn new(cfg: DiskConfig) -> Self {
+        SimDisk::in_arena(cfg, Arena::new())
+    }
+
+    /// [`SimDisk::new`], leasing its pages from `arena`: the members of
+    /// an array share one.
+    pub(crate) fn in_arena(cfg: DiskConfig, arena: Arena) -> Self {
         SimDisk {
             cfg,
             data: HashMap::new(),
+            arena,
             head: 0,
             failed: false,
             store: true,
@@ -219,16 +240,17 @@ impl SimDisk {
         if self.store {
             let mut rest = data;
             for (page, off, n) in page_runs(sector as usize * SECTOR, data.len()) {
-                if n == PAGE_BYTES {
-                    // A run covering the whole page is the page: no
-                    // zero-fill to overwrite.
-                    self.data.insert(page, rest[..n].into());
-                } else {
-                    let zeroed = || vec![0u8; PAGE_BYTES].into();
-                    let slot = self.data.entry(page).or_insert_with(zeroed);
-                    slot[off..off + n].copy_from_slice(&rest[..n]);
+                let (run, tail) = rest.split_at(n);
+                // A new page around the run, never the old one written
+                // in place: a view of the old one keeps reading it.
+                let old = self.page(page);
+                let mut fresh = self.arena.lease();
+                fresh.reserve_exact(PAGE_BYTES);
+                for part in [&old[..off], run, &old[off + n..]] {
+                    fresh.extend_from_slice(part);
                 }
-                rest = &rest[n..];
+                self.data.insert(page, fresh.freeze());
+                rest = tail;
             }
         }
         let xfer = self.transfer_time(data.len());
@@ -249,7 +271,7 @@ impl SimDisk {
         Ok((out, t))
     }
 
-    /// [`SimDisk::read`], appending into a caller-supplied buffer.
+    /// [`SimDisk::read`], appending a copy to a caller-supplied buffer.
     pub fn read_into(
         &mut self,
         sector: u64,
@@ -257,27 +279,31 @@ impl SimDisk {
         out: &mut Vec<u8>,
     ) -> Result<Ns, DiskError> {
         let all = (sectors as usize).saturating_mul(SECTOR);
-        self.read_range_into(sector, sectors, 0, all, out)
+        let mut views = Vec::new();
+        let t = self.read_views(sector, sectors, 0, all, &mut views)?;
+        views.iter().for_each(|v| out.extend_from_slice(v));
+        Ok(t)
     }
 
     /// A read of `sectors` sectors from `sector` that hands over only
-    /// bytes `[skip, skip + take)` of them, appended to `out`. The head
+    /// bytes `[skip, skip + take)` of them, as views of the pages that
+    /// hold them (one per page touched) pushed onto `out`. The head
     /// moves, the clock runs and the counters count as for the whole
     /// run: the platter turns under the head whether or not the caller
-    /// wants every byte.
-    pub fn read_range_into(
+    /// wants every byte. The one read that charges; the others wrap it.
+    pub fn read_views(
         &mut self,
         sector: u64,
         sectors: u64,
         skip: usize,
         take: usize,
-        out: &mut Vec<u8>,
+        out: &mut Vec<FrameView>,
     ) -> Result<Ns, DiskError> {
         self.check(sector, sectors)?;
         let n = sectors as usize * SECTOR;
         assert!(skip <= n && take <= n - skip, "range outside the read");
         let pos = self.position(sector);
-        self.copy_range(sector, skip, take, out);
+        self.views(sector, skip, take, out);
         let xfer = self.transfer_time(n);
         self.head = sector + sectors;
         self.stats.reads += 1;
@@ -287,22 +313,20 @@ impl SimDisk {
         Ok(xfer + pos)
     }
 
-    /// Appends bytes `[skip, skip + take)` counted from the start of
-    /// `sector` to `out`, free of charge: the array reconstructs a lost
-    /// range from survivors it has already paid to read.
-    pub(crate) fn copy_range(&self, sector: u64, skip: usize, take: usize, out: &mut Vec<u8>) {
-        if self.data.is_empty() {
-            // Nothing retained (a timing-only disk, or one never
-            // written): every byte reads as zero.
-            out.resize(out.len() + take, 0);
-            return;
-        }
-        out.reserve(take);
+    /// Pushes views of bytes `[skip, skip + take)` counted from the start
+    /// of `sector` onto `out`, free of charge: the array reconstructs a
+    /// lost range from survivors it has already paid to read.
+    pub(crate) fn views(&self, sector: u64, skip: usize, take: usize, out: &mut Vec<FrameView>) {
         for (page, off, n) in page_runs(sector as usize * SECTOR + skip, take) {
-            match self.data.get(&page) {
-                Some(p) => out.extend_from_slice(&p[off..off + n]),
-                None => out.resize(out.len() + n, 0),
-            }
+            out.push(self.page(page).view(off, n));
+        }
+    }
+
+    /// Page `page` as it reads: its retained buffer or the zero page.
+    fn page(&self, page: u64) -> FrameBuf {
+        match self.data.get(&page) {
+            Some(p) => p.clone(),
+            None => ZERO_PAGE.with(FrameBuf::clone),
         }
     }
 
@@ -326,19 +350,20 @@ impl SimDisk {
     }
 
     /// XORs `bytes` into page `page`, free of charge: parity absorbing a
-    /// data page that another disk forgets. A page left all zeros is
-    /// dropped, since it reads the same.
+    /// data page that another disk forgets. The folded page is a new one,
+    /// as after a partial write. A page left all zeros is dropped, since
+    /// it reads the same.
     pub(crate) fn fold_page(&mut self, page: u64, bytes: &[u8]) {
         if !self.store {
             return;
         }
-        let slot = self
-            .data
-            .entry(page)
-            .or_insert_with(|| vec![0u8; PAGE_BYTES].into());
-        xor_into(slot, bytes);
-        if slot.iter().all(|&b| b == 0) {
+        let mut folded = self.arena.lease();
+        folded.extend_from_slice(&self.page(page));
+        xor_into(&mut folded, bytes);
+        if folded.iter().all(|&b| b == 0) {
             self.data.remove(&page);
+        } else {
+            self.data.insert(page, folded.freeze());
         }
     }
 
@@ -428,8 +453,8 @@ mod tests {
         };
         let mut fresh = SimDisk::new(DiskConfig::hp_1994());
         assert_eq!(drive(&mut timing_only(), false), drive(&mut fresh, false));
-        // A disk holding a page elsewhere walks page by page where the
-        // one that discarded the same write fills in one go.
+        // Nor a disk holding a page elsewhere from one that discarded
+        // the same write.
         let mut elsewhere = SimDisk::new(DiskConfig::hp_1994());
         assert_eq!(drive(&mut timing_only(), true), drive(&mut elsewhere, true));
     }
@@ -558,8 +583,10 @@ mod tests {
                         let mut whole = Vec::new();
                         let t = oracle.read_into(sector, sectors, &mut whole);
                         want.extend_from_slice(&whole[skip..skip + take]);
-                        let got = disk.read_range_into(sector, sectors, skip, take, &mut out);
+                        let mut views = Vec::new();
+                        let got = disk.read_views(sector, sectors, skip, take, &mut views);
                         prop_assert_eq!(got.unwrap(), t);
+                        views.iter().for_each(|v| out.extend_from_slice(v));
                     }
                     Op::Replace => {
                         disk.replace();
@@ -635,6 +662,53 @@ mod tests {
         );
         assert_eq!(d.read(0, 1).unwrap_err(), DiskError::Failed);
         assert!(d.is_failed());
+    }
+
+    #[test]
+    fn a_view_reads_what_it_was_taken_with() {
+        let page_sectors = (PAGE_BYTES / SECTOR) as u64;
+        let mut d = SimDisk::new(DiskConfig::hp_1994());
+        d.write(0, &[1u8; PAGE_BYTES]).unwrap();
+        let mut views = Vec::new();
+        d.read_views(0, page_sectors, 100, 2 * SECTOR, &mut views)
+            .unwrap();
+        let held = views[0].clone();
+        let changes: [(_, fn(&mut SimDisk)); 5] = [
+            ("a partial-page write", |d| {
+                d.write(0, &[2u8; 4 * SECTOR]).unwrap();
+            }),
+            ("a whole-page write", |d| {
+                d.write(0, &[3u8; PAGE_BYTES]).unwrap();
+            }),
+            ("a parity fold", |d| d.fold_page(0, &[4u8; PAGE_BYTES])),
+            ("forget", |d| d.forget(0, 0, PAGE_BYTES, |_, _| {})),
+            ("replace", SimDisk::replace),
+        ];
+        let mut seen = Vec::new();
+        for (what, change) in changes {
+            change(&mut d);
+            seen.push(d.read(0, 1).unwrap().0[100]);
+            assert!(held.iter().all(|&b| b == 1), "after {what}");
+        }
+        // Each change did reach the disk: 2, 3, 3 ^ 4, then zeros.
+        assert_eq!(seen, [2, 3, 7, 0, 0]);
+    }
+
+    #[test]
+    fn unwritten_bytes_on_every_disk_view_one_zero_page() {
+        let mut timing_only = SimDisk::new(DiskConfig::hp_1994());
+        timing_only.set_store(false);
+        let mut fresh = SimDisk::new(DiskConfig::hp_1994());
+        let mut views = Vec::new();
+        timing_only
+            .read_views(0, 512, 0, 512 * SECTOR, &mut views)
+            .unwrap();
+        fresh
+            .read_views(9_000, 3, SECTOR, SECTOR, &mut views)
+            .unwrap();
+        assert_eq!(views.len(), 4 + 1, "one view per page touched");
+        assert!(views.iter().all(|v| v.same_buffer(&views[0])));
+        assert!(views.iter().all(|v| v.iter().all(|&b| b == 0)));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::disk::DiskConfig;
 use crate::raid::{RaidArray, RaidError};
+use pegasus_sim::arena::{Arena, FrameView};
 use pegasus_sim::time::Ns;
 
 /// Segment (and stripe) size: one megabyte.
@@ -154,6 +155,12 @@ pub struct LogFs {
     pub io_time: Ns,
     /// Counters.
     pub stats: FsStats,
+    /// Where the reads that bring no arena of their own (`read_into`,
+    /// the cleaner) lease the copies of bytes still in an open segment.
+    arena: Arena,
+    /// The view list `read_into` and `read_leased` reuse, so a warm read
+    /// allocates nothing.
+    views: Vec<FrameView>,
 }
 
 impl LogFs {
@@ -181,6 +188,8 @@ impl LogFs {
             garbage: Vec::new(),
             io_time: 0,
             stats: FsStats::default(),
+            arena: Arena::new(),
+            views: Vec::new(),
         }
     }
 
@@ -421,10 +430,8 @@ impl LogFs {
     /// [`LogFs::read`] into a caller-supplied buffer (cleared, then
     /// filled with exactly `len` bytes) — rate-guaranteed CM service
     /// reuses one buffer per scheduler so periodic reads allocate
-    /// nothing at steady state. A read is a lookup in the extent map
-    /// followed by one copy of each mapped range straight into `out`:
-    /// the array is charged for every stripe touched, whole, and hands
-    /// over only the bytes wanted.
+    /// nothing at steady state. One copy of each byte, out of the views
+    /// [`LogFs::read_views`] hands over.
     pub fn read_into(
         &mut self,
         file: FileId,
@@ -432,30 +439,95 @@ impl LogFs {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), FsError> {
+        out.clear();
+        let arena = self.arena.clone();
+        self.with_views(file, offset, len, &arena, |views| {
+            out.reserve(len);
+            views.iter().for_each(|v| out.extend_from_slice(v));
+        })
+    }
+
+    /// Reads `len` bytes of `file` as one view. When
+    /// [`LogFs::read_views`] yields a single view — a range inside one
+    /// disk page, or inside one extent still in an open segment — that
+    /// view is the answer: on a healthy array it is of the retained page
+    /// itself, so nothing is copied and every reader of those bytes
+    /// shares the one buffer. Otherwise the views are copied into one
+    /// buffer leased from `arena`.
+    pub fn read_leased(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: usize,
+        arena: &Arena,
+    ) -> Result<FrameView, FsError> {
+        self.with_views(file, offset, len, arena, |views| match views {
+            [one] => one.clone(),
+            _ => {
+                let mut lease = arena.lease();
+                lease.reserve_exact(len);
+                views.iter().for_each(|v| lease.extend_from_slice(v));
+                lease.freeze().view_all()
+            }
+        })
+    }
+
+    /// [`LogFs::read_views`] into the reused view list, handing the
+    /// views to `then`.
+    fn with_views<T>(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: usize,
+        arena: &Arena,
+        then: impl FnOnce(&[FrameView]) -> T,
+    ) -> Result<T, FsError> {
+        let mut views = std::mem::take(&mut self.views);
+        let read = self.read_views(file, offset, len, arena, &mut views);
+        let out = read.map(|()| then(&views));
+        views.clear();
+        self.views = views;
+        out
+    }
+
+    /// Reads `len` bytes of `file` from `offset` as views pushed onto
+    /// `out`, in order: the one walk of the extent map every read makes.
+    /// The array is charged for every stripe touched, whole, and hands
+    /// over views of the disk pages holding the bytes wanted. Bytes
+    /// still in an open segment, which later appends will change, are
+    /// copied into a buffer leased from `arena`.
+    pub fn read_views(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: usize,
+        arena: &Arena,
+        out: &mut Vec<FrameView>,
+    ) -> Result<(), FsError> {
         let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?;
         offset
             .checked_add(len as u64)
             .filter(|&end| end <= pnode.size)
             .ok_or(FsError::BadRange)?;
-        out.clear();
-        out.reserve(len);
         // The extent holding `offset` is the last one starting at or
         // before it; each extent from there on must continue exactly
-        // where `out` stops, which is checked, not assumed.
+        // where the bytes read so far stop, which is checked, not
+        // assumed.
         let first = pnode
             .extents
             .partition_point(|e| e.file_offset <= offset)
             .saturating_sub(1);
+        let mut got = 0;
         for ext in &pnode.extents[first..] {
-            if out.len() == len {
+            if got == len {
                 break;
             }
             let from = offset.max(ext.file_offset);
             let skip = (from - ext.file_offset) as usize;
-            if from - offset != out.len() as u64 || skip >= ext.len as usize {
+            if from - offset != got as u64 || skip >= ext.len as usize {
                 return Err(FsError::BadExtents);
             }
-            let n = (ext.len as usize - skip).min(len - out.len());
+            let n = (ext.len as usize - skip).min(len - got);
             let seg_off = ext.seg_offset as usize + skip;
             // In an open buffer, or on the array?
             let open = [&self.open_normal, &self.open_cm]
@@ -463,34 +535,21 @@ impl LogFs {
                 .find(|o| o.id == ext.segment);
             if let Some(open) = open {
                 let bytes = open.buf.get(seg_off..seg_off + n);
-                out.extend_from_slice(bytes.ok_or(FsError::BadExtents)?);
+                out.push(
+                    arena
+                        .frame_from(bytes.ok_or(FsError::BadExtents)?)
+                        .view_all(),
+                );
             } else {
-                self.io_time += self
-                    .raid
-                    .read_stripe_range_into(ext.segment, seg_off, n, out)?;
+                self.io_time += self.raid.read_views(ext.segment, seg_off, n, out)?;
             }
+            got += n;
         }
-        if out.len() != len {
+        if got != len {
             return Err(FsError::BadExtents);
         }
         self.stats.bytes_read += len as u64;
         Ok(())
-    }
-
-    /// Reads `len` bytes of `file` into a buffer leased from `arena` —
-    /// the server hands the caller a refcounted lease instead of a fresh
-    /// allocation, so playback fan-out shares one copy of the data and
-    /// the storage recycles buffers as consumers release them.
-    pub fn read_leased(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        len: usize,
-        arena: &pegasus_sim::arena::Arena,
-    ) -> Result<pegasus_sim::arena::FrameBuf, FsError> {
-        let mut lease = arena.lease();
-        self.read_into(file, offset, len, &mut lease)?;
-        Ok(lease.freeze())
     }
 
     /// Empties `file`: every extent leaves the live-byte ledger and
@@ -610,20 +669,25 @@ impl LogFs {
         // Read the whole file, rewrite it. (A finer implementation would
         // move only the affected extents; whole-file rewrite keeps the
         // extent algebra simple and the I/O accounting honest within a
-        // factor reflecting file size.)
-        let size = pnode.size as usize;
-        let data = self.read(file, 0, size)?;
+        // factor reflecting file size.) Every read is charged before the
+        // first append, and the appends copy straight out of the views.
+        let size = pnode.size;
+        let (arena, mut views) = (self.arena.clone(), Vec::new());
+        self.read_views(file, 0, size as usize, &arena, &mut views)?;
         // The cleaner is consuming `seg`'s garbage, not creating more;
         // holes in *other* segments do need recording.
         self.drop_extents(file, Some(seg))?;
-        self.append_counted(file, &data, |s| &mut s.cleaner_moved)?;
-        Ok(data.len() as u64)
+        for view in &views {
+            self.append_counted(file, view, |s| &mut s.cleaner_moved)?;
+        }
+        Ok(size)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pegasus_sim::arena::Arena;
 
     fn fs() -> LogFs {
         LogFs::new(DiskConfig::hp_1994())
@@ -922,6 +986,31 @@ mod tests {
             .raid_mut()
             .forget(half, SEGMENT_BYTES / 2, SEGMENT_BYTES / 2);
         assert_eq!(forgot.raid_mut().retained_bytes(), 3 * SEGMENT_BYTES / 4);
+    }
+
+    #[test]
+    fn page_aligned_leased_reads_share_the_disk_page() {
+        let piece = 64 << 10;
+        let data = bytes(4 * piece, 9);
+        let mut f = fs();
+        let id = f.create(FileClass::Continuous);
+        f.append(id, &data).unwrap();
+        f.sync().unwrap();
+        let arena = Arena::new();
+        let a = f.read_leased(id, piece as u64, piece, &arena).unwrap();
+        let b = f.read_leased(id, piece as u64, piece, &arena).unwrap();
+        assert!(a.same_buffer(&b), "both are views of the one disk page");
+        assert_eq!(*a, data[piece..2 * piece]);
+        assert_eq!(arena.stats().leases_granted, 0, "nothing was copied");
+        // A range over two pages is copied into one lease of the caller's.
+        let c = f.read_leased(id, piece as u64 / 2, piece, &arena).unwrap();
+        assert_eq!(*c, data[piece / 2..piece / 2 + piece]);
+        assert_eq!(arena.stats().leases_granted, 1);
+        // So are bytes still in an open segment.
+        f.append(id, b"open").unwrap();
+        let d = f.read_leased(id, data.len() as u64, 4, &arena).unwrap();
+        assert_eq!(&*d, b"open");
+        assert_eq!(arena.stats().leases_granted, 2);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! others.
 //!
 //! A read always *charges* the whole stripe — every member disk turns a
-//! full chunk under its head, as the hardware would — but *copies* only
-//! the byte range the caller asked for.
+//! full chunk under its head, as the hardware would — but hands over
+//! only the byte range the caller asked for, as views of the members'
+//! pages ([`RaidArray::read_views`]). The one read that copies is a
+//! degraded one: the lost member's share is rebuilt from parity and the
+//! survivors into new buffers, a page's worth at most each, leased from
+//! the arena the members' pages come from.
 //!
 //! What the members retain follows what the log still uses. A stripe
 //! write materialises its pages on all five disks. Two calls take pages
@@ -29,6 +33,7 @@
 //! a pass needs a checkpoint written after it.
 
 use crate::disk::{xor_into, DiskConfig, DiskError, SimDisk, SECTOR};
+use pegasus_sim::arena::{Arena, FrameView};
 use pegasus_sim::time::Ns;
 
 /// Number of data disks a segment is striped across.
@@ -38,6 +43,8 @@ pub const DATA_DISKS: usize = 4;
 pub struct RaidArray {
     disks: Vec<SimDisk>, // DATA_DISKS data + 1 parity
     chunk_bytes: usize,
+    /// The members' pages, and the bytes a degraded read rebuilds.
+    arena: Arena,
 }
 
 /// Errors surfaced by the array.
@@ -75,9 +82,13 @@ impl RaidArray {
             0,
             "stripe must be a whole number of sectors per disk"
         );
+        let arena = Arena::new();
         RaidArray {
-            disks: (0..=DATA_DISKS).map(|_| SimDisk::new(cfg)).collect(),
+            disks: (0..=DATA_DISKS)
+                .map(|_| SimDisk::in_arena(cfg, arena.clone()))
+                .collect(),
             chunk_bytes: stripe_bytes / DATA_DISKS,
+            arena,
         }
     }
 
@@ -162,25 +173,27 @@ impl RaidArray {
     }
 
     /// Reads one full stripe, reconstructing through parity if a single
-    /// data disk has failed. Returns the data and the duration.
+    /// data disk has failed. Returns a copy of the data and the duration.
     pub fn read_stripe(&mut self, stripe: u64) -> Result<(Vec<u8>, Ns), RaidError> {
-        let mut out = Vec::with_capacity(self.stripe_bytes());
-        let t = self.read_stripe_range_into(stripe, 0, self.stripe_bytes(), &mut out)?;
-        Ok((out, t))
+        let mut views = Vec::new();
+        let t = self.read_views(stripe, 0, self.stripe_bytes(), &mut views)?;
+        let mut data = Vec::with_capacity(self.stripe_bytes());
+        views.iter().for_each(|v| data.extend_from_slice(v));
+        Ok((data, t))
     }
 
-    /// Reads `stripe` and appends bytes `[off, off + len)` of it to
-    /// `out`. Every data disk is charged its full chunk — and the parity
-    /// disk too when a data disk has failed — so the duration, the heads
-    /// and the counters are those of a whole-stripe read; only the
-    /// copying is cut to the range, and with a disk lost only the part
-    /// of the range that lay on it is rebuilt from parity.
-    pub fn read_stripe_range_into(
+    /// Reads `stripe` and pushes views of bytes `[off, off + len)` of it
+    /// onto `out`, in order. Every data disk is charged its full chunk —
+    /// and the parity disk too when a data disk has failed — so the
+    /// duration, the heads and the counters are those of a whole-stripe
+    /// read; only the part of the range that lay on a lost disk is
+    /// rebuilt, page by page, from parity and the survivors.
+    pub fn read_views(
         &mut self,
         stripe: u64,
         off: usize,
         len: usize,
-        out: &mut Vec<u8>,
+        out: &mut Vec<FrameView>,
     ) -> Result<Ns, RaidError> {
         if self.failed_count() > 1 {
             return Err(RaidError::TooManyFailures);
@@ -193,33 +206,43 @@ impl RaidArray {
         let n = self.chunk_sectors();
         let cb = self.chunk_bytes;
         let mut max_t = 0;
-        // Where in `out` a failed disk's share belongs, and which bytes
-        // of its chunk that share is.
-        let mut lost: Option<(usize, usize, usize)> = None;
         for i in 0..DATA_DISKS {
             let lo = off.clamp(i * cb, (i + 1) * cb) - i * cb;
             let hi = end.clamp(i * cb, (i + 1) * cb) - i * cb;
-            let t = match self.disks[i].read_range_into(sector, n, lo, hi - lo, out) {
+            let t = match self.disks[i].read_views(sector, n, lo, hi - lo, out) {
                 Ok(t) => t,
                 Err(DiskError::Failed) => {
-                    // Parity stands in: its bytes go where the lost ones
-                    // belong, the survivors are folded in below.
-                    lost = Some((out.len(), lo, hi - lo));
-                    self.disks[DATA_DISKS].read_range_into(sector, n, lo, hi - lo, out)?
+                    // Parity stands in, and each of its views becomes
+                    // the lost bytes once the survivors are folded in.
+                    let at = out.len();
+                    let t = self.disks[DATA_DISKS].read_views(sector, n, lo, hi - lo, out)?;
+                    self.rebuild_views(sector, lo, &mut out[at..]);
+                    t
                 }
                 Err(e) => return Err(e.into()),
             };
             max_t = max_t.max(t);
         }
-        if let Some((at, lo, take)) = lost.filter(|l| l.2 > 0) {
-            let mut member = Vec::with_capacity(take);
+        Ok(max_t)
+    }
+
+    /// Replaces each parity view in `lost` — together bytes from `lo` on
+    /// of a failed member's chunk at `sector` — with a new buffer of the
+    /// lost bytes: parity XOR every surviving data disk, free of charge.
+    fn rebuild_views(&self, sector: u64, lo: usize, lost: &mut [FrameView]) {
+        let mut skip = lo;
+        let mut member = Vec::new();
+        for view in lost {
+            let mut bytes = self.arena.lease();
+            bytes.extend_from_slice(view);
             for d in self.disks[..DATA_DISKS].iter().filter(|d| !d.is_failed()) {
                 member.clear();
-                d.copy_range(sector, lo, take, &mut member);
-                xor_into(&mut out[at..at + take], &member);
+                d.views(sector, skip, view.len(), &mut member);
+                xor_views(&mut bytes, &member);
             }
+            skip += view.len();
+            *view = bytes.freeze().view_all();
         }
-        Ok(max_t)
     }
 
     /// Drops the retained data pages lying wholly inside bytes
@@ -278,13 +301,22 @@ impl RaidArray {
             let mut max_t = 0;
             for i in (0..=DATA_DISKS).filter(|&i| i != replaced) {
                 member.clear();
-                let t = self.disks[i].read_into(sector, n, &mut member)?;
+                let t = self.disks[i].read_views(sector, n, 0, self.chunk_bytes, &mut member)?;
                 max_t = max_t.max(t);
-                xor_into(&mut acc, &member);
+                xor_views(&mut acc, &member);
             }
             total += max_t + self.disks[replaced].write(sector, &acc)?;
         }
         Ok(total)
+    }
+}
+
+/// `acc ^= views`, the views laid end to end from the start of `acc`.
+fn xor_views(acc: &mut [u8], views: &[FrameView]) {
+    let mut at = 0;
+    for v in views {
+        xor_into(&mut acc[at..at + v.len()], v);
+        at += v.len();
     }
 }
 
@@ -436,6 +468,57 @@ mod tests {
         let mut timing_only = array();
         timing_only.set_store(false);
         assert_eq!(drive(&mut timing_only), drive(&mut array()));
+    }
+
+    #[test]
+    fn views_outlive_every_change_to_the_pages_they_show() {
+        let mut r = array();
+        r.write_stripe(0, &pattern(0)).unwrap();
+        r.write_stripe(1, &pattern(1)).unwrap();
+        let take = |r: &mut RaidArray, stripe| {
+            let mut views = Vec::new();
+            r.read_views(stripe, 0, MIB, &mut views).unwrap();
+            views
+        };
+        let bytes = |views: &[FrameView]| -> Vec<u8> {
+            views.iter().flat_map(|v| v.iter().copied()).collect()
+        };
+        let chunk = MIB / DATA_DISKS;
+        let sectors = (chunk / SECTOR) as u64;
+        let parity = |r: &mut RaidArray| {
+            let mut views = Vec::new();
+            let disk = r.disk_mut(DATA_DISKS);
+            disk.read_views(0, sectors, 0, chunk, &mut views).unwrap();
+            views
+        };
+
+        // Forgetting half of stripe 0 drops two data chunks and folds
+        // them into new parity pages; views of the old ones stand.
+        let (data, old_parity) = (take(&mut r, 0), parity(&mut r));
+        let was = bytes(&old_parity);
+        r.forget(0, 0, MIB / 2);
+        assert_eq!(r.retained_bytes(), 5 * MIB / 2 - MIB / 2);
+        assert_ne!(bytes(&parity(&mut r)), was, "the fold replaced parity");
+        assert_eq!(bytes(&old_parity), was, "after a parity fold");
+        assert_eq!(bytes(&data), pattern(0), "after forget");
+
+        // A discarded stripe, written again.
+        let data = take(&mut r, 1);
+        r.discard_stripe(1);
+        r.write_stripe(1, &pattern(7)).unwrap();
+        assert_eq!(bytes(&data), pattern(1), "after discard and reuse");
+
+        // A member fails, a degraded read rebuilds its share, the member
+        // is replaced and rebuilt: every view reads as when taken.
+        let data = take(&mut r, 1);
+        r.disk_mut(2).fail();
+        let degraded = take(&mut r, 1);
+        r.disk_mut(2).replace();
+        r.rebuild_disk(2, 2).unwrap();
+        for (what, views) in [("healthy", &data), ("degraded", &degraded)] {
+            assert_eq!(bytes(views), pattern(7), "{what} view after rebuild");
+        }
+        assert_eq!(bytes(&take(&mut r, 1)), pattern(7));
     }
 
     #[test]

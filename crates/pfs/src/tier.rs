@@ -7,10 +7,12 @@
 //! with structure, borrowing the hot/warm/cold layering of modern
 //! stream stores:
 //!
-//! * **Hot tier** — arena-leased frame chunks in server memory. A hit is
-//!   served by [`FrameBuf::attach`]: a refcount bump, no copy, no fresh
-//!   lease. N concurrent viewers of one title therefore cost *one*
-//!   buffer — the zero-copy arena makes fan-out nearly free.
+//! * **Hot tier** — chunks in server memory, each a run of
+//!   [`FrameView`]s of the disk pages that hold its bytes
+//!   ([`LogFs::read_views`]): filling it copies nothing, and a hit is a
+//!   refcount bump per page. N concurrent viewers of one title therefore
+//!   share the log store's own pages — the zero-copy arena makes fan-out
+//!   nearly free.
 //! * **Warm tier** — an SSD-class per-server store. Admission is by
 //!   *popularity* (per-title frequency), not recency, and a candidate
 //!   must be **strictly** more popular than the victim it would evict.
@@ -33,13 +35,17 @@
 //! an integer.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::log::{FileId, FsError, LogFs};
-use pegasus_sim::arena::{Arena, FrameBuf};
+use pegasus_sim::arena::{Arena, FrameView};
 use pegasus_sim::time::Ns;
 
 /// Chunk key: a title and a chunk index within it.
 type ChunkKey = (FileId, u64);
+
+/// A resident chunk: views of the bytes it holds, in order.
+type Chunk = Rc<[FrameView]>;
 
 /// Most chunks sequential prefetch stages after one served read.
 const PREFETCH_CHUNKS: u64 = 2;
@@ -47,7 +53,7 @@ const PREFETCH_CHUNKS: u64 = 2;
 /// Sizing and timing knobs of a [`TieredCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Hot-tier capacity in chunks (arena-resident).
+    /// Hot-tier capacity in chunks (in server memory).
     pub hot_chunks: usize,
     /// Warm-tier capacity in chunks (SSD-class).
     pub warm_chunks: usize,
@@ -147,10 +153,10 @@ struct PrefetchReg {
 pub struct TieredCache {
     cfg: TierConfig,
     arena: Arena,
-    /// Hot tier: chunk → (buffer, last-access stamp).
-    hot: BTreeMap<ChunkKey, (FrameBuf, u64)>,
-    /// Warm tier: chunk → (buffer, admission stamp).
-    warm: BTreeMap<ChunkKey, (FrameBuf, u64)>,
+    /// Hot tier: chunk → (views, last-access stamp).
+    hot: BTreeMap<ChunkKey, (Chunk, u64)>,
+    /// Warm tier: chunk → (views, admission stamp).
+    warm: BTreeMap<ChunkKey, (Chunk, u64)>,
     /// Per-title demand access counts — the popularity signal warm
     /// admission compares.
     freq: BTreeMap<FileId, u64>,
@@ -166,7 +172,8 @@ impl TieredCache {
         TieredCache::with_arena(cfg, Arena::new())
     }
 
-    /// Creates a cache serving leases from `arena`.
+    /// Creates a cache leasing from `arena` its copies of bytes still in
+    /// an open log segment.
     pub fn with_arena(cfg: TierConfig, arena: Arena) -> Self {
         assert!(cfg.hot_chunks > 0, "hot tier must hold at least one chunk");
         assert!(cfg.chunk_bytes > 0, "chunk size must be positive");
@@ -188,7 +195,8 @@ impl TieredCache {
         self.stats
     }
 
-    /// The arena hot chunks are leased from.
+    /// The arena the cache leases copies from: only bytes still in an
+    /// open log segment are copied, so on flushed titles it grants none.
     pub fn arena(&self) -> &Arena {
         &self.arena
     }
@@ -224,7 +232,7 @@ impl TieredCache {
     /// earliest stamp wins). The CM-awareness of the tier: chunks of
     /// the declared flash-crowd title are evicted only when nothing
     /// else is left — the control plane has told the cache that N
-    /// viewers ride each of those buffers, so trading one away for a
+    /// viewers ride each of those chunks, so trading one away for a
     /// single-viewer chunk always loses.
     fn hot_victim(&self) -> Option<ChunkKey> {
         self.hot
@@ -251,7 +259,7 @@ impl TieredCache {
 
     /// Inserts a chunk into the hot tier, demoting the evicted chunk to
     /// the warm tier's *admission filter* (not unconditionally in).
-    fn insert_hot(&mut self, key: ChunkKey, buf: FrameBuf) {
+    fn insert_hot(&mut self, key: ChunkKey, chunk: Chunk) {
         let stamp = self.tick();
         if !self.hot.contains_key(&key) && self.hot.len() >= self.cfg.hot_chunks {
             if let Some(victim) = self.hot_victim() {
@@ -260,14 +268,14 @@ impl TieredCache {
                 }
             }
         }
-        self.hot.insert(key, (buf, stamp));
+        self.hot.insert(key, (chunk, stamp));
     }
 
     /// Popularity admission: the chunk enters the warm tier only into
     /// free space or over a *strictly* less popular victim. A one-pass
     /// sequential scan ties with every incumbent and is refused — the
     /// construction that makes the tier scan-proof.
-    fn offer_warm(&mut self, key: ChunkKey, buf: FrameBuf) {
+    fn offer_warm(&mut self, key: ChunkKey, chunk: Chunk) {
         if self.cfg.warm_chunks == 0 || self.warm.contains_key(&key) {
             return;
         }
@@ -284,7 +292,7 @@ impl TieredCache {
             self.warm.remove(&victim);
         }
         let stamp = self.tick();
-        self.warm.insert(key, (buf, stamp));
+        self.warm.insert(key, (chunk, stamp));
     }
 
     /// Length of chunk `chunk` of a `size`-byte file.
@@ -293,28 +301,30 @@ impl TieredCache {
         (size.saturating_sub(start)).min(self.cfg.chunk_bytes as u64) as usize
     }
 
-    /// Fetches one chunk from the log store into a leased buffer.
+    /// Fetches one chunk from the log store: views, no copy.
     fn fetch_cold(
         &mut self,
         fs: &mut LogFs,
         file: FileId,
         chunk: u64,
         size: u64,
-    ) -> Result<FrameBuf, FsError> {
+    ) -> Result<Chunk, FsError> {
         let start = chunk * self.cfg.chunk_bytes as u64;
         let len = self.chunk_len(size, chunk);
-        fs.read_leased(file, start, len, &self.arena)
+        let mut views = Vec::new();
+        fs.read_views(file, start, len, &self.arena, &mut views)?;
+        Ok(views.into())
     }
 
-    /// Serves one demand chunk access, returning an attached handle to
-    /// the cached buffer. Tier order: hot, warm (promote), cold (fetch).
+    /// Serves one demand chunk access, returning the chunk's views.
+    /// Tier order: hot, warm (promote), cold (fetch).
     fn access_chunk(
         &mut self,
         fs: &mut LogFs,
         file: FileId,
         chunk: u64,
         size: u64,
-    ) -> Result<FrameBuf, FsError> {
+    ) -> Result<Chunk, FsError> {
         let key = (file, chunk);
         *self.freq.entry(file).or_insert(0) += 1;
         let crowd = self.crowd == Some(file);
@@ -322,7 +332,7 @@ impl TieredCache {
             self.stats.crowd_accesses += 1;
         }
         let len = self.chunk_len(size, chunk) as u64;
-        if let Some((buf, stamp)) = self.hot.get_mut(&key) {
+        if let Some((views, stamp)) = self.hot.get_mut(&key) {
             *stamp = self.clock + 1;
             self.clock += 1;
             self.stats.hot_hits += 1;
@@ -330,29 +340,30 @@ impl TieredCache {
             if crowd {
                 self.stats.crowd_hot_hits += 1;
             }
-            return Ok(buf.attach());
+            return Ok(views.clone());
         }
-        if let Some((buf, _)) = self.warm.get(&key) {
+        if let Some((views, _)) = self.warm.get(&key) {
             // Served from warm — and *kept* there: residence is decided
             // by popularity, not by a promotion that would drain the
-            // tier. A clone rides up into hot for near-term re-use.
-            let buf = buf.clone();
+            // tier. The same views ride up into hot for near-term re-use.
+            let views = views.clone();
             self.stats.warm_hits += 1;
             self.stats.bytes_saved += len;
             fs.io_time += self.cfg.warm_chunk_ns;
             fs.stats.bytes_read += len;
-            self.insert_hot(key, buf.clone());
-            return Ok(buf.attach());
+            self.insert_hot(key, views.clone());
+            return Ok(views);
         }
         self.stats.cold_misses += 1;
-        let buf = self.fetch_cold(fs, file, chunk, size)?;
-        self.insert_hot(key, buf.clone());
-        Ok(buf.attach())
+        let views = self.fetch_cold(fs, file, chunk, size)?;
+        self.insert_hot(key, views.clone());
+        Ok(views)
     }
 
     /// Serves a demand read of `[offset, offset + len)` of `file`
-    /// chunk-wise through the tiers, pushing one attached buffer handle
-    /// per chunk into `out` (cleared first). After the demand chunks,
+    /// chunk-wise through the tiers, pushing views of exactly those
+    /// bytes, in order, into `out` (cleared first): refcount bumps on
+    /// the pages the chunks hold, never a copy. After the demand chunks,
     /// sequential prefetch stages upcoming chunks for any stream
     /// registered on `file`.
     pub fn read(
@@ -361,7 +372,7 @@ impl TieredCache {
         file: FileId,
         offset: u64,
         len: u64,
-        out: &mut Vec<FrameBuf>,
+        out: &mut Vec<FrameView>,
     ) -> Result<(), FsError> {
         out.clear();
         if len == 0 {
@@ -376,7 +387,18 @@ impl TieredCache {
         let first = offset / cb;
         let last = (end - 1) / cb;
         for chunk in first..=last {
-            out.push(self.access_chunk(fs, file, chunk, size)?);
+            let views = self.access_chunk(fs, file, chunk, size)?;
+            // The part of the chunk inside the range, as chunk offsets.
+            let base = chunk * cb;
+            let (lo, hi) = (offset.max(base) - base, end.min(base + cb) - base);
+            let mut at = 0;
+            for v in views.iter() {
+                let (a, b) = (lo.max(at), hi.min(at + v.len() as u64));
+                if a < b {
+                    out.push(v.slice((a - at) as usize, (b - a) as usize));
+                }
+                at += v.len() as u64;
+            }
         }
         self.prefetch_after(fs, file, last, size)?;
         Ok(())
@@ -410,8 +432,8 @@ impl TieredCache {
             if self.hot.len() >= self.cfg.hot_chunks {
                 break;
             }
-            let buf = self.fetch_cold(fs, file, chunk, size)?;
-            self.insert_hot(key, buf);
+            let views = self.fetch_cold(fs, file, chunk, size)?;
+            self.insert_hot(key, views);
             self.stats.prefetched_chunks += 1;
         }
         Ok(())
@@ -582,24 +604,29 @@ mod tests {
 
     #[test]
     fn viewers_share_one_buffer() {
-        let (mut fs, id) = fs_with_video(1);
+        // Disks that keep their bytes: a chunk's views are of real pages.
+        let mut fs = LogFs::new(DiskConfig::hp_1994());
+        let id = fs.create(FileClass::Continuous);
+        fs.append(id, &vec![5u8; SEGMENT_BYTES]).unwrap();
+        fs.sync().unwrap();
         let mut cache = TieredCache::new(small_cfg());
         let mut first = Vec::new();
         cache.read(&mut fs, id, 0, 1 << 16, &mut first).unwrap();
-        let fresh_one = cache.arena().stats().fresh_allocs;
+        // A 64 KiB chunk at a page boundary is one disk page.
+        assert_eq!(first.len(), 1);
         let mut handles = Vec::new();
         for _ in 0..9 {
             let mut out = Vec::new();
             cache.read(&mut fs, id, 0, 1 << 16, &mut out).unwrap();
+            assert!(out.len() == 1 && out[0].same_buffer(&first[0]));
             handles.extend(out);
         }
-        let s = cache.arena().stats();
-        assert_eq!(
-            s.fresh_allocs, fresh_one,
-            "nine more viewers, zero new buffers"
-        );
-        assert!(s.shared_attaches >= 9);
-        assert!(handles.iter().all(|h| FrameBuf::same_buffer(h, &first[0])));
+        assert_eq!(cache.stats().hot_hits, 9);
+        // The page's handles: the disk's own, the hot tier's, and the
+        // ten viewers'. Nobody copied it.
+        assert_eq!(first[0].buf().handle_count(), 12);
+        assert_eq!(cache.arena().stats().leases_granted, 0);
+        assert!(handles.iter().all(|h| h.iter().all(|&b| b == 5)));
     }
 
     #[test]
@@ -675,7 +702,7 @@ mod tests {
     fn crowd_title_survives_hot_churn() {
         // The CM-aware eviction: a declared flash-crowd chunk outlives
         // any amount of single-viewer churn through the hot tier, so
-        // the crowd keeps hitting the one shared buffer.
+        // the crowd keeps hitting the one resident chunk.
         let mut fs = LogFs::new(DiskConfig::hp_1994());
         fs.raid_mut().set_store(false);
         let hit = fs.create(FileClass::Continuous);

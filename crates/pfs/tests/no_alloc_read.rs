@@ -1,7 +1,8 @@
 //! The storage read path allocates nothing once warm: `read_into`
-//! copies each extent's range straight from the disks' pages into the
-//! caller's buffer — no stripe scratch, no pnode clone — and the CM
-//! scheduler's periodic service rides on it. Measured with a counting
+//! copies each extent's range out of views of the disks' pages, kept
+//! in a view list the file system reuses, into the caller's buffer —
+//! no stripe scratch, no pnode clone — and the CM scheduler's periodic
+//! service rides on it. Measured with a counting
 //! global allocator, as `crates/atm/tests/no_alloc_forwarding.rs` does
 //! for the cell path.
 

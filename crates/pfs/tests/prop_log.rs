@@ -1,7 +1,8 @@
 //! Property tests: the log-structured core against a trivial in-memory
 //! model, under arbitrary operation sequences — including cleaning by
 //! either cleaner, after which every file must read back with a data
-//! disk lost and again once it is rebuilt.
+//! disk lost and again once it is rebuilt — and every read path against
+//! `read_into`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -10,6 +11,8 @@ use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
 use pegasus_pfs::disk::DiskConfig;
 use pegasus_pfs::log::{FileClass, FileId, LogFs};
 use pegasus_pfs::raid::DATA_DISKS;
+use pegasus_pfs::tier::{TierConfig, TieredCache};
+use pegasus_sim::arena::{Arena, FrameView};
 
 /// An operation against both the real FS and the model.
 #[derive(Debug, Clone)]
@@ -163,5 +166,135 @@ proptest! {
             .map(|s| s.live_bytes as u64)
             .sum();
         prop_assert_eq!(live_tracked, live_expected);
+    }
+}
+
+/// A step of [`every_read_path_returns_what_read_into_returns`].
+#[derive(Debug, Clone)]
+enum Step {
+    Append {
+        file: usize,
+        len: usize,
+        tag: u8,
+    },
+    Overwrite {
+        file: usize,
+        len: usize,
+        tag: u8,
+    },
+    Delete {
+        file: usize,
+    },
+    Sync,
+    Clean,
+    /// Fails data disk `disk` unless one is already down.
+    Fail {
+        disk: usize,
+    },
+    /// Replaces and rebuilds the failed disk, if any.
+    Rebuild,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        5 => (0usize..4, 1usize..400_000, any::<u8>())
+            .prop_map(|(file, len, tag)| Step::Append { file, len, tag }),
+        2 => (0usize..4, 1usize..400_000, any::<u8>())
+            .prop_map(|(file, len, tag)| Step::Overwrite { file, len, tag }),
+        1 => (0usize..4).prop_map(|file| Step::Delete { file }),
+        2 => Just(Step::Sync),
+        2 => Just(Step::Clean),
+        1 => (0..DATA_DISKS).prop_map(|disk| Step::Fail { disk }),
+        1 => Just(Step::Rebuild),
+    ]
+}
+
+fn concat(views: &[FrameView]) -> Vec<u8> {
+    views.iter().flat_map(|v| v.iter().copied()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_read_path_returns_what_read_into_returns(
+        steps in proptest::collection::vec(step_strategy(), 1..20),
+    ) {
+        let mut fs = LogFs::new(DiskConfig::hp_1994());
+        // Two files of each class, so both open segments fill.
+        let classes = [FileClass::Normal, FileClass::Continuous];
+        let mut files: Vec<Option<FileId>> =
+            (0..4).map(|i| Some(fs.create(classes[i % 2]))).collect();
+        let mut model: Vec<Vec<u8>> = vec![Vec::new(); 4];
+        let mut failed = None;
+        let arena = Arena::new();
+        for step in steps {
+            match step {
+                Step::Append { file, len, tag } => {
+                    if let Some(id) = files[file] {
+                        fs.append(id, &content(len, tag)).unwrap();
+                        model[file].extend_from_slice(&content(len, tag));
+                    }
+                }
+                Step::Overwrite { file, len, tag } => {
+                    if let Some(id) = files[file] {
+                        fs.overwrite(id, &content(len, tag)).unwrap();
+                        model[file] = content(len, tag);
+                    }
+                }
+                Step::Delete { file } => {
+                    if let Some(id) = files[file].take() {
+                        fs.delete(id).unwrap();
+                    }
+                }
+                Step::Sync => fs.sync().unwrap(),
+                Step::Clean => {
+                    clean_garbage_file(&mut fs).unwrap();
+                }
+                Step::Fail { disk } => {
+                    if failed.is_none() {
+                        fs.raid_mut().disk_mut(disk).fail();
+                        failed = Some(disk);
+                    }
+                }
+                Step::Rebuild => {
+                    if let Some(disk) = failed.take() {
+                        let stripes = fs.segment_info().keys().max().map_or(0, |&s| s + 1);
+                        fs.raid_mut().disk_mut(disk).replace();
+                        fs.raid_mut().rebuild_disk(disk, stripes).unwrap();
+                    }
+                }
+            }
+            // Every live file, whole and cut, on every path, each read
+            // held to `read_into` and `read_into` to the model. A fresh
+            // cache each time, since the tier holds titles immutable;
+            // its chunks straddle disk pages, and each range is read
+            // twice, cold and then hot.
+            let mut cache = TieredCache::new(TierConfig {
+                hot_chunks: 4,
+                warm_chunks: 4,
+                chunk_bytes: 40_000,
+                warm_chunk_ns: 50_000,
+            });
+            for (id, bytes) in files.iter().zip(&model) {
+                let Some(id) = *id else { continue };
+                let size = bytes.len();
+                for (off, len) in [(0, size), (size / 3, size / 3), (size / 2, size - size / 2)] {
+                    let mut want = Vec::new();
+                    fs.read_into(id, off as u64, len, &mut want).unwrap();
+                    prop_assert!(want == bytes[off..off + len], "read_into {:?}", id);
+                    let leased = fs.read_leased(id, off as u64, len, &arena).unwrap();
+                    prop_assert!(*leased == want[..], "read_leased {:?} [{}, +{})", id, off, len);
+                    for pass in ["cold", "hot"] {
+                        let mut out = Vec::new();
+                        cache.read(&mut fs, id, off as u64, len as u64, &mut out).unwrap();
+                        prop_assert!(
+                            concat(&out) == want,
+                            "{} tier read {:?} [{}, +{})", pass, id, off, len
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use pegasus_pfs::disk::{DiskConfig, DiskError};
 use pegasus_pfs::raid::{RaidArray, RaidError, DATA_DISKS};
+use pegasus_sim::arena::Arena;
 
 /// Two 64 KiB pages a chunk, so a range can straddle both a chunk and
 /// a page of the disks' store.
@@ -67,11 +68,10 @@ fn check_ranges(ranges: &[(u64, usize, usize)]) {
             let (bytes, t_whole) = whole.read_stripe(stripe).unwrap();
             assert!(bytes == stripes[stripe as usize], "{what}");
 
-            let mut out = vec![0xEE; 3]; // a range read appends
-            let t = ranged
-                .read_stripe_range_into(stripe, off, len, &mut out)
-                .unwrap();
-            assert_eq!(out[..3], [0xEE; 3], "{what}");
+            let mut views = vec![Arena::new().frame_from(&[0xEE; 3]).view_all()];
+            let t = ranged.read_views(stripe, off, len, &mut views).unwrap();
+            let out: Vec<u8> = views.iter().flat_map(|v| v.iter().copied()).collect();
+            assert_eq!(out[..3], [0xEE; 3], "{what}: a range read appends");
             assert!(out[3..] == bytes[off..off + len], "{what}");
             assert_eq!(t, t_whole, "{what}");
             assert_eq!(disks(&mut ranged), disks(&mut whole), "{what}");
@@ -105,7 +105,7 @@ fn range_read_edges() {
         (u64::MAX / 2, 0, 1),
     ] {
         assert_eq!(
-            r.read_stripe_range_into(stripe, off, len, &mut Vec::new()),
+            r.read_views(stripe, off, len, &mut Vec::new()),
             Err(RaidError::Disk(DiskError::OutOfRange)),
             "stripe {stripe} [{off}, +{len})"
         );

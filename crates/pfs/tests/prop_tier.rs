@@ -1,10 +1,13 @@
-//! Property tests: the tiered content cache's shared-lease economy.
+//! Property tests: the tiered content cache's sharing economy.
 //!
-//! The §5 flash-crowd claim is a conservation law: once a chunk is
-//! resident, serving it to any number of additional viewers hands out
-//! shared leases on the *same* arena buffer — the number of fresh
-//! arena allocations depends only on which chunks were touched, never
-//! on how many viewers touched them.
+//! The §5 flash-crowd claim is a conservation law: a resident chunk is
+//! views of the log store's own disk pages, so serving it to any number
+//! of additional viewers hands out views of the *same* buffers. The
+//! number of distinct buffers handed out depends only on which chunks
+//! were touched, never on how many viewers touched them, and the
+//! cache's arena grants no fresh allocation to either.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -12,17 +15,16 @@ use pegasus_pfs::disk::DiskConfig;
 use pegasus_pfs::log::{FileClass, FileId, LogFs, SEGMENT_BYTES};
 use pegasus_pfs::tier::{TierConfig, TieredCache};
 
+/// One chunk is one 64 KiB disk page.
 const CHUNK: u64 = 1 << 16;
 
-fn fs_with_titles(titles: usize, segments: usize) -> (LogFs, Vec<FileId>) {
+/// `titles` one-segment titles on disks that keep their bytes.
+fn fs_with_titles(titles: usize) -> (LogFs, Vec<FileId>) {
     let mut fs = LogFs::new(DiskConfig::hp_1994());
-    fs.raid_mut().set_store(false);
     let mut files = Vec::with_capacity(titles);
-    for _ in 0..titles {
+    for t in 0..titles {
         let id = fs.create(FileClass::Continuous);
-        for _ in 0..segments {
-            fs.append(id, &vec![0u8; SEGMENT_BYTES]).unwrap();
-        }
+        fs.append(id, &vec![t as u8 + 1; SEGMENT_BYTES]).unwrap();
         files.push(id);
     }
     fs.sync().unwrap();
@@ -39,21 +41,33 @@ fn cache() -> TieredCache {
 }
 
 /// Replays `accesses` (title, chunk) pairs, each fanned out to
-/// `viewers` concurrent readers, and returns the arena ledger.
-fn run(fs: &mut LogFs, files: &[FileId], accesses: &[(usize, u64)], viewers: usize) -> (u64, u64) {
+/// `viewers` concurrent readers who must all get views of one buffer,
+/// and returns the cache arena's fresh allocations and the distinct
+/// buffers handed out (every view is held to the end, so no buffer's
+/// address is reused while counted).
+fn run(accesses: &[(usize, u64)], viewers: usize) -> Result<(u64, usize), TestCaseError> {
+    let (mut fs, files) = fs_with_titles(3);
     let mut cache = cache();
-    let mut out = Vec::new();
+    let mut held = Vec::new();
     for &(title, chunk) in accesses {
         let file = files[title % files.len()];
-        for _ in 0..viewers {
+        let mut first = Vec::new();
+        cache
+            .read(&mut fs, file, chunk * CHUNK, CHUNK, &mut first)
+            .unwrap();
+        for _ in 1..viewers {
+            let mut out = Vec::new();
             cache
-                .read(fs, file, chunk * CHUNK, CHUNK, &mut out)
+                .read(&mut fs, file, chunk * CHUNK, CHUNK, &mut out)
                 .unwrap();
+            prop_assert_eq!(out.len(), first.len());
+            prop_assert!(out.iter().zip(&first).all(|(v, f)| v.same_buffer(f)));
+            held.extend(out);
         }
-        out.clear();
+        held.extend(first);
     }
-    let a = cache.arena().stats();
-    (a.fresh_allocs, a.shared_attaches)
+    let buffers: BTreeSet<*const u8> = held.iter().map(|v| v.buf().as_ptr()).collect();
+    Ok((cache.arena().stats().fresh_allocs, buffers.len()))
 }
 
 proptest! {
@@ -65,28 +79,17 @@ proptest! {
         viewers in 2usize..12,
     ) {
         // Two identical access sequences, one viewer vs. N viewers per
-        // access. Same chunks touched in the same order → the arena
-        // grants the same number of fresh buffers; the extra viewers
-        // surface only as shared leases.
-        let (mut fs_a, files_a) = fs_with_titles(3, 1);
-        let (solo_fresh, _) = run(&mut fs_a, &files_a, &accesses, 1);
-
-        let (mut fs_b, files_b) = fs_with_titles(3, 1);
-        let (crowd_fresh, crowd_shared) = run(&mut fs_b, &files_b, &accesses, viewers);
-
+        // access. Same chunks touched in the same order → the same
+        // buffers handed out, one page per chunk; the extra viewers
+        // surface only as more handles on them.
+        let (solo_fresh, solo_buffers) = run(&accesses, 1)?;
+        let (crowd_fresh, crowd_buffers) = run(&accesses, viewers)?;
+        prop_assert_eq!((solo_fresh, crowd_fresh), (0, 0), "the cache copied a chunk");
         prop_assert_eq!(
-            crowd_fresh, solo_fresh,
-            "viewer fan-out changed the fresh-allocation count"
+            crowd_buffers, solo_buffers,
+            "viewer fan-out changed the buffers handed out"
         );
-        // Every access beyond each chunk's first service is a shared
-        // lease: (viewers − 1) per access at minimum, plus repeat
-        // accesses the solo run also shares.
-        let min_shared = accesses.len() as u64 * (viewers as u64 - 1);
-        prop_assert!(
-            crowd_shared >= min_shared,
-            "expected at least {} shared leases, saw {}",
-            min_shared,
-            crowd_shared
-        );
+        let chunks: BTreeSet<_> = accesses.iter().collect();
+        prop_assert_eq!(solo_buffers, chunks.len());
     }
 }

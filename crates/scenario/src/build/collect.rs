@@ -332,9 +332,8 @@ impl Scenario {
                 r.crowd_accesses += s.crowd_accesses;
                 crowd_hot += s.crowd_hot_hits;
                 bytes_saved += s.bytes_saved;
-                let a = cache.arena().stats();
-                r.shared_attaches += a.shared_attaches;
-                r.fresh_allocs += a.fresh_allocs;
+                r.shared_attaches += s.accesses();
+                r.fresh_allocs += cache.arena().stats().fresh_allocs;
             }
         }
         let total = r.hot_hits + r.warm_hits + r.cold_misses;

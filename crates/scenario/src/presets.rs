@@ -301,8 +301,8 @@ pub fn storm_backpressure() -> ScenarioSpec {
 /// onto title 0 — and the tiered content cache turned on in front of
 /// the log stores. This is the §5 pathology preset: plain LRU would
 /// evict every title sequentially and serve the crowd from disk N
-/// times over; the tiers serve the crowd from one shared arena buffer
-/// (`crowded_title_hot_milli` ≥ 900 with `fresh_allocs` flat) and the
+/// times over; the tiers serve the crowd views of one resident chunk
+/// (`crowded_title_hot_milli` ≥ 900 with `fresh_allocs` at zero) and the
 /// Zipf head from the popularity-admitted warm tier. The hot tier is
 /// deliberately small (four chunks against nine-odd live titles) so
 /// the Zipf tail churns through warm, and the run is three full CM

@@ -110,8 +110,8 @@ pub struct PfsReport {
 /// Ratios are reported in thousandths so the report stays integer-only
 /// and byte-stable. `crowded_title_hot_milli` is the §5 flash-crowd
 /// claim: the fraction of accesses to the crowd-pinned title served
-/// from the hot tier, where N concurrent viewers share one arena
-/// buffer (`shared_attaches` grows with viewers, `fresh_allocs` does
+/// from the hot tier, where N concurrent viewers share the log store's
+/// own pages (`shared_attaches` grows with viewers, `fresh_allocs` does
 /// not).
 #[derive(Debug, Clone, Default)]
 pub struct CacheReport {
@@ -139,11 +139,13 @@ pub struct CacheReport {
     pub crowd_accesses: u64,
     /// Hot-tier share of the crowd-pinned title's accesses, thousandths.
     pub crowded_title_hot_milli: u64,
-    /// Shared leases handed out by the hot tier (one per viewer served
-    /// from an already-resident buffer).
+    /// Chunk accesses served as shared views (hot + warm + cold): every
+    /// access hands out handles on the pages the chunk holds, never a
+    /// copy.
     pub shared_attaches: u64,
-    /// Fresh arena allocations across the cache's arenas — the number
-    /// that must stay independent of the viewer count.
+    /// Fresh allocations across the caches' arenas, which copy only
+    /// bytes still in an open log segment — the number that must stay
+    /// independent of the viewer count (zero on flushed titles).
     pub fresh_allocs: u64,
 }
 

@@ -238,8 +238,9 @@ impl Default for BackpressureSpec {
 }
 
 /// The tiered content cache fronting each VoD server's log store
-/// ([`pegasus_pfs::tier::TieredCache`]): an arena-backed hot tier whose
-/// hits are shared-lease attaches, a popularity-admitted warm tier, the
+/// ([`pegasus_pfs::tier::TieredCache`]): an in-memory hot tier of views
+/// of the log store's pages, whose hits are refcount bumps, a
+/// popularity-admitted warm tier, the
 /// RAID array as cold tier, and broker-rate-driven sequential prefetch.
 /// Disabled by default: the classic presets replay their CM schedules
 /// straight against the array, byte-identical to the pre-cache world.

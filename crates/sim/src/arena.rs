@@ -74,11 +74,6 @@ pub struct ArenaStats {
     /// steady-state pipeline this stops growing: recycling covers every
     /// subsequent lease.
     pub fresh_allocs: u64,
-    /// Shared-lease attaches: additional consumers joined onto an
-    /// already-frozen buffer via [`FrameBuf::attach`]. Each attach is a
-    /// viewer served without a lease, a copy, or an allocation — the
-    /// fan-out currency of the content cache's hot tier.
-    pub shared_attaches: u64,
 }
 
 /// Shared state behind an [`Arena`] and every buffer it has leased.
@@ -89,7 +84,6 @@ struct ArenaInner {
     returned: Cell<u64>,
     high_water: Cell<u64>,
     fresh: Cell<u64>,
-    shared: Cell<u64>,
 }
 
 impl ArenaInner {
@@ -163,7 +157,6 @@ impl Arena {
             outstanding: i.granted.get() - i.returned.get(),
             high_water: i.high_water.get(),
             fresh_allocs: i.fresh.get(),
-            shared_attaches: i.shared.get(),
         }
     }
 
@@ -284,17 +277,6 @@ impl FrameBuf {
     /// [`FrameView`] drops whether or not weak handles remain.
     pub fn downgrade(&self) -> WeakFrameBuf {
         WeakFrameBuf(Rc::downgrade(&self.0))
-    }
-
-    /// Attaches another consumer to this buffer: a refcount bump that the
-    /// arena counts as a *shared* lease. The storage is still one lease
-    /// deep in the accounting (`outstanding` and `fresh_allocs` do not
-    /// move), so N viewers of one cached title cost one buffer — the
-    /// counter records how many rode along for free.
-    pub fn attach(&self) -> FrameBuf {
-        let a = &self.0.arena;
-        a.shared.set(a.shared.get() + 1);
-        self.clone()
     }
 }
 
@@ -552,22 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_counts_shared_leases_without_touching_lease_accounting() {
-        let arena = Arena::new();
-        let f = arena.frame_from(b"one title, many viewers");
-        let viewers: Vec<FrameBuf> = (0..8).map(|_| f.attach()).collect();
-        let s = arena.stats();
-        assert_eq!(s.shared_attaches, 8);
-        assert_eq!(s.leases_granted, 1, "attaches are not leases");
-        assert_eq!(s.outstanding, 1);
-        assert_eq!(s.fresh_allocs, 1, "one buffer serves all nine handles");
-        assert!(viewers.iter().all(|v| FrameBuf::same_buffer(v, &f)));
-        drop(viewers);
-        drop(f);
-        assert_eq!(arena.stats().outstanding, 0);
-    }
-
-    #[test]
     fn weak_handle_finds_a_live_buffer_and_never_holds_one() {
         let arena = Arena::new();
         let f = arena.frame_from(b"shared by reference");
@@ -584,8 +550,7 @@ mod tests {
         assert!(weak.upgrade().is_none());
         assert_eq!(arena.stats().outstanding, 0);
         assert_eq!(arena.pooled(), 1);
-        let s = arena.stats();
-        assert_eq!((s.leases_granted, s.shared_attaches), (1, 0));
+        assert_eq!(arena.stats().leases_granted, 1);
     }
 
     #[test]

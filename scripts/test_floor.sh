@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=697
+FLOOR=701
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
