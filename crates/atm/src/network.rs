@@ -203,6 +203,9 @@ pub struct TrunkDir {
     pub prop_delay: Ns,
 }
 
+/// Fraction of each link's rate available to guaranteed reservations.
+pub const RESERVABLE_FRACTION: f64 = 0.95;
+
 /// The network: switches, inter-switch links, endpoints, signalling.
 pub struct Network {
     switches: Vec<Rc<RefCell<Switch>>>,
@@ -227,8 +230,6 @@ pub struct Network {
     dead: Vec<bool>,
     next_vci: Vci,
     next_conn: u64,
-    /// Fraction of each link's rate available to guaranteed reservations.
-    pub reservable_fraction: f64,
 }
 
 impl Default for Network {
@@ -272,7 +273,6 @@ impl Network {
             dead: Vec::new(),
             next_vci: 32,
             next_conn: 1,
-            reservable_fraction: 0.95,
         }
     }
 
@@ -528,7 +528,7 @@ impl Network {
     /// Gives the link behind `key` a fresh, empty ledger. Re-wiring an
     /// occupied port displaces a ledger that may have been the fullest.
     fn add_ledger(&mut self, key: ReservationKey, rate_bps: u64) {
-        let ac = AdmissionController::new(rate_bps, self.reservable_fraction);
+        let ac = AdmissionController::new(rate_bps, RESERVABLE_FRACTION);
         if self.acs.insert(key, ac).is_some() {
             self.max_util.set(None);
         }
@@ -690,7 +690,7 @@ impl Network {
         let (mut at, mut fresh) = (Vec::new(), HashMap::new());
         for (k, &(sw, cfg)) in pending.iter().enumerate() {
             let port = self.used_ports[sw.0] + at.iter().filter(|&&(s, _)| s == sw.0).count();
-            let room = AdmissionController::new(cfg.rate_bps, self.reservable_fraction);
+            let room = AdmissionController::new(cfg.rate_bps, RESERVABLE_FRACTION);
             let room = room.available_bps();
             fresh.insert(ReservationKey::EndpointTx(attached + k), room);
             fresh.insert(ReservationKey::SwitchOut(sw.0, port), room);
@@ -930,7 +930,7 @@ impl Network {
 
     /// The most heavily reserved link in the network, as a fraction of
     /// its raw line rate. Admission control caps this at
-    /// [`Network::reservable_fraction`]; topology property tests assert
+    /// [`RESERVABLE_FRACTION`]; topology property tests assert
     /// the invariant from the outside.
     ///
     /// Constant time while reservations only grow: the network carries
@@ -1404,7 +1404,7 @@ mod tests {
             .unwrap();
         let u = net.max_reservation_utilization();
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
-        assert!(u <= net.reservable_fraction);
+        assert!(u <= RESERVABLE_FRACTION);
     }
 
     /// One switch, `n` endpoints on ports `0..n`.

@@ -14,7 +14,9 @@
 use proptest::prelude::*;
 
 use pegasus_atm::link::CaptureSink;
-use pegasus_atm::network::{EndpointId, LinkConfig, Network, SwitchId, TopologyShape, VcHandle};
+use pegasus_atm::network::{
+    EndpointId, LinkConfig, Network, SwitchId, TopologyShape, VcHandle, RESERVABLE_FRACTION,
+};
 use pegasus_atm::signalling::QosSpec;
 
 const MBIT: u64 = 1_000_000;
@@ -107,7 +109,7 @@ proptest! {
             // refreshed the remembered value since the last release.
             prop_assert_eq!(net.audit_reservations(), Ok(()));
             let u = net.max_reservation_utilization();
-            prop_assert!(u <= net.reservable_fraction, "utilization {u} past the reservable fraction");
+            prop_assert!(u <= RESERVABLE_FRACTION, "utilization {u} past the reservable fraction");
             prop_assert_eq!(net.audit_reservations(), Ok(()));
         }
 

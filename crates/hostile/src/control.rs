@@ -29,7 +29,7 @@ use pegasus::broker::{FlowRequest, QosBroker, SessionClass, SessionGrant, Sessio
 use pegasus::congestion::{CongestionController, CongestionSignal, Verdict};
 use pegasus_atm::credit::{CreditRef, CreditWindow};
 use pegasus_atm::link::CaptureSink;
-use pegasus_atm::network::{EndpointId, LinkConfig, Network, TopologyShape};
+use pegasus_atm::network::{EndpointId, LinkConfig, Network, TopologyShape, RESERVABLE_FRACTION};
 use pegasus_sim::rng::seeded;
 use rand::Rng;
 
@@ -273,7 +273,7 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
                 "CPU ledger drifted from the granted contracts",
             );
             repro.check(
-                net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
+                net.max_reservation_utilization() <= RESERVABLE_FRACTION + 1e-9,
                 "renegotiation pushed a link past the reservable fraction",
             );
             repro.check(

@@ -39,6 +39,7 @@ use pegasus_atm::cell::{Cell, Vci, HEADER_SIZE, PAYLOAD_SIZE};
 use pegasus_atm::link::CaptureSink;
 use pegasus_atm::network::{
     EndpointId, LedgerDrift, LinkConfig, Network, PendingEnd, SwitchId, TopologyShape, VcHandle,
+    RESERVABLE_FRACTION,
 };
 use pegasus_atm::signalling::QosSpec;
 use pegasus_sim::arena::Arena;
@@ -523,7 +524,7 @@ pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
                 }
             }
             repro.check(
-                net.max_reservation_utilization() <= net.reservable_fraction + 1e-9,
+                net.max_reservation_utilization() <= RESERVABLE_FRACTION + 1e-9,
                 "admission let a ledger exceed the reservable fraction",
             );
             repro.check(

@@ -202,13 +202,14 @@ pub struct CmReport {
     pub bytes_delivered: u64,
 }
 
+/// Usable fraction of the array bandwidth for guarantees.
+const RESERVABLE_FRACTION: f64 = 0.8;
+
 /// Rate-guaranteed periodic service over the log.
 pub struct CmScheduler {
     /// Service period: each stream receives rate × period bytes per
     /// period.
     pub period: Ns,
-    /// Usable fraction of the array bandwidth for guarantees.
-    pub reservable_fraction: f64,
     /// Array bandwidth used for admission (bytes/second).
     pub array_bandwidth: u64,
     /// Concurrent-stream cap (the slot ledger's bound, enforced from
@@ -225,7 +226,6 @@ impl CmScheduler {
     pub fn new(period: Ns, array_bandwidth: u64) -> Self {
         CmScheduler {
             period,
-            reservable_fraction: 0.8,
             array_bandwidth,
             max_streams: usize::MAX,
             streams: Vec::new(),
@@ -251,7 +251,7 @@ impl CmScheduler {
 
     /// Rate still available to new streams.
     pub fn available(&self) -> u64 {
-        (self.array_bandwidth as f64 * self.reservable_fraction) as u64 - self.reserved()
+        (self.array_bandwidth as f64 * RESERVABLE_FRACTION) as u64 - self.reserved()
     }
 
     /// Admits a stream at `rate` bytes/second from `offset` of `file`.
@@ -269,11 +269,6 @@ impl CmScheduler {
         }
         self.streams.push(CmStream { file, rate, offset });
         Ok(self.streams.len() - 1)
-    }
-
-    /// Removes a stream, releasing its reservation.
-    pub fn release(&mut self, idx: usize) {
-        self.streams.remove(idx);
     }
 
     /// Plays `n` periods: every stream reads `rate × period` bytes per
@@ -436,8 +431,6 @@ mod tests {
         sched.admit(f, 8_000_000, 0).unwrap();
         let err = sched.admit(f, 1, 0).unwrap_err();
         assert!(matches!(err, CmError::Oversubscribed { .. }));
-        sched.release(0);
-        sched.admit(f, 4_000_000, 0).unwrap();
     }
 
     #[test]
@@ -477,9 +470,6 @@ mod tests {
             sched.admit(f, 1_000, 0).unwrap_err(),
             CmError::NoSlots { capacity: 2 }
         );
-        // Releasing a stream frees its slot.
-        sched.release(0);
-        sched.admit(f, 1_000, 0).unwrap();
         assert_eq!(sched.max_streams(), 2);
     }
 

@@ -15,11 +15,28 @@ use pegasus_sim::time::Ns;
 
 use super::Scenario;
 
-/// The camera settings a session runs at after renegotiation: frame
-/// rate and Motion-JPEG quality scale with the granted rung (floored,
-/// never below 1), so a degraded session offers the network less load
-/// — the whole point of renegotiating down instead of dropping cells.
-pub(super) fn camera_for(cfg: CameraConfig, quality_milli: u64) -> CameraConfig {
+/// Consecutive pressured epochs before renegotiating down.
+const DOWN_AFTER: u32 = 3;
+/// Consecutive clear epochs before renegotiating back up.
+const UP_AFTER: u32 = 3;
+/// Stalls per epoch at or above which an epoch counts as pressured.
+const STALL_THRESHOLD: u64 = 4;
+/// An epoch is clear only if the fabric's epoch-peak queue stayed at or
+/// below this — the anti-flap headroom condition.
+const HEADROOM_CELLS: u64 = 64;
+
+/// The congestion controller the hysteresis constants define.
+pub(crate) fn controller() -> CongestionController {
+    CongestionController::new(DOWN_AFTER, UP_AFTER, STALL_THRESHOLD, HEADROOM_CELLS)
+}
+
+/// The camera settings a session runs at after renegotiation: every
+/// video source starts from the default camera, and frame rate and
+/// Motion-JPEG quality scale with the granted rung (floored, never
+/// below 1), so a degraded session offers the network less load — the
+/// whole point of renegotiating down instead of dropping cells.
+pub(super) fn camera_for(quality_milli: u64) -> CameraConfig {
+    let cfg = CameraConfig::default();
     if quality_milli >= 1000 {
         return cfg;
     }
@@ -86,18 +103,6 @@ impl Scenario {
             settle(outage, false, &mut acc);
         }
         acc
-    }
-
-    /// The congestion controller the spec's hysteresis constants
-    /// define.
-    pub(crate) fn make_controller(&self) -> CongestionController {
-        let bp = self.spec.backpressure;
-        CongestionController::new(
-            bp.down_after,
-            bp.up_after,
-            bp.stall_threshold,
-            bp.headroom_cells,
-        )
     }
 
     /// Samples one epoch's congestion evidence: stalls from the media
@@ -167,7 +172,6 @@ impl Scenario {
             return;
         }
         let rung = self.spec.broker.degrade_milli;
-        let camera_cfg = self.spec.camera;
         for b in &mut self.books {
             if b.stranded.iter().any(|&s| s) {
                 continue;
@@ -183,7 +187,7 @@ impl Scenario {
                 .is_ok()
             {
                 if let Some(cam) = &b.camera {
-                    let cfg = camera_for(camera_cfg, b.grant.quality_milli);
+                    let cfg = camera_for(b.grant.quality_milli);
                     let mut cam = cam.borrow_mut();
                     cam.set_fps(cfg.fps);
                     cam.set_mode(cfg.mode);

@@ -6,7 +6,7 @@ use pegasus_atm::cell::{Cell, CELL_SIZE};
 use pegasus_atm::credit::CreditSink;
 use pegasus_atm::network::LinkConfig;
 use pegasus_atm::signalling::QosSpec;
-use pegasus_sim::time::{Ns, SEC};
+use pegasus_sim::time::{Ns, MS, SEC};
 
 use super::wire::{planned_servers, NullSink};
 use super::Scenario;
@@ -23,13 +23,17 @@ pub(crate) enum ControlMark {
     Epoch,
 }
 
+/// Congestion sampling period: every epoch the run collects credit
+/// stalls, epoch-peak queue depth and CM slot pressure, reconciles
+/// dropped cells' credits, and consults the hysteresis controller.
+const EPOCH: Ns = 10 * MS;
+
 /// The sorted control-plane timeline of `spec`: deaths at their fault
 /// times, epoch boundaries on the backpressure grid. Stable by
 /// `(time, kind)` with deaths first, so a death at an epoch boundary
 /// lands before the sample. Marks past the run's `duration` clamp to
 /// it.
 pub(crate) fn control_marks(spec: &ScenarioSpec) -> Vec<(Ns, ControlMark)> {
-    let bp = spec.backpressure;
     let mut marks: Vec<(Ns, ControlMark)> = spec
         .faults
         .iter()
@@ -40,11 +44,11 @@ pub(crate) fn control_marks(spec: &ScenarioSpec) -> Vec<(Ns, ControlMark)> {
             _ => None,
         })
         .collect();
-    if bp.enabled {
-        let mut t = bp.epoch.max(1);
+    if spec.backpressure.enabled {
+        let mut t = EPOCH;
         while t <= spec.duration {
             marks.push((t, ControlMark::Epoch));
-            t += bp.epoch.max(1);
+            t += EPOCH;
         }
     }
     marks.sort_by_key(|&(t, m)| (t, m == ControlMark::Epoch));
@@ -194,7 +198,6 @@ impl Scenario {
 mod tests {
     use super::*;
     use crate::spec::BackpressureSpec;
-    use pegasus_sim::time::MS;
 
     /// The timeline's two ordering rules: a death landing exactly on
     /// an epoch boundary is repaired before that epoch is sampled, and
@@ -205,7 +208,6 @@ mod tests {
         spec.duration = 25 * MS;
         spec.backpressure = BackpressureSpec {
             enabled: true,
-            epoch: 10 * MS,
             ..spec.backpressure
         };
         // Listed late-first: the sort, not spec order, places them.

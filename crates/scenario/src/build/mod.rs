@@ -41,7 +41,7 @@ use pegasus::broker::{
 use pegasus::system::System;
 use pegasus_atm::credit::CreditRef;
 use pegasus_atm::link::Link;
-use pegasus_atm::network::{Network, VcHandle};
+use pegasus_atm::network::{Network, VcHandle, RESERVABLE_FRACTION};
 use pegasus_devices::audio::AudioSink;
 use pegasus_devices::camera::Camera;
 use pegasus_devices::display::Display;
@@ -63,6 +63,7 @@ mod faults;
 mod wire;
 
 pub use collect::{assemble, ShardOutcome};
+pub(crate) use control::controller;
 pub(crate) use faults::{control_marks, ControlMark};
 pub use wire::compile_for;
 
@@ -71,6 +72,10 @@ pub use wire::compile_for;
 /// sized to amortize one stripe per stream; a server meets its
 /// deadlines while `streams × stripe_time < period`.
 const VOD_PERIOD: Ns = 500 * MS;
+
+/// Synchronized play-out latency for VoD clients: items arriving after
+/// it are late (deadline misses).
+const VOD_TARGET_LATENCY: Ns = 80 * MS;
 
 /// CM periods replayed for a run of `duration`.
 fn vod_periods(duration: Ns) -> u64 {
@@ -180,7 +185,7 @@ impl BrokerTally {
         self.quality_sum[idx] += grant.quality_milli;
         self.quality_n[idx] += 1;
         self.headroom_cpu.record(broker.cpu_headroom_micro());
-        let bw = (net.reservable_fraction - net.max_reservation_utilization()) * 1000.0;
+        let bw = (RESERVABLE_FRACTION - net.max_reservation_utilization()) * 1000.0;
         self.headroom_bw.record(bw.max(0.0).floor() as u64);
         self.headroom_pfs.record(broker.pfs_headroom_slots());
     }
@@ -260,7 +265,7 @@ impl Scenario {
     /// for held playback items to present. Every shard computes the
     /// same deadline, so the epoch loops agree on the final barrier.
     pub fn end_time(&self) -> Ns {
-        self.spec.duration + self.spec.drain.max(self.spec.vod_target_latency + 20 * MS)
+        self.spec.duration + VOD_TARGET_LATENCY + 20 * MS
     }
 
     /// Runs the compiled scenario to completion and reports: the

@@ -33,6 +33,7 @@ use rand::Rng;
 use super::control::camera_for;
 use super::{
     vod_periods, BrokerTally, Scenario, SessionBook, SessionContract, VodServer, VOD_PERIOD,
+    VOD_TARGET_LATENCY,
 };
 use crate::partition::{control_plane, ShardPlan};
 use crate::spec::{Arrival, ScenarioSpec};
@@ -40,6 +41,33 @@ use crate::spec::{Arrival, ScenarioSpec};
 /// Bandwidth reserved for a videophone session's audio flow, never
 /// degraded: a call with unintelligible audio is a failed call.
 const AUDIO_BPS: u64 = 128_000;
+
+/// Audio jitter-buffer depth in samples; underruns are deadline misses.
+const AUDIO_JITTER_BUFFER: usize = 120;
+
+/// Camera feeds per TV control room.
+const TV_GROUP: usize = 4;
+
+/// Concurrent stream slots per file server. One small read costs a
+/// whole RAID stripe (~51 ms) per 500 ms CM period, so eight slots keep
+/// every server inside its deadline with margin.
+const PFS_SLOTS_PER_SERVER: usize = 8;
+
+/// Hot-tier capacity per server, in chunks (one chunk = one RAID
+/// stripe), when the spec enables the cache.
+const HOT_CHUNKS: usize = 4;
+
+/// Warm-tier capacity per server, in chunks.
+const WARM_CHUNKS: usize = 64;
+
+/// Zipf exponent α in thousandths (1000 = α 1.0) for the title draw.
+const ZIPF_ALPHA_MILLI: u64 = 1000;
+
+/// Fraction of VoD sessions, in thousandths, pinned to title 0 of their
+/// server when it records more than one title — the flash crowd, taken
+/// from the *last* arrivals (a crowd piles onto a hit that is already
+/// playing). The rest draw Zipf.
+const CROWD_MILLI: u64 = 500;
 
 /// A consuming endpoint's credit gate.
 type Gate = Rc<RefCell<CreditSink>>;
@@ -158,7 +186,7 @@ impl Wiring {
             broker: QosBroker::new(
                 spec.broker.cpu_capacity_micro,
                 n_servers,
-                spec.broker.pfs_slots_per_server,
+                PFS_SLOTS_PER_SERVER,
                 spec.broker.degrade_milli,
             ),
             contracts: Vec::new(),
@@ -316,7 +344,7 @@ impl Wiring {
         let sc = &mut self.sc;
         let (vc_src, vc_dst) = (grant.vcs[0].src_vci, grant.vcs[0].dst_vci);
         let owns_src = sc.plan.owns(at.src);
-        let cam_cfg = camera_for(sc.spec.camera, grant.quality_milli);
+        let cam_cfg = camera_for(grant.quality_milli);
         let camera = owns_src.then(|| sc.sys.camera_on(ep, at.scene, cam_cfg, vc_src));
         let window_cells = sc.spec.backpressure.window_cells;
         let credit = gate.map(|g| sc.wire_credit(window_cells, vc_dst, at.src, at.dst, g));
@@ -369,8 +397,8 @@ impl Wiring {
         };
         let display = self.display(dst);
         let (disp_sink, gate) = Scenario::consumer(display.as_ref(), self.gated);
-        let audio_sink = owns_dst
-            .then(|| AudioSink::shared(AudioConfig::telephony(), self.sc.spec.audio_jitter_buffer));
+        let audio_sink =
+            owns_dst.then(|| AudioSink::shared(AudioConfig::telephony(), AUDIO_JITTER_BUFFER));
         let (audio_in, _) = Scenario::consumer(audio_sink.as_ref(), false);
         let nic = || HostNic::shared() as SinkRef;
         let grant = self.commit(decision, vec![nic(), disp_sink, nic(), audio_in]);
@@ -412,8 +440,7 @@ impl Wiring {
         // Rate ceiling sized to a slot-full server at the requested
         // rate: the stream *slots* are the binding capacity, enforced
         // by the broker's ledger and the scheduler's own cap.
-        let slots = spec.broker.pfs_slots_per_server;
-        let per_server_rate = self.req_disk * slots.max(1) as u64;
+        let per_server_rate = self.req_disk * PFS_SLOTS_PER_SERVER as u64;
         let titles = spec.cache.titles_per_server.max(1);
         // Every segment of every title on every server is the same
         // zeros, and the stores discard them.
@@ -436,11 +463,11 @@ impl Wiring {
             }
             fs.sync().expect("prerecord sync");
             let mut cm = CmScheduler::new(VOD_PERIOD, per_server_rate * 2 + 1_000_000);
-            cm.set_max_streams(slots);
+            cm.set_max_streams(PFS_SLOTS_PER_SERVER);
             let cache = spec.cache.enabled.then(|| {
                 let mut c = TieredCache::new(TierConfig {
-                    hot_chunks: spec.cache.hot_chunks,
-                    warm_chunks: spec.cache.warm_chunks,
+                    hot_chunks: HOT_CHUNKS,
+                    warm_chunks: WARM_CHUNKS,
                     ..TierConfig::default()
                 });
                 // Title 0 is the most popular under the Zipf draw and
@@ -462,16 +489,16 @@ impl Wiring {
     fn vod(&mut self, i: usize) {
         let (src, dst) = self.pick_pair();
         let at = self.placement(src, dst);
-        let (n_vod, cache) = (self.sc.counts.1, self.sc.spec.cache);
+        let n_vod = self.sc.counts.1;
         // Which title this viewer plays: the flash-crowd fraction —
         // the *last* arrivals, as a real flash crowd piles onto an
         // already-playing hit — is pinned to title 0; the rest draw
         // from the Zipf law. With one recorded title there is no draw
         // at all — the single-title RNG stream is untouched.
-        let titles = cache.titles_per_server.max(1);
-        let crowd = (i as u64) * 1000 >= n_vod as u64 * (1000 - cache.crowd_milli);
+        let titles = self.sc.spec.cache.titles_per_server.max(1);
+        let crowd = (i as u64) * 1000 >= n_vod as u64 * (1000 - CROWD_MILLI);
         let title = if titles > 1 && !crowd {
-            zipf(&mut self.rng, titles, cache.zipf_alpha_milli)
+            zipf(&mut self.rng, titles, ZIPF_ALPHA_MILLI)
         } else {
             0
         };
@@ -489,7 +516,7 @@ impl Wiring {
         };
         let client = self.sc.plan.owns(dst).then(|| {
             let ctl = PlaybackControl::shared(PlaybackPolicy::Synchronized {
-                target_latency: self.sc.spec.vod_target_latency,
+                target_latency: VOD_TARGET_LATENCY,
             });
             let stream = ctl.borrow_mut().add_stream("vod");
             let sink = ArrivalSink::shared(ctl.clone(), stream, |bytes| {
@@ -619,10 +646,9 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     for i in 0..n_vod {
         w.vod(i);
     }
-    let group = spec.tv_group.max(1);
     let mut tv_left = n_tv;
     while tv_left > 0 {
-        let feeds = group.min(tv_left);
+        let feeds = TV_GROUP.min(tv_left);
         tv_left -= feeds;
         w.tv_room(feeds);
     }
@@ -641,7 +667,7 @@ mod tests {
     /// What admitted sessions alone attach: four endpoints per call, two
     /// per VoD stream, one per TV feed and one per control room with a
     /// feed — and how many such rooms there are.
-    fn admitted_endpoints(contracts: &[SessionContract], tv_group: usize) -> (usize, usize) {
+    fn admitted_endpoints(contracts: &[SessionContract]) -> (usize, usize) {
         let admitted = |c: &SessionContract| !matches!(c.outcome, Outcome::Rejected(_));
         let count = |class| {
             contracts
@@ -655,7 +681,7 @@ mod tests {
             .map(admitted)
             .collect();
         let rooms = feeds
-            .chunks(tv_group.max(1))
+            .chunks(super::TV_GROUP)
             .filter(|room| room.contains(&true))
             .count();
         let endpoints = 4 * count(SessionClass::Videophone)
@@ -681,7 +707,7 @@ mod tests {
                 .filter(|c| matches!(c.outcome, Outcome::Rejected(_)))
                 .count();
             assert!(refused > 0, "{}: nothing refused", spec.name);
-            let (endpoints, rooms) = admitted_endpoints(&sc.contracts, spec.tv_group);
+            let (endpoints, rooms) = admitted_endpoints(&sc.contracts);
             assert_eq!(sc.sys.net.endpoint_count(), endpoints, "{}", spec.name);
             assert_eq!(sc.tv_displays.len(), rooms, "{}", spec.name);
             assert_eq!(sc.sys.net.audit_reservations(), Ok(()));

@@ -62,7 +62,9 @@ use pegasus_atm::link::ExportBuffer;
 use pegasus_atm::network::TrunkDir;
 use pegasus_sim::time::{Ns, SEC};
 
-use crate::build::{assemble, compile_for, control_marks, ControlMark, Scenario, ShardOutcome};
+use crate::build::{
+    assemble, compile_for, control_marks, controller, ControlMark, Scenario, ShardOutcome,
+};
 use crate::partition::ExecPlan;
 use crate::report::{ScenarioReport, ShardSlice};
 use crate::spec::ScenarioSpec;
@@ -251,7 +253,7 @@ pub(crate) fn drive(mut sc: Scenario, peers: Option<&Peers>) -> ShardOutcome {
         peers.is_none() || marks.peek().is_none(),
         "a spec with control marks runs on one shard"
     );
-    let mut controller = sc.make_controller();
+    let mut controller = controller();
     let mut vcs_rerouted = 0u64;
     let mut vcs_stranded = 0u64;
     let mut admitted_dropped = (0u64, 0u64); // (overflow, outage)

@@ -79,7 +79,6 @@ pub fn tv_studio() -> ScenarioSpec {
     };
     spec.sessions = 24;
     spec.mix = SessionMix::new(0.0, 0.0, 1.0);
-    spec.tv_group = 4;
     spec.tv_cut_period = 80 * MS;
     spec.duration = 400 * MS;
     spec
@@ -327,10 +326,6 @@ pub fn vod_city() -> ScenarioSpec {
     spec.vod_disk_rate = 1_000_000;
     spec.cache.enabled = true;
     spec.cache.titles_per_server = 8;
-    spec.cache.zipf_alpha_milli = 1000;
-    spec.cache.crowd_milli = 500;
-    spec.cache.hot_chunks = 4;
-    spec.cache.warm_chunks = 64;
     spec
 }
 

@@ -8,7 +8,6 @@
 //! reports.
 
 use pegasus_atm::network::{LinkConfig, TopologyShape};
-use pegasus_devices::camera::CameraConfig;
 use pegasus_sim::time::{Ns, MS};
 
 /// The switch fabric a scenario runs on.
@@ -208,19 +207,6 @@ pub struct BackpressureSpec {
     /// Credits the consuming endpoint grants each media circuit, in
     /// cells — the hard cap on that circuit's in-flight cells.
     pub window_cells: u64,
-    /// Congestion sampling period: every epoch the run collects credit
-    /// stalls, epoch-peak queue depth and CM slot pressure, reconciles
-    /// dropped cells' credits, and consults the hysteresis controller.
-    pub epoch: Ns,
-    /// Consecutive pressured epochs before renegotiating down.
-    pub down_after: u32,
-    /// Consecutive clear epochs before renegotiating back up.
-    pub up_after: u32,
-    /// Stalls per epoch at or above which an epoch counts as pressured.
-    pub stall_threshold: u64,
-    /// An epoch is clear only if the fabric's epoch-peak queue stayed
-    /// at or below this — the anti-flap headroom condition.
-    pub headroom_cells: u64,
 }
 
 impl Default for BackpressureSpec {
@@ -228,11 +214,6 @@ impl Default for BackpressureSpec {
         BackpressureSpec {
             enabled: false,
             window_cells: 64,
-            epoch: 10 * MS,
-            down_after: 3,
-            up_after: 3,
-            stall_threshold: 4,
-            headroom_cells: 64,
         }
     }
 }
@@ -249,34 +230,18 @@ pub struct CacheSpec {
     /// Master switch. Off: per-period reads go straight to the log
     /// store and the report's cache section stays all-zero.
     pub enabled: bool,
-    /// Hot-tier capacity per server, in chunks (one chunk = one RAID
-    /// stripe).
-    pub hot_chunks: usize,
-    /// Warm-tier capacity per server, in chunks.
-    pub warm_chunks: usize,
     /// Distinct titles pre-recorded per server. With 1 title every VoD
     /// session plays the same file (the classic world, no extra RNG
-    /// draws); more titles make sessions draw theirs from a Zipf law.
+    /// draws); with more, the last half of the arrivals are a flash
+    /// crowd on title 0 and the rest draw theirs from a Zipf law.
     pub titles_per_server: usize,
-    /// Zipf exponent α in thousandths (1000 = α 1.0) for the title
-    /// draw. 0 is uniform popularity.
-    pub zipf_alpha_milli: u64,
-    /// Fraction of VoD sessions, in thousandths, pinned to title 0 of
-    /// their server — the flash crowd, taken from the *last* arrivals
-    /// (a crowd piles onto a hit that is already playing). The rest
-    /// draw Zipf.
-    pub crowd_milli: u64,
 }
 
 impl Default for CacheSpec {
     fn default() -> Self {
         CacheSpec {
             enabled: false,
-            hot_chunks: 16,
-            warm_chunks: 64,
             titles_per_server: 1,
-            zipf_alpha_milli: 1000,
-            crowd_milli: 0,
         }
     }
 }
@@ -297,10 +262,6 @@ pub struct BrokerSpec {
     /// (500 = a degraded session runs at half bitrate / frame rate /
     /// CPU). 1000 disables degradation: admit or reject only.
     pub degrade_milli: u64,
-    /// Concurrent stream slots per file server. One small read costs a
-    /// whole RAID stripe (~51 ms) per 500 ms CM period, so eight slots
-    /// keep every server inside its deadline with margin.
-    pub pfs_slots_per_server: usize,
 }
 
 impl Default for BrokerSpec {
@@ -309,7 +270,6 @@ impl Default for BrokerSpec {
             cpu_capacity_micro: 350_000,
             cpu_per_session_micro: 300,
             degrade_milli: 500,
-            pfs_slots_per_server: 8,
         }
     }
 }
@@ -323,8 +283,6 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Virtual run length: sources stop at this time.
     pub duration: Ns,
-    /// Extra virtual time for in-flight cells to drain.
-    pub drain: Ns,
     /// Switch fabric.
     pub topology: TopologySpec,
     /// Total concurrent sessions.
@@ -338,20 +296,12 @@ pub struct ScenarioSpec {
     /// Bandwidth requested per video stream (guaranteed, with
     /// best-effort fallback when a hop is full).
     pub video_bps: u64,
-    /// Camera settings for every video source.
-    pub camera: CameraConfig,
-    /// Audio jitter-buffer depth in samples.
-    pub audio_jitter_buffer: usize,
-    /// Synchronized play-out latency for VoD clients.
-    pub vod_target_latency: Ns,
     /// Bytes/second each VoD stream draws from the file server.
     pub vod_disk_rate: u64,
     /// Number of file servers VoD streams are spread across.
     pub pfs_servers: usize,
     /// Tiered content cache fronting each VoD server.
     pub cache: CacheSpec,
-    /// Camera feeds per TV control room.
-    pub tv_group: usize,
     /// Time between TV director cuts.
     pub tv_cut_period: Ns,
     /// QoS-broker capacities and renegotiation policy.
@@ -368,7 +318,6 @@ impl ScenarioSpec {
             name: name.to_string(),
             seed: 1,
             duration: 200 * MS,
-            drain: 50 * MS,
             topology: TopologySpec {
                 shape: TopologyShape::Star,
                 switches: 1,
@@ -379,13 +328,9 @@ impl ScenarioSpec {
             arrival: Arrival::Immediate,
             faults: Vec::new(),
             video_bps: 8_000_000,
-            camera: CameraConfig::default(),
-            audio_jitter_buffer: 120,
-            vod_target_latency: 80 * MS,
             vod_disk_rate: 250_000,
             pfs_servers: 1,
             cache: CacheSpec::default(),
-            tv_group: 4,
             tv_cut_period: 400 * MS,
             broker: BrokerSpec::default(),
             backpressure: BackpressureSpec::default(),

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use pegasus_atm::network::TopologyShape;
+use pegasus_atm::network::{TopologyShape, RESERVABLE_FRACTION};
 use pegasus_scenario::spec::{ScenarioSpec, TopologySpec};
 use pegasus_sim::time::MS;
 
@@ -67,7 +67,7 @@ proptest! {
         spec.duration = MS;
         let scenario = pegasus_scenario::compile(&spec);
         let u = scenario.sys.net.max_reservation_utilization();
-        let budget = scenario.sys.net.reservable_fraction;
+        let budget = RESERVABLE_FRACTION;
         prop_assert!(
             u <= budget + 1e-9,
             "utilization {} exceeds reservable budget {}", u, budget

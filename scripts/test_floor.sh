@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=701
+FLOOR=702
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT

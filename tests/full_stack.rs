@@ -152,17 +152,17 @@ mod scenario_harness {
     #[test]
     fn tv_group_shares_one_display() {
         let mut spec = ScenarioSpec::base("shared-display");
-        spec.sessions = 2;
+        spec.sessions = 4;
         spec.mix = SessionMix::new(0.0, 0.0, 1.0);
-        spec.tv_group = 2;
         spec.duration = 150 * MS;
         let r = run(&spec);
-        assert_eq!(r.sessions.2, 2);
-        // Two feeds, one display endpoint: endpoints = 2 cameras + 1 display.
-        assert_eq!(r.endpoints, 3);
+        assert_eq!(r.sessions.2, 4);
+        // Four feeds fill one room: endpoints = 4 cameras + 1 display.
+        assert_eq!(r.endpoints, 5);
+        // One feed paints about 400 tiles here: more than three feeds' worth.
         assert!(
-            r.tiles_blitted > 500,
-            "both feeds painted: {}",
+            r.tiles_blitted > 1200,
+            "every feed painted: {}",
             r.tiles_blitted
         );
         assert_eq!(r.cells.dropped_unroutable, 0);
