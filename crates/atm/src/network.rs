@@ -835,13 +835,6 @@ impl Network {
         }
     }
 
-    /// Re-sizes a live circuit's guaranteed bandwidth in place — the
-    /// signalling half of a QoS renegotiation: [`Network::resize_vcs`]
-    /// of one circuit.
-    pub fn resize_vc(&mut self, vc: &mut VcHandle, new_bps: u64) -> Result<(), AdmissionError> {
-        self.resize_vcs(std::slice::from_mut(vc), &[new_bps])
-    }
-
     /// Re-sizes live circuits in place as one transaction, `vcs[i]` to
     /// `new_bps[i]`. Routes and VCIs are untouched (cells in flight are
     /// unaffected); only the ledger entries change, on exactly the keys
@@ -1121,7 +1114,8 @@ mod tests {
         let (src_vci, dst_vci) = (vc.src_vci, vc.dst_vci);
 
         // Down: frees headroom; routes and VCIs untouched, traffic flows.
-        net.resize_vc(&mut vc, 30_000_000).unwrap();
+        net.resize_vcs(std::slice::from_mut(&mut vc), &[30_000_000])
+            .unwrap();
         assert_eq!(net.endpoint_tx_available(cam), before - 30_000_000);
         assert_eq!((vc.src_vci, vc.dst_vci), (src_vci, dst_vci));
         let mut sim = Simulator::new();
@@ -1135,7 +1129,9 @@ mod tests {
         let other = net
             .open_vc(cam, disp, QosSpec::guaranteed(50_000_000))
             .unwrap();
-        let err = net.resize_vc(&mut vc, 60_000_000).unwrap_err();
+        let err = net
+            .resize_vcs(std::slice::from_mut(&mut vc), &[60_000_000])
+            .unwrap_err();
         assert!(matches!(err, AdmissionError::InsufficientBandwidth { .. }));
         assert_eq!(
             vc.qos.peak_bps, 30_000_000,
@@ -1145,7 +1141,8 @@ mod tests {
 
         // Back up once the contender is gone: original rate restores.
         net.close_vc(other);
-        net.resize_vc(&mut vc, 60_000_000).unwrap();
+        net.resize_vcs(std::slice::from_mut(&mut vc), &[60_000_000])
+            .unwrap();
         assert_eq!(net.endpoint_tx_available(cam), before - 60_000_000);
         net.close_vc(vc);
         assert_eq!(

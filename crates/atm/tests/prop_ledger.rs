@@ -64,7 +64,7 @@ proptest! {
                 5..=6 if !held.is_empty() => {
                     let i = a as usize % held.len();
                     let before = held[i].qos.peak_bps;
-                    if net.resize_vc(&mut held[i], mbit * MBIT).is_err() {
+                    if net.resize_vcs(&mut held[i..=i], &[mbit * MBIT]).is_err() {
                         prop_assert_eq!(held[i].qos.peak_bps, before);
                     }
                 }

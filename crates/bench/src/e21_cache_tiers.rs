@@ -4,7 +4,8 @@
 //! chunks (all hot, no warm tier), each on a fresh file system. Two
 //! workloads: short titles every viewer plays from the start, and §5's
 //! own condition — titles longer than the cache, viewers scattered
-//! through them.
+//! through them — whose α 1.0 row is drawn four times, since the
+//! margin there is small enough for one draw to decide it.
 
 use pegasus_pfs::cm::CmScheduler;
 use pegasus_pfs::tier::{TierConfig, TieredCache};
@@ -72,10 +73,83 @@ fn play(
     Ok((fs.io_time, report.bytes_delivered))
 }
 
-/// The lane's α sweep: one row per α, the tiered and the LRU lane's
-/// disk-time reductions over no cache, and whether every run delivered
-/// every viewer's full rate.
-fn sweep(lane: &Lane, rows: &mut Vec<String>) -> Result<(Vec<f64>, Vec<f64>, bool)> {
+/// The base of the committed draw; [`SCATTERED_DRAWS`] adds three more.
+const BASE: u64 = 42;
+
+/// The draws the scattered lane's α 1.0 win must hold on: one is a
+/// sample of the workload, not the workload.
+const SCATTERED_DRAWS: [u64; 4] = [BASE, 1000, 2000, 3000];
+
+/// A row's disk-time reductions over no cache: the tiered and the LRU
+/// lane's, and whether every run delivered every viewer's full rate.
+struct Row {
+    tiered: f64,
+    lru: f64,
+    full_bytes: bool,
+}
+
+/// One α on one draw (the viewers drawn from seed `base + α`): pushes
+/// the row and returns what it measured.
+fn row(lane: &Lane, alpha_milli: u64, base: u64, rows: &mut Vec<String>) -> Result<Row> {
+    // One draw per viewer, shared by every lane of the row: the cached
+    // and uncached runs replay the *same* workload.
+    let mut rng = seeded(base + alpha_milli);
+    let titles: Vec<usize> = (0..VIEWERS)
+        .map(|_| zipf(&mut rng, TITLES, alpha_milli))
+        .collect();
+    let viewers: Vec<(usize, u64)> = titles
+        .into_iter()
+        .map(|t| match lane.start_span {
+            0 => (t, 0),
+            span => (t, rng.gen_range(0..span)),
+        })
+        .collect();
+    // A cache deliberately smaller than the catalogue (24 chunks
+    // against 48 or more): with room for everything, every α
+    // measures the same thing. Scarcity is what makes popularity
+    // skew show up as disk time.
+    let mut cache = TieredCache::new(TierConfig {
+        hot_chunks: 8,
+        warm_chunks: 16,
+        ..TierConfig::default()
+    });
+    // The LRU lane: the same 24 chunks, all in the recency-evicted
+    // hot tier.
+    let mut lru = TieredCache::new(TierConfig {
+        hot_chunks: 24,
+        warm_chunks: 0,
+        ..TierConfig::default()
+    });
+    let (io_uncached_ns, plain_bytes) = play(lane, &viewers, None)?;
+    let (io_cached_ns, bytes) = play(lane, &viewers, Some(&mut cache))?;
+    let (io_lru_ns, lru_bytes) = play(lane, &viewers, Some(&mut lru))?;
+    let stats = cache.stats();
+    let io_reduction = io_uncached_ns as f64 / io_cached_ns.max(1) as f64;
+    let lru_reduction = io_uncached_ns as f64 / io_lru_ns.max(1) as f64;
+    let draw = match base {
+        BASE => String::new(),
+        base => format!("@{base}"),
+    };
+    rows.push(format!(
+        "alpha{:.1}{draw}=disk {io_uncached_ns} -> {io_cached_ns} ns  reduction={io_reduction:.2}x  \
+         tiers=hot {}‰ warm {}‰  lru(24 hot)=disk {io_lru_ns} ns  reduction={lru_reduction:.2}x  \
+         hot {}‰",
+        alpha_milli as f64 / 1000.0,
+        stats.hot_milli(),
+        stats.warm_milli(),
+        lru.stats().hot_milli()
+    ));
+    let full_rate = VIEWERS as u64 * lane.periods * RATE * PERIOD / SEC;
+    Ok(Row {
+        tiered: io_reduction,
+        lru: lru_reduction,
+        full_bytes: [plain_bytes, bytes, lru_bytes].iter().all(|&b| b == full_rate),
+    })
+}
+
+/// The lane's α sweep on the committed draw, one row per α, after the
+/// lane's header row.
+fn sweep(lane: &Lane, rows: &mut Vec<String>) -> Result<Vec<Row>> {
     let starts = match lane.start_span {
         0 => "all start at byte 0".to_string(),
         span => format!("starts uniform in first {} MiB", span >> 20),
@@ -84,71 +158,34 @@ fn sweep(lane: &Lane, rows: &mut Vec<String>) -> Result<(Vec<f64>, Vec<f64>, boo
         "{}: titles={TITLES} x {} MiB  viewers={VIEWERS}  periods={}  {starts}",
         lane.name, lane.title_segments, lane.periods
     ));
-    let full_rate = VIEWERS as u64 * lane.periods * RATE * PERIOD / SEC;
-    let (mut tiered, mut lru_reductions, mut full_bytes) = (Vec::new(), Vec::new(), true);
-    for alpha_milli in ALPHAS {
-        // One draw per viewer, shared by every lane of the row: the
-        // cached and uncached runs replay the *same* workload.
-        let mut rng = seeded(42 + alpha_milli);
-        let titles: Vec<usize> = (0..VIEWERS)
-            .map(|_| zipf(&mut rng, TITLES, alpha_milli))
-            .collect();
-        let viewers: Vec<(usize, u64)> = titles
-            .into_iter()
-            .map(|t| match lane.start_span {
-                0 => (t, 0),
-                span => (t, rng.gen_range(0..span)),
-            })
-            .collect();
-        // A cache deliberately smaller than the catalogue (24 chunks
-        // against 48 or more): with room for everything, every α
-        // measures the same thing. Scarcity is what makes popularity
-        // skew show up as disk time.
-        let mut cache = TieredCache::new(TierConfig {
-            hot_chunks: 8,
-            warm_chunks: 16,
-            ..TierConfig::default()
-        });
-        // The LRU lane: the same 24 chunks, all in the recency-evicted
-        // hot tier.
-        let mut lru = TieredCache::new(TierConfig {
-            hot_chunks: 24,
-            warm_chunks: 0,
-            ..TierConfig::default()
-        });
-        let (io_uncached_ns, plain_bytes) = play(lane, &viewers, None)?;
-        let (io_cached_ns, bytes) = play(lane, &viewers, Some(&mut cache))?;
-        let (io_lru_ns, lru_bytes) = play(lane, &viewers, Some(&mut lru))?;
-        let stats = cache.stats();
-        let io_reduction = io_uncached_ns as f64 / io_cached_ns.max(1) as f64;
-        let lru_reduction = io_uncached_ns as f64 / io_lru_ns.max(1) as f64;
-        rows.push(format!(
-            "alpha{:.1}=disk {io_uncached_ns} -> {io_cached_ns} ns  reduction={io_reduction:.2}x  \
-             tiers=hot {}‰ warm {}‰  lru(24 hot)=disk {io_lru_ns} ns  reduction={lru_reduction:.2}x  \
-             hot {}‰",
-            alpha_milli as f64 / 1000.0,
-            stats.hot_milli(),
-            stats.warm_milli(),
-            lru.stats().hot_milli()
-        ));
-        full_bytes &= [plain_bytes, bytes, lru_bytes].iter().all(|&b| b == full_rate);
-        tiered.push(io_reduction);
-        lru_reductions.push(lru_reduction);
-    }
-    Ok((tiered, lru_reductions, full_bytes))
+    ALPHAS.iter().map(|&a| row(lane, a, BASE, rows)).collect()
 }
 
 pub fn claim() -> Result<Claim> {
     let mut rows = Vec::new();
-    let (lockstep, _, lockstep_full) = sweep(&LOCKSTEP, &mut rows)?;
-    let (scattered, scattered_lru, scattered_full) = sweep(&SCATTERED, &mut rows)?;
-    let at_one = lockstep[2];
+    let lockstep = sweep(&LOCKSTEP, &mut rows)?;
+    let mut scattered = sweep(&SCATTERED, &mut rows)?;
+    // The α 1.0 win over four draws: the committed one, then three more.
+    for &base in &SCATTERED_DRAWS[1..] {
+        scattered.push(row(&SCATTERED, 1000, base, &mut rows)?);
+    }
+    let mut at_one: Vec<f64> = scattered[2..].iter().map(|r| r.tiered / r.lru).collect();
+    let wins = at_one.iter().filter(|&&r| r > 1.0).count();
+    let draws: Vec<String> = at_one.iter().map(|r| format!("{r:.3}x")).collect();
+    at_one.sort_by(f64::total_cmp);
+    let median = (at_one[1] + at_one[2]) / 2.0;
+    let lockstep_at_one = lockstep[2].tiered;
     rows.push(format!(
-        "reduction @ alpha 1.0: lockstep tiers={at_one:.2}x  scattered tiers={:.2}x lru={:.2}x",
-        scattered[2], scattered_lru[2]
+        "reduction @ alpha 1.0: lockstep tiers={lockstep_at_one:.2}x  scattered tiers={:.2}x \
+         lru={:.2}x  tiers/lru over draws {SCATTERED_DRAWS:?}={}  median={median:.3}x",
+        scattered[2].tiered,
+        scattered[2].lru,
+        draws.join(" / ")
     ));
-    let full_bytes = lockstep_full && scattered_full;
-    let x3 = |r: &[f64]| format!("{:.2}x / {:.2}x / {:.2}x", r[0], r[1], r[2]);
+    let full_bytes = lockstep.iter().chain(&scattered).all(|r| r.full_bytes);
+    let x3 = |r: &[Row], f: fn(&Row) -> f64| {
+        format!("{:.2}x / {:.2}x / {:.2}x", f(&r[0]), f(&r[1]), f(&r[2]))
+    };
     Ok(Claim {
         id: "E21",
         title: "tiered cache vs raw log reads: Zipf alpha sweep, cached and uncached lanes",
@@ -156,19 +193,21 @@ pub fn claim() -> Result<Claim> {
             already been evicted from the (LRU) cache' — disk time divided, not description",
         expected_shape: "lockstep: io_reduction grows with alpha, ≥ 3.9x at alpha 1.0 — the \
             tiers absorb the Zipf head; scattered starts in titles longer than the cache: the \
-            tiers beat an LRU of the same 24 chunks at alpha 1.0; every lane delivers every \
-            viewer's full rate",
+            tiers beat an LRU of the same 24 chunks at alpha 1.0 on the median of four draws \
+            and on at least three of them; every lane delivers every viewer's full rate",
         rows,
         measured: format!(
             "lockstep reduction {} at alpha 0 / 0.5 / 1.0; scattered tiers {} vs lru {}; \
+             tiers/lru at alpha 1.0 median {median:.3}x, won on {wins} of 4 draws; \
              full-rate bytes in every lane: {full_bytes}",
-            x3(&lockstep),
-            x3(&scattered),
-            x3(&scattered_lru)
+            x3(&lockstep, |r| r.tiered),
+            x3(&scattered, |r| r.tiered),
+            x3(&scattered, |r| r.lru)
         ),
-        holds: lockstep.windows(2).all(|r| r[1] > r[0])
-            && at_one >= 3.9
-            && scattered[2] > scattered_lru[2]
+        holds: lockstep.windows(2).all(|r| r[1].tiered > r[0].tiered)
+            && lockstep_at_one >= 3.9
+            && median > 1.0
+            && wins >= 3
             && full_bytes,
     })
 }

@@ -415,7 +415,11 @@ mod tests {
         let mut wire = Link::new(100_000_000, 0, nic.clone());
         let tx = Rc::new(RefCell::new(Link::new(100_000_000, 0, out.clone())));
         let mut sim = Simulator::new();
-        let arrivals: Vec<u64> = (0..10).map(|_| wire.send(&mut sim, Cell::new(5))).collect();
+        for _ in 0..10 {
+            wire.send(&mut sim, Cell::new(5));
+        }
+        // An idle line: cell k reaches the NIC one cell time after k−1.
+        let arrivals: Vec<u64> = (1..=10).map(|k| k * wire.cell_time()).collect();
         sim.run_until(arrivals[2]);
         assert_eq!(nic.borrow().cells, 3);
         let cell_time = tx.borrow().cell_time();

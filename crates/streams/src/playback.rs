@@ -426,7 +426,9 @@ mod tests {
             lease.extend_from_slice(&[0xAB; 100]);
             let frame = lease.freeze();
             seg.segment_frame(&frame.view_all(), &mut cells).unwrap();
-            link.send_burst(&mut sim, cells.drain(..));
+            for cell in cells.drain(..) {
+                link.send(&mut sim, cell);
+            }
         }
         sim.run();
         assert_eq!(

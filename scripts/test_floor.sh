@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=702
+FLOOR=684
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
