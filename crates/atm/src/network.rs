@@ -724,21 +724,10 @@ impl Network {
         vcs
     }
 
-    /// Opens a set of virtual circuits between attached endpoints as one
-    /// transaction, all of them or none: [`Network::check_vcs`], then
-    /// [`Network::commit_vcs`]. A refused set leaves no trace: no
-    /// reservation, no VCI, no connection id.
-    pub fn open_vcs(
-        &mut self,
-        flows: &[(EndpointId, EndpointId, QosSpec)],
-    ) -> Result<Vec<VcHandle>, AdmissionError> {
-        let plan = self.check_vcs(&[], flows)?;
-        Ok(self.commit_vcs(plan, Vec::new()))
-    }
-
     /// Opens one virtual circuit from `src` to `dst` with the requested
-    /// QoS: [`Network::open_vcs`] of a single flow. Fails without side
-    /// effects if any hop lacks capacity.
+    /// QoS: the one-flow case of [`Network::check_vcs`] then
+    /// [`Network::commit_vcs`]. Fails without side effects if any hop
+    /// lacks capacity.
     pub fn open_vc(
         &mut self,
         src: EndpointId,
@@ -1445,9 +1434,11 @@ mod tests {
         // 70 Mbit/s would fit eps[1]'s transmit link, making it the
         // fullest in the network, and is refused on the shared delivery
         // link. The check writes nothing, so the figure stays known.
-        let err = net
-            .open_vcs(&[(eps[1], eps[2], QosSpec::guaranteed(70_000_000))])
-            .unwrap_err();
+        let err = open_vcs(
+            &mut net,
+            &[(eps[1], eps[2], QosSpec::guaranteed(70_000_000))],
+        )
+        .unwrap_err();
         assert_eq!(
             err.to_string(),
             "link sw:2: requested 70000000 bit/s but only 35000000 available"
@@ -1487,19 +1478,33 @@ mod tests {
         QosSpec::guaranteed(mbit * 1_000_000)
     }
 
+    /// Opens a flow set as one transaction, the way the broker does:
+    /// check, then commit. A refused set leaves no trace.
+    fn open_vcs(
+        net: &mut Network,
+        flows: &[(EndpointId, EndpointId, QosSpec)],
+    ) -> Result<Vec<VcHandle>, AdmissionError> {
+        let plan = net.check_vcs(&[], flows)?;
+        Ok(net.commit_vcs(plan, Vec::new()))
+    }
+
     #[test]
     fn open_vcs_checks_joint_feasibility_over_a_shared_hop() {
         let (mut net, cam, disp, _) = two_site_net();
         // Individually each flow fits the 95 Mbit/s reservable trunk;
         // jointly they do not — the second must see the first's share.
-        let err = net
-            .open_vcs(&[(cam, disp, guaranteed(60)), (cam, disp, guaranteed(60))])
-            .unwrap_err();
+        let err = open_vcs(
+            &mut net,
+            &[(cam, disp, guaranteed(60)), (cam, disp, guaranteed(60))],
+        )
+        .unwrap_err();
         assert!(matches!(err, AdmissionError::InsufficientBandwidth { .. }));
         assert_eq!(net.max_reservation_utilization(), 0.0, "nothing kept");
-        let vcs = net
-            .open_vcs(&[(cam, disp, guaranteed(50)), (cam, disp, guaranteed(40))])
-            .unwrap();
+        let vcs = open_vcs(
+            &mut net,
+            &[(cam, disp, guaranteed(50)), (cam, disp, guaranteed(40))],
+        )
+        .unwrap();
         assert_eq!(vcs.len(), 2);
         assert_eq!(net.max_reservation_utilization(), 0.9);
         // Request order: the set numbers as two sequential opens would.
@@ -1520,13 +1525,11 @@ mod tests {
         let b = net.add_endpoint(sw_b, 0, cfg, CaptureSink::shared());
         // A routable first flow does not hide the second's error.
         assert_eq!(
-            net.open_vcs(&[(a, a, guaranteed(1)), (a, b, guaranteed(1))])
-                .unwrap_err(),
+            open_vcs(&mut net, &[(a, a, guaranteed(1)), (a, b, guaranteed(1))]).unwrap_err(),
             AdmissionError::NoRoute
         );
         assert_eq!(
-            net.open_vcs(&[(a, EndpointId(42), guaranteed(1))])
-                .unwrap_err(),
+            open_vcs(&mut net, &[(a, EndpointId(42), guaranteed(1))]).unwrap_err(),
             AdmissionError::UnknownEndpoint
         );
     }
@@ -1535,9 +1538,9 @@ mod tests {
     fn open_vcs_counts_existing_reservations() {
         let (mut net, cam, disp, _) = two_site_net();
         let _vc = net.open_vc(cam, disp, guaranteed(90)).unwrap();
-        let err = net.open_vcs(&[(cam, disp, guaranteed(10))]).unwrap_err();
+        let err = open_vcs(&mut net, &[(cam, disp, guaranteed(10))]).unwrap_err();
         assert!(matches!(err, AdmissionError::InsufficientBandwidth { .. }));
-        net.open_vcs(&[(cam, disp, guaranteed(5))]).unwrap();
+        open_vcs(&mut net, &[(cam, disp, guaranteed(5))]).unwrap();
     }
 
     #[test]
@@ -1562,15 +1565,14 @@ mod tests {
             (disp, cam, QosSpec::best_effort(0)),
             (cam, disp, guaranteed(40)),
         ];
-        net.open_vcs(&set).unwrap_err();
+        open_vcs(&mut net, &set).unwrap_err();
         assert_eq!((net.next_vci, net.next_conn), (vci, conn));
         assert_eq!(ledgers(&net), before);
         net.audit_reservations().unwrap();
         assert_eq!(net.max_reservation_utilization(), 0.3);
         // The same refusal for a routing reason, found after a flow
         // that would have fitted.
-        net.open_vcs(&[set[0], (cam, EndpointId(42), guaranteed(1))])
-            .unwrap_err();
+        open_vcs(&mut net, &[set[0], (cam, EndpointId(42), guaranteed(1))]).unwrap_err();
         assert_eq!((net.next_vci, net.next_conn), (vci, conn));
         assert_eq!(ledgers(&net), before);
         // What comes next numbers as if the refusals never happened.

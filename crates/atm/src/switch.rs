@@ -104,7 +104,6 @@ pub struct Switch {
     /// VCIs make this attributable to one circuit; the control plane
     /// drains it to reclaim credits and attribute admitted-session loss.
     dropped_by_vci: LabelMap<Vci, u64>,
-    next_vci: Vci,
 }
 
 impl Switch {
@@ -119,7 +118,6 @@ impl Switch {
             queue_capacity: 1024,
             stats: SwitchStats::default(),
             dropped_by_vci: LabelMap::default(),
-            next_vci: 32, // low VCIs reserved for signalling, as on real ATM
         }))
     }
 
@@ -159,13 +157,6 @@ impl Switch {
     /// How many output ports have a line attached.
     pub(crate) fn wired_ports(&self) -> usize {
         self.outputs.iter().filter(|l| l.is_some()).count()
-    }
-
-    /// Allocates a fresh VCI, unique within this switch.
-    pub fn alloc_vci(&mut self) -> Vci {
-        let v = self.next_vci;
-        self.next_vci = self.next_vci.checked_add(1).expect("VCI space exhausted");
-        v
     }
 
     /// Installs a translation-table entry.
@@ -354,14 +345,5 @@ mod tests {
         assert!(sw.route_for(1, 7).is_some());
         sw.clear_routes();
         assert!(labels.iter().all(|&(p, v)| sw.route_for(p, v).is_none()));
-    }
-
-    #[test]
-    fn alloc_vci_is_unique_and_above_signalling_range() {
-        let sw = Switch::shared("t", 2, 0);
-        let a = sw.borrow_mut().alloc_vci();
-        let b = sw.borrow_mut().alloc_vci();
-        assert!(a >= 32);
-        assert_ne!(a, b);
     }
 }

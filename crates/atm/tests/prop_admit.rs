@@ -13,12 +13,12 @@
 //! gets.
 //!
 //! (b) A check decides as the twin does by attaching the same ends
-//! first and opening the set with [`Network::open_vcs`]: both admit, or
-//! both refuse for the same reason. An admitted check committed with
-//! its pending ends equals the twin in endpoint ids and ports, VCIs,
-//! connection ids, every endpoint's transmit headroom, the fullest link
-//! and the audit. That is why a scenario's report cannot tell the two
-//! orders apart.
+//! first and then checking and committing the set with no pending end:
+//! both admit, or both refuse for the same reason. An admitted check
+//! committed with its pending ends equals the twin in endpoint ids and
+//! ports, VCIs, connection ids, every endpoint's transmit headroom, the
+//! fullest link and the audit. That is why a scenario's report cannot
+//! tell the two orders apart.
 
 use proptest::prelude::*;
 
@@ -239,7 +239,9 @@ proptest! {
             for &(sw, cfg) in &pending {
                 t.twin.add_endpoint_auto(sw, cfg, CaptureSink::shared());
             }
-            let vcs = match (verdict, t.twin.open_vcs(&flows)) {
+            let twin = t.twin.check_vcs(&[], &flows);
+            let twin = twin.map(|plan| t.twin.commit_vcs(plan, Vec::new()));
+            let vcs = match (verdict, twin) {
                 (Ok(plan), Ok(twin_vcs)) => {
                     let sinks = pending.iter().map(|_| CaptureSink::shared() as _).collect();
                     let vcs = t.net.commit_vcs(plan, sinks);

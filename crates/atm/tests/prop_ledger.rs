@@ -80,7 +80,8 @@ proptest! {
                     let before = net.max_reservation_utilization();
                     let qos = QosSpec::guaranteed(mbit * MBIT);
                     let (x, y) = (pick(&eps, a), pick(&eps, b));
-                    match net.open_vcs(&[(x, y, qos), (x, y, qos), (y, x, qos)]) {
+                    let set = net.check_vcs(&[], &[(x, y, qos), (x, y, qos), (y, x, qos)]);
+                    match set.map(|plan| net.commit_vcs(plan, Vec::new())) {
                         Ok(vcs) => held.extend(vcs),
                         Err(_) => {
                             prop_assert_eq!(net.audit_reservations(), Ok(()));

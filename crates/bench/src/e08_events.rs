@@ -4,7 +4,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use pegasus_nemesis::events::{EventConfig, EventSystem, IdcChannel, SignalMode};
+use pegasus_nemesis::events::{
+    EventSystem, IdcChannel, SignalMode, ACTIVATION, CTX_SWITCH, SCHED_DELAY,
+};
 use pegasus_sim::time::fmt_ns;
 use pegasus_sim::Simulator;
 use crate::{Claim, Result};
@@ -16,7 +18,7 @@ const SPACING: u64 = 10_000;
 /// Signals one domain [`PACKETS`] times, [`SPACING`] apart from time 0:
 /// `(the first signal's delivery latency, activations in all)`.
 fn demux(mode: SignalMode) -> (u64, u64) {
-    let sys = EventSystem::shared(EventConfig::default());
+    let sys = EventSystem::shared();
     let mut sim = Simulator::new();
     let rx = sys.borrow_mut().add_domain("demux");
     let chan = sys.borrow_mut().open_channel(rx);
@@ -37,7 +39,7 @@ fn demux(mode: SignalMode) -> (u64, u64) {
 
 /// An IDC round trip with sync events (the paper's low-latency case).
 fn idc_round_trip() -> u64 {
-    let sys = EventSystem::shared(EventConfig::default());
+    let sys = EventSystem::shared();
     let mut sim = Simulator::new();
     let client = sys.borrow_mut().add_domain("client");
     let server = sys.borrow_mut().add_domain("server");
@@ -57,7 +59,6 @@ fn idc_round_trip() -> u64 {
 }
 
 pub fn claim() -> Result<Claim> {
-    let cfg = EventConfig::default();
     let [sync, asynch] = [SignalMode::Synchronous, SignalMode::Asynchronous].map(demux);
     let rtt = idc_round_trip();
     let row = |label, (lat, acts): (u64, u64)| {
@@ -67,7 +68,7 @@ pub fn claim() -> Result<Claim> {
         )
     };
     // Packets arriving within one scheduling quantum share an activation.
-    let batches = PACKETS * SPACING / cfg.sched_delay;
+    let batches = PACKETS * SPACING / SCHED_DELAY;
     Ok(Claim {
         id: "E8",
         title: "event signalling: latency (sync wins) and batching (async wins)",
@@ -80,8 +81,8 @@ pub fn claim() -> Result<Claim> {
             format!("idc round trip (sync both ways)={}", fmt_ns(rtt)),
         ],
         measured: format!("(latency ns, activations): sync {sync:?}, async {asynch:?}; idc {rtt} ns"),
-        holds: sync.0 == cfg.ctx_switch + cfg.activation
-            && asynch.0 == cfg.sched_delay + cfg.activation
+        holds: sync.0 == CTX_SWITCH + ACTIVATION
+            && asynch.0 == SCHED_DELAY + ACTIVATION
             && sync.1 == PACKETS
             && asynch.1 <= batches + 1
             && rtt == 2 * sync.0,

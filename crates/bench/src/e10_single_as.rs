@@ -1,17 +1,16 @@
 //! E10 — The single address space removes virtual-cache aliases at
 //! context switch; a relocation cache amortizes load-time relocation (§3.1).
 
-use pegasus_nemesis::mem::{ImageLoader, SwitchCostModel};
+use pegasus_nemesis::mem::{aliased_switch, ImageLoader, SINGLE_AS_SWITCH};
 use pegasus_sim::time::{fmt_ns, US};
 use crate::{Claim, Result};
 
 pub fn claim() -> Result<Claim> {
-    let m = SwitchCostModel::decstation();
-    let single = m.single_as_switch();
+    let single = SINGLE_AS_SWITCH;
     let mut rows = Vec::new();
     let mut aliased = Vec::new();
     for dirty in [0.1f64, 0.5, 1.0] {
-        let a = m.aliased_switch(dirty);
+        let a = aliased_switch(dirty);
         rows.push(format!(
             "dirty cache fraction={dirty:.1}  aliased (per-process AS)={}  single AS={}  \
              saving={:.1}x",

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pegasus_naming::invoke::{DomainRelation, InvocationCosts, ObjectHandle, Service};
+use pegasus_naming::invoke::{DomainRelation, ObjectHandle, Service};
 use pegasus_naming::maillon::{Maillon, ObjectRef};
 use pegasus_naming::namespace::NameWorld;
 use pegasus_sim::time::fmt_ns;
@@ -60,7 +60,6 @@ pub fn claim() -> Result<Claim> {
     ));
 
     // Invocation hierarchy.
-    let costs = InvocationCosts::default();
     let mut per_call = Vec::new();
     for (label, rel) in [
         ("procedure (same domain)", DomainRelation::SameDomain),
@@ -73,10 +72,10 @@ pub fn claim() -> Result<Claim> {
         }
         rows.push(format!(
             "invocation={label}  per call={}  100 calls mechanism time={}",
-            fmt_ns(costs.for_relation(rel)),
+            fmt_ns(rel.call_cost()),
             fmt_ns(h.mechanism_time)
         ));
-        per_call.push(costs.for_relation(rel) as f64);
+        per_call.push(rel.call_cost() as f64);
     }
     // One more component (rows 0→1) against one more mount hop at the
     // same component count (rows 2→3).

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use pegasus_pfs::client::{WriteBehindSystem, WritePolicy};
 use pegasus_pfs::disk::DiskConfig;
 use pegasus_pfs::log::{FileId, LogFs};
-use pegasus_pfs::workload::{generate, Op, WorkloadConfig};
+use pegasus_pfs::workload::{generate, Op};
 use pegasus_sim::time::SEC;
 use crate::{Claim, Result};
 
@@ -16,7 +16,7 @@ fn run(policy: WritePolicy) -> Result<(u64, u64, u64, u64)> {
     let mut fs = LogFs::new(DiskConfig::hp_1994());
     fs.raid_mut().set_store(false);
     let mut sys = WriteBehindSystem::new(fs, policy);
-    let trace = generate(WorkloadConfig::baker(), 600 * SEC);
+    let trace = generate(600 * SEC);
     let mut files: HashMap<u64, FileId> = HashMap::new();
     let mut now = 0;
     for (t, op) in trace {

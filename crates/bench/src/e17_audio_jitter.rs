@@ -2,7 +2,7 @@
 //! against jitter and play-out buffer depth.
 
 use pegasus_atm::link::CellSink;
-use pegasus_devices::audio::{pack_cell, AudioConfig, AudioSink, SAMPLES_PER_CELL};
+use pegasus_devices::audio::{pack_cell, AudioSink, CELL_PERIOD, SAMPLES_PER_CELL, SAMPLE_PERIOD};
 use pegasus_sim::time::{fmt_ns, MS};
 use pegasus_sim::Simulator;
 use crate::{Claim, Result};
@@ -10,12 +10,10 @@ use crate::{Claim, Result};
 /// Delivers 1000 cells with sawtooth jitter of the given peak, into a
 /// sink with the given buffer depth; returns (underruns, p50 latency).
 fn run(jitter_peak_ms: u64, buffer_samples: usize) -> (u64, u64) {
-    let cfg = AudioConfig::telephony();
-    let sink = AudioSink::shared(cfg, buffer_samples);
+    let sink = AudioSink::shared(buffer_samples);
     let mut sim = Simulator::new();
-    let period = cfg.cell_period();
     for i in 0..1_000u64 {
-        let ideal = i * period;
+        let ideal = i * CELL_PERIOD;
         let jitter = if jitter_peak_ms == 0 {
             0
         } else {
@@ -29,7 +27,7 @@ fn run(jitter_peak_ms: u64, buffer_samples: usize) -> (u64, u64) {
     }
     // Stop the play-out clock with the stream, so post-stream silence
     // is not miscounted as drop-outs.
-    let horizon = 1_000 * period;
+    let horizon = 1_000 * CELL_PERIOD;
     AudioSink::start_playout(&sink, &mut sim, horizon);
     sim.run();
     let mut s = sink.borrow_mut();
@@ -61,9 +59,7 @@ pub fn claim() -> Result<Claim> {
         fmt_ns(lat_shallow),
         fmt_ns(lat_deep)
     ));
-    let cfg = AudioConfig::telephony();
-    let depth = |samples: u64| samples * cfg.sample_period();
-    let cell = cfg.cell_period();
+    let depth = |samples: u64| samples * SAMPLE_PERIOD;
     Ok(Claim {
         id: "E17",
         title: "audio drop-outs vs jitter × play-out buffer depth (8 kHz, 2.5 s)",
@@ -78,7 +74,7 @@ pub fn claim() -> Result<Claim> {
             fmt_ns(lat_deep)
         ),
         holds: covered_drops == 0
-            && lat_shallow.abs_diff(depth(20)) <= cell
-            && lat_deep.abs_diff(depth(160)) <= cell,
+            && lat_shallow.abs_diff(depth(20)) <= CELL_PERIOD
+            && lat_deep.abs_diff(depth(160)) <= CELL_PERIOD,
     })
 }

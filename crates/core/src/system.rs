@@ -15,11 +15,16 @@ use std::rc::Rc;
 use pegasus_atm::cell::Cell;
 use pegasus_atm::link::{CellSink, Link, SinkRef};
 use pegasus_atm::network::{EndpointId, LinkConfig, Network, SwitchId, TopologyShape};
-use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
+use pegasus_devices::audio::{AudioSink, AudioSource};
 use pegasus_devices::camera::{Camera, CameraConfig};
 use pegasus_devices::display::Display;
 use pegasus_devices::video::{Scene, SyntheticVideo};
+use pegasus_sim::time::Ns;
 use pegasus_sim::Simulator;
+
+/// Per-cell CPU cost of touching the data (copy in + copy out): ~2 µs
+/// for a 1994 workstation to receive, inspect and resend a cell.
+const PER_CELL_CPU: Ns = 2_000;
 
 /// The host CPU's network interface: any media cell delivered here was
 /// touched by a processor, which is precisely what the DAN architecture
@@ -31,8 +36,6 @@ pub struct HostNic {
     pub cells: u64,
     /// Optional forwarding: (re-stamped VCI, transmit link).
     pub forward: Option<(u16, Rc<RefCell<Link>>)>,
-    /// Per-cell CPU cost of touching the data (copy in + copy out).
-    pub per_cell_cpu: u64,
     /// Accumulated CPU time burned on forwarding.
     pub cpu_time: u64,
 }
@@ -44,7 +47,6 @@ impl HostNic {
             bytes_touched: 0,
             cells: 0,
             forward: None,
-            per_cell_cpu: 2_000, // ~2 µs to receive, inspect and resend a cell
             cpu_time: 0,
         }))
     }
@@ -54,7 +56,7 @@ impl CellSink for HostNic {
     fn deliver(&mut self, sim: &mut Simulator, mut cell: Cell) {
         self.bytes_touched += cell.payload().len() as u64;
         self.cells += 1;
-        self.cpu_time += self.per_cell_cpu;
+        self.cpu_time += PER_CELL_CPU;
         if let Some((vci, link)) = &self.forward {
             cell.set_vci(*vci);
             link.borrow_mut().send(sim, cell);
@@ -213,7 +215,7 @@ impl System {
         let display = Display::shared(640, 480);
         let display_ep = self.net.add_endpoint(sw, 2, self.link, display.clone());
         let audio_src_ep = self.net.add_endpoint(sw, 3, self.link, HostNic::shared());
-        let audio_sink = AudioSink::shared(AudioConfig::telephony(), audio_jitter_buffer);
+        let audio_sink = AudioSink::shared(audio_jitter_buffer);
         let audio_sink_ep = self.net.add_endpoint(sw, 4, self.link, audio_sink.clone());
         let host_nic = HostNic::shared();
         let host_ep = self.net.add_endpoint(sw, 5, self.link, host_nic.clone());
@@ -287,17 +289,12 @@ impl System {
 
     /// Builds an audio source on `ws` for an already-opened connection.
     pub fn build_audio_source(&self, ws: &Workstation, vci: u16) -> Rc<RefCell<AudioSource>> {
-        self.audio_source_on(ws.audio_src_ep, AudioConfig::telephony(), vci)
+        self.audio_source_on(ws.audio_src_ep, vci)
     }
 
     /// Builds an audio source transmitting from an arbitrary endpoint.
-    pub fn audio_source_on(
-        &self,
-        ep: EndpointId,
-        cfg: AudioConfig,
-        vci: u16,
-    ) -> Rc<RefCell<AudioSource>> {
-        AudioSource::new(cfg, vci, self.net.endpoint_tx(ep))
+    pub fn audio_source_on(&self, ep: EndpointId, vci: u16) -> Rc<RefCell<AudioSource>> {
+        AudioSource::new(vci, self.net.endpoint_tx(ep))
     }
 
     /// Runs a session request through the QoS broker against this

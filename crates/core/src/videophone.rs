@@ -31,6 +31,10 @@ pub enum VideoPath {
     BusAttached,
 }
 
+/// Bandwidth reserved per video stream: 20 Mbit/s of a 100 Mbit/s
+/// access link.
+const VIDEO_BPS: u64 = 20_000_000;
+
 /// Call parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct VideoPhoneConfig {
@@ -38,8 +42,6 @@ pub struct VideoPhoneConfig {
     pub path: VideoPath,
     /// Camera settings (rate, coding, granularity).
     pub camera: CameraConfig,
-    /// Bandwidth reserved per video stream.
-    pub video_bps: u64,
     /// Call duration.
     pub duration: Ns,
 }
@@ -49,7 +51,6 @@ impl Default for VideoPhoneConfig {
         VideoPhoneConfig {
             path: VideoPath::Dan,
             camera: CameraConfig::default(),
-            video_bps: 20_000_000,
             duration: 1_000 * MS,
         }
     }
@@ -176,7 +177,7 @@ impl VideoPhone {
                     .open_vc(
                         from.camera_ep,
                         to.display_ep,
-                        QosSpec::guaranteed(cfg.video_bps),
+                        QosSpec::guaranteed(VIDEO_BPS),
                     )
                     .expect("video admission");
                 wm.create(vc.dst_vci, Rect::new(0, 0, 176, 144));
@@ -186,19 +187,11 @@ impl VideoPhone {
                 // Camera → own host; host forwards → remote display.
                 let vc_in = sys
                     .net
-                    .open_vc(
-                        from.camera_ep,
-                        from.host_ep,
-                        QosSpec::guaranteed(cfg.video_bps),
-                    )
+                    .open_vc(from.camera_ep, from.host_ep, QosSpec::guaranteed(VIDEO_BPS))
                     .expect("camera-to-host admission");
                 let vc_out = sys
                     .net
-                    .open_vc(
-                        from.host_ep,
-                        to.display_ep,
-                        QosSpec::guaranteed(cfg.video_bps),
-                    )
+                    .open_vc(from.host_ep, to.display_ep, QosSpec::guaranteed(VIDEO_BPS))
                     .expect("host-to-display admission");
                 from.host_nic.borrow_mut().forward =
                     Some((vc_out.src_vci, sys.net.endpoint_tx(from.host_ep)));

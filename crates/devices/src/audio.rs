@@ -13,6 +13,11 @@
 //! play-out until `target_depth` samples are queued, trading a fixed
 //! latency for immunity to that much arrival jitter. Experiment E17
 //! sweeps network jitter against buffer depth.
+//!
+//! The node carries one format, 8 kHz telephony (`SAMPLE_RATE`): a
+//! sample every [`SAMPLE_PERIOD`] (125 µs) and a cell every
+//! [`CELL_PERIOD`] (2.5 ms). The ADC digitizes a 440 Hz tone
+//! (`TONE_HZ`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -28,29 +33,18 @@ use pegasus_sim::Simulator;
 /// 16-bit samples.
 pub const SAMPLES_PER_CELL: usize = 20;
 
-/// Audio format parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct AudioConfig {
-    /// Sample rate in Hz (8 kHz telephony, 44.1 kHz hi-fi).
-    pub sample_rate: u32,
-}
+/// Sample rate in Hz: 8 kHz telephony, the one format the testbed's
+/// DSP node carries.
+const SAMPLE_RATE: u32 = 8_000;
 
-impl AudioConfig {
-    /// Telephone-quality 8 kHz.
-    pub fn telephony() -> Self {
-        AudioConfig { sample_rate: 8_000 }
-    }
+/// Nanoseconds between samples (125 µs at 8 kHz).
+pub const SAMPLE_PERIOD: Ns = SEC / SAMPLE_RATE as u64;
 
-    /// Nanoseconds between samples.
-    pub fn sample_period(&self) -> Ns {
-        SEC / self.sample_rate as u64
-    }
+/// Nanoseconds between cells, 20 samples each (2.5 ms at 8 kHz).
+pub const CELL_PERIOD: Ns = SAMPLE_PERIOD * SAMPLES_PER_CELL as u64;
 
-    /// Nanoseconds between cells (20 samples each).
-    pub fn cell_period(&self) -> Ns {
-        self.sample_period() * SAMPLES_PER_CELL as u64
-    }
-}
+/// Frequency of the tone the ADC digitizes, in Hz (concert A).
+const TONE_HZ: u32 = 440;
 
 /// Packs a timestamp and samples into a cell payload.
 pub fn pack_cell(vci: Vci, timestamp: Ns, samples: &[i16; SAMPLES_PER_CELL]) -> Cell {
@@ -76,35 +70,29 @@ pub fn unpack_cell(cell: &Cell) -> (Ns, [i16; SAMPLES_PER_CELL]) {
 /// The ADC half: digitizes a deterministic tone and transmits cells at
 /// the sample clock.
 pub struct AudioSource {
-    cfg: AudioConfig,
     vci: Vci,
     tx: Rc<RefCell<Link>>,
     running: bool,
     sample_no: u64,
-    /// Tone frequency in Hz.
-    pub tone_hz: u32,
     /// Cells transmitted.
     pub cells_sent: u64,
 }
 
 impl AudioSource {
     /// Creates a source on `vci` transmitting through `tx`.
-    pub fn new(cfg: AudioConfig, vci: Vci, tx: Rc<RefCell<Link>>) -> Rc<RefCell<AudioSource>> {
+    pub fn new(vci: Vci, tx: Rc<RefCell<Link>>) -> Rc<RefCell<AudioSource>> {
         Rc::new(RefCell::new(AudioSource {
-            cfg,
             vci,
             tx,
             running: false,
             sample_no: 0,
-            tone_hz: 440,
             cells_sent: 0,
         }))
     }
 
     /// The sample the ADC reads at index `n` — a pure sine tone.
-    fn sample(&self, n: u64) -> i16 {
-        let phase =
-            (n as f64 * self.tone_hz as f64 / self.cfg.sample_rate as f64) * std::f64::consts::TAU;
+    fn sample(n: u64) -> i16 {
+        let phase = (n as f64 * TONE_HZ as f64 / SAMPLE_RATE as f64) * std::f64::consts::TAU;
         (phase.sin() * 12_000.0) as i16
     }
 
@@ -139,14 +127,14 @@ impl AudioSource {
         let mut samples = [0i16; SAMPLES_PER_CELL];
         let base = s.sample_no;
         for (i, slot) in samples.iter_mut().enumerate() {
-            *slot = s.sample(base + i as u64);
+            *slot = Self::sample(base + i as u64);
         }
         s.sample_no += SAMPLES_PER_CELL as u64;
         let cell = pack_cell(s.vci, ts, &samples);
         s.cells_sent += 1;
         let tx = s.tx.clone();
         tx.borrow_mut().send(sim, cell);
-        Some(sim.now().saturating_add(s.cfg.cell_period()))
+        Some(sim.now().saturating_add(CELL_PERIOD))
     }
 }
 
@@ -168,7 +156,6 @@ pub struct SinkStats {
 /// The DAC half: buffers arriving cells and consumes them at the sample
 /// clock once `target_depth` samples are queued.
 pub struct AudioSink {
-    cfg: AudioConfig,
     queue: VecDeque<(Ns, [i16; SAMPLES_PER_CELL])>,
     queued_samples: usize,
     /// Samples to accumulate before play-out starts (the jitter buffer).
@@ -176,22 +163,19 @@ pub struct AudioSink {
     /// Hard cap on buffered samples.
     pub max_depth: usize,
     playing: bool,
-    started: bool,
     /// Counters.
     pub stats: SinkStats,
 }
 
 impl AudioSink {
     /// Creates a sink with the given jitter-buffer depth (in samples).
-    pub fn shared(cfg: AudioConfig, target_depth: usize) -> Rc<RefCell<AudioSink>> {
+    pub fn shared(target_depth: usize) -> Rc<RefCell<AudioSink>> {
         Rc::new(RefCell::new(AudioSink {
-            cfg,
             queue: VecDeque::new(),
             queued_samples: 0,
             target_depth,
             max_depth: target_depth.max(SAMPLES_PER_CELL) * 64,
             playing: false,
-            started: false,
             stats: SinkStats::default(),
         }))
     }
@@ -206,33 +190,23 @@ impl AudioSink {
 
     /// Plays one cell period; returns the next tick time before `until`.
     fn playout_tick(sink: &Rc<RefCell<AudioSink>>, sim: &mut Simulator, until: Ns) -> Option<Ns> {
-        let period = {
-            let mut s = sink.borrow_mut();
-            let now = sim.now();
-            if !s.playing {
-                // Wait for the buffer to fill before the first sample.
-                if s.queued_samples >= s.target_depth.max(1) {
-                    s.playing = true;
-                    s.started = true;
-                }
-            }
-            if s.playing {
-                if let Some((ts, _samples)) = s.queue.pop_front() {
-                    s.queued_samples -= SAMPLES_PER_CELL;
-                    s.stats.samples_played += SAMPLES_PER_CELL as u64;
-                    s.stats.playout_latency.record(now.saturating_sub(ts));
-                } else {
-                    // Drop-out: the DAC plays silence for a cell period.
-                    s.stats.underruns += 1;
-                }
-            }
-            s.cfg.cell_period()
-        };
-        if sim.now() + period <= until {
-            Some(sim.now() + period)
-        } else {
-            None
+        let mut s = sink.borrow_mut();
+        let now = sim.now();
+        if !s.playing {
+            // Wait for the buffer to fill before the first sample.
+            s.playing = s.queued_samples >= s.target_depth.max(1);
         }
+        if s.playing {
+            if let Some((ts, _samples)) = s.queue.pop_front() {
+                s.queued_samples -= SAMPLES_PER_CELL;
+                s.stats.samples_played += SAMPLES_PER_CELL as u64;
+                s.stats.playout_latency.record(now.saturating_sub(ts));
+            } else {
+                // Drop-out: the DAC plays silence for a cell period.
+                s.stats.underruns += 1;
+            }
+        }
+        (now + CELL_PERIOD <= until).then_some(now + CELL_PERIOD)
     }
 }
 
@@ -272,7 +246,7 @@ mod tests {
     fn source_rate_matches_clock() {
         let capture = CaptureSink::shared();
         let tx = Rc::new(RefCell::new(Link::new(100_000_000, 0, capture.clone())));
-        let src = AudioSource::new(AudioConfig::telephony(), 5, tx);
+        let src = AudioSource::new(5, tx);
         let mut sim = Simulator::new();
         AudioSource::start(&src, &mut sim);
         sim.run_until(1_000 * MS);
@@ -285,14 +259,13 @@ mod tests {
 
     #[test]
     fn clean_network_no_underruns() {
-        let cfg = AudioConfig::telephony();
-        let sink = AudioSink::shared(cfg, 40); // 5 ms of buffer
+        let sink = AudioSink::shared(40); // 5 ms of buffer
         let tx = Rc::new(RefCell::new(Link::new(
             100_000_000,
             1_000,
             sink.clone() as pegasus_atm::link::SinkRef,
         )));
-        let src = AudioSource::new(cfg, 5, tx);
+        let src = AudioSource::new(5, tx);
         let mut sim = Simulator::new();
         AudioSource::start(&src, &mut sim);
         AudioSink::start_playout(&sink, &mut sim, 2_000 * MS);
@@ -307,12 +280,10 @@ mod tests {
     #[test]
     fn jitter_beyond_buffer_causes_underruns() {
         // Deliver cells with ±8 ms jitter into a 2.5 ms buffer.
-        let cfg = AudioConfig::telephony();
-        let sink = AudioSink::shared(cfg, SAMPLES_PER_CELL); // one cell of buffer
+        let sink = AudioSink::shared(SAMPLES_PER_CELL); // one cell of buffer
         let mut sim = Simulator::new();
-        let cell_period = cfg.cell_period();
         for i in 0..400u64 {
-            let ideal = i * cell_period;
+            let ideal = i * CELL_PERIOD;
             // Deterministic sawtooth jitter 0..8 ms.
             let jitter = (i % 5) * 2 * MS;
             let sink2 = sink.clone();
@@ -333,13 +304,11 @@ mod tests {
 
     #[test]
     fn deep_buffer_absorbs_the_same_jitter() {
-        let cfg = AudioConfig::telephony();
         // 12 ms of buffer (96 samples) against 8 ms of jitter.
-        let sink = AudioSink::shared(cfg, 96);
+        let sink = AudioSink::shared(96);
         let mut sim = Simulator::new();
-        let cell_period = cfg.cell_period();
         for i in 0..400u64 {
-            let ideal = i * cell_period;
+            let ideal = i * CELL_PERIOD;
             let jitter = (i % 5) * 2 * MS;
             let sink2 = sink.clone();
             let cell = pack_cell(5, ideal, &[0i16; SAMPLES_PER_CELL]);
@@ -358,14 +327,12 @@ mod tests {
 
     #[test]
     fn playout_latency_tracks_buffer_depth() {
-        let cfg = AudioConfig::telephony();
-        let shallow = AudioSink::shared(cfg, SAMPLES_PER_CELL);
-        let deep = AudioSink::shared(cfg, 160); // 20 ms
+        let shallow = AudioSink::shared(SAMPLES_PER_CELL);
+        let deep = AudioSink::shared(160); // 20 ms
         for sink in [&shallow, &deep] {
             let mut sim = Simulator::new();
-            let cell_period = cfg.cell_period();
             for i in 0..200u64 {
-                let t = i * cell_period;
+                let t = i * CELL_PERIOD;
                 let s2 = sink.clone();
                 let cell = pack_cell(5, t, &[0i16; SAMPLES_PER_CELL]);
                 sim.schedule_at(t, move |sim| s2.borrow_mut().deliver(sim, cell));
@@ -385,8 +352,7 @@ mod tests {
 
     #[test]
     fn overrun_drops_when_buffer_full() {
-        let cfg = AudioConfig::telephony();
-        let sink = AudioSink::shared(cfg, SAMPLES_PER_CELL);
+        let sink = AudioSink::shared(SAMPLES_PER_CELL);
         sink.borrow_mut().max_depth = 3 * SAMPLES_PER_CELL;
         let mut sim = Simulator::new();
         // Never start play-out; flood the buffer.
@@ -403,7 +369,7 @@ mod tests {
     fn tone_is_deterministic_sine() {
         let capture = CaptureSink::shared();
         let tx = Rc::new(RefCell::new(Link::new(100_000_000, 0, capture.clone())));
-        let src = AudioSource::new(AudioConfig::telephony(), 5, tx);
+        let src = AudioSource::new(5, tx);
         let mut sim = Simulator::new();
         AudioSource::start(&src, &mut sim);
         sim.run_until(100 * MS);

@@ -15,6 +15,10 @@
 //! tiles the moment its eight scan lines exist, while
 //! [`Granularity::Frame`] models a conventional frame-grabber that
 //! buffers the whole frame first. Experiment E1 compares them.
+//!
+//! Two figures are the device's, not the caller's: a row leaves the
+//! pipeline `PIPELINE_LATENCY` (10 µs) after its lines are scanned, and
+//! an AAL5 frame packs at most `TILES_PER_FRAME` (8) tiles.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,6 +53,13 @@ pub enum Granularity {
     Frame,
 }
 
+/// Max tiles packed into one AAL5 frame.
+const TILES_PER_FRAME: usize = 8;
+
+/// Hardware pipeline latency from scan completion to first cell offered
+/// to the link (digitizer + tiler + compressor): 10 µs.
+const PIPELINE_LATENCY: Ns = 10_000;
+
 /// Camera configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CameraConfig {
@@ -58,11 +69,6 @@ pub struct CameraConfig {
     pub mode: VideoMode,
     /// Emission granularity.
     pub granularity: Granularity,
-    /// Max tiles packed into one AAL5 frame.
-    pub tiles_per_frame: usize,
-    /// Hardware pipeline latency from scan completion to first cell
-    /// offered to the link (digitizer + tiler + compressor).
-    pub pipeline_latency: Ns,
 }
 
 impl Default for CameraConfig {
@@ -71,8 +77,6 @@ impl Default for CameraConfig {
             fps: 25,
             mode: VideoMode::Mjpeg(50),
             granularity: Granularity::TileRow,
-            tiles_per_frame: 8,
-            pipeline_latency: 10_000, // 10 µs through the device pipeline
         }
     }
 }
@@ -265,7 +269,7 @@ impl Camera {
             let emit_at = match cfg.granularity {
                 Granularity::TileRow => scanned_at,
                 Granularity::Frame => frame_scan_done,
-            } + cfg.pipeline_latency;
+            } + PIPELINE_LATENCY;
             rows.push(
                 sim,
                 emit_at,
@@ -315,7 +319,7 @@ impl Camera {
             }
             self.stats.raw_bytes += 64;
             self.stats.tiles_sent += 1;
-            if w.tiles() == self.cfg.tiles_per_frame || tx_idx == tiles_x - 1 {
+            if w.tiles() == TILES_PER_FRAME || tx_idx == tiles_x - 1 {
                 let frame = writer.take().expect("writer active").finish().freeze();
                 self.send_frame(sim, &frame);
             }

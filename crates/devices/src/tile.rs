@@ -333,12 +333,6 @@ impl<B: std::ops::DerefMut<Target = Vec<u8>>> TileFrameWriter<B> {
         self.tiles
     }
 
-    /// Payload bytes of this frame so far (excluding any bytes that
-    /// preceded it in the buffer).
-    pub fn frame_len(&self) -> usize {
-        self.buf.len() - self.base
-    }
-
     /// Patches the tile count and returns the buffer handle.
     pub fn finish(mut self) -> B {
         let ntiles = self.tiles as u8;
@@ -529,7 +523,6 @@ mod tests {
         let mut buf = vec![0xEE; 5];
         let mut w = TileFrameWriter::begin(&mut buf, TileCoding::Raw, 0, 1, 2);
         w.push_tile_with(0, 0, |out| out.extend_from_slice(&[3u8; 64]));
-        assert_eq!(w.frame_len(), 15 + 6 + 64);
         w.finish();
         assert_eq!(&buf[..5], &[0xEE; 5]);
         let frame = TileFrame::decode(&buf[5..]).unwrap();

@@ -6,8 +6,8 @@
 //!   allocates exactly what the frame path it rides on does, the one
 //!   `Rc` control block of each frozen tile-frame buffer
 //!   (`crates/atm/tests/no_alloc_forwarding.rs` is that gate), and
-//!   nothing that scales with tiles: packing 22 tiles a frame instead
-//!   of 8 must *lower* the count.
+//!   nothing that scales with tiles: at most one allocation per tile
+//!   frame, and a frame packs several tiles.
 //! * **Receive** — `Display::deliver` of a compressed tile frame
 //!   (reassemble in place, parse through the borrowed view, validate or
 //!   decode, blit) performs **zero** allocations, with a framebuffer or
@@ -137,17 +137,17 @@ fn encode_cache_is_allocated_by_the_first_compressed_tile() {
     assert!(coded >= CACHE_SIZED, "the measure would not see the cache");
 }
 
-/// Allocations and tile frames sealed over the rows of one video frame,
-/// for a QCIF Motion-JPEG camera packing `tiles_per_frame` tiles a
-/// frame.
-fn camera_row_allocs(tiles_per_frame: usize) -> (u64, u64) {
+/// Allocations, tile frames sealed and tiles sent over the rows of one
+/// video frame, for a QCIF Motion-JPEG camera.
+fn camera_row_allocs() -> (u64, u64, u64) {
     let sink = Rc::new(RefCell::new(DrainSink::default()));
     let tx = Rc::new(RefCell::new(Link::new(155_000_000, 1_000, sink.clone())));
-    let cfg = CameraConfig {
-        tiles_per_frame,
-        ..CameraConfig::default()
-    };
-    let cam = Camera::new(SyntheticVideo::qcif(Scene::MovingGradient), cfg, VCI, tx);
+    let cam = Camera::new(
+        SyntheticVideo::qcif(Scene::MovingGradient),
+        CameraConfig::default(),
+        VCI,
+        tx,
+    );
     let mut sim = Simulator::new();
     Camera::start(&cam, &mut sim);
     let period = cam.borrow().frame_period();
@@ -160,7 +160,7 @@ fn camera_row_allocs(tiles_per_frame: usize) -> (u64, u64) {
     // that frame's rows (a boxed closure each — the tick's cost, not
     // the row's). A window opening 1 ms after a tick and closing just
     // before the next holds row emissions and cell deliveries only.
-    let mut sealed = 0;
+    let (mut sealed, mut sent) = (0, 0);
     let mut next_window = || {
         frame += 1;
         sim.run_until(frame * period + MS);
@@ -171,28 +171,28 @@ fn camera_row_allocs(tiles_per_frame: usize) -> (u64, u64) {
         let allocs = allocs_during(|| sim.run_until((frame + 1) * period - 1));
         let c = cam.borrow();
         sealed = c.stats.aal5_frames - frames;
+        sent = c.stats.tiles_sent - tiles;
         assert!(
-            c.stats.tiles_sent - tiles >= 16 * 22,
+            sent >= 16 * 22,
             "the window must hold most of a frame's rows"
         );
         allocs
     };
     let allocs = min_allocs(&mut next_window);
     assert!(sink.borrow().cells > 0);
-    (allocs, sealed)
+    (allocs, sealed, sent)
 }
 
 fn camera_rows_allocate_per_sealed_frame_not_per_tile() {
-    let (allocs_8, sealed_8) = camera_row_allocs(8);
-    let (allocs_22, sealed_22) = camera_row_allocs(22);
-    assert!(sealed_22 < sealed_8, "22 tiles a frame seals fewer frames");
-    for (allocs, sealed) in [(allocs_8, sealed_8), (allocs_22, sealed_22)] {
-        assert!(
-            allocs <= sealed,
-            "a camera row may allocate the frozen buffer's control block \
-             and nothing else: {allocs} allocations for {sealed} tile frames"
-        );
-    }
+    let (allocs, sealed, tiles) = camera_row_allocs();
+    // Fewer frames than tiles, so one allocation per tile cannot pass
+    // for one per frame.
+    assert!(sealed < tiles, "{sealed} tile frames for {tiles} tiles");
+    assert!(
+        allocs <= sealed,
+        "a camera row may allocate the frozen buffer's control block \
+         and nothing else: {allocs} allocations for {sealed} tile frames"
+    );
 }
 
 fn display_delivery_allocates_nothing() {

@@ -9,7 +9,9 @@
 //!
 //! [`ObjectHandle::invoke`] dispatches through the right mechanism and
 //! charges its cost, giving the procedure < protected < RPC hierarchy
-//! that experiment E11 reports.
+//! that experiment E11 reports. The costs are 1994 figures of merit,
+//! one per relation ([`DomainRelation::call_cost`]): `PROCEDURE`
+//! (100 ns), `PROTECTED` (30 µs) and `RPC` (1.2 ms).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,36 +38,23 @@ pub enum DomainRelation {
     Remote,
 }
 
-/// Cost of one invocation under each mechanism.
-#[derive(Debug, Clone, Copy)]
-pub struct InvocationCosts {
-    /// A local procedure call.
-    pub procedure: Ns,
-    /// A protected (IDC) call: two event hops + queue operations.
-    pub protected: Ns,
-    /// A remote procedure call: marshalling + two network traversals.
-    pub rpc: Ns,
-}
+/// A local procedure call: ~100 ns in 1994.
+const PROCEDURE: Ns = 100;
 
-impl Default for InvocationCosts {
-    fn default() -> Self {
-        // 1994 figures of merit: ~100 ns call, ~30 µs protected call,
-        // ~1.2 ms LAN RPC.
-        InvocationCosts {
-            procedure: 100,
-            protected: 30_000,
-            rpc: 1_200_000,
-        }
-    }
-}
+/// A protected (IDC) call, two event hops + queue operations: ~30 µs.
+const PROTECTED: Ns = 30_000;
 
-impl InvocationCosts {
-    /// The cost of one call under `relation`.
-    pub fn for_relation(&self, relation: DomainRelation) -> Ns {
-        match relation {
-            DomainRelation::SameDomain => self.procedure,
-            DomainRelation::SameMachine => self.protected,
-            DomainRelation::Remote => self.rpc,
+/// A remote procedure call, marshalling + two network traversals: a
+/// ~1.2 ms LAN RPC.
+const RPC: Ns = 1_200_000;
+
+impl DomainRelation {
+    /// The mechanism cost of one call under this relation.
+    pub fn call_cost(self) -> Ns {
+        match self {
+            DomainRelation::SameDomain => PROCEDURE,
+            DomainRelation::SameMachine => PROTECTED,
+            DomainRelation::Remote => RPC,
         }
     }
 }
@@ -77,8 +66,6 @@ pub struct ObjectHandle {
     service: Rc<RefCell<dyn Service>>,
     /// Where the object lives.
     pub relation: DomainRelation,
-    /// The cost model in effect.
-    pub costs: InvocationCosts,
     /// Invocations made through this handle.
     pub calls: u64,
     /// Virtual time spent in invocation mechanism (not the method body).
@@ -91,7 +78,6 @@ impl ObjectHandle {
         ObjectHandle {
             service,
             relation,
-            costs: InvocationCosts::default(),
             calls: 0,
             mechanism_time: 0,
         }
@@ -100,7 +86,7 @@ impl ObjectHandle {
     /// Invokes a method through the relation-appropriate mechanism.
     pub fn invoke(&mut self, method: u32, args: &[u8]) -> Vec<u8> {
         self.calls += 1;
-        self.mechanism_time += self.costs.for_relation(self.relation);
+        self.mechanism_time += self.relation.call_cost();
         self.service.borrow_mut().invoke(method, args)
     }
 

@@ -24,6 +24,6 @@ pub mod maillon;
 pub mod namespace;
 pub mod rpc;
 
-pub use invoke::{DomainRelation, InvocationCosts, ObjectHandle, Service};
+pub use invoke::{DomainRelation, ObjectHandle, Service};
 pub use maillon::{Maillon, ObjectRef};
 pub use namespace::{NameError, NameSpaceId, NameWorld};

@@ -16,6 +16,9 @@
 //!
 //! Events are *counted*: sending twice before the receiver runs delivers
 //! one activation with a count of two, not two queued messages. The
+//! timing is a 1994 workstation's: a synchronous signal is delivered
+//! [`CTX_SWITCH`] (5 µs) plus [`ACTIVATION`] (2 µs) after it is sent, an
+//! asynchronous one [`SCHED_DELAY`] (1 ms) plus [`ACTIVATION`]. The
 //! module also provides the event-pair + shared-memory-queue **IDC**
 //! channel the paper describes for inter-domain procedure calls.
 
@@ -43,29 +46,17 @@ pub enum SignalMode {
     Asynchronous,
 }
 
-/// Timing parameters of the event mechanism.
-#[derive(Debug, Clone, Copy)]
-pub struct EventConfig {
-    /// Direct hand-off cost for a synchronous signal (context switch).
-    pub ctx_switch: Ns,
-    /// Delay until an asynchronously signalled domain is next scheduled.
-    pub sched_delay: Ns,
-    /// Fixed cost of entering a domain's activation handler.
-    pub activation: Ns,
-}
+/// Direct hand-off cost for a synchronous signal: a protected context
+/// switch of a 1994-era workstation, ~5 µs.
+pub const CTX_SWITCH: Ns = 5_000;
 
-impl Default for EventConfig {
-    fn default() -> Self {
-        // Figures of merit for a 1994-era workstation: a protected
-        // context switch of ~5 µs, a 1 ms scheduling quantum, and a ~2 µs
-        // activation upcall.
-        EventConfig {
-            ctx_switch: 5_000,
-            sched_delay: 1_000_000,
-            activation: 2_000,
-        }
-    }
-}
+/// Delay until an asynchronously signalled domain is next scheduled:
+/// one 1 ms scheduling quantum.
+pub const SCHED_DELAY: Ns = 1_000_000;
+
+/// Fixed cost of entering a domain's activation handler: a ~2 µs
+/// upcall.
+pub const ACTIVATION: Ns = 2_000;
 
 /// A closure invoked when a domain is activated with pending events.
 ///
@@ -95,17 +86,14 @@ struct ChannelState {
 
 /// The kernel's event dispatcher.
 pub struct EventSystem {
-    cfg: EventConfig,
     domains: Vec<DomainSlot>,
     channels: Vec<ChannelState>,
 }
 
 impl EventSystem {
-    /// Creates an event system with the given timing parameters, wrapped
-    /// for sharing with handlers.
-    pub fn shared(cfg: EventConfig) -> Rc<RefCell<EventSystem>> {
+    /// Creates an event system, wrapped for sharing with handlers.
+    pub fn shared() -> Rc<RefCell<EventSystem>> {
         Rc::new(RefCell::new(EventSystem {
-            cfg,
             domains: Vec::new(),
             channels: Vec::new(),
         }))
@@ -175,37 +163,32 @@ impl EventSystem {
         chan: ChannelId,
         mode: SignalMode,
     ) {
+        let rx = sys.borrow().channels[chan.0].rx;
         let delay = {
             let mut s = sys.borrow_mut();
-            let rx = s.channels[chan.0].rx;
             s.channels[chan.0].sent += 1;
             *s.domains[rx.0].pending.entry(chan).or_insert(0) += 1;
-            let cfg = s.cfg;
             let slot = &mut s.domains[rx.0];
             match mode {
                 SignalMode::Synchronous => {
                     // A sync send always hands the CPU over now; any
                     // previously scheduled async activation is subsumed.
                     slot.activation_scheduled = true;
-                    Some(cfg.ctx_switch)
+                    Some(CTX_SWITCH)
                 }
                 SignalMode::Asynchronous => {
                     if slot.activation_scheduled {
                         None // coalesce into the already-pending activation
                     } else {
                         slot.activation_scheduled = true;
-                        Some(cfg.sched_delay)
+                        Some(SCHED_DELAY)
                     }
                 }
             }
         };
         if let Some(delay) = delay {
-            let (rx, activation) = {
-                let s = sys.borrow();
-                (s.channels[chan.0].rx, s.cfg.activation)
-            };
             let event = Self::activation_event(sys, rx);
-            sim.schedule_shared_in(delay + activation, event);
+            sim.schedule_shared_in(delay + ACTIVATION, event);
         }
     }
 
@@ -342,17 +325,9 @@ impl IdcChannel {
 mod tests {
     use super::*;
 
-    fn fast_cfg() -> EventConfig {
-        EventConfig {
-            ctx_switch: 5_000,
-            sched_delay: 1_000_000,
-            activation: 2_000,
-        }
-    }
-
     #[test]
     fn sync_send_delivers_after_switch_plus_activation() {
-        let sys = EventSystem::shared(fast_cfg());
+        let sys = EventSystem::shared();
         let mut sim = Simulator::new();
         let rx = sys.borrow_mut().add_domain("rx");
         let _tx = sys.borrow_mut().add_domain("tx");
@@ -370,7 +345,7 @@ mod tests {
 
     #[test]
     fn async_sends_coalesce_into_one_activation() {
-        let sys = EventSystem::shared(fast_cfg());
+        let sys = EventSystem::shared();
         let mut sim = Simulator::new();
         let rx = sys.borrow_mut().add_domain("rx");
         let chan = sys.borrow_mut().open_channel(rx);
@@ -394,7 +369,7 @@ mod tests {
     #[test]
     fn sync_beats_async_on_latency() {
         let deliver_time = |mode| {
-            let sys = EventSystem::shared(fast_cfg());
+            let sys = EventSystem::shared();
             let mut sim = Simulator::new();
             let rx = sys.borrow_mut().add_domain("rx");
             let chan = sys.borrow_mut().open_channel(rx);
@@ -420,7 +395,7 @@ mod tests {
         // The demultiplexer argument: N events, async → far fewer
         // activations than N; sync → one per event.
         let activations_for = |mode| {
-            let sys = EventSystem::shared(fast_cfg());
+            let sys = EventSystem::shared();
             let mut sim = Simulator::new();
             let rx = sys.borrow_mut().add_domain("demux");
             let chan = sys.borrow_mut().open_channel(rx);
@@ -443,7 +418,7 @@ mod tests {
 
     #[test]
     fn events_carry_no_values_only_counts() {
-        let sys = EventSystem::shared(fast_cfg());
+        let sys = EventSystem::shared();
         let mut sim = Simulator::new();
         let rx = sys.borrow_mut().add_domain("rx");
         let a = sys.borrow_mut().open_channel(rx);
@@ -464,7 +439,7 @@ mod tests {
 
     #[test]
     fn idc_round_trip_sync() {
-        let sys = EventSystem::shared(fast_cfg());
+        let sys = EventSystem::shared();
         let mut sim = Simulator::new();
         let client = sys.borrow_mut().add_domain("client");
         let server = sys.borrow_mut().add_domain("server");
@@ -494,7 +469,7 @@ mod tests {
 
     #[test]
     fn idc_pipelined_calls_all_complete() {
-        let sys = EventSystem::shared(fast_cfg());
+        let sys = EventSystem::shared();
         let mut sim = Simulator::new();
         let client = sys.borrow_mut().add_domain("client");
         let server = sys.borrow_mut().add_domain("server");
@@ -519,7 +494,7 @@ mod tests {
 
     #[test]
     fn activation_with_no_pending_is_a_noop() {
-        let sys = EventSystem::shared(fast_cfg());
+        let sys = EventSystem::shared();
         let mut sim = Simulator::new();
         let rx = sys.borrow_mut().add_domain("rx");
         let chan = sys.borrow_mut().open_channel(rx);
@@ -535,7 +510,7 @@ mod tests {
 
     #[test]
     fn domain_names_kept() {
-        let sys = EventSystem::shared(EventConfig::default());
+        let sys = EventSystem::shared();
         let d = sys.borrow_mut().add_domain("driver");
         assert_eq!(sys.borrow().domain_name(d), "driver");
     }

@@ -16,9 +16,14 @@
 //!   application at the same virtual address at which it was last
 //!   executed", helped by sparse 64-bit allocation: "allocating the top
 //!   32 address bits ... based on a 32-bit hash function of the code".
+//!   A relocation costs `RELOC_COST` (10 ms), a reuse `REUSE_COST`
+//!   (50 µs).
 //! * **Context-switch costs** — the benefit: "removal of virtual address
 //!   aliases which can result in significant context switch costs with
-//!   caches accessed by virtual address".
+//!   caches accessed by virtual address". The machine is a DECstation
+//!   5000: [`SINGLE_AS_SWITCH`] is 3 µs, and [`aliased_switch`] adds
+//!   20 ns (`PER_LINE_FLUSH`) per dirty line of its 4,096-line
+//!   (`CACHE_LINES`) virtual cache.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -249,6 +254,13 @@ pub struct LoadResult {
     pub cost: Ns,
 }
 
+/// Cost of relocating one image from scratch: ≈ 10 ms for a large
+/// binary in 1994.
+const RELOC_COST: Ns = 10_000_000;
+
+/// Cost of validating and reusing a cached relocation: ≈ 50 µs.
+const REUSE_COST: Ns = 50_000;
+
 /// The relocation cache: places images by code hash and remembers where
 /// each image last ran so the (expensive) relocation pass can be skipped
 /// on reuse.
@@ -257,10 +269,6 @@ pub struct ImageLoader {
     aspace: AddressSpace,
     /// image name → (stretch base, still resident).
     cache: HashMap<String, VAddr>,
-    /// Cost of relocating one image from scratch.
-    pub reloc_cost: Ns,
-    /// Cost of validating and reusing a cached relocation.
-    pub reuse_cost: Ns,
     /// Loads that reused a cached relocation.
     pub hits: u64,
     /// Loads that paid full relocation.
@@ -274,14 +282,11 @@ impl Default for ImageLoader {
 }
 
 impl ImageLoader {
-    /// Creates a loader over a fresh address space with 1994-plausible
-    /// costs (relocation of a large binary ≈ 10 ms; reuse ≈ 50 µs).
+    /// Creates a loader over a fresh address space.
     pub fn new() -> Self {
         ImageLoader {
             aspace: AddressSpace::new(),
             cache: HashMap::new(),
-            reloc_cost: 10_000_000,
-            reuse_cost: 50_000,
             hits: 0,
             misses: 0,
         }
@@ -309,7 +314,7 @@ impl ImageLoader {
             return LoadResult {
                 base,
                 reused: true,
-                cost: self.reuse_cost,
+                cost: REUSE_COST,
             };
         }
         let mut slot = hash32(image.as_bytes()) as u64;
@@ -325,46 +330,28 @@ impl ImageLoader {
         LoadResult {
             base,
             reused: false,
-            cost: self.reloc_cost,
+            cost: RELOC_COST,
         }
     }
 }
 
-/// Context-switch cost model comparing a virtually-addressed cache with
-/// address aliases (per-process address spaces) against the single
-/// address space.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchCostModel {
-    /// Lines in the virtually-addressed cache.
-    pub cache_lines: u64,
-    /// Cost to flush or invalidate one line.
-    pub per_line_flush: Ns,
-    /// Fixed cost of swapping protection context (both designs pay it).
-    pub base_switch: Ns,
-}
+/// Lines in the DECstation 5000's virtually-addressed cache: 64 KiB of
+/// 16-byte lines.
+const CACHE_LINES: u64 = 4096;
 
-impl SwitchCostModel {
-    /// A DECstation-5000-flavoured model: 64 KiB virtual cache of
-    /// 16-byte lines, 20 ns per line operation, 3 µs base switch.
-    pub fn decstation() -> Self {
-        SwitchCostModel {
-            cache_lines: 4096,
-            per_line_flush: 20,
-            base_switch: 3_000,
-        }
-    }
+/// Cost to flush or invalidate one cache line: 20 ns.
+const PER_LINE_FLUSH: Ns = 20;
 
-    /// Switch cost with per-process spaces: the virtual cache must be
-    /// flushed because the same virtual address aliases different data.
-    pub fn aliased_switch(&self, dirty_fraction: f64) -> Ns {
-        let flush = (self.cache_lines as f64 * dirty_fraction) as u64 * self.per_line_flush;
-        self.base_switch + flush
-    }
+/// Switch cost in the single address space: no aliases, no flush, only
+/// the fixed 3 µs of swapping protection context that both designs pay.
+pub const SINGLE_AS_SWITCH: Ns = 3_000;
 
-    /// Switch cost in the single address space: no aliases, no flush.
-    pub fn single_as_switch(&self) -> Ns {
-        self.base_switch
-    }
+/// Switch cost with per-process spaces on the DECstation: the virtual
+/// cache must be flushed because the same virtual address aliases
+/// different data.
+pub fn aliased_switch(dirty_fraction: f64) -> Ns {
+    let flush = (CACHE_LINES as f64 * dirty_fraction) as u64 * PER_LINE_FLUSH;
+    SINGLE_AS_SWITCH + flush
 }
 
 #[cfg(test)]
@@ -481,9 +468,8 @@ mod tests {
 
     #[test]
     fn single_as_switch_cheaper_than_aliased() {
-        let m = SwitchCostModel::decstation();
-        let aliased = m.aliased_switch(0.5);
-        let single = m.single_as_switch();
+        let aliased = aliased_switch(0.5);
+        let single = SINGLE_AS_SWITCH;
         assert_eq!(single, 3_000);
         assert_eq!(aliased, 3_000 + 2048 * 20);
         assert!(aliased > 10 * single);

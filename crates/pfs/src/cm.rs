@@ -209,9 +209,9 @@ const RESERVABLE_FRACTION: f64 = 0.8;
 pub struct CmScheduler {
     /// Service period: each stream receives rate × period bytes per
     /// period.
-    pub period: Ns,
+    period: Ns,
     /// Array bandwidth used for admission (bytes/second).
-    pub array_bandwidth: u64,
+    array_bandwidth: u64,
     /// Concurrent-stream cap (the slot ledger's bound, enforced from
     /// inside the server as well).
     max_streams: usize,

@@ -9,6 +9,11 @@
 //! segments keep the overhead under 10 % while small random I/O drowns
 //! in it.
 //!
+//! Every disk is the same 1994 drive: 2–18 ms seeks (`MIN_SEEK`,
+//! `MAX_SEEK`), 5,400 RPM (`AVG_ROTATION`, 5.56 ms) and a 6 MB/s media
+//! rate (`TRANSFER_RATE`). [`DiskConfig`] carries only its size, which
+//! experiment E13 raises to 8 GiB.
+//!
 //! Data is stored sparsely, a page at a time and only where something
 //! was written, so experiments can address multi-gigabyte devices
 //! without the memory footprint. A read is *charged* for every sector
@@ -48,37 +53,34 @@ thread_local! {
     static ZERO_PAGE: FrameBuf = Arena::new().lease_zeroed(PAGE_BYTES).freeze();
 }
 
-/// Physical parameters of a disk.
+/// Minimum (track-to-track) seek of the 1994 drive: 2 ms.
+pub(crate) const MIN_SEEK: Ns = 2_000_000;
+
+/// Maximum (full-stroke) seek of the 1994 drive: 18 ms.
+pub(crate) const MAX_SEEK: Ns = 18_000_000;
+
+/// Spindle speed in RPM (rotational latency = half a revolution).
+const RPM: u64 = 5_400;
+
+/// Half a revolution: the average rotational latency (5.56 ms).
+pub(crate) const AVG_ROTATION: Ns = (60 * SEC) / (2 * RPM);
+
+/// Media transfer rate in bytes per second: 6 MB/s.
+pub(crate) const TRANSFER_RATE: u64 = 6_000_000;
+
+/// The size of a disk; every disk is the same 1994 drive otherwise.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskConfig {
     /// Capacity in sectors.
     pub sectors: u64,
-    /// Minimum (track-to-track) seek.
-    pub min_seek: Ns,
-    /// Maximum (full-stroke) seek.
-    pub max_seek: Ns,
-    /// Spindle speed in RPM (rotational latency = half a revolution).
-    pub rpm: u32,
-    /// Media transfer rate in bytes per second.
-    pub transfer_rate: u64,
 }
 
 impl DiskConfig {
-    /// A 1994 high-performance drive: 1 GiB, 2–18 ms seeks, 5400 RPM,
-    /// 6 MB/s media rate.
+    /// A 1994 high-performance drive: 1 GiB.
     pub fn hp_1994() -> Self {
         DiskConfig {
             sectors: (1u64 << 30) / SECTOR as u64,
-            min_seek: 2_000_000,
-            max_seek: 18_000_000,
-            rpm: 5_400,
-            transfer_rate: 6_000_000,
         }
-    }
-
-    /// Half a revolution: the average rotational latency.
-    pub fn avg_rotation(&self) -> Ns {
-        (60 * SEC) / (2 * self.rpm as u64)
     }
 }
 
@@ -222,13 +224,12 @@ impl SimDisk {
         }
         let distance = sector.abs_diff(self.head);
         let frac = distance as f64 / self.cfg.sectors as f64;
-        let seek = self.cfg.min_seek
-            + ((self.cfg.max_seek - self.cfg.min_seek) as f64 * frac.sqrt()) as Ns;
-        seek + self.cfg.avg_rotation()
+        let seek = MIN_SEEK + ((MAX_SEEK - MIN_SEEK) as f64 * frac.sqrt()) as Ns;
+        seek + AVG_ROTATION
     }
 
     fn transfer_time(&self, bytes: usize) -> Ns {
-        (bytes as u128 * SEC as u128 / self.cfg.transfer_rate as u128) as Ns
+        (bytes as u128 * SEC as u128 / TRANSFER_RATE as u128) as Ns
     }
 
     /// Writes `data` (whole sectors) starting at `sector`; returns the
@@ -475,12 +476,12 @@ mod tests {
                 return 0;
             }
             let frac = sector.abs_diff(self.head) as f64 / self.cfg.sectors as f64;
-            let stroke = (self.cfg.max_seek - self.cfg.min_seek) as f64;
-            self.cfg.min_seek + (stroke * frac.sqrt()) as Ns + self.cfg.avg_rotation()
+            let stroke = (MAX_SEEK - MIN_SEEK) as f64;
+            MIN_SEEK + (stroke * frac.sqrt()) as Ns + AVG_ROTATION
         }
 
         fn transfer_time(&self, bytes: usize) -> Ns {
-            (bytes as u128 * SEC as u128 / self.cfg.transfer_rate as u128) as Ns
+            (bytes as u128 * SEC as u128 / TRANSFER_RATE as u128) as Ns
         }
 
         fn write(&mut self, sector: u64, data: &[u8]) -> Ns {
@@ -750,8 +751,7 @@ mod tests {
 
     #[test]
     fn rotation_latency_from_rpm() {
-        let cfg = DiskConfig::hp_1994();
         // 5400 RPM → 11.1 ms/rev → 5.56 ms half-rev.
-        assert_eq!(cfg.avg_rotation(), 5_555_555);
+        assert_eq!(AVG_ROTATION, 5_555_555);
     }
 }

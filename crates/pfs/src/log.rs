@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::disk::DiskConfig;
+use crate::disk::{DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, TRANSFER_RATE};
 use crate::raid::{RaidArray, RaidError};
 use pegasus_sim::arena::{Arena, FrameView};
 use pegasus_sim::time::Ns;
@@ -218,13 +218,12 @@ impl LogFs {
     /// a single member disk. Used by cleaners for garbage-file reads and
     /// segment-summary scans.
     pub fn charge_metadata_io(&mut self, bytes: u64, random: bool) -> Ns {
-        let cfg = self.raid.config();
         let pos = if random {
-            (cfg.min_seek + cfg.max_seek) / 2 + cfg.avg_rotation()
+            (MIN_SEEK + MAX_SEEK) / 2 + AVG_ROTATION
         } else {
             0
         };
-        let xfer = (bytes as u128 * 1_000_000_000u128 / cfg.transfer_rate as u128) as Ns;
+        let xfer = (bytes as u128 * 1_000_000_000u128 / TRANSFER_RATE as u128) as Ns;
         self.io_time += pos + xfer;
         pos + xfer
     }

@@ -2,11 +2,13 @@
 //!
 //! Baker et al. (1991) "showed that 70% of files are deleted or
 //! overwritten within 30 seconds" — the empirical fact behind the
-//! write-behind design. [`WorkloadConfig`] generates a deterministic
-//! trace with that lifetime mix: file creations arrive as a Poisson
-//! process; each file is short-lived (exponential lifetime, most dead
-//! within 30 s) with the configured probability, long-lived otherwise;
-//! sizes are heavy-tailed.
+//! write-behind design. [`generate`] makes the one deterministic trace
+//! with that lifetime mix: file creations arrive as a Poisson process,
+//! one every `MEAN_INTERARRIVAL` (0.5 s); a file is short-lived with
+//! probability `SHORT_FRACTION` (0.7) and then lives `SHORT_MEAN` (8 s)
+//! on average, otherwise `LONG_MEAN` (an hour); sizes are Pareto with
+//! shape `SIZE_ALPHA` (1.3) between `MIN_SIZE` (2 KiB) and `MAX_SIZE`
+//! (4 MiB); the generator is seeded with `SEED` (1991).
 
 use pegasus_sim::rng::{exponential, heavy_tailed, seeded};
 use pegasus_sim::time::{Ns, SEC};
@@ -29,68 +31,50 @@ pub enum Op {
     },
 }
 
-/// Parameters of the synthetic trace.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadConfig {
-    /// Mean time between file creations.
-    pub mean_interarrival: Ns,
-    /// Probability a file is short-lived.
-    pub short_fraction: f64,
-    /// Mean lifetime of short-lived files.
-    pub short_mean: Ns,
-    /// Mean lifetime of long-lived files.
-    pub long_mean: Ns,
-    /// Minimum file size in bytes.
-    pub min_size: u64,
-    /// Pareto shape for sizes (lower = heavier tail).
-    pub size_alpha: f64,
-    /// Maximum file size.
-    pub max_size: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Mean time between file creations: 0.5 s.
+const MEAN_INTERARRIVAL: Ns = SEC / 2;
 
-impl WorkloadConfig {
-    /// A Baker-1991-flavoured default: with 70 % of files short-lived at
-    /// mean 8 s, ~68 % of all files die within 30 s.
-    pub fn baker() -> Self {
-        WorkloadConfig {
-            mean_interarrival: SEC / 2,
-            short_fraction: 0.7,
-            short_mean: 8 * SEC,
-            long_mean: 3_600 * SEC,
-            min_size: 2_048,
-            size_alpha: 1.3,
-            max_size: 4 << 20,
-            seed: 1991,
-        }
-    }
-}
+/// Probability a file is short-lived: 70 %, Baker's figure.
+const SHORT_FRACTION: f64 = 0.7;
+
+/// Mean lifetime of short-lived files: 8 s, so that with 70 % of files
+/// short-lived ~68 % of all files die within 30 s.
+const SHORT_MEAN: Ns = 8 * SEC;
+
+/// Mean lifetime of long-lived files: an hour.
+const LONG_MEAN: Ns = 3_600 * SEC;
+
+/// Minimum file size in bytes.
+const MIN_SIZE: u64 = 2_048;
+
+/// Pareto shape for sizes (lower = heavier tail).
+const SIZE_ALPHA: f64 = 1.3;
+
+/// Maximum file size: 4 MiB.
+const MAX_SIZE: u64 = 4 << 20;
+
+/// RNG seed of the one trace.
+const SEED: u64 = 1991;
 
 /// Generates the `(time, op)` trace for `duration` of activity. Events
 /// are returned sorted by time; deletes scheduled past the horizon are
 /// omitted (the file outlives the trace).
-pub fn generate(cfg: WorkloadConfig, duration: Ns) -> Vec<(Ns, Op)> {
-    let mut rng = seeded(cfg.seed);
+pub fn generate(duration: Ns) -> Vec<(Ns, Op)> {
+    let mut rng = seeded(SEED);
     let mut events: Vec<(Ns, Op)> = Vec::new();
     let mut t: Ns = 0;
     let mut handle = 0u64;
     loop {
-        t += exponential(&mut rng, cfg.mean_interarrival as f64) as Ns;
+        t += exponential(&mut rng, MEAN_INTERARRIVAL as f64) as Ns;
         if t >= duration {
             break;
         }
-        let size = heavy_tailed(
-            &mut rng,
-            cfg.min_size as f64,
-            cfg.size_alpha,
-            cfg.max_size as f64,
-        ) as u64;
+        let size = heavy_tailed(&mut rng, MIN_SIZE as f64, SIZE_ALPHA, MAX_SIZE as f64) as u64;
         events.push((t, Op::Create { handle, size }));
-        let mean = if rng.gen_bool(cfg.short_fraction) {
-            cfg.short_mean
+        let mean = if rng.gen_bool(SHORT_FRACTION) {
+            SHORT_MEAN
         } else {
-            cfg.long_mean
+            LONG_MEAN
         };
         let death = t + exponential(&mut rng, mean as f64) as Ns;
         if death < duration {
@@ -146,23 +130,14 @@ mod tests {
 
     #[test]
     fn trace_is_deterministic() {
-        let a = generate(WorkloadConfig::baker(), 100 * SEC);
-        let b = generate(WorkloadConfig::baker(), 100 * SEC);
+        let a = generate(100 * SEC);
+        let b = generate(100 * SEC);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn different_seeds_differ() {
-        let mut cfg = WorkloadConfig::baker();
-        let a = generate(cfg, 100 * SEC);
-        cfg.seed = 2;
-        let b = generate(cfg, 100 * SEC);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn events_sorted_and_well_formed() {
-        let events = generate(WorkloadConfig::baker(), 500 * SEC);
+        let events = generate(500 * SEC);
         let mut last = 0;
         let mut live = std::collections::HashSet::new();
         for &(t, op) in &events {
@@ -171,8 +146,8 @@ mod tests {
             match op {
                 Op::Create { handle, size } => {
                     assert!(live.insert(handle), "duplicate create");
-                    assert!(size >= WorkloadConfig::baker().min_size);
-                    assert!(size <= WorkloadConfig::baker().max_size);
+                    assert!(size >= MIN_SIZE);
+                    assert!(size <= MAX_SIZE);
                 }
                 Op::Delete { handle } => {
                     assert!(live.remove(&handle), "delete of unknown file");
@@ -186,7 +161,7 @@ mod tests {
         // Long trace: the share of created files dead within 30 s should
         // sit near 0.7 (short fraction 0.7 × P[exp(8s) < 30s] ≈ 0.68,
         // plus a sliver of lucky long-lived files).
-        let events = generate(WorkloadConfig::baker(), 5_000 * SEC);
+        let events = generate(5_000 * SEC);
         let s = summarize(&events);
         assert!(s.creates > 5_000, "creates={}", s.creates);
         let frac = s.dead_within_30s as f64 / s.creates as f64;
@@ -198,7 +173,7 @@ mod tests {
 
     #[test]
     fn sizes_heavy_tailed() {
-        let events = generate(WorkloadConfig::baker(), 2_000 * SEC);
+        let events = generate(2_000 * SEC);
         let sizes: Vec<u64> = events
             .iter()
             .filter_map(|&(_, op)| match op {
@@ -217,6 +192,6 @@ mod tests {
 
     #[test]
     fn empty_horizon_empty_trace() {
-        assert!(generate(WorkloadConfig::baker(), 0).is_empty());
+        assert!(generate(0).is_empty());
     }
 }

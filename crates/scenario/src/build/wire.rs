@@ -14,7 +14,7 @@ use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
 use pegasus_atm::credit::{CreditRef, CreditSink, CreditWindow};
 use pegasus_atm::link::{CellSink, SinkRef};
 use pegasus_atm::network::EndpointId;
-use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
+use pegasus_devices::audio::{AudioSink, AudioSource};
 use pegasus_devices::camera::Camera;
 use pegasus_devices::display::{Display, Rect, WindowManager};
 use pegasus_devices::tile::TileFrameView;
@@ -397,8 +397,7 @@ impl Wiring {
         };
         let display = self.display(dst);
         let (disp_sink, gate) = Scenario::consumer(display.as_ref(), self.gated);
-        let audio_sink =
-            owns_dst.then(|| AudioSink::shared(AudioConfig::telephony(), AUDIO_JITTER_BUFFER));
+        let audio_sink = owns_dst.then(|| AudioSink::shared(AUDIO_JITTER_BUFFER));
         let (audio_in, _) = Scenario::consumer(audio_sink.as_ref(), false);
         let nic = || HostNic::shared() as SinkRef;
         let grant = self.commit(decision, vec![nic(), disp_sink, nic(), audio_in]);
@@ -414,9 +413,7 @@ impl Wiring {
         // events — each lands on the shard owning its end of the call.
         let sc = &mut self.sc;
         if owns_src {
-            let audio = sc
-                .sys
-                .audio_source_on(audio_src_ep, AudioConfig::telephony(), avc_src);
+            let audio = sc.sys.audio_source_on(audio_src_ep, avc_src);
             sc.tx_links.push(sc.sys.net.endpoint_tx(audio_src_ep));
             let (start, stop) = (audio.clone(), audio);
             sc.sim

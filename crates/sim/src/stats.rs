@@ -52,21 +52,6 @@ impl Histogram {
         }
     }
 
-    /// Population standard deviation, or `None` when empty.
-    pub fn stddev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .samples
-            .iter()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// The `p`-th percentile (0.0–100.0) using nearest-rank, or `None`
     /// when empty.
     pub fn percentile(&mut self, p: f64) -> Option<u64> {
@@ -212,16 +197,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), Some(50));
         assert_eq!(h.percentile(99.0), Some(99));
         assert_eq!(h.percentile(100.0), Some(100));
-    }
-
-    #[test]
-    fn histogram_stddev() {
-        let mut h = Histogram::new();
-        for v in [2u64, 4, 4, 4, 5, 5, 7, 9] {
-            h.record(v);
-        }
-        let sd = h.stddev().unwrap();
-        assert!((sd - 2.0).abs() < 1e-9, "{sd}");
     }
 
     #[test]

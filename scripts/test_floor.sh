@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=684
+FLOOR=681
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT

@@ -8,7 +8,7 @@ use pegasus_system::naming::invoke::{DomainRelation, ObjectHandle, Service};
 use pegasus_system::naming::maillon::ObjectRef;
 use pegasus_system::naming::namespace::NameWorld;
 use pegasus_system::naming::rpc::{CallMsg, RpcClient, RpcServer};
-use pegasus_system::nemesis::events::{EventConfig, EventSystem, SignalMode};
+use pegasus_system::nemesis::events::{EventSystem, SignalMode};
 use pegasus_system::nemesis::qosmgr::QosManager;
 use pegasus_system::nemesis::sched::{CpuSim, Policy, TaskSpec};
 use pegasus_system::sim::time::MS;
@@ -118,7 +118,7 @@ fn qos_manager_drives_scheduler_to_zero_misses() {
 fn events_wake_a_domain_that_schedules_work() {
     // A device-driver-ish domain receives async interrupts (coalesced),
     // then issues a sync IDC-style notification downstream.
-    let sys = EventSystem::shared(EventConfig::default());
+    let sys = EventSystem::shared();
     let mut sim = Simulator::new();
     let driver = sys.borrow_mut().add_domain("driver");
     let app = sys.borrow_mut().add_domain("app");
