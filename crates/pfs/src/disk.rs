@@ -23,17 +23,23 @@
 //! so a timing-only disk allocates nothing to be read.
 //!
 //! A page's life: it is an immutable [`FrameBuf`] leased from the
-//! disk's arena, built once from the bytes of the write that made it.
-//! It is never written again. A later write that covers part of it
-//! builds a new page around the run (copy-on-write) and replaces it;
-//! so does parity folding another disk's page in. `forget` drops it,
-//! and so do [`SimDisk::replace`] and `set_store(false)`. A view taken
-//! before any of these still reads the bytes it was taken with: the
-//! old page lives as long as a view holds it, then goes back to the
-//! arena. Forgetting is free of charge — no head movement, no time, no
-//! counter — because it is not an I/O: it is the model declaring bytes
-//! nobody will read, which then read as zeros like bytes never written.
-//! Only the layers above know which bytes those are (see
+//! disk's arena, which the members of an array share. The log builds
+//! most pages: an open segment fills leases from that arena as bytes
+//! arrive, and at flush each member adopts its share uncopied
+//! (`SimDisk::write_pages`), the parity member the XOR of the others'
+//! in fresh leases. [`SimDisk::write`] builds its pages from the bytes
+//! it is handed instead, around the run (from the old page or zeros)
+//! where it covers part of one. Nothing writes into a page once the
+//! disk holds it. A later write that covers part of it builds a new
+//! page around the run (copy-on-write) and replaces it; so does parity
+//! folding other disks' pages in. `forget` drops it, and so do
+//! [`SimDisk::replace`] and `set_store(false)`. A view taken before any
+//! of these still reads the bytes it was taken with: the old page lives
+//! as long as a view holds it, then goes back to the arena. Forgetting
+//! is free of charge — no head movement, no time, no counter — because
+//! it is not an I/O: it is the model declaring bytes nobody will read,
+//! which then read as zeros like bytes never written. Only the layers
+//! above know which bytes those are (see
 //! [`crate::raid::RaidArray::forget`]).
 
 use std::collections::HashMap;
@@ -45,8 +51,9 @@ use pegasus_sim::time::{Ns, SEC};
 pub const SECTOR: usize = 512;
 
 /// Unit of content retention: a written sector materialises the whole
-/// page around it, zero-filled.
-const PAGE_BYTES: usize = 128 * SECTOR;
+/// page around it, zero-filled. A page write hands the disks pages of
+/// exactly this size.
+pub const PAGE_BYTES: usize = 128 * SECTOR;
 
 thread_local! {
     /// What every byte no page holds reads from, on every disk.
@@ -181,7 +188,13 @@ impl SimDisk {
     /// Disables content retention: timing is still modelled exactly, but
     /// written bytes are discarded and reads return zeros. Scaling
     /// experiments use this to address tens of gigabytes without the
-    /// memory footprint.
+    /// memory footprint. Turning it off drops every page held; turning
+    /// it back on brings back nothing written meanwhile. Through the log
+    /// the rule covers bytes not yet flushed too: a segment takes the
+    /// array's mode when its first byte arrives, and one begun on a
+    /// timing-only array keeps no bytes, so they read as zeros while it
+    /// is open and after it flushes, like every other byte on that array
+    /// (see [`crate::log::LogFs::append`]).
     pub fn set_store(&mut self, store: bool) {
         self.store = store;
         if !store {
@@ -233,11 +246,11 @@ impl SimDisk {
     }
 
     /// Writes `data` (whole sectors) starting at `sector`; returns the
-    /// operation's duration.
+    /// operation's duration. Each page the run touches is built anew
+    /// from the bytes, around the run where it covers part of the page.
     pub fn write(&mut self, sector: u64, data: &[u8]) -> Result<Ns, DiskError> {
         self.check(sector, (data.len() as u64).div_ceil(SECTOR as u64))?;
         assert_eq!(data.len() % SECTOR, 0, "whole sectors only");
-        let pos = self.position(sector);
         if self.store {
             let mut rest = data;
             for (page, off, n) in page_runs(sector as usize * SECTOR, data.len()) {
@@ -254,13 +267,44 @@ impl SimDisk {
                 rest = tail;
             }
         }
-        let xfer = self.transfer_time(data.len());
-        self.head = sector + (data.len() / SECTOR) as u64;
+        Ok(self.charge_write(sector, data.len()))
+    }
+
+    /// Writes `sectors` sectors from `sector`, both whole pages, by
+    /// adopting `pages` as they are: no byte is copied, and the writer's
+    /// handles and the disk's share each page. Charged exactly as
+    /// [`SimDisk::write`] of the same run. `pages` is either every page
+    /// of the run or, from a writer that kept no bytes, none: then the
+    /// run reads as zeros afterwards.
+    pub(crate) fn write_pages(
+        &mut self,
+        sector: u64,
+        sectors: u64,
+        pages: &[FrameBuf],
+    ) -> Result<Ns, DiskError> {
+        self.check(sector, sectors)?;
+        let (start, len) = (sector as usize * SECTOR, sectors as usize * SECTOR);
+        assert!(pages.is_empty() || pages.len() == len / PAGE_BYTES);
+        for (k, page) in (start / PAGE_BYTES..(start + len) / PAGE_BYTES).enumerate() {
+            match pages.get(k).filter(|_| self.store) {
+                Some(p) => self.data.insert(page as u64, p.clone()),
+                None => self.data.remove(&(page as u64)),
+            };
+        }
+        Ok(self.charge_write(sector, len))
+    }
+
+    /// Moves the head over a write of `bytes` from `sector` and counts
+    /// it; returns the write's duration.
+    fn charge_write(&mut self, sector: u64, bytes: usize) -> Ns {
+        let pos = self.position(sector);
+        let xfer = self.transfer_time(bytes);
+        self.head = sector + (bytes / SECTOR) as u64;
         self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
+        self.stats.bytes_written += bytes as u64;
         self.stats.positioning += pos;
         self.stats.transferring += xfer;
-        Ok(pos + xfer)
+        pos + xfer
     }
 
     /// Reads `sectors` whole sectors starting at `sector`; returns the
@@ -304,7 +348,9 @@ impl SimDisk {
         let n = sectors as usize * SECTOR;
         assert!(skip <= n && take <= n - skip, "range outside the read");
         let pos = self.position(sector);
-        self.views(sector, skip, take, out);
+        for (page, off, len) in page_runs(sector as usize * SECTOR + skip, take) {
+            out.push(self.page(page).view(off, len));
+        }
         let xfer = self.transfer_time(n);
         self.head = sector + sectors;
         self.stats.reads += 1;
@@ -314,12 +360,14 @@ impl SimDisk {
         Ok(xfer + pos)
     }
 
-    /// Pushes views of bytes `[skip, skip + take)` counted from the start
-    /// of `sector` onto `out`, free of charge: the array reconstructs a
-    /// lost range from survivors it has already paid to read.
-    pub(crate) fn views(&self, sector: u64, skip: usize, take: usize, out: &mut Vec<FrameView>) {
-        for (page, off, n) in page_runs(sector as usize * SECTOR + skip, take) {
-            out.push(self.page(page).view(off, n));
+    /// `acc ^=` the `acc.len()` bytes from byte `skip` of `sector` on,
+    /// free of charge: the array rebuilds a member's bytes from the
+    /// others'.
+    pub(crate) fn xor_onto(&self, sector: u64, skip: usize, acc: &mut [u8]) {
+        let mut at = 0;
+        for (page, off, n) in page_runs(sector as usize * SECTOR + skip, acc.len()) {
+            xor_into(&mut acc[at..at + n], &self.page(page)[off..off + n]);
+            at += n;
         }
     }
 
@@ -340,32 +388,39 @@ impl SimDisk {
         sector: u64,
         skip: usize,
         len: usize,
-        mut fold: impl FnMut(u64, &[u8]),
+        mut fold: impl FnMut(u64, FrameBuf),
     ) {
         let start = sector as usize * SECTOR + skip;
         for page in start.div_ceil(PAGE_BYTES)..(start + len) / PAGE_BYTES {
             if let Some(bytes) = self.data.remove(&(page as u64)) {
-                fold(page as u64, &bytes);
+                fold(page as u64, bytes);
             }
         }
     }
 
-    /// XORs `bytes` into page `page`, free of charge: parity absorbing a
-    /// data page that another disk forgets. The folded page is a new one,
-    /// as after a partial write. A page left all zeros is dropped, since
-    /// it reads the same.
-    pub(crate) fn fold_page(&mut self, page: u64, bytes: &[u8]) {
+    /// XORs every one of `pages` into page `page`, free of charge:
+    /// parity absorbing the data pages other disks forget at that page
+    /// number, all of them into one new page, as after a partial write.
+    /// A page left all zeros is dropped, since it reads the same.
+    pub(crate) fn fold_pages<'a>(&mut self, page: u64, pages: impl IntoIterator<Item = &'a [u8]>) {
         if !self.store {
             return;
         }
         let mut folded = self.arena.lease();
         folded.extend_from_slice(&self.page(page));
-        xor_into(&mut folded, bytes);
+        for bytes in pages {
+            xor_into(&mut folded, bytes);
+        }
         if folded.iter().all(|&b| b == 0) {
             self.data.remove(&page);
         } else {
             self.data.insert(page, folded.freeze());
         }
+    }
+
+    /// Whether page `page` is retained.
+    pub(crate) fn holds(&self, page: u64) -> bool {
+        self.data.contains_key(&page)
     }
 
     /// Bytes of content this disk holds in memory: its pages.
@@ -395,7 +450,7 @@ pub(crate) fn xor_into(acc: &mut [u8], src: &[u8]) {
 
 /// Splits `len` bytes from byte address `start` at page boundaries:
 /// `(page, offset in page, bytes)` per page touched.
-fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+pub(crate) fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
     let end = start + len;
     let mut at = start;
     std::iter::from_fn(move || {
@@ -681,7 +736,9 @@ mod tests {
             ("a whole-page write", |d| {
                 d.write(0, &[3u8; PAGE_BYTES]).unwrap();
             }),
-            ("a parity fold", |d| d.fold_page(0, &[4u8; PAGE_BYTES])),
+            ("a parity fold", |d| {
+                d.fold_pages(0, [&[4u8; PAGE_BYTES][..]])
+            }),
             ("forget", |d| d.forget(0, 0, PAGE_BYTES, |_, _| {})),
             ("replace", SimDisk::replace),
         ];

@@ -14,9 +14,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::disk::{DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, TRANSFER_RATE};
+use crate::disk::{
+    page_runs, DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, PAGE_BYTES, TRANSFER_RATE,
+};
 use crate::raid::{RaidArray, RaidError};
-use pegasus_sim::arena::{Arena, FrameView};
+use pegasus_sim::arena::{Arena, FrameBuf, FrameBufMut, FrameView};
 use pegasus_sim::time::Ns;
 
 /// Segment (and stripe) size: one megabyte.
@@ -118,9 +120,76 @@ impl From<RaidError> for FsError {
     }
 }
 
+/// The segment the log is filling, built where it will live: each
+/// byte appended is copied once, into 64 KiB page leases from the
+/// array's arena, and at flush the five disks adopt those pages (and
+/// parity made from them) uncopied. The pages come one at a time as
+/// bytes arrive, so a segment half full holds half a megabyte. A
+/// segment takes the array's mode when its first byte arrives: begun on
+/// a timing-only array it keeps no bytes, only their count, and they
+/// read as zeros, open or flushed, like every other byte on that array.
+#[derive(Default)]
 struct OpenSegment {
     id: u64,
-    buf: Vec<u8>,
+    /// Bytes appended.
+    len: usize,
+    /// The bytes, a page each, the last perhaps part filled; `None` if
+    /// the segment keeps none.
+    pages: Option<Vec<FrameBufMut>>,
+}
+
+impl OpenSegment {
+    /// Appends as much of `data` as the segment has room for, into pages
+    /// leased from `raid`'s arena if it keeps bytes; returns how much.
+    fn push(&mut self, data: &[u8], raid: &RaidArray) -> usize {
+        if self.len == 0 {
+            self.pages = raid.stores().then(Vec::new);
+        }
+        let take = (SEGMENT_BYTES - self.len).min(data.len());
+        if let Some(pages) = &mut self.pages {
+            let mut rest = &data[..take];
+            for (page, _, n) in page_runs(self.len, take) {
+                if page as usize == pages.len() {
+                    let mut fresh = raid.arena().lease();
+                    fresh.reserve_exact(PAGE_BYTES);
+                    pages.push(fresh);
+                }
+                let (run, tail) = rest.split_at(n);
+                pages[page as usize].extend_from_slice(run);
+                rest = tail;
+            }
+        }
+        self.len += take;
+        take
+    }
+
+    /// Bytes `[off, off + n)` as one copy leased from `arena`, since
+    /// later appends change the pages; zeros if the segment keeps none.
+    fn read(&self, off: usize, n: usize, arena: &Arena) -> Result<FrameView, FsError> {
+        if off + n > self.len {
+            return Err(FsError::BadExtents);
+        }
+        let mut copy = arena.lease();
+        match &self.pages {
+            Some(pages) => page_runs(off, n).for_each(|(page, at, m)| {
+                copy.extend_from_slice(&pages[page as usize][at..at + m]);
+            }),
+            None => copy.resize(n, 0),
+        }
+        Ok(copy.freeze().view_all())
+    }
+
+    /// Empties the segment, returning its pages zero-padded to a whole
+    /// segment and frozen — none if it kept no bytes.
+    fn seal(&mut self, arena: &Arena) -> Vec<FrameBuf> {
+        self.len = 0;
+        let Some(mut pages) = self.pages.take() else {
+            return Vec::new();
+        };
+        pages.resize_with(SEGMENT_BYTES / PAGE_BYTES, || arena.lease());
+        pages.iter_mut().for_each(|page| page.resize(PAGE_BYTES, 0));
+        pages.into_iter().map(FrameBufMut::freeze).collect()
+    }
 }
 
 /// Core-layer counters.
@@ -173,13 +242,10 @@ impl LogFs {
             total_segments,
             next_new_segment: 2, // 0 and 1 for the two initial open segments
             free: Vec::new(),
-            open_normal: OpenSegment {
-                id: 0,
-                buf: Vec::new(),
-            },
+            open_normal: OpenSegment::default(),
             open_cm: OpenSegment {
                 id: 1,
-                buf: Vec::new(),
+                ..OpenSegment::default()
             },
             pnodes: HashMap::new(),
             next_pnode: 1,
@@ -308,14 +374,10 @@ impl LogFs {
             FileClass::Normal => &mut self.open_normal,
             FileClass::Continuous => &mut self.open_cm,
         };
-        let seg = open.id;
-        let live = open.buf.len() as u32;
-        open.buf.resize(SEGMENT_BYTES, 0);
-        let written = self.raid.write_stripe(seg, &open.buf);
-        // Emptied either way, and the megabyte goes back to the
-        // allocator: held here it stays resident in every idle server.
-        open.buf = Vec::new();
-        self.io_time += written?;
+        let (seg, live) = (open.id, open.len as u32);
+        // Emptied even if the write fails.
+        let pages = open.seal(self.raid.arena());
+        self.io_time += self.raid.write_pages(seg, &pages)?;
         self.stats.segments_flushed += 1;
         // Garbage declared while the segment was still open reduces its
         // live count on arrival.
@@ -336,7 +398,10 @@ impl LogFs {
     }
 
     /// Appends `data` to `file`, returning nothing; data reaches the
-    /// array when its segment fills (or on [`LogFs::sync`]).
+    /// array when its segment fills (or on [`LogFs::sync`]). Each byte is
+    /// copied once, into the pages the disks will keep — or nowhere, in
+    /// a segment begun while the array retained nothing (see
+    /// [`RaidArray::set_store`]).
     pub fn append(&mut self, file: FileId, data: &[u8]) -> Result<(), FsError> {
         self.append_counted(file, data, |s| &mut s.bytes_written)
     }
@@ -352,32 +417,18 @@ impl LogFs {
         let class = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?.class;
         let mut written = 0usize;
         while written < data.len() {
-            let (seg_id, buf_len) = {
-                let open = match class {
-                    FileClass::Normal => &self.open_normal,
-                    FileClass::Continuous => &self.open_cm,
-                };
-                (open.id, open.buf.len())
+            let open = match class {
+                FileClass::Normal => &mut self.open_normal,
+                FileClass::Continuous => &mut self.open_cm,
             };
-            let space = SEGMENT_BYTES - buf_len;
-            let take = space.min(data.len() - written);
-            {
-                let open = match class {
-                    FileClass::Normal => &mut self.open_normal,
-                    FileClass::Continuous => &mut self.open_cm,
-                };
-                if open.buf.capacity() == 0 {
-                    // A segment's buffer is allocated once, whole, when
-                    // its first byte arrives — not regrown by doubling.
-                    open.buf.reserve_exact(SEGMENT_BYTES);
-                }
-                open.buf.extend_from_slice(&data[written..written + take]);
-            }
+            let (seg_id, seg_len) = (open.id, open.len);
+            let take = open.push(&data[written..], &self.raid);
+            let full = open.len == SEGMENT_BYTES;
             let pnode = self.pnodes.get_mut(&file).expect("checked above");
             // Merge with the previous extent when contiguous.
             let merged = pnode.extents.last_mut().is_some_and(|e| {
                 if e.segment == seg_id
-                    && e.seg_offset as usize + e.len as usize == buf_len
+                    && e.seg_offset as usize + e.len as usize == seg_len
                     && e.file_offset + e.len as u64 == pnode.size
                 {
                     e.len += take as u32;
@@ -390,17 +441,13 @@ impl LogFs {
                 pnode.extents.push(Extent {
                     file_offset: pnode.size,
                     segment: seg_id,
-                    seg_offset: buf_len as u32,
+                    seg_offset: seg_len as u32,
                     len: take as u32,
                 });
             }
             pnode.size += take as u64;
             written += take;
             *count(&mut self.stats) += take as u64;
-            let full = match class {
-                FileClass::Normal => self.open_normal.buf.len() == SEGMENT_BYTES,
-                FileClass::Continuous => self.open_cm.buf.len() == SEGMENT_BYTES,
-            };
             if full {
                 self.flush_open(class)?;
             }
@@ -410,10 +457,10 @@ impl LogFs {
 
     /// Forces both open segments to the array.
     pub fn sync(&mut self) -> Result<(), FsError> {
-        if !self.open_normal.buf.is_empty() {
+        if self.open_normal.len > 0 {
             self.flush_open(FileClass::Normal)?;
         }
-        if !self.open_cm.buf.is_empty() {
+        if self.open_cm.len > 0 {
             self.flush_open(FileClass::Continuous)?;
         }
         Ok(())
@@ -533,12 +580,7 @@ impl LogFs {
                 .into_iter()
                 .find(|o| o.id == ext.segment);
             if let Some(open) = open {
-                let bytes = open.buf.get(seg_off..seg_off + n);
-                out.push(
-                    arena
-                        .frame_from(bytes.ok_or(FsError::BadExtents)?)
-                        .view_all(),
-                );
+                out.push(open.read(seg_off, n, arena)?);
             } else {
                 self.io_time += self.raid.read_views(ext.segment, seg_off, n, out)?;
             }
@@ -628,16 +670,19 @@ impl LogFs {
             }
         }
         let end = SEGMENT_BYTES as u64;
+        let mut dead = Vec::new();
         for (seg, mut runs) in live {
             runs.sort_unstable();
             let mut at = 0;
+            dead.clear();
             for (lo, hi) in runs.into_iter().chain([(end, end)]) {
                 let lo = lo.min(end);
                 if lo > at {
-                    self.raid.forget(seg, at as usize, (lo - at) as usize);
+                    dead.push((at as usize, (lo - at) as usize));
                 }
                 at = at.max(hi);
             }
+            self.raid.forget(seg, &dead);
         }
     }
 
@@ -951,7 +996,7 @@ mod tests {
         let (half, whole) = (seg(&forgot, ids[1]), seg(&forgot, ids[2]));
         let raid = forgot.raid_mut();
         assert_eq!(raid.retained_bytes(), 5 * SEGMENT_BYTES / 2);
-        raid.forget(half, 0, SEGMENT_BYTES / 2);
+        raid.forget(half, &[(0, SEGMENT_BYTES / 2)]);
         raid.discard_stripe(whole);
         // Two data disks' chunks of the first stripe, and all five of
         // the second; parity of the first still holds the live half.
@@ -983,7 +1028,7 @@ mod tests {
         // With a member down, forgetting is refused.
         forgot
             .raid_mut()
-            .forget(half, SEGMENT_BYTES / 2, SEGMENT_BYTES / 2);
+            .forget(half, &[(SEGMENT_BYTES / 2, SEGMENT_BYTES / 2)]);
         assert_eq!(forgot.raid_mut().retained_bytes(), 3 * SEGMENT_BYTES / 4);
     }
 
@@ -1010,6 +1055,41 @@ mod tests {
         let d = f.read_leased(id, data.len() as u64, 4, &arena).unwrap();
         assert_eq!(&*d, b"open");
         assert_eq!(arena.stats().leases_granted, 2);
+    }
+
+    #[test]
+    fn a_segment_keeps_the_mode_it_began_in() {
+        // Append, switch the array's mode with the segment half full,
+        // append, read, sync, read; then a second segment, synced and
+        // read. What each read returns, and the time charged.
+        let (first, second) = (bytes(100_000, 1), bytes(100_000, 2));
+        let run = |begun: bool, then: bool| {
+            let mut f = fs();
+            f.raid_mut().set_store(begun);
+            let id = f.create(FileClass::Normal);
+            f.append(id, &first).unwrap();
+            f.raid_mut().set_store(then);
+            f.append(id, &second).unwrap();
+            let open = f.read(id, 0, 200_000).unwrap();
+            f.sync().unwrap();
+            let flushed = f.read(id, 0, 200_000).unwrap();
+            let next = f.create(FileClass::Normal);
+            f.append(next, &first).unwrap();
+            f.sync().unwrap();
+            let next = f.read(next, 0, first.len()).unwrap();
+            (open, flushed, next, f.io_time)
+        };
+        let whole = [&first[..], &second[..]].concat();
+        let zeros = |n| vec![0u8; n];
+        let stored = run(true, true);
+        let ns = stored.3;
+        assert_eq!(stored, (whole.clone(), whole.clone(), first.clone(), ns));
+        // Begun storing: its bytes read until the flush, which keeps none.
+        let want = (whole, zeros(200_000), zeros(100_000), ns);
+        assert_eq!(run(true, false), want);
+        // Begun timing-only: zeros open and flushed; the next one stores.
+        let want = (zeros(200_000), zeros(200_000), first.clone(), ns);
+        assert_eq!(run(false, true), want);
     }
 
     #[test]

@@ -21,9 +21,14 @@
 //! the arena the members' pages come from.
 //!
 //! What the members retain follows what the log still uses. A stripe
-//! write materialises its pages on all five disks. Two calls take pages
+//! is written as pages ([`RaidArray::write_pages`]): each data member
+//! adopts its share of the pages the writer built, uncopied, and the
+//! parity member the XOR of them, page by page, in fresh leases from
+//! the array's arena, where the log builds its open segments. It is the
+//! one stripe write. An array that retains nothing is written no pages
+//! and computes no parity, and is charged the same. Two calls take pages
 //! away again, both free of charge (no head, no time, no counter):
-//! [`RaidArray::forget`] drops the whole data pages inside a byte range
+//! [`RaidArray::forget`] drops the whole data pages inside byte ranges
 //! of a stripe, XORing each into the parity page first so that every
 //! byte still retained stays reconstructible, and
 //! [`RaidArray::discard_stripe`] drops a stripe on every member. The
@@ -32,8 +37,8 @@
 //! released — whose bytes are undefined from then on, so recovery after
 //! a pass needs a checkpoint written after it.
 
-use crate::disk::{xor_into, DiskConfig, DiskError, SimDisk, SECTOR};
-use pegasus_sim::arena::{Arena, FrameView};
+use crate::disk::{page_runs, xor_into, DiskConfig, DiskError, SimDisk, PAGE_BYTES, SECTOR};
+use pegasus_sim::arena::{Arena, FrameBuf, FrameView};
 use pegasus_sim::time::Ns;
 
 /// Number of data disks a segment is striped across.
@@ -43,7 +48,8 @@ pub const DATA_DISKS: usize = 4;
 pub struct RaidArray {
     disks: Vec<SimDisk>, // DATA_DISKS data + 1 parity
     chunk_bytes: usize,
-    /// The members' pages, and the bytes a degraded read rebuilds.
+    /// The members' pages, the log's open segments that become them,
+    /// and the bytes a degraded read rebuilds.
     arena: Arena,
 }
 
@@ -75,13 +81,11 @@ impl From<DiskError> for RaidError {
 
 impl RaidArray {
     /// Creates an array of five identical disks striping stripes of
-    /// `stripe_bytes` (must divide evenly by [`DATA_DISKS`] × sector).
+    /// `stripe_bytes` (must divide evenly by [`DATA_DISKS`] × 64 KiB,
+    /// the disks' page).
     pub fn new(cfg: DiskConfig, stripe_bytes: usize) -> Self {
-        assert_eq!(
-            stripe_bytes % (DATA_DISKS * SECTOR),
-            0,
-            "stripe must be a whole number of sectors per disk"
-        );
+        let whole = stripe_bytes.is_multiple_of(DATA_DISKS * PAGE_BYTES);
+        assert!(whole, "stripe must be a whole number of pages per disk");
         let arena = Arena::new();
         RaidArray {
             disks: (0..=DATA_DISKS)
@@ -113,11 +117,26 @@ impl RaidArray {
     }
 
     /// Disables content retention on every member disk (see
-    /// [`SimDisk::set_store`]).
+    /// [`SimDisk::set_store`]). Bytes still in an open segment of the
+    /// log on a timing-only array read as zeros, like every other byte
+    /// on that array: a segment takes the array's mode when its first
+    /// byte arrives and keeps it until it flushes.
     pub fn set_store(&mut self, store: bool) {
         for d in &mut self.disks {
             d.set_store(store);
         }
+    }
+
+    /// Whether a data member retains what is written: whether a writer
+    /// need build pages at all.
+    pub(crate) fn stores(&self) -> bool {
+        self.disks[..DATA_DISKS].iter().any(SimDisk::stores)
+    }
+
+    /// The arena the members' pages are leased from; a writer builds
+    /// the pages it hands [`RaidArray::write_pages`] in it.
+    pub fn arena(&self) -> &Arena {
+        &self.arena
     }
 
     fn chunk_sectors(&self) -> u64 {
@@ -136,34 +155,46 @@ impl RaidArray {
         self.disks.iter().filter(|d| d.is_failed()).count()
     }
 
-    /// Writes one full stripe; returns the stripe duration (the slowest
-    /// disk, as they run in parallel). Writing with one failed disk is
-    /// allowed (degraded mode: that chunk is simply not stored, but
-    /// remains reconstructible).
+    /// Writes one full stripe of pages; returns the stripe duration
+    /// (the slowest disk, as they run in parallel). `pages` are the
+    /// stripe's bytes in order, [`DATA_DISKS`] × the chunk's pages of
+    /// 64 KiB each: every data member adopts its share uncopied, and
+    /// parity is XORed page by page into fresh leases. Writing with one
+    /// failed disk is allowed (degraded mode: that chunk is simply not
+    /// stored, but remains reconstructible).
     ///
-    /// A parity disk that retains nothing is still charged its chunk,
-    /// but no parity is computed for it: what it is handed is discarded
-    /// unread.
-    pub fn write_stripe(&mut self, stripe: u64, data: &[u8]) -> Result<Ns, RaidError> {
-        assert_eq!(data.len(), self.stripe_bytes(), "whole stripes only");
+    /// No pages at all, from a writer on a timing-only array, is a
+    /// stripe of zeros; a parity disk that retains nothing is charged
+    /// its chunk with no parity computed for it.
+    pub fn write_pages(&mut self, stripe: u64, pages: &[FrameBuf]) -> Result<Ns, RaidError> {
+        let per = self.chunk_bytes / PAGE_BYTES;
+        let whole = pages.is_empty() || pages.len() == DATA_DISKS * per;
+        assert!(whole, "whole stripes only");
+        let paged = pages.iter().all(|p| p.len() == PAGE_BYTES);
+        assert!(paged, "whole pages only");
         if self.failed_count() > 1 {
             return Err(RaidError::TooManyFailures);
         }
         let sector = self.stripe_sector(stripe)?;
-        // Scratch here is per call on purpose: kept in the array it is
-        // a quarter megabyte resident per idle server.
-        let parity = self.disks[DATA_DISKS].stores().then(|| {
-            let mut parity = vec![0u8; self.chunk_bytes];
-            for chunk in data.chunks(self.chunk_bytes) {
-                xor_into(&mut parity, chunk);
-            }
-            parity
-        });
-        let parity_chunk = parity.as_deref().unwrap_or(&data[..self.chunk_bytes]);
-        let members = data.chunks(self.chunk_bytes).chain([parity_chunk]);
+        let mut parity = Vec::new();
+        if !pages.is_empty() && self.disks[DATA_DISKS].stores() {
+            parity.extend((0..per).map(|k| {
+                let mut page = self.arena.lease();
+                page.extend_from_slice(&pages[k]);
+                for d in 1..DATA_DISKS {
+                    xor_into(&mut page, &pages[d * per + k]);
+                }
+                page.freeze()
+            }));
+        }
+        let n = self.chunk_sectors();
         let mut max_t = 0;
-        for (disk, chunk) in self.disks.iter_mut().zip(members) {
-            match disk.write(sector, chunk) {
+        for (i, disk) in self.disks.iter_mut().enumerate() {
+            let share = match i {
+                DATA_DISKS => &parity[..],
+                _ => pages.get(i * per..(i + 1) * per).unwrap_or(&[]),
+            };
+            match disk.write_pages(sector, n, share) {
                 Ok(t) => max_t = max_t.max(t),
                 Err(DiskError::Failed) => {} // degraded write
                 Err(e) => return Err(e.into()),
@@ -212,11 +243,13 @@ impl RaidArray {
             let t = match self.disks[i].read_views(sector, n, lo, hi - lo, out) {
                 Ok(t) => t,
                 Err(DiskError::Failed) => {
-                    // Parity stands in, and each of its views becomes
-                    // the lost bytes once the survivors are folded in.
-                    let at = out.len();
-                    let t = self.disks[DATA_DISKS].read_views(sector, n, lo, hi - lo, out)?;
-                    self.rebuild_views(sector, lo, &mut out[at..]);
+                    // Parity stands in: each page's share of the lost
+                    // bytes is rebuilt from it and the survivors.
+                    let t = self.disks[DATA_DISKS].read_views(sector, n, lo, 0, &mut Vec::new())?;
+                    out.extend(page_runs(lo, hi - lo).map(|(page, at, m)| {
+                        let skip = page as usize * PAGE_BYTES + at;
+                        self.xor_others(i, sector, skip, m).view_all()
+                    }));
                     t
                 }
                 Err(e) => return Err(e.into()),
@@ -226,43 +259,46 @@ impl RaidArray {
         Ok(max_t)
     }
 
-    /// Replaces each parity view in `lost` — together bytes from `lo` on
-    /// of a failed member's chunk at `sector` — with a new buffer of the
-    /// lost bytes: parity XOR every surviving data disk, free of charge.
-    fn rebuild_views(&self, sector: u64, lo: usize, lost: &mut [FrameView]) {
-        let mut skip = lo;
-        let mut member = Vec::new();
-        for view in lost {
-            let mut bytes = self.arena.lease();
-            bytes.extend_from_slice(view);
-            for d in self.disks[..DATA_DISKS].iter().filter(|d| !d.is_failed()) {
-                member.clear();
-                d.views(sector, skip, view.len(), &mut member);
-                xor_views(&mut bytes, &member);
-            }
-            skip += view.len();
-            *view = bytes.freeze().view_all();
+    /// A new buffer of bytes `[skip, skip + len)` from `sector` XORed
+    /// over every member but `lost`, free of charge: any four members
+    /// give the fifth.
+    fn xor_others(&self, lost: usize, sector: u64, skip: usize, len: usize) -> FrameBuf {
+        let mut acc = self.arena.lease_zeroed(len);
+        for i in (0..=DATA_DISKS).filter(|&i| i != lost) {
+            self.disks[i].xor_onto(sector, skip, &mut acc);
         }
+        acc.freeze()
     }
 
-    /// Drops the retained data pages lying wholly inside bytes
-    /// `[off, off + len)` of `stripe`, free of charge, each XORed into
-    /// the parity page first: parity becomes that of a stripe holding
-    /// zeros there, so a lost disk's surviving bytes still rebuild. Does
-    /// nothing while any member has failed, or off the end of the array.
-    pub fn forget(&mut self, stripe: u64, off: usize, len: usize) {
+    /// Drops the retained data pages lying wholly inside any of the
+    /// `(offset, length)` byte ranges `dead` of `stripe`, free of charge.
+    /// Parity becomes that of a stripe holding zeros there, so a lost
+    /// disk's surviving bytes still rebuild: a parity page takes in every
+    /// data page forgotten at its page number in one fold, or goes too
+    /// when no data page is left at that number, since parity of zeros
+    /// is zeros. Does nothing while any member has failed, or off the end
+    /// of the array.
+    pub fn forget(&mut self, stripe: u64, dead: &[(usize, usize)]) {
         if self.failed_count() > 0 || stripe >= self.stripes() {
             return;
         }
-        let sector = stripe * self.chunk_sectors();
-        let (cb, end) = (self.chunk_bytes, off.saturating_add(len));
+        let (sector, cb) = (stripe * self.chunk_sectors(), self.chunk_bytes);
+        let mut gone = Vec::new();
         let (data, parity) = self.disks.split_at_mut(DATA_DISKS);
         for (i, disk) in data.iter_mut().enumerate() {
-            let lo = off.clamp(i * cb, (i + 1) * cb) - i * cb;
-            let hi = end.clamp(i * cb, (i + 1) * cb) - i * cb;
-            disk.forget(sector, lo, hi - lo, |page, bytes| {
-                parity[0].fold_page(page, bytes)
-            });
+            for &(off, len) in dead {
+                let lo = off.clamp(i * cb, (i + 1) * cb) - i * cb;
+                let hi = off.saturating_add(len).clamp(i * cb, (i + 1) * cb) - i * cb;
+                disk.forget(sector, lo, hi - lo, |page, bytes| gone.push((page, bytes)));
+            }
+        }
+        gone.sort_unstable_by_key(|&(page, _)| page);
+        for same in gone.chunk_by(|a, b| a.0 == b.0) {
+            let page = same[0].0;
+            match data.iter().any(|d| d.holds(page)) {
+                true => parity[0].fold_pages(page, same.iter().map(|(_, bytes)| &bytes[..])),
+                false => parity[0].forget(0, page as usize * PAGE_BYTES, PAGE_BYTES, |_, _| {}),
+            }
         }
     }
 
@@ -285,38 +321,30 @@ impl RaidArray {
     }
 
     /// Rebuilds a replaced disk from the surviving four, stripe by
-    /// stripe over `stripes` stripes. Returns the total rebuild time.
+    /// stripe over `stripes` stripes: each page it adopts is the XOR of
+    /// the survivors' pages, computed only when it retains what is
+    /// written. Returns the total rebuild time.
     pub fn rebuild_disk(&mut self, replaced: usize, stripes: u64) -> Result<Ns, RaidError> {
         assert!(replaced <= DATA_DISKS);
         if self.failed_count() > 0 {
             return Err(RaidError::TooManyFailures);
         }
         let n = self.chunk_sectors();
+        // Pages the replaced disk is handed a stripe: none if it keeps none.
+        let per = self.chunk_bytes / PAGE_BYTES * usize::from(self.disks[replaced].stores());
         let mut total = 0;
-        let (mut acc, mut member) = (Vec::new(), Vec::new());
         for stripe in 0..stripes {
             let sector = self.stripe_sector(stripe)?;
-            acc.clear();
-            acc.resize(self.chunk_bytes, 0);
             let mut max_t = 0;
             for i in (0..=DATA_DISKS).filter(|&i| i != replaced) {
-                member.clear();
-                let t = self.disks[i].read_views(sector, n, 0, self.chunk_bytes, &mut member)?;
-                max_t = max_t.max(t);
-                xor_views(&mut acc, &member);
+                // Charged for the whole chunk; the bytes are taken below.
+                max_t = max_t.max(self.disks[i].read_views(sector, n, 0, 0, &mut Vec::new())?);
             }
-            total += max_t + self.disks[replaced].write(sector, &acc)?;
+            let page = |k| self.xor_others(replaced, sector, k * PAGE_BYTES, PAGE_BYTES);
+            let pages: Vec<_> = (0..per).map(page).collect();
+            total += max_t + self.disks[replaced].write_pages(sector, n, &pages)?;
         }
         Ok(total)
-    }
-}
-
-/// `acc ^= views`, the views laid end to end from the start of `acc`.
-fn xor_views(acc: &mut [u8], views: &[FrameView]) {
-    let mut at = 0;
-    for v in views {
-        xor_into(&mut acc[at..at + v.len()], v);
-        at += v.len();
     }
 }
 
@@ -330,6 +358,16 @@ mod tests {
         RaidArray::new(DiskConfig::hp_1994(), MIB)
     }
 
+    /// Writes `data`, a whole stripe, as pages leased from the array's
+    /// arena; none on an array that retains nothing, as the log does.
+    fn write(r: &mut RaidArray, stripe: u64, data: &[u8]) -> Result<Ns, RaidError> {
+        let mut pages = Vec::new();
+        if r.stores() {
+            pages.extend(data.chunks(PAGE_BYTES).map(|p| r.arena().frame_from(p)));
+        }
+        r.write_pages(stripe, &pages)
+    }
+
     fn pattern(stripe: u64) -> Vec<u8> {
         (0..MIB)
             .map(|i| ((i as u64 + stripe * 13) % 251) as u8)
@@ -340,7 +378,7 @@ mod tests {
     fn stripe_roundtrip() {
         let mut r = array();
         let data = pattern(0);
-        r.write_stripe(0, &data).unwrap();
+        write(&mut r, 0, &data).unwrap();
         let (back, _) = r.read_stripe(0).unwrap();
         assert_eq!(back, data);
     }
@@ -352,7 +390,7 @@ mod tests {
         let data = pattern(0);
         let t_single = single.write(0, &data).unwrap();
         let mut r = array();
-        let t_stripe = r.write_stripe(0, &data).unwrap();
+        let t_stripe = write(&mut r, 0, &data).unwrap();
         let speedup = t_single as f64 / t_stripe as f64;
         assert!(speedup > 3.0, "speedup {speedup:.2}");
     }
@@ -364,7 +402,7 @@ mod tests {
         let data = pattern(1);
         let mut total: Ns = 0;
         for stripe in 0..64 {
-            total += r.write_stripe(stripe, &data).unwrap();
+            total += write(&mut r, stripe, &data).unwrap();
         }
         let bytes = 64.0 * MIB as f64;
         let rate = bytes / (total as f64 / 1e9);
@@ -379,7 +417,7 @@ mod tests {
     fn single_data_disk_failure_reconstructs() {
         let mut r = array();
         let data = pattern(2);
-        r.write_stripe(3, &data).unwrap();
+        write(&mut r, 3, &data).unwrap();
         r.disk_mut(1).fail();
         let (back, _) = r.read_stripe(3).unwrap();
         assert_eq!(back, data, "parity reconstruction must be exact");
@@ -389,7 +427,7 @@ mod tests {
     fn parity_disk_failure_harmless_for_reads() {
         let mut r = array();
         let data = pattern(3);
-        r.write_stripe(0, &data).unwrap();
+        write(&mut r, 0, &data).unwrap();
         r.disk_mut(DATA_DISKS).fail();
         let (back, _) = r.read_stripe(0).unwrap();
         assert_eq!(back, data);
@@ -398,12 +436,12 @@ mod tests {
     #[test]
     fn double_failure_unrecoverable() {
         let mut r = array();
-        r.write_stripe(0, &pattern(0)).unwrap();
+        write(&mut r, 0, &pattern(0)).unwrap();
         r.disk_mut(0).fail();
         r.disk_mut(2).fail();
         assert_eq!(r.read_stripe(0).unwrap_err(), RaidError::TooManyFailures);
         assert_eq!(
-            r.write_stripe(1, &pattern(1)).unwrap_err(),
+            write(&mut r, 1, &pattern(1)).unwrap_err(),
             RaidError::TooManyFailures
         );
     }
@@ -413,7 +451,7 @@ mod tests {
         let mut r = array();
         r.disk_mut(2).fail();
         let data = pattern(4);
-        r.write_stripe(5, &data).unwrap(); // degraded write
+        write(&mut r, 5, &data).unwrap(); // degraded write
         let (back, _) = r.read_stripe(5).unwrap(); // reconstruct chunk 2
         assert_eq!(back, data);
     }
@@ -423,7 +461,7 @@ mod tests {
         let mut r = array();
         let stripes = 4u64;
         for s in 0..stripes {
-            r.write_stripe(s, &pattern(s)).unwrap();
+            write(&mut r, s, &pattern(s)).unwrap();
         }
         r.disk_mut(1).fail();
         r.disk_mut(1).replace();
@@ -438,7 +476,7 @@ mod tests {
     #[test]
     fn rebuilt_parity_disk_consistent() {
         let mut r = array();
-        r.write_stripe(0, &pattern(9)).unwrap();
+        write(&mut r, 0, &pattern(9)).unwrap();
         r.disk_mut(DATA_DISKS).fail();
         r.disk_mut(DATA_DISKS).replace();
         r.rebuild_disk(DATA_DISKS, 1).unwrap();
@@ -456,10 +494,10 @@ mod tests {
         let drive = |r: &mut RaidArray| {
             let mut times = Vec::new();
             for (stripe, fill) in [(0, 1), (1, 2), (7, 3)] {
-                times.push(r.write_stripe(stripe, &pattern(fill)).unwrap());
+                times.push(write(r, stripe, &pattern(fill)).unwrap());
             }
             r.disk_mut(2).fail();
-            times.push(r.write_stripe(8, &pattern(4)).unwrap());
+            times.push(write(r, 8, &pattern(4)).unwrap());
             let stats: Vec<String> = (0..=DATA_DISKS)
                 .map(|i| format!("{:?}", r.disk_mut(i).stats))
                 .collect();
@@ -468,13 +506,42 @@ mod tests {
         let mut timing_only = array();
         timing_only.set_store(false);
         assert_eq!(drive(&mut timing_only), drive(&mut array()));
+        // Nor a rebuild, for which the timing-only array computes nothing.
+        let rebuild = |r: &mut RaidArray| {
+            r.disk_mut(2).replace();
+            r.rebuild_disk(2, 9).unwrap()
+        };
+        let mut kept = array();
+        drive(&mut kept);
+        assert_eq!(rebuild(&mut timing_only), rebuild(&mut kept));
+        assert_eq!(timing_only.arena().stats().leases_granted, 0);
+    }
+
+    #[test]
+    fn forgetting_folds_each_parity_page_once() {
+        // Forgetting all but the stripe's first page, in two runs: at
+        // page number 0 three data pages go, folded into parity at once
+        // in one new page; at each other number all four go, and the
+        // parity page with them, folded by nobody.
+        let mut r = array();
+        write(&mut r, 0, &pattern(0)).unwrap();
+        let before = r.arena().stats().leases_granted;
+        let half = MIB / 2;
+        r.forget(0, &[(PAGE_BYTES, half - PAGE_BYTES), (half, half)]);
+        assert_eq!(r.arena().stats().leases_granted - before, 1);
+        assert_eq!(r.retained_bytes(), 2 * PAGE_BYTES);
+        // What is left rebuilds through the folded page.
+        r.disk_mut(0).fail();
+        let (back, _) = r.read_stripe(0).unwrap();
+        assert_eq!(back[..PAGE_BYTES], pattern(0)[..PAGE_BYTES]);
+        assert!(back[PAGE_BYTES..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn views_outlive_every_change_to_the_pages_they_show() {
         let mut r = array();
-        r.write_stripe(0, &pattern(0)).unwrap();
-        r.write_stripe(1, &pattern(1)).unwrap();
+        write(&mut r, 0, &pattern(0)).unwrap();
+        write(&mut r, 1, &pattern(1)).unwrap();
         let take = |r: &mut RaidArray, stripe| {
             let mut views = Vec::new();
             r.read_views(stripe, 0, MIB, &mut views).unwrap();
@@ -496,7 +563,7 @@ mod tests {
         // them into new parity pages; views of the old ones stand.
         let (data, old_parity) = (take(&mut r, 0), parity(&mut r));
         let was = bytes(&old_parity);
-        r.forget(0, 0, MIB / 2);
+        r.forget(0, &[(0, MIB / 2)]);
         assert_eq!(r.retained_bytes(), 5 * MIB / 2 - MIB / 2);
         assert_ne!(bytes(&parity(&mut r)), was, "the fold replaced parity");
         assert_eq!(bytes(&old_parity), was, "after a parity fold");
@@ -505,7 +572,7 @@ mod tests {
         // A discarded stripe, written again.
         let data = take(&mut r, 1);
         r.discard_stripe(1);
-        r.write_stripe(1, &pattern(7)).unwrap();
+        write(&mut r, 1, &pattern(7)).unwrap();
         assert_eq!(bytes(&data), pattern(1), "after discard and reuse");
 
         // A member fails, a degraded read rebuilds its share, the member
@@ -525,6 +592,17 @@ mod tests {
     #[should_panic(expected = "whole stripes only")]
     fn partial_stripe_rejected() {
         let mut r = array();
-        let _ = r.write_stripe(0, &vec![0u8; MIB - 1]);
+        let _ = write(&mut r, 0, &vec![0u8; MIB - PAGE_BYTES]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole pages only")]
+    fn short_page_rejected() {
+        let mut r = array();
+        let mut pages: Vec<_> = (0..MIB / PAGE_BYTES)
+            .map(|_| r.arena().frame_from(&[0u8; PAGE_BYTES]))
+            .collect();
+        pages[5] = r.arena().frame_from(&[0u8; PAGE_BYTES - 1]);
+        let _ = r.write_pages(0, &pages);
     }
 }

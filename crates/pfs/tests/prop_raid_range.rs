@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use pegasus_pfs::disk::{DiskConfig, DiskError};
+use pegasus_pfs::disk::{DiskConfig, DiskError, PAGE_BYTES};
 use pegasus_pfs::raid::{RaidArray, RaidError, DATA_DISKS};
 use pegasus_sim::arena::Arena;
 
@@ -29,7 +29,11 @@ fn array(stripes: &[Vec<u8>], failed: Option<usize>, degraded_write: bool) -> Ra
         fail(&mut r);
     }
     for (s, bytes) in stripes.iter().enumerate() {
-        r.write_stripe(s as u64, bytes).unwrap();
+        let pages: Vec<_> = bytes
+            .chunks(PAGE_BYTES)
+            .map(|p| r.arena().frame_from(p))
+            .collect();
+        r.write_pages(s as u64, &pages).unwrap();
     }
     fail(&mut r);
     r
@@ -143,36 +147,55 @@ proptest! {
         // lost data disk's kept bytes come back through folded parity.
         for failed in [None].into_iter().chain((0..=DATA_DISKS).map(Some)) {
             let mut kept = array(&stripes, None, false);
-            let mut forgot = array(&stripes, None, false);
+            // One call per cut, so several calls can fold over the same
+            // parity page; and every cut of a stripe in one call, so its
+            // parity pages fold each page forgotten over them at once.
+            let mut per_cut = array(&stripes, None, false);
             for &(s, a, b) in &cuts {
-                forgot.forget(s, a.min(b), a.abs_diff(b));
+                per_cut.forget(s, &[(a.min(b), a.abs_diff(b))]);
             }
-            if let Some(s) = discard {
-                forgot.discard_stripe(s);
+            let mut batched = array(&stripes, None, false);
+            for s in 0..STRIPES {
+                let runs: Vec<_> = (cuts.iter().filter(|c| c.0 == s))
+                    .map(|&(_, a, b)| (a.min(b), a.abs_diff(b)))
+                    .collect();
+                batched.forget(s, &runs);
             }
-            prop_assert!(forgot.retained_bytes() <= kept.retained_bytes());
-            prop_assert_eq!(disks(&mut forgot), disks(&mut kept));
-            for r in [&mut kept, &mut forgot] {
+            // Looking moves every head, so each array is looked at once.
+            let want = disks(&mut kept);
+            for forgot in [&mut per_cut, &mut batched] {
+                if let Some(s) = discard {
+                    forgot.discard_stripe(s);
+                }
+                prop_assert!(forgot.retained_bytes() <= kept.retained_bytes());
+                prop_assert_eq!(disks(forgot), want.clone());
+            }
+            for r in [&mut kept, &mut per_cut, &mut batched] {
                 failed.into_iter().for_each(|f| r.disk_mut(f).fail());
             }
             for s in 0..STRIPES {
                 let (want, t_want) = kept.read_stripe(s).unwrap();
-                let (got, t) = forgot.read_stripe(s).unwrap();
-                prop_assert_eq!(t, t_want);
-                let bad = (got.iter().zip(&want).zip(&may_go[s as usize]))
-                    .position(|((g, w), &may)| g != w && !(may && *g == 0));
-                prop_assert_eq!(bad, None, "stripe {} with {:?} failed", s, failed);
+                for (how, forgot) in [("per cut", &mut per_cut), ("batched", &mut batched)] {
+                    let (got, t) = forgot.read_stripe(s).unwrap();
+                    prop_assert_eq!(t, t_want);
+                    let bad = (got.iter().zip(&want).zip(&may_go[s as usize]))
+                        .position(|((g, w), &may)| g != w && !(may && *g == 0));
+                    prop_assert_eq!(bad, None, "{}: stripe {} with {:?} failed", how, s, failed);
+                }
             }
-            prop_assert_eq!(disks(&mut forgot), disks(&mut kept));
+            let want = disks(&mut kept);
+            for forgot in [&mut per_cut, &mut batched] {
+                prop_assert_eq!(disks(forgot), want.clone());
+            }
         }
         // Forgetting the rest as well leaves nothing: each parity page
         // folds to zeros and goes with the last data page over it.
         let mut forgot = array(&stripes, None, false);
         for &(s, a, b) in &cuts {
-            forgot.forget(s, a.min(b), a.abs_diff(b));
+            forgot.forget(s, &[(a.min(b), a.abs_diff(b))]);
         }
         for s in 0..STRIPES {
-            forgot.forget(s, 0, STRIPE);
+            forgot.forget(s, &[(0, STRIPE)]);
         }
         prop_assert_eq!(forgot.retained_bytes(), 0);
     }

@@ -12,6 +12,10 @@
 //! *inclusively*: every symbol anywhere on a sample's stack is billed
 //! that sample once, so a function that spends its time in callees
 //! (`emit_row`: 4 ms/op of self time, 61 inclusive) shows what it costs.
+//! The header line adds user and system CPU ms and minor page faults
+//! per operation, read from `/proc/self/stat` around the operations: an
+//! operation bound by faulting in fresh memory shows there as system
+//! time, where the samples see only an anonymous `[libc.so.6]` leaf.
 //!
 //! Build with frame pointers or the walk stops at the leaf:
 //! `scripts/profile.sh <preset> [ops]` does. Besides the targets of
@@ -19,7 +23,7 @@
 //! workloads) it takes `pfs`: the script of the benchmark's fourth
 //! workload, `pfs-vcr`, on `pegasus_pfs` directly (`support/pfs_op.rs`).
 //!
-//! No `libc` crate is vendored, so the three libc entry points are
+//! No `libc` crate is vendored, so the four libc entry points are
 //! declared here, with the x86-64 Linux layouts they take.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -44,6 +48,8 @@ mod sampler {
     const ITIMER_PROF: i32 = 2;
     const SA_SIGINFO: i32 = 4;
     const SA_RESTART: i32 = 0x1000_0000;
+    /// `sysconf` name of the clock ticks per second `/proc` counts in.
+    const SC_CLK_TCK: i32 = 2;
     /// Index of each register in `ucontext_t.uc_mcontext.gregs`.
     const REG_RBP: usize = 10;
     const REG_RSP: usize = 15;
@@ -90,6 +96,7 @@ mod sampler {
     extern "C" {
         fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
         fn setitimer(which: i32, new: *const ITimerVal, old: *mut ITimerVal) -> i32;
+        fn sysconf(name: i32) -> i64;
     }
 
     /// Sample storage: each sample is its depth followed by that many
@@ -175,6 +182,22 @@ mod sampler {
         };
         // SAFETY: a zero `itimerval` disarms the timer.
         unsafe { setitimer(ITIMER_PROF, &off, std::ptr::null_mut()) };
+    }
+
+    /// This process's user CPU ms, system CPU ms and minor page faults
+    /// so far: fields 14, 15 and 10 of `/proc/self/stat`, counted on
+    /// from the one after the command name, which may hold spaces.
+    fn cpu_and_faults() -> (f64, f64, f64) {
+        let stat = std::fs::read_to_string("/proc/self/stat").expect("procfs");
+        let after_name = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+        let fields: Vec<f64> = after_name
+            .split_whitespace()
+            .map(|f| f.parse().unwrap_or(0.0))
+            .collect();
+        let field = |n: usize| fields.get(n - 3).copied().unwrap_or(0.0);
+        // SAFETY: `sysconf` reads a constant of the system.
+        let ms_per_tick = 1e3 / unsafe { sysconf(SC_CLK_TCK) } as f64;
+        (field(14) * ms_per_tick, field(15) * ms_per_tick, field(10))
     }
 
     /// `(start, end, offset, path)` of every mapping of this process.
@@ -272,11 +295,19 @@ mod sampler {
             })
         };
 
+        let (user, sys, faults) = cpu_and_faults();
         install(1_000);
         for _ in 0..ops {
             op();
         }
         stop();
+        let after = cpu_and_faults();
+        let per_op = |before: f64, after: f64| (after - before) / ops as f64;
+        let (user, sys, faults) = (
+            per_op(user, after.0),
+            per_op(sys, after.1),
+            per_op(faults, after.2),
+        );
 
         let exe = std::fs::read_link("/proc/self/exe").expect("procfs");
         let exe = exe.to_string_lossy().into_owned();
@@ -345,7 +376,8 @@ mod sampler {
         }
         let ms_per_sample = TICK_MS / ops as f64;
         println!(
-            "{name}: {ops} ops, {total} samples ({} dropped), {:.1} ms/op",
+            "{name}: {ops} ops, {total} samples ({} dropped), {:.1} ms/op; \
+             user {user:.1} ms/op, sys {sys:.1} ms/op, {faults:.0} minor faults/op",
             DROPPED.load(Relaxed),
             total as f64 * ms_per_sample
         );

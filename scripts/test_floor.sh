@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=681
+FLOOR=685
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
