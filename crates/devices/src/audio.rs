@@ -22,6 +22,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use pegasus_atm::cell::{Cell, Vci};
 use pegasus_atm::link::{CellSink, Link};
@@ -45,6 +46,17 @@ pub const CELL_PERIOD: Ns = SAMPLE_PERIOD * SAMPLES_PER_CELL as u64;
 
 /// Frequency of the tone the ADC digitizes, in Hz (concert A).
 const TONE_HZ: u32 = 440;
+
+/// Samples in one period of the sampled tone: 200 samples hold exactly
+/// 11 cycles of 440 Hz at 8 kHz, and the tone repeats from there.
+const TONE_PERIOD: usize = 200;
+const _: () = assert!((TONE_PERIOD as u32 * TONE_HZ).is_multiple_of(SAMPLE_RATE));
+
+/// The tone at sample `n`, computed: a pure sine.
+fn tone_at(n: u64) -> i16 {
+    let phase = (n as f64 * TONE_HZ as f64 / SAMPLE_RATE as f64) * std::f64::consts::TAU;
+    (phase.sin() * 12_000.0) as i16
+}
 
 /// Packs a timestamp and samples into a cell payload.
 pub fn pack_cell(vci: Vci, timestamp: Ns, samples: &[i16; SAMPLES_PER_CELL]) -> Cell {
@@ -90,10 +102,12 @@ impl AudioSource {
         }))
     }
 
-    /// The sample the ADC reads at index `n` — a pure sine tone.
+    /// The sample the ADC reads at index `n` — a pure sine tone, read
+    /// from one period of it computed once.
     fn sample(n: u64) -> i16 {
-        let phase = (n as f64 * TONE_HZ as f64 / SAMPLE_RATE as f64) * std::f64::consts::TAU;
-        (phase.sin() * 12_000.0) as i16
+        static TONE: OnceLock<[i16; TONE_PERIOD]> = OnceLock::new();
+        let tone = TONE.get_or_init(|| std::array::from_fn(|k| tone_at(k as u64)));
+        tone[(n % TONE_PERIOD as u64) as usize]
     }
 
     /// Starts capture.
@@ -363,6 +377,15 @@ mod tests {
         let s = sink.borrow();
         assert_eq!(s.stats.cells_received, 10);
         assert_eq!(s.stats.overruns, 7 * SAMPLES_PER_CELL as u64);
+    }
+
+    #[test]
+    fn one_period_of_the_tone_is_the_tone_throughout_a_run() {
+        // The longest preset runs 1.5 s and drains for 0.1 s more.
+        const LONGEST_RUN_SAMPLES: u64 = 1_600 * SAMPLE_RATE as u64 / 1_000;
+        for n in 0..LONGEST_RUN_SAMPLES {
+            assert_eq!(AudioSource::sample(n), tone_at(n), "sample {n}");
+        }
     }
 
     #[test]

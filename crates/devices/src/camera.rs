@@ -27,13 +27,12 @@ use pegasus_atm::aal5::Segmenter;
 use pegasus_atm::cell::{Cell, Vci};
 use pegasus_atm::credit::CreditRef;
 use pegasus_atm::link::Link;
-use pegasus_sim::arena::{Arena, FrameBuf, FrameBufMut};
+use pegasus_sim::arena::{Arena, FrameBuf};
 use pegasus_sim::time::{Ns, SEC};
 use pegasus_sim::{Simulator, Train};
 
-use crate::codec;
-use crate::tile::{Tile, TileCoding, TileFrameWriter, TILE_DIM};
-use crate::video::SyntheticVideo;
+use crate::tile::{self, TileCoding, TileFrameWriter};
+use crate::video::{Picture, SyntheticVideo};
 
 /// Raw or compressed output, fixed at VC-establishment time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +111,8 @@ impl CameraStats {
 
 /// One tile row between scan and emission.
 struct Row {
-    /// The frame the row belongs to; rows share it by refcount.
-    image: FrameBuf,
+    /// The picture the row belongs to; rows share it by refcount.
+    picture: Picture,
     row: usize,
     frame_seq: u32,
     /// The timestamp carried in the tile-frame trailer.
@@ -125,11 +124,13 @@ struct Row {
 /// The data path is allocation-free at steady state: the CCD image is
 /// the one shared rendering of its picture
 /// ([`SyntheticVideo::frame_leased`]), drawn into a buffer leased from
-/// the camera's [`Arena`] only when no camera holds one, tile frames
-/// are written directly into further leased buffers (no intermediate
-/// `TileFrame` struct, no per-tile `Vec`s), and AAL5 segmentation takes
-/// zero-copy views of those buffers — the switch fabric forwards the
-/// very bytes the encoder wrote.
+/// the camera's [`Arena`] only when no camera holds one, and each of its
+/// tile rows is coded once, by the first camera to send it
+/// ([`Picture::coded_row`]). A tile frame is this camera's header and
+/// one copy of a run of coded tiles, written into a further leased
+/// buffer (no intermediate `TileFrame` struct, no per-tile `Vec`s), and
+/// AAL5 segmentation takes zero-copy views of it — the switch fabric
+/// forwards the very bytes the camera wrote.
 pub struct Camera {
     video: SyntheticVideo,
     cfg: CameraConfig,
@@ -255,10 +256,10 @@ impl Camera {
         let frame_seq = c.frame_no;
         c.frame_no += 1;
         c.stats.frames_captured += 1;
-        // The frame the CCD will scan: the buffer every camera showing
-        // this picture shares, rendered into recycled arena storage only
-        // if nobody holds one. Row emissions share it by refcount.
-        let image = c.video.frame_leased(frame_seq, &c.arena);
+        // The frame the CCD will scan: the picture every camera showing
+        // it shares, rendered into recycled arena storage only if nobody
+        // holds one. Row emissions share it by refcount.
+        let picture = c.video.frame_leased(frame_seq, &c.arena);
         let (height, line_period, cfg) = (c.video.height, c.line_period(), c.cfg);
         let frame_start = sim.now();
         let frame_scan_done = frame_start + height as u64 * line_period;
@@ -274,7 +275,7 @@ impl Camera {
                 sim,
                 emit_at,
                 Row {
-                    image: image.clone(),
+                    picture: picture.clone(),
                     row,
                     frame_seq,
                     scanned_at,
@@ -285,44 +286,37 @@ impl Camera {
         Some(frame_start + c.frame_period())
     }
 
-    /// Encodes and transmits one row of tiles. Tile payloads are
-    /// encoded straight into a leased buffer, which AAL5 then segments
-    /// by reference — no copy from encoder to wire.
+    /// Transmits one row of tiles, up to [`TILES_PER_FRAME`] to an AAL5
+    /// frame: each frame is this camera's header and a copy of its run
+    /// of the row as the picture has coded it, written into a leased
+    /// buffer, which AAL5 then segments by reference — no copy from
+    /// frame to wire.
     fn emit_row(&mut self, sim: &mut Simulator, row: Row) {
         let Row {
-            image,
+            picture,
             row,
             frame_seq,
             scanned_at,
         } = row;
-        let tiles_x = self.video.tiles_x();
         let (coding, quality) = match self.cfg.mode {
             VideoMode::Raw => (TileCoding::Raw, 0),
             VideoMode::Mjpeg(q) => (TileCoding::Compressed, q),
         };
-        let mut writer: Option<TileFrameWriter<FrameBufMut>> = None;
-        let width = self.video.width;
-        for tx_idx in 0..tiles_x {
-            let w = writer.get_or_insert_with(|| {
-                TileFrameWriter::begin(self.arena.lease(), coding, quality, frame_seq, scanned_at)
-            });
-            let (x, y) = ((tx_idx * TILE_DIM) as u16, (row * TILE_DIM) as u16);
-            match self.cfg.mode {
-                VideoMode::Raw => {
-                    w.push_tile(x, y, &Tile::from_image(&image, width, tx_idx, row).pixels)
-                }
-                // Coded from the image where it lies: a tile this thread
-                // has coded before is never gathered.
-                VideoMode::Mjpeg(q) => w.push_tile_with(x, y, |out| {
-                    codec::encode_tile_from(&image, width, tx_idx, row, q, out)
-                }),
-            }
-            self.stats.raw_bytes += 64;
-            self.stats.tiles_sent += 1;
-            if w.tiles() == TILES_PER_FRAME || tx_idx == tiles_x - 1 {
-                let frame = writer.take().expect("writer active").finish().freeze();
-                self.send_frame(sim, &frame);
-            }
+        let coded = picture.coded_row(row, coding, quality);
+        let mut rest = &coded[..];
+        let mut left = self.video.tiles_x();
+        while left > 0 {
+            let tiles = left.min(TILES_PER_FRAME);
+            let len = tile::framed_len(rest, tiles).expect("a picture frames whole rows");
+            let (run, after) = rest.split_at(len);
+            let mut w =
+                TileFrameWriter::begin(self.arena.lease(), coding, quality, frame_seq, scanned_at);
+            w.push_framed_tiles(tiles, |buf| buf.extend_from_slice(run));
+            let frame = w.finish().freeze();
+            self.stats.raw_bytes += 64 * tiles as u64;
+            self.stats.tiles_sent += tiles as u64;
+            self.send_frame(sim, &frame);
+            (rest, left) = (after, left - tiles);
         }
     }
 
@@ -355,7 +349,8 @@ impl Camera {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::TileFrame;
+    use crate::codec;
+    use crate::tile::{Tile, TileFrame};
     use crate::video::Scene;
     use pegasus_atm::aal5::Reassembler;
     use pegasus_atm::cell::CELL_SIZE;
@@ -553,17 +548,21 @@ mod tests {
         }
     }
 
-    /// Four frames from one QCIF Motion-JPEG camera per scene, all on
-    /// one simulator: each camera's cells as `(arrival, wire bytes)`.
-    fn cell_streams(scenes: &[Scene]) -> Vec<Vec<(Ns, [u8; CELL_SIZE])>> {
+    /// Four frames from one QCIF camera per `(scene, mode)`, all on one
+    /// simulator: each camera's cells as `(arrival, wire bytes)`.
+    fn cell_streams(rigs: &[(Scene, VideoMode)]) -> Vec<Vec<(Ns, [u8; CELL_SIZE])>> {
         let mut sim = Simulator::new();
-        let rigs: Vec<_> = scenes
+        let rigs: Vec<_> = rigs
             .iter()
-            .map(|&scene| {
+            .map(|&(scene, mode)| {
                 let sink = CaptureSink::shared();
                 let tx = Rc::new(RefCell::new(Link::new(155_000_000, 1_000, sink.clone())));
                 let video = SyntheticVideo::qcif(scene);
-                let cam = Camera::new(video, CameraConfig::default(), 42, tx);
+                let cfg = CameraConfig {
+                    mode,
+                    ..CameraConfig::default()
+                };
+                let cam = Camera::new(video, cfg, 42, tx);
                 Camera::start(&cam, &mut sim);
                 (cam, sink)
             })
@@ -580,16 +579,24 @@ mod tests {
 
     #[test]
     fn cameras_sharing_a_thread_emit_what_each_emits_alone() {
-        // Together they take turns in one encode cache, row by row;
-        // alone, each starts a cold one on a thread of its own.
-        let together = cell_streams(&[Scene::MovingGradient, Scene::TestCard]);
-        for (scene, together) in [Scene::MovingGradient, Scene::TestCard]
-            .into_iter()
-            .zip(together)
-        {
-            let alone = std::thread::spawn(move || cell_streams(&[scene]).remove(0));
+        // Together they take turns in one encode cache, row by row, and
+        // the cameras showing one picture send its rows as coded once,
+        // by whichever sent each first: at two qualities and raw, and
+        // at one quality twice. Alone, each starts a cold cache and a
+        // picture of its own on a thread of its own.
+        let rigs = [
+            (Scene::MovingGradient, VideoMode::Mjpeg(50)),
+            (Scene::TestCard, VideoMode::Mjpeg(50)),
+            (Scene::MovingGradient, VideoMode::Mjpeg(20)),
+            (Scene::TestCard, VideoMode::Raw),
+            (Scene::MovingGradient, VideoMode::Raw),
+            (Scene::TestCard, VideoMode::Mjpeg(50)),
+        ];
+        let together = cell_streams(&rigs);
+        for (rig, together) in rigs.into_iter().zip(together) {
+            let alone = std::thread::spawn(move || cell_streams(&[rig]).remove(0));
             assert!(!together.is_empty());
-            assert!(together == alone.join().expect("ran"), "{scene:?}");
+            assert!(together == alone.join().expect("ran"), "{rig:?}");
         }
     }
 
@@ -721,6 +728,31 @@ mod tests {
         let again = SyntheticVideo::new(64, 48, Scene::TestCard, 3).frame_leased(9, &probe);
         assert_eq!(probe.stats().leases_granted, 1);
         assert_eq!(again.handle_count(), 1);
+    }
+
+    #[test]
+    fn a_pictures_coded_rows_go_with_its_last_camera() {
+        let mut sim = Simulator::new();
+        let rigs = started_together(&mut sim, Scene::MovingGradient, &[7, 7]);
+        // Two of frame 0's six rows have left each camera, coded once
+        // for both.
+        sim.run_until(18 * MS);
+        let probe = Arena::new();
+        let video = SyntheticVideo::new(64, 48, Scene::MovingGradient, 7);
+        assert_eq!(video.frame_leased(0, &probe).rows_coded(), 2);
+        for (cam, _) in &rigs {
+            cam.borrow_mut().stop();
+        }
+        sim.run();
+        for (cam, sink) in &rigs {
+            sink.borrow_mut().arrivals.clear();
+            assert_eq!(cam.borrow().arena().stats().outstanding, 0);
+        }
+        // Nothing kept the picture, nor so its coded rows: frame 0 is
+        // drawn again, and none of its rows is coded.
+        let again = video.frame_leased(0, &probe);
+        assert_eq!(probe.stats().leases_granted, 1);
+        assert_eq!(again.rows_coded(), 0);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl TileFrame {
 /// frame_seq(4) timestamp(8)`.
 const HEADER_LEN: usize = 15;
 /// Bytes of a tile's `x(2) y(2) len(2)` prefix.
-const TILE_PREFIX_LEN: usize = 6;
+pub(crate) const TILE_PREFIX_LEN: usize = 6;
 
 /// A parsed tile frame that borrows its payloads from the received
 /// bytes: the header fields plus an iterator over `(x, y, payload)`.
@@ -210,16 +210,7 @@ impl<'a> TileFrameView<'a> {
         };
         let body = &bytes[HEADER_LEN..];
         let tile_count = bytes[2] as usize;
-        let mut off = 0;
-        for _ in 0..tile_count {
-            let Some(prefix) = body.get(off..off + TILE_PREFIX_LEN) else {
-                return Err(TileFrameError::Truncated);
-            };
-            off += TILE_PREFIX_LEN + u16::from_be_bytes([prefix[4], prefix[5]]) as usize;
-            if off > body.len() {
-                return Err(TileFrameError::BadTileLength);
-            }
-        }
+        framed_len(body, tile_count)?;
         Ok(TileFrameView {
             coding,
             quality: bytes[1],
@@ -253,10 +244,40 @@ impl<'a> TileFrameView<'a> {
     }
 }
 
+/// How many bytes the first `tiles` tiles of `body` take, each as a
+/// frame carries it (`x(2) y(2) len(2)` and the payload), checked to lie
+/// whole inside `body`.
+pub(crate) fn framed_len(body: &[u8], tiles: usize) -> Result<usize, TileFrameError> {
+    let mut off = 0;
+    for _ in 0..tiles {
+        let Some(prefix) = body.get(off..off + TILE_PREFIX_LEN) else {
+            return Err(TileFrameError::Truncated);
+        };
+        off += TILE_PREFIX_LEN + u16::from_be_bytes([prefix[4], prefix[5]]) as usize;
+        if off > body.len() {
+            return Err(TileFrameError::BadTileLength);
+        }
+    }
+    Ok(off)
+}
+
+/// Appends one tile to `buf` as a frame carries it: `x(2) y(2) len(2)`,
+/// then the payload `encode` writes there.
+pub(crate) fn push_framed(buf: &mut Vec<u8>, x: u16, y: u16, encode: impl FnOnce(&mut Vec<u8>)) {
+    buf.extend_from_slice(&x.to_be_bytes());
+    buf.extend_from_slice(&y.to_be_bytes());
+    let len_at = buf.len();
+    buf.extend_from_slice(&[0, 0]); // length, patched below
+    encode(buf);
+    let len = buf.len() - len_at - 2;
+    buf[len_at..len_at + 2].copy_from_slice(&(len as u16).to_be_bytes());
+}
+
 /// Streams the [`TileFrame::encode`] wire format directly into a byte
-/// buffer — the zero-copy camera path writes each tile into the leased
-/// arena buffer the AAL5 frame will be segmented from, skipping the
-/// intermediate `TileFrame` struct and its per-tile `Vec`s entirely.
+/// buffer — the zero-copy camera path writes its header and its tiles,
+/// framed once by the picture it shows, into the leased arena buffer the
+/// AAL5 frame will be segmented from, skipping the intermediate
+/// `TileFrame` struct and its per-tile `Vec`s entirely.
 ///
 /// `B` is any owned-or-borrowed handle to a `Vec<u8>`: a plain
 /// `&mut Vec<u8>`, or a `pegasus_sim::arena::FrameBufMut` lease.
@@ -308,24 +329,21 @@ impl<B: std::ops::DerefMut<Target = Vec<u8>>> TileFrameWriter<B> {
 
     /// Appends one tile with an already-encoded payload.
     pub fn push_tile(&mut self, x: u16, y: u16, data: &[u8]) {
-        self.push_tile_with(x, y, |out| out.extend_from_slice(data));
+        self.push_framed_tiles(1, |buf| {
+            push_framed(buf, x, y, |out| out.extend_from_slice(data))
+        });
     }
 
-    /// Appends one tile whose payload `encode` writes directly into the
-    /// frame buffer (how the compressed path avoids a per-tile `Vec`).
-    pub fn push_tile_with(&mut self, x: u16, y: u16, encode: impl FnOnce(&mut Vec<u8>)) {
+    /// Appends `tiles` tiles already framed (see [`framed_len`]) — how
+    /// a camera sends the rows its picture has coded once for every
+    /// camera showing it.
+    pub(crate) fn push_framed_tiles(&mut self, tiles: usize, write: impl FnOnce(&mut Vec<u8>)) {
         assert!(
-            self.tiles < u8::MAX as usize,
+            self.tiles + tiles <= u8::MAX as usize,
             "tile count field is one byte"
         );
-        self.buf.extend_from_slice(&x.to_be_bytes());
-        self.buf.extend_from_slice(&y.to_be_bytes());
-        let len_at = self.buf.len();
-        self.buf.extend_from_slice(&[0, 0]); // length, patched below
-        encode(&mut self.buf);
-        let len = self.buf.len() - len_at - 2;
-        self.buf[len_at..len_at + 2].copy_from_slice(&(len as u16).to_be_bytes());
-        self.tiles += 1;
+        write(&mut self.buf);
+        self.tiles += tiles;
     }
 
     /// Tiles appended so far.
@@ -522,7 +540,7 @@ mod tests {
     fn writer_appends_after_existing_bytes() {
         let mut buf = vec![0xEE; 5];
         let mut w = TileFrameWriter::begin(&mut buf, TileCoding::Raw, 0, 1, 2);
-        w.push_tile_with(0, 0, |out| out.extend_from_slice(&[3u8; 64]));
+        w.push_tile(0, 0, &[3u8; 64]);
         w.finish();
         assert_eq!(&buf[..5], &[0xEE; 5]);
         let frame = TileFrame::decode(&buf[5..]).unwrap();

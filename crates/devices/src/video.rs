@@ -6,17 +6,24 @@
 //! for the codec). Both are pure functions of `(seed, frame_number)`, so
 //! every experiment is reproducible.
 //!
-//! Being pure, a picture is rendered once however many cameras show it:
+//! Being pure, a picture is rendered once however many cameras show it,
+//! and each of its tile rows is coded once per coding and quality:
 //! [`SyntheticVideo::frame_leased`] hands every caller on a thread the
-//! one live, immutable buffer of a given `(size, scene, seed, n)`, found
-//! through a table of weak handles. [`SyntheticVideo::render`] and
+//! one live [`Picture`] of a given `(size, scene, seed, n)`, found
+//! through a table of weak handles — an immutable buffer and the rows
+//! coded from it so far. [`SyntheticVideo::render`] and
 //! [`SyntheticVideo::frame`] draw afresh every call and are the
 //! reference the shared buffers are tested against.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
+use std::ops::{Deref, Range};
+use std::rc::{Rc, Weak};
 
-use pegasus_sim::arena::{Arena, FrameBuf, WeakFrameBuf};
+use pegasus_sim::arena::{Arena, FrameBuf};
+
+use crate::codec;
+use crate::tile::{self, Tile, TileCoding, TILE_DIM, TILE_PIXELS, TILE_PREFIX_LEN};
 
 /// The moving-gradient scene repeats every this many steps along a row:
 /// three pixels to a grey level, 256 levels.
@@ -75,13 +82,121 @@ struct FrameKey {
 
 thread_local! {
     /// The pictures alive on this thread, by key. Weak: an entry finds a
-    /// frame some camera still holds and never holds one itself, so the
-    /// storage goes back to its arena with the last camera's last row,
-    /// and the table is as long as the number of distinct pictures being
-    /// shown at once — there is no capacity to choose. Per thread
-    /// because shards are threads that share nothing (and a `FrameBuf`
-    /// cannot cross one).
-    static FRAMES: RefCell<HashMap<FrameKey, WeakFrameBuf>> = RefCell::new(HashMap::new());
+    /// picture some camera still holds and never holds one itself, so
+    /// the image goes back to its arena, and the coded rows with it,
+    /// with the last camera's last row, and the table is as long as the
+    /// number of distinct pictures being shown at once — there is no
+    /// capacity to choose. Per thread because shards are threads that
+    /// share nothing (and a `FrameBuf` cannot cross one).
+    static FRAMES: RefCell<HashMap<FrameKey, Weak<Shown>>> = RefCell::new(HashMap::new());
+}
+
+/// A picture on show: the one rendering of it on this thread, which
+/// every camera showing it shares, and its tile rows as coded so far.
+/// Dereferences to the image's pixels; a clone is another handle on the
+/// same picture. The coded rows belong to the picture and go with it,
+/// so nothing else keeps, keys or evicts them.
+#[derive(Clone)]
+pub struct Picture(Rc<Shown>);
+
+struct Shown {
+    image: FrameBuf,
+    width: usize,
+    coded: RefCell<CodedRows>,
+}
+
+/// A picture's coded tile rows, one after another in `bytes`, and where
+/// each lies: row `row` coded as `coding` at `quality` is `bytes[at]`
+/// for the entry `((coding, quality, row), at)`.
+struct CodedRows {
+    bytes: Vec<u8>,
+    rows: Vec<((TileCoding, u8, usize), Range<usize>)>,
+}
+
+impl Picture {
+    /// `video`'s picture drawn in `image`, none of its rows coded yet.
+    fn new(video: &SyntheticVideo, image: FrameBuf) -> Self {
+        // Room for every row coded once at the raw size, reserved with
+        // the picture so that coding rows as they are scanned allocates
+        // nothing: a Motion-JPEG coding of a drawn scene is shorter. A
+        // second coding, or noise, grows it.
+        let tiles = video.tiles_x() * video.tiles_y();
+        let coded = CodedRows {
+            bytes: Vec::with_capacity(tiles * (TILE_PREFIX_LEN + TILE_PIXELS)),
+            rows: Vec::with_capacity(video.tiles_y()),
+        };
+        Picture(Rc::new(Shown {
+            image,
+            width: video.width,
+            coded: RefCell::new(coded),
+        }))
+    }
+
+    /// Tile row `row` coded as `coding` at `quality` (0 for raw), as a
+    /// tile frame carries it: tile after tile across the picture, each
+    /// `x(2) y(2) len(2)` and its payload. The first holder to ask codes
+    /// it; every later one, on any camera, reads the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row lies outside the picture.
+    pub fn coded_row(&self, row: usize, coding: TileCoding, quality: u8) -> Ref<'_, [u8]> {
+        let key = (coding, quality, row);
+        let found = (self.0.coded.borrow().rows.iter())
+            .find(|(k, _)| *k == key)
+            .map(|(_, at)| at.clone());
+        let at = found.unwrap_or_else(|| {
+            let coded = &mut *self.0.coded.borrow_mut();
+            let start = coded.bytes.len();
+            self.code_row(row, coding, quality, &mut coded.bytes);
+            coded.rows.push((key, start..coded.bytes.len()));
+            start..coded.bytes.len()
+        });
+        Ref::map(self.0.coded.borrow(), |coded| &coded.bytes[at])
+    }
+
+    /// Appends row `row`'s tiles to `out`, framed, raw or coded from the
+    /// image where it lies.
+    fn code_row(&self, row: usize, coding: TileCoding, quality: u8, out: &mut Vec<u8>) {
+        let (image, width) = (&self.0.image[..], self.0.width);
+        for tx in 0..width / TILE_DIM {
+            let (x, y) = ((tx * TILE_DIM) as u16, (row * TILE_DIM) as u16);
+            tile::push_framed(out, x, y, |out| match coding {
+                TileCoding::Raw => {
+                    out.extend_from_slice(&Tile::from_image(image, width, tx, row).pixels)
+                }
+                TileCoding::Compressed => {
+                    codec::encode_tile_from(image, width, tx, row, quality, out)
+                }
+            });
+        }
+    }
+
+    /// Whether `a` and `b` are handles on one picture.
+    #[cfg(test)]
+    pub(crate) fn same(a: &Picture, b: &Picture) -> bool {
+        Rc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Live handles on this picture, this one included.
+    #[cfg(test)]
+    pub(crate) fn handle_count(&self) -> usize {
+        Rc::strong_count(&self.0)
+    }
+
+    /// How many row codings the picture holds.
+    #[cfg(test)]
+    pub(crate) fn rows_coded(&self) -> usize {
+        self.0.coded.borrow().rows.len()
+    }
+}
+
+impl Deref for Picture {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.image
+    }
 }
 
 impl SyntheticVideo {
@@ -121,30 +236,30 @@ impl SyntheticVideo {
         buf
     }
 
-    /// Frame `n` as an immutable buffer: the one live rendering of this
-    /// picture on this thread if anything still holds it (a lookup and a
-    /// refcount bump — nothing is drawn or leased), otherwise a fresh
+    /// Frame `n` as a [`Picture`]: the one live picture of it on this
+    /// thread if anything still holds it (a lookup and a refcount bump —
+    /// nothing is drawn, leased or coded), otherwise a fresh
     /// [`SyntheticVideo::render`] into storage leased from `arena`,
     /// which later callers share for as long as any handle on it lives.
-    /// Cameras showing the same picture therefore hold
-    /// [`FrameBuf::same_buffer`] images, and the buffer belongs to the
-    /// arena of whichever asked first. The bytes are `render`'s either
-    /// way.
-    pub fn frame_leased(&self, n: u32, arena: &Arena) -> FrameBuf {
+    /// Cameras showing the same picture therefore hold handles on one
+    /// picture and read one coding of each row, and the image belongs
+    /// to the arena of whichever asked first. The pixels are `render`'s
+    /// either way.
+    pub fn frame_leased(&self, n: u32, arena: &Arena) -> Picture {
         let key = self.frame_key(n);
         FRAMES.with(|frames| {
-            if let Some(shared) = frames.borrow().get(&key).and_then(WeakFrameBuf::upgrade) {
-                return shared;
+            if let Some(shown) = frames.borrow().get(&key).and_then(Weak::upgrade) {
+                return Picture(shown);
             }
             let mut lease = arena.lease_zeroed(self.frame_bytes());
             self.render(n, &mut lease);
-            let frame = lease.freeze();
+            let picture = Picture::new(self, lease.freeze());
             let mut frames = frames.borrow_mut();
             // A miss is the one moment the table can grow, so it is when
             // the entries whose pictures have gone are dropped.
-            frames.retain(|_, weak| weak.upgrade().is_some());
-            frames.insert(key, frame.downgrade());
-            frame
+            frames.retain(|_, weak| weak.strong_count() > 0);
+            frames.insert(key, Rc::downgrade(&picture.0));
+            picture
         })
     }
 
@@ -261,10 +376,55 @@ mod tests {
                 prop_assert_eq!(&first[..], &want[..]);
                 let repeat = v.frame_leased(n, &arena);
                 prop_assert_eq!(&repeat[..], &want[..]);
-                prop_assert!(FrameBuf::same_buffer(&first, &repeat));
+                prop_assert!(Picture::same(&first, &repeat));
                 prop_assert_eq!(arena.stats().leases_granted, round + 1);
             }
             prop_assert_eq!(arena.stats().outstanding, 0);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_a_coded_row_is_its_tiles_as_a_frame_carries_them(
+            scene in 0usize..3,
+            seed in any::<u64>(),
+            n in any::<u32>(),
+            quality in any::<u8>(),
+            tiles_x in 1usize..6,
+            tiles_y in 1usize..4,
+        ) {
+            let v = SyntheticVideo::new(tiles_x * 8, tiles_y * 8, SCENES[scene], seed);
+            let picture = v.frame_leased(n, &Arena::new());
+            let image = v.frame(n);
+            let codings = [(TileCoding::Compressed, quality), (TileCoding::Raw, 0)];
+            // Bottom row first: a row is coded whenever it is first asked.
+            for row in (0..tiles_y).rev() {
+                for (coding, quality) in codings {
+                    let tiles = (0..tiles_x).map(|tx| {
+                        let pixels = Tile::from_image(&image, v.width, tx, row).pixels;
+                        let payload = match coding {
+                            TileCoding::Raw => pixels.to_vec(),
+                            TileCoding::Compressed => codec::encode_tile(&pixels, quality),
+                        };
+                        ((tx * 8) as u16, (row * 8) as u16, payload)
+                    });
+                    let frame = crate::tile::TileFrame {
+                        coding,
+                        quality,
+                        frame_seq: n,
+                        timestamp: 0,
+                        tiles: tiles.collect(),
+                    };
+                    let coded = picture.coded_row(row, coding, quality);
+                    prop_assert_eq!(&coded[..], &frame.encode()[15..]);
+                }
+            }
+            // Asked again, read again: nothing more is coded.
+            prop_assert_eq!(picture.rows_coded(), 2 * tiles_y);
+            let again = v.frame_leased(n, &Arena::new());
+            let raw = again.coded_row(0, TileCoding::Raw, 0).len();
+            prop_assert_eq!(raw, tiles_x * (6 + 64));
+            prop_assert_eq!(picture.rows_coded(), 2 * tiles_y);
         }
     }
 
@@ -273,7 +433,7 @@ mod tests {
         let arena = Arena::new();
         let base = SyntheticVideo::new(64, 48, Scene::MovingGradient, 7);
         let held = base.frame_leased(3, &arena);
-        assert!(FrameBuf::same_buffer(
+        assert!(Picture::same(
             &held,
             &base.clone().frame_leased(3, &Arena::new())
         ));
@@ -289,7 +449,7 @@ mod tests {
             let frame = video.frame_leased(n, &arena);
             assert_eq!(&frame[..], &video.frame(n)[..]);
             assert!(
-                live.iter().all(|f| !FrameBuf::same_buffer(f, &frame)),
+                live.iter().all(|f| !Picture::same(f, &frame)),
                 "{video:?} frame {n} shared another picture's buffer"
             );
             live.push(frame);
@@ -302,7 +462,7 @@ mod tests {
         let arena = Arena::new();
         let a = SyntheticVideo::new(64, 48, Scene::TestCard, 1).frame_leased(0, &arena);
         let b = SyntheticVideo::new(64, 48, Scene::TestCard, 2).frame_leased(99, &arena);
-        assert!(FrameBuf::same_buffer(&a, &b));
+        assert!(Picture::same(&a, &b));
         assert_eq!(arena.stats().leases_granted, 1);
     }
 

@@ -216,9 +216,6 @@ pub struct CmScheduler {
     /// inside the server as well).
     max_streams: usize,
     streams: Vec<CmStream>,
-    /// Reused read buffer: periodic service allocates nothing at steady
-    /// state.
-    scratch: Vec<u8>,
 }
 
 impl CmScheduler {
@@ -229,7 +226,6 @@ impl CmScheduler {
             array_bandwidth,
             max_streams: usize::MAX,
             streams: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -273,16 +269,13 @@ impl CmScheduler {
 
     /// Plays `n` periods: every stream reads `rate × period` bytes per
     /// period (stopping at end of file). A period misses when the I/O
-    /// time of its reads exceeds the period.
+    /// time of its reads exceeds the period. The reads are for timing
+    /// only: each is walked and charged as any read of the log is, and
+    /// no view is taken nor byte copied, so a period allocates nothing,
+    /// the first one included.
     pub fn run_periods(&mut self, fs: &mut LogFs, n: u64) -> Result<CmReport, FsError> {
-        let scratch = &mut self.scratch;
-        play(
-            &mut self.streams,
-            self.period,
-            fs,
-            n,
-            |fs, file, offset, take| fs.read_into(file, offset, take as usize, scratch),
-        )
+        let read = |fs: &mut LogFs, file, offset, take| fs.read_for_timing(file, offset, take);
+        play(&mut self.streams, self.period, fs, n, read)
     }
 
     /// [`CmScheduler::run_periods`] with a [`crate::tier::TieredCache`] fronting the

@@ -55,6 +55,16 @@ pub const SECTOR: usize = 512;
 /// exactly this size.
 pub const PAGE_BYTES: usize = 128 * SECTOR;
 
+/// Where a read that is only timed puts its views: it keeps none, and
+/// never draws them from the iterator it is handed, so no page is
+/// touched and no byte rebuilt. The read is charged in full all the
+/// same.
+pub struct Discard;
+
+impl Extend<FrameView> for Discard {
+    fn extend<I: IntoIterator<Item = FrameView>>(&mut self, _views: I) {}
+}
+
 thread_local! {
     /// What every byte no page holds reads from, on every disk.
     static ZERO_PAGE: FrameBuf = Arena::new().lease_zeroed(PAGE_BYTES).freeze();
@@ -311,46 +321,35 @@ impl SimDisk {
     /// data and the operation's duration. Unwritten sectors read as
     /// zeros.
     pub fn read(&mut self, sector: u64, sectors: u64) -> Result<(Vec<u8>, Ns), DiskError> {
-        let mut out = Vec::new();
-        let t = self.read_into(sector, sectors, &mut out)?;
-        Ok((out, t))
-    }
-
-    /// [`SimDisk::read`], appending a copy to a caller-supplied buffer.
-    pub fn read_into(
-        &mut self,
-        sector: u64,
-        sectors: u64,
-        out: &mut Vec<u8>,
-    ) -> Result<Ns, DiskError> {
         let all = (sectors as usize).saturating_mul(SECTOR);
         let mut views = Vec::new();
         let t = self.read_views(sector, sectors, 0, all, &mut views)?;
+        let mut out = Vec::new();
         views.iter().for_each(|v| out.extend_from_slice(v));
-        Ok(t)
+        Ok((out, t))
     }
 
     /// A read of `sectors` sectors from `sector` that hands over only
     /// bytes `[skip, skip + take)` of them, as views of the pages that
-    /// hold them (one per page touched) pushed onto `out`. The head
+    /// hold them (one per page touched) extending `out`. The head
     /// moves, the clock runs and the counters count as for the whole
     /// run: the platter turns under the head whether or not the caller
     /// wants every byte. The one read that charges; the others wrap it.
+    /// Into [`Discard`] it is charged the same and takes no view.
     pub fn read_views(
         &mut self,
         sector: u64,
         sectors: u64,
         skip: usize,
         take: usize,
-        out: &mut Vec<FrameView>,
+        out: &mut impl Extend<FrameView>,
     ) -> Result<Ns, DiskError> {
         self.check(sector, sectors)?;
         let n = sectors as usize * SECTOR;
         assert!(skip <= n && take <= n - skip, "range outside the read");
         let pos = self.position(sector);
-        for (page, off, len) in page_runs(sector as usize * SECTOR + skip, take) {
-            out.push(self.page(page).view(off, len));
-        }
+        let runs = page_runs(sector as usize * SECTOR + skip, take);
+        out.extend(runs.map(|(page, off, len)| self.page(page).view(off, len)));
         let xfer = self.transfer_time(n);
         self.head = sector + sectors;
         self.stats.reads += 1;
@@ -494,12 +493,11 @@ mod tests {
             if write_first {
                 times.push(d.write(900_000, &[7u8; SECTOR]).unwrap());
             }
-            for (sector, n) in [(10, 4), (14, 1), (500_000, 64), (3, 0)] {
-                times.push(d.read_into(sector, n, &mut out).unwrap());
+            for (sector, n) in [(10, 4), (14, 1), (500_000, 64), (3, 0), (77, 2)] {
+                let (owned, t) = d.read(sector, n).unwrap();
+                out.extend_from_slice(&owned);
+                times.push(t);
             }
-            let (owned, t) = d.read(77, 2).unwrap();
-            out.extend_from_slice(&owned);
-            times.push(t);
             (out, times, format!("{:?}", d.stats))
         }
         let timing_only = || {

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::disk::{
-    page_runs, DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, PAGE_BYTES, TRANSFER_RATE,
+    page_runs, Discard, DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, PAGE_BYTES, TRANSFER_RATE,
 };
 use crate::raid::{RaidArray, RaidError};
 use pegasus_sim::arena::{Arena, FrameBuf, FrameBufMut, FrameView};
@@ -163,12 +163,10 @@ impl OpenSegment {
         take
     }
 
-    /// Bytes `[off, off + n)` as one copy leased from `arena`, since
-    /// later appends change the pages; zeros if the segment keeps none.
-    fn read(&self, off: usize, n: usize, arena: &Arena) -> Result<FrameView, FsError> {
-        if off + n > self.len {
-            return Err(FsError::BadExtents);
-        }
+    /// Bytes `[off, off + n)`, which the caller has checked lie in the
+    /// segment, as one copy leased from `arena`, since later appends
+    /// change the pages; zeros if the segment keeps none.
+    fn read(&self, off: usize, n: usize, arena: &Arena) -> FrameView {
         let mut copy = arena.lease();
         match &self.pages {
             Some(pages) => page_runs(off, n).for_each(|(page, at, m)| {
@@ -176,7 +174,7 @@ impl OpenSegment {
             }),
             None => copy.resize(n, 0),
         }
-        Ok(copy.freeze().view_all())
+        copy.freeze().view_all()
     }
 
     /// Empties the segment, returning its pages zero-padded to a whole
@@ -474,10 +472,10 @@ impl LogFs {
     }
 
     /// [`LogFs::read`] into a caller-supplied buffer (cleared, then
-    /// filled with exactly `len` bytes) — rate-guaranteed CM service
-    /// reuses one buffer per scheduler so periodic reads allocate
-    /// nothing at steady state. One copy of each byte, out of the views
-    /// [`LogFs::read_views`] hands over.
+    /// filled with exactly `len` bytes): a caller that reads again and
+    /// again reuses one buffer, and its warm reads allocate nothing. One
+    /// copy of each byte, out of the views [`LogFs::read_views`] hands
+    /// over.
     pub fn read_into(
         &mut self,
         file: FileId,
@@ -518,6 +516,19 @@ impl LogFs {
         })
     }
 
+    /// [`LogFs::read_views`] for its cost alone: the array, the clock
+    /// and the counters see the read, and nothing is kept — the
+    /// continuous-media replay's read, whose bytes no one consumes.
+    pub(crate) fn read_for_timing(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(), FsError> {
+        let arena = self.arena.clone();
+        self.read_views(file, offset, len as usize, &arena, &mut Discard)
+    }
+
     /// [`LogFs::read_views`] into the reused view list, handing the
     /// views to `then`.
     fn with_views<T>(
@@ -536,19 +547,21 @@ impl LogFs {
         out
     }
 
-    /// Reads `len` bytes of `file` from `offset` as views pushed onto
+    /// Reads `len` bytes of `file` from `offset` as views extending
     /// `out`, in order: the one walk of the extent map every read makes.
     /// The array is charged for every stripe touched, whole, and hands
     /// over views of the disk pages holding the bytes wanted. Bytes
     /// still in an open segment, which later appends will change, are
-    /// copied into a buffer leased from `arena`.
+    /// copied into a buffer leased from `arena`. Into
+    /// [`crate::disk::Discard`] the read is charged the same, and takes
+    /// no view and copies no byte.
     pub fn read_views(
         &mut self,
         file: FileId,
         offset: u64,
         len: usize,
         arena: &Arena,
-        out: &mut Vec<FrameView>,
+        out: &mut impl Extend<FrameView>,
     ) -> Result<(), FsError> {
         let pnode = self.pnodes.get(&file).ok_or(FsError::NoSuchFile)?;
         offset
@@ -580,7 +593,10 @@ impl LogFs {
                 .into_iter()
                 .find(|o| o.id == ext.segment);
             if let Some(open) = open {
-                out.push(open.read(seg_off, n, arena)?);
+                if seg_off + n > open.len {
+                    return Err(FsError::BadExtents);
+                }
+                out.extend(std::iter::once_with(|| open.read(seg_off, n, arena)));
             } else {
                 self.io_time += self.raid.read_views(ext.segment, seg_off, n, out)?;
             }
@@ -985,7 +1001,7 @@ mod tests {
                 .map(|i| {
                     let d = f.raid_mut().disk_mut(i);
                     let stats = format!("{:?}", d.stats);
-                    (stats, d.read_into(0, 0, &mut Vec::new()))
+                    (stats, d.read_views(0, 0, 0, 0, &mut Discard))
                 })
                 .collect();
             (io, disks)

@@ -37,7 +37,9 @@
 //! released — whose bytes are undefined from then on, so recovery after
 //! a pass needs a checkpoint written after it.
 
-use crate::disk::{page_runs, xor_into, DiskConfig, DiskError, SimDisk, PAGE_BYTES, SECTOR};
+use crate::disk::{
+    page_runs, xor_into, Discard, DiskConfig, DiskError, SimDisk, PAGE_BYTES, SECTOR,
+};
 use pegasus_sim::arena::{Arena, FrameBuf, FrameView};
 use pegasus_sim::time::Ns;
 
@@ -213,18 +215,19 @@ impl RaidArray {
         Ok((data, t))
     }
 
-    /// Reads `stripe` and pushes views of bytes `[off, off + len)` of it
-    /// onto `out`, in order. Every data disk is charged its full chunk —
-    /// and the parity disk too when a data disk has failed — so the
-    /// duration, the heads and the counters are those of a whole-stripe
-    /// read; only the part of the range that lay on a lost disk is
-    /// rebuilt, page by page, from parity and the survivors.
+    /// Reads `stripe` and extends `out` with views of bytes
+    /// `[off, off + len)` of it, in order. Every data disk is charged its
+    /// full chunk — and the parity disk too when a data disk has failed
+    /// — so the duration, the heads and the counters are those of a
+    /// whole-stripe read; only the part of the range that lay on a lost
+    /// disk is rebuilt, page by page, from parity and the survivors, and
+    /// only as `out` takes the views: into [`Discard`], none is.
     pub fn read_views(
         &mut self,
         stripe: u64,
         off: usize,
         len: usize,
-        out: &mut Vec<FrameView>,
+        out: &mut impl Extend<FrameView>,
     ) -> Result<Ns, RaidError> {
         if self.failed_count() > 1 {
             return Err(RaidError::TooManyFailures);
@@ -245,7 +248,7 @@ impl RaidArray {
                 Err(DiskError::Failed) => {
                     // Parity stands in: each page's share of the lost
                     // bytes is rebuilt from it and the survivors.
-                    let t = self.disks[DATA_DISKS].read_views(sector, n, lo, 0, &mut Vec::new())?;
+                    let t = self.disks[DATA_DISKS].read_views(sector, n, lo, 0, &mut Discard)?;
                     out.extend(page_runs(lo, hi - lo).map(|(page, at, m)| {
                         let skip = page as usize * PAGE_BYTES + at;
                         self.xor_others(i, sector, skip, m).view_all()
@@ -338,7 +341,7 @@ impl RaidArray {
             let mut max_t = 0;
             for i in (0..=DATA_DISKS).filter(|&i| i != replaced) {
                 // Charged for the whole chunk; the bytes are taken below.
-                max_t = max_t.max(self.disks[i].read_views(sector, n, 0, 0, &mut Vec::new())?);
+                max_t = max_t.max(self.disks[i].read_views(sector, n, 0, 0, &mut Discard)?);
             }
             let page = |k| self.xor_others(replaced, sector, k * PAGE_BYTES, PAGE_BYTES);
             let pages: Vec<_> = (0..per).map(page).collect();

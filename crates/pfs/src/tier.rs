@@ -167,19 +167,14 @@ pub struct TieredCache {
 }
 
 impl TieredCache {
-    /// Creates a cache with its own arena.
+    /// Creates a cache with its own arena, which its copies of bytes
+    /// still in an open log segment are leased from.
     pub fn new(cfg: TierConfig) -> Self {
-        TieredCache::with_arena(cfg, Arena::new())
-    }
-
-    /// Creates a cache leasing from `arena` its copies of bytes still in
-    /// an open log segment.
-    pub fn with_arena(cfg: TierConfig, arena: Arena) -> Self {
         assert!(cfg.hot_chunks > 0, "hot tier must hold at least one chunk");
         assert!(cfg.chunk_bytes > 0, "chunk size must be positive");
         TieredCache {
             cfg,
-            arena,
+            arena: Arena::new(),
             hot: BTreeMap::new(),
             warm: BTreeMap::new(),
             freq: BTreeMap::new(),

@@ -1,13 +1,15 @@
 //! The storage read path allocates nothing once warm: `read_into`
 //! copies each extent's range out of views of the disks' pages, kept
 //! in a view list the file system reuses, into the caller's buffer —
-//! no stripe scratch, no pnode clone — and the CM scheduler's periodic
-//! service rides on it. Measured with a counting
-//! global allocator, as `crates/atm/tests/no_alloc_forwarding.rs` does
-//! for the cell path.
+//! no stripe scratch, no pnode clone. The CM scheduler's periodic
+//! service reads for timing only: it is charged as any read is and
+//! takes no view and copies no byte, so it allocates nothing from its
+//! first period on. Measured with a counting global allocator, as
+//! `crates/atm/tests/no_alloc_forwarding.rs` does for the cell path,
+//! per thread, so the tests here run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pegasus_pfs::cm::CmScheduler;
 use pegasus_pfs::disk::DiskConfig;
@@ -16,22 +18,30 @@ use pegasus_sim::time::SEC;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations this thread has asked for. Const-initialised and
+    /// without a destructor, so counting never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
@@ -40,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 const PIECE: usize = 64 << 10;
@@ -52,9 +62,10 @@ fn byte(file: usize, at: usize) -> u8 {
 
 /// Four files appended a piece at a time in turn, so each file's bytes
 /// lie in [`PIECE`]-long extents scattered over four segments; synced,
-/// so every extent is on the array.
-fn interleaved() -> (LogFs, Vec<FileId>) {
+/// so every extent is on the array, which keeps the bytes if `store`.
+fn interleaved(store: bool) -> (LogFs, Vec<FileId>) {
     let mut fs = LogFs::new(DiskConfig::hp_1994());
+    fs.raid_mut().set_store(store);
     let files: Vec<FileId> = (0..4).map(|_| fs.create(FileClass::Continuous)).collect();
     for off in (0..FILE_BYTES).step_by(PIECE) {
         for (k, &file) in files.iter().enumerate() {
@@ -66,11 +77,9 @@ fn interleaved() -> (LogFs, Vec<FileId>) {
     (fs, files)
 }
 
-/// One test: the allocation counter is process-global, so concurrent
-/// tests would pollute each other's deltas.
 #[test]
 fn warm_reads_allocate_nothing() {
-    let (mut fs, files) = interleaved();
+    let (mut fs, files) = interleaved(true);
     assert!(fs.pnode(files[1]).unwrap().extents.len() >= 16);
 
     // A range cutting into a first extent, over two whole ones, into a
@@ -85,17 +94,47 @@ fn warm_reads_allocate_nothing() {
     assert_eq!(allocs() - before, 0, "read_into allocated once warm");
     let want: Vec<u8> = (PIECE / 2..PIECE / 2 + len).map(|at| byte(1, at)).collect();
     assert!(out == want, "the warm read returns the bytes appended");
+}
 
-    // Periodic CM service: every stream reads a multi-extent share a
-    // period. The first period sizes the scheduler's buffer.
+/// Every stream reads a multi-extent share a period, on an array that
+/// keeps its bytes and on a timing-only one. Nothing is allocated from
+/// the first period on — so there is nowhere a byte could be copied to
+/// — and the disk time is exactly what reading the same ranges into a
+/// buffer costs.
+#[test]
+fn cm_periods_read_for_timing_only() {
     let rate = 2 * PIECE as u64; // bytes a one-second period
-    let mut cm = CmScheduler::new(SEC, 20_000_000);
-    for &file in &files {
-        cm.admit(file, rate, PIECE as u64 / 2).unwrap();
+    let start = PIECE as u64 / 2;
+    for store in [true, false] {
+        let (mut fs, files) = interleaved(store);
+        let mut cm = CmScheduler::new(SEC, 20_000_000);
+        for &file in &files {
+            cm.admit(file, rate, start).unwrap();
+        }
+        let (io_before, read_before) = (fs.io_time, fs.stats.bytes_read);
+        let before = allocs();
+        let played = cm.run_periods(&mut fs, 6).unwrap();
+        assert_eq!(
+            allocs() - before,
+            0,
+            "run_periods allocated (store {store})"
+        );
+        assert_eq!(played.bytes_delivered, 6 * 4 * rate);
+        assert_eq!(fs.stats.bytes_read - read_before, played.bytes_delivered);
+
+        let (mut copied, _) = interleaved(store);
+        let io_copied = copied.io_time;
+        let mut buf = Vec::new();
+        for period in 0..6 {
+            for &file in &files {
+                let at = start + period * rate;
+                copied.read_into(file, at, rate as usize, &mut buf).unwrap();
+            }
+        }
+        assert_eq!(
+            fs.io_time - io_before,
+            copied.io_time - io_copied,
+            "a timed read is charged as a copying one (store {store})"
+        );
     }
-    cm.run_periods(&mut fs, 1).unwrap();
-    let before = allocs();
-    let played = cm.run_periods(&mut fs, 5).unwrap();
-    assert_eq!(allocs() - before, 0, "run_periods allocated once warm");
-    assert_eq!(played.bytes_delivered, 5 * 4 * rate);
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use pegasus_pfs::disk::{DiskConfig, DiskError, PAGE_BYTES};
+use pegasus_pfs::disk::{Discard, DiskConfig, DiskError, PAGE_BYTES};
 use pegasus_pfs::raid::{RaidArray, RaidError, DATA_DISKS};
 use pegasus_sim::arena::Arena;
 
@@ -51,7 +51,7 @@ fn stats(r: &mut RaidArray) -> Vec<String> {
 fn disks(r: &mut RaidArray) -> (Vec<String>, Vec<Result<u64, DiskError>>) {
     let stats = stats(r);
     let heads = (0..=DATA_DISKS)
-        .map(|i| r.disk_mut(i).read_into(0, 0, &mut Vec::new()))
+        .map(|i| r.disk_mut(i).read_views(0, 0, 0, 0, &mut Discard))
         .collect();
     (stats, heads)
 }

@@ -23,6 +23,12 @@
 //! workloads) it takes `pfs`: the script of the benchmark's fourth
 //! workload, `pfs-vcr`, on `pegasus_pfs` directly (`support/pfs_op.rs`).
 //!
+//! A leaf outside this executable (libc's `memcpy`, `memcmp`) keeps no
+//! frame of its own, so RBP is still its caller's and the walk's first
+//! return address would be the caller's caller: for such a leaf the
+//! word at RSP, its own return address, is recorded first when it
+//! points into this executable's code.
+//!
 //! No `libc` crate is vendored, so the four libc entry points are
 //! declared here, with the x86-64 Linux layouts they take.
 
@@ -30,18 +36,21 @@
 #[path = "support/pfs_op.rs"]
 mod pfs_op;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[path = "support/symbols.rs"]
+mod symbols;
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[path = "support/targets.rs"]
 mod targets;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
     use std::collections::{HashMap, HashSet};
-    use std::process::Command;
     use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
 
     use pegasus_scenario::run_sharded;
 
     use super::pfs_op::{pfs_data, pfs_op};
+    use super::symbols::{crate_of, stack_top, Symbols};
     use super::targets::spec_of;
 
     const SIGPROF: i32 = 27;
@@ -106,6 +115,9 @@ mod sampler {
     static DROPPED: AtomicUsize = AtomicUsize::new(0);
     /// Upper bound of the addresses the frame walk may read.
     static STACK_TOP: AtomicUsize = AtomicUsize::new(0);
+    /// This executable's code, `[TEXT_LO, TEXT_HI)`.
+    static TEXT_LO: AtomicUsize = AtomicUsize::new(0);
+    static TEXT_HI: AtomicUsize = AtomicUsize::new(0);
 
     extern "C" fn on_sigprof(_sig: i32, _info: *mut u8, ctx: *mut u8) {
         let buf = BUF.load(Relaxed);
@@ -129,6 +141,15 @@ mod sampler {
         };
         put(1, rip);
         let mut depth = 1;
+        let in_text = |pc: usize| TEXT_LO.load(Relaxed) <= pc && pc < TEXT_HI.load(Relaxed);
+        if !in_text(rip) && rsp + 8 <= top && rsp.is_multiple_of(8) {
+            // SAFETY: `[rsp, rsp + 8)` is the top word of the live stack.
+            let ret = unsafe { *(rsp as *const usize) };
+            if in_text(ret) {
+                depth += 1;
+                put(depth, ret);
+            }
+        }
         let mut floor = rsp;
         // A frame record is [saved RBP, return address]. Code built
         // without frame pointers (libstd, libc) leaves junk in RBP; the
@@ -151,10 +172,12 @@ mod sampler {
     }
 
     /// Starts sampling every `usec` of process CPU time.
-    fn install(usec: i64) {
+    fn install(usec: i64, text: (usize, usize)) {
         let buf = Box::leak(vec![0usize; BUF_WORDS].into_boxed_slice());
         BUF.store(buf.as_mut_ptr(), Relaxed);
         STACK_TOP.store(stack_top(), Relaxed);
+        TEXT_LO.store(text.0, Relaxed);
+        TEXT_HI.store(text.1, Relaxed);
         let act = SigAction {
             handler: on_sigprof,
             mask: [0; 16],
@@ -200,58 +223,6 @@ mod sampler {
         (field(14) * ms_per_tick, field(15) * ms_per_tick, field(10))
     }
 
-    /// `(start, end, offset, path)` of every mapping of this process.
-    fn mappings() -> Vec<(usize, usize, usize, String)> {
-        let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
-        maps.lines()
-            .filter_map(|line| {
-                let mut f = line.split_whitespace();
-                let (range, _perms, offset) = (f.next()?, f.next()?, f.next()?);
-                let path = f.nth(2).unwrap_or("").to_string();
-                let (lo, hi) = range.split_once('-')?;
-                let hex = |s| usize::from_str_radix(s, 16).ok();
-                Some((hex(lo)?, hex(hi)?, hex(offset)?, path))
-            })
-            .collect()
-    }
-
-    fn stack_top() -> usize {
-        let local = 0u8;
-        let here = std::ptr::addr_of!(local) as usize;
-        mappings()
-            .into_iter()
-            .find(|&(lo, hi, ..)| lo <= here && here < hi)
-            .map(|(_, hi, ..)| hi)
-            .expect("the stack is mapped")
-    }
-
-    /// Text symbols of this executable by link-time address.
-    fn symbols(exe: &str) -> Vec<(usize, String)> {
-        let out = Command::new("nm")
-            .args(["-C", "-n", exe])
-            .output()
-            .expect("binutils `nm` on PATH");
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter_map(|line| {
-                let (addr, rest) = line.split_once(' ')?;
-                let (kind, name) = rest.split_once(' ')?;
-                matches!(kind, "t" | "T" | "w" | "W")
-                    .then(|| Some((usize::from_str_radix(addr, 16).ok()?, name.to_string())))?
-            })
-            .collect()
-    }
-
-    /// The `pegasus_*` crate a symbol belongs to, if any.
-    fn crate_of(symbol: &str) -> Option<&str> {
-        let at = symbol.find("pegasus_")?;
-        let name = &symbol[at..];
-        let end = name
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .unwrap_or(name.len());
-        Some(&name[..end])
-    }
-
     /// Prints the `rows` largest counts: share of the `total` samples,
     /// host milliseconds an operation (`ms_per_sample` is the tick over
     /// the operations run), samples, name. The share is of a total that
@@ -295,8 +266,9 @@ mod sampler {
             })
         };
 
+        let symbols = Symbols::load();
         let (user, sys, faults) = cpu_and_faults();
-        install(1_000);
+        install(1_000, symbols.text);
         for _ in 0..ops {
             op();
         }
@@ -308,31 +280,6 @@ mod sampler {
             per_op(sys, after.1),
             per_op(faults, after.2),
         );
-
-        let exe = std::fs::read_link("/proc/self/exe").expect("procfs");
-        let exe = exe.to_string_lossy().into_owned();
-        let maps = mappings();
-        let base = maps
-            .iter()
-            .find(|m| m.3 == exe && m.2 == 0)
-            .map(|m| m.0)
-            .expect("this executable is mapped");
-        let syms = symbols(&exe);
-        let resolve = |pc: usize| -> String {
-            match maps.iter().find(|m| m.0 <= pc && pc < m.1) {
-                Some(m) if m.3 == exe => {
-                    let at = syms.partition_point(|s| s.0 <= pc - base);
-                    match at.checked_sub(1) {
-                        Some(i) => syms[i].1.clone(),
-                        None => "[unknown]".to_string(),
-                    }
-                }
-                Some(m) if !m.3.is_empty() => {
-                    format!("[{}]", m.3.rsplit('/').next().unwrap_or(&m.3))
-                }
-                _ => "[unknown]".to_string(),
-            }
-        };
 
         // SAFETY: the timer is off, so the handler no longer writes;
         // `USED` words of the leaked buffer are initialised samples.
@@ -347,7 +294,7 @@ mod sampler {
             at += 1 + stack.len();
             total += 1;
             for &pc in stack {
-                names.entry(pc).or_insert_with(|| resolve(pc));
+                names.entry(pc).or_insert_with(|| symbols.name(pc));
             }
             // The first frame, walking up from the leaf, inside a
             // `pegasus_*` crate: it owns the sample.

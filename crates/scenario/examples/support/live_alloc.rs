@@ -17,6 +17,8 @@ static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Live allocations of each class, then live bytes of each class.
 static LIVE: [AtomicUsize; 2 * CLASSES] = [const { AtomicUsize::new(0) }; 2 * CLASSES];
 static AT_PEAK: [AtomicUsize; 2 * CLASSES] = [const { AtomicUsize::new(0) }; 2 * CLASSES];
+/// How many times [`AT_PEAK`] has been taken.
+static PEAKS: AtomicUsize = AtomicUsize::new(0);
 
 /// The size class of a request of `bytes`.
 pub fn class_of(bytes: usize) -> usize {
@@ -27,6 +29,15 @@ fn snapshot() {
     for (at_peak, live) in AT_PEAK.iter().zip(&LIVE) {
         at_peak.store(live.load(Relaxed), Relaxed);
     }
+    PEAKS.fetch_add(1, Relaxed);
+}
+
+/// How many times the peak has been taken: an allocator wrapping
+/// [`LiveAlloc`] that sees this move knows the request it passed on set
+/// a new peak. (`livebytes` reads it; `tests/live_bytes.rs` does not.)
+#[allow(dead_code)]
+pub fn peaks() -> usize {
+    PEAKS.load(Relaxed)
 }
 
 fn grew(bytes: usize) {

@@ -10,7 +10,11 @@
 //! were live at that peak. When every camera rendered a private copy of
 //! its picture this run held 252 of those for its 50 sessions and
 //! peaked at 10.3 MB; sharing them (`SyntheticVideo::frame_leased`)
-//! leaves 7, one per distinct picture on show, and 4.1 MB.
+//! leaves 7, one per distinct picture on show, and 4.1 MB. Of those,
+//! 1.9 MB were one 125,000-byte read buffer per VoD server, filled with
+//! bytes nobody read; the continuous-media replay reads for timing
+//! only since (`CmScheduler::run_periods`), and the run peaks at
+//! 2.2 MB.
 
 #[path = "../examples/support/live_alloc.rs"]
 mod live_alloc;
@@ -20,11 +24,11 @@ use pegasus_scenario::{presets, run_sharded};
 #[global_allocator]
 static ALLOCATOR: live_alloc::LiveAlloc = live_alloc::LiveAlloc;
 
-/// A quarter above the 4,099,277 bytes this run peaks at.
-const PEAK_LIVE_BYTES_BOUND: usize = 5_124_000;
+/// A quarter above the 2,226,775 bytes this run peaks at.
+const PEAK_LIVE_BYTES_BOUND: usize = 2_784_000;
 
-/// About a quarter above the 2,838,393 bytes the second case peaks at.
-const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 3_555_000;
+/// A quarter above the 1,792,197 bytes the second case peaks at.
+const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 2_241_000;
 
 /// One test in this binary: the counters are process-global. Its
 /// second case is `metropolis-100k` cut to 800 attempts with CPU for
@@ -32,8 +36,9 @@ const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 3_555_000;
 /// device sinks and ledgers stayed in the fabric, this run peaked at
 /// 4.11 MB with 5,950 allocations of at most 256 bytes live; deciding a
 /// session before any of them is built or attached
-/// (`QosBroker::decide`) leaves 2.84 MB and 1,330 — fewer than two per
-/// attempt.
+/// (`QosBroker::decide`) left 2.84 MB and 1,330 — fewer than two per
+/// attempt. It peaked at 1.86 MB with 1,429 while the VoD servers kept
+/// their read buffers, and 1.79 MB with 1,427 since.
 #[test]
 fn a_small_city_fits_its_bound_and_shares_its_frames() {
     let spec = presets::by_name("metropolis-1k")

@@ -28,7 +28,7 @@ pub mod stats;
 pub mod time;
 pub mod train;
 
-pub use arena::{Arena, ArenaStats, FrameBuf, FrameBufMut, FrameView, WeakFrameBuf};
+pub use arena::{Arena, ArenaStats, FrameBuf, FrameBufMut, FrameView};
 pub use engine::{EventId, Lane, SharedHandler, Simulator, MAX_LANE};
 pub use stats::Histogram;
 pub use time::Ns;

@@ -37,11 +37,14 @@
 # prints the peak of live heap bytes and, by power-of-two size class,
 # how many allocations and bytes were live at that peak: one size
 # holding most of the bytes is one kind of buffer kept too long or too
-# often. Exact and repeatable at a seed.
+# often. Then it names what holds them: every allocation of 32 KiB or
+# more live at the peak, grouped by the first three pegasus_* frames
+# that asked for it (a frame-pointer walk at each such allocation).
+# Exact and repeatable at a seed.
 set -eu
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,40p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,43p' "$0" >&2; exit 2; }
 
 example=sigprof
 if [ "${2:-}" = --live ]; then
