@@ -1,12 +1,12 @@
 //! What an operation holds in memory at its fullest — the sibling of
 //! `sigprof.rs`, for bytes instead of time.
 //!
-//! Runs one operation of a preset or benchmark workload (spec in,
-//! canonical JSON out, one shard) — or of `pfs`, the storage loop of
-//! `support/pfs_op.rs`, which takes no seed — under a counting global
-//! allocator and prints the peak of live heap bytes and, by power-of-two
-//! size class, the allocations that were live at that moment. Exact and
-//! repeatable at one seed: `scripts/profile.sh <target> --live [seed]`.
+//! Runs one operation of a preset or a benchmark workload (read by
+//! `support/target.rs`; a workload's op runs its checks, and a broken
+//! one is named and exits 1) under a counting global allocator and
+//! prints the peak of live heap bytes and, by power-of-two size class,
+//! the allocations that were live at that moment. Exact and repeatable
+//! at one seed: `scripts/profile.sh <target> --live [seed]`.
 //!
 //! On x86-64 Linux it also names what holds the peak: every allocation
 //! of [`sites::SITE_BYTES`] or more records the return addresses of the
@@ -16,15 +16,11 @@
 
 #[path = "support/live_alloc.rs"]
 mod live_alloc;
-#[path = "support/pfs_op.rs"]
-mod pfs_op;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[path = "support/symbols.rs"]
 mod symbols;
-#[path = "support/targets.rs"]
-mod targets;
-
-use pegasus_scenario::run_sharded;
+#[path = "support/target.rs"]
+mod target;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[global_allocator]
@@ -35,31 +31,12 @@ static ALLOCATOR: sites::SiteAlloc = sites::SiteAlloc;
 static ALLOCATOR: live_alloc::LiveAlloc = live_alloc::LiveAlloc;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let Some(name) = args.next() else {
-        eprintln!(
-            "usage: livebytes <preset | metro-steady | front-door | control-3x | pfs> [seed]"
-        );
-        std::process::exit(2);
-    };
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sites::start();
-    let what = if name == "pfs" {
-        let data = pfs_op::pfs_data();
-        reset();
-        std::hint::black_box(pfs_op::pfs_op(&data));
-        name
-    } else {
-        let mut spec = targets::spec_of(&name);
-        if let Some(seed) = args.next().and_then(|s| s.parse().ok()) {
-            spec = spec.with_seed(seed);
-        }
-        reset();
-        drop(std::hint::black_box(
-            run_sharded(&spec, 1).to_json_canonical(),
-        ));
-        format!("{name} seed {}", spec.seed)
-    };
+    let (name, seed) = target::args("seed");
+    let (what, mut op) = target::op(name, seed.and_then(|s| s.parse().ok()));
+    reset();
+    let failed = op();
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sites::stop();
     let (bytes, classes) = live_alloc::peak();
@@ -79,6 +56,10 @@ fn main() {
     }
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sites::print();
+    for check in &failed {
+        eprintln!("failed check: {check}");
+    }
+    std::process::exit(i32::from(!failed.is_empty()));
 }
 
 /// Forgets the peak so far, in the counts and in the sites.

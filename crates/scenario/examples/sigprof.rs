@@ -18,10 +18,10 @@
 //! time, where the samples see only an anonymous `[libc.so.6]` leaf.
 //!
 //! Build with frame pointers or the walk stops at the leaf:
-//! `scripts/profile.sh <preset> [ops]` does. Besides the targets of
-//! `support/targets.rs` (presets and the benchmark's three scenario
-//! workloads) it takes `pfs`: the script of the benchmark's fourth
-//! workload, `pfs-vcr`, on `pegasus_pfs` directly (`support/pfs_op.rs`).
+//! `scripts/profile.sh <target> [ops]` does. A target is a preset or one
+//! of the benchmark's four workloads (`pegasus_scenario::workloads`,
+//! read by `support/target.rs`); a workload's ops run its checks, and
+//! the profiler exits 1 naming each check an op broke.
 //!
 //! A leaf outside this executable (libc's `memcpy`, `memcmp`) keeps no
 //! frame of its own, so RBP is still its caller's and the walk's first
@@ -33,25 +33,18 @@
 //! declared here, with the x86-64 Linux layouts they take.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[path = "support/pfs_op.rs"]
-mod pfs_op;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[path = "support/symbols.rs"]
 mod symbols;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[path = "support/targets.rs"]
-mod targets;
+#[path = "support/target.rs"]
+mod target;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeSet, HashMap, HashSet};
     use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::Relaxed};
 
-    use pegasus_scenario::run_sharded;
-
-    use super::pfs_op::{pfs_data, pfs_op};
     use super::symbols::{crate_of, stack_top, Symbols};
-    use super::targets::spec_of;
 
     const SIGPROF: i32 = 27;
     const ITIMER_PROF: i32 = 2;
@@ -244,34 +237,14 @@ mod sampler {
     }
 
     pub fn main() {
-        let mut args = std::env::args().skip(1);
-        let Some(name) = args.next() else {
-            eprintln!(
-                "usage: sigprof <preset | metro-steady | front-door | control-3x | pfs> [ops]"
-            );
-            std::process::exit(2);
-        };
-        let ops: usize = args.next().and_then(|n| n.parse().ok()).unwrap_or(10);
-        let op: Box<dyn Fn()> = if name == "pfs" {
-            let data = pfs_data();
-            Box::new(move || {
-                std::hint::black_box(pfs_op(&data));
-            })
-        } else {
-            let spec = spec_of(&name);
-            Box::new(move || {
-                drop(std::hint::black_box(
-                    run_sharded(&spec, 1).to_json_canonical(),
-                ))
-            })
-        };
+        let (target, ops) = super::target::args("ops");
+        let (name, mut op) = super::target::op(target, None);
+        let ops: usize = ops.and_then(|n| n.parse().ok()).unwrap_or(10);
 
         let symbols = Symbols::load();
         let (user, sys, faults) = cpu_and_faults();
         install(1_000, symbols.text);
-        for _ in 0..ops {
-            op();
-        }
+        let failed: BTreeSet<String> = (0..ops).flat_map(|_| op()).collect();
         stop();
         let after = cpu_and_faults();
         let per_op = |before: f64, after: f64| (after - before) / ops as f64;
@@ -334,6 +307,10 @@ mod sampler {
             table("self, by symbol", by_symbol, 40);
             table("inclusive, by symbol", inclusive, 30);
         }
+        for check in &failed {
+            eprintln!("failed check: {check}");
+        }
+        std::process::exit(i32::from(!failed.is_empty()));
     }
 }
 

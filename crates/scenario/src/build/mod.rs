@@ -293,12 +293,3 @@ pub fn compile(spec: &ScenarioSpec) -> Scenario {
 pub fn run(spec: &ScenarioSpec) -> ScenarioReport {
     compile(spec).run()
 }
-
-/// Runs the spec once per seed — the multi-seed sweep used by soak
-/// jobs. Each run is independent and deterministic for its seed.
-pub fn run_seeds(spec: &ScenarioSpec, seeds: &[u64]) -> Vec<ScenarioReport> {
-    seeds
-        .iter()
-        .map(|&s| run(&spec.clone().with_seed(s)))
-        .collect()
-}

@@ -21,6 +21,8 @@
 //!   [`build::run`] is the same loop with one shard and no peers.
 //! * [`report`] — the structured results and their JSON rendering.
 //! * [`json`] — the deterministic writer underneath.
+//! * [`workloads`] — the repository benchmark's four workloads and their
+//!   checks, shared with the profiling examples.
 //!
 //! The `pegasus-scenario` binary wraps this for the command line and
 //! CI (`scripts/run_scenarios.sh`).
@@ -32,8 +34,9 @@ pub mod partition;
 pub mod presets;
 pub mod report;
 pub mod spec;
+pub mod workloads;
 
-pub use build::{compile, compile_for, run, run_seeds, Scenario};
+pub use build::{compile, compile_for, run, Scenario};
 pub use executor::run_sharded;
 pub use partition::{ExecPlan, ShardPlan};
 pub use report::ScenarioReport;

@@ -2,7 +2,7 @@
 //! `(spec, seed)` — running twice yields byte-identical JSON, and a
 //! different seed yields a different (but equally reproducible) run.
 
-use pegasus_scenario::{presets, run, run_seeds};
+use pegasus_scenario::{presets, run};
 use pegasus_sim::time::MS;
 
 #[test]
@@ -102,8 +102,8 @@ fn sustained_overload_is_bounded_reversible_and_byte_identical() {
 #[test]
 fn different_seeds_differ_but_each_reproduces() {
     let spec = presets::smoke();
-    let first = run_seeds(&spec, &[1, 2]);
-    let second = run_seeds(&spec, &[1, 2]);
+    let both = || [1, 2].map(|seed| run(&spec.clone().with_seed(seed)));
+    let (first, second) = (both(), both());
     assert_eq!(first[0].to_json(), second[0].to_json());
     assert_eq!(first[1].to_json(), second[1].to_json());
     assert_ne!(

@@ -19,7 +19,7 @@
 #[path = "../examples/support/live_alloc.rs"]
 mod live_alloc;
 
-use pegasus_scenario::{presets, run_sharded};
+use pegasus_scenario::{presets, run, workloads};
 
 #[global_allocator]
 static ALLOCATOR: live_alloc::LiveAlloc = live_alloc::LiveAlloc;
@@ -31,8 +31,9 @@ const PEAK_LIVE_BYTES_BOUND: usize = 2_784_000;
 const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 2_241_000;
 
 /// One test in this binary: the counters are process-global. Its
-/// second case is `metropolis-100k` cut to 800 attempts with CPU for
-/// 15 (seed 7): 785 are refused. While a refused session's endpoints,
+/// second case is the benchmark's `front-door` workload (seed 7) cut to
+/// a tenth, sessions and CPU budget alike: 800 attempts with CPU for
+/// 15, so 785 are refused. While a refused session's endpoints,
 /// device sinks and ledgers stayed in the fabric, this run peaked at
 /// 4.11 MB with 5,950 allocations of at most 256 bytes live; deciding a
 /// session before any of them is built or attached
@@ -45,7 +46,7 @@ fn a_small_city_fits_its_bound_and_shares_its_frames() {
         .expect("preset")
         .scale_sessions(0.05);
     live_alloc::reset();
-    let report = run_sharded(&spec, 1);
+    let report = run(&spec);
     let (peak, classes) = live_alloc::peak();
     let sessions = report.broker.admitted + report.broker.degraded;
     assert!(sessions >= 40, "admitted {sessions} of {}", spec.sessions);
@@ -61,13 +62,11 @@ fn a_small_city_fits_its_bound_and_shares_its_frames() {
          cameras are not sharing rendered frames"
     );
 
-    let mut door = presets::by_name("metropolis-100k")
-        .expect("preset")
-        .with_seed(7);
-    door.sessions = 800;
-    door.broker.cpu_capacity_micro = 15 * door.broker.cpu_per_session_micro;
+    let mut door = workloads::spec("front-door", 7).expect("workload");
+    door.sessions /= 10;
+    door.broker.cpu_capacity_micro /= 10;
     live_alloc::reset();
-    let report = run_sharded(&door, 1);
+    let report = run(&door);
     let (peak, classes) = live_alloc::peak();
     let small: usize = classes[..=live_alloc::class_of(256)]
         .iter()

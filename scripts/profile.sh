@@ -7,13 +7,16 @@
 # workspace in place), and runs it. With --live it runs the sibling
 # crates/scenario/examples/livebytes.rs instead.
 #
-# usage: scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> [ops]
-#        scripts/profile.sh <preset | metro-steady | front-door | control-3x | pfs> --live [seed]
+# usage: scripts/profile.sh <workload | preset> [ops]
+#        scripts/profile.sh <workload | preset> --live [seed]
 #
-# `pfs` is the benchmark's pfs-vcr script on pegasus_pfs directly
-# (interleaved appends, checkpoint, both read paths, clean, recover,
-# tiered CM play-out) over files made once from a fixed seed; it takes
-# no seed.
+# A workload is one of the benchmark's four (pegasus_scenario::workloads):
+# metro-steady, front-door and control-3x are scenario specs, and pfs-vcr
+# is its storage script on pegasus_pfs directly (interleaved appends,
+# checkpoint, both read paths, clean, recover, tiered CM play-out) over
+# files made before the ops. A workload runs at seed 7 unless given one
+# (--live only); a preset runs at its own seed. A workload's ops run its
+# checks: the script names each check an op broke on stderr and exits 1.
 #
 # This kernel ticks ITIMER_PROF at 4 ms whatever interval is asked for,
 # so ten `metro-steady` ops yield ~1,000 samples (±1.5 points on a share):
@@ -32,19 +35,19 @@
 # once to every symbol on its stack (inclusive time, top 30) — where to
 # look for a function that is cheap itself and dear in what it calls.
 #
-# --live runs one operation (one shard, the target's spec at [seed] or
-# its own; for `pfs`, the pfs-vcr script) under a counting allocator and
-# prints the peak of live heap bytes and, by power-of-two size class,
-# how many allocations and bytes were live at that peak: one size
-# holding most of the bytes is one kind of buffer kept too long or too
-# often. Then it names what holds them: every allocation of 32 KiB or
+# --live runs one operation (the target at [seed], or at its default
+# seed) under a counting allocator and prints the peak of live heap
+# bytes and, by power-of-two size class, how many allocations and bytes
+# were live at that peak: one size holding most of the bytes is one
+# kind of buffer kept too long or too often. Then it names what holds them: every allocation of 32 KiB or
 # more live at the peak, grouped by the first three pegasus_* frames
 # that asked for it (a frame-pointer walk at each such allocation).
 # Exact and repeatable at a seed.
 set -eu
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,43p' "$0" >&2; exit 2; }
+# Usage is the comment block above, up to the first line of code.
+[ $# -ge 1 ] || { sed -n '2,/^[^#]/s/^# \{0,1\}//p' "$0" >&2; exit 2; }
 
 example=sigprof
 if [ "${2:-}" = --live ]; then
