@@ -9,7 +9,13 @@
 //! multi-flow sets opened or refused whole, switch
 //! death with re-route — must leave
 //! [`Network::audit_reservations`] `Ok` after every step, and closing
-//! everything must bring the figure back to exactly `0.0`.
+//! everything must bring the figure back to exactly `0.0`: every ledger,
+//! each endpoint's transmit ledger among them, back to its whole room.
+//!
+//! A switch death is also checked for what signalling promises the
+//! circuits it cut: each one re-routed keeps its endpoint VCIs
+//! (`src_vci`, `dst_vci`) and no longer crosses the dead switch, and an
+//! endpoint on that switch is refused even a best-effort circuit.
 
 use proptest::prelude::*;
 
@@ -90,6 +96,9 @@ proptest! {
                         }
                     }
                 }
+                // A repaired circuit keeps the VCIs its endpoints know it
+                // by and avoids the corpse; the corpse's own endpoints
+                // get nothing, not even best effort to themselves.
                 10 if dead + 2 < fabric.len() => {
                     let sw = pick(&fabric, a);
                     if !net.switch_is_dead(sw) {
@@ -98,8 +107,21 @@ proptest! {
                         for vc in std::mem::take(&mut held) {
                             if !vc.crosses_switch(sw) {
                                 held.push(vc);
-                            } else if let Ok(repaired) = net.reroute_vc(vc) {
+                                continue;
+                            }
+                            let pinned = (vc.src_vci, vc.dst_vci);
+                            if let Ok(repaired) = net.reroute_vc(vc) {
+                                prop_assert_eq!((repaired.src_vci, repaired.dst_vci), pinned);
+                                prop_assert!(!repaired.crosses_switch(sw), "re-routed through the dead switch");
                                 held.push(repaired);
+                            }
+                        }
+                        let stranded: Vec<EndpointId> =
+                            eps.iter().copied().filter(|&e| net.endpoint_switch(e) == sw).collect();
+                        for e in stranded {
+                            for to in [e, pick(&eps, b)] {
+                                let opened = net.open_vc(e, to, QosSpec::best_effort(0));
+                                prop_assert!(opened.is_err(), "a dead switch admitted a circuit");
                             }
                         }
                     }

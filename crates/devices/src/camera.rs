@@ -579,11 +579,10 @@ mod tests {
 
     #[test]
     fn cameras_sharing_a_thread_emit_what_each_emits_alone() {
-        // Together they take turns in one encode cache, row by row, and
-        // the cameras showing one picture send its rows as coded once,
-        // by whichever sent each first: at two qualities and raw, and
-        // at one quality twice. Alone, each starts a cold cache and a
-        // picture of its own on a thread of its own.
+        // Together, the cameras showing one picture send its rows as
+        // coded once, by whichever sent each first: at two qualities and
+        // raw, and at one quality twice. Alone, each codes a picture of
+        // its own on a thread of its own.
         let rigs = [
             (Scene::MovingGradient, VideoMode::Mjpeg(50)),
             (Scene::TestCard, VideoMode::Mjpeg(50)),

@@ -114,23 +114,27 @@ impl std::error::Error for TileFrameError {}
 impl TileFrame {
     /// Serializes the frame to the AAL5 payload layout:
     /// `coding(1) quality(1) ntiles(1) frame_seq(4) timestamp(8)` then
-    /// per tile `x(2) y(2) len(2) data(len)`.
+    /// per tile `x(2) y(2) len(2) data(len)`, through a
+    /// [`TileFrameWriter`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame holds more than 255 tiles, more than the
+    /// one-byte count can say.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.tiles.len() * 70);
-        out.push(match self.coding {
-            TileCoding::Raw => 0,
-            TileCoding::Compressed => 1,
-        });
-        out.push(self.quality);
-        out.push(self.tiles.len() as u8);
-        out.extend_from_slice(&self.frame_seq.to_be_bytes());
-        out.extend_from_slice(&self.timestamp.to_be_bytes());
+        let mut out =
+            Vec::with_capacity(HEADER_LEN + self.tiles.len() * (TILE_PREFIX_LEN + TILE_PIXELS));
+        let mut w = TileFrameWriter::begin(
+            &mut out,
+            self.coding,
+            self.quality,
+            self.frame_seq,
+            self.timestamp,
+        );
         for (x, y, data) in &self.tiles {
-            out.extend_from_slice(&x.to_be_bytes());
-            out.extend_from_slice(&y.to_be_bytes());
-            out.extend_from_slice(&(data.len() as u16).to_be_bytes());
-            out.extend_from_slice(data);
+            w.push_tile(*x, *y, data);
         }
+        w.finish();
         out
     }
 
@@ -273,7 +277,8 @@ pub(crate) fn push_framed(buf: &mut Vec<u8>, x: u16, y: u16, encode: impl FnOnce
     buf[len_at..len_at + 2].copy_from_slice(&(len as u16).to_be_bytes());
 }
 
-/// Streams the [`TileFrame::encode`] wire format directly into a byte
+/// Streams the tile-frame wire format (the one writer of it:
+/// [`TileFrame::encode`] is built on this) directly into a byte
 /// buffer — the zero-copy camera path writes its header and its tiles,
 /// framed once by the picture it shows, into the leased arena buffer the
 /// AAL5 frame will be segmented from, skipping the intermediate
@@ -402,6 +407,21 @@ mod tests {
             timestamp,
             tiles,
         })
+    }
+
+    /// `TileFrame::encode` as it stood when it wrote the layout by hand:
+    /// the bytes the writer must produce for up to 255 tiles.
+    fn reference_encode(frame: &TileFrame) -> Vec<u8> {
+        let mut out = vec![frame.coding as u8, frame.quality, frame.tiles.len() as u8];
+        out.extend_from_slice(&frame.frame_seq.to_be_bytes());
+        out.extend_from_slice(&frame.timestamp.to_be_bytes());
+        for (x, y, data) in &frame.tiles {
+            out.extend_from_slice(&x.to_be_bytes());
+            out.extend_from_slice(&y.to_be_bytes());
+            out.extend_from_slice(&(data.len() as u16).to_be_bytes());
+            out.extend_from_slice(data);
+        }
+        out
     }
 
     /// View, owning decode and reference agree on `bytes`.
@@ -533,7 +553,26 @@ mod tests {
         }
         assert_eq!(w.tiles(), 3);
         w.finish();
-        assert_eq!(buf, frame.encode());
+        assert_eq!(buf, reference_encode(&frame));
+        assert_eq!(frame.encode(), buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile count field is one byte")]
+    fn a_frame_of_more_tiles_than_its_count_can_say_is_refused() {
+        let tile = |i: u16| (i % 22 * 8, i / 22 * 8, vec![7u8; 64]);
+        let mut frame = TileFrame {
+            coding: TileCoding::Raw,
+            quality: 0,
+            frame_seq: 1,
+            timestamp: 2,
+            tiles: (0..255).map(tile).collect(),
+        };
+        let full = frame.encode();
+        assert_eq!(TileFrame::decode(&full).as_ref(), Ok(&frame));
+        // One more would wrap the count to 0 and decode as an empty frame.
+        frame.tiles.push(tile(255));
+        frame.encode();
     }
 
     #[test]
@@ -570,6 +609,7 @@ mod tests {
                 w.push_tile(*x, *y, d);
             }
             w.finish();
+            prop_assert_eq!(&buf, &reference_encode(&frame));
             prop_assert_eq!(buf, frame.encode());
         }
 

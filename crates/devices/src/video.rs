@@ -155,19 +155,14 @@ impl Picture {
         Ref::map(self.0.coded.borrow(), |coded| &coded.bytes[at])
     }
 
-    /// Appends row `row`'s tiles to `out`, framed, raw or coded from the
-    /// image where it lies.
+    /// Appends row `row`'s tiles to `out`, framed, raw or coded.
     fn code_row(&self, row: usize, coding: TileCoding, quality: u8, out: &mut Vec<u8>) {
         let (image, width) = (&self.0.image[..], self.0.width);
         for tx in 0..width / TILE_DIM {
-            let (x, y) = ((tx * TILE_DIM) as u16, (row * TILE_DIM) as u16);
-            tile::push_framed(out, x, y, |out| match coding {
-                TileCoding::Raw => {
-                    out.extend_from_slice(&Tile::from_image(image, width, tx, row).pixels)
-                }
-                TileCoding::Compressed => {
-                    codec::encode_tile_from(image, width, tx, row, quality, out)
-                }
+            let t = Tile::from_image(image, width, tx, row);
+            tile::push_framed(out, t.x, t.y, |out| match coding {
+                TileCoding::Raw => out.extend_from_slice(&t.pixels),
+                TileCoding::Compressed => codec::code_tile(&t.pixels, quality, out),
             });
         }
     }

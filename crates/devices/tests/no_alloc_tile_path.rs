@@ -12,9 +12,9 @@
 //!   (reassemble in place, parse through the borrowed view, validate or
 //!   decode, blit) performs **zero** allocations, with a framebuffer or
 //!   without.
-//! * **The encode cache** — a thread gets its 384 KiB when it codes its
-//!   first compressed tile: a Raw-mode camera never asks for it, a warm
-//!   Motion-JPEG one (the transmit windows above) never again.
+//! * **No coding state** — a Motion-JPEG camera asks for nothing larger
+//!   than a Raw one does: a tile is coded straight into the bytes its
+//!   picture keeps of its rows, with no per-thread table beside them.
 //!
 //! Measured, like the forwarding gate, with a counting global allocator.
 
@@ -101,14 +101,14 @@ const VCI: u16 = 40;
 /// deltas.
 #[test]
 fn tile_path_allocates_nothing_per_tile() {
-    encode_cache_is_allocated_by_the_first_compressed_tile(); // first: this thread has coded nothing yet
+    coding_allocates_nothing_a_raw_camera_does_not(); // first: this thread has coded nothing yet
     camera_rows_allocate_per_sealed_frame_not_per_tile();
     display_delivery_allocates_nothing();
 }
 
 /// The largest single allocation while a QCIF camera in `mode` runs two
-/// frames. Everything else on the path asks for far less than the
-/// cache's 384 KiB: a QCIF image is 25 KB, a tile frame under 2 KB.
+/// frames: a QCIF image is 25 KB, the buffer its coded rows go in 28 KB,
+/// a tile frame under 2 KB.
 fn largest_alloc_of_a_run(mode: VideoMode) -> usize {
     let sink = Rc::new(RefCell::new(DrainSink::default()));
     let tx = Rc::new(RefCell::new(Link::new(155_000_000, 1_000, sink.clone())));
@@ -126,15 +126,15 @@ fn largest_alloc_of_a_run(mode: VideoMode) -> usize {
     LARGEST.load(Ordering::Relaxed)
 }
 
-fn encode_cache_is_allocated_by_the_first_compressed_tile() {
-    const CACHE_SIZED: usize = 128 << 10;
-    let raw = largest_alloc_of_a_run(VideoMode::Raw);
-    assert!(
-        raw < CACHE_SIZED,
-        "a Raw camera allocated {raw} bytes at once"
-    );
-    let coded = largest_alloc_of_a_run(VideoMode::Mjpeg(50));
-    assert!(coded >= CACHE_SIZED, "the measure would not see the cache");
+fn coding_allocates_nothing_a_raw_camera_does_not() {
+    const TABLE_SIZED: usize = 128 << 10;
+    for mode in [VideoMode::Raw, VideoMode::Mjpeg(50)] {
+        let largest = largest_alloc_of_a_run(mode);
+        assert!(
+            largest < TABLE_SIZED,
+            "a {mode:?} camera allocated {largest} bytes at once"
+        );
+    }
 }
 
 /// Allocations, tile frames sealed and tiles sent over the rows of one

@@ -29,7 +29,9 @@ use pegasus::broker::{FlowRequest, QosBroker, SessionClass, SessionGrant, Sessio
 use pegasus::congestion::{CongestionController, CongestionSignal, Verdict};
 use pegasus_atm::credit::{CreditRef, CreditWindow};
 use pegasus_atm::link::CaptureSink;
-use pegasus_atm::network::{EndpointId, LinkConfig, Network, TopologyShape, RESERVABLE_FRACTION};
+use pegasus_atm::network::{
+    EndpointId, LedgerDrift, LinkConfig, Network, SwitchId, TopologyShape, RESERVABLE_FRACTION,
+};
 use pegasus_sim::rng::seeded;
 use rand::Rng;
 
@@ -51,6 +53,23 @@ pub struct ControlStats {
     pub ups: u64,
     /// Credit stalls provoked.
     pub stalls: u64,
+}
+
+/// What a caller can see of a network's endpoints, ports and ledgers.
+fn observe(
+    net: &Network,
+    fabric: &[SwitchId],
+) -> (usize, Vec<usize>, u64, Result<(), LedgerDrift>) {
+    let ports = fabric
+        .iter()
+        .map(|&sw| net.switch(sw).borrow().ports())
+        .collect();
+    (
+        net.endpoint_count(),
+        ports,
+        net.max_reservation_utilization().to_bits(),
+        net.audit_reservations(),
+    )
 }
 
 /// Fills a window with single-cell acquires until it stalls, then adds
@@ -108,7 +127,7 @@ pub fn run_control(seed: u64, steps: u64) -> ControlStats {
         // Every decision is a verdict, and a refusal charges nothing.
         let ledgers = |broker: &QosBroker, net: &Network| {
             let cpu = (broker.cpu.reserved_micro(), broker.pfs_headroom_slots());
-            (cpu, crate::wire::observe(net, &fabric))
+            (cpu, observe(net, &fabric))
         };
         let mut live: Vec<(SessionGrant, CreditRef)> = Vec::new();
         for _ in 0..rng.gen_range(2..6u32) {

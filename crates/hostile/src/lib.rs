@@ -4,18 +4,17 @@
 //! PR 5's zero-copy receive path deliberately trusts the arena (stitched
 //! views are not re-CRC'd), and LogFs recovery trusts its on-disk image.
 //! This crate puts sustained adversarial pressure on both, plus the
-//! signalling control plane, without any external fuzzer: every input is
+//! QoS control loop, without any external fuzzer: every input is
 //! derived from a 64-bit seed through [`pegasus_sim::rng::seeded`], so a
 //! failure reproduces from the one-line `(seed, front, step)` triple the
 //! assertion prints — see `docs/HARDENING.md` for the full protocol.
 //!
-//! Three fronts:
+//! Four fronts:
 //!
 //! * [`wire`] — a [`wire::CellMutator`] flips, drops, duplicates,
 //!   reorders, truncates and splices AAL5 cell streams into
 //!   [`pegasus_atm::aal5::Reassembler`], with a copying-path mirror as
-//!   the verdict oracle; plus a random-walk fuzz of the signalling state
-//!   machine (open/close/open-set/switch-death/re-route).
+//!   the verdict oracle.
 //! * [`disk`] — an [`disk::ImageMutator`] over checkpoint blobs, and a
 //!   crash-point sweep that cuts simulated power at *every* operation
 //!   boundary of a write-heavy LogFs run, recovers, and verifies no
@@ -26,6 +25,10 @@
 //! * [`control`] — random walks over the QoS feedback loop (admit,
 //!   congest, renegotiate down, recover, renegotiate up) against the
 //!   real broker, credit windows and hysteresis controller.
+//!
+//! The signalling state machine itself (open, close, flow sets, switch
+//! death, re-route) is walked by the ATM crate's property tests,
+//! `prop_ledger` and `prop_admit`.
 //!
 //! Each front runs under plain `cargo test` with a small budget; the
 //! `fuzz-gauntlet` binary (`scripts/fuzz_gauntlet.sh`) runs the CI-sized
@@ -39,7 +42,7 @@ pub mod wire;
 /// Which mutation engine produced a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Front {
-    /// Cell-stream and signalling mutations.
+    /// Cell-stream mutations.
     Wire,
     /// Checkpoint-image mutations and crash-point injection.
     Disk,

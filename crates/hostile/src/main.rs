@@ -1,7 +1,7 @@
 //! `fuzz-gauntlet` — the CI-sized driver for the hostile fronts.
 //!
 //! ```text
-//! fuzz-gauntlet [--front wire|signalling|disk|crash|storm|control|all]
+//! fuzz-gauntlet [--front wire|disk|crash|storm|control|all]
 //!               [--seed N] [--iters N]
 //! ```
 //!
@@ -32,7 +32,7 @@ fn parse() -> Args {
             "--iters" => args.iters = grab("--iters").parse().expect("--iters takes a u64"),
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz-gauntlet [--front wire|signalling|disk|crash|storm|control|all] \
+                    "usage: fuzz-gauntlet [--front wire|disk|crash|storm|control|all] \
                      [--seed N] [--iters N]"
                 );
                 std::process::exit(0);
@@ -56,14 +56,6 @@ fn main() {
         println!(
             "wire: {} steps, {} delivered ({} via trusted trailer), {} rejected — ok",
             s.steps, s.delivered, s.trust_accepts, s.rejected
-        );
-    }
-    if all || args.front == "signalling" {
-        let n = pick(300);
-        let s = wire::run_signalling(args.seed, n);
-        println!(
-            "signalling: {} walks, {} opened, {} rerouted, {} stranded, {} refused, {} pending refused, {} pending attached — ok",
-            s.steps, s.opened, s.rerouted, s.stranded, s.refused, s.pending_refused, s.pending_attached
         );
     }
     if all || args.front == "disk" {

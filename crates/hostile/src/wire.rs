@@ -1,5 +1,4 @@
-//! The wire front: structured mutation of AAL5 cell streams and a
-//! random walk over the signalling state machine.
+//! The wire front: structured mutation of AAL5 cell streams.
 //!
 //! # Cell mutation
 //!
@@ -22,26 +21,9 @@
 //! After every mutated stream, clean probe frames assert the
 //! reassembler's state fully reset — a corrupted frame never poisons
 //! its successors.
-//!
-//! # Signalling
-//!
-//! [`run_signalling`] random-walks open/close/flow-set/switch-death/
-//! re-route against invariants: reservations never exceed the
-//! reservable fraction, the ledger map audits clean after every step, a
-//! flow set — some of its ends not attached yet — leaves nothing behind
-//! when refused and attaches exactly those ends when not, a re-route pins the
-//! endpoint VCIs and avoids the corpse, a dead switch admits nothing,
-//! and closing every circuit returns every ledger to its initial
-//! headroom.
 
 use pegasus_atm::aal5::{Aal5Error, FrameLease, Reassembler, Segmenter};
 use pegasus_atm::cell::{Cell, Vci, HEADER_SIZE, PAYLOAD_SIZE};
-use pegasus_atm::link::CaptureSink;
-use pegasus_atm::network::{
-    EndpointId, LedgerDrift, LinkConfig, Network, PendingEnd, SwitchId, TopologyShape, VcHandle,
-    RESERVABLE_FRACTION,
-};
-use pegasus_atm::signalling::QosSpec;
 use pegasus_sim::arena::Arena;
 use pegasus_sim::rng::seeded;
 use rand::rngs::SmallRng;
@@ -337,241 +319,6 @@ pub fn run_wire(seed: u64, steps: u64) -> WireStats {
     stats
 }
 
-/// What a caller can see of a network's endpoints, ports and ledgers.
-pub(crate) fn observe(
-    net: &Network,
-    fabric: &[SwitchId],
-) -> (usize, Vec<usize>, u64, Result<(), LedgerDrift>) {
-    let ports = fabric
-        .iter()
-        .map(|&sw| net.switch(sw).borrow().ports())
-        .collect();
-    (
-        net.endpoint_count(),
-        ports,
-        net.max_reservation_utilization().to_bits(),
-        net.audit_reservations(),
-    )
-}
-
-/// Counters from a signalling-front run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SignallingStats {
-    /// Random-walk steps (one network each).
-    pub steps: u64,
-    /// Circuits opened.
-    pub opened: u64,
-    /// Circuits re-routed around a dead switch.
-    pub rerouted: u64,
-    /// Circuits stranded by a death.
-    pub stranded: u64,
-    /// Admission refusals observed.
-    pub refused: u64,
-    /// Refused flow sets with ends not attached yet.
-    pub pending_refused: u64,
-    /// Ends attached by admitted calls to them.
-    pub pending_attached: u64,
-}
-
-/// Random-walks the signalling state machine: `steps` fresh networks,
-/// each subjected to a burst of opens (single circuits, and multi-flow
-/// sets to ends attached and not yet attached), closes, switch deaths
-/// and re-routes, with ledger and VCI-pinning invariants checked
-/// throughout and the ledger audit after every step. Panics with a
-/// reproducing triple on violation.
-pub fn run_signalling(seed: u64, steps: u64) -> SignallingStats {
-    let mut stats = SignallingStats::default();
-    for step in 0..steps {
-        let repro = Repro {
-            seed,
-            front: Front::Wire,
-            step,
-        };
-        let mut rng = seeded(repro.step_seed() ^ 0x5167_0A11);
-        let shape = [
-            TopologyShape::Star,
-            TopologyShape::Ring,
-            TopologyShape::FullMesh,
-        ][rng.gen_range(0..3usize)];
-        let n_switches = rng.gen_range(2..6usize);
-        let cfg = LinkConfig::pegasus_default();
-        let mut net = Network::new();
-        let fabric = net.build_topology(shape, n_switches, "fz", 6, 0, cfg);
-        let n_eps = rng.gen_range(4..9usize);
-        let eps: Vec<EndpointId> = (0..n_eps)
-            .map(|i| net.add_endpoint_auto(fabric[i % fabric.len()], cfg, CaptureSink::shared()))
-            .collect();
-        let initial: Vec<u64> = eps.iter().map(|&e| net.endpoint_tx_available(e)).collect();
-
-        let mut held: Vec<VcHandle> = Vec::new();
-        let mut dead: Vec<SwitchId> = Vec::new();
-        for _ in 0..rng.gen_range(10..40u32) {
-            match rng.gen_range(0..11u32) {
-                // Open a circuit between random endpoints.
-                0..=4 => {
-                    let a = eps[rng.gen_range(0..eps.len())];
-                    let b = eps[rng.gen_range(0..eps.len())];
-                    let qos = if rng.gen_range(0..4u32) == 0 {
-                        QosSpec::best_effort(1_000_000)
-                    } else {
-                        QosSpec::guaranteed(rng.gen_range(1..40u64) * 1_000_000)
-                    };
-                    match net.open_vc(a, b, qos) {
-                        Ok(vc) => {
-                            stats.opened += 1;
-                            held.push(vc);
-                        }
-                        Err(_) => stats.refused += 1,
-                    }
-                }
-                // Close a random held circuit.
-                5..=6 => {
-                    if !held.is_empty() {
-                        let i = rng.gen_range(0..held.len());
-                        let vc = held.swap_remove(i);
-                        net.close_vc(vc);
-                    }
-                }
-                // A flow set as one call setup, between any attached
-                // ends and ends not attached yet — the first flow calls
-                // the first of those, if any — decided before any of them
-                // is. A refusal leaves no trace; an admission attaches
-                // exactly the pending ends, with the ids the flows named
-                // them by, and opens the whole set.
-                7..=8 => {
-                    let attached = net.endpoint_count();
-                    let pending: Vec<PendingEnd> = (0..rng.gen_range(0..4usize))
-                        .map(|_| (fabric[rng.gen_range(0..fabric.len())], cfg))
-                        .collect();
-                    let ends = attached + pending.len();
-                    let mut flows: Vec<_> = (0..rng.gen_range(1..4usize))
-                        .map(|_| {
-                            let a = EndpointId(rng.gen_range(0..ends));
-                            let b = EndpointId(rng.gen_range(0..ends));
-                            (
-                                a,
-                                b,
-                                QosSpec::guaranteed(rng.gen_range(1..100u64) * 1_000_000),
-                            )
-                        })
-                        .collect();
-                    if !pending.is_empty() {
-                        flows[0].1 = EndpointId(attached);
-                    }
-                    let before = observe(&net, &fabric);
-                    match net.check_vcs(&pending, &flows) {
-                        Err(_) => {
-                            stats.refused += 1;
-                            stats.pending_refused += u64::from(!pending.is_empty());
-                            repro.check(
-                                observe(&net, &fabric) == before,
-                                "a refused flow set left the network changed",
-                            );
-                        }
-                        Ok(plan) => {
-                            let sinks =
-                                pending.iter().map(|_| CaptureSink::shared() as _).collect();
-                            let vcs = net.commit_vcs(plan, sinks);
-                            repro.check(
-                                net.endpoint_count() == attached + pending.len()
-                                    && (0..pending.len()).all(|k| {
-                                        net.endpoint_switch(EndpointId(attached + k))
-                                            == pending[k].0
-                                    })
-                                    && vcs.len() == flows.len(),
-                                "a commit attached other ends than the check placed",
-                            );
-                            stats.opened += vcs.len() as u64;
-                            stats.pending_attached += pending.len() as u64;
-                            held.extend(vcs);
-                        }
-                    }
-                }
-                // Kill a switch and repair the survivors via signalling.
-                _ => {
-                    if dead.len() + 1 >= fabric.len() {
-                        continue; // leave at least one switch alive
-                    }
-                    let sw = fabric[rng.gen_range(0..fabric.len())];
-                    if net.switch_is_dead(sw) {
-                        continue;
-                    }
-                    net.fail_switch(sw);
-                    dead.push(sw);
-                    let walk = std::mem::take(&mut held);
-                    for vc in walk {
-                        if !vc.crosses_switch(sw) {
-                            held.push(vc);
-                            continue;
-                        }
-                        let (src_vci, dst_vci) = (vc.src_vci, vc.dst_vci);
-                        match net.reroute_vc(vc) {
-                            Ok(repaired) => {
-                                repro.check(
-                                    repaired.src_vci == src_vci && repaired.dst_vci == dst_vci,
-                                    "re-route failed to pin the endpoint VCIs",
-                                );
-                                repro.check(
-                                    !repaired.crosses_switch(sw),
-                                    "re-route routed through the dead switch",
-                                );
-                                stats.rerouted += 1;
-                                held.push(repaired);
-                            }
-                            Err(_) => stats.stranded += 1,
-                        }
-                    }
-                }
-            }
-            repro.check(
-                net.max_reservation_utilization() <= RESERVABLE_FRACTION + 1e-9,
-                "admission let a ledger exceed the reservable fraction",
-            );
-            repro.check(
-                net.audit_reservations().is_ok(),
-                "a signalling step left the ledgers out of step with the links",
-            );
-        }
-
-        // A dead switch admits nothing, even same-switch pairs.
-        if let Some(&sw) = dead.first() {
-            let on_dead: Vec<EndpointId> = eps
-                .iter()
-                .copied()
-                .filter(|&e| net.endpoint_switch(e) == sw)
-                .collect();
-            for &e in &on_dead {
-                repro.check(
-                    net.open_vc(e, eps[0], QosSpec::best_effort(0)).is_err(),
-                    "a dead switch admitted a new circuit",
-                );
-            }
-        }
-
-        // Tear everything down: every ledger must return to its initial
-        // headroom — the leak check.
-        for vc in held.drain(..) {
-            net.close_vc(vc);
-        }
-        for (i, &e) in eps.iter().enumerate() {
-            repro.check(
-                net.endpoint_tx_available(e) == initial[i],
-                "closing every circuit did not restore an endpoint ledger",
-            );
-        }
-        repro.check(
-            net.max_reservation_utilization() < 1e-12,
-            "reservations leaked after closing every circuit",
-        );
-        repro.check(
-            net.audit_reservations().is_ok(),
-            "teardown left the remembered maximum out of step with the ledgers",
-        );
-        stats.steps += 1;
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,18 +339,6 @@ mod tests {
             (a.delivered, a.rejected, a.trust_accepts),
             (b.delivered, b.rejected, b.trust_accepts)
         );
-    }
-
-    #[test]
-    fn signalling_walk_holds_invariants() {
-        let s = run_signalling(0xBEE, 40);
-        assert_eq!(s.steps, 40);
-        assert!(s.opened > 0, "the walk must open circuits");
-        assert!(
-            s.pending_refused > 0,
-            "the walk must refuse calls to pending ends"
-        );
-        assert!(s.pending_attached > 0, "the walk must attach pending ends");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! leaves 7, one per distinct picture on show, and 4.1 MB. Of those,
 //! 1.9 MB were one 125,000-byte read buffer per VoD server, filled with
 //! bytes nobody read; the continuous-media replay reads for timing
-//! only since (`CmScheduler::run_periods`), and the run peaks at
-//! 2.2 MB.
+//! only since (`CmScheduler::run_periods`), and the run peaked at
+//! 2.2 MB; 0.39 MB of that was the codec's per-thread memo of tile
+//! codings, which the coded rows a picture keeps left nothing to do.
+//! Without it the run peaks at 1.8 MB.
 
 #[path = "../examples/support/live_alloc.rs"]
 mod live_alloc;
@@ -24,11 +26,11 @@ use pegasus_scenario::{presets, run, workloads};
 #[global_allocator]
 static ALLOCATOR: live_alloc::LiveAlloc = live_alloc::LiveAlloc;
 
-/// A quarter above the 2,226,775 bytes this run peaks at.
-const PEAK_LIVE_BYTES_BOUND: usize = 2_784_000;
+/// A quarter above the 1,833,148 bytes this run peaks at.
+const PEAK_LIVE_BYTES_BOUND: usize = 2_292_000;
 
-/// A quarter above the 1,792,197 bytes the second case peaks at.
-const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 2_241_000;
+/// A quarter above the 1,397,797 bytes the second case peaks at.
+const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 1_748_000;
 
 /// One test in this binary: the counters are process-global. Its
 /// second case is the benchmark's `front-door` workload (seed 7) cut to
@@ -39,7 +41,8 @@ const REFUSED_PEAK_LIVE_BYTES_BOUND: usize = 2_241_000;
 /// session before any of them is built or attached
 /// (`QosBroker::decide`) left 2.84 MB and 1,330 — fewer than two per
 /// attempt. It peaked at 1.86 MB with 1,429 while the VoD servers kept
-/// their read buffers, and 1.79 MB with 1,427 since.
+/// their read buffers, 1.79 MB with 1,427 while the first case's
+/// thread still held the codec memo, and 1.40 MB with 1,424 since.
 #[test]
 fn a_small_city_fits_its_bound_and_shares_its_frames() {
     let spec = presets::by_name("metropolis-1k")

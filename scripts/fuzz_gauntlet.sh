@@ -11,7 +11,6 @@
 #                                      #   wire   6000 streams (1-3
 #                                      #          mutations each, >10k
 #                                      #          total mutations)
-#                                      #   signalling 300 random walks
 #                                      #   disk   400 hostile images
 #                                      #   crash  power cut at every
 #                                      #          boundary of a 60-op run
@@ -37,7 +36,6 @@ case "$MODE" in
 --deep)
     for SEED in 1994 2026 31337; do
         "$BIN" --seed "$SEED" --front wire --iters 60000
-        "$BIN" --seed "$SEED" --front signalling --iters 3000
         "$BIN" --seed "$SEED" --front disk --iters 4000
         "$BIN" --seed "$SEED" --front crash --iters 150
         "$BIN" --seed "$SEED" --front storm --iters 5

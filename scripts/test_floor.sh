@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=691
+FLOOR=688
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
