@@ -15,10 +15,8 @@
 //!   reorders, truncates and splices AAL5 cell streams into
 //!   [`pegasus_atm::aal5::Reassembler`], with a copying-path mirror as
 //!   the verdict oracle.
-//! * [`disk`] — an [`disk::ImageMutator`] over checkpoint blobs, and a
-//!   crash-point sweep that cuts simulated power at *every* operation
-//!   boundary of a write-heavy LogFs run, recovers, and verifies no
-//!   acknowledged record is lost and no torn record replayed.
+//! * [`disk`] — an [`disk::ImageMutator`] over checkpoint blobs, each
+//!   decoded, and restored and read if the decoder accepts it.
 //! * [`storm`] — the `nemesis-storm` scenario preset (link flaps, a
 //!   switch death with signalling repair, a disk failure with a live
 //!   RAID rebuild) rerun and compared byte-for-byte.
@@ -28,7 +26,8 @@
 //!
 //! The signalling state machine itself (open, close, flow sets, switch
 //! death, re-route) is walked by the ATM crate's property tests,
-//! `prop_ledger` and `prop_admit`.
+//! `prop_ledger` and `prop_admit`; crash recovery, with cleaning, by the
+//! PFS crate's `prop_log`.
 //!
 //! Each front runs under plain `cargo test` with a small budget; the
 //! `fuzz-gauntlet` binary (`scripts/fuzz_gauntlet.sh`) runs the CI-sized
@@ -44,7 +43,7 @@ pub mod wire;
 pub enum Front {
     /// Cell-stream mutations.
     Wire,
-    /// Checkpoint-image mutations and crash-point injection.
+    /// Checkpoint-image mutations.
     Disk,
     /// The golden-gated scenario storm.
     Storm,

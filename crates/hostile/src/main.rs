@@ -1,7 +1,7 @@
 //! `fuzz-gauntlet` — the CI-sized driver for the hostile fronts.
 //!
 //! ```text
-//! fuzz-gauntlet [--front wire|disk|crash|storm|control|all]
+//! fuzz-gauntlet [--front wire|disk|storm|control|all]
 //!               [--seed N] [--iters N]
 //! ```
 //!
@@ -32,7 +32,7 @@ fn parse() -> Args {
             "--iters" => args.iters = grab("--iters").parse().expect("--iters takes a u64"),
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz-gauntlet [--front wire|disk|crash|storm|control|all] \
+                    "usage: fuzz-gauntlet [--front wire|disk|storm|control|all] \
                      [--seed N] [--iters N]"
                 );
                 std::process::exit(0);
@@ -64,15 +64,6 @@ fn main() {
         println!(
             "disk: {} images, {} rejected, {} survived, {} restored and read back — ok",
             s.steps, s.rejected, s.survived, s.restored
-        );
-    }
-    if all || args.front == "crash" {
-        let n = pick(60);
-        let s = disk::crash_sweep(args.seed, n as usize);
-        println!(
-            "crash: {} boundaries cut, {} acknowledged records verified \
-             ({} deleted after the checkpoint), {} deleted files stayed gone — ok",
-            s.crash_points, s.records_verified, s.deletes_undone, s.deletes_kept
         );
     }
     if all || args.front == "control" {

@@ -228,14 +228,11 @@ impl Checkpoint {
 }
 
 /// Writes a checkpoint of `fs` into the log itself (as a normal file)
-/// and syncs. Returns the checkpoint file's id for the superblock to
-/// reference.
+/// and syncs. Returns the checkpoint file's id, which the superblock
+/// references ([`LogFs::last_checkpoint`]). Only then do the segments
+/// cleaned since the one before join the free list.
 pub fn write_checkpoint(fs: &mut LogFs) -> Result<FileId, CheckpointError> {
-    let blob = Checkpoint::capture(fs).encode();
-    let file = fs.create(FileClass::Normal);
-    fs.append(file, &blob)?;
-    fs.sync()?;
-    Ok(file)
+    Ok(fs.checkpoint()?)
 }
 
 /// Recovers the in-memory state from the checkpoint stored in `file`,

@@ -46,6 +46,17 @@ pub struct CleanReport {
     pub io_time: Ns,
 }
 
+/// Begins a pass over `victims`: a checkpoint first, so the durable
+/// image names no byte the pass forgets, then every victim forgets the
+/// bytes no file uses. A crash at any point of the pass recovers what
+/// it began from, since the segments it releases keep their stripes
+/// until the next checkpoint.
+fn begin_pass(fs: &mut LogFs, victims: &[u64]) -> Result<(), FsError> {
+    fs.checkpoint()?;
+    fs.forget_dead_bytes(victims);
+    Ok(())
+}
+
 /// Empties one victim: every file with an extent in `seg` is rewritten
 /// whole at the log head (when `live` says any byte there is still
 /// used), and the segment is released.
@@ -73,9 +84,10 @@ fn clean_segment(
 /// Cost structure: one sequential read of the consumed prefix of the
 /// garbage file, plus a whole-file rewrite of every file that still has
 /// bytes in a segment that contained garbage. Nothing scales with the
-/// size of the file system. Before anything is copied, the victims'
-/// bytes that no file uses are forgotten, and each victim's stripe is
-/// dropped once it is released.
+/// size of the file system, but for the pass's own checkpoint, whose
+/// segment table grows with it. Before anything is copied, the victims'
+/// bytes that no file uses are forgotten; each victim's stripe is
+/// dropped at the checkpoint after the pass.
 pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
     let io_before = fs.io_time;
     let mut report = CleanReport::default();
@@ -96,7 +108,7 @@ pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
         .copied()
         .filter(|seg| fs.segment_info().contains_key(seg))
         .collect();
-    fs.forget_dead_bytes(&victims);
+    begin_pass(fs, &victims)?;
 
     // Single pass over the affected segments.
     for seg in per_segment {
@@ -135,7 +147,7 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
     victims.sort_unstable_by_key(|&(s, live)| (live, s));
     victims.truncate(segments_wanted);
     let segs: Vec<u64> = victims.iter().map(|&(seg, _)| seg).collect();
-    fs.forget_dead_bytes(&segs);
+    begin_pass(fs, &segs)?;
     for (seg, live) in victims {
         clean_segment(fs, seg, live, &mut report)?;
     }
@@ -149,6 +161,7 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::write_checkpoint;
     use crate::disk::DiskConfig;
     use crate::log::{FileClass, FileId};
 
@@ -166,12 +179,12 @@ mod tests {
         let id = f.create(FileClass::Normal);
         f.append(id, &data(SEGMENT_BYTES, 1)).unwrap();
         f.sync().unwrap();
+        let seg = f.pnode(id).unwrap().extents[0].segment;
         f.delete(id).unwrap();
-        let used_before = f.used_segments();
         let report = clean_garbage_file(&mut f).unwrap();
         assert_eq!(report.segments_cleaned, 1);
         assert_eq!(report.live_bytes_moved, 0, "dead segment needs no copy");
-        assert!(f.used_segments() < used_before);
+        assert!(!f.segment_info().contains_key(&seg));
         assert!(f.garbage.is_empty());
     }
 
@@ -209,7 +222,10 @@ mod tests {
                 clean_garbage_file(&mut f).unwrap()
             };
             assert_eq!(report.live_bytes_moved, 300_000, "sprite {sprite}");
-            assert_eq!(f.stats.bytes_written, written, "sprite {sprite}");
+            // The pass's own checkpoint is written as every checkpoint
+            // is; the copies are not client bytes.
+            let cp = f.pnode(f.last_checkpoint().unwrap()).unwrap().size;
+            assert_eq!(f.stats.bytes_written, written + cp, "sprite {sprite}");
             assert_eq!(f.stats.cleaner_moved - moved, report.live_bytes_moved);
         }
     }
@@ -245,9 +261,14 @@ mod tests {
         let report = clean_garbage_file(&mut f).unwrap();
         assert_eq!(report.segments_cleaned, 64);
         assert_eq!(report.live_bytes_moved, 32 << 20);
-        // What is left is the survivors' 32 MiB and their parity: the
-        // victims kept their live halves only while they were copied.
-        assert!(stored(&mut f) <= 42 << 20, "{} bytes", stored(&mut f));
+        // The victims keep their live halves, which the pass's own
+        // checkpoint names, beside the copies, until the next checkpoint;
+        // each checkpoint is a segment of its own with its parity.
+        let checkpoint = SEGMENT_BYTES * 5 / 4;
+        assert_eq!(stored(&mut f), (80 << 20) + checkpoint);
+        write_checkpoint(&mut f).unwrap();
+        // What is left is the survivors' 32 MiB and their parity.
+        assert_eq!(stored(&mut f), (40 << 20) + 2 * checkpoint);
         let mut buf = Vec::new();
         for (k, &file) in files.iter().enumerate().step_by(2) {
             for at in (0..FILE_BYTES).step_by(PIECE) {
@@ -266,23 +287,22 @@ mod tests {
         let seg = f.pnode(id).unwrap().extents[0].segment;
         f.delete(id).unwrap();
         clean_garbage_file(&mut f).unwrap();
-        // Write enough to claim the freed segment again (the first new
-        // segment was already open before the clean; the second flush
-        // draws from the free list).
-        let id2 = f.create(FileClass::Normal);
-        f.append(id2, &data(2 * SEGMENT_BYTES, 2)).unwrap();
-        f.sync().unwrap();
-        let segs: Vec<u64> = f
-            .pnode(id2)
-            .unwrap()
-            .extents
-            .iter()
-            .map(|e| e.segment)
-            .collect();
-        assert!(
-            segs.contains(&seg),
-            "freed segment {seg} reused (got {segs:?})"
-        );
+        // Each new file is enough to claim the cleaned segment again
+        // (the first new segment is already open; the second flush draws
+        // from the free list), but the pass's own checkpoint still names
+        // it: only a checkpoint written after the pass frees it.
+        let segments_of_a_new_file = |f: &mut LogFs| {
+            let id = f.create(FileClass::Normal);
+            f.append(id, &data(2 * SEGMENT_BYTES, 2)).unwrap();
+            f.sync().unwrap();
+            let extents = &f.pnode(id).unwrap().extents;
+            extents.iter().map(|e| e.segment).collect::<Vec<u64>>()
+        };
+        let segs = segments_of_a_new_file(&mut f);
+        assert!(!segs.contains(&seg), "{seg} pending (got {segs:?})");
+        write_checkpoint(&mut f).unwrap();
+        let segs = segments_of_a_new_file(&mut f);
+        assert!(segs.contains(&seg), "{seg} reused (got {segs:?})");
     }
 
     #[test]

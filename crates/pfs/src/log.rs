@@ -209,6 +209,11 @@ pub struct LogFs {
     total_segments: u64,
     next_new_segment: u64,
     free: Vec<u64>,
+    /// Segments cleaned since the last checkpoint, which may still name
+    /// them: each keeps its stripe, and none is reused, until the next.
+    pending: Vec<u64>,
+    /// The file holding the last checkpoint written: the superblock.
+    last_checkpoint: Option<FileId>,
     open_normal: OpenSegment,
     open_cm: OpenSegment,
     pnodes: HashMap<FileId, Pnode>,
@@ -240,6 +245,8 @@ impl LogFs {
             total_segments,
             next_new_segment: 2, // 0 and 1 for the two initial open segments
             free: Vec::new(),
+            pending: Vec::new(),
+            last_checkpoint: None,
             open_normal: OpenSegment::default(),
             open_cm: OpenSegment {
                 id: 1,
@@ -312,9 +319,17 @@ impl LogFs {
         self.next_pnode
     }
 
+    /// The file holding the last checkpoint written, the one a crash
+    /// recovers from: what the on-disk superblock records.
+    pub fn last_checkpoint(&self) -> Option<FileId> {
+        self.last_checkpoint
+    }
+
     /// Simulates a server crash that loses the in-memory metadata,
-    /// keeping only the pnode of `keep` — the checkpoint file, whose
-    /// location the on-disk superblock records in a real system.
+    /// keeping only the pnode of `keep`, the checkpoint file: pass
+    /// [`LogFs::last_checkpoint`] to crash as the superblock would. The
+    /// segments cleaned since it are live again in the checkpoint that
+    /// names them, so none of them joins the free list.
     pub fn amnesia(&mut self, keep: FileId) {
         let kept = self.pnodes.remove(&keep);
         self.pnodes.clear();
@@ -324,6 +339,7 @@ impl LogFs {
         self.segments.clear();
         self.open_deficit.clear();
         self.garbage.clear();
+        self.pending.clear();
     }
 
     /// Replaces the metadata tables from a decoded checkpoint
@@ -662,13 +678,28 @@ impl LogFs {
         live as f64 / (self.segments.len() as u64 * SEGMENT_BYTES as u64) as f64
     }
 
-    /// Frees a cleaned segment (cleaner use). Its stripe is dropped from
-    /// the array: the next flush may take the segment, and until then
-    /// its bytes are nobody's.
+    /// Releases a cleaned segment (cleaner use). It keeps its stripe
+    /// until the next checkpoint, which names none of its bytes; then
+    /// the stripe is dropped and the next flush may take the segment.
     pub(crate) fn release_segment(&mut self, seg: u64) {
         self.segments.remove(&seg);
-        self.free.push(seg);
-        self.raid.discard_stripe(seg);
+        self.pending.push(seg);
+    }
+
+    /// Writes a checkpoint of the tables into the log itself, as a
+    /// normal file, and syncs; once it is durable, the segments released
+    /// before it are freed. Returns the checkpoint's file.
+    pub(crate) fn checkpoint(&mut self) -> Result<FileId, FsError> {
+        let blob = crate::checkpoint::Checkpoint::capture(self).encode();
+        let file = self.create(FileClass::Normal);
+        self.append(file, &blob)?;
+        self.sync()?;
+        self.last_checkpoint = Some(file);
+        for seg in self.pending.drain(..) {
+            self.raid.discard_stripe(seg);
+            self.free.push(seg);
+        }
+        Ok(file)
     }
 
     /// Forgets, in each of `victims`, every byte that no pnode's extent

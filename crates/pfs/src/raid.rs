@@ -33,9 +33,10 @@
 //! byte still retained stays reconstructible, and
 //! [`RaidArray::discard_stripe`] drops a stripe on every member. The
 //! contract with the layer above: it forgets only bytes no extent
-//! covers, inside a cleaning pass, and discards only a stripe it has
-//! released — whose bytes are undefined from then on, so recovery after
-//! a pass needs a checkpoint written after it.
+//! covers, inside a cleaning pass that began with a checkpoint, and
+//! discards only a stripe it released before the checkpoint it has last
+//! written, which names none of its bytes: those are undefined from
+//! then on.
 
 use crate::disk::{
     page_runs, xor_into, Discard, DiskConfig, DiskError, SimDisk, PAGE_BYTES, SECTOR,

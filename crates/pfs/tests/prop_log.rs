@@ -1,12 +1,14 @@
 //! Property tests: the log-structured core against a trivial in-memory
 //! model, under arbitrary operation sequences — including cleaning by
 //! either cleaner, after which every file must read back with a data
-//! disk lost and again once it is rebuilt — and every read path against
-//! `read_into`.
+//! disk lost and again once it is rebuilt, and crashes, after which the
+//! log must hold exactly what its last checkpoint named — and every
+//! read path against `read_into`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+use pegasus_pfs::checkpoint::{recover, write_checkpoint};
 use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
 use pegasus_pfs::disk::DiskConfig;
 use pegasus_pfs::log::{FileClass, FileId, LogFs};
@@ -17,7 +19,7 @@ use pegasus_sim::arena::{Arena, FrameView};
 /// An operation against both the real FS and the model.
 #[derive(Debug, Clone)]
 enum Op {
-    Create,
+    Create { continuous: bool },
     Append { file: usize, len: usize, tag: u8 },
     Overwrite { file: usize, len: usize, tag: u8 },
     Delete { file: usize },
@@ -25,11 +27,15 @@ enum Op {
     // Each pass is followed by `reads_back` with data disk `disk` lost.
     Clean { disk: usize },
     CleanSprite { wanted: usize, disk: usize },
+    Checkpoint,
+    // Power lost: the log recovers from its last checkpoint, and the
+    // model returns to what it held then.
+    Crash,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        2 => Just(Op::Create),
+        2 => any::<bool>().prop_map(|continuous| Op::Create { continuous }),
         4 => (any::<usize>(), 1usize..60_000, any::<u8>())
             .prop_map(|(file, len, tag)| Op::Append { file, len, tag }),
         2 => (any::<usize>(), 1usize..60_000, any::<u8>())
@@ -39,6 +45,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0..DATA_DISKS).prop_map(|disk| Op::Clean { disk }),
         1 => (1usize..4, 0..DATA_DISKS)
             .prop_map(|(wanted, disk)| Op::CleanSprite { wanted, disk }),
+        1 => Just(Op::Checkpoint),
+        1 => Just(Op::Crash),
     ]
 }
 
@@ -56,7 +64,10 @@ fn reads_back(
     model: &HashMap<FileId, Vec<u8>>,
     disk: usize,
 ) -> Result<(), TestCaseError> {
-    let stripes = fs.segment_info().keys().max().map_or(0, |&s| s + 1);
+    // Every segment the log has handed out lies below this, the last
+    // checkpoint's and the cleaned ones' too: each flush opens at most
+    // one new segment after the first two.
+    let stripes = fs.stats.segments_flushed + 2;
     for phase in ["healthy", "degraded", "rebuilt"] {
         match phase {
             "degraded" => fs.raid_mut().disk_mut(disk).fail(),
@@ -74,6 +85,29 @@ fn reads_back(
     Ok(())
 }
 
+/// Every model file reads back exactly, at its size; every other file
+/// the test made errors; and the log holds no file but those and its
+/// `checkpoints` checkpoint files.
+fn holds_model(
+    fs: &mut LogFs,
+    model: &HashMap<FileId, Vec<u8>>,
+    handles: &[FileId],
+    checkpoints: usize,
+) -> Result<(), TestCaseError> {
+    for (&id, expected) in model {
+        let got = fs.read(id, 0, expected.len()).unwrap();
+        prop_assert_eq!(&got, expected, "file {:?}", id);
+        prop_assert_eq!(fs.pnode(id).unwrap().size, expected.len() as u64);
+    }
+    for id in handles {
+        if !model.contains_key(id) {
+            prop_assert!(fs.read(*id, 0, 1).is_err());
+        }
+    }
+    prop_assert_eq!(fs.file_count(), model.len() + checkpoints);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -82,11 +116,18 @@ proptest! {
         let mut fs = LogFs::new(DiskConfig::hp_1994());
         let mut model: HashMap<FileId, Vec<u8>> = HashMap::new();
         let mut handles: Vec<FileId> = Vec::new();
+        // Checkpoint files are files of the log's own: how many there
+        // are, and the model and that count as the last checkpoint, the
+        // log's or a cleaning pass's, saw them.
+        let mut checkpoints = 0;
+        let mut snapshot = (model.clone(), checkpoints);
+        let mut last = None;
 
         for op in ops {
             match op {
-                Op::Create => {
-                    let id = fs.create(FileClass::Normal);
+                Op::Create { continuous } => {
+                    let class = if continuous { FileClass::Continuous } else { FileClass::Normal };
+                    let id = fs.create(class);
                     handles.push(id);
                     model.insert(id, Vec::new());
                 }
@@ -121,22 +162,30 @@ proptest! {
                     clean_sprite(&mut fs, wanted).unwrap();
                     reads_back(&mut fs, &model, disk)?;
                 }
+                Op::Checkpoint => {
+                    write_checkpoint(&mut fs).unwrap();
+                }
+                Op::Crash => {
+                    if let Some(cp) = fs.last_checkpoint() {
+                        fs.amnesia(cp);
+                        recover(&mut fs, cp).unwrap();
+                        (model, checkpoints) = snapshot.clone();
+                        holds_model(&mut fs, &model, &handles, checkpoints)?;
+                    }
+                }
                 _ => {}
+            }
+            // Cleaning adds and removes no file's bytes, so what the
+            // model holds after a step that wrote a checkpoint is what
+            // that checkpoint names.
+            if fs.last_checkpoint() != last {
+                last = fs.last_checkpoint();
+                checkpoints += 1;
+                snapshot = (model.clone(), checkpoints);
             }
         }
 
-        // Every surviving file reads back exactly; deleted files error.
-        for (&id, expected) in &model {
-            let got = fs.read(id, 0, expected.len()).unwrap();
-            prop_assert_eq!(&got, expected, "file {:?}", id);
-            prop_assert_eq!(fs.pnode(id).unwrap().size, expected.len() as u64);
-        }
-        for id in &handles {
-            if !model.contains_key(id) {
-                prop_assert!(fs.read(*id, 0, 1).is_err());
-            }
-        }
-        prop_assert_eq!(fs.file_count(), model.len());
+        holds_model(&mut fs, &model, &handles, checkpoints)?;
     }
 
     #[test]

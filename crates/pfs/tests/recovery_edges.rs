@@ -1,9 +1,9 @@
 //! Recovery edge cases for the log-structured core: empty logs, logs
 //! ending exactly on a segment boundary, and cleaner passes racing a
 //! crash/recovery cycle. Table-driven where the cases share a shape —
-//! each case prepares a file system, crashes it (amnesia), recovers
-//! from the last checkpoint, and verifies every surviving file
-//! byte-exact.
+//! each case prepares a file system, writes a checkpoint, takes a step
+//! after it, crashes (amnesia), recovers from the log's last checkpoint,
+//! and verifies every surviving file byte-exact.
 
 use pegasus_pfs::checkpoint::{recover, write_checkpoint, Checkpoint, CheckpointError};
 use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
@@ -22,15 +22,46 @@ fn patterned(n: usize, tag: u8) -> Vec<u8> {
 struct Expectation {
     /// Files (and their full contents) the checkpoint acknowledged.
     live: Vec<(FileId, Vec<u8>)>,
-    /// Files that must be *gone* after recovery (deleted pre-checkpoint).
+    /// Files that must be *gone* after recovery.
     dead: Vec<FileId>,
 }
 
-/// One table entry: a name and a preparation step that leaves the file
-/// system checkpoint-ready.
+/// One table entry: a name, a preparation step that leaves the file
+/// system checkpoint-ready, and a step taken after the checkpoint.
 struct Case {
     name: &'static str,
     prepare: fn(&mut LogFs) -> Expectation,
+    after: fn(&mut LogFs, &Expectation),
+}
+
+/// File A, a quarter segment, beside file B, half of one, in one synced
+/// segment. B is to be deleted, before the checkpoint or after it, and
+/// the garbage cleaned by moving A; either way the log's last
+/// checkpoint, the pass's own, names A and not B.
+fn a_beside_b(fs: &mut LogFs) -> Expectation {
+    let (a, b) = (fs.create(FileClass::Normal), fs.create(FileClass::Normal));
+    let kept = patterned(SEGMENT_BYTES / 4, 0x1A);
+    fs.append(a, &kept).expect("A");
+    fs.append(b, &patterned(SEGMENT_BYTES / 2, 0x1B))
+        .expect("B");
+    fs.sync().expect("sync");
+    Expectation {
+        live: vec![(a, kept)],
+        dead: vec![b],
+    }
+}
+
+/// [`a_beside_b`], B deleted before the checkpoint.
+fn a_beside_deleted_b(fs: &mut LogFs) -> Expectation {
+    let expect = a_beside_b(fs);
+    fs.delete(expect.dead[0]).expect("delete B");
+    expect
+}
+
+/// A garbage-file pass that must move A.
+fn clean_moving_a(fs: &mut LogFs) {
+    let report = clean_garbage_file(fs).expect("clean");
+    assert_eq!(report.live_bytes_moved, SEGMENT_BYTES as u64 / 4, "A moved");
 }
 
 const CASES: &[Case] = &[
@@ -40,6 +71,7 @@ const CASES: &[Case] = &[
             live: vec![],
             dead: vec![],
         },
+        after: |_, _| {},
     },
     Case {
         name: "log-ends-exactly-at-segment-boundary",
@@ -55,6 +87,7 @@ const CASES: &[Case] = &[
                 dead: vec![],
             }
         },
+        after: |_, _| {},
     },
     Case {
         name: "two-classes-both-on-boundaries",
@@ -72,6 +105,7 @@ const CASES: &[Case] = &[
                 dead: vec![],
             }
         },
+        after: |_, _| {},
     },
     Case {
         name: "cleaner-pass-before-the-crash",
@@ -95,6 +129,37 @@ const CASES: &[Case] = &[
                 dead: vec![doomed],
             }
         },
+        after: |_, _| {},
+    },
+    Case {
+        // The pass moves A out of the segment the checkpoint names it
+        // in: that segment must keep A's bytes until a later checkpoint.
+        name: "cleaner-pass-after-the-checkpoint",
+        prepare: a_beside_deleted_b,
+        after: |fs, _| clean_moving_a(fs),
+    },
+    Case {
+        // As above, and enough new data flushed to reuse the cleaned
+        // segment if it were free.
+        name: "cleaner-pass-after-the-checkpoint-then-two-segments",
+        prepare: a_beside_deleted_b,
+        after: |fs, _| {
+            clean_moving_a(fs);
+            let more = fs.create(FileClass::Normal);
+            fs.append(more, &patterned(2 * SEGMENT_BYTES, 0x3C))
+                .expect("the log moves on");
+            fs.sync().expect("sync");
+        },
+    },
+    Case {
+        // B is deleted after the checkpoint, and the pass forgets its
+        // bytes: the checkpoint recovered from must not name B.
+        name: "delete-and-cleaner-pass-after-the-checkpoint",
+        prepare: a_beside_b,
+        after: |fs, expect| {
+            fs.delete(expect.dead[0]).expect("delete B");
+            clean_moving_a(fs);
+        },
     },
 ];
 
@@ -103,8 +168,10 @@ fn crash_recovery_table() {
     for case in CASES {
         let mut fs = fresh();
         let expect = (case.prepare)(&mut fs);
-        let cp = write_checkpoint(&mut fs).expect(case.name);
+        write_checkpoint(&mut fs).expect(case.name);
+        (case.after)(&mut fs, &expect);
 
+        let cp = fs.last_checkpoint().expect(case.name);
         fs.amnesia(cp);
         recover(&mut fs, cp).unwrap_or_else(|e| panic!("{}: recovery failed: {e}", case.name));
 

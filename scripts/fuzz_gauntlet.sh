@@ -12,8 +12,6 @@
 #                                      #          mutations each, >10k
 #                                      #          total mutations)
 #                                      #   disk   400 hostile images
-#                                      #   crash  power cut at every
-#                                      #          boundary of a 60-op run
 #                                      #   storm  2 fresh-seed reruns
 #                                      #   control 300 QoS-loop walks
 #   scripts/fuzz_gauntlet.sh --deep    # 10x budgets, three seeds
@@ -37,7 +35,6 @@ case "$MODE" in
     for SEED in 1994 2026 31337; do
         "$BIN" --seed "$SEED" --front wire --iters 60000
         "$BIN" --seed "$SEED" --front disk --iters 4000
-        "$BIN" --seed "$SEED" --front crash --iters 150
         "$BIN" --seed "$SEED" --front storm --iters 5
         "$BIN" --seed "$SEED" --front control --iters 3000
     done
