@@ -162,7 +162,7 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
 mod tests {
     use super::*;
     use crate::checkpoint::write_checkpoint;
-    use crate::disk::DiskConfig;
+    use crate::disk::{DiskConfig, PAGE_BYTES};
     use crate::log::{FileClass, FileId};
 
     fn fs() -> LogFs {
@@ -263,8 +263,9 @@ mod tests {
         assert_eq!(report.live_bytes_moved, 32 << 20);
         // The victims keep their live halves, which the pass's own
         // checkpoint names, beside the copies, until the next checkpoint;
-        // each checkpoint is a segment of its own with its parity.
-        let checkpoint = SEGMENT_BYTES * 5 / 4;
+        // each checkpoint is a page of a segment of its own, and the
+        // page's parity.
+        let checkpoint = 2 * PAGE_BYTES;
         assert_eq!(stored(&mut f), (80 << 20) + checkpoint);
         write_checkpoint(&mut f).unwrap();
         // What is left is the survivors' 32 MiB and their parity.

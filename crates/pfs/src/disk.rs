@@ -283,9 +283,9 @@ impl SimDisk {
     /// Writes `sectors` sectors from `sector`, both whole pages, by
     /// adopting `pages` as they are: no byte is copied, and the writer's
     /// handles and the disk's share each page. Charged exactly as
-    /// [`SimDisk::write`] of the same run. `pages` is either every page
-    /// of the run or, from a writer that kept no bytes, none: then the
-    /// run reads as zeros afterwards.
+    /// [`SimDisk::write`] of the same run. `pages` is a prefix of the
+    /// run's pages — every one, some, or none from a writer that kept no
+    /// bytes: the run reads as zeros past it afterwards.
     pub(crate) fn write_pages(
         &mut self,
         sector: u64,
@@ -294,7 +294,7 @@ impl SimDisk {
     ) -> Result<Ns, DiskError> {
         self.check(sector, sectors)?;
         let (start, len) = (sector as usize * SECTOR, sectors as usize * SECTOR);
-        assert!(pages.is_empty() || pages.len() == len / PAGE_BYTES);
+        assert!(pages.len() <= len / PAGE_BYTES);
         for (k, page) in (start / PAGE_BYTES..(start + len) / PAGE_BYTES).enumerate() {
             match pages.get(k).filter(|_| self.store) {
                 Some(p) => self.data.insert(page as u64, p.clone()),
@@ -365,7 +365,10 @@ impl SimDisk {
     pub(crate) fn xor_onto(&self, sector: u64, skip: usize, acc: &mut [u8]) {
         let mut at = 0;
         for (page, off, n) in page_runs(sector as usize * SECTOR + skip, acc.len()) {
-            xor_into(&mut acc[at..at + n], &self.page(page)[off..off + n]);
+            // An absent page reads as zeros, and XOR with zeros is the identity.
+            if let Some(p) = self.data.get(&page) {
+                xor_into(&mut acc[at..at + n], &p[off..off + n]);
+            }
             at += n;
         }
     }

@@ -177,15 +177,17 @@ impl OpenSegment {
         copy.freeze().view_all()
     }
 
-    /// Empties the segment, returning its pages zero-padded to a whole
-    /// segment and frozen — none if it kept no bytes.
-    fn seal(&mut self, arena: &Arena) -> Vec<FrameBuf> {
+    /// Empties the segment, returning the pages it wrote, frozen, the
+    /// last zero-padded to a whole page — none if it kept no bytes. The
+    /// rest of the segment reads as zeros on the array.
+    fn seal(&mut self) -> Vec<FrameBuf> {
         self.len = 0;
         let Some(mut pages) = self.pages.take() else {
             return Vec::new();
         };
-        pages.resize_with(SEGMENT_BYTES / PAGE_BYTES, || arena.lease());
-        pages.iter_mut().for_each(|page| page.resize(PAGE_BYTES, 0));
+        if let Some(last) = pages.last_mut() {
+            last.resize(PAGE_BYTES, 0);
+        }
         pages.into_iter().map(FrameBufMut::freeze).collect()
     }
 }
@@ -390,7 +392,7 @@ impl LogFs {
         };
         let (seg, live) = (open.id, open.len as u32);
         // Emptied even if the write fails.
-        let pages = open.seal(self.raid.arena());
+        let pages = open.seal();
         self.io_time += self.raid.write_pages(seg, &pages)?;
         self.stats.segments_flushed += 1;
         // Garbage declared while the segment was still open reduces its

@@ -21,11 +21,12 @@
 //! the arena the members' pages come from.
 //!
 //! What the members retain follows what the log still uses. A stripe
-//! is written as pages ([`RaidArray::write_pages`]): each data member
-//! adopts its share of the pages the writer built, uncopied, and the
-//! parity member the XOR of them, page by page, in fresh leases from
-//! the array's arena, where the log builds its open segments. It is the
-//! one stripe write. An array that retains nothing is written no pages
+//! is written as pages ([`RaidArray::write_pages`]), a prefix of it that
+//! reads as zeros past its end: each data member adopts its share of
+//! the pages the writer built, uncopied, and the parity member the XOR
+//! of those present at each page number, in fresh leases from the
+//! array's arena, where the log builds its open segments. It is the one
+//! stripe write. An array that retains nothing is written no pages
 //! and computes no parity, and is charged the same. Two calls take pages
 //! away again, both free of charge (no head, no time, no counter):
 //! [`RaidArray::forget`] drops the whole data pages inside byte ranges
@@ -158,34 +159,37 @@ impl RaidArray {
         self.disks.iter().filter(|d| d.is_failed()).count()
     }
 
-    /// Writes one full stripe of pages; returns the stripe duration
-    /// (the slowest disk, as they run in parallel). `pages` are the
-    /// stripe's bytes in order, [`DATA_DISKS`] × the chunk's pages of
-    /// 64 KiB each: every data member adopts its share uncopied, and
-    /// parity is XORed page by page into fresh leases. Writing with one
-    /// failed disk is allowed (degraded mode: that chunk is simply not
-    /// stored, but remains reconstructible).
+    /// Writes one stripe of pages; returns the stripe duration (the
+    /// slowest disk, as they run in parallel). `pages` are a prefix of
+    /// the stripe's bytes in order, at most [`DATA_DISKS`] × the chunk's
+    /// pages of 64 KiB each, and the stripe reads as zeros past them:
+    /// every data member adopts its share of the prefix uncopied, and
+    /// parity is the XOR of the pages present at each page number, in
+    /// fresh leases. Every member is charged its whole chunk all the
+    /// same. Writing with one failed disk is allowed (degraded mode: that
+    /// chunk is simply not stored, but remains reconstructible).
     ///
     /// No pages at all, from a writer on a timing-only array, is a
     /// stripe of zeros; a parity disk that retains nothing is charged
     /// its chunk with no parity computed for it.
     pub fn write_pages(&mut self, stripe: u64, pages: &[FrameBuf]) -> Result<Ns, RaidError> {
         let per = self.chunk_bytes / PAGE_BYTES;
-        let whole = pages.is_empty() || pages.len() == DATA_DISKS * per;
-        assert!(whole, "whole stripes only");
+        assert!(pages.len() <= DATA_DISKS * per, "one stripe at most");
         let paged = pages.iter().all(|p| p.len() == PAGE_BYTES);
         assert!(paged, "whole pages only");
         if self.failed_count() > 1 {
             return Err(RaidError::TooManyFailures);
         }
         let sector = self.stripe_sector(stripe)?;
+        // Each member's share: its chunk's pages, as far as the prefix goes.
+        let share = |i: usize| pages.chunks(per).nth(i).unwrap_or(&[]);
         let mut parity = Vec::new();
-        if !pages.is_empty() && self.disks[DATA_DISKS].stores() {
-            parity.extend((0..per).map(|k| {
+        if self.disks[DATA_DISKS].stores() {
+            parity.extend(share(0).iter().enumerate().map(|(k, first)| {
                 let mut page = self.arena.lease();
-                page.extend_from_slice(&pages[k]);
-                for d in 1..DATA_DISKS {
-                    xor_into(&mut page, &pages[d * per + k]);
+                page.extend_from_slice(first);
+                for p in (1..DATA_DISKS).filter_map(|d| share(d).get(k)) {
+                    xor_into(&mut page, p);
                 }
                 page.freeze()
             }));
@@ -195,7 +199,7 @@ impl RaidArray {
         for (i, disk) in self.disks.iter_mut().enumerate() {
             let share = match i {
                 DATA_DISKS => &parity[..],
-                _ => pages.get(i * per..(i + 1) * per).unwrap_or(&[]),
+                _ => share(i),
             };
             match disk.write_pages(sector, n, share) {
                 Ok(t) => max_t = max_t.max(t),
@@ -362,8 +366,9 @@ mod tests {
         RaidArray::new(DiskConfig::hp_1994(), MIB)
     }
 
-    /// Writes `data`, a whole stripe, as pages leased from the array's
-    /// arena; none on an array that retains nothing, as the log does.
+    /// Writes `data`, a stripe or a prefix of one, as pages leased from
+    /// the array's arena; none on an array that retains nothing, as the
+    /// log does.
     fn write(r: &mut RaidArray, stripe: u64, data: &[u8]) -> Result<Ns, RaidError> {
         let mut pages = Vec::new();
         if r.stores() {
@@ -593,10 +598,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "whole stripes only")]
-    fn partial_stripe_rejected() {
+    fn a_prefix_reads_zeros_past_its_end() {
+        // Five pages: all of member 0's chunk and one page of member 1's.
+        // Parity holds a page per page number present, four in all.
+        let (mut r, mut whole) = (array(), array());
+        write(&mut r, 0, &pattern(1)).unwrap();
+        write(&mut whole, 0, &pattern(1)).unwrap();
+        let prefix = 5 * PAGE_BYTES;
+        let t = write(&mut r, 0, &pattern(0)[..prefix]).unwrap();
+        assert_eq!(
+            t,
+            write(&mut whole, 0, &pattern(0)).unwrap(),
+            "charged a stripe"
+        );
+        assert_eq!(r.retained_bytes(), (5 + 4) * PAGE_BYTES);
+        let mut want = pattern(0)[..prefix].to_vec();
+        want.resize(MIB, 0);
+        assert_eq!(r.read_stripe(0).unwrap().0, want, "healthy");
+        for lost in [0, 1, 2] {
+            r.disk_mut(lost).fail();
+            assert_eq!(r.read_stripe(0).unwrap().0, want, "member {lost} lost");
+            r.disk_mut(lost).replace();
+            r.rebuild_disk(lost, 1).unwrap();
+            assert_eq!(r.read_stripe(0).unwrap().0, want, "member {lost} rebuilt");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one stripe at most")]
+    fn more_than_a_stripe_rejected() {
         let mut r = array();
-        let _ = write(&mut r, 0, &vec![0u8; MIB - PAGE_BYTES]);
+        let _ = write(&mut r, 0, &vec![0u8; MIB + PAGE_BYTES]);
     }
 
     #[test]

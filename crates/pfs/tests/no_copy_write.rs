@@ -1,6 +1,7 @@
 //! The storage write path copies each byte once: `append` puts it in a
 //! page leased from the array's arena, and at flush the five disks
-//! adopt those pages and four parity pages XORed from them. No buffer
+//! adopt those pages and the parity pages XORed from them, one per page
+//! number the written pages reach. A flush pads only its last page. No buffer
 //! larger than a page is made on the way — no segment buffer, no parity
 //! scratch — and an array that retains nothing leases nothing at all.
 //! Measured with a counting global allocator, as `no_alloc_read.rs`
@@ -38,11 +39,13 @@ unsafe impl GlobalAlloc for LargestAlloc {
 #[global_allocator]
 static ALLOCATOR: LargestAlloc = LargestAlloc;
 
-/// Leases a segment takes: its sixteen data pages and four of parity.
-const LEASES_PER_SEGMENT: u64 = (SEGMENT_BYTES / PAGE + SEGMENT_BYTES / PAGE / 4) as u64;
 const SEGMENTS: usize = 8;
-/// Appended before each sync: over half a segment, so every flush pads.
+/// Appended before each sync: over half a segment, so every flush pads
+/// its last page and writes a prefix of the stripe.
 const PER_SYNC: usize = SEGMENT_BYTES / 2 + 12_345;
+/// Leases a segment takes: the nine pages it wrote, and parity for each
+/// of the four page numbers of a member's chunk that they reach.
+const LEASES_PER_SEGMENT: u64 = (PER_SYNC.div_ceil(PAGE) + SEGMENT_BYTES / PAGE / 4) as u64;
 /// Appends cut pages anywhere, not at their boundaries.
 const PIECE: usize = 40_000;
 

@@ -83,7 +83,7 @@ mod sites {
     use super::symbols::{crate_of, stack_top, Symbols};
 
     /// Allocations this large or larger are traced to their callers.
-    pub const SITE_BYTES: usize = 32 << 10;
+    pub const SITE_BYTES: usize = 1 << 10;
     /// Return addresses kept per allocation: enough to climb out of the
     /// allocator, `RawVec` and the arena into the code that asked.
     const FRAMES: usize = 24;

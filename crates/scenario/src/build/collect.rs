@@ -11,7 +11,7 @@ use pegasus_nemesis::qosmgr::QosManager;
 use pegasus_pfs::cm::CmScheduler;
 use pegasus_pfs::log::LogFs;
 use pegasus_pfs::tier::TieredCache;
-use pegasus_sim::stats::Histogram;
+use pegasus_sim::stats::{summarize_union, Histogram};
 use pegasus_sim::time::{MS, SEC};
 
 use super::{vod_periods, Scenario, VodServer, VOD_PERIOD};
@@ -22,23 +22,23 @@ use crate::report::{
 use crate::spec::{FaultSpec, ScenarioSpec};
 
 /// Everything one shard measured, in `Send` form — plain counters,
-/// histograms and report fragments, no `Rc`. [`assemble`] folds a
-/// vector of these into the final [`ScenarioReport`]; a one-shard run
-/// folds a vector of one.
+/// the sessions' own histograms and report fragments, no `Rc`.
+/// [`assemble`] folds a vector of these into the final
+/// [`ScenarioReport`]; a one-shard run folds a vector of one.
 pub struct ShardOutcome {
     /// The run loop's own counters; [`Scenario::collect`] fills in the
     /// shard index and event count.
     slice: ShardSlice,
     tiles_blitted: u64,
-    video_lat: Histogram,
-    video_jit: Histogram,
+    /// Each session's latency samples, moved out of the device that
+    /// recorded them, paired with whether they feed the jitter view:
+    /// [`summarize_union`]'s parts.
+    video: Vec<(Histogram, bool)>,
     audio_underruns: u64,
-    audio_lat: Histogram,
-    audio_jit: Histogram,
+    audio: Vec<(Histogram, bool)>,
     vod_presented: u64,
     playback_late: u64,
-    vod_lat: Histogram,
-    vod_jit: Histogram,
+    vod: Vec<(Histogram, bool)>,
     /// `delivered` is left zero here; [`assemble`] computes it from the
     /// summed totals.
     cells: CellReport,
@@ -81,43 +81,33 @@ impl Scenario {
         // counts, and subtracting one shared floor would read the
         // constant path-delay differences as jitter.
         let mut tiles_blitted = 0u64;
-        let mut video_lat = Histogram::new();
-        let mut video_jit = Histogram::new();
-        for d in &self.displays {
-            let d = d.borrow();
+        let mut video = Vec::new();
+        let tv = self.tv_displays.iter().map(|d| (d, false));
+        for (d, jitter) in self.displays.iter().map(|d| (d, true)).chain(tv) {
+            let mut d = d.borrow_mut();
             tiles_blitted += d.stats.tiles_blitted;
-            video_lat.merge(&d.stats.latency);
-            video_jit.merge(&d.stats.latency.jitter_histogram());
-        }
-        for d in &self.tv_displays {
-            let d = d.borrow();
-            tiles_blitted += d.stats.tiles_blitted;
-            video_lat.merge(&d.stats.latency);
+            video.push((std::mem::take(&mut d.stats.latency), jitter));
         }
 
         // Audio class: DAC play-out.
         let mut audio_underruns = 0u64;
-        let mut audio_lat = Histogram::new();
-        let mut audio_jit = Histogram::new();
+        let mut audio = Vec::new();
         for s in &self.audio_sinks {
-            let s = s.borrow();
+            let mut s = s.borrow_mut();
             audio_underruns += s.stats.underruns;
-            audio_lat.merge(&s.stats.playout_latency);
-            audio_jit.merge(&s.stats.playout_latency.jitter_histogram());
+            audio.push((std::mem::take(&mut s.stats.playout_latency), true));
         }
 
         // VoD class: synchronized presentations.
         let mut vod_presented = 0u64;
         let mut playback_late = 0u64;
-        let mut vod_lat = Histogram::new();
-        let mut vod_jit = Histogram::new();
+        let mut vod = Vec::new();
         for (ctl, stream, _sink) in &self.vod_clients {
-            let ctl = ctl.borrow();
-            let st = ctl.stats(*stream);
-            vod_presented += st.presented;
+            let mut ctl = ctl.borrow_mut();
             playback_late += ctl.late_total();
-            vod_lat.merge(&st.latency);
-            vod_jit.merge(&st.latency.jitter_histogram());
+            let st = ctl.stats_mut(*stream);
+            vod_presented += st.presented;
+            vod.push((std::mem::take(&mut st.latency), true));
         }
 
         // Cell accounting and queue depths. Only owned switches carried
@@ -206,15 +196,12 @@ impl Scenario {
                 ..slice
             },
             tiles_blitted,
-            video_lat,
-            video_jit,
+            video,
             audio_underruns,
-            audio_lat,
-            audio_jit,
+            audio,
             vod_presented,
             playback_late,
-            vod_lat,
-            vod_jit,
+            vod,
             cells,
             peak_queue_cells,
             vcs_rerouted,
@@ -405,10 +392,11 @@ impl Scenario {
 
 /// Merges per-shard outcomes into the final [`ScenarioReport`].
 ///
-/// Counters sum, peaks take the max, and histograms merge in shard
-/// order (a one-shard run merges a vector of one). Summaries are
-/// insensitive to that merge order — the percentile pass sorts the
-/// samples and the mean is computed over the sorted data — so the
+/// Counters sum, peaks take the max, and each class's sessions'
+/// histograms are gathered, moved, into one list of parts that
+/// [`summarize_union`] reads in place. Its summary depends on no order
+/// of parts or of samples — every percentile is an exact nearest rank
+/// over the union and the mean an exact integer sum over `n` — so the
 /// canonical JSON is identical at any shard count.
 pub fn assemble(spec: &ScenarioSpec, mut outcomes: Vec<ShardOutcome>) -> ScenarioReport {
     outcomes.sort_by_key(|o| o.slice.shard);
@@ -433,29 +421,21 @@ pub fn assemble(spec: &ScenarioSpec, mut outcomes: Vec<ShardOutcome>) -> Scenari
         ..ScenarioReport::default()
     };
 
-    let mut video_lat = Histogram::new();
-    let mut video_jit = Histogram::new();
-    let mut audio_lat = Histogram::new();
-    let mut audio_jit = Histogram::new();
-    let mut vod_lat = Histogram::new();
-    let mut vod_jit = Histogram::new();
+    let (mut video, mut audio, mut vod) = (Vec::new(), Vec::new(), Vec::new());
     let mut cells = CellReport::default();
     let mut bp_rep = BackpressureReport {
         enabled: spec.backpressure.enabled,
         ..BackpressureReport::default()
     };
-    for o in &outcomes {
+    for o in &mut outcomes {
         report.events_executed += o.slice.events;
         report.tiles_blitted += o.tiles_blitted;
-        video_lat.merge(&o.video_lat);
-        video_jit.merge(&o.video_jit);
+        video.append(&mut o.video);
         report.audio_underruns += o.audio_underruns;
-        audio_lat.merge(&o.audio_lat);
-        audio_jit.merge(&o.audio_jit);
+        audio.append(&mut o.audio);
         report.vod_presented += o.vod_presented;
         report.playback_late += o.playback_late;
-        vod_lat.merge(&o.vod_lat);
-        vod_jit.merge(&o.vod_jit);
+        vod.append(&mut o.vod);
         cells.sent += o.cells.sent;
         cells.dropped_overflow += o.cells.dropped_overflow;
         cells.dropped_unroutable += o.cells.dropped_unroutable;
@@ -476,18 +456,18 @@ pub fn assemble(spec: &ScenarioSpec, mut outcomes: Vec<ShardOutcome>) -> Scenari
     }
     report.video = ClassReport {
         sessions: (counts.0 + counts.2) as u64,
-        latency: video_lat.summarize(),
-        jitter: video_jit.summarize(),
+        latency: summarize_union(&mut video, false),
+        jitter: summarize_union(&mut video, true),
     };
     report.audio = ClassReport {
         sessions: counts.0 as u64,
-        latency: audio_lat.summarize(),
-        jitter: audio_jit.summarize(),
+        latency: summarize_union(&mut audio, false),
+        jitter: summarize_union(&mut audio, true),
     };
     report.vod = ClassReport {
         sessions: counts.1 as u64,
-        latency: vod_lat.summarize(),
-        jitter: vod_jit.summarize(),
+        latency: summarize_union(&mut vod, false),
+        jitter: summarize_union(&mut vod, true),
     };
     cells.delivered = cells
         .sent

@@ -1,10 +1,14 @@
 //! Measurement primitives shared by every experiment: [`Histogram`],
-//! a sample distribution with percentiles (latency, jitter, skew).
+//! a sample distribution with percentiles (latency, jitter, skew), and
+//! [`summarize_union`], the summary of many histograms' samples taken
+//! where they lie.
 
 /// A sample histogram with exact storage of every sample.
 ///
 /// Experiments collect at most a few million samples, so exact storage is
-/// affordable and keeps percentile computation simple and precise.
+/// affordable and keeps percentile computation simple and precise. A
+/// class of sessions is summarised from its sessions' own histograms by
+/// [`summarize_union`]; no histogram is ever copied into another.
 #[derive(Debug, Default, Clone)]
 pub struct Histogram {
     samples: Vec<u64>,
@@ -58,13 +62,17 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
+        let rank = nearest_rank(p, self.samples.len() as u64);
+        Some(self.sorted()[rank as usize - 1])
+    }
+
+    /// The samples in ascending order, sorted in place on first need.
+    fn sorted(&mut self) -> &[u64] {
         if !self.sorted {
             self.samples.sort_unstable();
             self.sorted = true;
         }
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        let idx = rank.clamp(1, self.samples.len()) - 1;
-        Some(self.samples[idx])
+        &self.samples
     }
 
     /// Median (50th percentile).
@@ -75,30 +83,6 @@ impl Histogram {
     /// Peak-to-peak jitter: `max - min`.
     pub fn jitter(&self) -> Option<u64> {
         Some(self.max()? - self.min()?)
-    }
-
-    /// Absorbs every sample of `other` into `self`.
-    ///
-    /// Scenario reports merge per-session histograms into per-class
-    /// distributions this way; the merge is order-insensitive as far as
-    /// any percentile or moment is concerned.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
-    /// The jitter view of the distribution: every sample's excess over
-    /// the smallest sample.
-    ///
-    /// For a latency histogram of one stream, the minimum is the fixed
-    /// transport delay and the excess is the queueing-induced variation,
-    /// so percentiles of this view are per-stream jitter percentiles.
-    pub fn jitter_histogram(&self) -> Histogram {
-        let base = self.min().unwrap_or(0);
-        Histogram {
-            samples: self.samples.iter().map(|&v| v - base).collect(),
-            sorted: self.sorted,
-        }
     }
 
     /// Captures the distribution as a plain [`Summary`] (all zeros when
@@ -135,10 +119,89 @@ impl Histogram {
     }
 }
 
+/// The 1-based nearest rank of percentile `p` (0.0–100.0) among `n > 0`
+/// samples, clamped to `1..=n`.
+fn nearest_rank(p: f64, n: u64) -> u64 {
+    (((p / 100.0) * n as f64).ceil() as u64).clamp(1, n)
+}
+
+/// Summarises the union of `parts`' samples where they lie, with no
+/// merged copy: the [`Summary`] a histogram holding all of them would
+/// give.
+///
+/// Each part is paired with whether it feeds the jitter view. With
+/// `jitter` false every part is read as recorded; with it true only the
+/// flagged parts are read, each sample as its excess over its own
+/// part's smallest — for one stream's latency, the fixed transport
+/// delay — so streams with different path delays never read that
+/// difference as jitter.
+///
+/// Each part is sorted in place. Every percentile is found by a binary
+/// search over values, counting the samples at or below one in each
+/// part, so the nearest rank is exact. `mean` is the exact integer sum
+/// over `n`: while the sum is below 2^53 every partial sum of a
+/// histogram's own `f64` loop is exact too, so the two agree bit for
+/// bit.
+pub fn summarize_union(parts: &mut [(Histogram, bool)], jitter: bool) -> Summary {
+    // Each part read: its samples in order and the floor its view takes off.
+    let views: Vec<(&[u64], u64)> = parts
+        .iter_mut()
+        .filter(|(h, feeds)| (*feeds || !jitter) && !h.is_empty())
+        .map(|(h, _)| {
+            let s = h.sorted();
+            (s, if jitter { s[0] } else { 0 })
+        })
+        .collect();
+    let n: u64 = views.iter().map(|(s, _)| s.len() as u64).sum();
+    if n == 0 {
+        return Summary::default();
+    }
+    let min = views.iter().map(|&(s, f)| s[0] - f).min().unwrap_or(0);
+    let max = views
+        .iter()
+        .map(|&(s, f)| s[s.len() - 1] - f)
+        .max()
+        .unwrap_or(0);
+    let sum: u128 = views
+        .iter()
+        .flat_map(|&(s, f)| s.iter().map(move |&v| u128::from(v - f)))
+        .sum();
+    let at_or_below = |x: u64| -> u64 {
+        views
+            .iter()
+            .map(|&(s, f)| s.partition_point(|&v| v - f <= x) as u64)
+            .sum()
+    };
+    // The smallest value with at least the rank's count at or below it.
+    let percentile = |p: f64| {
+        let rank = nearest_rank(p, n);
+        let (mut lo, mut hi) = (min, max);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if at_or_below(mid) >= rank {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    };
+    Summary {
+        n,
+        min,
+        p50: percentile(50.0),
+        p90: percentile(90.0),
+        p99: percentile(99.0),
+        max,
+        mean: sum as f64 / n as f64,
+    }
+}
+
 /// A value-typed snapshot of a [`Histogram`]: the fields every report
 /// table needs, detached from the sample storage.
 ///
-/// `Histogram::summarize` produces one; scenario reports serialize them.
+/// [`Histogram::summarize`] produces one, and [`summarize_union`] one
+/// for the union of many; scenario reports serialize them.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Summary {
     /// Sample count.
@@ -210,30 +273,27 @@ mod tests {
 
     #[test]
     fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
+        let mut parts = [(Histogram::new(), true), (Histogram::new(), true)];
         for v in [1u64, 3, 5] {
-            a.record(v);
+            parts[0].0.record(v);
         }
         for v in [2u64, 4] {
-            b.record(v);
+            parts[1].0.record(v);
         }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.median(), Some(3));
-        assert_eq!(a.max(), Some(5));
+        let s = summarize_union(&mut parts, false);
+        assert_eq!((s.n, s.p50, s.max), (5, 3, 5));
     }
 
     #[test]
     fn jitter_histogram_subtracts_the_floor() {
-        let mut h = Histogram::new();
+        // Each part's floor is its own: 100 and 1000 both read as 0.
+        let mut parts = [(Histogram::new(), true), (Histogram::new(), true)];
         for v in [100u64, 105, 130] {
-            h.record(v);
+            parts[0].0.record(v);
         }
-        let mut j = h.jitter_histogram();
-        assert_eq!(j.min(), Some(0));
-        assert_eq!(j.max(), Some(30));
-        assert_eq!(j.percentile(50.0), Some(5));
+        parts[1].0.record(1000);
+        let s = summarize_union(&mut parts, true);
+        assert_eq!((s.min, s.p50, s.max), (0, 0, 30));
     }
 
     #[test]

@@ -101,6 +101,12 @@ impl PlaybackControl {
         &self.streams[s.0].1
     }
 
+    /// Statistics of a stream, to take its samples away at the end of a
+    /// run.
+    pub fn stats_mut(&mut self, s: StreamId) -> &mut StreamStats {
+        &mut self.streams[s.0].1
+    }
+
     /// Handles a data-arrival event for an item captured at `capture_ts`
     /// on `stream`, scheduling (or performing) its presentation.
     pub fn on_arrival(

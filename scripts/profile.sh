@@ -39,7 +39,7 @@
 # seed) under a counting allocator and prints the peak of live heap
 # bytes and, by power-of-two size class, how many allocations and bytes
 # were live at that peak: one size holding most of the bytes is one
-# kind of buffer kept too long or too often. Then it names what holds them: every allocation of 32 KiB or
+# kind of buffer kept too long or too often. Then it names what holds them: every allocation of 1 KiB or
 # more live at the peak, grouped by the first three pegasus_* frames
 # that asked for it (a frame-pointer walk at each such allocation).
 # Exact and repeatable at a seed.
