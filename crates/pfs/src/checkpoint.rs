@@ -1,23 +1,25 @@
 //! Checkpointing and recovery of the core layer's metadata.
 //!
-//! A log-structured file system's pnode map and segment table live in
-//! memory and must be reconstructible after a crash. Following Sprite
-//! LFS (§5 cites it as the model), the core periodically serializes
-//! them into the log itself as a *checkpoint*; recovery reads the most
-//! recent checkpoint back. (Roll-forward of post-checkpoint segments is
-//! bounded by the checkpoint interval; the write-behind layer's client
-//! copies cover the tail, per §5's reliability argument.)
+//! A log-structured file system's pnode map lives in memory and must be
+//! reconstructible after a crash. Following Sprite LFS (§5 cites it as
+//! the model), the core periodically serializes it into the log itself
+//! as a *checkpoint*; recovery reads the most recent checkpoint back.
+//! The map is the one record: which segments hold live bytes, which are
+//! free, and how many bytes each holds are all derived from it, so the
+//! checkpoint stores nothing else. (Roll-forward of post-checkpoint
+//! segments is bounded by the checkpoint interval; the write-behind
+//! layer's client copies cover the tail, per §5's reliability argument.)
 //!
 //! The serialized form is a small, versioned binary format — no external
 //! serialization crates, consistent with the rest of the codec code in
 //! this workspace.
 
-use crate::log::{Extent, FileClass, FileId, FsError, LogFs, Pnode, SegmentInfo, SEGMENT_BYTES};
+use crate::log::{Extent, FileClass, FileId, FsError, LogFs, Pnode, SEGMENT_BYTES};
 
 /// Magic number guarding checkpoint blobs.
 const MAGIC: u32 = 0x5047_4350; // "PGCP"
-/// Format version.
-const VERSION: u16 = 1;
+/// Format version: 2 since the segment table left the blob.
+const VERSION: u16 = 2;
 
 /// Errors from checkpoint encode/decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,14 +123,12 @@ fn check_extents(file: FileId, size: u64, extents: &[Extent]) -> Result<(), Chec
     Ok(())
 }
 
-/// A decoded checkpoint: everything needed to rebuild the in-memory
-/// state of the core layer.
+/// A decoded checkpoint: the pnode map and the pnode-number allocator,
+/// from which recovery derives the rest of the core layer's state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// All live pnodes.
     pub pnodes: Vec<Pnode>,
-    /// Segment bookkeeping: (segment, info).
-    pub segments: Vec<(u64, SegmentInfo)>,
     /// The pnode-number allocator's next value.
     pub next_pnode: u64,
 }
@@ -138,12 +138,8 @@ impl Checkpoint {
     pub fn capture(fs: &LogFs) -> Checkpoint {
         let mut pnodes: Vec<Pnode> = fs.pnodes_iter().cloned().collect();
         pnodes.sort_by_key(|p| p.id);
-        let mut segments: Vec<(u64, SegmentInfo)> =
-            fs.segment_info().iter().map(|(&s, &i)| (s, i)).collect();
-        segments.sort_by_key(|&(s, _)| s);
         Checkpoint {
             pnodes,
-            segments,
             next_pnode: fs.next_pnode_value(),
         }
     }
@@ -166,12 +162,6 @@ impl Checkpoint {
                 v.extend_from_slice(&e.seg_offset.to_be_bytes());
                 v.extend_from_slice(&e.len.to_be_bytes());
             }
-        }
-        v.extend_from_slice(&(self.segments.len() as u32).to_be_bytes());
-        for (seg, info) in &self.segments {
-            v.extend_from_slice(&seg.to_be_bytes());
-            v.extend_from_slice(&info.live_bytes.to_be_bytes());
-            v.push(class_byte(info.class));
         }
         v
     }
@@ -211,19 +201,7 @@ impl Checkpoint {
                 extents,
             });
         }
-        let ns = r.u32()? as usize;
-        let mut segments = Vec::with_capacity(ns.min(1 << 20));
-        for _ in 0..ns {
-            let seg = r.u64()?;
-            let live_bytes = r.u32()?;
-            let class = byte_class(r.take(1)?[0])?;
-            segments.push((seg, SegmentInfo { live_bytes, class }));
-        }
-        Ok(Checkpoint {
-            pnodes,
-            segments,
-            next_pnode,
-        })
+        Ok(Checkpoint { pnodes, next_pnode })
     }
 }
 
@@ -235,8 +213,11 @@ pub fn write_checkpoint(fs: &mut LogFs) -> Result<FileId, CheckpointError> {
     Ok(fs.checkpoint()?)
 }
 
-/// Recovers the in-memory state from the checkpoint stored in `file`,
-/// replacing `fs`'s pnode and segment tables.
+/// Recovers the in-memory state from the checkpoint stored in `file`:
+/// its pnodes join `fs`'s map, and the segments are derived from the map
+/// (see [`LogFs::restore_from_checkpoint`]). Every segment a recovered
+/// pnode names, the checkpoint file's own included, is flushed and
+/// cleanable again; every other one is free.
 pub fn recover(fs: &mut LogFs, file: FileId) -> Result<(), CheckpointError> {
     let size = fs.pnode(file).ok_or(FsError::NoSuchFile)?.size;
     let blob = fs.read(file, 0, size as usize)?;
@@ -280,15 +261,18 @@ mod tests {
         );
         let mut blob = Checkpoint {
             pnodes: vec![],
-            segments: vec![],
             next_pnode: 1,
         }
         .encode();
-        blob[5] = 99; // low byte of the big-endian version field
-        assert_eq!(
-            Checkpoint::decode(&blob).unwrap_err(),
-            CheckpointError::BadVersion(99)
-        );
+        // The low byte of the big-endian version field: an unknown
+        // version, and 1, whose blobs carried a segment table.
+        for version in [99, 1] {
+            blob[5] = version;
+            assert_eq!(
+                Checkpoint::decode(&blob).unwrap_err(),
+                CheckpointError::BadVersion(version.into())
+            );
+        }
     }
 
     #[test]
@@ -321,7 +305,6 @@ mod tests {
                     size,
                     extents,
                 }],
-                segments: vec![],
                 next_pnode: 8,
             };
             let file = FileId(7);
@@ -348,7 +331,6 @@ mod tests {
                     extents: vec![],
                 },
             ],
-            segments: vec![],
             next_pnode: 3,
         };
         assert_eq!(Checkpoint::decode(&cp.encode()), Ok(cp));
@@ -388,14 +370,22 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_includes_segment_accounting() {
+    fn recovery_derives_the_segments_from_the_pnode_map() {
+        // A file and the checkpoint naming it share one segment; a file
+        // the checkpoint never saw fills two more. Recovery keeps the
+        // first, and frees the other two and drops their stripes.
         let mut fs = LogFs::new(DiskConfig::hp_1994());
         let a = fs.create(FileClass::Normal);
-        fs.append(a, &data(SEGMENT_BYTES, 1)).unwrap();
-        fs.sync().unwrap();
-        let cp = Checkpoint::capture(&fs);
-        assert!(!cp.segments.is_empty());
-        let live: u64 = cp.segments.iter().map(|(_, i)| i.live_bytes as u64).sum();
-        assert_eq!(live, SEGMENT_BYTES as u64);
+        fs.append(a, &data(100_000, 1)).unwrap();
+        let cp_file = write_checkpoint(&mut fs).unwrap();
+        let retained = fs.raid_mut().retained_bytes();
+        let b = fs.create(FileClass::Continuous);
+        fs.append(b, &data(2 * SEGMENT_BYTES, 2)).unwrap();
+        assert_eq!(fs.used_segments(), 3);
+        fs.amnesia(cp_file);
+        recover(&mut fs, cp_file).unwrap();
+        assert_eq!(fs.used_segments(), 1);
+        assert_eq!(fs.raid_mut().retained_bytes(), retained);
+        assert_eq!(fs.read(a, 0, 100_000).unwrap(), data(100_000, 1));
     }
 }

@@ -46,34 +46,31 @@ pub struct CleanReport {
     pub io_time: Ns,
 }
 
-/// Begins a pass over `victims`: a checkpoint first, so the durable
-/// image names no byte the pass forgets, then every victim forgets the
-/// bytes no file uses. A crash at any point of the pass recovers what
-/// it began from, since the segments it releases keep their stripes
-/// until the next checkpoint.
-fn begin_pass(fs: &mut LogFs, victims: &[u64]) -> Result<(), FsError> {
-    fs.checkpoint()?;
-    fs.forget_dead_bytes(victims);
-    Ok(())
-}
-
-/// Empties one victim: every file with an extent in `seg` is rewritten
-/// whole at the log head (when `live` says any byte there is still
-/// used), and the segment is released.
-fn clean_segment(
+/// Cleans `victims`, each with its live bytes as the pass's sum found
+/// them: first every victim forgets the bytes no file uses, then each is
+/// emptied — every file with an extent in it rewritten whole at the log
+/// head (when any byte there was live) — and released. The caller has
+/// written the pass's checkpoint, so the durable image names no byte the
+/// pass forgets, and a crash at any point recovers what the pass began
+/// from: the segments it releases keep their stripes until the next
+/// checkpoint.
+fn clean_victims(
     fs: &mut LogFs,
-    seg: u64,
-    live: u32,
+    victims: &[(u64, u64)],
     report: &mut CleanReport,
 ) -> Result<(), FsError> {
-    if live > 0 {
-        for file in fs.files_in_segment(seg) {
-            report.live_bytes_moved += fs.relocate_file_from_segment(file, seg)?;
+    let segs: Vec<u64> = victims.iter().map(|&(seg, _)| seg).collect();
+    fs.forget_dead_bytes(&segs);
+    for &(seg, live) in victims {
+        if live > 0 {
+            for file in fs.files_in_segment(seg) {
+                report.live_bytes_moved += fs.relocate_file_from_segment(file, seg)?;
+            }
         }
+        fs.release_segment(seg);
+        report.segments_cleaned += 1;
+        report.bytes_freed += SEGMENT_BYTES as u64;
     }
-    fs.release_segment(seg);
-    report.segments_cleaned += 1;
-    report.bytes_freed += SEGMENT_BYTES as u64;
     Ok(())
 }
 
@@ -83,11 +80,13 @@ fn clean_segment(
 ///
 /// Cost structure: one sequential read of the consumed prefix of the
 /// garbage file, plus a whole-file rewrite of every file that still has
-/// bytes in a segment that contained garbage. Nothing scales with the
-/// size of the file system, but for the pass's own checkpoint, whose
-/// segment table grows with it. Before anything is copied, the victims'
-/// bytes that no file uses are forgotten; each victim's stripe is
-/// dropped at the checkpoint after the pass.
+/// bytes in a segment that contained garbage. No disk I/O scales with
+/// the size of the file system but the pass's own checkpoint, the pnode
+/// map. The pass writes that checkpoint first, which flushes the open
+/// segments, so garbage recorded in them is consumed too; then it sums
+/// each flushed segment's live bytes from the pnode map. Before anything
+/// is copied, the victims' bytes that no file uses are forgotten; each
+/// victim's stripe is dropped at the checkpoint after the pass.
 pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
     let io_before = fs.io_time;
     let mut report = CleanReport::default();
@@ -101,22 +100,17 @@ pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
     // One sequential read of the prefix.
     fs.charge_metadata_io(mark as u64 * GARBAGE_ENTRY_BYTES, true);
 
-    // Sort the entries by segment number and group.
+    fs.checkpoint()?;
+    // Sort the entries by segment number and group; a segment already
+    // freed by an earlier pass, or still open, is skipped.
+    let live = fs.live_bytes();
     let per_segment: BTreeSet<u64> = fs.garbage[..mark].iter().map(|e| e.segment).collect();
-    let victims: Vec<u64> = per_segment
-        .iter()
-        .copied()
-        .filter(|seg| fs.segment_info().contains_key(seg))
+    let victims: Vec<(u64, u64)> = per_segment
+        .into_iter()
+        .filter_map(|seg| Some((seg, *live.get(&seg)?)))
         .collect();
-    begin_pass(fs, &victims)?;
-
     // Single pass over the affected segments.
-    for seg in per_segment {
-        let Some(info) = fs.segment_info().get(&seg).copied() else {
-            continue; // already freed by an earlier pass, or still open
-        };
-        clean_segment(fs, seg, info.live_bytes, &mut report)?;
-    }
+    clean_victims(fs, &victims, &mut report)?;
 
     // Truncate the consumed prefix; garbage added during the pass stays.
     fs.garbage.drain(..mark);
@@ -132,28 +126,20 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
     let mut report = CleanReport::default();
 
     // The O(file-system size) part: one summary read per segment.
-    let segs: Vec<(u64, u32)> = fs
-        .segment_info()
-        .iter()
-        .map(|(&s, info)| (s, info.live_bytes))
-        .collect();
-    report.summaries_scanned = segs.len();
-    for _ in &segs {
+    let mut victims: Vec<(u64, u64)> = fs.live_bytes().into_iter().collect();
+    report.summaries_scanned = victims.len();
+    for _ in &victims {
         fs.charge_metadata_io(SUMMARY_BYTES, true);
     }
 
     // Victims: lowest utilization first.
-    let mut victims = segs;
     victims.sort_unstable_by_key(|&(s, live)| (live, s));
     victims.truncate(segments_wanted);
-    let segs: Vec<u64> = victims.iter().map(|&(seg, _)| seg).collect();
-    begin_pass(fs, &segs)?;
-    for (seg, live) in victims {
-        clean_segment(fs, seg, live, &mut report)?;
-    }
+    fs.checkpoint()?;
+    clean_victims(fs, &victims, &mut report)?;
     // The Sprite cleaner does not consume the garbage file: entries
     // naming the segments it freed stay, and a later garbage-file pass
-    // skips each through the segment table unless a flush has reused it.
+    // skips each, as no longer flushed, unless a flush has reused it.
     report.io_time = fs.io_time - io_before;
     Ok(report)
 }
@@ -184,7 +170,7 @@ mod tests {
         let report = clean_garbage_file(&mut f).unwrap();
         assert_eq!(report.segments_cleaned, 1);
         assert_eq!(report.live_bytes_moved, 0, "dead segment needs no copy");
-        assert!(!f.segment_info().contains_key(&seg));
+        assert!(!f.live_bytes().contains_key(&seg));
         assert!(f.garbage.is_empty());
     }
 
@@ -255,7 +241,7 @@ mod tests {
         // The rule a pass applies before it copies: each victim keeps
         // what an extent covers, the survivors' halves. Parity keeps only
         // the page rows a survivor lies in; a dead row folds to zeros.
-        let victims: Vec<u64> = f.segment_info().keys().copied().collect();
+        let victims: Vec<u64> = f.live_bytes().into_keys().collect();
         f.forget_dead_bytes(&victims);
         assert_eq!(stored(&mut f), 40 << 20);
         let report = clean_garbage_file(&mut f).unwrap();
@@ -385,7 +371,7 @@ mod tests {
         let report = clean_sprite(&mut f, 1).unwrap();
         assert_eq!(report.segments_cleaned, 1);
         assert_eq!(report.live_bytes_moved, 0, "picked the dead one");
-        assert!(!f.segment_info().contains_key(&seg_dead));
+        assert!(!f.live_bytes().contains_key(&seg_dead));
     }
 
     #[test]

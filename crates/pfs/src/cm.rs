@@ -235,11 +235,6 @@ impl CmScheduler {
         self.max_streams = max_streams;
     }
 
-    /// The concurrent-stream cap.
-    pub fn max_streams(&self) -> usize {
-        self.max_streams
-    }
-
     /// Total rate currently reserved.
     pub fn reserved(&self) -> u64 {
         self.streams.iter().map(|s| s.rate).sum()
@@ -463,7 +458,6 @@ mod tests {
             sched.admit(f, 1_000, 0).unwrap_err(),
             CmError::NoSlots { capacity: 2 }
         );
-        assert_eq!(sched.max_streams(), 2);
     }
 
     #[test]

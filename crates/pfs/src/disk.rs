@@ -420,6 +420,16 @@ impl SimDisk {
         }
     }
 
+    /// Takes `bytes` as page `page`, free of charge, if the disk retains
+    /// what is written: a rebuilt member adopts the pages the array
+    /// computed for it. A page of zeros is not kept, since it reads the
+    /// same.
+    pub(crate) fn adopt(&mut self, page: u64, bytes: FrameBuf) {
+        if self.store && bytes.iter().any(|&b| b != 0) {
+            self.data.insert(page, bytes);
+        }
+    }
+
     /// Whether page `page` is retained.
     pub(crate) fn holds(&self, page: u64) -> bool {
         self.data.contains_key(&page)

@@ -12,7 +12,7 @@
 //! Every overwrite or delete appends a hole descriptor to the *garbage
 //! file*; the cleaner in [`crate::cleaner`] consumes it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::disk::{
     page_runs, Discard, DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, PAGE_BYTES, TRANSFER_RATE,
@@ -73,15 +73,6 @@ pub struct GarbageEntry {
     pub seg_offset: u32,
     /// Length of the hole.
     pub len: u32,
-}
-
-/// Bookkeeping per on-disk segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentInfo {
-    /// Bytes still referenced by some pnode.
-    pub live_bytes: u32,
-    /// Class of data collected in this segment.
-    pub class: FileClass,
 }
 
 /// Errors from the core layer.
@@ -208,21 +199,22 @@ pub struct FsStats {
 /// The log-structured file system core.
 pub struct LogFs {
     raid: RaidArray,
-    total_segments: u64,
     next_new_segment: u64,
     free: Vec<u64>,
     /// Segments cleaned since the last checkpoint, which may still name
     /// them: each keeps its stripe, and none is reused, until the next.
     pending: Vec<u64>,
-    /// The file holding the last checkpoint written: the superblock.
-    last_checkpoint: Option<FileId>,
+    /// The superblock: the pnode of the last checkpoint written, as it
+    /// was written. A cleaning pass may move the file since; the old
+    /// segment keeps its stripe until the next checkpoint.
+    superblock: Option<Pnode>,
     open_normal: OpenSegment,
     open_cm: OpenSegment,
     pnodes: HashMap<FileId, Pnode>,
     next_pnode: u64,
-    segments: HashMap<u64, SegmentInfo>,
-    /// Garbage declared against segments that have not flushed yet.
-    open_deficit: HashMap<u64, u32>,
+    /// Flushed segments not yet released: the ones a cleaner may take.
+    /// Which of their bytes are live, the pnode map says.
+    sealed: BTreeSet<u64>,
     /// The garbage file: appended on every overwrite/delete.
     pub garbage: Vec<GarbageEntry>,
     /// Virtual time spent on array I/O.
@@ -240,15 +232,12 @@ pub struct LogFs {
 impl LogFs {
     /// Creates a file system over a fresh 4+1 array of `cfg` disks.
     pub fn new(cfg: DiskConfig) -> Self {
-        let raid = RaidArray::new(cfg, SEGMENT_BYTES);
-        let total_segments = raid.stripes();
         LogFs {
-            raid,
-            total_segments,
+            raid: RaidArray::new(cfg, SEGMENT_BYTES),
             next_new_segment: 2, // 0 and 1 for the two initial open segments
             free: Vec::new(),
             pending: Vec::new(),
-            last_checkpoint: None,
+            superblock: None,
             open_normal: OpenSegment::default(),
             open_cm: OpenSegment {
                 id: 1,
@@ -256,8 +245,7 @@ impl LogFs {
             },
             pnodes: HashMap::new(),
             next_pnode: 1,
-            segments: HashMap::new(),
-            open_deficit: HashMap::new(),
+            sealed: BTreeSet::new(),
             garbage: Vec::new(),
             io_time: 0,
             stats: FsStats::default(),
@@ -266,19 +254,21 @@ impl LogFs {
         }
     }
 
-    /// Total segments on the array.
-    pub fn total_segments(&self) -> u64 {
-        self.total_segments
-    }
-
     /// Segments currently holding flushed data.
     pub fn used_segments(&self) -> usize {
-        self.segments.len()
+        self.sealed.len()
     }
 
-    /// The segment bookkeeping table (for cleaners).
-    pub fn segment_info(&self) -> &HashMap<u64, SegmentInfo> {
-        &self.segments
+    /// Live bytes in each flushed segment, summed from the pnode map
+    /// (cleaner use: once as a pass begins).
+    pub(crate) fn live_bytes(&self) -> BTreeMap<u64, u64> {
+        let mut live: BTreeMap<u64, u64> = self.sealed.iter().map(|&seg| (seg, 0)).collect();
+        for ext in self.pnodes.values().flat_map(|p| &p.extents) {
+            if let Some(n) = live.get_mut(&ext.segment) {
+                *n += ext.len as u64;
+            }
+        }
+        live
     }
 
     /// Access to the array (fault injection in tests).
@@ -324,36 +314,58 @@ impl LogFs {
     /// The file holding the last checkpoint written, the one a crash
     /// recovers from: what the on-disk superblock records.
     pub fn last_checkpoint(&self) -> Option<FileId> {
-        self.last_checkpoint
+        self.superblock.as_ref().map(|p| p.id)
     }
 
-    /// Simulates a server crash that loses the in-memory metadata,
+    /// Simulates a server crash that loses the in-memory metadata (the
+    /// pnode map and the garbage file) and the open segments' bytes,
     /// keeping only the pnode of `keep`, the checkpoint file: pass
-    /// [`LogFs::last_checkpoint`] to crash as the superblock would. The
-    /// segments cleaned since it are live again in the checkpoint that
-    /// names them, so none of them joins the free list.
+    /// [`LogFs::last_checkpoint`] to crash as the superblock would, which
+    /// keeps the pnode the superblock recorded. [`crate::checkpoint::recover`]
+    /// reads the map back and derives from it which segments are flushed
+    /// and which are free.
     pub fn amnesia(&mut self, keep: FileId) {
-        let kept = self.pnodes.remove(&keep);
+        let kept = match &self.superblock {
+            Some(p) if p.id == keep => Some(p.clone()),
+            _ => self.pnodes.remove(&keep),
+        };
         self.pnodes.clear();
         if let Some(k) = kept {
             self.pnodes.insert(keep, k);
         }
-        self.segments.clear();
-        self.open_deficit.clear();
         self.garbage.clear();
-        self.pending.clear();
+        // Bytes not yet flushed are lost; the segments stay open, empty.
+        self.open_normal.seal();
+        self.open_cm.seal();
     }
 
-    /// Replaces the metadata tables from a decoded checkpoint
-    /// (recovery).
+    /// Adds a decoded checkpoint's pnodes to the map (recovery), then
+    /// derives the segments from the map: each one below the
+    /// allocator's high-water mark that is not open is flushed if some
+    /// pnode names it, the checkpoint's own file's included, and free
+    /// otherwise, its stripe discarded, since nothing recovered reads it.
     pub fn restore_from_checkpoint(&mut self, cp: &crate::checkpoint::Checkpoint) {
         for p in &cp.pnodes {
             self.pnodes.insert(p.id, p.clone());
         }
-        for &(seg, info) in &cp.segments {
-            self.segments.insert(seg, info);
-        }
         self.next_pnode = self.next_pnode.max(cp.next_pnode);
+        let named: BTreeSet<u64> = self
+            .pnodes
+            .values()
+            .flat_map(|p| p.extents.iter().map(|e| e.segment))
+            .collect();
+        let open = [self.open_normal.id, self.open_cm.id];
+        self.sealed.clear();
+        self.pending.clear();
+        self.free.clear();
+        for seg in (0..self.next_new_segment).filter(|s| !open.contains(s)) {
+            if named.contains(&seg) {
+                self.sealed.insert(seg);
+            } else {
+                self.raid.discard_stripe(seg);
+                self.free.push(seg);
+            }
+        }
     }
 
     /// Creates an empty file of the given class.
@@ -376,7 +388,7 @@ impl LogFs {
         if let Some(s) = self.free.pop() {
             return Ok(s);
         }
-        if self.next_new_segment < self.total_segments {
+        if self.next_new_segment < self.raid.stripes() {
             let s = self.next_new_segment;
             self.next_new_segment += 1;
             Ok(s)
@@ -390,21 +402,12 @@ impl LogFs {
             FileClass::Normal => &mut self.open_normal,
             FileClass::Continuous => &mut self.open_cm,
         };
-        let (seg, live) = (open.id, open.len as u32);
+        let seg = open.id;
         // Emptied even if the write fails.
         let pages = open.seal();
         self.io_time += self.raid.write_pages(seg, &pages)?;
         self.stats.segments_flushed += 1;
-        // Garbage declared while the segment was still open reduces its
-        // live count on arrival.
-        let deficit = self.open_deficit.remove(&seg).unwrap_or(0);
-        self.segments.insert(
-            seg,
-            SegmentInfo {
-                live_bytes: live.saturating_sub(deficit),
-                class,
-            },
-        );
+        self.sealed.insert(seg);
         let next = self.alloc_segment()?;
         match class {
             FileClass::Normal => self.open_normal.id = next,
@@ -627,9 +630,9 @@ impl LogFs {
         Ok(())
     }
 
-    /// Empties `file`: every extent leaves the live-byte ledger and
-    /// enters the garbage file, except that holes in `freeing` (the
-    /// segment a cleaner is consuming) are not recorded again.
+    /// Empties `file`: every extent enters the garbage file, except that
+    /// holes in `freeing` (the segment a cleaner is consuming) are not
+    /// recorded again.
     fn drop_extents(&mut self, file: FileId, freeing: Option<u64>) -> Result<(), FsError> {
         let p = self.pnodes.get_mut(&file).ok_or(FsError::NoSuchFile)?;
         p.size = 0;
@@ -640,13 +643,6 @@ impl LogFs {
                     seg_offset: ext.seg_offset,
                     len: ext.len,
                 });
-            }
-            if let Some(info) = self.segments.get_mut(&ext.segment) {
-                info.live_bytes = info.live_bytes.saturating_sub(ext.len);
-            } else {
-                // Hole in a still-open segment: remember the deficit and
-                // apply it when the segment flushes.
-                *self.open_deficit.entry(ext.segment).or_insert(0) += ext.len;
             }
         }
         Ok(())
@@ -671,20 +667,11 @@ impl LogFs {
         Ok(())
     }
 
-    /// Live-byte fraction of flushed segments.
-    pub fn utilization(&self) -> f64 {
-        if self.segments.is_empty() {
-            return 0.0;
-        }
-        let live: u64 = self.segments.values().map(|s| s.live_bytes as u64).sum();
-        live as f64 / (self.segments.len() as u64 * SEGMENT_BYTES as u64) as f64
-    }
-
     /// Releases a cleaned segment (cleaner use). It keeps its stripe
     /// until the next checkpoint, which names none of its bytes; then
     /// the stripe is dropped and the next flush may take the segment.
     pub(crate) fn release_segment(&mut self, seg: u64) {
-        self.segments.remove(&seg);
+        self.sealed.remove(&seg);
         self.pending.push(seg);
     }
 
@@ -696,7 +683,7 @@ impl LogFs {
         let file = self.create(FileClass::Normal);
         self.append(file, &blob)?;
         self.sync()?;
-        self.last_checkpoint = Some(file);
+        self.superblock = self.pnodes.get(&file).cloned();
         for seg in self.pending.drain(..) {
             self.raid.discard_stripe(seg);
             self.free.push(seg);
@@ -873,9 +860,9 @@ mod tests {
         f.append(b, &bytes(2000, 2)).unwrap();
         f.sync().unwrap();
         let seg = f.pnode(a).unwrap().extents[0].segment;
-        assert_eq!(f.segment_info()[&seg].live_bytes, 3000);
+        assert_eq!(f.live_bytes()[&seg], 3000);
         f.delete(a).unwrap();
-        assert_eq!(f.segment_info()[&seg].live_bytes, 2000);
+        assert_eq!(f.live_bytes()[&seg], 2000);
     }
 
     #[test]
@@ -929,7 +916,6 @@ mod tests {
                     size,
                     extents,
                 }],
-                segments: vec![],
                 next_pnode: 4,
             });
             let want = if what.contains("segment") {
@@ -950,7 +936,6 @@ mod tests {
                 size: u64::MAX,
                 extents: vec![ext(u64::MAX - 3, 5, 0, 8)],
             }],
-            segments: vec![],
             next_pnode: 4,
         });
         assert_eq!(f.read(FileId(3), u64::MAX - 3, 3), Ok(vec![0; 3]));
@@ -1139,16 +1124,5 @@ mod tests {
         // Begun timing-only: zeros open and flushed; the next one stores.
         let want = (zeros(200_000), zeros(200_000), first.clone(), ns);
         assert_eq!(run(false, true), want);
-    }
-
-    #[test]
-    fn utilization_reflects_deletion() {
-        let mut f = fs();
-        let a = f.create(FileClass::Normal);
-        f.append(a, &bytes(SEGMENT_BYTES, 1)).unwrap();
-        f.sync().unwrap();
-        assert!(f.utilization() > 0.99);
-        f.delete(a).unwrap();
-        assert!(f.utilization() < 0.01);
     }
 }

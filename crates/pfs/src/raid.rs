@@ -38,6 +38,12 @@
 //! discards only a stripe it released before the checkpoint it has last
 //! written, which names none of its bytes: those are undefined from
 //! then on.
+//!
+//! The array records which stripes it holds: a stripe written and not
+//! discarded since. A rebuild ([`RaidArray::rebuild_disk`]) restores
+//! exactly those, so no caller need say how far the log has reached.
+
+use std::collections::BTreeSet;
 
 use crate::disk::{
     page_runs, xor_into, Discard, DiskConfig, DiskError, SimDisk, PAGE_BYTES, SECTOR,
@@ -55,6 +61,8 @@ pub struct RaidArray {
     /// The members' pages, the log's open segments that become them,
     /// and the bytes a degraded read rebuilds.
     arena: Arena,
+    /// Stripes written and not discarded since: what a rebuild restores.
+    held: BTreeSet<u64>,
 }
 
 /// Errors surfaced by the array.
@@ -97,11 +105,12 @@ impl RaidArray {
                 .collect(),
             chunk_bytes: stripe_bytes / DATA_DISKS,
             arena,
+            held: BTreeSet::new(),
         }
     }
 
     /// Bytes each stripe stores (excluding parity).
-    pub fn stripe_bytes(&self) -> usize {
+    fn stripe_bytes(&self) -> usize {
         self.chunk_bytes * DATA_DISKS
     }
 
@@ -207,6 +216,7 @@ impl RaidArray {
                 Err(e) => return Err(e.into()),
             }
         }
+        self.held.insert(stripe);
         Ok(max_t)
     }
 
@@ -320,6 +330,7 @@ impl RaidArray {
         for disk in &mut self.disks {
             disk.forget(sector, 0, self.chunk_bytes, |_, _| {});
         }
+        self.held.remove(&stripe);
     }
 
     /// Bytes of content the five members hold in memory, parity
@@ -328,29 +339,38 @@ impl RaidArray {
         self.disks.iter().map(SimDisk::retained_bytes).sum()
     }
 
-    /// Rebuilds a replaced disk from the surviving four, stripe by
-    /// stripe over `stripes` stripes: each page it adopts is the XOR of
-    /// the survivors' pages, computed only when it retains what is
+    /// Rebuilds a replaced disk from the surviving four, over every
+    /// stripe the array holds: each survivor is charged its chunk, the
+    /// replaced disk a chunk write. It adopts a page only at the page
+    /// numbers where some survivor holds one, and only if the XOR of
+    /// theirs is not all zeros, computed only when it retains what is
     /// written. Returns the total rebuild time.
-    pub fn rebuild_disk(&mut self, replaced: usize, stripes: u64) -> Result<Ns, RaidError> {
+    pub fn rebuild_disk(&mut self, replaced: usize) -> Result<Ns, RaidError> {
         assert!(replaced <= DATA_DISKS);
         if self.failed_count() > 0 {
             return Err(RaidError::TooManyFailures);
         }
         let n = self.chunk_sectors();
-        // Pages the replaced disk is handed a stripe: none if it keeps none.
+        // Pages a chunk spans on the replaced disk: none if it keeps none.
         let per = self.chunk_bytes / PAGE_BYTES * usize::from(self.disks[replaced].stores());
+        let survivors = || (0..=DATA_DISKS).filter(move |&i| i != replaced);
         let mut total = 0;
-        for stripe in 0..stripes {
+        for stripe in self.held.clone() {
             let sector = self.stripe_sector(stripe)?;
             let mut max_t = 0;
-            for i in (0..=DATA_DISKS).filter(|&i| i != replaced) {
+            for i in survivors() {
                 // Charged for the whole chunk; the bytes are taken below.
                 max_t = max_t.max(self.disks[i].read_views(sector, n, 0, 0, &mut Discard)?);
             }
-            let page = |k| self.xor_others(replaced, sector, k * PAGE_BYTES, PAGE_BYTES);
-            let pages: Vec<_> = (0..per).map(page).collect();
-            total += max_t + self.disks[replaced].write_pages(sector, n, &pages)?;
+            total += max_t + self.disks[replaced].write_pages(sector, n, &[])?;
+            let first = sector * SECTOR as u64 / PAGE_BYTES as u64;
+            for page in first..first + per as u64 {
+                if survivors().any(|i| self.disks[i].holds(page)) {
+                    let skip = (page - first) as usize * PAGE_BYTES;
+                    let bytes = self.xor_others(replaced, sector, skip, PAGE_BYTES);
+                    self.disks[replaced].adopt(page, bytes);
+                }
+            }
         }
         Ok(total)
     }
@@ -474,7 +494,7 @@ mod tests {
         }
         r.disk_mut(1).fail();
         r.disk_mut(1).replace();
-        r.rebuild_disk(1, stripes).unwrap();
+        r.rebuild_disk(1).unwrap();
         // All data intact and the rebuilt disk participates again.
         for s in 0..stripes {
             let (back, _) = r.read_stripe(s).unwrap();
@@ -488,7 +508,7 @@ mod tests {
         write(&mut r, 0, &pattern(9)).unwrap();
         r.disk_mut(DATA_DISKS).fail();
         r.disk_mut(DATA_DISKS).replace();
-        r.rebuild_disk(DATA_DISKS, 1).unwrap();
+        r.rebuild_disk(DATA_DISKS).unwrap();
         // Now fail a data disk: parity must reconstruct it.
         r.disk_mut(0).fail();
         let (back, _) = r.read_stripe(0).unwrap();
@@ -518,7 +538,7 @@ mod tests {
         // Nor a rebuild, for which the timing-only array computes nothing.
         let rebuild = |r: &mut RaidArray| {
             r.disk_mut(2).replace();
-            r.rebuild_disk(2, 9).unwrap()
+            r.rebuild_disk(2).unwrap()
         };
         let mut kept = array();
         drive(&mut kept);
@@ -590,7 +610,7 @@ mod tests {
         r.disk_mut(2).fail();
         let degraded = take(&mut r, 1);
         r.disk_mut(2).replace();
-        r.rebuild_disk(2, 2).unwrap();
+        r.rebuild_disk(2).unwrap();
         for (what, views) in [("healthy", &data), ("degraded", &degraded)] {
             assert_eq!(bytes(views), pattern(7), "{what} view after rebuild");
         }
@@ -619,8 +639,52 @@ mod tests {
             r.disk_mut(lost).fail();
             assert_eq!(r.read_stripe(0).unwrap().0, want, "member {lost} lost");
             r.disk_mut(lost).replace();
-            r.rebuild_disk(lost, 1).unwrap();
+            r.rebuild_disk(lost).unwrap();
             assert_eq!(r.read_stripe(0).unwrap().0, want, "member {lost} rebuilt");
+        }
+    }
+
+    #[test]
+    fn a_rebuild_hands_over_only_held_pages() {
+        // One page on member 0, and its parity: a rebuilt member 1, which
+        // held none of it, adopts nothing (its share at that page number
+        // is zeros), and a rebuilt member 0 its page.
+        let mut r = array();
+        write(&mut r, 0, &pattern(0)[..PAGE_BYTES]).unwrap();
+        assert_eq!(r.retained_bytes(), 2 * PAGE_BYTES);
+        for lost in [1, 0] {
+            r.disk_mut(lost).fail();
+            r.disk_mut(lost).replace();
+            r.rebuild_disk(lost).unwrap();
+            assert_eq!(r.retained_bytes(), 2 * PAGE_BYTES, "member {lost} rebuilt");
+        }
+        assert_eq!(
+            r.read_stripe(0).unwrap().0[..PAGE_BYTES],
+            pattern(0)[..PAGE_BYTES]
+        );
+    }
+
+    #[test]
+    fn a_rebuild_restores_the_stripes_held_and_no_others() {
+        // Stripes 1 and 3 written, 2 written and discarded: rebuilding a
+        // member charges each survivor two chunk reads, and the member
+        // two chunk writes.
+        let mut r = array();
+        for s in [1, 2, 3] {
+            write(&mut r, s, &pattern(s)).unwrap();
+        }
+        r.discard_stripe(2);
+        r.disk_mut(2).fail();
+        r.disk_mut(2).replace();
+        let stats = |r: &mut RaidArray, i| r.disk_mut(i).stats.clone();
+        let (reads, writes) = (stats(&mut r, 0).reads, stats(&mut r, 2).writes);
+        r.rebuild_disk(2).unwrap();
+        assert_eq!(stats(&mut r, 0).reads - reads, 2);
+        assert_eq!(stats(&mut r, 2).writes - writes, 2);
+        // What member 2 adopted stands in for a lost member 0.
+        r.disk_mut(0).fail();
+        for s in [1, 3] {
+            assert_eq!(r.read_stripe(s).unwrap().0, pattern(s), "stripe {s}");
         }
     }
 

@@ -2,11 +2,11 @@
 //! model, under arbitrary operation sequences — including cleaning by
 //! either cleaner, after which every file must read back with a data
 //! disk lost and again once it is rebuilt, and crashes, after which the
-//! log must hold exactly what its last checkpoint named — and every
-//! read path against `read_into`.
+//! log must hold exactly what its last checkpoint named, each segment it
+//! names cleanable — and every read path against `read_into`.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use pegasus_pfs::checkpoint::{recover, write_checkpoint};
 use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
@@ -64,16 +64,12 @@ fn reads_back(
     model: &HashMap<FileId, Vec<u8>>,
     disk: usize,
 ) -> Result<(), TestCaseError> {
-    // Every segment the log has handed out lies below this, the last
-    // checkpoint's and the cleaned ones' too: each flush opens at most
-    // one new segment after the first two.
-    let stripes = fs.stats.segments_flushed + 2;
     for phase in ["healthy", "degraded", "rebuilt"] {
         match phase {
             "degraded" => fs.raid_mut().disk_mut(disk).fail(),
             "rebuilt" => {
                 fs.raid_mut().disk_mut(disk).replace();
-                fs.raid_mut().rebuild_disk(disk, stripes).unwrap();
+                fs.raid_mut().rebuild_disk(disk).unwrap();
             }
             _ => {}
         }
@@ -106,6 +102,15 @@ fn holds_model(
     }
     prop_assert_eq!(fs.file_count(), model.len() + checkpoints);
     Ok(())
+}
+
+/// How many distinct segments the log's pnodes name.
+fn named_segments(fs: &LogFs) -> usize {
+    let named: BTreeSet<u64> = fs
+        .pnodes_iter()
+        .flat_map(|p| p.extents.iter().map(|e| e.segment))
+        .collect();
+    named.len()
 }
 
 proptest! {
@@ -171,6 +176,10 @@ proptest! {
                         recover(&mut fs, cp).unwrap();
                         (model, checkpoints) = snapshot.clone();
                         holds_model(&mut fs, &model, &handles, checkpoints)?;
+                        // Every segment a recovered pnode names is one the
+                        // log counts as flushed: a garbage pass takes it
+                        // once the files in it are deleted.
+                        prop_assert_eq!(fs.used_segments(), named_segments(&fs));
                     }
                 }
                 _ => {}
@@ -186,35 +195,14 @@ proptest! {
         }
 
         holds_model(&mut fs, &model, &handles, checkpoints)?;
-    }
-
-    #[test]
-    fn live_byte_accounting_is_conservative(
-        sizes in proptest::collection::vec(1usize..300_000, 1..12),
-        kill in proptest::collection::vec(any::<bool>(), 12),
-    ) {
-        let mut fs = LogFs::new(DiskConfig::hp_1994());
-        let mut live_expected: u64 = 0;
-        let mut ids = Vec::new();
-        for (i, &sz) in sizes.iter().enumerate() {
-            let id = fs.create(FileClass::Normal);
-            fs.append(id, &content(sz, i as u8)).unwrap();
-            ids.push((id, sz));
+        // Every file deleted, checkpoints too, one garbage pass frees
+        // every segment but those its own checkpoint names.
+        let files: Vec<FileId> = fs.pnodes_iter().map(|p| p.id).collect();
+        for id in files {
+            fs.delete(id).unwrap();
         }
-        fs.sync().unwrap();
-        for (i, &(id, sz)) in ids.iter().enumerate() {
-            if kill.get(i).copied().unwrap_or(false) {
-                fs.delete(id).unwrap();
-            } else {
-                live_expected += sz as u64;
-            }
-        }
-        let live_tracked: u64 = fs
-            .segment_info()
-            .values()
-            .map(|s| s.live_bytes as u64)
-            .sum();
-        prop_assert_eq!(live_tracked, live_expected);
+        clean_garbage_file(&mut fs).unwrap();
+        prop_assert!(fs.used_segments() <= named_segments(&fs));
     }
 }
 
@@ -308,9 +296,8 @@ proptest! {
                 }
                 Step::Rebuild => {
                     if let Some(disk) = failed.take() {
-                        let stripes = fs.segment_info().keys().max().map_or(0, |&s| s + 1);
                         fs.raid_mut().disk_mut(disk).replace();
-                        fs.raid_mut().rebuild_disk(disk, stripes).unwrap();
+                        fs.raid_mut().rebuild_disk(disk).unwrap();
                     }
                 }
             }

@@ -247,8 +247,8 @@ fn cleaner_racing_a_recovery() {
     // The crash wiped the garbage file (it is volatile bookkeeping, not
     // part of the checkpoint), so the post-recovery garbage-file pass
     // must be a clean no-op — and the Sprite scanner, which needs only
-    // the recovered segment table, must still be able to clean around
-    // the live data without harming it.
+    // the segments recovery derived from the pnode map, must still be
+    // able to clean around the live data without harming it.
     let mut fs = fresh();
     let doomed = fs.create(FileClass::Normal);
     let kept = fs.create(FileClass::Normal);
@@ -277,4 +277,21 @@ fn cleaner_racing_a_recovery() {
     assert!(fs.used_segments() <= used_before);
     // The survivor is intact whether or not it was relocated.
     assert_eq!(fs.read(kept, 0, good.len()).expect("read"), good);
+}
+
+#[test]
+fn a_segment_the_checkpoint_sealed_is_cleaned_after_recovery() {
+    // The file's segment is still open when the checkpoint is taken, so
+    // the checkpoint's own sync seals it. Recovered, deleted and cleaned,
+    // it must be freed, not lost to the log.
+    let mut fs = fresh();
+    let f = fs.create(FileClass::Normal);
+    fs.append(f, &patterned(100_000, 0x64)).expect("append");
+    let seg = fs.pnode(f).expect("pnode").extents[0].segment;
+    let cp = write_checkpoint(&mut fs).expect("checkpoint");
+    fs.amnesia(cp);
+    recover(&mut fs, cp).expect("recovery");
+    fs.delete(f).expect("delete");
+    let report = clean_garbage_file(&mut fs).expect("garbage pass");
+    assert_eq!(report.segments_cleaned, 1, "segment {seg} freed");
 }

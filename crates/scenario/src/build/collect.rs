@@ -269,15 +269,15 @@ impl Scenario {
                         .expect("degraded reads reconstruct through parity");
                     fold(&r);
                     // Swap the spindle and rebuild it from the
-                    // survivors. Rebuild I/O is charged at the RAID
-                    // layer, not against the log's clock, so the
-                    // remaining periods' deadline accounting is clean —
-                    // the array is simply whole again.
+                    // survivors, over exactly the stripes the array
+                    // holds: the sealed segments. Rebuild I/O is charged at the RAID layer, not
+                    // against the log's clock, so the remaining periods'
+                    // deadline accounting is clean — the array is simply
+                    // whole again.
                     fs.raid_mut().disk_mut(disk).replace();
-                    let stripes = fs.used_segments() as u64;
                     let t = fs
                         .raid_mut()
-                        .rebuild_disk(disk, stripes)
+                        .rebuild_disk(disk)
                         .expect("single failure is rebuildable");
                     pfs.rebuilds += 1;
                     pfs.rebuild_ns += t;

@@ -423,6 +423,6 @@ mod tests {
              tiers={tiers:?} period_ms={} failures={failures:?}",
             CM_PERIOD / MS,
         );
-        assert_eq!(fingerprint(digest.as_bytes()), "5110d1af1a641bc0");
+        assert_eq!(fingerprint(digest.as_bytes()), "b88212c519070351");
     }
 }
