@@ -16,7 +16,8 @@
 //!   [`pegasus_atm::aal5::Reassembler`], with a copying-path mirror as
 //!   the verdict oracle.
 //! * [`disk`] — an [`disk::ImageMutator`] over checkpoint blobs, each
-//!   decoded, and restored and read if the decoder accepts it.
+//!   decoded, and restored and read if the decoder accepts it, and over
+//!   the checkpoint regions on the disks, each crash recovered from.
 //! * [`storm`] — the `nemesis-storm` scenario preset (link flaps, a
 //!   switch death with signalling repair, a disk failure with a live
 //!   RAID rebuild) rerun and compared byte-for-byte.

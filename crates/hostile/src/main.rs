@@ -62,8 +62,9 @@ fn main() {
         let n = pick(400);
         let s = disk::run_images(args.seed, n);
         println!(
-            "disk: {} images, {} rejected, {} survived, {} restored and read back — ok",
-            s.steps, s.rejected, s.survived, s.restored
+            "disk: {} images, {} rejected, {} survived, {} restored and read back; \
+             {} torn regions fell back, {} refused — ok",
+            s.steps, s.rejected, s.survived, s.restored, s.fell_back, s.refused
         );
     }
     if all || args.front == "control" {

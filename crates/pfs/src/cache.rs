@@ -9,9 +9,7 @@
 //! the end, the beginning has already been evicted from the (LRU)
 //! cache." (§5)
 //!
-//! [`LruCache`] is the generic block cache; [`DirCache`] exploits
-//! directory-operation semantics (inserts and removals update the cache
-//! in place instead of invalidating it). The sequential-eviction
+//! [`LruCache`] is the generic block cache. The sequential-eviction
 //! pathology is demonstrated in the tests and measured in experiment
 //! E15.
 
@@ -145,59 +143,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-/// A directory cache exploiting directory-operation semantics: names are
-/// added and removed *in place* on create/unlink, so the cache never
-/// needs wholesale invalidation and its hit rate survives mutation.
-#[derive(Debug, Default)]
-pub struct DirCache {
-    entries: HashMap<(u64, String), u64>,
-    /// Lookup hits.
-    pub hits: u64,
-    /// Lookup misses.
-    pub misses: u64,
-}
-
-impl DirCache {
-    /// Creates an empty directory cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up `name` in directory `dir`.
-    pub fn lookup(&mut self, dir: u64, name: &str) -> Option<u64> {
-        match self.entries.get(&(dir, name.to_string())) {
-            Some(&id) => {
-                self.hits += 1;
-                Some(id)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records that `name` now maps to `file` (create/rename semantics).
-    pub fn insert(&mut self, dir: u64, name: &str, file: u64) {
-        self.entries.insert((dir, name.to_string()), file);
-    }
-
-    /// Records that `name` was removed (unlink semantics).
-    pub fn remove(&mut self, dir: u64, name: &str) {
-        self.entries.remove(&(dir, name.to_string()));
-    }
-
-    /// Number of cached names.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,29 +254,6 @@ mod tests {
         }
         assert_eq!(c.hits, 200);
         assert_eq!(c.misses, 200);
-    }
-
-    #[test]
-    fn dir_cache_semantic_updates() {
-        let mut d = DirCache::new();
-        d.insert(1, "paper.tex", 100);
-        d.insert(1, "fig1.eps", 101);
-        assert_eq!(d.lookup(1, "paper.tex"), Some(100));
-        // Unlink updates in place — no invalidation of other names.
-        d.remove(1, "paper.tex");
-        assert_eq!(d.lookup(1, "paper.tex"), None);
-        assert_eq!(d.lookup(1, "fig1.eps"), Some(101));
-        assert_eq!(d.hits, 2);
-        assert_eq!(d.misses, 1);
-    }
-
-    #[test]
-    fn dir_cache_distinguishes_directories() {
-        let mut d = DirCache::new();
-        d.insert(1, "x", 100);
-        d.insert(2, "x", 200);
-        assert_eq!(d.lookup(1, "x"), Some(100));
-        assert_eq!(d.lookup(2, "x"), Some(200));
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //!
 //! A log-structured file system's pnode map lives in memory and must be
 //! reconstructible after a crash. Following Sprite LFS (§5 cites it as
-//! the model), the core periodically serializes it into the log itself
-//! as a *checkpoint*; recovery reads the most recent checkpoint back.
-//! The map is the one record: which segments hold live bytes, which are
-//! free, and how many bytes each holds are all derived from it, so the
-//! checkpoint stores nothing else. (Roll-forward of post-checkpoint
-//! segments is bounded by the checkpoint interval; the write-behind
-//! layer's client copies cover the tail, per §5's reliability argument.)
+//! the model), the core periodically writes it to one of two fixed
+//! *checkpoint regions*, the array's last two stripes, which no segment
+//! ever takes: each checkpoint goes to the older region, so the newer
+//! one stays whole while it is written. Recovery reads both and takes
+//! the newer one whose CRC holds, so a write torn mid-region falls back
+//! to the checkpoint before it. The map is the one record: which
+//! segments hold live bytes, which are free, and how many bytes each
+//! holds are all derived from it, so the checkpoint stores nothing else.
+//! (Roll-forward of post-checkpoint segments is bounded by the
+//! checkpoint interval; the write-behind layer's client copies cover the
+//! tail, per §5's reliability argument.)
 //!
-//! The serialized form is a small, versioned binary format — no external
-//! serialization crates, consistent with the rest of the codec code in
+//! A region holds a 16-byte header — the checkpoint's sequence number,
+//! the body's length, and a CRC-32 over both and the body — then the
+//! body: a small, versioned binary encoding of the map, with no external
+//! serialization crate, consistent with the rest of the codec code in
 //! this workspace.
 
 use crate::log::{Extent, FileClass, FileId, FsError, LogFs, Pnode, SEGMENT_BYTES};
@@ -20,6 +26,8 @@ use crate::log::{Extent, FileClass, FileId, FsError, LogFs, Pnode, SEGMENT_BYTES
 const MAGIC: u32 = 0x5047_4350; // "PGCP"
 /// Format version: 2 since the segment table left the blob.
 const VERSION: u16 = 2;
+/// A region's header: sequence number, body length, CRC-32.
+const HEADER_BYTES: usize = 16;
 
 /// Errors from checkpoint encode/decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +47,14 @@ pub enum CheckpointError {
         /// in place but do not add up to the file's size.
         index: usize,
     },
+    /// A body of this many bytes, which with its header does not fit
+    /// in a region.
+    TooLarge(usize),
+    /// Neither region holds a checkpoint whose CRC holds.
+    NoCheckpoint,
+    /// The newest valid region holds this checkpoint, older than the one
+    /// the caller last saw written.
+    Stale(u64),
     /// Underlying file-system error.
     Fs(FsError),
 }
@@ -52,6 +68,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::BadExtent { file, index } => {
                 write!(f, "file {} extent {index} does not fit the file", file.0)
             }
+            CheckpointError::TooLarge(n) => write!(f, "a {n}-byte checkpoint overflows its region"),
+            CheckpointError::NoCheckpoint => write!(f, "no checkpoint region is valid"),
+            CheckpointError::Stale(seq) => write!(f, "newest checkpoint {seq} is stale"),
             CheckpointError::Fs(e) => write!(f, "fs error: {e}"),
         }
     }
@@ -88,6 +107,43 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
     }
+}
+
+/// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, all-ones
+/// initial value, final complement), a bit at a time: a checkpoint is
+/// written once per cleaning pass and read once per recovery.
+fn crc32<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u32 {
+    let bit = |c: u32| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+    !bytes
+        .into_iter()
+        .fold(!0, |crc, &b| (0..8).fold(crc ^ u32::from(b), |c, _| bit(c)))
+}
+
+/// The image of checkpoint `seq` for a region: header, then `cp`'s body.
+pub(crate) fn region_image(seq: u64, cp: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
+    let body = cp.encode();
+    if HEADER_BYTES + body.len() > SEGMENT_BYTES {
+        return Err(CheckpointError::TooLarge(body.len()));
+    }
+    let mut image = seq.to_be_bytes().to_vec();
+    image.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    let crc = crc32(image.iter().chain(&body));
+    image.extend(crc.to_be_bytes().iter().chain(&body));
+    Ok(image)
+}
+
+/// The sequence number and body in `region`, if its CRC holds: the
+/// header is read, then the body whose length it gives.
+fn open_region(fs: &mut LogFs, region: u64) -> Result<Option<(u64, Vec<u8>)>, CheckpointError> {
+    let header = fs.read_region(region, 0, HEADER_BYTES)?;
+    let buf = &header[..];
+    let mut r = Reader { buf, pos: 0 };
+    let (seq, len, crc) = (r.u64()?, r.u32()? as usize, r.u32()?);
+    if len > SEGMENT_BYTES - HEADER_BYTES {
+        return Ok(None);
+    }
+    let body = fs.read_region(region, HEADER_BYTES, len)?;
+    Ok((crc32(header[..12].iter().chain(&body)) == crc).then_some((seq, body)))
 }
 
 fn class_byte(c: FileClass) -> u8 {
@@ -205,24 +261,30 @@ impl Checkpoint {
     }
 }
 
-/// Writes a checkpoint of `fs` into the log itself (as a normal file)
-/// and syncs. Returns the checkpoint file's id, which the superblock
-/// references ([`LogFs::last_checkpoint`]). Only then do the segments
-/// cleaned since the one before join the free list.
-pub fn write_checkpoint(fs: &mut LogFs) -> Result<FileId, CheckpointError> {
-    Ok(fs.checkpoint()?)
+/// Writes a checkpoint of `fs` and returns its sequence number, the
+/// token [`recover`] takes. The open segments are synced first, so every
+/// byte the pnode map names is on the disks, then the map goes to the
+/// older of the two regions; only then do the segments cleaned since the
+/// checkpoint before join the free list.
+pub fn write_checkpoint(fs: &mut LogFs) -> Result<u64, CheckpointError> {
+    fs.checkpoint()
 }
 
-/// Recovers the in-memory state from the checkpoint stored in `file`:
-/// its pnodes join `fs`'s map, and the segments are derived from the map
-/// (see [`LogFs::restore_from_checkpoint`]). Every segment a recovered
-/// pnode names, the checkpoint file's own included, is flushed and
-/// cleanable again; every other one is free.
-pub fn recover(fs: &mut LogFs, file: FileId) -> Result<(), CheckpointError> {
-    let size = fs.pnode(file).ok_or(FsError::NoSuchFile)?.size;
-    let blob = fs.read(file, 0, size as usize)?;
-    let cp = Checkpoint::decode(&blob)?;
-    fs.restore_from_checkpoint(&cp);
+/// Recovers the in-memory state from the newer of the two regions whose
+/// CRC holds: its pnodes join `fs`'s map, and the segments are derived
+/// from the map (see [`LogFs::restore_from_checkpoint`]). Every segment
+/// a recovered pnode names is flushed and cleanable again; every other
+/// one is free. `at_least` is the sequence number of the last checkpoint
+/// the caller saw written: a newest valid region older than that is
+/// [`CheckpointError::Stale`].
+pub fn recover(fs: &mut LogFs, at_least: u64) -> Result<(), CheckpointError> {
+    let regions = [open_region(fs, 0)?, open_region(fs, 1)?];
+    let newest = regions.into_iter().flatten().max_by_key(|(seq, _)| *seq);
+    let (seq, body) = newest.ok_or(CheckpointError::NoCheckpoint)?;
+    if seq < at_least {
+        return Err(CheckpointError::Stale(seq));
+    }
+    fs.restore_from_checkpoint(seq, &Checkpoint::decode(&body)?);
     Ok(())
 }
 
@@ -343,12 +405,13 @@ mod tests {
         fs.append(a, &data(40_000, 3)).unwrap();
         let b = fs.create(FileClass::Continuous);
         fs.append(b, &data(70_000, 4)).unwrap();
-        let cp_file = write_checkpoint(&mut fs).unwrap();
-        // Simulate the server losing its in-memory tables; the on-disk
-        // superblock remembers only where the checkpoint lives.
-        fs.amnesia(cp_file);
-        assert_eq!(fs.file_count(), 1);
-        recover(&mut fs, cp_file).unwrap();
+        let cp = write_checkpoint(&mut fs).unwrap();
+        // Simulate the server losing its in-memory tables; only the
+        // disks remember, the regions among them.
+        fs.amnesia(cp);
+        assert_eq!((fs.file_count(), fs.last_checkpoint()), (0, None));
+        recover(&mut fs, cp).unwrap();
+        assert_eq!(fs.last_checkpoint(), Some(cp));
         assert_eq!(fs.read(a, 0, 40_000).unwrap(), data(40_000, 3));
         assert_eq!(fs.read(b, 0, 70_000).unwrap(), data(70_000, 4));
     }
@@ -358,9 +421,9 @@ mod tests {
         let mut fs = LogFs::new(DiskConfig::hp_1994());
         let a = fs.create(FileClass::Normal);
         fs.append(a, &data(10_000, 5)).unwrap();
-        let cp_file = write_checkpoint(&mut fs).unwrap();
-        fs.amnesia(cp_file);
-        recover(&mut fs, cp_file).unwrap();
+        let cp = write_checkpoint(&mut fs).unwrap();
+        fs.amnesia(cp);
+        recover(&mut fs, cp).unwrap();
         // New files allocate ids beyond the recovered allocator state.
         let c = fs.create(FileClass::Normal);
         assert!(c > a);
@@ -371,21 +434,74 @@ mod tests {
 
     #[test]
     fn recovery_derives_the_segments_from_the_pnode_map() {
-        // A file and the checkpoint naming it share one segment; a file
-        // the checkpoint never saw fills two more. Recovery keeps the
-        // first, and frees the other two and drops their stripes.
+        // A file the checkpoint names fills one segment; a file the
+        // checkpoint never saw fills two more. Recovery keeps the first,
+        // and frees the other two and drops their stripes.
         let mut fs = LogFs::new(DiskConfig::hp_1994());
         let a = fs.create(FileClass::Normal);
         fs.append(a, &data(100_000, 1)).unwrap();
-        let cp_file = write_checkpoint(&mut fs).unwrap();
+        let cp = write_checkpoint(&mut fs).unwrap();
         let retained = fs.raid_mut().retained_bytes();
         let b = fs.create(FileClass::Continuous);
         fs.append(b, &data(2 * SEGMENT_BYTES, 2)).unwrap();
         assert_eq!(fs.used_segments(), 3);
-        fs.amnesia(cp_file);
-        recover(&mut fs, cp_file).unwrap();
+        fs.amnesia(cp);
+        recover(&mut fs, cp).unwrap();
         assert_eq!(fs.used_segments(), 1);
         assert_eq!(fs.raid_mut().retained_bytes(), retained);
         assert_eq!(fs.read(a, 0, 100_000).unwrap(), data(100_000, 1));
+    }
+
+    #[test]
+    fn crc32_is_ieee_802_3() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn a_torn_region_falls_back_to_the_one_before() {
+        use crate::{disk::SECTOR, raid::DATA_DISKS};
+        let mut fs = LogFs::new(DiskConfig::hp_1994());
+        let a = fs.create(FileClass::Normal);
+        fs.append(a, &data(1_000, 1)).unwrap();
+        let first = write_checkpoint(&mut fs).unwrap();
+        let b = fs.create(FileClass::Normal);
+        fs.append(b, &data(2_000, 2)).unwrap();
+        let second = write_checkpoint(&mut fs).unwrap();
+        assert_eq!((first, second), (1, 2));
+        // Tear the second region's first sector, its header: on data
+        // disk 0, the stripe's first chunk.
+        let stripe = fs.checkpoint_region(second);
+        let sector = stripe * (SEGMENT_BYTES / DATA_DISKS / SECTOR) as u64;
+        fs.raid_mut()
+            .disk_mut(0)
+            .write(sector, &[0xA5; SECTOR])
+            .unwrap();
+        fs.amnesia(second);
+        assert_eq!(recover(&mut fs, second), Err(CheckpointError::Stale(first)));
+        recover(&mut fs, first).unwrap();
+        assert_eq!(fs.read(a, 0, 1_000).unwrap(), data(1_000, 1));
+        assert!(fs.pnode(b).is_none(), "b came after the first checkpoint");
+        // The next checkpoint takes the torn region, not the good one.
+        assert_eq!(write_checkpoint(&mut fs).unwrap(), second);
+        fs.amnesia(second);
+        recover(&mut fs, second).unwrap();
+        assert_eq!(fs.file_count(), 1);
+    }
+
+    #[test]
+    fn no_valid_region_and_an_oversized_map_are_typed_errors() {
+        let mut fs = LogFs::new(DiskConfig::hp_1994());
+        assert_eq!(recover(&mut fs, 0), Err(CheckpointError::NoCheckpoint));
+        // Empty files cost a pnode each, 21 bytes of body: 50,000 of
+        // them overflow a one-megabyte region.
+        for _ in 0..50_000 {
+            fs.create(FileClass::Normal);
+        }
+        assert_eq!(
+            write_checkpoint(&mut fs),
+            Err(CheckpointError::TooLarge(18 + 50_000 * 21))
+        );
+        assert_eq!(fs.last_checkpoint(), None);
     }
 }

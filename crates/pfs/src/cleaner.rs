@@ -21,6 +21,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::checkpoint::CheckpointError;
 use crate::log::{FsError, LogFs, SEGMENT_BYTES};
 use pegasus_sim::time::Ns;
 
@@ -86,8 +87,9 @@ fn clean_victims(
 /// segments, so garbage recorded in them is consumed too; then it sums
 /// each flushed segment's live bytes from the pnode map. Before anything
 /// is copied, the victims' bytes that no file uses are forgotten; each
-/// victim's stripe is dropped at the checkpoint after the pass.
-pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
+/// victim's stripe is dropped at the checkpoint after the pass. A pass
+/// begins with a checkpoint, so its errors are a checkpoint's.
+pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, CheckpointError> {
     let io_before = fs.io_time;
     let mut report = CleanReport::default();
 
@@ -120,8 +122,8 @@ pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, FsError> {
 
 /// Runs a Sprite-LFS-style cleaning pass: read every flushed segment's
 /// summary to learn utilizations, then clean the emptiest segments until
-/// `segments_wanted` have been freed.
-pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanReport, FsError> {
+/// `wanted` have been freed.
+pub fn clean_sprite(fs: &mut LogFs, wanted: usize) -> Result<CleanReport, CheckpointError> {
     let io_before = fs.io_time;
     let mut report = CleanReport::default();
 
@@ -134,7 +136,7 @@ pub fn clean_sprite(fs: &mut LogFs, segments_wanted: usize) -> Result<CleanRepor
 
     // Victims: lowest utilization first.
     victims.sort_unstable_by_key(|&(s, live)| (live, s));
-    victims.truncate(segments_wanted);
+    victims.truncate(wanted);
     fs.checkpoint()?;
     clean_victims(fs, &victims, &mut report)?;
     // The Sprite cleaner does not consume the garbage file: entries
@@ -208,10 +210,9 @@ mod tests {
                 clean_garbage_file(&mut f).unwrap()
             };
             assert_eq!(report.live_bytes_moved, 300_000, "sprite {sprite}");
-            // The pass's own checkpoint is written as every checkpoint
-            // is; the copies are not client bytes.
-            let cp = f.pnode(f.last_checkpoint().unwrap()).unwrap().size;
-            assert_eq!(f.stats.bytes_written, written + cp, "sprite {sprite}");
+            // Neither the pass's own checkpoint nor the copies are
+            // client bytes.
+            assert_eq!(f.stats.bytes_written, written, "sprite {sprite}");
             assert_eq!(f.stats.cleaner_moved - moved, report.live_bytes_moved);
         }
     }
@@ -249,13 +250,15 @@ mod tests {
         assert_eq!(report.live_bytes_moved, 32 << 20);
         // The victims keep their live halves, which the pass's own
         // checkpoint names, beside the copies, until the next checkpoint;
-        // each checkpoint is a page of a segment of its own, and the
-        // page's parity.
-        let checkpoint = 2 * PAGE_BYTES;
-        assert_eq!(stored(&mut f), (80 << 20) + checkpoint);
-        write_checkpoint(&mut f).unwrap();
-        // What is left is the survivors' 32 MiB and their parity.
-        assert_eq!(stored(&mut f), (40 << 20) + 2 * checkpoint);
+        // a checkpoint is a page of a region, and the page's parity.
+        let region = 2 * PAGE_BYTES;
+        assert_eq!(stored(&mut f), (80 << 20) + region);
+        // What is left is the survivors' 32 MiB and their parity, and
+        // the two regions, however many checkpoints follow.
+        for _ in 0..3 {
+            write_checkpoint(&mut f).unwrap();
+            assert_eq!(stored(&mut f), (40 << 20) + 2 * region);
+        }
         let mut buf = Vec::new();
         for (k, &file) in files.iter().enumerate().step_by(2) {
             for at in (0..FILE_BYTES).step_by(PIECE) {

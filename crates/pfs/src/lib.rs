@@ -26,8 +26,6 @@
 //!   deleted or overwritten within 30 seconds").
 //! * [`checkpoint`] — Sprite-style checkpointing of the pnode map into
 //!   the log, and crash recovery from it.
-//! * [`vnode`] — the Unix v-node-ish interface installed over the
-//!   storage system.
 
 pub mod cache;
 pub mod checkpoint;
@@ -38,7 +36,6 @@ pub mod disk;
 pub mod log;
 pub mod raid;
 pub mod tier;
-pub mod vnode;
 pub mod workload;
 
 pub use disk::{DiskConfig, SimDisk};

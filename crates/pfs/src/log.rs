@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use crate::checkpoint::{region_image, Checkpoint, CheckpointError};
 use crate::disk::{
     page_runs, Discard, DiskConfig, AVG_ROTATION, MAX_SEEK, MIN_SEEK, PAGE_BYTES, TRANSFER_RATE,
 };
@@ -23,6 +24,9 @@ use pegasus_sim::time::Ns;
 
 /// Segment (and stripe) size: one megabyte.
 pub const SEGMENT_BYTES: usize = 1 << 20;
+/// The checkpoint regions: the array's last stripes, written in turn,
+/// which no segment takes.
+const REGIONS: u64 = 2;
 
 /// A file identifier — the pnode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -204,10 +208,9 @@ pub struct LogFs {
     /// Segments cleaned since the last checkpoint, which may still name
     /// them: each keeps its stripe, and none is reused, until the next.
     pending: Vec<u64>,
-    /// The superblock: the pnode of the last checkpoint written, as it
-    /// was written. A cleaning pass may move the file since; the old
-    /// segment keeps its stripe until the next checkpoint.
-    superblock: Option<Pnode>,
+    /// The sequence number of the last checkpoint written or recovered;
+    /// 0 before any.
+    checkpoint_seq: u64,
     open_normal: OpenSegment,
     open_cm: OpenSegment,
     pnodes: HashMap<FileId, Pnode>,
@@ -237,7 +240,7 @@ impl LogFs {
             next_new_segment: 2, // 0 and 1 for the two initial open segments
             free: Vec::new(),
             pending: Vec::new(),
-            superblock: None,
+            checkpoint_seq: 0,
             open_normal: OpenSegment::default(),
             open_cm: OpenSegment {
                 id: 1,
@@ -311,40 +314,35 @@ impl LogFs {
         self.next_pnode
     }
 
-    /// The file holding the last checkpoint written, the one a crash
-    /// recovers from: what the on-disk superblock records.
-    pub fn last_checkpoint(&self) -> Option<FileId> {
-        self.superblock.as_ref().map(|p| p.id)
+    /// The sequence number of the last checkpoint written or recovered,
+    /// the one a crash recovers from.
+    pub fn last_checkpoint(&self) -> Option<u64> {
+        (self.checkpoint_seq > 0).then_some(self.checkpoint_seq)
     }
 
     /// Simulates a server crash that loses the in-memory metadata (the
-    /// pnode map and the garbage file) and the open segments' bytes,
-    /// keeping only the pnode of `keep`, the checkpoint file: pass
-    /// [`LogFs::last_checkpoint`] to crash as the superblock would, which
-    /// keeps the pnode the superblock recorded. [`crate::checkpoint::recover`]
-    /// reads the map back and derives from it which segments are flushed
-    /// and which are free.
-    pub fn amnesia(&mut self, keep: FileId) {
-        let kept = match &self.superblock {
-            Some(p) if p.id == keep => Some(p.clone()),
-            _ => self.pnodes.remove(&keep),
-        };
+    /// pnode map, the garbage file and the last checkpoint's number) and
+    /// the open segments' bytes. [`crate::checkpoint::recover`] reads the
+    /// map back from the newest valid region and derives from it which
+    /// segments are flushed and which are free. `_checkpoint` is not
+    /// read: the `pfs-vcr` benchmark's call shape holds it until ROADMAP
+    /// item 1.
+    pub fn amnesia(&mut self, _checkpoint: u64) {
         self.pnodes.clear();
-        if let Some(k) = kept {
-            self.pnodes.insert(keep, k);
-        }
         self.garbage.clear();
+        self.checkpoint_seq = 0;
         // Bytes not yet flushed are lost; the segments stay open, empty.
         self.open_normal.seal();
         self.open_cm.seal();
     }
 
-    /// Adds a decoded checkpoint's pnodes to the map (recovery), then
-    /// derives the segments from the map: each one below the
-    /// allocator's high-water mark that is not open is flushed if some
-    /// pnode names it, the checkpoint's own file's included, and free
-    /// otherwise, its stripe discarded, since nothing recovered reads it.
-    pub fn restore_from_checkpoint(&mut self, cp: &crate::checkpoint::Checkpoint) {
+    /// Adopts checkpoint `seq`, decoded (recovery): adds its pnodes to
+    /// the map, then derives the segments from the map: each one below
+    /// the allocator's high-water mark that is not open is flushed if
+    /// some pnode names it, and free otherwise, its stripe discarded,
+    /// since nothing recovered reads it.
+    pub fn restore_from_checkpoint(&mut self, seq: u64, cp: &Checkpoint) {
+        self.checkpoint_seq = seq;
         for p in &cp.pnodes {
             self.pnodes.insert(p.id, p.clone());
         }
@@ -388,7 +386,7 @@ impl LogFs {
         if let Some(s) = self.free.pop() {
             return Ok(s);
         }
-        if self.next_new_segment < self.raid.stripes() {
+        if self.next_new_segment < self.raid.stripes() - REGIONS {
             let s = self.next_new_segment;
             self.next_new_segment += 1;
             Ok(s)
@@ -675,20 +673,43 @@ impl LogFs {
         self.pending.push(seg);
     }
 
-    /// Writes a checkpoint of the tables into the log itself, as a
-    /// normal file, and syncs; once it is durable, the segments released
-    /// before it are freed. Returns the checkpoint's file.
-    pub(crate) fn checkpoint(&mut self) -> Result<FileId, FsError> {
-        let blob = crate::checkpoint::Checkpoint::capture(self).encode();
-        let file = self.create(FileClass::Normal);
-        self.append(file, &blob)?;
+    /// The stripe of the region checkpoint `seq` goes to; public for
+    /// fault injection in tests.
+    pub fn checkpoint_region(&self, seq: u64) -> u64 {
+        self.raid.stripes() - REGIONS + seq % REGIONS
+    }
+
+    /// Syncs, then writes the pnode map to the older region; once it is
+    /// durable, the segments released before it are freed. Returns the
+    /// checkpoint's sequence number.
+    pub(crate) fn checkpoint(&mut self) -> Result<u64, CheckpointError> {
         self.sync()?;
-        self.superblock = self.pnodes.get(&file).cloned();
+        let seq = self.checkpoint_seq + 1;
+        let mut region = OpenSegment::default();
+        region.push(&region_image(seq, &Checkpoint::capture(self))?, &self.raid);
+        let written = self
+            .raid
+            .write_pages(self.checkpoint_region(seq), &region.seal());
+        self.io_time += written.map_err(FsError::Raid)?;
+        self.checkpoint_seq = seq;
         for seg in self.pending.drain(..) {
             self.raid.discard_stripe(seg);
             self.free.push(seg);
         }
-        Ok(file)
+        Ok(seq)
+    }
+
+    /// Bytes `[off, off + len)` of the region checkpoint `seq` goes to
+    /// (recovery), copied out of one whole-stripe read.
+    pub(crate) fn read_region(
+        &mut self,
+        seq: u64,
+        off: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, FsError> {
+        let (stripe, mut views) = (self.checkpoint_region(seq), Vec::new());
+        self.io_time += self.raid.read_views(stripe, off, len, &mut views)?;
+        Ok(views.iter().flat_map(|v| v.iter().copied()).collect())
     }
 
     /// Forgets, in each of `victims`, every byte that no pnode's extent
@@ -880,7 +901,6 @@ mod tests {
 
     #[test]
     fn extents_nobody_validated_read_as_typed_errors() {
-        use crate::checkpoint::Checkpoint;
         use crate::disk::DiskError::OutOfRange;
         let seg = SEGMENT_BYTES as u32;
         let ext = |file_offset, segment, seg_offset, len| Extent {
@@ -909,15 +929,18 @@ mod tests {
         ];
         for (what, size, extents, offset, len) in cases {
             let mut f = fs();
-            f.restore_from_checkpoint(&Checkpoint {
-                pnodes: vec![Pnode {
-                    id: FileId(3),
-                    class: FileClass::Normal,
-                    size,
-                    extents,
-                }],
-                next_pnode: 4,
-            });
+            f.restore_from_checkpoint(
+                0,
+                &Checkpoint {
+                    pnodes: vec![Pnode {
+                        id: FileId(3),
+                        class: FileClass::Normal,
+                        size,
+                        extents,
+                    }],
+                    next_pnode: 4,
+                },
+            );
             let want = if what.contains("segment") {
                 off_the_array.clone()
             } else {
@@ -929,15 +952,18 @@ mod tests {
         // An extent whose end would wrap past zero: the sum is never
         // formed, so the bytes short of the wrap read like any others.
         let mut f = fs();
-        f.restore_from_checkpoint(&Checkpoint {
-            pnodes: vec![Pnode {
-                id: FileId(3),
-                class: FileClass::Normal,
-                size: u64::MAX,
-                extents: vec![ext(u64::MAX - 3, 5, 0, 8)],
-            }],
-            next_pnode: 4,
-        });
+        f.restore_from_checkpoint(
+            0,
+            &Checkpoint {
+                pnodes: vec![Pnode {
+                    id: FileId(3),
+                    class: FileClass::Normal,
+                    size: u64::MAX,
+                    extents: vec![ext(u64::MAX - 3, 5, 0, 8)],
+                }],
+                next_pnode: 4,
+            },
+        );
         assert_eq!(f.read(FileId(3), u64::MAX - 3, 3), Ok(vec![0; 3]));
     }
 

@@ -3,15 +3,16 @@
 //! either cleaner, after which every file must read back with a data
 //! disk lost and again once it is rebuilt, and crashes, after which the
 //! log must hold exactly what its last checkpoint named, each segment it
-//! names cleanable — and every read path against `read_into`.
+//! names cleanable, or, with the newest checkpoint's region torn, what
+//! the one before named — and every read path against `read_into`.
 
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
-use pegasus_pfs::checkpoint::{recover, write_checkpoint};
+use pegasus_pfs::checkpoint::{recover, write_checkpoint, CheckpointError};
 use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
-use pegasus_pfs::disk::DiskConfig;
-use pegasus_pfs::log::{FileClass, FileId, LogFs};
+use pegasus_pfs::disk::{DiskConfig, SECTOR};
+use pegasus_pfs::log::{FileClass, FileId, LogFs, SEGMENT_BYTES};
 use pegasus_pfs::raid::DATA_DISKS;
 use pegasus_pfs::tier::{TierConfig, TieredCache};
 use pegasus_sim::arena::{Arena, FrameView};
@@ -31,6 +32,10 @@ enum Op {
     // Power lost: the log recovers from its last checkpoint, and the
     // model returns to what it held then.
     Crash,
+    // Power lost while the last checkpoint was written, so its region
+    // is torn: the log recovers from the one before, and the model
+    // returns to what it held then.
+    TornCrash,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -47,6 +52,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(wanted, disk)| Op::CleanSprite { wanted, disk }),
         1 => Just(Op::Checkpoint),
         1 => Just(Op::Crash),
+        1 => Just(Op::TornCrash),
     ]
 }
 
@@ -82,13 +88,11 @@ fn reads_back(
 }
 
 /// Every model file reads back exactly, at its size; every other file
-/// the test made errors; and the log holds no file but those and its
-/// `checkpoints` checkpoint files.
+/// the test made errors; and the log holds no other file.
 fn holds_model(
     fs: &mut LogFs,
     model: &HashMap<FileId, Vec<u8>>,
     handles: &[FileId],
-    checkpoints: usize,
 ) -> Result<(), TestCaseError> {
     for (&id, expected) in model {
         let got = fs.read(id, 0, expected.len()).unwrap();
@@ -100,8 +104,20 @@ fn holds_model(
             prop_assert!(fs.read(*id, 0, 1).is_err());
         }
     }
-    prop_assert_eq!(fs.file_count(), model.len() + checkpoints);
+    prop_assert_eq!(fs.file_count(), model.len());
     Ok(())
+}
+
+/// Tears the region of checkpoint `seq` as a write cut short would: the
+/// body bytes of its first sector, on data disk 0, are not what the
+/// header's CRC was computed over.
+fn tear_region(fs: &mut LogFs, seq: u64) {
+    let chunk_sectors = (SEGMENT_BYTES / DATA_DISKS / SECTOR) as u64;
+    let sector = fs.checkpoint_region(seq) * chunk_sectors;
+    let disk = fs.raid_mut().disk_mut(0);
+    let (mut bytes, _) = disk.read(sector, 1).unwrap();
+    bytes[16..].iter_mut().for_each(|b| *b = !*b);
+    disk.write(sector, &bytes).unwrap();
 }
 
 /// How many distinct segments the log's pnodes name.
@@ -121,14 +137,20 @@ proptest! {
         let mut fs = LogFs::new(DiskConfig::hp_1994());
         let mut model: HashMap<FileId, Vec<u8>> = HashMap::new();
         let mut handles: Vec<FileId> = Vec::new();
-        // Checkpoint files are files of the log's own: how many there
-        // are, and the model and that count as the last checkpoint, the
-        // log's or a cleaning pass's, saw them.
-        let mut checkpoints = 0;
-        let mut snapshot = (model.clone(), checkpoints);
+        // The model as the last checkpoint, the log's or a cleaning
+        // pass's, saw it; and the checkpoint before that and its model,
+        // while a torn write of the last could fall back to it: while no
+        // pass has forgotten or freed a byte it names, and no recovery
+        // has freed the segments the last one does not name.
+        let mut snapshot = model.clone();
+        let mut fallback: Option<(u64, HashMap<FileId, Vec<u8>>)> = None;
         let mut last = None;
+        // Whether a pass released segments since the last checkpoint,
+        // which the next one frees.
+        let mut released = false;
 
         for op in ops {
+            let (mut cleaned, mut recovered) = (0, false);
             match op {
                 Op::Create { continuous } => {
                     let class = if continuous { FileClass::Continuous } else { FileClass::Normal };
@@ -160,11 +182,11 @@ proptest! {
                 }
                 Op::Sync => fs.sync().unwrap(),
                 Op::Clean { disk } => {
-                    clean_garbage_file(&mut fs).unwrap();
+                    cleaned = clean_garbage_file(&mut fs).unwrap().segments_cleaned;
                     reads_back(&mut fs, &model, disk)?;
                 }
                 Op::CleanSprite { wanted, disk } => {
-                    clean_sprite(&mut fs, wanted).unwrap();
+                    cleaned = clean_sprite(&mut fs, wanted).unwrap().segments_cleaned;
                     reads_back(&mut fs, &model, disk)?;
                 }
                 Op::Checkpoint => {
@@ -174,35 +196,54 @@ proptest! {
                     if let Some(cp) = fs.last_checkpoint() {
                         fs.amnesia(cp);
                         recover(&mut fs, cp).unwrap();
-                        (model, checkpoints) = snapshot.clone();
-                        holds_model(&mut fs, &model, &handles, checkpoints)?;
-                        // Every segment a recovered pnode names is one the
-                        // log counts as flushed: a garbage pass takes it
-                        // once the files in it are deleted.
-                        prop_assert_eq!(fs.used_segments(), named_segments(&fs));
+                        model = snapshot.clone();
+                        (fallback, released, recovered) = (None, false, true);
+                    }
+                }
+                Op::TornCrash => {
+                    if let (Some(cp), Some((before, seen))) = (fs.last_checkpoint(), fallback.take()) {
+                        tear_region(&mut fs, cp);
+                        fs.amnesia(cp);
+                        let stale = CheckpointError::Stale(before);
+                        prop_assert_eq!(recover(&mut fs, cp), Err(stale));
+                        recover(&mut fs, before).unwrap();
+                        prop_assert_eq!(fs.last_checkpoint(), Some(before));
+                        (model, snapshot) = (seen.clone(), seen);
+                        (last, released, recovered) = (Some(before), false, true);
                     }
                 }
                 _ => {}
+            }
+            if recovered {
+                holds_model(&mut fs, &model, &handles)?;
+                // Every segment a recovered pnode names is one the log
+                // counts as flushed: a garbage pass takes it once the
+                // files in it are deleted.
+                prop_assert_eq!(fs.used_segments(), named_segments(&fs));
             }
             // Cleaning adds and removes no file's bytes, so what the
             // model holds after a step that wrote a checkpoint is what
             // that checkpoint names.
             if fs.last_checkpoint() != last {
-                last = fs.last_checkpoint();
-                checkpoints += 1;
-                snapshot = (model.clone(), checkpoints);
+                let before = last.replace(fs.last_checkpoint().unwrap());
+                let seen = std::mem::replace(&mut snapshot, model.clone());
+                fallback = before.filter(|_| !released).map(|seq| (seq, seen));
+                released = false;
+            }
+            // A pass forgets dead bytes in its victims after its own
+            // checkpoint, and the next one frees them.
+            if cleaned > 0 {
+                (fallback, released) = (None, true);
             }
         }
 
-        holds_model(&mut fs, &model, &handles, checkpoints)?;
-        // Every file deleted, checkpoints too, one garbage pass frees
-        // every segment but those its own checkpoint names.
-        let files: Vec<FileId> = fs.pnodes_iter().map(|p| p.id).collect();
-        for id in files {
+        holds_model(&mut fs, &model, &handles)?;
+        // Every file deleted, one garbage pass frees every segment.
+        for &id in model.keys() {
             fs.delete(id).unwrap();
         }
         clean_garbage_file(&mut fs).unwrap();
-        prop_assert!(fs.used_segments() <= named_segments(&fs));
+        prop_assert_eq!(fs.used_segments(), 0);
     }
 }
 

@@ -295,3 +295,37 @@ fn a_segment_the_checkpoint_sealed_is_cleaned_after_recovery() {
     let report = clean_garbage_file(&mut fs).expect("garbage pass");
     assert_eq!(report.segments_cleaned, 1, "segment {seg} freed");
 }
+
+#[test]
+fn overwrite_and_clean_passes_hold_the_log_flat() {
+    // Every cleaning pass writes a checkpoint. A file written and
+    // checkpointed, then 64 passes of overwrite, sync and clean: after
+    // each pass the log holds the one file, in as many segments, with
+    // as many bytes on the disks, as after the first.
+    let mut fs = fresh();
+    let f = fs.create(FileClass::Normal);
+    fs.append(f, &patterned(100_000, 0xFF)).expect("append");
+    write_checkpoint(&mut fs).expect("checkpoint");
+    let mut after_first = None;
+    for pass in 0..64u8 {
+        fs.overwrite(f, &patterned(100_000, pass))
+            .expect("overwrite");
+        fs.sync().expect("sync");
+        let report = clean_garbage_file(&mut fs).expect("garbage pass");
+        assert_eq!(report.segments_cleaned, 1, "pass {pass}");
+        let held = (
+            fs.used_segments(),
+            fs.raid_mut().retained_bytes(),
+            fs.file_count(),
+        );
+        let first = *after_first.get_or_insert(held);
+        assert_eq!(
+            held, first,
+            "(segments, retained bytes, files) after pass {pass}"
+        );
+    }
+    assert_eq!(
+        fs.read(f, 0, 100_000).expect("read"),
+        patterned(100_000, 63)
+    );
+}
