@@ -127,7 +127,7 @@ impl Segmenter {
     }
 
     /// Number of cells needed for a frame of `len` payload bytes.
-    pub fn cells_for(len: usize) -> usize {
+    pub(crate) fn cells_for(len: usize) -> usize {
         (len + TRAILER_SIZE).div_ceil(PAYLOAD_SIZE)
     }
 
@@ -232,7 +232,7 @@ impl FrameLease {
     }
 
     /// Extracts owned bytes (copies when the lease is a view).
-    pub fn into_vec(self) -> Vec<u8> {
+    pub(crate) fn into_vec(self) -> Vec<u8> {
         match self {
             FrameLease::View(v) => v.to_vec(),
             FrameLease::Owned(b) => b,

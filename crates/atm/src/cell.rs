@@ -150,7 +150,7 @@ impl Cell {
     /// Panics unless `view` is exactly [`PAYLOAD_SIZE`] bytes — AAL5
     /// scatter-gather only takes full-cell slices of a frame; partial
     /// tails are synthesised inline.
-    pub fn with_view(vci: Vci, view: FrameView) -> Self {
+    pub(crate) fn with_view(vci: Vci, view: FrameView) -> Self {
         assert_eq!(
             view.len(),
             PAYLOAD_SIZE,
@@ -213,31 +213,6 @@ impl Cell {
         self.vci = vci;
     }
 
-    /// The virtual path identifier.
-    pub fn vpi(&self) -> u8 {
-        self.vpi
-    }
-
-    /// Sets the virtual path identifier.
-    pub fn set_vpi(&mut self, vpi: u8) {
-        self.vpi = vpi;
-    }
-
-    /// The raw 3-bit payload-type indicator.
-    pub fn pti(&self) -> u8 {
-        self.pti
-    }
-
-    /// The cell-loss-priority bit.
-    pub fn clp(&self) -> bool {
-        self.clp
-    }
-
-    /// Marks the cell as discard-eligible.
-    pub fn set_clp(&mut self, clp: bool) {
-        self.clp = clp;
-    }
-
     /// True when the AAL-user bit (PTI bit 0) marks this as the last cell
     /// of an AAL5 frame.
     pub fn is_last(&self) -> bool {
@@ -259,7 +234,7 @@ impl Cell {
     /// the ITU-mandated 0x55 coset added. One lookup per header byte in
     /// a compile-time-built 256-entry table, so header generation and
     /// verification stay off the bit-loop.
-    pub fn hec(header: &[u8; 4]) -> u8 {
+    pub(crate) fn hec(header: &[u8; 4]) -> u8 {
         let mut crc: u8 = 0;
         for &b in header {
             crc = HEC_TABLE[(crc ^ b) as usize];
@@ -325,15 +300,15 @@ mod tests {
     #[test]
     fn roundtrip_plain() {
         let mut c = Cell::with_payload(0x1234, b"hello");
-        c.set_vpi(0xAB);
-        c.set_clp(true);
+        c.vpi = 0xAB;
+        c.clp = true;
         c.set_last(true);
         let bytes = c.to_bytes();
         let back = Cell::from_bytes(&bytes).expect("valid cell");
         assert_eq!(back, c);
         assert_eq!(back.vci(), 0x1234);
-        assert_eq!(back.vpi(), 0xAB);
-        assert!(back.clp());
+        assert_eq!(back.vpi, 0xAB);
+        assert!(back.clp);
         assert!(back.is_last());
         assert_eq!(&back.payload()[..5], b"hello");
     }

@@ -201,11 +201,6 @@ impl Link {
         self.outage_until = self.outage_until.max(until);
     }
 
-    /// Earliest time a newly offered cell would start serializing.
-    pub fn next_free(&self) -> Ns {
-        self.next_free
-    }
-
     /// Current transmit backlog: how long a cell offered now would wait
     /// before starting to serialize.
     pub fn backlog(&self, now: Ns) -> Ns {

@@ -110,17 +110,17 @@ impl AdmissionController {
     }
 
     /// Raw line rate.
-    pub fn capacity_bps(&self) -> u64 {
+    pub(crate) fn capacity_bps(&self) -> u64 {
         self.capacity_bps
     }
 
     /// Bandwidth currently reserved by guaranteed connections.
-    pub fn reserved_bps(&self) -> u64 {
+    pub(crate) fn reserved_bps(&self) -> u64 {
         self.reserved_bps
     }
 
     /// Bandwidth still available to new guaranteed connections.
-    pub fn available_bps(&self) -> u64 {
+    pub(crate) fn available_bps(&self) -> u64 {
         self.reservable_bps.saturating_sub(self.reserved_bps)
     }
 

@@ -143,7 +143,7 @@ impl Switch {
     /// Grows the switch to at least `ports` ports (new ports start
     /// unwired). Programmatic topology builders size switches to the
     /// scenario rather than a fixed port count.
-    pub fn grow_ports(&mut self, ports: usize) {
+    pub(crate) fn grow_ports(&mut self, ports: usize) {
         while self.outputs.len() < ports {
             self.outputs.push(None);
         }
@@ -172,7 +172,7 @@ impl Switch {
 
     /// Wipes the whole translation table — a dead switch forwards
     /// nothing; everything arriving afterwards counts as unroutable.
-    pub fn clear_routes(&mut self) {
+    pub(crate) fn clear_routes(&mut self) {
         self.routes.clear();
     }
 

@@ -6,8 +6,8 @@ use crate::{Claim, Result};
 
 pub fn claim() -> Result<Claim> {
     let mut mgr = QosManager::new(0.9, 0.3);
-    let video = mgr.add_app("video", 2.0);
-    let batch = mgr.add_app("batch", 1.0);
+    let video = mgr.add_app(2.0);
+    let batch = mgr.add_app(1.0);
     let mut rows = vec!["epoch  video_demand  video_grant  batch_grant  event".to_string()];
     let (mut v, mut b) = (Vec::new(), Vec::new());
     let mut audio = None;
@@ -18,7 +18,7 @@ pub fn claim() -> Result<Claim> {
         mgr.observe(batch, 1.0);
         let mut event = "";
         if epoch == 20 {
-            audio = Some(mgr.add_app("audio", 3.0));
+            audio = Some(mgr.add_app(3.0));
             event = "audio app joins (weight 3)";
         }
         if let Some(a) = audio {

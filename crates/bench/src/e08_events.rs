@@ -20,7 +20,7 @@ const SPACING: u64 = 10_000;
 fn demux(mode: SignalMode) -> (u64, u64) {
     let sys = EventSystem::shared();
     let mut sim = Simulator::new();
-    let rx = sys.borrow_mut().add_domain("demux");
+    let rx = sys.borrow_mut().add_domain();
     let chan = sys.borrow_mut().open_channel(rx);
     let first = Rc::new(Cell::new(None));
     let f = first.clone();
@@ -41,8 +41,8 @@ fn demux(mode: SignalMode) -> (u64, u64) {
 fn idc_round_trip() -> u64 {
     let sys = EventSystem::shared();
     let mut sim = Simulator::new();
-    let client = sys.borrow_mut().add_domain("client");
-    let server = sys.borrow_mut().add_domain("server");
+    let client = sys.borrow_mut().add_domain();
+    let server = sys.borrow_mut().add_domain();
     let t = Rc::new(Cell::new(0));
     let t2 = t.clone();
     let idc = IdcChannel::new(

@@ -127,11 +127,6 @@ impl CongestionController {
         Verdict::Hold
     }
 
-    /// Whether the controller currently holds sessions degraded.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Down verdicts issued so far.
     pub fn downs(&self) -> u64 {
         self.downs
@@ -174,7 +169,7 @@ mod tests {
         assert_eq!(c.observe(&pressured()), Verdict::Hold);
         assert_eq!(c.observe(&clear()), Verdict::Hold, "streak broken");
         assert_eq!(c.observe(&pressured()), Verdict::Hold);
-        assert!(!c.is_degraded());
+        assert!(!c.degraded);
         assert_eq!(c.downs(), 0);
     }
 
@@ -187,7 +182,7 @@ mod tests {
         // Still pressured: no second Down, no Up.
         assert_eq!(c.observe(&pressured()), Verdict::Hold);
         assert_eq!(c.downs(), 1);
-        assert!(c.is_degraded());
+        assert!(c.degraded);
     }
 
     #[test]
@@ -199,11 +194,11 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(c.observe(&deep_but_quiet()), Verdict::Hold);
         }
-        assert!(c.is_degraded());
+        assert!(c.degraded);
         // The cause ends, the queue drains: two clear epochs restore.
         assert_eq!(c.observe(&clear()), Verdict::Hold);
         assert_eq!(c.observe(&clear()), Verdict::Up);
-        assert!(!c.is_degraded());
+        assert!(!c.degraded);
         assert_eq!((c.downs(), c.ups()), (1, 1));
     }
 

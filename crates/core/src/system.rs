@@ -200,7 +200,7 @@ impl System {
     }
 
     /// Adds a workstation uplinked to fabric switch `fabric_idx`.
-    pub fn add_workstation_at(
+    pub(crate) fn add_workstation_at(
         &mut self,
         fabric_idx: usize,
         name: &str,
@@ -242,7 +242,7 @@ impl System {
 
     /// Adds a server endpoint behind its own edge switch on fabric
     /// switch `fabric_idx`.
-    pub fn add_server_at(&mut self, fabric_idx: usize, sink: SinkRef) -> EndpointId {
+    pub(crate) fn add_server_at(&mut self, fabric_idx: usize, sink: SinkRef) -> EndpointId {
         // A private edge switch would be equivalent; servers sit directly
         // on a backbone port here.
         let sw = self.net.add_switch("srv-edge", 2, 0);
@@ -288,7 +288,11 @@ impl System {
     }
 
     /// Builds an audio source on `ws` for an already-opened connection.
-    pub fn build_audio_source(&self, ws: &Workstation, vci: u16) -> Rc<RefCell<AudioSource>> {
+    pub(crate) fn build_audio_source(
+        &self,
+        ws: &Workstation,
+        vci: u16,
+    ) -> Rc<RefCell<AudioSource>> {
         self.audio_source_on(ws.audio_src_ep, vci)
     }
 

@@ -69,7 +69,7 @@ pub fn pack_cell(vci: Vci, timestamp: Ns, samples: &[i16; SAMPLES_PER_CELL]) -> 
 }
 
 /// Unpacks a cell produced by [`pack_cell`].
-pub fn unpack_cell(cell: &Cell) -> (Ns, [i16; SAMPLES_PER_CELL]) {
+pub(crate) fn unpack_cell(cell: &Cell) -> (Ns, [i16; SAMPLES_PER_CELL]) {
     let payload = cell.payload();
     let ts = Ns::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
     let mut samples = [0i16; SAMPLES_PER_CELL];

@@ -126,7 +126,7 @@ struct Row {
 /// ([`SyntheticVideo::frame_leased`]), drawn into a buffer leased from
 /// the camera's [`Arena`] only when no camera holds one, and each of its
 /// tile rows is coded once, by the first camera to send it
-/// ([`Picture::coded_row`]). A tile frame is this camera's header and
+/// (`Picture::coded_row`). A tile frame is this camera's header and
 /// one copy of a run of coded tiles, written into a further leased
 /// buffer (no intermediate `TileFrame` struct, no per-tile `Vec`s), and
 /// AAL5 segmentation takes zero-copy views of it — the switch fabric
@@ -202,18 +202,13 @@ impl Camera {
     }
 
     /// Scan time of one line.
-    pub fn line_period(&self) -> Ns {
+    pub(crate) fn line_period(&self) -> Ns {
         self.frame_period() / self.video.height as u64
     }
 
     /// Changes the coding quality (the control-VC `SetQuality` command).
     pub fn set_mode(&mut self, mode: VideoMode) {
         self.cfg.mode = mode;
-    }
-
-    /// Whether the camera is currently capturing.
-    pub fn is_running(&self) -> bool {
-        self.running
     }
 
     /// Starts capture; frames are scanned and emitted until
@@ -536,7 +531,7 @@ mod tests {
             for &(x, y, ref d) in &f.tiles {
                 let pixels = codec::decode_tile(d, f.quality).expect("valid bitstream");
                 let orig = Tile::from_image(&original, width, x as usize / 8, y as usize / 8);
-                if let Some(p) = codec::psnr(&orig.pixels, &pixels) {
+                if let Some(p) = codec::tests::psnr(&orig.pixels, &pixels) {
                     total_psnr += p;
                     n += 1;
                 }
@@ -812,7 +807,7 @@ mod tests {
         sim.run();
         let frames_at_stop = cam.borrow().stats.frames_captured;
         assert!(frames_at_stop >= 1);
-        assert!(!cam.borrow().is_running());
+        assert!(!cam.borrow().running);
     }
 
     #[test]

@@ -52,7 +52,7 @@ const UNZIGZAG: [u8; TILE_PIXELS] = {
     inv
 };
 
-/// Errors from [`decode_tile`].
+/// Errors from `decode_tile`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// The bitstream ended mid-token.
@@ -74,7 +74,7 @@ impl std::error::Error for CodecError {}
 
 /// Builds the quantization matrix for a JPEG-convention quality factor
 /// in 1..=100 (higher is better).
-pub fn quant_matrix(quality: u8) -> [u16; TILE_PIXELS] {
+pub(crate) fn quant_matrix(quality: u8) -> [u16; TILE_PIXELS] {
     let q = quality.clamp(1, 100) as u32;
     let scale = if q < 50 { 5000 / q } else { 200 - 2 * q };
     let mut m = [0u16; TILE_PIXELS];
@@ -303,12 +303,12 @@ fn parse_tokens(data: &[u8], mut coefficient: impl FnMut(usize, i16)) -> Result<
 /// Checks that `data` is a bitstream [`decode_tile`] would accept,
 /// without reconstructing a pixel — all a display with no framebuffer
 /// needs to know about a compressed tile.
-pub fn validate_tile(data: &[u8]) -> Result<(), CodecError> {
+pub(crate) fn validate_tile(data: &[u8]) -> Result<(), CodecError> {
     parse_tokens(data, |_, _| {})
 }
 
 /// Decompresses a tile produced by [`encode_tile`] at the same quality.
-pub fn decode_tile(data: &[u8], quality: u8) -> Result<[u8; TILE_PIXELS], CodecError> {
+pub(crate) fn decode_tile(data: &[u8], quality: u8) -> Result<[u8; TILE_PIXELS], CodecError> {
     let t = Tables::get();
     let quant = t.quant(quality);
     let mut coeffs = [0f32; TILE_PIXELS];
@@ -324,32 +324,32 @@ pub fn decode_tile(data: &[u8], quality: u8) -> Result<[u8; TILE_PIXELS], CodecE
     Ok(pixels)
 }
 
-/// Peak signal-to-noise ratio between two images, in dB; `None` when the
-/// images are identical.
-pub fn psnr(a: &[u8], b: &[u8]) -> Option<f64> {
-    assert_eq!(a.len(), b.len());
-    let mse: f64 = a
-        .iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / a.len() as f64;
-    if mse == 0.0 {
-        None
-    } else {
-        Some(10.0 * (255.0f64 * 255.0 / mse).log10())
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tile::Tile;
     use crate::video::{Scene, SyntheticVideo};
     use proptest::prelude::*;
+
+    /// Peak signal-to-noise ratio between two images, in dB; `None` when the
+    /// images are identical.
+    pub(crate) fn psnr(a: &[u8], b: &[u8]) -> Option<f64> {
+        assert_eq!(a.len(), b.len());
+        let mse: f64 = a
+            .iter()
+            .zip(b.iter())
+            .map(|(&x, &y)| {
+                let d = x as f64 - y as f64;
+                d * d
+            })
+            .sum::<f64>()
+            / a.len() as f64;
+        if mse == 0.0 {
+            None
+        } else {
+            Some(10.0 * (255.0f64 * 255.0 / mse).log10())
+        }
+    }
 
     /// The codec as it stood before the table-driven rewrite, loop for
     /// loop: the definition the product code must equal byte for byte.

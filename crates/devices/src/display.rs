@@ -9,8 +9,8 @@
 //! control which virtual channel, and thus which process, can access the
 //! different pixels of the screen."
 //!
-//! The window manager here exercises every operation the paper lists:
-//! create, move, resize, iconize, raise and lower, plus the
+//! The window manager here offers create, move, resize, raise and
+//! lower, plus the
 //! whole-screen descriptor it uses "for decorating windows with title
 //! bars and resize buttons". Since tiles are fixed-size bit-blits,
 //! graphics drawn by the window manager and video from a camera travel
@@ -84,7 +84,7 @@ pub struct WindowDescriptor {
     pub clip: Rect,
     /// Stacking order; higher is closer to the viewer.
     pub z: u32,
-    /// Invisible windows (iconized) accept and discard their tiles.
+    /// Invisible windows accept and discard their tiles.
     pub visible: bool,
     /// Overlay descriptors (the window manager's whole-screen channel)
     /// paint over everything but do not occlude ordinary windows — the
@@ -97,7 +97,7 @@ pub struct WindowDescriptor {
 pub struct DisplayStats {
     /// Tiles blitted (at least one pixel written).
     pub tiles_blitted: u64,
-    /// Tiles fully clipped away or addressed to unknown/iconized windows.
+    /// Tiles fully clipped away or addressed to unknown/invisible windows.
     pub tiles_discarded: u64,
     /// Pixels written to the framebuffer.
     pub pixels_written: u64,
@@ -164,12 +164,12 @@ impl Display {
     }
 
     /// Screen width.
-    pub fn width(&self) -> i32 {
+    pub(crate) fn width(&self) -> i32 {
         self.width
     }
 
     /// Screen height.
-    pub fn height(&self) -> i32 {
+    pub(crate) fn height(&self) -> i32 {
         self.height
     }
 
@@ -330,7 +330,6 @@ impl CellSink for Display {
 pub struct WindowManager {
     display: Rc<RefCell<Display>>,
     next_z: u32,
-    saved_geometry: HashMap<Vci, Rect>,
     /// The VCI the manager itself draws decorations on.
     pub wm_vci: Vci,
 }
@@ -346,7 +345,6 @@ impl WindowManager {
         let wm = WindowManager {
             display,
             next_z: 1,
-            saved_geometry: HashMap::new(),
             wm_vci,
         };
         // The manager's own descriptor: whole screen, permanently on top.
@@ -408,26 +406,6 @@ impl WindowManager {
     /// Lowers a window beneath all others.
     pub fn lower(&mut self, vci: Vci) {
         self.update(vci, |d| d.z = 0);
-    }
-
-    /// Iconizes a window: it stops painting but keeps its descriptor.
-    pub fn iconize(&mut self, vci: Vci) {
-        let geom = self.display.borrow().descriptor(vci).map(|d| d.clip);
-        if let Some(g) = geom {
-            self.saved_geometry.insert(vci, g);
-        }
-        self.update(vci, |d| d.visible = false);
-    }
-
-    /// Restores an iconized window.
-    pub fn deiconize(&mut self, vci: Vci) {
-        let geom = self.saved_geometry.remove(&vci);
-        self.update(vci, |d| {
-            d.visible = true;
-            if let Some(g) = geom {
-                d.clip = g;
-            }
-        });
     }
 
     fn bump_z(&mut self) -> u32 {
@@ -641,21 +619,6 @@ mod tests {
             0,
             "lowered window fully hidden"
         );
-    }
-
-    #[test]
-    fn iconize_discards_then_deiconize_restores() {
-        let display = Display::shared(64, 64);
-        let mut wm = WindowManager::new(display.clone(), 1);
-        wm.create(5, Rect::new(0, 0, 16, 16));
-        wm.iconize(5);
-        let mut sim = Simulator::new();
-        send_frame(&display, &mut sim, 5, &solid_frame(11, 0));
-        assert_eq!(display.borrow().stats.tiles_blitted, 0);
-        wm.deiconize(5);
-        send_frame(&display, &mut sim, 5, &solid_frame(11, 0));
-        assert_eq!(display.borrow().stats.tiles_blitted, 1);
-        assert_eq!(display.borrow().pixel(0, 0), 11);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   transmission on the data VC.
 //! * [`display`] — the ATM display: a window-descriptor table indexed
 //!   by VCI, tile blitting with clipping, and the window manager that
-//!   manipulates the descriptors (create/move/resize/raise/lower/
-//!   iconize) — "a unification of video and graphics".
+//!   manipulates the descriptors (create/move/resize/raise/lower) —
+//!   "a unification of video and graphics".
 //! * [`audio`] — the DSP node: ADC/DAC sample clocks, timestamped cell
 //!   packing, and the play-out discipline whose jitter behaviour E17
 //!   measures.

@@ -29,15 +29,6 @@ pub struct Tile {
 }
 
 impl Tile {
-    /// Creates a tile at (x, y) filled with a constant value.
-    pub fn solid(x: u16, y: u16, value: u8) -> Self {
-        Tile {
-            x,
-            y,
-            pixels: [value; TILE_PIXELS],
-        }
-    }
-
     /// Extracts the tile at tile-grid position (tx, ty) from a
     /// `width × height` luminance image.
     ///
@@ -45,7 +36,7 @@ impl Tile {
     ///
     /// Panics if the tile lies outside the image or the buffer is too
     /// small.
-    pub fn from_image(image: &[u8], width: usize, tx: usize, ty: usize) -> Self {
+    pub(crate) fn from_image(image: &[u8], width: usize, tx: usize, ty: usize) -> Self {
         let x0 = tx * TILE_DIM;
         let y0 = ty * TILE_DIM;
         let mut pixels = [0u8; TILE_PIXELS];
@@ -226,7 +217,7 @@ impl<'a> TileFrameView<'a> {
     }
 
     /// Number of tiles in the frame.
-    pub fn tile_count(&self) -> usize {
+    pub(crate) fn tile_count(&self) -> usize {
         self.tile_count
     }
 
@@ -518,13 +509,6 @@ mod tests {
         .encode();
         bytes[0] = 9;
         assert_eq!(TileFrame::decode(&bytes), Err(TileFrameError::BadCoding(9)));
-    }
-
-    #[test]
-    fn solid_tile() {
-        let t = Tile::solid(8, 16, 200);
-        assert!(t.pixels.iter().all(|&p| p == 200));
-        assert_eq!((t.x, t.y), (8, 16));
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl Picture {
     /// # Panics
     ///
     /// Panics if the row lies outside the picture.
-    pub fn coded_row(&self, row: usize, coding: TileCoding, quality: u8) -> Ref<'_, [u8]> {
+    pub(crate) fn coded_row(&self, row: usize, coding: TileCoding, quality: u8) -> Ref<'_, [u8]> {
         let key = (coding, quality, row);
         let found = (self.0.coded.borrow().rows.iter())
             .find(|(k, _)| *k == key)
@@ -334,12 +334,12 @@ impl SyntheticVideo {
     }
 
     /// Number of tile columns.
-    pub fn tiles_x(&self) -> usize {
+    pub(crate) fn tiles_x(&self) -> usize {
         self.width / 8
     }
 
     /// Number of tile rows.
-    pub fn tiles_y(&self) -> usize {
+    pub(crate) fn tiles_y(&self) -> usize {
         self.height / 8
     }
 }

@@ -37,7 +37,7 @@ pub struct ImageMutator {
     rng: SmallRng,
 }
 
-/// What [`ImageMutator::mutate`] did to a blob.
+/// What `ImageMutator::mutate` did to a blob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImageMutation {
     /// One bit flipped somewhere in the blob.
@@ -54,7 +54,7 @@ pub enum ImageMutation {
     Extend,
 }
 
-/// What [`ImageMutator::mutate_region`] did to a region.
+/// What `ImageMutator::mutate_region` did to a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionMutation {
     /// One bit flipped in the header's sequence number or body length.
@@ -84,7 +84,7 @@ impl ImageMutator {
     }
 
     /// Applies one corruption to `blob` (`donor` feeds splices).
-    pub fn mutate(&mut self, blob: &mut Vec<u8>, donor: &[u8]) -> ImageMutation {
+    pub(crate) fn mutate(&mut self, blob: &mut Vec<u8>, donor: &[u8]) -> ImageMutation {
         let m = IMAGE_MUTATIONS[self.rng.gen_range(0..IMAGE_MUTATIONS.len())];
         if blob.is_empty() {
             return m;
@@ -125,7 +125,12 @@ impl ImageMutator {
     /// Applies one corruption to the region image `region[..len]`, whose
     /// bytes past `len` the write left as they were; `old` is what the
     /// region held before, at least as long.
-    pub fn mutate_region(&mut self, region: &mut [u8], len: usize, old: &[u8]) -> RegionMutation {
+    pub(crate) fn mutate_region(
+        &mut self,
+        region: &mut [u8],
+        len: usize,
+        old: &[u8],
+    ) -> RegionMutation {
         let (m, lo, hi) = [
             (RegionMutation::Header, 0, 12),
             (RegionMutation::Crc, 12, HEADER_BYTES),

@@ -9,7 +9,7 @@
 //! failure reproduces from the one-line `(seed, front, step)` triple the
 //! assertion prints — see `docs/HARDENING.md` for the full protocol.
 //!
-//! Four fronts:
+//! Three fronts:
 //!
 //! * [`wire`] — a [`wire::CellMutator`] flips, drops, duplicates,
 //!   reorders, truncates and splices AAL5 cell streams into
@@ -18,9 +18,6 @@
 //! * [`disk`] — an [`disk::ImageMutator`] over checkpoint blobs, each
 //!   decoded, and restored and read if the decoder accepts it, and over
 //!   the checkpoint regions on the disks, each crash recovered from.
-//! * [`storm`] — the `nemesis-storm` scenario preset (link flaps, a
-//!   switch death with signalling repair, a disk failure with a live
-//!   RAID rebuild) rerun and compared byte-for-byte.
 //! * [`control`] — random walks over the QoS feedback loop (admit,
 //!   congest, renegotiate down, recover, renegotiate up) against the
 //!   real broker, credit windows and hysteresis controller.
@@ -28,7 +25,8 @@
 //! The signalling state machine itself (open, close, flow sets, switch
 //! death, re-route) is walked by the ATM crate's property tests,
 //! `prop_ledger` and `prop_admit`; crash recovery, with cleaning, by the
-//! PFS crate's `prop_log`.
+//! PFS crate's `prop_log`; the `nemesis-storm` preset's determinism and
+//! survival, on three seeds, by the scenario crate's `determinism` test.
 //!
 //! Each front runs under plain `cargo test` with a small budget; the
 //! `fuzz-gauntlet` binary (`scripts/fuzz_gauntlet.sh`) runs the CI-sized
@@ -36,7 +34,6 @@
 
 pub mod control;
 pub mod disk;
-pub mod storm;
 pub mod wire;
 
 /// Which mutation engine produced a failure.
@@ -46,8 +43,6 @@ pub enum Front {
     Wire,
     /// Checkpoint-image mutations.
     Disk,
-    /// The golden-gated scenario storm.
-    Storm,
     /// The QoS feedback loop: backpressure, hysteresis, renegotiation.
     Control,
 }
@@ -57,7 +52,6 @@ impl std::fmt::Display for Front {
         match self {
             Front::Wire => write!(f, "wire"),
             Front::Disk => write!(f, "disk"),
-            Front::Storm => write!(f, "storm"),
             Front::Control => write!(f, "control"),
         }
     }
@@ -90,7 +84,7 @@ impl Repro {
     /// The step's own RNG seed: a splitmix-style mix of `(seed, step)`,
     /// so step N's inputs never depend on steps 0..N and a single step
     /// replays in isolation.
-    pub fn step_seed(&self) -> u64 {
+    pub(crate) fn step_seed(&self) -> u64 {
         let mut z = self
             .seed
             .wrapping_add(self.step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -139,11 +133,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "hostile failure (seed=3, front=storm, step=9)")]
+    #[should_panic(expected = "hostile failure (seed=3, front=control, step=9)")]
     fn check_panics_with_triple() {
         let r = Repro {
             seed: 3,
-            front: Front::Storm,
+            front: Front::Control,
             step: 9,
         };
         r.check(false, "example");

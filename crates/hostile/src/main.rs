@@ -1,7 +1,7 @@
 //! `fuzz-gauntlet` — the CI-sized driver for the hostile fronts.
 //!
 //! ```text
-//! fuzz-gauntlet [--front wire|disk|storm|control|all]
+//! fuzz-gauntlet [--front wire|disk|control|all]
 //!               [--seed N] [--iters N]
 //! ```
 //!
@@ -9,7 +9,7 @@
 //! panics with its one-line `(seed, front, step)` reproduction triple.
 //! `scripts/fuzz_gauntlet.sh` wraps this with the CI budgets.
 
-use pegasus_hostile::{control, disk, storm, wire};
+use pegasus_hostile::{control, disk, wire};
 
 struct Args {
     front: String,
@@ -32,7 +32,7 @@ fn parse() -> Args {
             "--iters" => args.iters = grab("--iters").parse().expect("--iters takes a u64"),
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz-gauntlet [--front wire|disk|storm|control|all] \
+                    "usage: fuzz-gauntlet [--front wire|disk|control|all] \
                      [--seed N] [--iters N]"
                 );
                 std::process::exit(0);
@@ -73,14 +73,6 @@ fn main() {
         println!(
             "control: {} walks, {} admitted, {} stalls, {} downs, {} ups — ok",
             s.steps, s.admitted, s.stalls, s.downs, s.ups
-        );
-    }
-    if all || args.front == "storm" {
-        let n = pick(2);
-        let s = storm::run_storm(args.seed, n);
-        println!(
-            "storm: {} seeds, {} outage drops, {} circuits hit by the death — ok",
-            s.steps, s.dropped_outage, s.vcs_hit
         );
     }
     println!("fuzz-gauntlet: all fronts held (seed={})", args.seed);

@@ -89,7 +89,7 @@ impl CellMutator {
     /// Applies one randomly chosen mutation to `cells` (donor cells feed
     /// splices). Returns what was done. The stream may end up without an
     /// end-of-frame marker; drivers must follow with clean probes.
-    pub fn mutate(&mut self, cells: &mut Vec<Cell>, donor: &[Cell]) -> Mutation {
+    pub(crate) fn mutate(&mut self, cells: &mut Vec<Cell>, donor: &[Cell]) -> Mutation {
         let m = MUTATIONS[self.rng.gen_range(0..MUTATIONS.len())];
         if cells.is_empty() {
             return m;

@@ -54,16 +54,6 @@ impl<T> Maillon<T> {
         }
     }
 
-    /// The opaque reference.
-    pub fn object_ref(&self) -> ObjectRef {
-        self.oref
-    }
-
-    /// Whether the interface is already bound.
-    pub fn is_bound(&self) -> bool {
-        self.bound.is_some()
-    }
-
     /// Dereferences the maillon: resolves on first use, then returns the
     /// cached interface at near-zero cost.
     pub fn interface(&mut self) -> IfaceRc<T> {
@@ -76,11 +66,6 @@ impl<T> Maillon<T> {
         self.time_spent += cost + self.deref_cost;
         self.bound = Some(iface.clone());
         iface
-    }
-
-    /// Drops the binding, forcing re-resolution (object migrated).
-    pub fn unbind(&mut self) {
-        self.bound = None;
     }
 }
 
@@ -103,9 +88,9 @@ mod tests {
     #[test]
     fn first_use_resolves_then_caches() {
         let mut m = maillon_with_cost(1_000_000);
-        assert!(!m.is_bound());
+        assert!(m.bound.is_none());
         let i1 = m.interface();
-        assert!(m.is_bound());
+        assert!(m.bound.is_some());
         let i2 = m.interface();
         assert!(Rc::ptr_eq(&i1, &i2), "same interface returned");
         assert_eq!(m.resolutions, 1, "resolver ran once");
@@ -134,19 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn unbind_forces_reresolution() {
-        let mut m = maillon_with_cost(500);
-        m.interface();
-        m.unbind();
-        assert!(!m.is_bound());
-        m.interface();
-        assert_eq!(m.resolutions, 2);
-    }
-
-    #[test]
     fn reference_preserved() {
         let m = maillon_with_cost(0);
-        assert_eq!(m.object_ref(), ObjectRef(9));
+        assert_eq!(m.oref, ObjectRef(9));
     }
 
     #[test]

@@ -241,21 +241,6 @@ impl NameWorld {
         }
         Err(NameError::IsADirectory(path.to_string()))
     }
-
-    /// Passing an object handle to another space binds it there — "the
-    /// side effect of creating a connection through which the object can
-    /// be invoked remotely".
-    pub fn pass_handle(
-        &mut self,
-        from: NameSpaceId,
-        path_in_from: &str,
-        to: NameSpaceId,
-        path_in_to: &str,
-    ) -> Result<ObjectRef, NameError> {
-        let r = self.resolve(from, path_in_from)?;
-        self.bind(to, path_in_to, r.object)?;
-        Ok(r.object)
-    }
 }
 
 #[cfg(test)]
@@ -379,22 +364,6 @@ mod tests {
         w.mount(b, "/b", b).unwrap();
         let path = format!("/b{}", "/b".repeat(40));
         assert_eq!(w.resolve(a, &path).unwrap_err(), NameError::TooManyHops);
-    }
-
-    #[test]
-    fn pass_handle_binds_remotely() {
-        let mut w = NameWorld::new();
-        let server = w.create_space();
-        let client = w.create_space();
-        w.bind(server, "/objs/frame-buffer", ObjectRef(77)).unwrap();
-        let o = w
-            .pass_handle(server, "/objs/frame-buffer", client, "/imported/fb")
-            .unwrap();
-        assert_eq!(o, ObjectRef(77));
-        assert_eq!(
-            w.resolve(client, "/imported/fb").unwrap().object,
-            ObjectRef(77)
-        );
     }
 
     #[test]

@@ -65,7 +65,6 @@ pub const ACTIVATION: Ns = 2_000;
 pub type Handler = Box<dyn FnMut(&mut Simulator, &Rc<RefCell<EventSystem>>, ChannelId, u64)>;
 
 struct DomainSlot {
-    name: String,
     pending: BTreeMap<ChannelId, u64>,
     activation_scheduled: bool,
     handler: Option<Rc<RefCell<Handler>>>,
@@ -100,9 +99,8 @@ impl EventSystem {
     }
 
     /// Registers a domain.
-    pub fn add_domain(&mut self, name: &str) -> DomainId {
+    pub fn add_domain(&mut self) -> DomainId {
         self.domains.push(DomainSlot {
-            name: name.to_string(),
             pending: BTreeMap::new(),
             activation_scheduled: false,
             handler: None,
@@ -128,11 +126,6 @@ impl EventSystem {
         ChannelId(self.channels.len() - 1)
     }
 
-    /// Name of a domain.
-    pub fn domain_name(&self, d: DomainId) -> &str {
-        &self.domains[d.0].name
-    }
-
     /// Activations a domain has received.
     pub fn activations(&self, d: DomainId) -> u64 {
         self.domains[d.0].activations
@@ -141,11 +134,6 @@ impl EventSystem {
     /// Coalesced deliveries a domain has received.
     pub fn deliveries(&self, d: DomainId) -> u64 {
         self.domains[d.0].deliveries
-    }
-
-    /// Events sent on a channel so far.
-    pub fn sent_count(&self, c: ChannelId) -> u64 {
-        self.channels[c.0].sent
     }
 
     /// Events acknowledged (delivered into an activation) on a channel.
@@ -329,8 +317,8 @@ mod tests {
     fn sync_send_delivers_after_switch_plus_activation() {
         let sys = EventSystem::shared();
         let mut sim = Simulator::new();
-        let rx = sys.borrow_mut().add_domain("rx");
-        let _tx = sys.borrow_mut().add_domain("tx");
+        let rx = sys.borrow_mut().add_domain();
+        let _tx = sys.borrow_mut().add_domain();
         let chan = sys.borrow_mut().open_channel(rx);
         let seen: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         let seen2 = seen.clone();
@@ -347,7 +335,7 @@ mod tests {
     fn async_sends_coalesce_into_one_activation() {
         let sys = EventSystem::shared();
         let mut sim = Simulator::new();
-        let rx = sys.borrow_mut().add_domain("rx");
+        let rx = sys.borrow_mut().add_domain();
         let chan = sys.borrow_mut().open_channel(rx);
         let seen: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         let seen2 = seen.clone();
@@ -362,7 +350,7 @@ mod tests {
         // One activation, count of 10 — the counted-event semantics.
         assert_eq!(*seen.borrow(), vec![10]);
         assert_eq!(sys.borrow().activations(rx), 1);
-        assert_eq!(sys.borrow().sent_count(chan), 10);
+        assert_eq!(sys.borrow().channels[chan.0].sent, 10);
         assert_eq!(sys.borrow().acked_count(chan), 10);
     }
 
@@ -371,7 +359,7 @@ mod tests {
         let deliver_time = |mode| {
             let sys = EventSystem::shared();
             let mut sim = Simulator::new();
-            let rx = sys.borrow_mut().add_domain("rx");
+            let rx = sys.borrow_mut().add_domain();
             let chan = sys.borrow_mut().open_channel(rx);
             let t: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
             let t2 = t.clone();
@@ -397,7 +385,7 @@ mod tests {
         let activations_for = |mode| {
             let sys = EventSystem::shared();
             let mut sim = Simulator::new();
-            let rx = sys.borrow_mut().add_domain("demux");
+            let rx = sys.borrow_mut().add_domain();
             let chan = sys.borrow_mut().open_channel(rx);
             sys.borrow_mut().set_handler(rx, Box::new(|_, _, _, _| {}));
             for i in 0..100u64 {
@@ -420,7 +408,7 @@ mod tests {
     fn events_carry_no_values_only_counts() {
         let sys = EventSystem::shared();
         let mut sim = Simulator::new();
-        let rx = sys.borrow_mut().add_domain("rx");
+        let rx = sys.borrow_mut().add_domain();
         let a = sys.borrow_mut().open_channel(rx);
         let b = sys.borrow_mut().open_channel(rx);
         let seen: Rc<RefCell<Vec<(ChannelId, u64)>>> = Rc::new(RefCell::new(Vec::new()));
@@ -441,8 +429,8 @@ mod tests {
     fn idc_round_trip_sync() {
         let sys = EventSystem::shared();
         let mut sim = Simulator::new();
-        let client = sys.borrow_mut().add_domain("client");
-        let server = sys.borrow_mut().add_domain("server");
+        let client = sys.borrow_mut().add_domain();
+        let server = sys.borrow_mut().add_domain();
         type Got = Rc<RefCell<Vec<(u64, Vec<u8>)>>>;
         let got: Got = Rc::new(RefCell::new(Vec::new()));
         let got2 = got.clone();
@@ -471,8 +459,8 @@ mod tests {
     fn idc_pipelined_calls_all_complete() {
         let sys = EventSystem::shared();
         let mut sim = Simulator::new();
-        let client = sys.borrow_mut().add_domain("client");
-        let server = sys.borrow_mut().add_domain("server");
+        let client = sys.borrow_mut().add_domain();
+        let server = sys.borrow_mut().add_domain();
         let replies: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
         let replies2 = replies.clone();
         let idc = IdcChannel::new(
@@ -496,7 +484,7 @@ mod tests {
     fn activation_with_no_pending_is_a_noop() {
         let sys = EventSystem::shared();
         let mut sim = Simulator::new();
-        let rx = sys.borrow_mut().add_domain("rx");
+        let rx = sys.borrow_mut().add_domain();
         let chan = sys.borrow_mut().open_channel(rx);
         sys.borrow_mut().set_handler(rx, Box::new(|_, _, _, _| {}));
         // Sync send schedules the sync activation; a racing async send
@@ -506,12 +494,5 @@ mod tests {
         sim.run();
         assert_eq!(sys.borrow().activations(rx), 1);
         assert_eq!(sys.borrow().acked_count(chan), 2);
-    }
-
-    #[test]
-    fn domain_names_kept() {
-        let sys = EventSystem::shared();
-        let d = sys.borrow_mut().add_domain("driver");
-        assert_eq!(sys.borrow().domain_name(d), "driver");
     }
 }

@@ -112,7 +112,7 @@ impl EpochDriver {
                     let registered = spikes.iter().position(|&(fi, _)| fi == i);
                     match (fault.active(now), registered) {
                         (true, None) => {
-                            let id = mgr.add_app(&format!("rogue-{i}"), weight);
+                            let id = mgr.add_app(weight);
                             mgr.observe(id, demand);
                             spikes.push((i, id));
                         }
@@ -165,7 +165,7 @@ mod tests {
 
     fn mgr_with_media() -> (QosManager, AppId) {
         let mut mgr = QosManager::new(0.9, 1.0);
-        let media = mgr.add_app("media", 1.0);
+        let media = mgr.add_app(1.0);
         (mgr, media)
     }
 
@@ -205,8 +205,8 @@ mod tests {
     #[test]
     fn weight_cut_starves_against_background_load() {
         let mut mgr = QosManager::new(0.9, 1.0);
-        let media = mgr.add_app("media", 1.0);
-        let bg = mgr.add_app("batch", 1.0);
+        let media = mgr.add_app(1.0);
+        let bg = mgr.add_app(1.0);
         mgr.observe(bg, 1.0);
         let schedule = FaultSchedule {
             faults: vec![Fault::WeightCut {

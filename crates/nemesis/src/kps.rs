@@ -97,11 +97,6 @@ impl Cpu {
         self.mode
     }
 
-    /// Current KPS nesting depth.
-    pub fn kps_depth(&self) -> u32 {
-        self.kps_depth
-    }
-
     /// The CPU's virtual clock.
     pub fn clock(&self) -> Ns {
         self.clock
@@ -215,7 +210,7 @@ mod tests {
         assert!(result.is_err());
         // The FINALLY ran: we are back in user mode with depth 0.
         assert_eq!(c.borrow().mode(), Mode::User);
-        assert_eq!(c.borrow().kps_depth(), 0);
+        assert_eq!(c.borrow().kps_depth, 0);
     }
 
     #[test]
@@ -223,10 +218,10 @@ mod tests {
         let c = cpu(KpsCosts::alpha_pal());
         with_kps(&c, |c| {
             with_kps(c, |c| {
-                assert_eq!(c.borrow().kps_depth(), 2);
+                assert_eq!(c.borrow().kps_depth, 2);
                 assert_eq!(c.borrow().mode(), Mode::Kernel);
             });
-            assert_eq!(c.borrow().kps_depth(), 1);
+            assert_eq!(c.borrow().kps_depth, 1);
             assert_eq!(
                 c.borrow().mode(),
                 Mode::Kernel,

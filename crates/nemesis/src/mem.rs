@@ -204,11 +204,6 @@ impl AddressSpace {
         self.stretches[stretch.0].rights.insert(pd, rights);
     }
 
-    /// Revokes all access `pd` holds on `stretch`.
-    pub fn revoke(&mut self, stretch: StretchId, pd: PdId) {
-        self.stretches[stretch.0].rights.remove(&pd);
-    }
-
     /// Checks an access by `pd` at `addr`.
     pub fn check(&self, pd: PdId, addr: VAddr, access: Access) -> Result<(), Fault> {
         let Some((_, &idx)) = self.by_base.range(..=addr).next_back() else {
@@ -233,7 +228,7 @@ impl AddressSpace {
 }
 
 /// FNV-1a, the 32-bit hash used to place images in the sparse space.
-pub fn hash32(data: &[u8]) -> u32 {
+pub(crate) fn hash32(data: &[u8]) -> u32 {
     let mut h: u32 = 0x811C_9DC5;
     for &b in data {
         h ^= b as u32;
@@ -290,11 +285,6 @@ impl ImageLoader {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// The underlying address space.
-    pub fn aspace(&self) -> &AddressSpace {
-        &self.aspace
     }
 
     /// Loads `image` (identified by name; the hash stands in for a hash
@@ -417,17 +407,6 @@ mod tests {
         assert!(aspace.alloc_stretch(0x1000, Some(0x40_1000)).is_err());
         assert!(aspace.alloc_stretch(0x1000, Some(0x3F_F001)).is_err());
         assert!(aspace.alloc_stretch(0x1000, Some(0x40_2000)).is_ok());
-    }
-
-    #[test]
-    fn revoke_removes_access() {
-        let mut aspace = AddressSpace::new();
-        let s = aspace.alloc_stretch(0x1000, None).unwrap();
-        aspace.grant(s, PdId(1), Rights::RW);
-        let base = aspace.stretch_base(s);
-        assert!(aspace.check(PdId(1), base, Access::Read).is_ok());
-        aspace.revoke(s, PdId(1));
-        assert!(aspace.check(PdId(1), base, Access::Read).is_err());
     }
 
     #[test]

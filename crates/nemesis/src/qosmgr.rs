@@ -26,7 +26,6 @@ pub struct AppId(pub usize);
 
 #[derive(Debug, Clone)]
 struct AppState {
-    name: String,
     weight: f64,
     demand_ewma: f64,
     granted: f64,
@@ -41,8 +40,8 @@ struct AppState {
 /// use pegasus_nemesis::qosmgr::QosManager;
 ///
 /// let mut mgr = QosManager::new(0.9, 1.0);
-/// let a = mgr.add_app("video", 2.0);
-/// let b = mgr.add_app("batch", 1.0);
+/// let a = mgr.add_app(2.0);
+/// let b = mgr.add_app(1.0);
 /// mgr.observe(a, 1.0); // wants the whole CPU
 /// mgr.observe(b, 1.0);
 /// mgr.rebalance();
@@ -77,10 +76,9 @@ impl QosManager {
     }
 
     /// Registers an application with the given user weight.
-    pub fn add_app(&mut self, name: &str, weight: f64) -> AppId {
+    pub fn add_app(&mut self, weight: f64) -> AppId {
         assert!(weight > 0.0, "weight must be positive");
         self.apps.push(AppState {
-            name: name.to_string(),
             weight,
             demand_ewma: 0.0,
             granted: 0.0,
@@ -91,14 +89,14 @@ impl QosManager {
 
     /// Deregisters an application; its grant is freed at the next
     /// rebalance.
-    pub fn remove_app(&mut self, id: AppId) {
+    pub(crate) fn remove_app(&mut self, id: AppId) {
         self.apps[id.0].alive = false;
         self.apps[id.0].granted = 0.0;
     }
 
     /// Changes an application's user weight (the window-system-like
     /// control knob).
-    pub fn set_weight(&mut self, id: AppId, weight: f64) {
+    pub(crate) fn set_weight(&mut self, id: AppId, weight: f64) {
         assert!(weight > 0.0);
         self.apps[id.0].weight = weight;
     }
@@ -113,16 +111,6 @@ impl QosManager {
     /// The utilization currently granted to an application.
     pub fn granted(&self, id: AppId) -> f64 {
         self.apps[id.0].granted
-    }
-
-    /// The application's smoothed demand.
-    pub fn smoothed_demand(&self, id: AppId) -> f64 {
-        self.apps[id.0].demand_ewma
-    }
-
-    /// The application's registered name.
-    pub fn app_name(&self, id: AppId) -> &str {
-        &self.apps[id.0].name
     }
 
     /// Recomputes every grant by weighted water-filling: repeatedly give
@@ -298,8 +286,8 @@ mod tests {
     #[test]
     fn weighted_split_when_all_demand_everything() {
         let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("a", 3.0);
-        let b = mgr.add_app("b", 1.0);
+        let a = mgr.add_app(3.0);
+        let b = mgr.add_app(1.0);
         mgr.observe(a, 1.0);
         mgr.observe(b, 1.0);
         let total = mgr.rebalance();
@@ -311,8 +299,8 @@ mod tests {
     #[test]
     fn grants_capped_at_demand_and_surplus_flows() {
         let mut mgr = mgr_no_smoothing();
-        let small = mgr.add_app("small", 1.0);
-        let big = mgr.add_app("big", 1.0);
+        let small = mgr.add_app(1.0);
+        let big = mgr.add_app(1.0);
         mgr.observe(small, 0.1); // needs almost nothing
         mgr.observe(big, 1.0);
         mgr.rebalance();
@@ -324,8 +312,8 @@ mod tests {
     #[test]
     fn undersubscribed_system_grants_all_demand() {
         let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("a", 1.0);
-        let b = mgr.add_app("b", 5.0);
+        let a = mgr.add_app(1.0);
+        let b = mgr.add_app(5.0);
         mgr.observe(a, 0.2);
         mgr.observe(b, 0.3);
         let total = mgr.rebalance();
@@ -337,8 +325,8 @@ mod tests {
     #[test]
     fn app_departure_frees_capacity() {
         let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("a", 1.0);
-        let b = mgr.add_app("b", 1.0);
+        let a = mgr.add_app(1.0);
+        let b = mgr.add_app(1.0);
         mgr.observe(a, 1.0);
         mgr.observe(b, 1.0);
         mgr.rebalance();
@@ -352,8 +340,8 @@ mod tests {
     #[test]
     fn weight_change_shifts_grants() {
         let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("a", 1.0);
-        let b = mgr.add_app("b", 1.0);
+        let a = mgr.add_app(1.0);
+        let b = mgr.add_app(1.0);
         mgr.observe(a, 1.0);
         mgr.observe(b, 1.0);
         mgr.rebalance();
@@ -367,27 +355,27 @@ mod tests {
     #[test]
     fn smoothing_damps_demand_spikes() {
         let mut mgr = QosManager::new(0.9, 0.25);
-        let a = mgr.add_app("a", 1.0);
+        let a = mgr.add_app(1.0);
         // Steady 0.2 demand...
         for _ in 0..40 {
             mgr.observe(a, 0.2);
         }
-        assert!((mgr.smoothed_demand(a) - 0.2).abs() < 1e-3);
+        assert!((mgr.apps[a.0].demand_ewma - 0.2).abs() < 1e-3);
         // ...then a one-epoch spike to 1.0 moves the EWMA only by alpha.
         mgr.observe(a, 1.0);
-        let after_spike = mgr.smoothed_demand(a);
+        let after_spike = mgr.apps[a.0].demand_ewma;
         assert!(after_spike < 0.45, "spike over-reacted: {after_spike}");
         // And it decays back.
         for _ in 0..20 {
             mgr.observe(a, 0.2);
         }
-        assert!((mgr.smoothed_demand(a) - 0.2).abs() < 0.01);
+        assert!((mgr.apps[a.0].demand_ewma - 0.2).abs() < 0.01);
     }
 
     #[test]
     fn share_for_converts_to_slice() {
         let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("a", 1.0);
+        let a = mgr.add_app(1.0);
         mgr.observe(a, 0.5);
         mgr.rebalance();
         let share = mgr.share_for(a, 10_000_000);
@@ -398,8 +386,8 @@ mod tests {
     #[test]
     fn zero_demand_app_gets_nothing() {
         let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("idle", 100.0);
-        let b = mgr.add_app("busy", 1.0);
+        let a = mgr.add_app(100.0);
+        let b = mgr.add_app(1.0);
         mgr.observe(b, 1.0);
         mgr.rebalance();
         assert_eq!(mgr.granted(a), 0.0);
@@ -409,9 +397,7 @@ mod tests {
     #[test]
     fn conservation_total_grant_never_exceeds_capacity() {
         let mut mgr = QosManager::new(0.8, 1.0);
-        let ids: Vec<AppId> = (0..7)
-            .map(|i| mgr.add_app(&format!("a{i}"), (i + 1) as f64))
-            .collect();
+        let ids: Vec<AppId> = (0..7).map(|i| mgr.add_app((i + 1) as f64)).collect();
         for (i, id) in ids.iter().enumerate() {
             mgr.observe(*id, 0.15 * (i + 1) as f64 % 1.0);
         }
@@ -422,17 +408,10 @@ mod tests {
     }
 
     #[test]
-    fn names_retained() {
-        let mut mgr = mgr_no_smoothing();
-        let a = mgr.add_app("tv-director", 1.0);
-        assert_eq!(mgr.app_name(a), "tv-director");
-    }
-
-    #[test]
     #[should_panic(expected = "weight must be positive")]
     fn zero_weight_rejected() {
         let mut mgr = mgr_no_smoothing();
-        mgr.add_app("bad", 0.0);
+        mgr.add_app(0.0);
     }
 
     #[test]

@@ -29,17 +29,6 @@ pub struct Share {
     pub period: Ns,
 }
 
-impl Share {
-    /// Fraction of the CPU this share represents.
-    pub fn utilization(&self) -> f64 {
-        if self.period == 0 {
-            0.0
-        } else {
-            self.slice as f64 / self.period as f64
-        }
-    }
-}
-
 /// Scheduling disciplines the simulator can drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
@@ -113,18 +102,6 @@ impl TaskSpec {
     /// Builder: sets an explicit share.
     pub fn with_share(mut self, slice: Ns, period: Ns) -> Self {
         self.share = Share { slice, period };
-        self
-    }
-
-    /// Builder: allows the task to use slack time.
-    pub fn with_slack(mut self) -> Self {
-        self.use_slack = true;
-        self
-    }
-
-    /// Builder: offsets the first release.
-    pub fn with_phase(mut self, phase: Ns) -> Self {
-        self.phase = phase;
         self
     }
 }
@@ -233,12 +210,6 @@ impl CpuSim {
         assert!(spec.share.period > 0, "share period must be positive");
         self.tasks.push(spec);
         self.tasks.len() - 1
-    }
-
-    /// Sum of guaranteed utilizations — must not exceed 1.0 for the
-    /// shares to be meetable (the QoS manager's admission condition).
-    pub fn guaranteed_utilization(&self) -> f64 {
-        self.tasks.iter().map(|t| t.share.utilization()).sum()
     }
 
     /// Runs the simulation to `horizon` and returns the statistics.
@@ -436,7 +407,6 @@ mod tests {
         sim.add_task(TaskSpec::guaranteed("video", 40 * MS, 20 * MS));
         sim.add_task(TaskSpec::guaranteed("audio", 10 * MS, 2 * MS));
         sim.add_task(TaskSpec::guaranteed("mixer", 20 * MS, 4 * MS));
-        assert!(sim.guaranteed_utilization() <= 1.0);
         let r = sim.run(HORIZON);
         for (i, t) in r.tasks.iter().enumerate() {
             assert_eq!(t.misses, 0, "task {i} missed");
@@ -550,7 +520,10 @@ mod tests {
     #[test]
     fn phases_offset_first_release() {
         let mut sim = CpuSim::new(Policy::NemesisEdf);
-        sim.add_task(TaskSpec::guaranteed("a", 10 * MS, MS).with_phase(5 * MS));
+        sim.add_task(TaskSpec {
+            phase: 5 * MS,
+            ..TaskSpec::guaranteed("a", 10 * MS, MS)
+        });
         let r = sim.run(100 * MS);
         // Releases at 5,15,...,95 → 10 releases.
         assert_eq!(r.tasks[0].releases, 10);
@@ -568,7 +541,10 @@ mod tests {
     fn deterministic_across_runs() {
         let build = || {
             let mut sim = CpuSim::new(Policy::NemesisEdf);
-            sim.add_task(TaskSpec::guaranteed("v", 40 * MS, 17 * MS).with_slack());
+            sim.add_task(TaskSpec {
+                use_slack: true,
+                ..TaskSpec::guaranteed("v", 40 * MS, 17 * MS)
+            });
             sim.add_task(TaskSpec::guaranteed("a", 10 * MS, 2 * MS));
             sim.add_task(TaskSpec::best_effort("be", 25 * MS, 30 * MS));
             sim.run(HORIZON)
@@ -592,13 +568,5 @@ mod tests {
         sim.add_task(TaskSpec::guaranteed("hog", 9 * MS, 12 * MS));
         let r = sim.run(HORIZON);
         assert!(r.tasks[0].misses > 0, "pure EDF gives no isolation");
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut sim = CpuSim::new(Policy::NemesisEdf);
-        sim.add_task(TaskSpec::guaranteed("a", 10 * MS, 4 * MS));
-        sim.add_task(TaskSpec::guaranteed("b", 20 * MS, 5 * MS));
-        assert!((sim.guaranteed_utilization() - 0.65).abs() < 1e-9);
     }
 }

@@ -264,8 +264,8 @@ impl Checkpoint {
 /// Writes a checkpoint of `fs` and returns its sequence number, the
 /// token [`recover`] takes. The open segments are synced first, so every
 /// byte the pnode map names is on the disks, then the map goes to the
-/// older of the two regions; only then do the segments cleaned since the
-/// checkpoint before join the free list.
+/// older of the two regions; only then do the segments cleaned before
+/// the checkpoint before it join the free list.
 pub fn write_checkpoint(fs: &mut LogFs) -> Result<u64, CheckpointError> {
     fs.checkpoint()
 }

@@ -47,14 +47,22 @@ pub struct CleanReport {
     pub io_time: Ns,
 }
 
+/// Writes a pass's checkpoint to both regions, so that whichever one
+/// recovery reads names the map the pass forgets by.
+fn checkpoint_both_regions(fs: &mut LogFs) -> Result<(), CheckpointError> {
+    fs.checkpoint()?;
+    fs.checkpoint()?;
+    Ok(())
+}
+
 /// Cleans `victims`, each with its live bytes as the pass's sum found
 /// them: first every victim forgets the bytes no file uses, then each is
 /// emptied — every file with an extent in it rewritten whole at the log
 /// head (when any byte there was live) — and released. The caller has
-/// written the pass's checkpoint, so the durable image names no byte the
-/// pass forgets, and a crash at any point recovers what the pass began
-/// from: the segments it releases keep their stripes until the next
-/// checkpoint.
+/// written the pass's checkpoint to both regions, so neither names a
+/// byte the pass forgets, and a crash at any point recovers what the
+/// pass began from: the segments it releases keep their stripes until
+/// the second checkpoint after the pass, when neither region names them.
 fn clean_victims(
     fs: &mut LogFs,
     victims: &[(u64, u64)],
@@ -83,12 +91,13 @@ fn clean_victims(
 /// garbage file, plus a whole-file rewrite of every file that still has
 /// bytes in a segment that contained garbage. No disk I/O scales with
 /// the size of the file system but the pass's own checkpoint, the pnode
-/// map. The pass writes that checkpoint first, which flushes the open
-/// segments, so garbage recorded in them is consumed too; then it sums
-/// each flushed segment's live bytes from the pnode map. Before anything
-/// is copied, the victims' bytes that no file uses are forgotten; each
-/// victim's stripe is dropped at the checkpoint after the pass. A pass
-/// begins with a checkpoint, so its errors are a checkpoint's.
+/// map, written to both regions. The pass writes it first, which flushes
+/// the open segments, so garbage recorded in them is consumed too; then
+/// it sums each flushed segment's live bytes from the pnode map. Before
+/// anything is copied, the victims' bytes that no file uses are
+/// forgotten; each victim's stripe is dropped at the second checkpoint
+/// after the pass. A pass begins with a checkpoint, so its errors are a
+/// checkpoint's.
 pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, CheckpointError> {
     let io_before = fs.io_time;
     let mut report = CleanReport::default();
@@ -102,7 +111,7 @@ pub fn clean_garbage_file(fs: &mut LogFs) -> Result<CleanReport, CheckpointError
     // One sequential read of the prefix.
     fs.charge_metadata_io(mark as u64 * GARBAGE_ENTRY_BYTES, true);
 
-    fs.checkpoint()?;
+    checkpoint_both_regions(fs)?;
     // Sort the entries by segment number and group; a segment already
     // freed by an earlier pass, or still open, is skipped.
     let live = fs.live_bytes();
@@ -137,7 +146,7 @@ pub fn clean_sprite(fs: &mut LogFs, wanted: usize) -> Result<CleanReport, Checkp
     // Victims: lowest utilization first.
     victims.sort_unstable_by_key(|&(s, live)| (live, s));
     victims.truncate(wanted);
-    fs.checkpoint()?;
+    checkpoint_both_regions(fs)?;
     clean_victims(fs, &victims, &mut report)?;
     // The Sprite cleaner does not consume the garbage file: entries
     // naming the segments it freed stay, and a later garbage-file pass
@@ -249,10 +258,13 @@ mod tests {
         assert_eq!(report.segments_cleaned, 64);
         assert_eq!(report.live_bytes_moved, 32 << 20);
         // The victims keep their live halves, which the pass's own
-        // checkpoint names, beside the copies, until the next checkpoint;
-        // a checkpoint is a page of a region, and the page's parity.
+        // checkpoint names in both regions, beside the copies, until the
+        // second checkpoint after the pass; a checkpoint is a page of a
+        // region, and the page's parity.
         let region = 2 * PAGE_BYTES;
-        assert_eq!(stored(&mut f), (80 << 20) + region);
+        assert_eq!(stored(&mut f), (80 << 20) + 2 * region);
+        write_checkpoint(&mut f).unwrap();
+        assert_eq!(stored(&mut f), (80 << 20) + 2 * region);
         // What is left is the survivors' 32 MiB and their parity, and
         // the two regions, however many checkpoints follow.
         for _ in 0..3 {
@@ -280,7 +292,8 @@ mod tests {
         // Each new file is enough to claim the cleaned segment again
         // (the first new segment is already open; the second flush draws
         // from the free list), but the pass's own checkpoint still names
-        // it: only a checkpoint written after the pass frees it.
+        // it, and then the older region: only the second checkpoint
+        // written after the pass frees it.
         let segments_of_a_new_file = |f: &mut LogFs| {
             let id = f.create(FileClass::Normal);
             f.append(id, &data(2 * SEGMENT_BYTES, 2)).unwrap();
@@ -288,6 +301,9 @@ mod tests {
             let extents = &f.pnode(id).unwrap().extents;
             extents.iter().map(|e| e.segment).collect::<Vec<u64>>()
         };
+        let segs = segments_of_a_new_file(&mut f);
+        assert!(!segs.contains(&seg), "{seg} pending (got {segs:?})");
+        write_checkpoint(&mut f).unwrap();
         let segs = segments_of_a_new_file(&mut f);
         assert!(!segs.contains(&seg), "{seg} pending (got {segs:?})");
         write_checkpoint(&mut f).unwrap();

@@ -105,14 +105,6 @@ impl WriteBehindSystem {
         self.now
     }
 
-    /// Bytes currently buffered in server memory.
-    pub fn pending_bytes(&self) -> u64 {
-        self.server_pending
-            .iter()
-            .map(|p| p.data.len() as u64)
-            .sum()
-    }
-
     /// Advances virtual time, flushing server-buffered writes whose
     /// residence time expired.
     pub fn advance(&mut self, dt: Ns) -> Result<(), FsError> {
@@ -263,6 +255,11 @@ mod tests {
         WriteBehindSystem::new(LogFs::new(DiskConfig::hp_1994()), policy)
     }
 
+    /// Bytes currently buffered in server memory.
+    fn pending_bytes(s: &WriteBehindSystem) -> u64 {
+        s.server_pending.iter().map(|p| p.data.len() as u64).sum()
+    }
+
     const DELAY: Ns = 30 * SEC;
 
     #[test]
@@ -271,7 +268,7 @@ mod tests {
         let f = s.create();
         s.write(f, &[1u8; 1000]).unwrap();
         assert_eq!(s.stats.disk_bytes, 1000);
-        assert_eq!(s.pending_bytes(), 0);
+        assert_eq!(pending_bytes(&s), 0);
     }
 
     #[test]
@@ -280,12 +277,12 @@ mod tests {
         let f = s.create();
         s.write(f, &[1u8; 1000]).unwrap();
         assert_eq!(s.stats.disk_bytes, 0);
-        assert_eq!(s.pending_bytes(), 1000);
+        assert_eq!(pending_bytes(&s), 1000);
         s.advance(29 * SEC).unwrap();
         assert_eq!(s.stats.disk_bytes, 0, "not due yet");
         s.advance(SEC).unwrap();
         assert_eq!(s.stats.disk_bytes, 1000);
-        assert_eq!(s.pending_bytes(), 0);
+        assert_eq!(pending_bytes(&s), 0);
         // Data is readable once committed.
         let back = s.fs.read(f, 0, 1000).unwrap();
         assert_eq!(back, vec![1u8; 1000]);

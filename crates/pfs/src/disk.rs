@@ -236,7 +236,7 @@ impl SimDisk {
     }
 
     /// Whether the drive has failed.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed
     }
 

@@ -205,9 +205,11 @@ pub struct LogFs {
     raid: RaidArray,
     next_new_segment: u64,
     free: Vec<u64>,
-    /// Segments cleaned since the last checkpoint, which may still name
-    /// them: each keeps its stripe, and none is reused, until the next.
-    pending: Vec<u64>,
+    /// Segments cleaned and not yet freed, each with the sequence number
+    /// of the checkpoint that frees it: the second after its release, as
+    /// until then the older region may still name it. Each keeps its
+    /// stripe, and none is reused, until then.
+    pending: Vec<(u64, u64)>,
     /// The sequence number of the last checkpoint written or recovered;
     /// 0 before any.
     checkpoint_seq: u64,
@@ -283,7 +285,7 @@ impl LogFs {
     /// operation (if `random`) plus a sequential transfer of `bytes` on
     /// a single member disk. Used by cleaners for garbage-file reads and
     /// segment-summary scans.
-    pub fn charge_metadata_io(&mut self, bytes: u64, random: bool) -> Ns {
+    pub(crate) fn charge_metadata_io(&mut self, bytes: u64, random: bool) -> Ns {
         let pos = if random {
             (MIN_SEEK + MAX_SEEK) / 2 + AVG_ROTATION
         } else {
@@ -310,7 +312,7 @@ impl LogFs {
     }
 
     /// The pnode-number allocator's next value (checkpoint capture).
-    pub fn next_pnode_value(&self) -> u64 {
+    pub(crate) fn next_pnode_value(&self) -> u64 {
         self.next_pnode
     }
 
@@ -493,7 +495,7 @@ impl LogFs {
     /// [`LogFs::read`] into a caller-supplied buffer (cleared, then
     /// filled with exactly `len` bytes): a caller that reads again and
     /// again reuses one buffer, and its warm reads allocate nothing. One
-    /// copy of each byte, out of the views [`LogFs::read_views`] hands
+    /// copy of each byte, out of the views `LogFs::read_views` hands
     /// over.
     pub fn read_into(
         &mut self,
@@ -511,7 +513,7 @@ impl LogFs {
     }
 
     /// Reads `len` bytes of `file` as one view. When
-    /// [`LogFs::read_views`] yields a single view — a range inside one
+    /// `LogFs::read_views` yields a single view — a range inside one
     /// disk page, or inside one extent still in an open segment — that
     /// view is the answer: on a healthy array it is of the retained page
     /// itself, so nothing is copied and every reader of those bytes
@@ -574,7 +576,7 @@ impl LogFs {
     /// copied into a buffer leased from `arena`. Into
     /// [`crate::disk::Discard`] the read is charged the same, and takes
     /// no view and copies no byte.
-    pub fn read_views(
+    pub(crate) fn read_views(
         &mut self,
         file: FileId,
         offset: u64,
@@ -666,11 +668,12 @@ impl LogFs {
     }
 
     /// Releases a cleaned segment (cleaner use). It keeps its stripe
-    /// until the next checkpoint, which names none of its bytes; then
-    /// the stripe is dropped and the next flush may take the segment.
+    /// until the second checkpoint after the release: both regions then
+    /// hold maps written after it, which name none of its bytes. Then the
+    /// stripe is dropped and the next flush may take the segment.
     pub(crate) fn release_segment(&mut self, seg: u64) {
         self.sealed.remove(&seg);
-        self.pending.push(seg);
+        self.pending.push((seg, self.checkpoint_seq + REGIONS));
     }
 
     /// The stripe of the region checkpoint `seq` goes to; public for
@@ -680,7 +683,8 @@ impl LogFs {
     }
 
     /// Syncs, then writes the pnode map to the older region; once it is
-    /// durable, the segments released before it are freed. Returns the
+    /// durable, the segments released before the checkpoint before it
+    /// are freed, as neither region names them now. Returns the
     /// checkpoint's sequence number.
     pub(crate) fn checkpoint(&mut self) -> Result<u64, CheckpointError> {
         self.sync()?;
@@ -692,10 +696,14 @@ impl LogFs {
             .write_pages(self.checkpoint_region(seq), &region.seal());
         self.io_time += written.map_err(FsError::Raid)?;
         self.checkpoint_seq = seq;
-        for seg in self.pending.drain(..) {
-            self.raid.discard_stripe(seg);
-            self.free.push(seg);
-        }
+        let (raid, free) = (&mut self.raid, &mut self.free);
+        self.pending.retain(|&(seg, due)| {
+            if due <= seq {
+                raid.discard_stripe(seg);
+                free.push(seg);
+            }
+            due > seq
+        });
         Ok(seq)
     }
 

@@ -9,7 +9,7 @@
 //!
 //! * **Hot tier** — chunks in server memory, each a run of
 //!   [`FrameView`]s of the disk pages that hold its bytes
-//!   ([`LogFs::read_views`]): filling it copies nothing, and a hit is a
+//!   (`LogFs::read_views`): filling it copies nothing, and a hit is a
 //!   refcount bump per page. N concurrent viewers of one title therefore
 //!   share the log store's own pages — the zero-copy arena makes fan-out
 //!   nearly free.
@@ -122,16 +122,6 @@ impl TierStats {
         Self::ratio_milli(self.cold_misses, self.accesses())
     }
 
-    /// Combined (hot + warm) hit ratio in thousandths.
-    pub fn hit_milli(&self) -> u64 {
-        Self::ratio_milli(self.hot_hits + self.warm_hits, self.accesses())
-    }
-
-    /// Hot-tier hit ratio on the crowd title, in thousandths.
-    pub fn crowd_hot_milli(&self) -> u64 {
-        Self::ratio_milli(self.crowd_hot_hits, self.crowd_accesses)
-    }
-
     /// Disk I/O saved, in 48-byte ATM cell payloads — the report's
     /// common currency for moved bytes.
     pub fn disk_io_saved_cells(&self) -> u64 {
@@ -211,11 +201,6 @@ impl TieredCache {
     /// broker-granted `rate` (bytes/second).
     pub fn register_stream(&mut self, file: FileId, rate: u64) {
         self.streams.push(PrefetchReg { file, rate });
-    }
-
-    /// Chunks currently resident in the warm tier.
-    pub fn warm_len(&self) -> usize {
-        self.warm.len()
     }
 
     fn tick(&mut self) -> u64 {
@@ -499,7 +484,7 @@ mod tests {
         // out of the one-chunk hot tier.
         cache.read(&mut fs, id, 0, 1 << 16, &mut out).unwrap();
         cache.read(&mut fs, id, 1 << 16, 1 << 16, &mut out).unwrap();
-        assert_eq!(cache.warm_len(), 1, "evicted hot chunk admitted warm");
+        assert_eq!(cache.warm.len(), 1, "evicted hot chunk admitted warm");
         let io_before = fs.io_time;
         cache.read(&mut fs, id, 0, 1 << 16, &mut out).unwrap();
         assert_eq!(cache.stats().warm_hits, 1);
@@ -546,11 +531,10 @@ mod tests {
         // can never reach (it stays at exactly zero).
         let warm_capacity = 8u64;
         let predicted_milli = (passes - 1) * warm_capacity * 1000 / (passes * video_chunks);
+        let hit_milli = TierStats::ratio_milli(s.hot_hits + s.warm_hits, s.accesses());
         assert!(
-            s.hit_milli() >= predicted_milli,
-            "tiered hit ratio {}‰ below predicted floor {}‰",
-            s.hit_milli(),
-            predicted_milli
+            hit_milli >= predicted_milli,
+            "tiered hit ratio {hit_milli}‰ below predicted floor {predicted_milli}‰"
         );
         assert!(s.hot_hits + s.warm_hits > 0);
     }
@@ -582,7 +566,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let warm_before = cache.warm_len();
+        let warm_before = cache.warm.len();
         assert!(warm_before > 0);
         // One cold sequential pass over the other title.
         for b in 0..32u64 {
@@ -690,7 +674,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.crowd_accesses, 10);
         assert_eq!(s.crowd_hot_hits, 9, "all but the first access hit hot");
-        assert_eq!(s.crowd_hot_milli(), 900);
     }
 
     #[test]

@@ -139,18 +139,16 @@ proptest! {
         let mut handles: Vec<FileId> = Vec::new();
         // The model as the last checkpoint, the log's or a cleaning
         // pass's, saw it; and the checkpoint before that and its model,
-        // while a torn write of the last could fall back to it: while no
-        // pass has forgotten or freed a byte it names, and no recovery
-        // has freed the segments the last one does not name.
+        // which a torn write of the last falls back to after any step:
+        // no pass forgets or frees a byte either region names. Not
+        // straight after a recovery, which frees the segments the
+        // recovered region does not name.
         let mut snapshot = model.clone();
         let mut fallback: Option<(u64, HashMap<FileId, Vec<u8>>)> = None;
         let mut last = None;
-        // Whether a pass released segments since the last checkpoint,
-        // which the next one frees.
-        let mut released = false;
 
         for op in ops {
-            let (mut cleaned, mut recovered) = (0, false);
+            let mut recovered = false;
             match op {
                 Op::Create { continuous } => {
                     let class = if continuous { FileClass::Continuous } else { FileClass::Normal };
@@ -182,11 +180,11 @@ proptest! {
                 }
                 Op::Sync => fs.sync().unwrap(),
                 Op::Clean { disk } => {
-                    cleaned = clean_garbage_file(&mut fs).unwrap().segments_cleaned;
+                    clean_garbage_file(&mut fs).unwrap();
                     reads_back(&mut fs, &model, disk)?;
                 }
                 Op::CleanSprite { wanted, disk } => {
-                    cleaned = clean_sprite(&mut fs, wanted).unwrap().segments_cleaned;
+                    clean_sprite(&mut fs, wanted).unwrap();
                     reads_back(&mut fs, &model, disk)?;
                 }
                 Op::Checkpoint => {
@@ -197,7 +195,7 @@ proptest! {
                         fs.amnesia(cp);
                         recover(&mut fs, cp).unwrap();
                         model = snapshot.clone();
-                        (fallback, released, recovered) = (None, false, true);
+                        (fallback, recovered) = (None, true);
                     }
                 }
                 Op::TornCrash => {
@@ -209,7 +207,7 @@ proptest! {
                         recover(&mut fs, before).unwrap();
                         prop_assert_eq!(fs.last_checkpoint(), Some(before));
                         (model, snapshot) = (seen.clone(), seen);
-                        (last, released, recovered) = (Some(before), false, true);
+                        (last, recovered) = (Some(before), true);
                     }
                 }
                 _ => {}
@@ -223,17 +221,14 @@ proptest! {
             }
             // Cleaning adds and removes no file's bytes, so what the
             // model holds after a step that wrote a checkpoint is what
-            // that checkpoint names.
-            if fs.last_checkpoint() != last {
-                let before = last.replace(fs.last_checkpoint().unwrap());
+            // that checkpoint names. A pass writes two, both of it.
+            if let Some(now) = fs.last_checkpoint().filter(|&now| Some(now) != last) {
                 let seen = std::mem::replace(&mut snapshot, model.clone());
-                fallback = before.filter(|_| !released).map(|seq| (seq, seen));
-                released = false;
-            }
-            // A pass forgets dead bytes in its victims after its own
-            // checkpoint, and the next one frees them.
-            if cleaned > 0 {
-                (fallback, released) = (None, true);
+                fallback = match last.replace(now) {
+                    Some(before) if before + 1 == now => Some((before, seen)),
+                    _ if now > 1 => Some((now - 1, model.clone())),
+                    _ => None,
+                };
             }
         }
 

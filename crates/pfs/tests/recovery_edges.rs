@@ -7,8 +7,9 @@
 
 use pegasus_pfs::checkpoint::{recover, write_checkpoint, Checkpoint, CheckpointError};
 use pegasus_pfs::cleaner::{clean_garbage_file, clean_sprite};
-use pegasus_pfs::disk::DiskConfig;
+use pegasus_pfs::disk::{DiskConfig, SECTOR};
 use pegasus_pfs::log::{FileClass, FileId, LogFs, SEGMENT_BYTES};
+use pegasus_pfs::raid::DATA_DISKS;
 
 fn fresh() -> LogFs {
     LogFs::new(DiskConfig::hp_1994())
@@ -328,4 +329,34 @@ fn overwrite_and_clean_passes_hold_the_log_flat() {
         fs.read(f, 0, 100_000).expect("read"),
         patterned(100_000, 63)
     );
+}
+
+#[test]
+fn a_region_damaged_after_its_write_falls_back_to_held_stripes() {
+    // A 200,000 B file beside a deleted one, a garbage pass that moves
+    // it, one more checkpoint, and then that newest region's first
+    // sector overwritten. Recovery falls back to the region before it,
+    // which the pass wrote and which names the file where it lay before
+    // the pass: the pass may neither have forgotten those bytes nor
+    // freed their stripe.
+    let mut fs = fresh();
+    let (a, b) = (fs.create(FileClass::Normal), fs.create(FileClass::Normal));
+    let kept = patterned(200_000, 0xC8);
+    fs.append(a, &kept).expect("A");
+    fs.append(b, &patterned(200_000, 0xC9)).expect("B");
+    fs.sync().expect("sync");
+    fs.delete(b).expect("delete B");
+    let report = clean_garbage_file(&mut fs).expect("garbage pass");
+    assert_eq!(report.live_bytes_moved, kept.len() as u64);
+    let cp = write_checkpoint(&mut fs).expect("checkpoint");
+    let chunk_sectors = (SEGMENT_BYTES / DATA_DISKS / SECTOR) as u64;
+    let sector = fs.checkpoint_region(cp) * chunk_sectors;
+    fs.raid_mut()
+        .disk_mut(0)
+        .write(sector, &[0; SECTOR])
+        .expect("overwrite");
+    fs.amnesia(cp);
+    assert_eq!(recover(&mut fs, cp), Err(CheckpointError::Stale(cp - 1)));
+    recover(&mut fs, cp - 1).expect("fallback");
+    assert_eq!(fs.read(a, 0, kept.len()).expect("read A"), kept);
 }

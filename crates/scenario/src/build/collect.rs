@@ -343,8 +343,8 @@ impl Scenario {
     fn replay_nemesis(&self) -> NemesisReport {
         let spec = &self.spec;
         let mut mgr = QosManager::new(0.9, 1.0);
-        let media = mgr.add_app("media-control", 1.0);
-        let batch = mgr.add_app("batch", 1.0);
+        let media = mgr.add_app(1.0);
+        let batch = mgr.add_app(1.0);
         mgr.observe(batch, 1.0);
         // The default broker capacity (0.35) plus the 0.05 baseline
         // stays below the media app's fair share against the synthetic

@@ -15,7 +15,7 @@ pub struct JsonWriter {
 
 impl JsonWriter {
     /// Renders a whole document as one object built by `f`.
-    pub fn document(f: impl FnOnce(&mut JsonWriter)) -> String {
+    pub(crate) fn document(f: impl FnOnce(&mut JsonWriter)) -> String {
         let mut w = JsonWriter {
             buf: String::new(),
             need_comma: Vec::new(),

@@ -120,7 +120,7 @@ impl ShardPlan {
     /// servers (prerecord + CM replay), replays the Nemesis epoch
     /// schedule, and contributes the broker/topology sections every
     /// shard computes identically.
-    pub fn is_coordinator(&self) -> bool {
+    pub(crate) fn is_coordinator(&self) -> bool {
         self.shard == 0
     }
 
@@ -132,7 +132,7 @@ impl ShardPlan {
 
     /// The shard owning fabric switch `s` (shard 0 under the trivial
     /// plan).
-    pub fn owner_of(&self, s: usize) -> usize {
+    pub(crate) fn owner_of(&self, s: usize) -> usize {
         if self.shards == 1 {
             0
         } else {

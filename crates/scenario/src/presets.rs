@@ -35,7 +35,7 @@ pub fn smoke() -> ScenarioSpec {
 
 /// A wall of two-party calls on a campus star — the videophone workload
 /// of §2 at density.
-pub fn videophone_wall() -> ScenarioSpec {
+pub(crate) fn videophone_wall() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("videophone-wall");
     spec.topology = TopologySpec {
         shape: TopologyShape::Star,
@@ -51,7 +51,7 @@ pub fn videophone_wall() -> ScenarioSpec {
 
 /// A rack of VoD streams off the file servers — the §5 continuous-media
 /// service stack under fan-out.
-pub fn vod_rack() -> ScenarioSpec {
+pub(crate) fn vod_rack() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("vod-rack");
     spec.topology = TopologySpec {
         shape: TopologyShape::Ring,
@@ -70,7 +70,7 @@ pub fn vod_rack() -> ScenarioSpec {
 
 /// Studios feeding control rooms with a director cutting — the flagship
 /// TV application, many rooms at once.
-pub fn tv_studio() -> ScenarioSpec {
+pub(crate) fn tv_studio() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("tv-studio");
     spec.topology = TopologySpec {
         shape: TopologyShape::Star,
@@ -166,7 +166,7 @@ pub fn metropolis_1k() -> ScenarioSpec {
 /// away with a reason, exactly as §3's broker argument demands.
 /// Streams run at a metro-realistic 2 Mbit/s so a single run stays in
 /// memory and in budget.
-pub fn metropolis_100k() -> ScenarioSpec {
+pub(crate) fn metropolis_100k() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("metropolis-100k");
     spec.topology = TopologySpec {
         shape: TopologyShape::FullMesh,
@@ -192,7 +192,7 @@ pub fn metropolis_100k() -> ScenarioSpec {
 /// the QoS broker must renegotiate some sessions down and turn the rest
 /// away — overload as a measured, deterministic outcome instead of
 /// every queue overflowing at once.
-pub fn overload_2x() -> ScenarioSpec {
+pub(crate) fn overload_2x() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("overload-2x");
     spec.topology = TopologySpec {
         shape: TopologyShape::Star,
@@ -211,7 +211,7 @@ pub fn overload_2x() -> ScenarioSpec {
 /// small fabric with one file server and a deliberately tight CPU
 /// budget, so all three layers — bandwidth, stream slots and the
 /// Nemesis CPU ledger — end up the binding constraint for someone.
-pub fn flash_crowd() -> ScenarioSpec {
+pub(crate) fn flash_crowd() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("flash-crowd");
     spec.topology = TopologySpec {
         shape: TopologyShape::Star,
@@ -286,7 +286,7 @@ pub fn sustained_3x() -> ScenarioSpec {
 /// producers never wedge, stranded circuits wedge *by design* (their
 /// credits died with the corpse), and drops on admitted sessions are
 /// attributed by cause instead of vanishing into a counter.
-pub fn storm_backpressure() -> ScenarioSpec {
+pub(crate) fn storm_backpressure() -> ScenarioSpec {
     let mut spec = nemesis_storm();
     spec.name = "storm-backpressure".to_string();
     spec.backpressure.enabled = true;
@@ -308,7 +308,7 @@ pub fn storm_backpressure() -> ScenarioSpec {
 /// service periods so steady-state hits dominate the cold first
 /// touches. CI gates on the per-tier hit ratios and
 /// `disk_io_saved_cells` staying positive.
-pub fn vod_city() -> ScenarioSpec {
+pub(crate) fn vod_city() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base("vod-city");
     spec.topology = TopologySpec {
         shape: TopologyShape::Ring,

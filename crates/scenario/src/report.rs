@@ -294,7 +294,7 @@ pub struct ScenarioReport {
 
 impl ScenarioReport {
     /// Sums the per-layer misses into [`ScenarioReport::deadline_misses`].
-    pub fn total_misses(&self) -> u64 {
+    pub(crate) fn total_misses(&self) -> u64 {
         self.audio_underruns + self.playback_late + self.pfs.missed + self.nemesis.starved_epochs
     }
 

@@ -423,6 +423,6 @@ mod tests {
              tiers={tiers:?} period_ms={} failures={failures:?}",
             CM_PERIOD / MS,
         );
-        assert_eq!(fingerprint(digest.as_bytes()), "1a7467dc95344ab9");
+        assert_eq!(fingerprint(digest.as_bytes()), "56eecff9c0b9800a");
     }
 }

@@ -348,12 +348,12 @@ impl FrameView {
 
     /// Whether `next` begins exactly where this view ends, in the same
     /// buffer — the reassembly stitch test.
-    pub fn contiguous_with(&self, next: &FrameView) -> bool {
+    pub(crate) fn contiguous_with(&self, next: &FrameView) -> bool {
         self.same_buffer(next) && self.offset + self.len == next.offset
     }
 
     /// Extends this view over an adjacent one; `None` unless
-    /// [`FrameView::contiguous_with`] holds.
+    /// `FrameView::contiguous_with` holds.
     pub fn join(&self, next: &FrameView) -> Option<FrameView> {
         if self.contiguous_with(next) {
             Some(FrameView {

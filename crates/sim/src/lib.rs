@@ -14,7 +14,7 @@
 //! use pegasus_sim::{Simulator, time};
 //!
 //! let mut sim = Simulator::new();
-//! sim.schedule_in(3 * time::MS, |sim| {
+//! sim.schedule_at(3 * time::MS, |sim| {
 //!     assert_eq!(sim.now(), 3 * time::MS);
 //! });
 //! sim.run();

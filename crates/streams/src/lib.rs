@@ -1,27 +1,16 @@
-//! The control protocol and stream synchronization (§2.2).
+//! Playback synchronization (§2.2).
 //!
-//! "Multimedia devices generate two streams of data on two distinct
-//! virtual circuits. One is the actual data stream ... The other is a
-//! control stream; this is a bi-directional low-bandwidth stream that is
-//! used to control the device and for purposes of synchronization."
+//! "The playback control process is then responsible for the
+//! synchronization of the play-out of the various streams arriving at
+//! it, based on the source synchronization information from the remote
+//! manager(s) and data arrival events."
 //!
-//! Three pieces implement the section:
-//!
-//! * [`control`] — the control-message wire format (start/stop/quality/
-//!   sync marks) and the device manager that opens the data + control
-//!   VC pairs through signalling on behalf of dumb devices.
-//! * [`merge`] — the control-stream *merger*: "a local process will
-//!   merge the two control streams into a combined control stream for
-//!   the playback control process at the rendering end".
-//! * [`playback`] — the playback-control process, "responsible for the
-//!   synchronization of the play-out of the various streams arriving at
-//!   it, based on the source synchronization information from the
-//!   remote manager(s) and data arrival events".
+//! [`playback`] is that process, driven from arrival events: it presents
+//! each stream's items on arrival or at a common delay after capture,
+//! and measures their latency, lateness and inter-stream skew. The
+//! section's control wire format, per-device data + control VC pair
+//! and control-stream merger are not modelled: no claim measures them.
 
-pub mod control;
-pub mod merge;
 pub mod playback;
 
-pub use control::{connect_device, CtrlMsg, DeviceConnection};
-pub use merge::ControlMerger;
 pub use playback::{ArrivalSink, PlaybackControl, PlaybackPolicy, StreamId};

@@ -16,8 +16,8 @@ use pegasus_system::sim::time::MS;
 
 fn main() {
     let mut mgr = QosManager::new(0.9, 0.4);
-    let video = mgr.add_app("video", 2.0);
-    let batch = mgr.add_app("batch", 1.0);
+    let video = mgr.add_app(2.0);
+    let batch = mgr.add_app(1.0);
     let mut audio = None;
 
     println!("epoch  video_grant  batch_grant  audio_grant  video_quality  misses(v,a)");
@@ -28,7 +28,7 @@ fn main() {
         mgr.observe(video, video_demand);
         mgr.observe(batch, 1.0);
         if epoch == 16 && audio.is_none() {
-            audio = Some(mgr.add_app("audio", 4.0));
+            audio = Some(mgr.add_app(4.0));
         }
         if let Some(a) = audio {
             mgr.observe(a, 0.20);

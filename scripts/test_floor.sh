@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=682
+FLOOR=659
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT

@@ -84,8 +84,8 @@ fn rpc_through_lossy_network_keeps_at_most_once() {
 fn qos_manager_drives_scheduler_to_zero_misses() {
     // Manager grants from observed demand; scheduler runs the grants.
     let mut mgr = QosManager::new(0.9, 1.0);
-    let a = mgr.add_app("audio", 1.0);
-    let v = mgr.add_app("video", 1.0);
+    let a = mgr.add_app(1.0);
+    let v = mgr.add_app(1.0);
     mgr.observe(a, 0.2);
     mgr.observe(v, 0.5);
     mgr.rebalance();
@@ -120,8 +120,8 @@ fn events_wake_a_domain_that_schedules_work() {
     // then issues a sync IDC-style notification downstream.
     let sys = EventSystem::shared();
     let mut sim = Simulator::new();
-    let driver = sys.borrow_mut().add_domain("driver");
-    let app = sys.borrow_mut().add_domain("app");
+    let driver = sys.borrow_mut().add_domain();
+    let app = sys.borrow_mut().add_domain();
     let irq = sys.borrow_mut().open_channel(driver);
     let notify = sys.borrow_mut().open_channel(app);
     let delivered: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
